@@ -27,6 +27,9 @@ from .errors import DegeneratePlane, PointOutsideChart
 # treated as outside, since conformal factors blow up there.
 CHART_MEMBERSHIP_TOL = 1e-12
 
+# Finite-difference step of the sectional curvature probe.
+PROBE_STEP = 1e-4
+
 
 class ModelKind(enum.Enum):
     EUCLIDEAN = "euclidean"
@@ -195,10 +198,6 @@ def ambient_inner(model: SpaceFormModel, x: np.ndarray, u: np.ndarray, v: np.nda
     return model.conformal_factor(x) * np.sum(np.asarray(u, float) * np.asarray(v, float), axis=-1)
 
 
-def ambient_norm(model: SpaceFormModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.sqrt(ambient_inner(model, x, u, u))
-
-
 def covariant_hessian(model: SpaceFormModel, x: np.ndarray,
                       grad_euclidean: np.ndarray, hess_euclidean: np.ndarray) -> np.ndarray:
     """Covariant Hessian of a scalar from its flat derivatives.
@@ -259,7 +258,7 @@ def _riemann_up(model: SpaceFormModel, x: np.ndarray, step: float) -> np.ndarray
 
 
 def sectional_curvature_probe(model: SpaceFormModel, x: np.ndarray,
-                              u: np.ndarray, v: np.ndarray, step: float = 1e-4) -> float:
+                              u: np.ndarray, v: np.ndarray) -> float:
     """Numeric sectional curvature of span(u, v) at x.
 
     The curvature tensor is assembled from finite differences of the exact
@@ -276,7 +275,7 @@ def sectional_curvature_probe(model: SpaceFormModel, x: np.ndarray,
     denom = guu * gvv - guv * guv
     if denom <= 1e-12 * max(guu * gvv, 1e-300):
         raise DegeneratePlane("probe vectors are gbar-parallel or null")
-    r = _riemann_up(model, x, step)
+    r = _riemann_up(model, x, PROBE_STEP)
     z = np.einsum("lkij,i,j,k->l", r, u, v, v)
     num = float(ambient_inner(model, x, z, u))
     return num / denom

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -153,12 +153,6 @@ class SphericalCapChart:
         H = self.radius * np.einsum("ik,mkab->mabi", self.frame, d2c)
         return X, J, H
 
-    def unit_direction(self, U):
-        """omega(U): unit vector from the center, shape (m, n)."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        c, _, _ = sphere_embedding(U)
-        return c @ self.frame.T
-
     def normal_hint(self, U, X):
         d = X - self.center
         return d if self.outward else -d
@@ -227,7 +221,7 @@ class PerturbedCapChart:
     base: SphericalCapChart
     model: object              # SpaceFormModel
     epsilon: float
-    profile: object            # evaluate(U) -> (p, dp, d2p)
+    profile: RadialBumpProfile
 
     def __post_init__(self):
         self.ambient_dim = self.base.ambient_dim
@@ -238,8 +232,6 @@ class PerturbedCapChart:
     def evaluate(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         X, J, H = self.base.evaluate(U)
-        m, n = X.shape
-        k = self.dim
         p, dp, d2p = self.profile.evaluate(U)
 
         phi = self.model.phi(X)
@@ -290,7 +282,6 @@ class PolarPlanarChart:
     plane_frame: np.ndarray    # (n, n-1), orthonormal columns spanning the plane
     radius: float
     hint: np.ndarray
-    s_min: float = 0.0
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -301,7 +292,7 @@ class PolarPlanarChart:
             raise ValueError("polar planar patches need ambient dimension >= 3")
         self.ambient_dim = n
         self.dim = n - 1
-        self.domain = [(self.s_min, self.radius)] + full_sphere_box(n - 2)
+        self.domain = [(0.0, self.radius)] + full_sphere_box(n - 2)
         self.boundary_axes = [0]
 
     def evaluate(self, U):
@@ -358,63 +349,3 @@ class PlanarBoxChart:
 
     def normal_hint(self, U, X):
         return np.broadcast_to(self.hint, X.shape).copy()
-
-
-@dataclass
-class FiniteDifferenceChart:
-    """Wraps a plain position callable; derivatives by central differences.
-
-    Fourth-order stencils at step ``h`` (default 1e-5) give Jacobians and
-    second derivatives accurate enough for diagnostic use on user charts
-    that cannot supply exact derivatives.
-    """
-
-    position: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    ambient_dim: int
-    domain: list
-    boundary_axes: list
-    hint_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    step: float = 1e-5
-
-    def evaluate(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m, k = U.shape
-        f = self.position
-        X = np.atleast_2d(f(U))
-        h = self.step
-
-        def shift(i, amount):
-            V = U.copy()
-            V[:, i] += amount
-            return np.atleast_2d(f(V))
-
-        J = np.empty((m, self.ambient_dim, k))
-        for a in range(k):
-            J[:, :, a] = (8.0 * (shift(a, h) - shift(a, -h))
-                          - (shift(a, 2 * h) - shift(a, -2 * h))) / (12.0 * h)
-        H = np.empty((m, k, k, self.ambient_dim))
-        for a in range(k):
-            H[:, a, a, :] = (16.0 * (shift(a, h) + shift(a, -h))
-                             - (shift(a, 2 * h) + shift(a, -2 * h))
-                             - 30.0 * X) / (12.0 * h * h)
-        for a in range(k):
-            for b in range(a + 1, k):
-                def shift2(da, db):
-                    V = U.copy()
-                    V[:, a] += da
-                    V[:, b] += db
-                    return np.atleast_2d(f(V))
-                mixed = (shift2(h, h) - shift2(h, -h)
-                         - shift2(-h, h) + shift2(-h, -h)) / (4.0 * h * h)
-                mixed2 = (shift2(h / 2, h / 2) - shift2(h / 2, -h / 2)
-                          - shift2(-h / 2, h / 2) + shift2(-h / 2, -h / 2)) / (h * h)
-                val = (4.0 * mixed2 - mixed) / 3.0
-                H[:, a, b, :] = val
-                H[:, b, a, :] = val
-        return X, J, H
-
-    def normal_hint(self, U, X):
-        if self.hint_fn is None:
-            raise ValueError("finite-difference chart needs an orientation hint")
-        return self.hint_fn(U, X)

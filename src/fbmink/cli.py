@@ -4,9 +4,10 @@
            [--level N] [--seed N] [--tolerance X] [--jobs N]
 
 Subcommands: identities, curvature, minkowski, af, schur, reilly, sweep,
-converge.  Configuration comes from a JSON file validated against the
-shipped scenario_config.v1 schema; command line flags override config
-fields, which override built-in defaults.
+converge.  Configuration comes from a JSON file; the --level, --seed and
+--tolerance flags override its fields, and the result is validated against
+the shipped scenario_config.v1 schema.  Config fields override built-in
+defaults.
 
 Reports are JSON documents with sorted keys; sweeps default to CSV rows
 with a fixed header.  Identical configurations produce byte-identical
@@ -33,13 +34,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .ambient import (
-    euclidean,
-    poincare_ball,
-    sectional_curvature_probe,
-    sphere_stereographic,
-    upper_half_space,
-)
+from .ambient import MODEL_FACTORIES, sectional_curvature_probe
 from .errors import ConfigError, FbminkError, IOFailure
 from .families import (
     CapScenario,
@@ -54,14 +49,17 @@ from .families import (
 from .inequalities import (
     DEFAULT_EQUALITY_TOL,
     REPORT_BUILDERS,
-    af_report,
     hypothesis_audit,
-    minkowski_report,
     reilly_residual,
-    schur_report,
 )
 from .quadrature import QuadratureRule, RegionQuadrature, SurfaceQuadrature, default_level, refine_study
-from .supports import SupportKind, make_support, sample_admissible_points, sample_support_points
+from .supports import (
+    CANONICAL_SUPPORT_PARAMS,  # noqa: F401  re-exported; perfbench reads it from here
+    SupportKind,
+    make_support,
+    sample_admissible_points,
+    sample_support_points,
+)
 from .surfaces import support_umbilicity_residual
 from .weights import hessian_identity_residual, neumann_identity_residual, weight_for_support
 
@@ -81,14 +79,6 @@ DEFAULT_TOLERANCE = {
     "reilly": 1e-5,
     "sweep": 1e-9,
     "converge": 1e-9,
-}
-
-# placements used when the config does not pin support parameters
-CANONICAL_SUPPORT_PARAMS = {
-    "euclidean_sphere": {"radius": 1.0},
-    "hyp_geodesic_sphere": {"chart_radius": 0.5},
-    "equidistant": {"theta": math.pi / 6.0},
-    "sph_geodesic_sphere": {"chart_radius": 0.5},
 }
 
 DEFAULT_SWEEP_EPSILONS = (0.02, 0.04, 0.06, 0.08, 0.10)
@@ -121,7 +111,10 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def load_config(path: Optional[str]) -> dict:
+def load_config(args: argparse.Namespace) -> dict:
+    """Read the --config file, write the --level, --seed and --tolerance flags
+    over its fields, and validate the result against the schema once."""
+    path = args.config
     if path is None:
         cfg: dict = {"version": 1}
     else:
@@ -134,6 +127,14 @@ def load_config(path: Optional[str]) -> dict:
             cfg = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if isinstance(cfg, dict):        # anything else fails the schema below
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.tolerance is not None:
+            cfg["tolerance"] = args.tolerance
+        quadrature = cfg.get("quadrature", {})
+        if args.level is not None and isinstance(quadrature, dict):
+            cfg["quadrature"] = {**quadrature, "level": args.level}
     try:
         jsonschema.validate(cfg, load_schema(),
                             cls=jsonschema.Draft202012Validator)
@@ -144,18 +145,15 @@ def load_config(path: Optional[str]) -> dict:
 
 
 class Settings:
-    """Resolved run parameters: flags over config fields over defaults."""
+    """Resolved run parameters: validated config fields over defaults."""
 
     def __init__(self, command: str, cfg: dict, args: argparse.Namespace):
         self.command = command
         self.n = int(cfg.get("n", 3))
-        level = args.level if args.level is not None else cfg.get("quadrature", {}).get("level")
+        level = cfg.get("quadrature", {}).get("level")
         self.level = int(level) if level is not None else default_level(self.n)
-        if self.level < 2:
-            raise ConfigError("quadrature level must be at least 2")
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        self.seed = int(seed)
-        tol = args.tolerance if args.tolerance is not None else cfg.get("tolerance")
+        self.seed = int(cfg.get("seed", 0))
+        tol = cfg.get("tolerance")
         self.tolerance = float(tol) if tol is not None else DEFAULT_TOLERANCE[command]
         self.equality_tolerance = float(cfg.get("equality_tolerance", DEFAULT_EQUALITY_TOL))
         self.samples = int(cfg.get("samples", 100))
@@ -168,11 +166,8 @@ class Settings:
 
 def _support_from_config(cfg: dict, n: int):
     sup_cfg = cfg.get("support") or {"kind": "euclidean_plane"}
-    kind = sup_cfg["kind"]
-    params = dict(CANONICAL_SUPPORT_PARAMS.get(kind, {}))
-    params.update(sup_cfg.get("params", {}))
     try:
-        return make_support(kind, n, **params), params
+        return make_support(sup_cfg["kind"], n, **sup_cfg.get("params", {}))
     except ValueError as e:
         raise ConfigError(f"support configuration rejected: {e}") from e
 
@@ -198,7 +193,7 @@ def build_scenario(cfg: dict, st: Settings, epsilon: Optional[float] = None) -> 
     ``epsilon`` overrides the config perturbation (used by sweeps); pass 0.0
     for the unperturbed base cap.
     """
-    support, _ = _support_from_config(cfg, st.n)
+    support = _support_from_config(cfg, st.n)
     spec = _cap_spec_from_config(cfg, support)
     pert_cfg = cfg.get("perturbation")
     if epsilon is not None:
@@ -254,8 +249,7 @@ def run_identities(cfg: dict, st: Settings) -> tuple[list, bool]:
     rows = []
     worst = 0.0
     for idx, kind in enumerate(SupportKind):
-        params = CANONICAL_SUPPORT_PARAMS.get(kind.value, {})
-        s = make_support(kind, st.n, **params)
+        s = make_support(kind, st.n)
         w = weight_for_support(s)
         rng = np.random.default_rng([st.seed, idx])
         interior = sample_admissible_points(s, st.samples, rng)
@@ -272,9 +266,6 @@ def run_identities(cfg: dict, st: Settings) -> tuple[list, bool]:
             "samples": st.samples,
         })
     return rows, worst <= st.tolerance
-
-
-_MODEL_FACTORIES = (euclidean, poincare_ball, upper_half_space, sphere_stereographic)
 
 
 def _model_probe_points(model, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -294,8 +285,7 @@ def run_curvature(cfg: dict, st: Settings) -> tuple[dict, bool]:
     support_rows = []
     worst_umb = 0.0
     for kind in SupportKind:
-        params = CANONICAL_SUPPORT_PARAMS.get(kind.value, {})
-        s = make_support(kind, st.n, **params)
+        s = make_support(kind, st.n)
         res = support_umbilicity_residual(s, samples=min(st.samples, 64), seed=st.seed)
         worst_umb = max(worst_umb, res)
         support_rows.append({"support": kind.value, "kappa": s.kappa,
@@ -303,7 +293,7 @@ def run_curvature(cfg: dict, st: Settings) -> tuple[dict, bool]:
     model_rows = []
     worst_probe = 0.0
     probe_count = min(st.samples, 100)
-    for idx, factory in enumerate(_MODEL_FACTORIES):
+    for idx, factory in enumerate(MODEL_FACTORIES.values()):
         model = factory(st.n)
         rng = np.random.default_rng([st.seed, 100 + idx])
         pts = _model_probe_points(model, probe_count, rng)
@@ -319,16 +309,9 @@ def run_curvature(cfg: dict, st: Settings) -> tuple[dict, bool]:
     return {"supports": support_rows, "models": model_rows}, ok
 
 
-_REPORT_FOR_COMMAND = {
-    "minkowski": minkowski_report,
-    "af": af_report,
-    "schur": schur_report,
-}
-
-
 def run_inequality(command: str, cfg: dict, st: Settings) -> tuple[dict, bool]:
     scenario = build_scenario(cfg, st)
-    builder = _REPORT_FOR_COMMAND[command]
+    builder = REPORT_BUILDERS[command]
     report = builder(scenario, st.rule, equality_tolerance=st.equality_tolerance)
     result = report.to_dict()
     result["scenario"] = scenario.description
@@ -444,7 +427,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def run(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     st = Settings(command, cfg, args)
 
     fmt = args.fmt or ("csv" if command == "sweep" else "json")
@@ -455,7 +438,7 @@ def run(argv: Optional[list] = None) -> int:
         results, ok = run_identities(cfg, st)
     elif command == "curvature":
         results, ok = run_curvature(cfg, st)
-    elif command in _REPORT_FOR_COMMAND:
+    elif command in REPORT_BUILDERS:
         results, ok = run_inequality(command, cfg, st)
     elif command == "reilly":
         results, ok = run_reilly(cfg, st)

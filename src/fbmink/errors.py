@@ -26,7 +26,7 @@ class DegenerateImmersion(FbminkError):
 
 
 class NoBoundary(FbminkError):
-    """A boundary operation was requested on a closed surface."""
+    """A boundary operation was requested on a surface with no boundary face or support."""
 
 
 class WeightNonpositive(FbminkError):

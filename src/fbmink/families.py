@@ -45,6 +45,7 @@ from .surfaces import FreeBoundarySurface, boundary_orthogonality
 from .weights import WeightField, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
+BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class CapSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Normal perturbation: epsilon times a radial bump profile.
+    """Normal perturbation: epsilon times the bump (1 - (t/t_max)^2)^power.
 
     ``power`` >= 3 keeps the profile and its first two derivatives zero at
     the boundary ring; lower powers are rejected because they would change
@@ -78,7 +79,6 @@ class PerturbationSpec:
 
     epsilon: float
     power: int = 3
-    profile: Optional[object] = None   # custom (p, dp, d2p) provider
 
 
 @dataclass
@@ -234,13 +234,10 @@ def _plane_cap(spec: CapSpec, s: SupportSpec, r: float, a: np.ndarray) -> CapSce
         inside_ball = np.linalg.norm(x - center, axis=-1) <= r
         return inside_half & inside_ball
 
-    def ray_exit(directions: np.ndarray) -> np.ndarray:
-        return _ray_sphere_exit(anchor, center, r, directions)
-
     region = quad.DomainRegion(
         model=s.model, star_center=anchor,
         pieces=[quad.RegionPiece("cap", surface)],
-        contains_fn=contains, ray_exit_fn=ray_exit,
+        contains_fn=contains,
     )
     return CapScenario(support=s, weight=weight_for_support(s), surface=surface,
                        face=face, region=region, spec=spec,
@@ -280,44 +277,25 @@ def _sphere_cap(spec: CapSpec, s: SupportSpec, r: float, axis: np.ndarray) -> Ca
         return (_sphere_membership(ball, x)
                 & (np.linalg.norm(x - center, axis=-1) <= r))
 
-    def ray_exit(directions: np.ndarray) -> np.ndarray:
-        to_cap = _ray_sphere_exit(star, center, r, directions)
-        to_support = _ray_sphere_exit(star, np.zeros(n), R, directions)
-        return np.minimum(to_cap, to_support)
-
     region = quad.DomainRegion(
         model=s.model, star_center=star,
         pieces=[quad.RegionPiece("cap", surface), quad.RegionPiece("support", face)],
-        contains_fn=contains, ray_exit_fn=ray_exit,
+        contains_fn=contains,
     )
     return CapScenario(support=s, weight=weight_for_support(s), surface=surface,
                        face=face, region=region, spec=spec,
                        description=f"cap r={r} inside {s.kind.value}")
 
 
-def _ray_sphere_exit(origin: np.ndarray, center: np.ndarray, radius: float,
-                     directions: np.ndarray) -> np.ndarray:
-    """Positive ray parameter where origin + s * dir leaves the sphere."""
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    oc = origin - center
-    b = np.einsum("mi,i->m", d, oc)
-    c = float(np.dot(oc, oc)) - radius * radius
-    disc = b * b - c
-    disc = np.maximum(disc, 0.0)
-    return -b + np.sqrt(disc)
-
-
 def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScenario:
     """Displace an umbilical cap along its unit normal by a conforming bump."""
     base = make_umbilical_cap(spec)
     cap_chart: SphericalCapChart = base.surface.chart
-    profile = perturbation.profile
-    if profile is None:
-        if perturbation.power < 3:
-            raise ValidationFailed(
-                "perturbation_profile",
-                "bump power below 3 would move the boundary ring data")
-        profile = RadialBumpProfile(t_max=cap_chart.t_max, power=perturbation.power)
+    if perturbation.power < 3:
+        raise ValidationFailed(
+            "perturbation_profile",
+            "bump power below 3 would move the boundary ring data")
+    profile = RadialBumpProfile(t_max=cap_chart.t_max, power=perturbation.power)
     _check_profile_conforms(profile, cap_chart)
     probe, _ = quad.tensor_grid(8, cap_chart.domain)
     Xp_probe, _, _ = cap_chart.evaluate(probe)
@@ -333,7 +311,6 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
     r = cap_chart.radius
     frame = cap_chart.frame
     model = base.model
-    base_contains = base.region.contains_fn
     s = base.support
 
     def contains(x: np.ndarray) -> np.ndarray:
@@ -360,7 +337,7 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
     region = quad.DomainRegion(
         model=base.model, star_center=base.region.star_center,
         pieces=[quad.RegionPiece("cap", surface)] + base.region.pieces[1:],
-        contains_fn=contains, ray_exit_fn=None,
+        contains_fn=contains,
     )
     scenario = CapScenario(support=base.support, weight=base.weight, surface=surface,
                            face=base.face, region=region, spec=spec,
@@ -426,9 +403,7 @@ class ValidationReport:
         return [k for k, v in self.checks.items() if not v["passed"]]
 
 
-def validate_scenario(scenario: CapScenario, orthogonality_tol: float = 1e-8,
-                      on_support_tol: float = 1e-8,
-                      strict: bool = True) -> ValidationReport:
+def validate_scenario(scenario: CapScenario, strict: bool = True) -> ValidationReport:
     """Run the geometric validity checks a scenario must pass before reports.
 
     Raises ValidationFailed (naming the failed check) when strict.
@@ -436,11 +411,11 @@ def validate_scenario(scenario: CapScenario, orthogonality_tol: float = 1e-8,
     checks = {}
     angle_err, support_err = boundary_orthogonality(scenario.surface)
     checks["boundary_orthogonality"] = {
-        "value": angle_err, "threshold": orthogonality_tol,
-        "passed": angle_err <= orthogonality_tol}
+        "value": angle_err, "threshold": BOUNDARY_TOL,
+        "passed": angle_err <= BOUNDARY_TOL}
     checks["boundary_on_support"] = {
-        "value": support_err, "threshold": on_support_tol,
-        "passed": support_err <= on_support_tol}
+        "value": support_err, "threshold": BOUNDARY_TOL,
+        "passed": support_err <= BOUNDARY_TOL}
     margins = region_margins(scenario)
     worst = min(v for k, v in margins.items() if k != "weight_min")
     checks["admissibility_margin"] = {

@@ -104,6 +104,7 @@ THEOREM_IDS = {
 }
 
 DEFAULT_EQUALITY_TOL = 1e-6
+HYPOTHESIS_TOL = 1e-9   # a hypothesis margin above -HYPOTHESIS_TOL counts as satisfied
 
 
 @dataclass
@@ -125,9 +126,6 @@ class InequalityReport:
     @property
     def equality_flag(self) -> bool:
         return abs(self.relative_deficit) <= self.equality_tolerance
-
-    def holds(self, tolerance: float = 1e-9) -> bool:
-        return self.deficit >= -tolerance * max(abs(self.lhs), abs(self.rhs), 1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -157,7 +155,6 @@ def _surface_weight_data(scenario: CapScenario, rule: QuadratureRule):
 
 
 def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
-                     hypothesis_tol: float = 1e-9,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
@@ -177,7 +174,7 @@ def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = Non
         lhs=lhs, rhs=rhs, deficit=deficit,
         relative_deficit=deficit / max(abs(lhs), abs(rhs), 1e-300),
         hypothesis="convexity", hypothesis_margin=margin,
-        hypothesis_ok=margin >= -hypothesis_tol,
+        hypothesis_ok=margin >= -HYPOTHESIS_TOL,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "weighted_mean_curvature": mean_v,
                    "weighted_volume": vol_v},
@@ -185,7 +182,6 @@ def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = Non
 
 
 def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
-              hypothesis_tol: float = 1e-9,
               equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Second-order curvature-integral bound (quadratic in int H V)."""
     n = scenario.n
@@ -213,7 +209,7 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
         lhs=lhs, rhs=rhs, deficit=deficit,
         relative_deficit=deficit / max(abs(lhs), abs(rhs), 1e-300),
         hypothesis="substatic", hypothesis_margin=margin,
-        hypothesis_ok=margin >= -hypothesis_tol,
+        hypothesis_ok=margin >= -HYPOTHESIS_TOL,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "weighted_mean_curvature": mean_v,
                    "weighted_sigma2": sigma2_v},
@@ -224,7 +220,6 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
 
 
 def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
-                 hypothesis_tol: float = 1e-9,
                  equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Almost-constancy of the scalar curvature against the traceless Ricci."""
     n = scenario.n
@@ -252,7 +247,7 @@ def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
         lhs=lhs, rhs=rhs, deficit=deficit,
         relative_deficit=deficit / max(abs(lhs), abs(rhs), 1e-300),
         hypothesis="substatic", hypothesis_margin=margin,
-        hypothesis_ok=margin >= -hypothesis_tol,
+        hypothesis_ok=margin >= -HYPOTHESIS_TOL,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "scal_mean": scal_mean},
         extras={"lhs_label": "weighted variance of scalar curvature",

@@ -25,6 +25,7 @@ from .errors import StarShapeViolated
 from .surfaces import FreeBoundarySurface, SurfaceGeometry, curvature_arrays, surface_geometry
 
 DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8}
+REFINE_ERROR_FLOOR = 1e-14   # relative error treated as converged by refine_study
 
 
 def default_level(n: int) -> int:
@@ -108,21 +109,6 @@ class SurfaceQuadrature:
     def integral(self, values: np.ndarray) -> float:
         return pairwise_sum(np.asarray(values, dtype=float) * self.weights)
 
-    def area(self) -> float:
-        return self.integral(np.ones(self.count))
-
-
-def surface_integral(surf: FreeBoundarySurface, integrand: Callable,
-                     rule: QuadratureRule) -> float:
-    """Integral over the surface of integrand(nodes) with the gbar area measure.
-
-    ``integrand`` receives the SurfaceQuadrature and returns node values of
-    shape (m,); use ``nodes.points`` for positions and ``nodes.curvature()``
-    for curvature fields.
-    """
-    nodes = SurfaceQuadrature(surf, rule)
-    return nodes.integral(np.asarray(integrand(nodes), dtype=float))
-
 
 # -- star-shaped regions -------------------------------------------------------
 
@@ -140,14 +126,13 @@ class DomainRegion:
     """A star-shaped region given by its boundary pieces and a star center.
 
     ``contains_fn`` is an optional closed-form membership test (vectorized
-    over points) used by Monte Carlo oracles and orientation ray tests.
+    over points) used by Monte Carlo oracles.
     """
 
     model: object
     star_center: np.ndarray
     pieces: list[RegionPiece]
     contains_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    ray_exit_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.star_center = np.asarray(self.star_center, dtype=float)
@@ -156,12 +141,6 @@ class DomainRegion:
         if self.contains_fn is None:
             raise NotImplementedError("region has no closed-form membership test")
         return self.contains_fn(np.asarray(x, dtype=float))
-
-    def radial_extent(self, directions: np.ndarray) -> np.ndarray:
-        """Distance from the star center to the boundary along unit directions."""
-        if self.ray_exit_fn is None:
-            raise NotImplementedError("region has no closed-form radial extent")
-        return self.ray_exit_fn(np.asarray(directions, dtype=float))
 
 
 class RegionQuadrature:
@@ -209,16 +188,6 @@ class RegionQuadrature:
         return self.integral(np.ones(self.count))
 
 
-def domain_integral(region: DomainRegion, integrand: Callable,
-                    rule: QuadratureRule) -> float:
-    """Integral over the region of integrand(x) with the gbar volume measure.
-
-    ``integrand`` maps point batches (m, n) to values (m,).
-    """
-    nodes = RegionQuadrature(region, rule)
-    return nodes.integral(np.asarray(integrand(nodes.points), dtype=float))
-
-
 # -- refinement studies ----------------------------------------------------------
 
 
@@ -243,8 +212,7 @@ class ConvergenceTable:
         return min(finite)
 
 
-def refine_study(fn: Callable[[int], float], levels: Sequence[int],
-                 floor: float = 1e-14) -> ConvergenceTable:
+def refine_study(fn: Callable[[int], float], levels: Sequence[int]) -> ConvergenceTable:
     """Evaluate fn at each level and estimate the observed convergence order.
 
     Orders are computed from errors against the finest level; pairs of errors
@@ -263,7 +231,7 @@ def refine_study(fn: Callable[[int], float], levels: Sequence[int],
     orders = []
     for i in range(len(levels) - 2):
         e0, e1 = errors[i], errors[i + 1]
-        if e1 <= floor * scale or e0 <= floor * scale:
+        if e1 <= REFINE_ERROR_FLOOR * scale or e0 <= REFINE_ERROR_FLOOR * scale:
             orders.append(math.inf)
             continue
         ratio = levels[i + 1] / levels[i]

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import ambient
 from .ambient import ModelKind, SpaceFormModel
+from .charts import axis_frame
 from .errors import PointNotOnSupport
 
 # Euclidean tolerance for "this point sits on the support realization".
@@ -277,71 +278,40 @@ def sph_hyperplane(n: int) -> SupportSpec:
     )
 
 
-_SUPPORT_PARAM_KEYS = {
-    SupportKind.EUCLIDEAN_SPHERE: {"radius"},
-    SupportKind.EUCLIDEAN_PLANE: set(),
-    SupportKind.HYP_GEODESIC_SPHERE: {"geodesic_radius", "chart_radius"},
-    SupportKind.HOROSPHERE: set(),
-    SupportKind.EQUIDISTANT: {"theta"},
-    SupportKind.HYP_GEODESIC_PLANE: set(),
-    SupportKind.SPH_GEODESIC_SPHERE: {"geodesic_radius", "chart_radius"},
-    SupportKind.SPH_HYPERPLANE: set(),
+# constructor and accepted parameter names of each kind
+_CONSTRUCTORS = {
+    SupportKind.EUCLIDEAN_SPHERE: (euclidean_sphere, {"radius"}),
+    SupportKind.EUCLIDEAN_PLANE: (euclidean_plane, set()),
+    SupportKind.HYP_GEODESIC_SPHERE: (hyp_geodesic_sphere, {"geodesic_radius", "chart_radius"}),
+    SupportKind.HOROSPHERE: (horosphere, set()),
+    SupportKind.EQUIDISTANT: (equidistant, {"theta"}),
+    SupportKind.HYP_GEODESIC_PLANE: (hyp_geodesic_plane, set()),
+    SupportKind.SPH_GEODESIC_SPHERE: (sph_geodesic_sphere, {"geodesic_radius", "chart_radius"}),
+    SupportKind.SPH_HYPERPLANE: (sph_hyperplane, set()),
+}
+
+# placements used when a caller passes no support parameters
+CANONICAL_SUPPORT_PARAMS = {
+    "euclidean_sphere": {"radius": 1.0},
+    "hyp_geodesic_sphere": {"chart_radius": 0.5},
+    "equidistant": {"theta": math.pi / 6.0},
+    "sph_geodesic_sphere": {"chart_radius": 0.5},
 }
 
 
 def make_support(kind: SupportKind | str, n: int, **params) -> SupportSpec:
-    """Uniform constructor used by the CLI configuration layer."""
+    """Uniform constructor; without params the canonical placement applies."""
     kind = SupportKind(kind) if not isinstance(kind, SupportKind) else kind
-    unknown = set(params) - _SUPPORT_PARAM_KEYS[kind]
+    constructor, allowed = _CONSTRUCTORS[kind]
+    unknown = set(params) - allowed
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for support {kind.value}; "
-            f"allowed: {sorted(_SUPPORT_PARAM_KEYS[kind])}")
-    if kind is SupportKind.EUCLIDEAN_SPHERE:
-        return euclidean_sphere(n, params.get("radius", 1.0))
-    if kind is SupportKind.EUCLIDEAN_PLANE:
-        return euclidean_plane(n)
-    if kind is SupportKind.HYP_GEODESIC_SPHERE:
-        if "geodesic_radius" in params:
-            return hyp_geodesic_sphere(n, geodesic_radius=params["geodesic_radius"])
-        return hyp_geodesic_sphere(n, chart_radius=params.get("chart_radius", 0.5))
-    if kind is SupportKind.HOROSPHERE:
-        return horosphere(n)
-    if kind is SupportKind.EQUIDISTANT:
-        return equidistant(n, params.get("theta", math.pi / 6.0))
-    if kind is SupportKind.HYP_GEODESIC_PLANE:
-        return hyp_geodesic_plane(n)
-    if kind is SupportKind.SPH_GEODESIC_SPHERE:
-        if "geodesic_radius" in params:
-            return sph_geodesic_sphere(n, geodesic_radius=params["geodesic_radius"])
-        return sph_geodesic_sphere(n, chart_radius=params.get("chart_radius", 0.5))
-    if kind is SupportKind.SPH_HYPERPLANE:
-        return sph_hyperplane(n)
-    raise ValueError(f"unknown support kind {kind!r}")
-
-
-ALL_SUPPORT_KINDS = tuple(SupportKind)
+            f"allowed: {sorted(allowed)}")
+    return constructor(n, **(params or CANONICAL_SUPPORT_PARAMS.get(kind.value, {})))
 
 
 # -- samplers (seed-controlled, used by identity checks and tests) ------------
-
-
-def _plane_frame(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit vector a."""
-    n = a.shape[0]
-    basis = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        v = e - np.dot(e, a) * a
-        for b in basis:
-            v -= np.dot(v, b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-        if len(basis) == n - 1:
-            break
-    return np.stack(basis, axis=1)   # (n, n-1)
 
 
 def sample_support_points(s: SupportSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -358,7 +328,7 @@ def sample_support_points(s: SupportSpec, count: int, rng: np.random.Generator) 
         return np.asarray(s.shape.center, float) + s.shape.radius * d
     a = np.asarray(s.shape.normal_in, float)
     p0 = s.shape.offset * a
-    frame = _plane_frame(a)
+    frame = axis_frame(a)[:, 1:]
     pts = np.empty((count, n))
     have = 0
     while have < count:

@@ -34,21 +34,22 @@ from .charts import (
 )
 
 DEGENERACY_FLOOR = 1e-12   # det(g) below this aborts with DegenerateImmersion
+BOUNDARY_SAMPLES_PER_AXIS = 24   # boundary-ring grid for the free-boundary checks
+SUPPORT_PATCH_EXTENT = 0.6       # parameter half-width of a support patch (0.4 in the half space)
 
 
 @dataclass(frozen=True)
 class FreeBoundarySurface:
     """A parametrized hypersurface immersed in a space-form chart.
 
-    ``support`` may be None for auxiliary patches (support faces of an
-    integration region, closed test surfaces); free-boundary checks then
-    refuse to run.  Orientation is carried by the chart's normal hint.
+    ``support`` may be None for auxiliary patches (the support faces of an
+    integration region); free-boundary checks then refuse to run.
+    Orientation is carried by the chart's normal hint.
     """
 
     model: SpaceFormModel
     chart: object
     support: Optional[SupportSpec] = None
-    closed: bool = False
 
     @property
     def param_dim(self) -> int:
@@ -63,7 +64,6 @@ class SurfaceGeometry:
     x: np.ndarray               # (m, n)
     jac: np.ndarray             # (m, n, k)
     phi: np.ndarray             # (m,)
-    factor: np.ndarray          # (m,)  exp(2 phi)
     g: np.ndarray               # (m, k, k)
     g_inv: np.ndarray           # (m, k, k)
     det_g: np.ndarray           # (m,)
@@ -75,30 +75,6 @@ class SurfaceGeometry:
     @property
     def count(self) -> int:
         return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class FundamentalForms:
-    """Single-point first/second fundamental forms, spec-facing view."""
-
-    g: np.ndarray
-    h: np.ndarray
-    nu: np.ndarray
-    area_element: float
-    x: np.ndarray
-    jacobian: np.ndarray
-    nu_delta: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    """Pointwise curvature bundle derived from the fundamental forms."""
-
-    H: float
-    norm_h_sq: float
-    sigma2: float
-    ric: np.ndarray
-    scal: float
 
 
 def _cross_normal(jac: np.ndarray) -> np.ndarray:
@@ -146,24 +122,14 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray) -> SurfaceGeometr
 
     # h_ab = -gbar(d2X + Gamma(dX,dX), nu) = -e^{phi} <d2X + Gamma(dX,dX), nu_delta>
     dphi = model.phi_grad(X)
-    k = J.shape[2]
     Jt = np.transpose(J, (0, 2, 1))            # (m, k, n)
     gam = christoffel_apply(dphi[:, None, None, :], Jt[:, :, None, :], Jt[:, None, :, :])
     accel = H2 + gam                            # (m, k, k, n)
     h = -np.exp(phi)[:, None, None] * np.einsum("mabi,mi->mab", accel, nu_delta)
 
     return SurfaceGeometry(
-        params=U, x=X, jac=J, phi=phi, factor=factor, g=g, g_inv=g_inv,
+        params=U, x=X, jac=J, phi=phi, g=g, g_inv=g_inv,
         det_g=det_g, area_element=np.sqrt(det_g), nu_delta=nu_delta, nu=nu, h=h,
-    )
-
-
-def fundamental_forms(surf: FreeBoundarySurface, u: np.ndarray) -> FundamentalForms:
-    geo = surface_geometry(surf, np.atleast_2d(np.asarray(u, dtype=float)))
-    return FundamentalForms(
-        g=geo.g[0], h=geo.h[0], nu=geo.nu[0],
-        area_element=float(geo.area_element[0]),
-        x=geo.x[0], jacobian=geo.jac[0], nu_delta=geo.nu_delta[0],
     )
 
 
@@ -199,14 +165,6 @@ def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> Curvatu
                            ric=ric, scal=scal, shape_operator=S)
 
 
-def curvature_data(surf: FreeBoundarySurface, u: np.ndarray) -> CurvatureData:
-    geo = surface_geometry(surf, np.atleast_2d(np.asarray(u, dtype=float)))
-    arr = curvature_arrays(surf, geo)
-    return CurvatureData(H=float(arr.H[0]), norm_h_sq=float(arr.norm_h_sq[0]),
-                         sigma2=float(arr.sigma2[0]), ric=arr.ric[0],
-                         scal=float(arr.scal[0]))
-
-
 def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
     """Eigenvalues of the shape operator, batched: (m, k), ascending.
 
@@ -234,13 +192,13 @@ def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.nd
 
 
 def _require_boundary(surf: FreeBoundarySurface):
-    if surf.closed or not surf.chart.boundary_axes:
-        raise NoBoundary("surface is closed; boundary operations need a flag")
+    if not surf.chart.boundary_axes:
+        raise NoBoundary("surface chart has no boundary face")
     if surf.support is None:
         raise NoBoundary("surface carries no support to be orthogonal to")
 
 
-def boundary_parameters(surf: FreeBoundarySurface, samples_per_axis: int = 24) -> np.ndarray:
+def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
     """Parameter grid on the boundary face (the max end of the first axis)."""
     dom = surf.chart.domain
     k = surf.chart.dim
@@ -248,7 +206,7 @@ def boundary_parameters(surf: FreeBoundarySurface, samples_per_axis: int = 24) -
     for a in range(1, k):
         lo, hi = dom[a]
         pad = 1e-3 * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, samples_per_axis))
+        axes.append(np.linspace(lo + pad, hi - pad, BOUNDARY_SAMPLES_PER_AXIS))
     if axes:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([mm.ravel() for mm in mesh], axis=1)
@@ -258,17 +216,14 @@ def boundary_parameters(surf: FreeBoundarySurface, samples_per_axis: int = 24) -
     return np.hstack([t_face, pts])
 
 
-def boundary_orthogonality(surf: FreeBoundarySurface, samples_per_axis: int = 24,
-                           allow_closed: bool = False) -> tuple[float, float]:
+def boundary_orthogonality(surf: FreeBoundarySurface) -> tuple[float, float]:
     """(max |gbar(nu, N)|, max |signed distance|) along the boundary ring.
 
     Conformality makes gbar angles equal Euclidean chart angles, so the
     cosine is evaluated on the Euclidean unit vectors.
     """
-    if surf.closed and allow_closed:
-        return 0.0, 0.0
     _require_boundary(surf)
-    U = boundary_parameters(surf, samples_per_axis)
+    U = boundary_parameters(surf)
     geo = surface_geometry(surf, U)
     s = surf.support
     sd = np.abs(s.signed_distance(geo.x))
@@ -284,7 +239,6 @@ def boundary_conormal(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> tuple[
     g(mu, d_psi) = 0 for every boundary tangent and g(mu, mu) = 1, with mu
     pointing out of the parameter domain (increasing first axis).
     """
-    m, k = geo.params.shape
     grad_t = geo.g_inv[:, :, 0]
     norm = np.sqrt(geo.g_inv[:, 0, 0])
     mu_param = grad_t / norm[:, None]
@@ -292,15 +246,14 @@ def boundary_conormal(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> tuple[
     return mu_param, mu_chart
 
 
-def boundary_principal_direction_residual(surf: FreeBoundarySurface,
-                                          samples_per_axis: int = 24) -> float:
+def boundary_principal_direction_residual(surf: FreeBoundarySurface) -> float:
     """max |h(e, mu)| over normalized boundary tangents e and the conormal mu.
 
     Zero (to rounding) whenever the free-boundary surface meets an umbilical
     support orthogonally; a nonzero value flags a broken hypothesis.
     """
     _require_boundary(surf)
-    U = boundary_parameters(surf, samples_per_axis)
+    U = boundary_parameters(surf)
     geo = surface_geometry(surf, U)
     mu_param, _ = boundary_conormal(surf, geo)
     k = geo.params.shape[1]
@@ -309,8 +262,6 @@ def boundary_principal_direction_residual(surf: FreeBoundarySurface,
     h_mu = np.einsum("mab,mb->ma", geo.h, mu_param)
     worst = 0.0
     for a in range(1, k):
-        e = np.zeros(k)
-        e[a] = 1.0
         gee = geo.g[:, a, a]
         vals = np.abs(h_mu[:, a]) / np.sqrt(gee)
         worst = max(worst, float(np.max(vals)))
@@ -364,12 +315,13 @@ def condition_substatic(surf: FreeBoundarySurface, weight, U) -> float:
 # -- support patches ---------------------------------------------------------------
 
 
-def support_patch(s: SupportSpec, extent: float = 0.6) -> FreeBoundarySurface:
+def support_patch(s: SupportSpec) -> FreeBoundarySurface:
     """The support's own realization as a surface, oriented out of B_int.
 
     Running this through the curvature pipeline certifies h = kappa g.
     """
     n = s.n
+    extent = SUPPORT_PATCH_EXTENT
     if isinstance(s.shape, SphereShape):
         center = np.asarray(s.shape.center, dtype=float)
         axis = np.zeros(n)
@@ -387,14 +339,9 @@ def support_patch(s: SupportSpec, extent: float = 0.6) -> FreeBoundarySurface:
             lift[-1] = 1.0
             anchor = anchor + lift
         extent = min(extent, 0.4)
-    basis = _plane_basis(a)
-    chart = PlanarBoxChart(origin=anchor, plane_frame=basis, extent=extent, hint=-a)
+    chart = PlanarBoxChart(origin=anchor, plane_frame=axis_frame(a)[:, 1:],
+                           extent=extent, hint=-a)
     return FreeBoundarySurface(model=s.model, chart=chart, support=s)
-
-
-def _plane_basis(a: np.ndarray) -> np.ndarray:
-    frame = axis_frame(a)
-    return frame[:, 1:]
 
 
 def support_umbilicity_residual(s: SupportSpec, samples: int = 50,

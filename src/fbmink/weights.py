@@ -15,7 +15,6 @@ import numpy as np
 
 from . import ambient
 from .ambient import SpaceFormModel
-from .errors import WeightNonpositive
 from .supports import SupportKind, SupportSpec
 
 
@@ -65,7 +64,6 @@ class WeightField:
 
     def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
         f = self.formula
         if f is WeightFormula.EUCLID_XN:
             g = np.zeros_like(x)
@@ -120,17 +118,9 @@ class WeightField:
 
     # -- covariant quantities -------------------------------------------------
 
-    def ambient_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Chart components of the gbar-gradient, exp(-2 phi) * flat gradient."""
-        return np.exp(-2.0 * self.model.phi(x))[..., None] * self.euclidean_gradient(x)
-
     def covariant_hessian(self, x: np.ndarray) -> np.ndarray:
         """Chart components of Hess_gbar V (a covariant 2-tensor)."""
         return ambient.covariant_hessian(
-            self.model, x, self.euclidean_gradient(x), self.euclidean_hessian(x))
-
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        return ambient.ambient_laplacian(
             self.model, x, self.euclidean_gradient(x), self.euclidean_hessian(x))
 
     def directional(self, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -138,36 +128,9 @@ class WeightField:
         return np.sum(self.euclidean_gradient(x) * direction, axis=-1)
 
 
-@dataclass(frozen=True)
-class WeightEval:
-    """Pointwise evaluation record: value plus covariant derivatives."""
-
-    value: np.ndarray
-    ambient_gradient: np.ndarray
-    ambient_hessian: np.ndarray
-
-
 def weight_for_support(s: SupportSpec) -> WeightField:
     """The statically paired weight for a support case (no overrides exist)."""
     return WeightField(model=s.model, formula=_BINDING[s.kind])
-
-
-def weight_eval(w: WeightField, x: np.ndarray) -> WeightEval:
-    w.model.require_inside(x)
-    return WeightEval(
-        value=w.value(x),
-        ambient_gradient=w.ambient_gradient(x),
-        ambient_hessian=w.covariant_hessian(x),
-    )
-
-
-def require_positive(w: WeightField, x: np.ndarray) -> np.ndarray:
-    v = w.value(x)
-    if np.any(v <= 0.0):
-        raise WeightNonpositive(
-            f"weight {w.formula.value} is nonpositive at a sampled point "
-            f"(min value {float(np.min(v)):.3e})")
-    return v
 
 
 # -- identity residuals --------------------------------------------------------

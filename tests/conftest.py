@@ -1,7 +1,5 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,17 +11,8 @@ from fbmink import (
     make_umbilical_cap,
 )
 
-# canonical placement parameters, one per support kind
-CANONICAL_PARAMS = {
-    SupportKind.EUCLIDEAN_SPHERE: {"radius": 1.0},
-    SupportKind.HYP_GEODESIC_SPHERE: {"chart_radius": 0.5},
-    SupportKind.EQUIDISTANT: {"theta": math.pi / 6.0},
-    SupportKind.SPH_GEODESIC_SPHERE: {"chart_radius": 0.5},
-}
-
-
 def canonical_support(kind: SupportKind, n: int = 3):
-    return make_support(kind, n, **CANONICAL_PARAMS.get(kind, {}))
+    return make_support(kind, n)
 
 
 def canonical_scenario(kind: SupportKind, n: int = 3):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fbmink.cli import main
 
 
@@ -53,6 +55,19 @@ def test_level_flag_overrides_config(tmp_path, capsys):
     assert doc["results"]["quadrature_meta"]["level"] == 8
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--seed", "-1"], "seed"),
+    (["--level", "1"], "quadrature/level"),
+    (["--level", "65"], "quadrature/level"),
+    (["--tolerance", "0"], "tolerance"),
+])
+def test_flags_obey_schema_bounds(flags, field, capsys):
+    code, out, err = run_cli(["identities"] + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"config invalid at {field}" in err
+
+
 def test_tilted_cap_exits_2_naming_orthogonality(tmp_path, capsys):
     cfg = write_config(tmp_path, {"version": 1, "cap": {"tilt": 0.2}})
     code, _, err = run_cli(["minkowski", "--config", cfg], capsys)
@@ -87,6 +102,16 @@ def test_wrong_support_parameter_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["minkowski", "--config", cfg], capsys)
     assert code == 2
     assert "support" in err
+
+    # two radii for one geodesic sphere are ambiguous
+    cfg = write_config(tmp_path, {
+        "version": 1,
+        "support": {"kind": "hyp_geodesic_sphere",
+                    "params": {"geodesic_radius": 1.2, "chart_radius": 0.5}},
+    })
+    code, _, err = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 2
+    assert "exactly one of geodesic_radius, chart_radius" in err
 
 
 def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):

@@ -103,9 +103,8 @@ def test_perturbation_is_linear_in_epsilon_at_fixed_point():
 
 @pytest.mark.parametrize("kind", list(SupportKind))
 def test_perturbed_caps_keep_free_boundary_data(kind):
-    from conftest import CANONICAL_PARAMS
-    from fbmink import default_cap_spec, make_support
-    support = make_support(kind, 3, **CANONICAL_PARAMS.get(kind, {}))
+    from fbmink import default_cap_spec
+    support = canonical_support(kind)
     spec = default_cap_spec(support)
     sc = make_perturbed_cap(spec, PerturbationSpec(epsilon=0.04, power=3))
     angle, on_support = boundary_orthogonality(sc.surface)

@@ -16,7 +16,7 @@ from fbmink.supports import (
 )
 from fbmink.surfaces import support_umbilicity_residual
 
-from conftest import CANONICAL_PARAMS, canonical_support
+from conftest import canonical_support
 
 ALL_KINDS = list(SupportKind)
 
@@ -27,7 +27,7 @@ def test_catalogue_has_eight_kinds():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_make_support_accepts_string_names(kind):
-    s = make_support(kind.value, 3, **CANONICAL_PARAMS.get(kind, {}))
+    s = make_support(kind.value, 3)
     assert s.kind is kind
 
 
@@ -57,6 +57,14 @@ def test_hyperbolic_sphere_kappa_is_coth_of_geodesic_radius():
     s2 = hyp_geodesic_sphere(3, geodesic_radius=R)
     assert np.isclose(s2.kappa, s.kappa, rtol=1e-14)
     assert np.isclose(s2.shape.radius, 0.5, rtol=1e-14)
+    # through make_support: a given radius replaces the canonical chart radius
+    s3 = make_support(SupportKind.HYP_GEODESIC_SPHERE, 3, geodesic_radius=R)
+    assert np.isclose(s3.kappa, s.kappa, rtol=1e-14)
+    assert np.isclose(s3.shape.radius, 0.5, rtol=1e-14)
+    R_sph = 2.0 * math.atan(0.3)
+    s4 = make_support(SupportKind.SPH_GEODESIC_SPHERE, 3, geodesic_radius=R_sph)
+    assert np.isclose(s4.kappa, 1.0 / math.tan(R_sph), rtol=1e-14)
+    assert np.isclose(s4.shape.radius, 0.3, rtol=1e-14)
 
 
 def test_equidistant_kappa_bounds():
