@@ -63,6 +63,7 @@ from .quadrature import (
     ConvergenceTable,
     QuadratureRule,
     RegionQuadrature,
+    SurfaceNodes,
     SurfaceQuadrature,
     default_level,
     refine_study,
@@ -120,6 +121,7 @@ __all__ = [
     "schur_report",
     "reilly_residual",
     "QuadratureRule",
+    "SurfaceNodes",
     "SurfaceQuadrature",
     "RegionQuadrature",
     "ConvergenceTable",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -52,7 +54,7 @@ from .inequalities import (
     hypothesis_audit,
     reilly_residual,
 )
-from .quadrature import QuadratureRule, RegionQuadrature, SurfaceQuadrature, default_level, refine_study
+from .quadrature import QuadratureRule, default_level, refine_study
 from .supports import (
     CANONICAL_SUPPORT_PARAMS,  # noqa: F401  re-exported; perfbench reads it from here
     SupportKind,
@@ -111,6 +113,13 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _config_validator() -> jsonschema.Draft202012Validator:
+    # built once: jsonschema.validate would also re-check the schema against
+    # its metaschema on every call (the tests check it instead)
+    return jsonschema.Draft202012Validator(load_schema())
+
+
 def load_config(args: argparse.Namespace) -> dict:
     """Read the --config file, write the --level, --seed and --tolerance flags
     over its fields, and validate the result against the schema once."""
@@ -135,12 +144,10 @@ def load_config(args: argparse.Namespace) -> dict:
         quadrature = cfg.get("quadrature", {})
         if args.level is not None and isinstance(quadrature, dict):
             cfg["quadrature"] = {**quadrature, "level": args.level}
-    try:
-        jsonschema.validate(cfg, load_schema(),
-                            cls=jsonschema.Draft202012Validator)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ConfigError(f"config invalid at {where}: {error.message}") from error
     return cfg
 
 
@@ -148,7 +155,6 @@ class Settings:
     """Resolved run parameters: validated config fields over defaults."""
 
     def __init__(self, command: str, cfg: dict, args: argparse.Namespace):
-        self.command = command
         self.n = int(cfg.get("n", 3))
         level = cfg.get("quadrature", {}).get("level")
         self.level = int(level) if level is not None else default_level(self.n)
@@ -366,19 +372,20 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
     scenario = build_scenario(cfg, st)
     weight = scenario.weight
 
-    def weighted_area(level: int) -> float:
-        sq = SurfaceQuadrature(scenario.surface, QuadratureRule(level))
-        return sq.integral(weight.value(sq.geo.x))
-
-    def weighted_volume(level: int) -> float:
-        rq = RegionQuadrature(scenario.region, QuadratureRule(level))
-        return rq.integral(weight.value(rq.points))
+    @functools.cache
+    def at(level: int) -> tuple[float, float, float]:
+        # weighted area, volume and deficit from one bundle on a copy of the scenario
+        # with an empty node cache, so each level's nodes are freed before the next
+        sc = dataclasses.replace(scenario)
+        sq, rq = sc.nodes(level).quadrature("cap"), sc.nodes(level).region
+        return (sq.integral(weight.value(sq.geo.x)), rq.integral(weight.value(rq.points)),
+                builder(sc, QuadratureRule(level)).deficit)
 
     tables = {
-        "weighted_area": refine_study(weighted_area, levels),
-        "weighted_volume": refine_study(weighted_volume, levels),
+        "weighted_area": refine_study(lambda level: at(level)[0], levels),
+        "weighted_volume": refine_study(lambda level: at(level)[1], levels),
     }
-    deficits = [builder(scenario, QuadratureRule(level)).deficit for level in levels]
+    deficits = [at(level)[2] for level in levels]
     result = {"levels": levels, "theorem": theorem, "deficits": deficits}
     ok = True
     for name, table in tables.items():
@@ -388,7 +395,7 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
             "errors": table.errors,
             "orders": [o if math.isfinite(o) else "inf" for o in table.orders],
             "observed_order": order if math.isfinite(order) else "inf",
-            "converged_value": table.converged_value,
+            "converged_value": table.values[-1],
         }
         ok = ok and order >= MIN_CONVERGENCE_ORDER
     return result, ok

@@ -11,15 +11,16 @@ support realization orthogonally:
 
 Each scenario bundles the surface, the support face it cuts out, a
 star-shaped integration region for the enclosed volume, and the paired
-weight.  Perturbed caps displace the base cap along its gbar-unit normal by
-epsilon times a profile that vanishes to second order at the ring, so the
-free-boundary data at Gamma is preserved exactly.
+weight, and caches their quadrature nodes per level.  Perturbed caps
+displace the base cap along its gbar-unit normal by epsilon times a
+profile that vanishes to second order at the ring, so the free-boundary
+data at Gamma is preserved exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,11 +42,12 @@ from .errors import (
     ValidationFailed,
 )
 from .supports import PlaneShape, SphereShape, SupportSpec
-from .surfaces import FreeBoundarySurface, boundary_orthogonality
+from .surfaces import FreeBoundarySurface, boundary_checks
 from .weights import WeightField, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
+ADMISSIBILITY_LEVEL = 6   # margins only locate region nodes, so a coarse level suffices
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class PerturbationSpec:
     power: int = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapScenario:
     """A fully assembled verification scenario."""
 
@@ -93,6 +95,14 @@ class CapScenario:
     spec: CapSpec
     perturbation: Optional[PerturbationSpec] = None
     description: str = ""
+    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def nodes(self, level: int) -> quad.ScenarioNodes:
+        """The scenario's node sets at one level, built once and shared by every consumer."""
+        if level not in self._nodes:
+            self._nodes[level] = quad.ScenarioNodes(self.surface, self.face, self.region,
+                                                    self.weight, level)
+        return self._nodes[level]
 
     @property
     def model(self) -> SpaceFormModel:
@@ -236,7 +246,7 @@ def _plane_cap(spec: CapSpec, s: SupportSpec, r: float, a: np.ndarray) -> CapSce
 
     region = quad.DomainRegion(
         model=s.model, star_center=anchor,
-        pieces=[quad.RegionPiece("cap", surface)],
+        pieces=("cap",),
         contains_fn=contains,
     )
     return CapScenario(support=s, weight=weight_for_support(s), surface=surface,
@@ -279,7 +289,7 @@ def _sphere_cap(spec: CapSpec, s: SupportSpec, r: float, axis: np.ndarray) -> Ca
 
     region = quad.DomainRegion(
         model=s.model, star_center=star,
-        pieces=[quad.RegionPiece("cap", surface), quad.RegionPiece("support", face)],
+        pieces=("cap", "support"),
         contains_fn=contains,
     )
     return CapScenario(support=s, weight=weight_for_support(s), surface=surface,
@@ -334,14 +344,9 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
         inside_support_side = s.signed_distance(x) <= 1e-15
         return inside_cap & inside_support_side
 
-    region = quad.DomainRegion(
-        model=base.model, star_center=base.region.star_center,
-        pieces=[quad.RegionPiece("cap", surface)] + base.region.pieces[1:],
-        contains_fn=contains,
-    )
     scenario = CapScenario(support=base.support, weight=base.weight, surface=surface,
-                           face=base.face, region=region, spec=spec,
-                           perturbation=perturbation,
+                           face=base.face, region=replace(base.region, contains_fn=contains),
+                           spec=spec, perturbation=perturbation,
                            description=base.description + f" perturbed eps={perturbation.epsilon}")
     _check_admissible(scenario)
     return scenario
@@ -365,10 +370,9 @@ def _check_profile_conforms(profile, cap_chart: SphericalCapChart) -> None:
 # -- admissibility -------------------------------------------------------------
 
 
-def region_margins(scenario: CapScenario, level: int = 6) -> dict:
+def region_margins(scenario: CapScenario) -> dict:
     """Worst-case margins of the region nodes against every constraint."""
-    nodes = quad.RegionQuadrature(scenario.region, quad.QuadratureRule(level))
-    pts = nodes.points
+    pts = scenario.nodes(ADMISSIBILITY_LEVEL).region.points
     s = scenario.support
     model = s.model
     out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
@@ -409,7 +413,7 @@ def validate_scenario(scenario: CapScenario, strict: bool = True) -> ValidationR
     Raises ValidationFailed (naming the failed check) when strict.
     """
     checks = {}
-    angle_err, support_err = boundary_orthogonality(scenario.surface)
+    angle_err, support_err, _ = boundary_checks(scenario.surface)
     checks["boundary_orthogonality"] = {
         "value": angle_err, "threshold": BOUNDARY_TOL,
         "passed": angle_err <= BOUNDARY_TOL}

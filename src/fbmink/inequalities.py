@@ -27,23 +27,15 @@ from .ambient import (
     covariant_hessian,
     metric_at,
 )
-from .errors import DimensionTooLow, NonSmoothTestFunction, WeightNonpositive
+from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
 from .quadrature import (
     QuadratureRule,
-    RegionQuadrature,
     SurfaceQuadrature,
     default_level,
     pairwise_sum,
 )
-from .surfaces import (
-    FreeBoundarySurface,
-    boundary_orthogonality,
-    boundary_principal_direction_residual,
-    condition_convexity,
-    condition_substatic,
-    normal_derivatives,
-)
+from .surfaces import boundary_checks, normal_derivatives
 from .weights import WeightField
 
 
@@ -80,17 +72,16 @@ class HypothesisAudit:
 
 def hypothesis_audit(scenario: CapScenario, rule: Optional[QuadratureRule] = None) -> HypothesisAudit:
     rule = rule or QuadratureRule(default_level(scenario.n))
-    sq = SurfaceQuadrature(scenario.surface, rule)
-    geo = sq.geo
-    V = scenario.weight
-    angle_err, support_err = boundary_orthogonality(scenario.surface)
+    nodes = scenario.nodes(rule.level)
+    angle_err, support_err, principal_err = boundary_checks(scenario.surface)
+    V, convexity, substatic = nodes.weight_data()
     return HypothesisAudit(
-        convexity_min=condition_convexity(scenario.surface, V, geo),
-        substatic_min=condition_substatic(scenario.surface, V, geo),
-        weight_min=float(np.min(V.value(geo.x))),
+        convexity_min=convexity,
+        substatic_min=substatic,
+        weight_min=float(np.min(V)),
         orthogonality=angle_err,
         on_support=support_err,
-        principal_direction_residual=boundary_principal_direction_residual(scenario.surface),
+        principal_direction_residual=principal_err,
     )
 
 
@@ -145,22 +136,14 @@ class InequalityReport:
         }
 
 
-def _surface_weight_data(scenario: CapScenario, rule: QuadratureRule):
-    sq = SurfaceQuadrature(scenario.surface, rule)
-    Vs = scenario.weight.value(sq.geo.x)
-    if np.min(Vs) <= 0.0:
-        raise WeightNonpositive(
-            f"weight reaches {np.min(Vs):.3e} on the cap; placement must keep it positive")
-    return sq, Vs
-
-
 def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
     rule = rule or QuadratureRule(default_level(scenario.n))
-    sq, Vs = _surface_weight_data(scenario, rule)
-    rq = RegionQuadrature(scenario.region, rule)
+    nodes = scenario.nodes(rule.level)
+    Vs, margin, _ = nodes.weight_data()
+    sq, rq = nodes.quadrature("cap"), nodes.region
     H = sq.curvature().H
     area_v = sq.integral(Vs)
     mean_v = sq.integral(H * Vs)
@@ -168,7 +151,6 @@ def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = Non
     lhs = area_v ** 2
     rhs = n / (n - 1.0) * vol_v * mean_v
     deficit = lhs - rhs
-    margin = condition_convexity(scenario.surface, scenario.weight, sq.geo)
     return InequalityReport(
         theorem="minkowski", n=n, level=rule.level,
         lhs=lhs, rhs=rhs, deficit=deficit,
@@ -188,7 +170,9 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     if n < 3:
         raise DimensionTooLow("the second-order inequality needs ambient dimension >= 3")
     rule = rule or QuadratureRule(default_level(scenario.n))
-    sq, Vs = _surface_weight_data(scenario, rule)
+    nodes = scenario.nodes(rule.level)
+    Vs, _, margin = nodes.weight_data()
+    sq = nodes.quadrature("cap")
     curv = sq.curvature()
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
@@ -203,7 +187,6 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     traceless = sq.integral((curv.norm_h_sq - curv.H ** 2 / (n - 1.0)) * Vs)
     normalized_deficit = (n - 1.0) / (n - 2.0) * traceless - spread
 
-    margin = condition_substatic(scenario.surface, scenario.weight, sq.geo)
     return InequalityReport(
         theorem="alexandrov_fenchel", n=n, level=rule.level,
         lhs=lhs, rhs=rhs, deficit=deficit,
@@ -227,7 +210,9 @@ def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
         raise DimensionTooLow(
             f"the scalar-curvature bound needs ambient dimension >= 4, got {n}")
     rule = rule or QuadratureRule(default_level(scenario.n))
-    sq, Vs = _surface_weight_data(scenario, rule)
+    nodes = scenario.nodes(rule.level)
+    Vs, _, margin = nodes.weight_data()
+    sq = nodes.quadrature("cap")
     curv = sq.curvature()
     geo = sq.geo
     area_v = sq.integral(Vs)
@@ -241,7 +226,6 @@ def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     rhs = coeff * sq.integral(norm_sq * Vs)
     deficit = rhs - lhs
 
-    margin = condition_substatic(scenario.surface, scenario.weight, geo)
     return InequalityReport(
         theorem="almost_schur", n=n, level=rule.level,
         lhs=lhs, rhs=rhs, deficit=deficit,
@@ -360,11 +344,9 @@ class ReillyReport:
         }
 
 
-def _boundary_piece_terms(piece: FreeBoundarySurface, V: WeightField,
-                          f: TestFunction, rule: QuadratureRule) -> dict:
+def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField, f: TestFunction) -> dict:
     """The three boundary integrals of the identity over one smooth piece."""
-    model = piece.model
-    sq = SurfaceQuadrature(piece, rule)
+    model = sq.surf.model
     geo = sq.geo
     x, nu, jac = geo.x, geo.nu, geo.jac
     curv = sq.curvature()
@@ -397,7 +379,7 @@ def _boundary_piece_terms(piece: FreeBoundarySurface, V: WeightField,
     lap_p_V = lap_V - hess_V_nn - curv.H * V_nu
 
     # tangential derivative of u along the parameter directions
-    dnu = normal_derivatives(piece, geo)
+    dnu = normal_derivatives(sq.surf, geo)
     dfnu_a = (np.einsum("mij,mia,mj->ma", d2f, jac, nu)
               + np.einsum("mi,mai->ma", df, dnu))
     dVnu_a = (np.einsum("mij,mia,mj->ma", d2V, jac, nu)
@@ -433,7 +415,8 @@ def reilly_residual(scenario: CapScenario, function: str | TestFunction = "V",
     n = scenario.n
     K = model.K
 
-    rq = RegionQuadrature(scenario.region, rule)
+    nodes = scenario.nodes(rule.level)
+    rq = nodes.region
     x = rq.points
     Vv = V.value(x)
     dV = V.euclidean_gradient(x)
@@ -461,9 +444,8 @@ def reilly_residual(scenario: CapScenario, function: str | TestFunction = "V",
     w_chart = gbar_inv_diag[:, None] * (df - dV * (fv / Vv)[:, None])
     rhs_volume = rq.integral(np.einsum("mij,mi,mj->m", static, w_chart, w_chart))
 
-    boundary = {}
-    for label, piece in (("cap", scenario.surface), ("support", scenario.face)):
-        boundary[label] = _boundary_piece_terms(piece, V, f, rule)
+    boundary = {label: _boundary_piece_terms(nodes.quadrature(label), V, f)
+                for label in ("cap", "support")}
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 
     residual = lhs_volume - rhs_volume - boundary_total

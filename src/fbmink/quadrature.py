@@ -7,6 +7,12 @@ s^{n-1} det[X - x0 | dX], so each boundary piece contributes one smooth
 tensor-product integral.  The split along the corner ring Gamma is automatic
 because the cap and the support face are separate pieces.
 
+A cap scenario keeps its node sets per level in one ``ScenarioNodes``
+bundle: the node geometry of the cap and the support face, their
+quadratures, the region nodes built from that geometry, and the cap weight
+data.  Every report, audit, validation and identity check on the scenario
+shares them, so each node set is evaluated once per (scenario, level).
+
 Gauss-Legendre nodes are interior, so polar-coordinate axes (t = 0) and cone
 apexes (s = 0) are never evaluated.  Node reductions use a fixed-order
 pairwise sum to keep results bit-stable under repetition and threading.
@@ -22,7 +28,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import StarShapeViolated
-from .surfaces import FreeBoundarySurface, SurfaceGeometry, curvature_arrays, surface_geometry
+from .surfaces import (
+    FreeBoundarySurface,
+    SurfaceGeometry,
+    curvature_arrays,
+    hypothesis_margins,
+    surface_geometry,
+)
 
 DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8}
 REFINE_ERROR_FLOOR = 1e-14   # relative error treated as converged by refine_study
@@ -82,24 +94,24 @@ class QuadratureRule:
             raise ValueError("quadrature level must be at least 2")
 
 
-class SurfaceQuadrature:
-    """Cached geometry at the tensor nodes of a surface chart."""
+class SurfaceNodes:
+    """Geometry at the tensor nodes of a surface chart."""
 
     def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule):
         self.surf = surf
         self.rule = rule
-        self.params, self.box_weights = tensor_grid(rule.level, surf.chart.domain)
-        self.geo: SurfaceGeometry = surface_geometry(surf, self.params)
-        self.weights = self.box_weights * self.geo.area_element
+        params, self.box_weights = tensor_grid(rule.level, surf.chart.domain)
+        self.geo: SurfaceGeometry = surface_geometry(surf, params)
+
+
+class SurfaceQuadrature:
+    """Surface integrals over the nodes of a surface, with cached curvature."""
+
+    def __init__(self, nodes: SurfaceNodes):
+        self.surf = nodes.surf
+        self.geo = nodes.geo
+        self.weights = nodes.box_weights * nodes.geo.area_element
         self._curv = None
-
-    @property
-    def count(self) -> int:
-        return self.params.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.geo.x
 
     def curvature(self):
         if self._curv is None:
@@ -114,16 +126,12 @@ class SurfaceQuadrature:
 
 
 @dataclass
-class RegionPiece:
-    """One smooth boundary piece of a star-shaped region."""
-
-    label: str                       # "cap" or "support"
-    surface: FreeBoundarySurface     # oriented out of the region
-
-
-@dataclass
 class DomainRegion:
-    """A star-shaped region given by its boundary pieces and a star center.
+    """A star-shaped region given by a star center and its boundary pieces.
+
+    ``pieces`` labels the smooth boundary pieces the cone decomposition
+    covers: "cap" and, where the support face does not pass through the
+    star center, "support".
 
     ``contains_fn`` is an optional closed-form membership test (vectorized
     over points) used by Monte Carlo oracles.
@@ -131,7 +139,7 @@ class DomainRegion:
 
     model: object
     star_center: np.ndarray
-    pieces: list[RegionPiece]
+    pieces: tuple[str, ...]
     contains_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -144,38 +152,34 @@ class DomainRegion:
 
 
 class RegionQuadrature:
-    """Cached cone-decomposition nodes for a star-shaped region."""
+    """Cone-decomposition nodes over the nodes of each boundary piece."""
 
-    def __init__(self, region: DomainRegion, rule: QuadratureRule):
-        self.region = region
-        self.rule = rule
+    def __init__(self, region: DomainRegion, pieces: Sequence[SurfaceNodes]):
         x0 = region.star_center
         n = x0.shape[0]
         pts_list, wt_list = [], []
-        for piece in region.pieces:
-            surf = piece.surface
-            s_nodes, s_w = gauss_nodes(rule.level, 0.0, 1.0)
-            U, bw = tensor_grid(rule.level, surf.chart.domain)
-            geo = surface_geometry(surf, U)
+        for label, piece in zip(region.pieces, pieces, strict=True):
+            geo = piece.geo
+            s_nodes, s_w = gauss_nodes(piece.rule.level, 0.0, 1.0)
             spread = geo.x - x0                          # (m, n)
             # star-shape check: boundary must face away from the center
             facing = np.einsum("mi,mi->m", spread, geo.nu_delta)
             if np.any(facing <= 0.0):
                 raise StarShapeViolated(
-                    f"piece '{piece.label}' faces the star center "
+                    f"piece '{label}' faces the star center "
                     f"(min <X - x0, nu> = {float(np.min(facing)):.3e})")
             cone_jac = np.abs(np.linalg.det(
                 np.concatenate([spread[:, :, None], geo.jac], axis=2)))
             # nodes: x0 + s * spread for every (s, u) pair
             pts = x0 + s_nodes[:, None, None] * spread[None, :, :]
             radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]
-            wt = radial * (bw * cone_jac)[None, :]
+            wt = radial * (piece.box_weights * cone_jac)[None, :]
             pts_list.append(pts.reshape(-1, n))
             wt_list.append(wt.ravel())
         self.points = np.concatenate(pts_list, axis=0)
-        self.flat_weights = np.concatenate(wt_list, axis=0)
+        flat_weights = np.concatenate(wt_list, axis=0)
         phi = region.model.phi(self.points)
-        self.weights = self.flat_weights * np.exp(n * phi)
+        self.weights = flat_weights * np.exp(n * phi)
 
     @property
     def count(self) -> int:
@@ -186,6 +190,46 @@ class RegionQuadrature:
 
     def volume(self) -> float:
         return self.integral(np.ones(self.count))
+
+
+class ScenarioNodes:
+    """The node sets of one scenario at one level, each built once on first use.
+
+    It holds no reference back to its scenario, so dropping the scenario frees
+    its bundles by reference counting alone.  Members are memoized in a plain
+    dict, not ``functools.cached_property``, whose lock would serialize sweep threads.
+    """
+
+    def __init__(self, surface: FreeBoundarySurface, face: FreeBoundarySurface,
+                 region: DomainRegion, weight, level: int):
+        self._surfaces = {"cap": surface, "support": face}
+        self._rule = QuadratureRule(level)
+        self._region = region
+        self._weight = weight
+        self._built: dict = {}
+
+    def _once(self, key: str, build: Callable):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def _surface_nodes(self, label: str) -> SurfaceNodes:
+        return self._once(label, lambda: SurfaceNodes(self._surfaces[label], self._rule))
+
+    def quadrature(self, label: str) -> SurfaceQuadrature:
+        """Quadrature over the cap ("cap") or the support face ("support")."""
+        return self._once(label + " quadrature",
+                          lambda: SurfaceQuadrature(self._surface_nodes(label)))
+
+    @property
+    def region(self) -> RegionQuadrature:
+        return self._once("region", lambda: RegionQuadrature(
+            self._region, [self._surface_nodes(label) for label in self._region.pieces]))
+
+    def weight_data(self) -> tuple[np.ndarray, float, float]:
+        """(V at the cap nodes, convexity margin, substatic margin)."""
+        return self._once("weight", lambda: hypothesis_margins(
+            self._weight, self._surface_nodes("cap").geo))
 
 
 # -- refinement studies ----------------------------------------------------------
@@ -199,10 +243,6 @@ class ConvergenceTable:
     values: list[float]
     errors: list[float] = field(default_factory=list)      # |v - v_finest|
     orders: list[float] = field(default_factory=list)      # between consecutive levels
-
-    @property
-    def converged_value(self) -> float:
-        return self.values[-1]
 
     @property
     def observed_order(self) -> float:

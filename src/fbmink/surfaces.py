@@ -63,10 +63,8 @@ class SurfaceGeometry:
     params: np.ndarray          # (m, k)
     x: np.ndarray               # (m, n)
     jac: np.ndarray             # (m, n, k)
-    phi: np.ndarray             # (m,)
     g: np.ndarray               # (m, k, k)
     g_inv: np.ndarray           # (m, k, k)
-    det_g: np.ndarray           # (m,)
     area_element: np.ndarray    # (m,)  sqrt(det g)
     nu_delta: np.ndarray        # (m, n) Euclidean unit normal
     nu: np.ndarray              # (m, n) gbar-unit normal, chart components
@@ -128,8 +126,8 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray) -> SurfaceGeometr
     h = -np.exp(phi)[:, None, None] * np.einsum("mabi,mi->mab", accel, nu_delta)
 
     return SurfaceGeometry(
-        params=U, x=X, jac=J, phi=phi, g=g, g_inv=g_inv,
-        det_g=det_g, area_element=np.sqrt(det_g), nu_delta=nu_delta, nu=nu, h=h,
+        params=U, x=X, jac=J, g=g, g_inv=g_inv,
+        area_element=np.sqrt(det_g), nu_delta=nu_delta, nu=nu, h=h,
     )
 
 
@@ -143,7 +141,6 @@ class CurvatureArrays:
     sigma2: np.ndarray          # (m,)
     ric: np.ndarray             # (m, k, k)
     scal: np.ndarray            # (m,)
-    shape_operator: np.ndarray  # (m, k, k), h with one index raised
 
 
 def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> CurvatureArrays:
@@ -161,8 +158,7 @@ def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> Curvatu
     hgh = np.einsum("mab,mbc,mcd->mad", geo.h, geo.g_inv, geo.h)
     ric = (n - 2.0) * K * geo.g + H[:, None, None] * geo.h - hgh
     scal = (n - 1.0) * (n - 2.0) * K + H * H - norm_h_sq
-    return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2,
-                           ric=ric, scal=scal, shape_operator=S)
+    return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2, ric=ric, scal=scal)
 
 
 def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
@@ -216,100 +212,54 @@ def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
     return np.hstack([t_face, pts])
 
 
-def boundary_orthogonality(surf: FreeBoundarySurface) -> tuple[float, float]:
-    """(max |gbar(nu, N)|, max |signed distance|) along the boundary ring.
+def boundary_checks(surf: FreeBoundarySurface) -> tuple[float, float, float]:
+    """Free-boundary checks along the boundary ring, from one evaluation of it.
 
+    Returns (max |gbar(nu, N)|, max |signed distance| to the support,
+    max |h(e, mu)| over normalized boundary tangents e and the conormal mu).
     Conformality makes gbar angles equal Euclidean chart angles, so the
-    cosine is evaluated on the Euclidean unit vectors.
+    cosine is evaluated on the Euclidean unit vectors.  The last value is
+    zero (to rounding) whenever the free-boundary surface meets an umbilical
+    support orthogonally; a nonzero value flags a broken hypothesis.
     """
     _require_boundary(surf)
-    U = boundary_parameters(surf)
-    geo = surface_geometry(surf, U)
+    geo = surface_geometry(surf, boundary_parameters(surf))
     s = surf.support
     sd = np.abs(s.signed_distance(geo.x))
     unit_out = s.shape.euclidean_outward(geo.x)
     cosang = np.abs(np.einsum("mi,mi->m", geo.nu_delta, unit_out))
-    return float(np.max(cosang)), float(np.max(sd))
-
-
-def boundary_conormal(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit conormal at boundary-face points of the given geometry.
-
-    Returns (mu_param (m, k), mu_chart (m, n)); parameter components satisfy
-    g(mu, d_psi) = 0 for every boundary tangent and g(mu, mu) = 1, with mu
-    pointing out of the parameter domain (increasing first axis).
-    """
-    grad_t = geo.g_inv[:, :, 0]
-    norm = np.sqrt(geo.g_inv[:, 0, 0])
-    mu_param = grad_t / norm[:, None]
-    mu_chart = np.einsum("mia,ma->mi", geo.jac, mu_param)
-    return mu_param, mu_chart
-
-
-def boundary_principal_direction_residual(surf: FreeBoundarySurface) -> float:
-    """max |h(e, mu)| over normalized boundary tangents e and the conormal mu.
-
-    Zero (to rounding) whenever the free-boundary surface meets an umbilical
-    support orthogonally; a nonzero value flags a broken hypothesis.
-    """
-    _require_boundary(surf)
-    U = boundary_parameters(surf)
-    geo = surface_geometry(surf, U)
-    mu_param, _ = boundary_conormal(surf, geo)
-    k = geo.params.shape[1]
-    if k < 2:
-        return 0.0
-    h_mu = np.einsum("mab,mb->ma", geo.h, mu_param)
+    # outward unit conormal mu = grad t / |grad t| in parameter components:
+    # g(mu, d_psi) = 0 along the ring and g(mu, mu) = 1
+    mu = geo.g_inv[:, :, 0] / np.sqrt(geo.g_inv[:, 0, 0])[:, None]
+    h_mu = np.einsum("mab,mb->ma", geo.h, mu)
     worst = 0.0
-    for a in range(1, k):
-        gee = geo.g[:, a, a]
-        vals = np.abs(h_mu[:, a]) / np.sqrt(gee)
+    for a in range(1, geo.params.shape[1]):
+        vals = np.abs(h_mu[:, a]) / np.sqrt(geo.g[:, a, a])
         worst = max(worst, float(np.max(vals)))
-    return worst
+    return float(np.max(cosang)), float(np.max(sd)), worst
 
 
 # -- hypothesis fields -----------------------------------------------------------
 
 
-def convexity_eigenvalues(surf: FreeBoundarySurface, weight, geo: SurfaceGeometry) -> np.ndarray:
-    """Eigenvalues of h - (V_nu / V) g against g, batched: (m, k).
+def hypothesis_margins(weight, geo: SurfaceGeometry) -> tuple[np.ndarray, float, float]:
+    """(V at the nodes, convexity margin, substatic margin) of a surface.
 
-    The minimum over nodes is the numerical margin of the weighted convexity
-    hypothesis h >= (V_nu / V) g.
+    The convexity margin is the least eigenvalue of h - (V_nu / V) g against
+    g, the numerical margin of the weighted convexity hypothesis
+    h >= (V_nu / V) g.  The substatic margin is the least value of
+    (V kappa_i - V_nu)(H - kappa_i) over nodes and principal directions.
     """
     V = weight.value(geo.x)
-    if np.any(V <= 0.0):
-        raise WeightNonpositive("weight must be positive on the surface")
+    if np.min(V) <= 0.0:
+        raise WeightNonpositive(
+            f"weight reaches {np.min(V):.3e} on the cap; placement must keep it positive")
     Vnu = weight.directional(geo.x, geo.nu)
     kappas = principal_curvatures(geo)
-    return kappas - (Vnu / V)[:, None]
-
-
-def substatic_eigenvalues(surf: FreeBoundarySurface, weight, geo: SurfaceGeometry) -> np.ndarray:
-    """Values (V kappa_i - V_nu)(H - kappa_i) per node and principal direction."""
-    V = weight.value(geo.x)
-    if np.any(V <= 0.0):
-        raise WeightNonpositive("weight must be positive on the surface")
-    Vnu = weight.directional(geo.x, geo.nu)
-    kappas = principal_curvatures(geo)
+    convexity = kappas - (Vnu / V)[:, None]
     H = np.sum(kappas, axis=1, keepdims=True)
-    return (V[:, None] * kappas - Vnu[:, None]) * (H - kappas)
-
-
-def _as_geometry(surf: FreeBoundarySurface, U) -> SurfaceGeometry:
-    if isinstance(U, SurfaceGeometry):
-        return U
-    return surface_geometry(surf, U)
-
-
-def condition_convexity(surf: FreeBoundarySurface, weight, U) -> float:
-    geo = _as_geometry(surf, U)
-    return float(np.min(convexity_eigenvalues(surf, weight, geo)))
-
-
-def condition_substatic(surf: FreeBoundarySurface, weight, U) -> float:
-    geo = _as_geometry(surf, U)
-    return float(np.min(substatic_eigenvalues(surf, weight, geo)))
+    substatic = (V[:, None] * kappas - Vnu[:, None]) * (H - kappas)
+    return V, float(np.min(convexity)), float(np.min(substatic))
 
 
 # -- support patches ---------------------------------------------------------------

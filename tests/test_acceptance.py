@@ -18,8 +18,8 @@ from fbmink import (
     DimensionTooLow,
     PerturbationSpec,
     QuadratureRule,
-    RegionQuadrature,
     SupportKind,
+    SurfaceNodes,
     SurfaceQuadrature,
     af_report,
     hypothesis_audit,
@@ -245,18 +245,18 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
     area_errors = []
     volume_errors = []
     for level in levels:
-        sq = SurfaceQuadrature(hemi.surface, QuadratureRule(level))
+        sq = SurfaceQuadrature(SurfaceNodes(hemi.surface, QuadratureRule(level)))
         area_errors.append(abs(sq.integral(np.ones(sq.geo.count)) - 2.0 * math.pi))
-        rq = RegionQuadrature(hemi.region, QuadratureRule(level))
+        rq = hemi.nodes(level).region
         volume_errors.append(abs(rq.volume() - 2.0 * math.pi / 3.0))
     checks["area_order_ge_3"] = min(observed_orders(area_errors)) >= 3.0
     checks["volume_order_ge_3"] = min(observed_orders(volume_errors)) >= 3.0
 
     # Monte-Carlo cross-check of the weighted hyperbolic volume
     sc = canonical_scenario(SupportKind.EQUIDISTANT)
-    quad_value = RegionQuadrature(sc.region, RULE24).integral(
+    quad_value = sc.nodes(RULE24.level).region.integral(
         weight_for_support(sc.support).value(
-            RegionQuadrature(sc.region, RULE24).points))
+            sc.nodes(RULE24.level).region.points))
     chart = sc.surface.chart
     center, radius = chart.center, chart.radius
     lo = center - radius

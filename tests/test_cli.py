@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from fbmink.cli import main
+from fbmink.cli import load_schema, main
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -85,6 +86,11 @@ def test_schema_violation_exits_2_with_field_path(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", cfg], capsys)
     assert code == 2
     assert "sweep/epsilons" in err
+
+
+def test_shipped_schema_is_valid_against_metaschema():
+    # the CLI validates configs with a prebuilt validator and skips this check
+    Draft202012Validator.check_schema(load_schema())
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

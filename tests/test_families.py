@@ -19,7 +19,7 @@ from fbmink import (
     region_margins,
     validate_scenario,
 )
-from fbmink.surfaces import boundary_orthogonality, surface_geometry
+from fbmink.surfaces import boundary_checks, surface_geometry
 
 from conftest import canonical_support
 
@@ -107,7 +107,7 @@ def test_perturbed_caps_keep_free_boundary_data(kind):
     support = canonical_support(kind)
     spec = default_cap_spec(support)
     sc = make_perturbed_cap(spec, PerturbationSpec(epsilon=0.04, power=3))
-    angle, on_support = boundary_orthogonality(sc.surface)
+    angle, on_support, _ = boundary_checks(sc.surface)
     assert angle <= 1e-8
     assert on_support <= 1e-8
 

@@ -1,22 +1,38 @@
 """Quadrature: exactness, convergence bookkeeping, bit-stable reductions."""
 
+import functools
+import gc
+import json
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbmink.quadrature as quadrature
+import fbmink.surfaces as surfaces
 from fbmink import (
+    PerturbationSpec,
     QuadratureRule,
-    RegionQuadrature,
+    SurfaceNodes,
     SurfaceQuadrature,
+    af_report,
+    default_cap_spec,
     default_level,
+    hypothesis_audit,
+    make_perturbed_cap,
+    minkowski_report,
     refine_study,
+    reilly_residual,
+    schur_report,
+    validate_scenario,
 )
 from fbmink.quadrature import gauss_nodes, pairwise_sum, tensor_grid
 
-from conftest import canonical_scenario
+from conftest import canonical_scenario, canonical_support
 from fbmink import SupportKind
 
 
@@ -48,16 +64,16 @@ def test_default_levels_keyed_by_ambient_dimension():
 
 
 def test_hemisphere_area_and_volume(hemisphere):
-    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
+    sq = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(16)))
     assert np.isclose(sq.integral(np.ones(sq.geo.count)), 2.0 * math.pi, rtol=1e-12)
-    rq = RegionQuadrature(hemisphere.region, QuadratureRule(16))
+    rq = hemisphere.nodes(16).region
     assert np.isclose(rq.volume(), 2.0 * math.pi / 3.0, rtol=1e-12)
 
 
 def test_lens_region_volume_matches_cap_sum():
     """Sphere-support region: cap volume + spherical-lens face piece."""
     sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE)
-    rq = RegionQuadrature(sc.region, QuadratureRule(24))
+    rq = sc.nodes(24).region
     # Euclidean lens volume between the two sphere caps, closed form:
     # each spherical cap of height h on radius a contributes
     # pi h^2 (3a - h) / 3.
@@ -75,7 +91,7 @@ def test_lens_region_volume_matches_cap_sum():
 
 
 def test_surface_integral_linearity(hemisphere):
-    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(10))
+    sq = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(10)))
     z = sq.geo.x[:, 2]
     a, b = 2.5, -1.25
     assert np.isclose(sq.integral(a * z + b),
@@ -85,7 +101,7 @@ def test_surface_integral_linearity(hemisphere):
 
 def test_moment_of_hemisphere(hemisphere):
     # int_{S^2_+} z dA = pi for the unit upper hemisphere
-    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
+    sq = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(16)))
     assert np.isclose(sq.integral(sq.geo.x[:, 2]), math.pi, rtol=1e-12)
 
 
@@ -129,8 +145,7 @@ def test_refine_study_rejects_bad_level_lists():
     level=st.integers(min_value=6, max_value=20),
 )
 def test_region_integral_linear_in_integrand(coeffs, level):
-    region = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region
-    rq = RegionQuadrature(region, QuadratureRule(level))
+    rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).nodes(level).region
     a, b, c = coeffs
     f = a * rq.points[:, 0] + b * rq.points[:, 2] + c
     split = (a * rq.integral(rq.points[:, 0]) + b * rq.integral(rq.points[:, 2])
@@ -138,10 +153,81 @@ def test_region_integral_linear_in_integrand(coeffs, level):
     assert np.isclose(rq.integral(f), split, rtol=1e-12, atol=1e-12)
 
 
+def _perturbed_scenario(kind, n=3):
+    return make_perturbed_cap(default_cap_spec(canonical_support(kind, n)),
+                              PerturbationSpec(epsilon=0.05, power=3))
+
+
+def _report_bytes(reports):
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+
+
 def test_quadrature_values_independent_of_construction_count(hemisphere):
     # rebuilding the same rule gives bit-identical integrals
-    a1 = SurfaceQuadrature(hemisphere.surface, QuadratureRule(12)).integral(
+    a1 = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(12))).integral(
         np.ones(12 * 12))
-    a2 = SurfaceQuadrature(hemisphere.surface, QuadratureRule(12)).integral(
+    a2 = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(12))).integral(
         np.ones(12 * 12))
     assert a1 == a2
+    # a scenario's cached nodes give the same bits whichever consumer fills them
+    rule = QuadratureRule(10)
+    forward = _perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE)
+    forward_reports = [minkowski_report(forward, rule), af_report(forward, rule),
+                       hypothesis_audit(forward, rule), reilly_residual(forward, "x1^2", rule)]
+    reverse = _perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE)
+    reverse_reports = [reilly_residual(reverse, "x1^2", rule), hypothesis_audit(reverse, rule),
+                       af_report(reverse, rule), minkowski_report(reverse, rule)]
+    assert _report_bytes(reverse_reports[::-1]) == _report_bytes(forward_reports)
+
+
+def test_each_node_set_is_evaluated_once(monkeypatch):
+    """One perturbed n=4 verification: every consumer shares the node bundles."""
+    counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0}
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    geometry = surfaces.surface_geometry
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fbmink") and getattr(mod, "surface_geometry", None) is geometry:
+            monkeypatch.setattr(mod, "surface_geometry", counting("geometry", geometry))
+    monkeypatch.setattr(quadrature.RegionQuadrature, "__init__",
+                        counting("region", quadrature.RegionQuadrature.__init__))
+    monkeypatch.setattr(quadrature.SurfaceQuadrature, "__init__",
+                        counting("surface", quadrature.SurfaceQuadrature.__init__))
+    monkeypatch.setattr(surfaces, "principal_curvatures",
+                        counting("principal", surfaces.principal_curvatures))
+
+    rule = QuadratureRule(12)
+    sc = _perturbed_scenario(SupportKind.EUCLIDEAN_PLANE, n=4)
+    validate_scenario(sc)
+    for report in (minkowski_report, af_report, schur_report, hypothesis_audit):
+        report(sc, rule)
+    for name in ("V", "x1", "x1^2"):
+        reilly_residual(sc, name, rule)
+    # base and perturbed admissibility regions, the level-12 cap, region and
+    # face, and one boundary ring each for validation and the audit
+    assert counts["geometry"] <= 6
+    assert counts["region"] <= 3
+    assert counts["principal"] == 1
+    # level-12 cap and face; the admissibility regions need node geometry only
+    assert counts["surface"] <= 2
+
+
+def test_node_bundle_is_freed_with_its_scenario():
+    # a bundle referring back to its scenario would wait for the cyclic collector
+    gc.disable()
+    try:
+        sc = _perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE)
+        rule = QuadratureRule(8)
+        minkowski_report(sc, rule)
+        reilly_residual(sc, "V", rule)
+        bundle = weakref.ref(sc.nodes(rule.level))
+        del sc
+        assert bundle() is None
+    finally:
+        gc.enable()

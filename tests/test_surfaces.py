@@ -8,10 +8,9 @@ import pytest
 from fbmink import CapSpec, SupportKind, make_perturbed_cap, make_umbilical_cap
 from fbmink import PerturbationSpec
 from fbmink.surfaces import (
-    boundary_orthogonality,
-    condition_convexity,
-    condition_substatic,
+    boundary_checks,
     curvature_arrays,
+    hypothesis_margins,
     normal_derivatives,
     principal_curvatures,
     surface_geometry,
@@ -62,7 +61,7 @@ def test_caps_are_umbilical_in_every_geometry(kind):
 @pytest.mark.parametrize("kind", list(SupportKind))
 def test_boundary_orthogonality_canonical(kind):
     sc = canonical_scenario(kind)
-    angle, on_support = boundary_orthogonality(sc.surface)
+    angle, on_support, _ = boundary_checks(sc.surface)
     assert angle <= 1e-10
     assert on_support <= 1e-10
 
@@ -71,7 +70,7 @@ def test_tilted_cap_orthogonality_defect_is_sine_of_tilt():
     support = canonical_support(SupportKind.EUCLIDEAN_PLANE)
     tilt = 0.15
     sc = make_umbilical_cap(CapSpec(support=support, radius=1.0, tilt=tilt))
-    angle, on_support = boundary_orthogonality(sc.surface)
+    angle, on_support, _ = boundary_checks(sc.surface)
     assert np.isclose(angle, math.sin(tilt), atol=1e-10)
     assert on_support <= 1e-10  # the ring still lies on the support
 
@@ -166,8 +165,8 @@ def test_convexity_and_substatic_margins_on_hemisphere(hemisphere):
     U = interior_params(surf)
     # V = 1: convexity margin is min principal curvature = 1,
     # substatic eigenvalues are kappa_i (H - kappa_i) = 1
-    assert np.isclose(condition_convexity(surf, w, U), 1.0, atol=1e-12)
-    assert np.isclose(condition_substatic(surf, w, U), 1.0, atol=1e-12)
+    assert np.isclose(hypothesis_margins(w, surface_geometry(surf, U))[1], 1.0, atol=1e-12)
+    assert np.isclose(hypothesis_margins(w, surface_geometry(surf, U))[2], 1.0, atol=1e-12)
 
 
 def test_dimpled_cap_violates_convexity():
@@ -175,14 +174,14 @@ def test_dimpled_cap_violates_convexity():
     sc = make_perturbed_cap(CapSpec(support=support, radius=1.0),
                             PerturbationSpec(epsilon=0.6, power=3))
     U = interior_params(sc.surface, m=15, margin=0.02)
-    assert condition_convexity(sc.surface, sc.weight, U) < 0.0
+    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[1] < 0.0
     # boundary data survives the dimple: it is a free-boundary perturbation
-    assert boundary_orthogonality(sc.surface)[0] <= 1e-10
+    assert boundary_checks(sc.surface)[0] <= 1e-10
 
 
 @pytest.mark.parametrize("kind", list(SupportKind))
 def test_hypothesis_margins_positive_on_canonical_caps(kind):
     sc = canonical_scenario(kind)
     U = interior_params(sc.surface, m=9, margin=0.05)
-    assert condition_convexity(sc.surface, sc.weight, U) > 0.0
-    assert condition_substatic(sc.surface, sc.weight, U) > -1e-12
+    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[1] > 0.0
+    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[2] > -1e-12
