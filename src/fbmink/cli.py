@@ -122,7 +122,8 @@ def _config_validator() -> jsonschema.Draft202012Validator:
 
 def load_config(args: argparse.Namespace) -> dict:
     """Read the --config file, write the --level, --seed and --tolerance flags
-    over its fields, and validate the result against the schema once."""
+    over its fields, reject NaN and infinity, and validate the result against
+    the schema once."""
     path = args.config
     if path is None:
         cfg: dict = {"version": 1}
@@ -144,6 +145,10 @@ def load_config(args: argparse.Namespace) -> dict:
         quadrature = cfg.get("quadrature", {})
         if args.level is not None and isinstance(quadrature, dict):
             cfg["quadrature"] = {**quadrature, "level": args.level}
+    bad = _nonfinite_path(cfg)       # the schema cannot reject NaN or infinity
+    if bad is not None:
+        where = "/".join(map(str, bad)) or "(root)"
+        raise ConfigError(f"config invalid at {where}: NaN and infinity are not allowed")
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "(root)"
@@ -231,21 +236,17 @@ def _resolved_config_echo(cfg: dict, st: Settings) -> dict:
     return echo
 
 
-def _scenario_checks(scenario: CapScenario, st: Settings) -> dict:
-    audit = hypothesis_audit(scenario, st.rule)
-    checks = audit.to_dict()
-    checks["admissibility"] = region_margins(scenario)
-    return checks
-
-
-def _all_finite(obj) -> bool:
-    if isinstance(obj, dict):
-        return all(_all_finite(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(_all_finite(v) for v in obj)
+def _nonfinite_path(obj, path: tuple = ()) -> Optional[tuple]:
+    """Keys leading to the first NaN or infinite float in nested dicts and lists, else None."""
     if isinstance(obj, float):
-        return math.isfinite(obj)
-    return True
+        return None if math.isfinite(obj) else path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    for key, value in items:
+        found = _nonfinite_path(value, path + (key,))
+        if found is not None:
+            return found
+    return None
 
 
 # -- subcommand runners ----------------------------------------------------------
@@ -321,7 +322,8 @@ def run_inequality(command: str, cfg: dict, st: Settings) -> tuple[dict, bool]:
     report = builder(scenario, st.rule, equality_tolerance=st.equality_tolerance)
     result = report.to_dict()
     result["scenario"] = scenario.description
-    result["hypothesis_checks"] = _scenario_checks(scenario, st)
+    result["hypothesis_checks"] = {**hypothesis_audit(scenario, st.rule).to_dict(),
+                                   "admissibility": region_margins(scenario)}
     ok = (report.relative_deficit >= -st.tolerance) and report.hypothesis_ok
     return result, ok
 
@@ -367,6 +369,8 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
 def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
     conv_cfg = cfg.get("converge", {})
     levels = [int(v) for v in conv_cfg.get("levels", DEFAULT_CONVERGE_LEVELS)]
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"config invalid at converge/levels: {levels} must increase strictly")
     theorem = conv_cfg.get("theorem", "minkowski")
     builder = REPORT_BUILDERS[theorem]
     scenario = build_scenario(cfg, st)
@@ -454,7 +458,7 @@ def run(argv: Optional[list] = None) -> int:
     else:
         results, ok = run_converge(cfg, st)
 
-    if not _all_finite(results):
+    if _nonfinite_path(results) is not None:
         ok = False
 
     if fmt == "csv":

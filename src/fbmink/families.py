@@ -84,8 +84,8 @@ class PerturbationSpec:
 
 
 @dataclass(frozen=True)
-class CapScenario:
-    """A fully assembled verification scenario."""
+class CapScenario(quad.Memo):
+    """A fully assembled verification scenario; what it derives is computed once."""
 
     support: SupportSpec
     weight: WeightField
@@ -95,14 +95,16 @@ class CapScenario:
     spec: CapSpec
     perturbation: Optional[PerturbationSpec] = None
     description: str = ""
-    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def nodes(self, level: int) -> quad.ScenarioNodes:
         """The scenario's node sets at one level, built once and shared by every consumer."""
-        if level not in self._nodes:
-            self._nodes[level] = quad.ScenarioNodes(self.surface, self.face, self.region,
-                                                    self.weight, level)
-        return self._nodes[level]
+        return self._once(level, lambda: quad.ScenarioNodes(self.surface, self.face, self.region,
+                                                            self.weight, level))
+
+    def boundary(self) -> tuple[float, float, float]:
+        """``boundary_checks`` of the cap: its boundary ring is evaluated once."""
+        return self._once("boundary", lambda: boundary_checks(self.surface))
 
     @property
     def model(self) -> SpaceFormModel:
@@ -136,8 +138,11 @@ def _plane_anchor(s: SupportSpec, shift: Optional[tuple]) -> np.ndarray:
         # lifted anchor stays on the plane and clear of the chart boundary
         anchor = anchor + lift
     if shift is not None:
-        frame = axis_frame(a)[:, 1:]
-        anchor = anchor + frame @ np.asarray(shift, dtype=float)
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape != (s.n - 1,) or not np.all(np.isfinite(shift)):
+            raise OrthogonalityInfeasible(
+                f"center_shift needs {s.n - 1} finite components, got {shift.tolist()}")
+        anchor = anchor + axis_frame(a)[:, 1:] @ shift
         if abs(float(s.signed_distance(anchor))) > 1e-12:
             raise InadmissiblePlacement("center shift left the support plane")
     return anchor
@@ -199,10 +204,14 @@ def make_umbilical_cap(spec: CapSpec) -> CapScenario:
     """Build the scenario for an umbilical cap (or a deliberately tilted one)."""
     s = spec.support
     r = float(spec.radius)
-    if r <= 0.0:
+    if not r > 0.0:
         raise OrthogonalityInfeasible("cap radius must be positive")
     axis = np.asarray(spec.axis, dtype=float) if spec.axis is not None else _default_axis(s)
-    axis = axis / np.linalg.norm(axis)
+    norm = float(np.linalg.norm(axis))
+    if axis.shape != (s.n,) or not 0.0 < norm < math.inf:
+        raise OrthogonalityInfeasible(
+            f"axis must be a nonzero finite vector of {s.n} components, got {axis.tolist()}")
+    axis = axis / norm
 
     if isinstance(s.shape, PlaneShape):
         scenario = _plane_cap(spec, s, r, axis)
@@ -371,7 +380,14 @@ def _check_profile_conforms(profile, cap_chart: SphericalCapChart) -> None:
 
 
 def region_margins(scenario: CapScenario) -> dict:
-    """Worst-case margins of the region nodes against every constraint."""
+    """Worst-case margins of the region nodes against every constraint.
+
+    Computed once per scenario; each call returns a copy.
+    """
+    return dict(scenario._once("margins", lambda: _margins(scenario)))
+
+
+def _margins(scenario: CapScenario) -> dict:
     pts = scenario.nodes(ADMISSIBILITY_LEVEL).region.points
     s = scenario.support
     model = s.model
@@ -387,54 +403,29 @@ def region_margins(scenario: CapScenario) -> dict:
 
 
 def _check_admissible(scenario: CapScenario) -> None:
-    margins = region_margins(scenario)
-    for name, value in margins.items():
+    """The one admissibility policy: every region margin clears its threshold."""
+    for name, value in region_margins(scenario).items():
         threshold = 0.0 if name == "weight_min" else ADMISSIBILITY_MARGIN
-        if value <= threshold:
+        if not value > threshold:   # a NaN fails too
             raise InadmissiblePlacement(
                 f"{name} margin {value:.3e} at cap r={scenario.spec.radius} "
                 f"on {scenario.support.kind.value}")
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of scenario validation: named checks with values and verdicts."""
+def validate_scenario(scenario: CapScenario) -> None:
+    """Check the free-boundary placement before any report runs.
 
-    checks: dict
-    passed: bool
-
-    def failing(self) -> list[str]:
-        return [k for k, v in self.checks.items() if not v["passed"]]
-
-
-def validate_scenario(scenario: CapScenario, strict: bool = True) -> ValidationReport:
-    """Run the geometric validity checks a scenario must pass before reports.
-
-    Raises ValidationFailed (naming the failed check) when strict.
+    The cap must meet its support orthogonally along the boundary ring and
+    the ring must lie on the support (ValidationFailed names the failed
+    check), and the placement must be admissible (InadmissiblePlacement).
     """
-    checks = {}
-    angle_err, support_err, _ = boundary_checks(scenario.surface)
-    checks["boundary_orthogonality"] = {
-        "value": angle_err, "threshold": BOUNDARY_TOL,
-        "passed": angle_err <= BOUNDARY_TOL}
-    checks["boundary_on_support"] = {
-        "value": support_err, "threshold": BOUNDARY_TOL,
-        "passed": support_err <= BOUNDARY_TOL}
-    margins = region_margins(scenario)
-    worst = min(v for k, v in margins.items() if k != "weight_min")
-    checks["admissibility_margin"] = {
-        "value": worst, "threshold": ADMISSIBILITY_MARGIN,
-        "passed": worst >= ADMISSIBILITY_MARGIN}
-    checks["weight_positive"] = {
-        "value": margins["weight_min"], "threshold": 0.0,
-        "passed": margins["weight_min"] > 0.0}
-    report = ValidationReport(checks=checks, passed=all(v["passed"] for v in checks.values()))
-    if strict and not report.passed:
-        name = report.failing()[0]
-        info = checks[name]
-        raise ValidationFailed(
-            name, f"value {info['value']:.3e} violates threshold {info['threshold']:.3e}")
-    return report
+    angle_err, support_err, _ = scenario.boundary()
+    for name, value in (("boundary_orthogonality", angle_err),
+                        ("boundary_on_support", support_err)):
+        if not value <= BOUNDARY_TOL:   # a NaN fails too
+            raise ValidationFailed(
+                name, f"value {value:.3e} violates threshold {BOUNDARY_TOL:.3e}")
+    _check_admissible(scenario)
 
 
 # -- canonical placements --------------------------------------------------------

@@ -17,7 +17,7 @@ and geometry errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from .quadrature import (
     default_level,
     pairwise_sum,
 )
-from .surfaces import boundary_checks, normal_derivatives
+from .surfaces import normal_derivatives
 from .weights import WeightField
 
 
@@ -60,20 +60,13 @@ class HypothesisAudit:
     principal_direction_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "convexity_min": self.convexity_min,
-            "substatic_min": self.substatic_min,
-            "weight_min": self.weight_min,
-            "orthogonality": self.orthogonality,
-            "on_support": self.on_support,
-            "principal_direction_residual": self.principal_direction_residual,
-        }
+        return asdict(self)
 
 
 def hypothesis_audit(scenario: CapScenario, rule: Optional[QuadratureRule] = None) -> HypothesisAudit:
     rule = rule or QuadratureRule(default_level(scenario.n))
     nodes = scenario.nodes(rule.level)
-    angle_err, support_err, principal_err = boundary_checks(scenario.surface)
+    angle_err, support_err, principal_err = scenario.boundary()
     V, convexity, substatic = nodes.weight_data()
     return HypothesisAudit(
         convexity_min=convexity,
@@ -333,15 +326,14 @@ class ReillyReport:
     boundary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "level": self.level,
-            "residual": self.residual,
-            "relative_residual": self.relative_residual,
-            "lhs_volume": self.lhs_volume,
-            "rhs_volume_static": self.rhs_volume_static,
-            "boundary": {k: dict(v) for k, v in self.boundary.items()},
-        }
+        return asdict(self)
+
+
+def _jet(model, x: np.ndarray, fn: TestFunction) -> tuple[np.ndarray, ...]:
+    """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x."""
+    d1, d2 = fn.gradient(x), fn.hessian(x)
+    return (fn.value(x), d1, d2, covariant_hessian(model, x, d1, d2),
+            ambient_laplacian(model, x, d1, d2))
 
 
 def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField, f: TestFunction) -> dict:
@@ -350,13 +342,8 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField, f: TestFunction
     geo = sq.geo
     x, nu, jac = geo.x, geo.nu, geo.jac
     curv = sq.curvature()
-
-    Vv = V.value(x)
-    dV = V.euclidean_gradient(x)
-    d2V = V.euclidean_hessian(x)
-    fv = f.value(x)
-    df = f.gradient(x)
-    d2f = f.hessian(x)
+    Vv, dV, d2V, hess_V, lap_V = _jet(model, x, weight_test_function(V))
+    fv, df, d2f, hess_f, lap_f = _jet(model, x, f)
 
     f_nu = np.einsum("mi,mi->m", df, nu)
     V_nu = np.einsum("mi,mi->m", dV, nu)
@@ -369,10 +356,6 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField, f: TestFunction
     w_up = np.einsum("mab,mb->ma", geo.g_inv, w_a)
 
     # intrinsic Laplacians through the ambient ones
-    hess_f = covariant_hessian(model, x, df, d2f)
-    hess_V = covariant_hessian(model, x, dV, d2V)
-    lap_f = ambient_laplacian(model, x, df, d2f)
-    lap_V = ambient_laplacian(model, x, dV, d2V)
     hess_f_nn = np.einsum("mij,mi,mj->m", hess_f, nu, nu)
     hess_V_nn = np.einsum("mij,mi,mj->m", hess_V, nu, nu)
     lap_p_f = lap_f - hess_f_nn - curv.H * f_nu
@@ -418,17 +401,8 @@ def reilly_residual(scenario: CapScenario, function: str | TestFunction = "V",
     nodes = scenario.nodes(rule.level)
     rq = nodes.region
     x = rq.points
-    Vv = V.value(x)
-    dV = V.euclidean_gradient(x)
-    d2V = V.euclidean_hessian(x)
-    fv = f.value(x)
-    df = f.gradient(x)
-    d2f = f.hessian(x)
-
-    hess_f = covariant_hessian(model, x, df, d2f)
-    hess_V = covariant_hessian(model, x, dV, d2V)
-    lap_f = ambient_laplacian(model, x, df, d2f)
-    lap_V = ambient_laplacian(model, x, dV, d2V)
+    Vv, dV, _, hess_V, lap_V = _jet(model, x, weight_test_function(V))
+    fv, df, _, hess_f, lap_f = _jet(model, x, f)
 
     gbar = metric_at(model, x)
     gbar_inv_diag = np.exp(-2.0 * model.phi(x))   # conformal metrics invert by scaling

@@ -192,12 +192,21 @@ class RegionQuadrature:
         return self.integral(np.ones(self.count))
 
 
-class ScenarioNodes:
+class Memo:
+    """Values built on first use and kept in the instance's ``_cache`` dict (not
+    ``functools.cached_property``, whose per-property lock would serialize sweep threads)."""
+
+    def _once(self, key, build: Callable):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+
+class ScenarioNodes(Memo):
     """The node sets of one scenario at one level, each built once on first use.
 
     It holds no reference back to its scenario, so dropping the scenario frees
-    its bundles by reference counting alone.  Members are memoized in a plain
-    dict, not ``functools.cached_property``, whose lock would serialize sweep threads.
+    its bundles by reference counting alone.
     """
 
     def __init__(self, surface: FreeBoundarySurface, face: FreeBoundarySurface,
@@ -206,12 +215,7 @@ class ScenarioNodes:
         self._rule = QuadratureRule(level)
         self._region = region
         self._weight = weight
-        self._built: dict = {}
-
-    def _once(self, key: str, build: Callable):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+        self._cache = {}
 
     def _surface_nodes(self, label: str) -> SurfaceNodes:
         return self._once(label, lambda: SurfaceNodes(self._surfaces[label], self._rule))

@@ -7,6 +7,15 @@ import sys
 import pytest
 from jsonschema import Draft202012Validator
 
+from fbmink import (
+    PerturbationSpec,
+    QuadratureRule,
+    default_cap_spec,
+    hypothesis_audit,
+    make_perturbed_cap,
+    make_support,
+    region_margins,
+)
 from fbmink.cli import load_schema, main
 
 
@@ -61,6 +70,8 @@ def test_level_flag_overrides_config(tmp_path, capsys):
     (["--level", "1"], "quadrature/level"),
     (["--level", "65"], "quadrature/level"),
     (["--tolerance", "0"], "tolerance"),
+    (["--tolerance", "nan"], "tolerance"),
+    (["--tolerance", "inf"], "tolerance"),
 ])
 def test_flags_obey_schema_bounds(flags, field, capsys):
     code, out, err = run_cli(["identities"] + flags, capsys)
@@ -86,6 +97,31 @@ def test_schema_violation_exits_2_with_field_path(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", cfg], capsys)
     assert code == 2
     assert "sweep/epsilons" in err
+
+    # the schema passes these; the loader and the converge runner reject them
+    for command, payload, field in [
+        ("minkowski", {"cap": {"radius": float("nan")}}, "cap/radius"),
+        ("minkowski", {"cap": {"tilt": float("inf")}}, "cap/tilt"),
+        ("sweep", {"sweep": {"epsilons": [0.02, float("-inf")]}}, "sweep/epsilons/1"),
+        ("converge", {"converge": {"levels": [12, 8, 16]}}, "converge/levels"),
+        ("converge", {"converge": {"levels": [8, 8]}}, "converge/levels"),
+    ]:
+        cfg = write_config(tmp_path, {"version": 1, **payload})
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert f"config invalid at {field}" in err
+
+
+@pytest.mark.parametrize("cap, message", [
+    ({"axis": [0, 1]}, "axis must be a nonzero finite vector of 3 components"),
+    ({"axis": [0, 0, 0]}, "axis must be a nonzero finite vector of 3 components"),
+    ({"center_shift": [0.1]}, "center_shift needs 2 finite components"),
+])
+def test_malformed_cap_placement_exits_2(cap, message, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"version": 1, "cap": cap})
+    code, out, err = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_shipped_schema_is_valid_against_metaschema():
@@ -183,6 +219,18 @@ def test_hypothesis_failure_exits_1(tmp_path, capsys):
     assert doc["results"]["hypothesis_checks"]["convexity_min"] < 0.0
     # the inequality itself still holds; only a hypothesis is violated
     assert doc["results"]["deficit"] > 0.0
+
+
+def test_hypothesis_checks_are_the_audit_and_region_margins(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"version": 1, "perturbation": {"epsilon": 0.05, "power": 3},
+                                  "quadrature": {"level": 12}})
+    code, out, _ = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 0
+    sc = make_perturbed_cap(default_cap_spec(make_support("euclidean_plane", 3)),
+                            PerturbationSpec(epsilon=0.05, power=3))
+    expected = {**hypothesis_audit(sc, QuadratureRule(12)).to_dict(),
+                "admissibility": region_margins(sc)}
+    assert json.loads(out)["results"]["hypothesis_checks"] == json.loads(json.dumps(expected))
 
 
 def test_schur_needs_dimension_four(tmp_path, capsys):

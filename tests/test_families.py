@@ -27,8 +27,7 @@ from conftest import canonical_support
 def test_all_canonical_scenarios_validate():
     from conftest import canonical_scenario
     for kind in SupportKind:
-        report = validate_scenario(canonical_scenario(kind), strict=False)
-        assert report.passed, f"{kind}: {report.failing()}"
+        validate_scenario(canonical_scenario(kind))
 
 
 def test_tilted_cap_rejected_naming_the_check():
@@ -53,6 +52,21 @@ def test_disjoint_sphere_placement_infeasible():
     with pytest.raises(OrthogonalityInfeasible):
         make_umbilical_cap(
             CapSpec(support=support, radius=0.2, center_distance=5.0))
+
+
+@pytest.mark.parametrize("radius, extra", [
+    (float("nan"), {}),
+    (-0.5, {}),
+    (1.0, {"axis": (0.0, 1.0)}),
+    (1.0, {"axis": (0.0, 0.0, 0.0)}),
+    (1.0, {"axis": (0.0, 0.0, float("nan"))}),
+    (1.0, {"center_shift": (0.1,)}),
+    (1.0, {"center_shift": (0.1, float("inf"))}),
+])
+def test_malformed_placement_infeasible(radius, extra):
+    support = canonical_support(SupportKind.EUCLIDEAN_PLANE)
+    with pytest.raises(OrthogonalityInfeasible):
+        make_umbilical_cap(CapSpec(support=support, radius=radius, **extra))
 
 
 def test_placements_leaving_half_region_rejected():
@@ -124,9 +138,13 @@ def test_perturbed_cap_near_wall_rejected():
 def test_region_margins_are_positive_for_canonical_caps():
     from conftest import canonical_scenario
     for kind in SupportKind:
-        margins = region_margins(canonical_scenario(kind))
+        sc = canonical_scenario(kind)
+        margins = region_margins(sc)
         for name, value in margins.items():
             assert value > 0.0, f"{kind} margin {name} = {value}"
+        # callers get a copy of the memoized margins
+        margins.clear()
+        assert region_margins(sc)
 
 
 def test_scenario_metadata():
@@ -149,8 +167,7 @@ def test_hyperbolic_ball_caps_validate_across_radii(radius, eps):
         sc = make_umbilical_cap(spec)
     else:
         sc = make_perturbed_cap(spec, PerturbationSpec(epsilon=eps, power=3))
-    report = validate_scenario(sc, strict=False)
-    assert report.passed, report.failing()
+    validate_scenario(sc)
 
 
 def test_axis_must_not_be_antiparallel_to_feasibility():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbmink.families as families
 import fbmink.quadrature as quadrature
 import fbmink.surfaces as surfaces
 from fbmink import (
@@ -182,7 +183,8 @@ def test_quadrature_values_independent_of_construction_count(hemisphere):
 
 def test_each_node_set_is_evaluated_once(monkeypatch):
     """One perturbed n=4 verification: every consumer shares the node bundles."""
-    counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0}
+    counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0, "ring": 0,
+              "margins": 0}
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -201,6 +203,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
                         counting("surface", quadrature.SurfaceQuadrature.__init__))
     monkeypatch.setattr(surfaces, "principal_curvatures",
                         counting("principal", surfaces.principal_curvatures))
+    monkeypatch.setattr(families, "boundary_checks", counting("ring", surfaces.boundary_checks))
+    monkeypatch.setattr(families, "_margins", counting("margins", families._margins))
 
     rule = QuadratureRule(12)
     sc = _perturbed_scenario(SupportKind.EUCLIDEAN_PLANE, n=4)
@@ -210,9 +214,12 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     for name in ("V", "x1", "x1^2"):
         reilly_residual(sc, name, rule)
     # base and perturbed admissibility regions, the level-12 cap, region and
-    # face, and one boundary ring each for validation and the audit
-    assert counts["geometry"] <= 6
+    # face, and one boundary ring shared by validation and the audit
+    assert counts["geometry"] <= 5
     assert counts["region"] <= 3
+    assert counts["ring"] == 1
+    # the base cap's admissibility check, then the perturbed cap's, shared by validation
+    assert counts["margins"] == 2
     assert counts["principal"] == 1
     # level-12 cap and face; the admissibility regions need node geometry only
     assert counts["surface"] <= 2

@@ -1,0 +1,93 @@
+"""Compare `python -m fbmink` output between two source trees, byte for byte.
+
+    python3 tools/cli_identity.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository; its package is imported from
+TREE/src.  Every run in RUNS executes once per tree from the same scratch
+directory, which holds the config files.  Stdout (with the value of
+generated_unix_time masked), stderr and the exit code must match.  One line
+is printed per run; the exit status is 0 when every run matches and 1
+otherwise.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+TILTED = {"version": 1, "cap": {"tilt": 0.2}}
+EQUIDISTANT = {"version": 1, "support": {"kind": "equidistant"}, "cap": {"radius": 0.3},
+               "perturbation": {"epsilon": 0.05, "power": 3}}
+SPHERE = {"version": 1, "support": {"kind": "euclidean_sphere"},
+          "perturbation": {"epsilon": 0.05, "power": 3}}
+OFF_ORTHOGONAL = {"version": 1, "support": {"kind": "euclidean_sphere"},
+                  "cap": {"radius": 0.5, "center_distance": 1.2}}
+NEGATIVE_SWEEP = {"version": 1, "sweep": {"epsilons": [-0.06, -0.03, 0.03, 0.06]}}
+
+# (name, argv, config); a config is a dict, raw JSON text, or None for no --config
+RUNS: list[tuple[str, list[str], object]] = [
+    *[(command, [command], None) for command in
+      ("identities", "curvature", "minkowski", "af", "schur", "reilly", "sweep", "converge")],
+    ("schur n=4", ["schur"], {"version": 1, "n": 4, "quadrature": {"level": 10}}),
+    *[(f"{command} {label}", [command], cfg)
+      for label, cfg in (("tilted", TILTED), ("equidistant-eps", EQUIDISTANT),
+                         ("sphere-eps", SPHERE), ("off-orthogonal", OFF_ORTHOGONAL))
+      for command in ("minkowski", "af", "reilly", "sweep", "converge")],
+    ("sweep negative-eps", ["sweep"], NEGATIVE_SWEEP),
+    ("sweep negative-eps jobs=2 json", ["sweep", "--jobs", "2", "--format", "json"],
+     NEGATIVE_SWEEP),
+    # malformed input: each must exit 2 with a named error
+    ("identities tolerance=nan", ["identities", "--tolerance", "nan"], None),
+    ("identities tolerance=inf", ["identities", "--tolerance", "inf"], None),
+    ("minkowski radius=NaN", ["minkowski"], '{"version": 1, "cap": {"radius": NaN}}'),
+    ("minkowski tilt=Infinity", ["minkowski"], '{"version": 1, "cap": {"tilt": Infinity}}'),
+    ("minkowski axis=[0,1]", ["minkowski"], {"version": 1, "cap": {"axis": [0, 1]}}),
+    ("minkowski axis=[0,0,0]", ["minkowski"], {"version": 1, "cap": {"axis": [0, 0, 0]}}),
+    ("minkowski center_shift=[0.1]", ["minkowski"],
+     {"version": 1, "cap": {"center_shift": [0.1]}}),
+    ("converge levels=[12,8,16]", ["converge"], {"version": 1, "converge": {"levels": [12, 8, 16]}}),
+    ("converge levels=[8,8]", ["converge"], {"version": 1, "converge": {"levels": [8, 8]}}),
+]
+
+_TIME = re.compile(rb'("generated_unix_time": )\d+')
+
+
+def run_once(tree: str, argv: list[str], workdir: str) -> tuple[bytes, bytes, int]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, "-m", "fbmink", *argv], cwd=workdir, env=env,
+                          capture_output=True, timeout=600)
+    return _TIME.sub(rb"\1<masked>", proc.stdout), proc.stderr, proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = argv
+    differing = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for index, (name, args, cfg) in enumerate(RUNS):
+            if cfg is not None:
+                path = os.path.join(workdir, f"cfg{index}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(cfg if isinstance(cfg, str) else json.dumps(cfg))
+                args = [*args, "--config", path]
+            a, b = run_once(old, args, workdir), run_once(new, args, workdir)
+            same = a == b
+            differing += not same
+            verdict = "same" if same else "DIFF"
+            print(f"{verdict}  exit {a[2]} -> {b[2]}  {name}", flush=True)
+            if not same:
+                for label, x, y in (("stdout", a[0], b[0]), ("stderr", a[1], b[1])):
+                    if x != y:
+                        print(f"    {label} old: {x[-300:]!r}\n    {label} new: {y[-300:]!r}")
+    print(f"{len(RUNS) - differing} of {len(RUNS)} runs identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
