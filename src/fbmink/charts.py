@@ -134,7 +134,6 @@ class SphericalCapChart:
     frame: np.ndarray          # (n, n), columns orthonormal, frame[:, 0] = axis
     t_max: float
     t_min: float = 0.0
-    outward: bool = True       # hint points away from the center when True
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -154,8 +153,7 @@ class SphericalCapChart:
         return X, J, H
 
     def normal_hint(self, U, X):
-        d = X - self.center
-        return d if self.outward else -d
+        return X - self.center
 
 
 def axis_frame(axis: np.ndarray) -> np.ndarray:

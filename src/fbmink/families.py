@@ -41,7 +41,7 @@ from .errors import (
     OrthogonalityInfeasible,
     ValidationFailed,
 )
-from .supports import PlaneShape, SphereShape, SupportSpec
+from .supports import PlaneShape, SphereShape, SupportSpec, plane_anchor
 from .surfaces import FreeBoundarySurface, boundary_checks
 from .weights import WeightField, weight_for_support
 
@@ -129,27 +129,17 @@ def _default_axis(s: SupportSpec) -> np.ndarray:
 
 
 def _plane_anchor(s: SupportSpec, shift: Optional[tuple]) -> np.ndarray:
-    a = np.asarray(s.shape.normal_in, dtype=float)
-    anchor = s.shape.offset * a
-    if s.model.kind is ModelKind.UPPER_HALF_SPACE and anchor[-1] < 1e-9:
-        lift = np.zeros(s.n)
-        lift[-1] = 1.0
-        # the support plane contains the vertical direction here, so the
-        # lifted anchor stays on the plane and clear of the chart boundary
-        anchor = anchor + lift
+    anchor = plane_anchor(s)
     if shift is not None:
         shift = np.asarray(shift, dtype=float)
         if shift.shape != (s.n - 1,) or not np.all(np.isfinite(shift)):
             raise OrthogonalityInfeasible(
                 f"center_shift needs {s.n - 1} finite components, got {shift.tolist()}")
-        anchor = anchor + axis_frame(a)[:, 1:] @ shift
+        in_plane = axis_frame(np.asarray(s.shape.normal_in, dtype=float))[:, 1:]
+        anchor = anchor + in_plane @ shift
         if abs(float(s.signed_distance(anchor))) > 1e-12:
             raise InadmissiblePlacement("center shift left the support plane")
     return anchor
-
-
-def _sphere_membership(shape, x: np.ndarray) -> np.ndarray:
-    return shape.signed_distance(x) <= 0.0
 
 
 def _halfspace_ball_min_height(center: np.ndarray, r: float, a: np.ndarray,
@@ -230,41 +220,22 @@ def _plane_cap(spec: CapSpec, s: SupportSpec, r: float, a: np.ndarray) -> CapSce
     if spec.center_distance is not None:
         raise OrthogonalityInfeasible("center_distance applies to sphere supports only")
     anchor = _plane_anchor(s, spec.center_shift)
+    if not math.isfinite(spec.tilt):
+        raise OrthogonalityInfeasible(f"tilt must be finite, got {spec.tilt}")
     sin_tilt = math.sin(spec.tilt)
     if not -1.0 < sin_tilt < 1.0:
         raise OrthogonalityInfeasible("tilt must keep the center within one radius")
     center = anchor + r * sin_tilt * a
     _placement_precheck(s, center, r)
-    t_max = math.acos(-sin_tilt)
-    cap_chart = SphericalCapChart(center=center, radius=r, frame=axis_frame(a),
-                                  t_max=t_max, outward=True)
-    surface = FreeBoundarySurface(model=s.model, chart=cap_chart, support=s)
-
-    ring_radius = r * math.cos(spec.tilt)
-    face_chart = PolarPlanarChart(center=anchor, plane_frame=axis_frame(a)[:, 1:],
-                                  radius=ring_radius, hint=-a)
-    face = FreeBoundarySurface(model=s.model, chart=face_chart, support=None)
-
-    plane = s.shape
-
-    def contains(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside_half = plane.signed_distance(x) <= 0.0
-        inside_ball = np.linalg.norm(x - center, axis=-1) <= r
-        return inside_half & inside_ball
-
-    region = quad.DomainRegion(
-        model=s.model, star_center=anchor,
-        pieces=("cap",),
-        contains_fn=contains,
-    )
-    return CapScenario(support=s, weight=weight_for_support(s), surface=surface,
-                       face=face, region=region, spec=spec,
-                       description=f"cap r={r} on {s.kind.value}")
+    frame = axis_frame(a)
+    face_chart = PolarPlanarChart(center=anchor, plane_frame=frame[:, 1:],
+                                  radius=r * math.cos(spec.tilt), hint=-a)
+    return _assemble(spec, center, r, frame, math.acos(-sin_tilt), face_chart,
+                     star_center=anchor, pieces=("cap",),
+                     description=f"cap r={r} on {s.kind.value}")
 
 
 def _sphere_cap(spec: CapSpec, s: SupportSpec, r: float, axis: np.ndarray) -> CapScenario:
-    n = s.n
     if spec.tilt:
         raise OrthogonalityInfeasible("tilt applies to plane supports; use center_distance")
     if spec.center_shift is not None:
@@ -277,33 +248,34 @@ def _sphere_cap(spec: CapSpec, s: SupportSpec, r: float, axis: np.ndarray) -> Ca
     center = d * axis
     _placement_precheck(s, center, r)
     cos_cap = (d * d + r * r - R * R) / (2.0 * d * r)
-    t_max = math.acos(np.clip(cos_cap, -1.0, 1.0))
-    cap_chart = SphericalCapChart(center=center, radius=r, frame=axis_frame(-axis),
-                                  t_max=t_max, outward=True)
-    surface = FreeBoundarySurface(model=s.model, chart=cap_chart, support=s)
-
     cos_face = (d * d + R * R - r * r) / (2.0 * d * R)
-    t_face = math.acos(np.clip(cos_face, -1.0, 1.0))
-    face_chart = SphericalCapChart(center=np.zeros(n), radius=R,
-                                   frame=axis_frame(axis), t_max=t_face, outward=True)
-    face = FreeBoundarySurface(model=s.model, chart=face_chart, support=None)
+    face_chart = SphericalCapChart(center=np.zeros(s.n), radius=R, frame=axis_frame(axis),
+                                   t_max=math.acos(np.clip(cos_face, -1.0, 1.0)))
+    return _assemble(spec, center, r, axis_frame(-axis),
+                     math.acos(np.clip(cos_cap, -1.0, 1.0)), face_chart,
+                     star_center=0.5 * ((d - r) + R) * axis, pieces=("cap", "support"),
+                     description=f"cap r={r} inside {s.kind.value}")
 
-    ball = s.shape
-    star = 0.5 * ((d - r) + R) * axis
+
+def _assemble(spec: CapSpec, center: np.ndarray, r: float, frame: np.ndarray, t_max: float,
+              face_chart, star_center: np.ndarray, pieces: tuple[str, ...],
+              description: str) -> CapScenario:
+    """The scenario of the cap S(center, r) cut at polar angle t_max, from the
+    placement its support shape computed; Omega is the ball's part in B_int."""
+    s = spec.support
+    cap_chart = SphericalCapChart(center=center, radius=r, frame=frame, t_max=t_max)
 
     def contains(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (_sphere_membership(ball, x)
-                & (np.linalg.norm(x - center, axis=-1) <= r))
+        return (s.signed_distance(x) <= 0.0) & (np.linalg.norm(x - center, axis=-1) <= r)
 
-    region = quad.DomainRegion(
-        model=s.model, star_center=star,
-        pieces=("cap", "support"),
-        contains_fn=contains,
-    )
-    return CapScenario(support=s, weight=weight_for_support(s), surface=surface,
-                       face=face, region=region, spec=spec,
-                       description=f"cap r={r} inside {s.kind.value}")
+    return CapScenario(
+        support=s, weight=weight_for_support(s),
+        surface=FreeBoundarySurface(model=s.model, chart=cap_chart, support=s),
+        face=FreeBoundarySurface(model=s.model, chart=face_chart, support=None),
+        region=quad.DomainRegion(model=s.model, star_center=star_center, pieces=pieces,
+                                 contains_fn=contains),
+        spec=spec, description=description)
 
 
 def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScenario:
@@ -353,10 +325,9 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
         inside_support_side = s.signed_distance(x) <= 1e-15
         return inside_cap & inside_support_side
 
-    scenario = CapScenario(support=base.support, weight=base.weight, surface=surface,
-                           face=base.face, region=replace(base.region, contains_fn=contains),
-                           spec=spec, perturbation=perturbation,
-                           description=base.description + f" perturbed eps={perturbation.epsilon}")
+    scenario = replace(base, surface=surface, region=replace(base.region, contains_fn=contains),
+                       perturbation=perturbation,
+                       description=base.description + f" perturbed eps={perturbation.epsilon}")
     _check_admissible(scenario)
     return scenario
 

@@ -17,6 +17,7 @@ and geometry errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -81,31 +82,31 @@ def hypothesis_audit(scenario: CapScenario, rule: Optional[QuadratureRule] = Non
 # -- inequality reports ----------------------------------------------------------
 
 
-THEOREM_IDS = {
-    "minkowski": "Minkowski",
-    "alexandrov_fenchel": "AF",
-    "almost_schur": "AlmostSchur",
-}
-
 DEFAULT_EQUALITY_TOL = 1e-6
 HYPOTHESIS_TOL = 1e-9   # a hypothesis margin above -HYPOTHESIS_TOL counts as satisfied
 
 
 @dataclass
 class InequalityReport:
-    theorem: str
+    theorem: str   # the public id: "Minkowski", "AF" or "AlmostSchur"
     n: int
     level: int
     lhs: float
     rhs: float
     deficit: float
-    relative_deficit: float
     hypothesis: str
     hypothesis_margin: float
-    hypothesis_ok: bool
     equality_tolerance: float = DEFAULT_EQUALITY_TOL
     integrals: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def relative_deficit(self) -> float:
+        return self.deficit / max(abs(self.lhs), abs(self.rhs), 1e-300)
+
+    @property
+    def hypothesis_ok(self) -> bool:
+        return self.hypothesis_margin >= -HYPOTHESIS_TOL
 
     @property
     def equality_flag(self) -> bool:
@@ -113,7 +114,7 @@ class InequalityReport:
 
     def to_dict(self) -> dict:
         return {
-            "theorem_id": THEOREM_IDS.get(self.theorem, self.theorem),
+            "theorem_id": self.theorem,
             "n": self.n,
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -129,27 +130,30 @@ class InequalityReport:
         }
 
 
+def _cap_terms(scenario: CapScenario, rule: Optional[QuadratureRule]):
+    """(level, node bundle, cap quadrature, cap curvature, V, convexity and substatic
+    margins) for a report; the weight is checked before the region is built."""
+    level = (rule or QuadratureRule(default_level(scenario.n))).level
+    nodes = scenario.nodes(level)
+    Vs, convexity, substatic = nodes.weight_data()
+    sq = nodes.quadrature("cap")
+    return level, nodes, sq, sq.curvature(), Vs, convexity, substatic
+
+
 def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
-    rule = rule or QuadratureRule(default_level(scenario.n))
-    nodes = scenario.nodes(rule.level)
-    Vs, margin, _ = nodes.weight_data()
-    sq, rq = nodes.quadrature("cap"), nodes.region
-    H = sq.curvature().H
+    level, nodes, sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
+    rq = nodes.region
     area_v = sq.integral(Vs)
-    mean_v = sq.integral(H * Vs)
+    mean_v = sq.integral(curv.H * Vs)
     vol_v = rq.integral(scenario.weight.value(rq.points))
     lhs = area_v ** 2
     rhs = n / (n - 1.0) * vol_v * mean_v
-    deficit = lhs - rhs
     return InequalityReport(
-        theorem="minkowski", n=n, level=rule.level,
-        lhs=lhs, rhs=rhs, deficit=deficit,
-        relative_deficit=deficit / max(abs(lhs), abs(rhs), 1e-300),
+        theorem="Minkowski", n=n, level=level, lhs=lhs, rhs=rhs, deficit=lhs - rhs,
         hypothesis="convexity", hypothesis_margin=margin,
-        hypothesis_ok=margin >= -HYPOTHESIS_TOL,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "weighted_mean_curvature": mean_v,
                    "weighted_volume": vol_v},
@@ -162,17 +166,12 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     n = scenario.n
     if n < 3:
         raise DimensionTooLow("the second-order inequality needs ambient dimension >= 3")
-    rule = rule or QuadratureRule(default_level(scenario.n))
-    nodes = scenario.nodes(rule.level)
-    Vs, _, margin = nodes.weight_data()
-    sq = nodes.quadrature("cap")
-    curv = sq.curvature()
+    level, _, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
     sigma2_v = sq.integral(curv.sigma2 * Vs)
     lhs = mean_v ** 2
     rhs = 2.0 * (n - 1.0) / (n - 2.0) * area_v * sigma2_v
-    deficit = lhs - rhs
 
     # normalized restatement: int (H - Hbar_V)^2 V <= (n-1)/(n-2) int |h0|^2 V
     h_mean = mean_v / area_v
@@ -181,11 +180,8 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     normalized_deficit = (n - 1.0) / (n - 2.0) * traceless - spread
 
     return InequalityReport(
-        theorem="alexandrov_fenchel", n=n, level=rule.level,
-        lhs=lhs, rhs=rhs, deficit=deficit,
-        relative_deficit=deficit / max(abs(lhs), abs(rhs), 1e-300),
+        theorem="AF", n=n, level=level, lhs=lhs, rhs=rhs, deficit=lhs - rhs,
         hypothesis="substatic", hypothesis_margin=margin,
-        hypothesis_ok=margin >= -HYPOTHESIS_TOL,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "weighted_mean_curvature": mean_v,
                    "weighted_sigma2": sigma2_v},
@@ -202,11 +198,7 @@ def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     if n < 4:
         raise DimensionTooLow(
             f"the scalar-curvature bound needs ambient dimension >= 4, got {n}")
-    rule = rule or QuadratureRule(default_level(scenario.n))
-    nodes = scenario.nodes(rule.level)
-    Vs, _, margin = nodes.weight_data()
-    sq = nodes.quadrature("cap")
-    curv = sq.curvature()
+    level, _, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
     geo = sq.geo
     area_v = sq.integral(Vs)
     scal_mean = sq.integral(curv.scal * Vs) / area_v
@@ -217,14 +209,10 @@ def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     norm_sq = np.einsum("mab,mba->m", mixed, mixed)
     coeff = 4.0 * (n - 1.0) * (n - 2.0) / (n - 3.0) ** 2
     rhs = coeff * sq.integral(norm_sq * Vs)
-    deficit = rhs - lhs
 
     return InequalityReport(
-        theorem="almost_schur", n=n, level=rule.level,
-        lhs=lhs, rhs=rhs, deficit=deficit,
-        relative_deficit=deficit / max(abs(lhs), abs(rhs), 1e-300),
+        theorem="AlmostSchur", n=n, level=level, lhs=lhs, rhs=rhs, deficit=rhs - lhs,
         hypothesis="substatic", hypothesis_margin=margin,
-        hypothesis_ok=margin >= -HYPOTHESIS_TOL,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "scal_mean": scal_mean},
         extras={"lhs_label": "weighted variance of scalar curvature",
@@ -243,73 +231,42 @@ REPORT_BUILDERS: dict[str, Callable[..., InequalityReport]] = {
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """A C^2 function on the chart with exact flat derivatives."""
+class _Coordinate:
+    """x_i, or x_i^2 when ``squared``, with exact flat derivatives behind the
+    value / euclidean_gradient / euclidean_hessian interface of ``WeightField``."""
 
-    name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
+    i: int
+    squared: bool
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        xi = x[..., self.i]
+        return xi * xi if self.squared else xi
 
-def coordinate_function(i: int, n: int) -> TestFunction:
-    def val(x):
-        return np.asarray(x, dtype=float)[..., i]
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
+    def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros_like(x)
-        g[..., i] = 1.0
+        g[..., self.i] = 2.0 * x[..., self.i] if self.squared else 1.0
         return g
 
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (n,))
-
-    return TestFunction(name=f"x{i + 1}", value=val, gradient=grad, hessian=hess)
-
-
-def coordinate_square_function(i: int, n: int) -> TestFunction:
-    def val(x):
-        return np.asarray(x, dtype=float)[..., i] ** 2
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
-        g[..., i] = 2.0 * x[..., i]
-        return g
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape + (n,))
-        h[..., i, i] = 2.0
+    def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
+        h = np.zeros(x.shape + x.shape[-1:])
+        if self.squared:
+            h[..., self.i, self.i] = 2.0
         return h
 
-    return TestFunction(name=f"x{i + 1}^2", value=val, gradient=grad, hessian=hess)
 
-
-def weight_test_function(V: WeightField) -> TestFunction:
-    return TestFunction(name="V", value=V.value,
-                        gradient=V.euclidean_gradient, hessian=V.euclidean_hessian)
-
-
-def resolve_test_function(name: str, scenario: CapScenario) -> TestFunction:
-    n = scenario.n
+def _test_function(name: str, scenario: CapScenario) -> tuple[str, WeightField | _Coordinate]:
+    """The reported name and the function behind "V", "x<i>" or "x<i>^2"."""
     key = name.strip().lower().replace(" ", "")
     if key == "v":
-        return weight_test_function(scenario.weight)
-    if key.startswith("x") and key.endswith("^2"):
-        idx = int(key[1:-2]) - 1
-        if not 0 <= idx < n:
-            raise NonSmoothTestFunction(f"coordinate index out of range in {name!r}")
-        return coordinate_square_function(idx, n)
-    if key.startswith("x"):
-        idx = int(key[1:]) - 1
-        if not 0 <= idx < n:
-            raise NonSmoothTestFunction(f"coordinate index out of range in {name!r}")
-        return coordinate_function(idx, n)
-    raise NonSmoothTestFunction(
-        f"unknown test function {name!r}; choose V, x<i> or x<i>^2")
+        return "V", scenario.weight
+    match = re.fullmatch(r"x([0-9]+)(\^2)?", key)
+    if match is None:
+        raise NonSmoothTestFunction(
+            f"unknown test function {name!r}; choose V, x<i> or x<i>^2")
+    i, squared = int(match[1]) - 1, match[2] is not None
+    if not 0 <= i < scenario.n:
+        raise NonSmoothTestFunction(f"coordinate index out of range in {name!r}")
+    return f"x{i + 1}" + ("^2" if squared else ""), _Coordinate(i, squared)
 
 
 # -- the weighted Reilly-type identity --------------------------------------------
@@ -329,20 +286,21 @@ class ReillyReport:
         return asdict(self)
 
 
-def _jet(model, x: np.ndarray, fn: TestFunction) -> tuple[np.ndarray, ...]:
+def _jet(model, x: np.ndarray, fn: WeightField | _Coordinate) -> tuple[np.ndarray, ...]:
     """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x."""
-    d1, d2 = fn.gradient(x), fn.hessian(x)
+    d1, d2 = fn.euclidean_gradient(x), fn.euclidean_hessian(x)
     return (fn.value(x), d1, d2, covariant_hessian(model, x, d1, d2),
             ambient_laplacian(model, x, d1, d2))
 
 
-def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField, f: TestFunction) -> dict:
+def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField,
+                          f: WeightField | _Coordinate) -> dict:
     """The three boundary integrals of the identity over one smooth piece."""
     model = sq.surf.model
     geo = sq.geo
     x, nu, jac = geo.x, geo.nu, geo.jac
     curv = sq.curvature()
-    Vv, dV, d2V, hess_V, lap_V = _jet(model, x, weight_test_function(V))
+    Vv, dV, d2V, hess_V, lap_V = _jet(model, x, V)
     fv, df, d2f, hess_f, lap_f = _jet(model, x, f)
 
     f_nu = np.einsum("mi,mi->m", df, nu)
@@ -383,16 +341,16 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField, f: TestFunction
     }
 
 
-def reilly_residual(scenario: CapScenario, function: str | TestFunction = "V",
+def reilly_residual(scenario: CapScenario, function: str = "V",
                     rule: Optional[QuadratureRule] = None) -> ReillyReport:
     """Integrate every term of the weighted Reilly identity and report the gap.
 
-    The checker takes a supplied smooth function; it does not solve boundary
-    value problems.  For static weights the interior curvature term is zero
+    ``function`` names the smooth test function: "V", "x<i>" or "x<i>^2"; the
+    checker does not solve boundary value problems.  For static weights the interior curvature term is zero
     in exact arithmetic and is still integrated as a cross-check.
     """
     rule = rule or QuadratureRule(default_level(scenario.n))
-    f = function if isinstance(function, TestFunction) else resolve_test_function(function, scenario)
+    name, f = _test_function(function, scenario)
     V = scenario.weight
     model = scenario.model
     n = scenario.n
@@ -401,7 +359,7 @@ def reilly_residual(scenario: CapScenario, function: str | TestFunction = "V",
     nodes = scenario.nodes(rule.level)
     rq = nodes.region
     x = rq.points
-    Vv, dV, _, hess_V, lap_V = _jet(model, x, weight_test_function(V))
+    Vv, dV, _, hess_V, lap_V = _jet(model, x, V)
     fv, df, _, hess_f, lap_f = _jet(model, x, f)
 
     gbar = metric_at(model, x)
@@ -427,7 +385,7 @@ def reilly_residual(scenario: CapScenario, function: str | TestFunction = "V",
                 max((abs(v) for d in boundary.values() for v in d.values()), default=0.0))
     relative = residual / scale if scale > 1e-20 else 0.0
     return ReillyReport(
-        function=f.name, level=rule.level,
+        function=name, level=rule.level,
         residual=float(residual), relative_residual=float(relative),
         lhs_volume=float(lhs_volume), rhs_volume_static=float(rhs_volume),
         boundary=boundary,

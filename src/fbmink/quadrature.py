@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,21 +133,19 @@ class DomainRegion:
     covers: "cap" and, where the support face does not pass through the
     star center, "support".
 
-    ``contains_fn`` is an optional closed-form membership test (vectorized
-    over points) used by Monte Carlo oracles.
+    ``contains_fn`` is its closed-form membership test (vectorized over
+    points), used by Monte Carlo oracles.
     """
 
     model: object
     star_center: np.ndarray
     pieces: tuple[str, ...]
-    contains_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    contains_fn: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.star_center = np.asarray(self.star_center, dtype=float)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
-        if self.contains_fn is None:
-            raise NotImplementedError("region has no closed-form membership test")
         return self.contains_fn(np.asarray(x, dtype=float))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,7 +90,6 @@ class SupportSpec:
     kappa: float
     shape: object                      # SphereShape or PlaneShape
     half_region: HalfRegion
-    params: dict = field(default_factory=dict, compare=False)
 
     @property
     def requires_half_region(self) -> bool:
@@ -136,6 +135,17 @@ class SupportSpec:
         return ok
 
 
+def plane_anchor(s: SupportSpec) -> np.ndarray:
+    """The point of a plane support nearest the origin, lifted by e_n when the
+    plane is vertical in the half space: such a plane contains e_n, so the
+    lifted anchor stays on it and clear of the chart boundary x_n = 0."""
+    a = np.asarray(s.shape.normal_in, dtype=float)
+    anchor = s.shape.offset * a
+    if s.model.kind is ModelKind.UPPER_HALF_SPACE and abs(a[-1]) < 1e-12:
+        anchor[-1] += 1.0
+    return anchor
+
+
 # -- constructors -------------------------------------------------------------
 
 
@@ -148,7 +158,6 @@ def euclidean_sphere(n: int, radius: float = 1.0) -> SupportSpec:
         kappa=1.0 / radius,
         shape=SphereShape(center=(0.0,) * n, radius=radius),
         half_region=HalfRegion.LAST_COORD_POSITIVE,
-        params={"radius": radius},
     )
 
 
@@ -160,7 +169,6 @@ def euclidean_plane(n: int) -> SupportSpec:
         kappa=0.0,
         shape=PlaneShape(normal_in=a, offset=0.0),
         half_region=HalfRegion.NONE,
-        params={},
     )
 
 
@@ -188,7 +196,6 @@ def hyp_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
         kappa=kappa,
         shape=SphereShape(center=(0.0,) * n, radius=rho),
         half_region=HalfRegion.LAST_COORD_POSITIVE,
-        params={"chart_radius": rho},
     )
 
 
@@ -200,7 +207,6 @@ def horosphere(n: int) -> SupportSpec:
         kappa=1.0,
         shape=PlaneShape(normal_in=a, offset=1.0),
         half_region=HalfRegion.NONE,
-        params={},
     )
 
 
@@ -221,7 +227,6 @@ def equidistant(n: int, theta: float) -> SupportSpec:
         kappa=math.cos(theta),
         shape=PlaneShape(normal_in=tuple(a), offset=math.cos(theta)),
         half_region=HalfRegion.NONE,
-        params={"theta": theta},
     )
 
 
@@ -233,7 +238,6 @@ def hyp_geodesic_plane(n: int) -> SupportSpec:
         kappa=0.0,
         shape=PlaneShape(normal_in=a, offset=0.0),
         half_region=HalfRegion.NONE,
-        params={},
     )
 
 
@@ -262,7 +266,6 @@ def sph_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
         kappa=kappa,
         shape=SphereShape(center=(0.0,) * n, radius=rho),
         half_region=HalfRegion.LAST_COORD_POSITIVE,
-        params={"chart_radius": rho},
     )
 
 
@@ -274,7 +277,6 @@ def sph_hyperplane(n: int) -> SupportSpec:
         kappa=0.0,
         shape=PlaneShape(normal_in=a, offset=0.0),
         half_region=HalfRegion.UNIT_BALL,
-        params={},
     )
 
 

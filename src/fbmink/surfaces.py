@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import SpaceFormModel, christoffel_apply
+from .ambient import ModelKind, SpaceFormModel, christoffel_apply
 from .errors import DegenerateImmersion, NoBoundary, WeightNonpositive
-from .supports import SupportSpec, SphereShape
+from .supports import SupportSpec, SphereShape, plane_anchor
 from .charts import (
     PlanarBoxChart,
     SphericalCapChart,
@@ -278,18 +278,12 @@ def support_patch(s: SupportSpec) -> FreeBoundarySurface:
         axis[-1] = 1.0
         chart = SphericalCapChart(center=center, radius=s.shape.radius,
                                   frame=axis_frame(axis), t_min=0.15,
-                                  t_max=0.15 + extent, outward=True)
+                                  t_max=0.15 + extent)
         return FreeBoundarySurface(model=s.model, chart=chart, support=s)
     a = np.asarray(s.shape.normal_in, dtype=float)
-    anchor = s.shape.offset * a
-    if s.model.kind.value == "upper_half_space":
-        # keep the patch clear of the chart boundary x_n = 0
-        if abs(a[-1]) < 1e-12:
-            lift = np.zeros(n)
-            lift[-1] = 1.0
-            anchor = anchor + lift
-        extent = min(extent, 0.4)
-    chart = PlanarBoxChart(origin=anchor, plane_frame=axis_frame(a)[:, 1:],
+    if s.model.kind is ModelKind.UPPER_HALF_SPACE:
+        extent = min(extent, 0.4)   # keep the patch clear of the chart boundary x_n = 0
+    chart = PlanarBoxChart(origin=plane_anchor(s), plane_frame=axis_frame(a)[:, 1:],
                            extent=extent, hint=-a)
     return FreeBoundarySurface(model=s.model, chart=chart, support=s)
 

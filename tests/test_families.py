@@ -14,11 +14,14 @@ from fbmink import (
     PerturbationSpec,
     SupportKind,
     ValidationFailed,
+    default_cap_spec,
     make_perturbed_cap,
+    make_support,
     make_umbilical_cap,
     region_margins,
     validate_scenario,
 )
+from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
 
 from conftest import canonical_support
@@ -62,11 +65,22 @@ def test_disjoint_sphere_placement_infeasible():
     (1.0, {"axis": (0.0, 0.0, float("nan"))}),
     (1.0, {"center_shift": (0.1,)}),
     (1.0, {"center_shift": (0.1, float("inf"))}),
+    (1.0, {"tilt": float("inf")}),
 ])
 def test_malformed_placement_infeasible(radius, extra):
     support = canonical_support(SupportKind.EUCLIDEAN_PLANE)
     with pytest.raises(OrthogonalityInfeasible):
         make_umbilical_cap(CapSpec(support=support, radius=radius, **extra))
+
+
+@pytest.mark.parametrize("theta", [1.57078, 1.570796])
+def test_nearly_vertical_equidistant_cap_stays_on_its_support(theta):
+    # the support plane is nearly vertical but not vertical, so its anchor is
+    # not lifted off the plane; the cap then crosses the chart wall x_n = 0
+    support = make_support("equidistant", 3, theta=theta)
+    assert abs(float(support.signed_distance(plane_anchor(support)))) <= 1e-15
+    with pytest.raises(InadmissiblePlacement, match="chart margin -3.000e-01"):
+        make_umbilical_cap(default_cap_spec(support))
 
 
 def test_placements_leaving_half_region_rejected():

@@ -262,6 +262,9 @@ def test_reilly_rejects_unknown_function(hemisphere):
         reilly_residual(hemisphere, "sin(x)", RULE24)
     with pytest.raises(NonSmoothTestFunction):
         reilly_residual(hemisphere, "x9", RULE24)
+    for name in ("xy", "x", "x1.5", "x^2"):
+        with pytest.raises(NonSmoothTestFunction, match="unknown test function"):
+            reilly_residual(hemisphere, name, RULE24)
 
 
 def test_reilly_report_structure(hemisphere):

@@ -1,0 +1,120 @@
+"""Compare fbmink's in-process results between two source trees, byte for byte.
+
+    python3 tools/report_identity.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository; its package is imported from
+TREE/src in a child process.  The child builds every case below and dumps,
+per case, the ``to_dict()`` of the Minkowski, AF and almost-Schur reports,
+the hypothesis audit, the Reilly rows for V, x1, x2^2 and x1^2, the region
+margins and the outcome of ``validate_scenario``, as sorted JSON.  A failing
+step is recorded as [error type, message].  Cases:
+
+* the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 level 16 and n=4
+  level 8;
+* the radii {1e-7, 1e-5, 1e-3, 0.9, 1.5, 3} x eps {0, +-0.05, +-0.5} on five
+  supports at n=3 level 16.
+
+One line is printed per differing case and a summary at the end; the exit
+status is 0 when both dumps are identical and 1 otherwise.  This file uses
+the standard library only; the child needs the trees' own dependencies.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+SUPPORTS = ("euclidean_sphere", "euclidean_plane", "hyp_geodesic_sphere", "horosphere",
+            "equidistant", "hyp_geodesic_plane", "sph_geodesic_sphere", "sph_hyperplane")
+GRID_SUPPORTS = ("euclidean_plane", "euclidean_sphere", "horosphere", "sph_hyperplane",
+                 "hyp_geodesic_sphere")
+GRID_RADII = (1e-7, 1e-5, 1e-3, 0.9, 1.5, 3.0)
+REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
+
+# (n, level, support, radius or None for the canonical cap, epsilon)
+CASES = [
+    *[(n, level, kind, None, eps) for n, level in ((3, 16), (4, 8))
+      for kind in SUPPORTS for eps in (0.0, 0.05, -0.05)],
+    *[(3, 16, kind, r, eps) for kind in GRID_SUPPORTS for r in GRID_RADII
+      for eps in (0.0, 0.05, -0.05, 0.5, -0.5)],
+]
+
+
+def _attempt(step):
+    try:
+        return step()
+    except Exception as e:   # every outcome is data here, errors included
+        return [type(e).__name__, str(e)]
+
+
+def _case(fb, n: int, level: int, kind: str, radius, eps: float) -> dict:
+    def build():
+        support = fb.make_support(kind, n)
+        spec = fb.default_cap_spec(support)
+        if radius is not None:
+            spec = fb.CapSpec(support=support, radius=radius)
+        if eps:
+            return fb.make_perturbed_cap(spec, fb.PerturbationSpec(epsilon=eps))
+        return fb.make_umbilical_cap(spec)
+
+    scenario = _attempt(build)
+    if isinstance(scenario, list):
+        return {"build": scenario}
+    rule = fb.QuadratureRule(level)
+    out = {"description": scenario.description,
+           "validate": _attempt(lambda: fb.validate_scenario(scenario) or "ok"),
+           "region_margins": _attempt(lambda: fb.region_margins(scenario)),
+           "audit": _attempt(lambda: fb.hypothesis_audit(scenario, rule).to_dict())}
+    for name, builder in (("minkowski", fb.minkowski_report), ("af", fb.af_report),
+                          ("schur", fb.schur_report)):
+        out[name] = _attempt(lambda: builder(scenario, rule).to_dict())
+    for name in REILLY_FUNCTIONS:
+        out[f"reilly {name}"] = _attempt(
+            lambda: fb.reilly_residual(scenario, name, rule).to_dict())
+    return out
+
+
+def dump() -> None:
+    """Child side: print one JSON line per case."""
+    import fbmink as fb
+
+    for n, level, kind, radius, eps in CASES:
+        record = {"case": [n, level, kind, radius, eps],
+                  "result": _case(fb, n, level, kind, radius, eps)}
+        print(json.dumps(record, sort_keys=True), flush=True)
+
+
+def run_tree(tree: str) -> list[bytes]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--dump"], env=env,
+                          capture_output=True, timeout=3600)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"dump failed in {tree} (exit {proc.returncode})")
+    return proc.stdout.splitlines()
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--dump"]:
+        dump()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = (run_tree(tree) for tree in argv)
+    if len(old) != len(new):
+        print(f"case counts differ: {len(old)} -> {len(new)}")
+        return 1
+    differing = 0
+    for a, b in zip(old, new):
+        if a != b:
+            differing += 1
+            print(f"DIFF  {json.loads(a)['case']}\n    old: {a[-300:]!r}\n    new: {b[-300:]!r}")
+    print(f"{len(old) - differing} of {len(old)} cases identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
