@@ -23,11 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import (
-    ambient_laplacian,
-    covariant_hessian,
-    metric_at,
-)
 from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
 from .quadrature import (
@@ -36,8 +31,7 @@ from .quadrature import (
     default_level,
     pairwise_sum,
 )
-from .surfaces import normal_derivatives
-from .weights import WeightField
+from .weights import WeightField, jet
 
 
 # -- hypothesis audit -----------------------------------------------------------
@@ -286,22 +280,14 @@ class ReillyReport:
         return asdict(self)
 
 
-def _jet(model, x: np.ndarray, fn: WeightField | _Coordinate) -> tuple[np.ndarray, ...]:
-    """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x."""
-    d1, d2 = fn.euclidean_gradient(x), fn.euclidean_hessian(x)
-    return (fn.value(x), d1, d2, covariant_hessian(model, x, d1, d2),
-            ambient_laplacian(model, x, d1, d2))
-
-
-def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField,
-                          f: WeightField | _Coordinate) -> dict:
-    """The three boundary integrals of the identity over one smooth piece."""
-    model = sq.surf.model
+def _boundary_piece_terms(sq: SurfaceQuadrature, V_jet: tuple, f_jet: tuple) -> dict:
+    """The three boundary integrals of the identity over one smooth piece, from the
+    ``weights.jet`` of V and of the test function at its nodes."""
     geo = sq.geo
-    x, nu, jac = geo.x, geo.nu, geo.jac
+    nu, jac = geo.nu, geo.jac
     curv = sq.curvature()
-    Vv, dV, d2V, hess_V, lap_V = _jet(model, x, V)
-    fv, df, d2f, hess_f, lap_f = _jet(model, x, f)
+    Vv, dV, d2V, hess_V, lap_V = V_jet
+    fv, df, d2f, hess_f, lap_f = f_jet
 
     f_nu = np.einsum("mi,mi->m", df, nu)
     V_nu = np.einsum("mi,mi->m", dV, nu)
@@ -320,7 +306,7 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V: WeightField,
     lap_p_V = lap_V - hess_V_nn - curv.H * V_nu
 
     # tangential derivative of u along the parameter directions
-    dnu = normal_derivatives(sq.surf, geo)
+    dnu = sq.normal_derivatives()
     dfnu_a = (np.einsum("mij,mia,mj->ma", d2f, jac, nu)
               + np.einsum("mi,mai->ma", df, dnu))
     dVnu_a = (np.einsum("mij,mia,mj->ma", d2V, jac, nu)
@@ -351,33 +337,29 @@ def reilly_residual(scenario: CapScenario, function: str = "V",
     """
     rule = rule or QuadratureRule(default_level(scenario.n))
     name, f = _test_function(function, scenario)
-    V = scenario.weight
-    model = scenario.model
-    n = scenario.n
-    K = model.K
-
     nodes = scenario.nodes(rule.level)
-    rq = nodes.region
-    x = rq.points
-    Vv, dV, _, hess_V, lap_V = _jet(model, x, V)
-    fv, df, _, hess_f, lap_f = _jet(model, x, f)
 
-    gbar = metric_at(model, x)
-    gbar_inv_diag = np.exp(-2.0 * model.phi(x))   # conformal metrics invert by scaling
+    def f_jet(label: str, x: np.ndarray) -> tuple:
+        return nodes.weight_jet(label) if f is scenario.weight else jet(scenario.model, x, f)
+
+    rq = nodes.region
+    Vv, dV, _, hess_V, lap_V = nodes.weight_jet("region")
+    fv, df, _, hess_f, lap_f = f_jet("region", rq.points)
+    gbar_inv_diag, static = nodes.region_static()
 
     amb_term = lap_f - lap_V / Vv * fv
     tensor = hess_f - hess_V / Vv[:, None, None] * fv[:, None, None]
     tensor_norm_sq = gbar_inv_diag ** 2 * np.einsum("mij,mij->m", tensor, tensor)
     lhs_volume = rq.integral(Vv * (amb_term ** 2 - tensor_norm_sq))
 
-    # static tensor lapbar(V) gbar - hessbar(V) + V Ricbar, Ricbar = (n-1) K gbar
-    static = (lap_V[:, None, None] * gbar - hess_V
-              + (n - 1.0) * K * Vv[:, None, None] * gbar)
     w_chart = gbar_inv_diag[:, None] * (df - dV * (fv / Vv)[:, None])
     rhs_volume = rq.integral(np.einsum("mij,mi,mj->m", static, w_chart, w_chart))
 
-    boundary = {label: _boundary_piece_terms(nodes.quadrature(label), V, f)
-                for label in ("cap", "support")}
+    boundary = {}
+    for label in ("cap", "support"):
+        sq = nodes.quadrature(label)
+        boundary[label] = _boundary_piece_terms(sq, nodes.weight_jet(label),
+                                                f_jet(label, sq.geo.x))
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 
     residual = lhs_volume - rhs_volume - boundary_total

@@ -9,9 +9,10 @@ because the cap and the support face are separate pieces.
 
 A cap scenario keeps its node sets per level in one ``ScenarioNodes``
 bundle: the node geometry of the cap and the support face, their
-quadratures, the region nodes built from that geometry, and the cap weight
-data.  Every report, audit, validation and identity check on the scenario
-shares them, so each node set is evaluated once per (scenario, level).
+quadratures, the region nodes built from that geometry, the cap weight
+data, V's jet on each node set and the region's static tensor.  Every
+report, audit, validation and identity check on the scenario shares them,
+so each node set is evaluated once per (scenario, level).
 
 Gauss-Legendre nodes are interior, so polar-coordinate axes (t = 0) and cone
 apexes (s = 0) are never evaluated.  Node reductions use a fixed-order
@@ -27,14 +28,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .ambient import metric_at
 from .errors import StarShapeViolated
 from .surfaces import (
     FreeBoundarySurface,
     SurfaceGeometry,
     curvature_arrays,
     hypothesis_margins,
+    normal_derivatives,
     surface_geometry,
 )
+from .weights import jet
 
 DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8}
 REFINE_ERROR_FLOOR = 1e-14   # relative error treated as converged by refine_study
@@ -104,19 +108,32 @@ class SurfaceNodes:
         self.geo: SurfaceGeometry = surface_geometry(surf, params)
 
 
-class SurfaceQuadrature:
-    """Surface integrals over the nodes of a surface, with cached curvature."""
+class Memo:
+    """Values built on first use and kept in the instance's ``_cache`` dict (not
+    ``functools.cached_property``, whose per-property lock would serialize sweep threads)."""
+
+    def _once(self, key, build: Callable):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+
+class SurfaceQuadrature(Memo):
+    """Surface integrals over the nodes of a surface, with cached curvature and
+    normal derivatives."""
 
     def __init__(self, nodes: SurfaceNodes):
         self.surf = nodes.surf
         self.geo = nodes.geo
         self.weights = nodes.box_weights * nodes.geo.area_element
-        self._curv = None
+        self._cache = {}
 
     def curvature(self):
-        if self._curv is None:
-            self._curv = curvature_arrays(self.surf, self.geo)
-        return self._curv
+        return self._once("curvature", lambda: curvature_arrays(self.surf, self.geo))
+
+    def normal_derivatives(self) -> np.ndarray:
+        """Chart partials d_a nu^k at the nodes, shape (m, k, n)."""
+        return self._once("dnu", lambda: normal_derivatives(self.surf, self.geo))
 
     def integral(self, values: np.ndarray) -> float:
         return pairwise_sum(np.asarray(values, dtype=float) * self.weights)
@@ -190,16 +207,6 @@ class RegionQuadrature:
         return self.integral(np.ones(self.count))
 
 
-class Memo:
-    """Values built on first use and kept in the instance's ``_cache`` dict (not
-    ``functools.cached_property``, whose per-property lock would serialize sweep threads)."""
-
-    def _once(self, key, build: Callable):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-
 class ScenarioNodes(Memo):
     """The node sets of one scenario at one level, each built once on first use.
 
@@ -232,6 +239,29 @@ class ScenarioNodes(Memo):
         """(V at the cap nodes, convexity margin, substatic margin)."""
         return self._once("weight", lambda: hypothesis_margins(
             self._weight, self._surface_nodes("cap").geo))
+
+    def weight_jet(self, label: str) -> tuple:
+        """``weights.jet`` of V at the nodes of "cap", "support" or "region"; the
+        region's flat Hessian, which nothing reads, is None."""
+        def build():
+            model = self._region.model
+            if label != "region":
+                return jet(model, self._surface_nodes(label).geo.x, self._weight)
+            value, d1, _, hess, lap = jet(model, self.region.points, self._weight)
+            return value, d1, None, hess, lap
+        return self._once(label + " jet", build)
+
+    def region_static(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp(-2 phi), static tensor lapbar(V) gbar - hessbar(V) + V Ricbar) at the
+        region nodes, Ricbar = (n-1) K gbar; conformal metrics invert by scaling."""
+        def build():
+            model, x = self._region.model, self.region.points
+            Vv, _, _, hess_V, lap_V = self.weight_jet("region")
+            gbar = metric_at(model, x)
+            static = (lap_V[:, None, None] * gbar - hess_V
+                      + (model.n - 1.0) * model.K * Vv[:, None, None] * gbar)
+            return np.exp(-2.0 * model.phi(x)), static
+        return self._once("static", build)
 
 
 # -- refinement studies ----------------------------------------------------------

@@ -12,9 +12,11 @@ Sign convention for the second fundamental form:
 which makes H = (n-1)/r > 0 for the Euclidean r-sphere with outward normal.
 The Weingarten relation in chart components then reads
 
-    d_a nu^k = h_a^b d_bX^k - Gamma^k_ij d_aX^i nu^j
+    d_a nu^k = h_a^b d_bX^k - Gamma^k_ij d_aX^i nu^j,   h_a^b = h_ac g^{cb},
 
-and is used wherever exact normal derivatives are needed.
+and is used wherever exact normal derivatives are needed.  The index order
+matters: g and h commute only where the cap is umbilical or symmetric about
+the conformal factor.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
 
 def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.ndarray:
     """Chart partials d_a nu^k via the Weingarten relation, shape (m, k, n)."""
-    S = np.einsum("mab,mbc->mac", geo.g_inv, geo.h)    # h_a^b
+    S = np.einsum("mac,mcb->mab", geo.h, geo.g_inv)    # h_a^b = h_ac g^{cb}
     tangent = np.einsum("mab,mib->mai", S, geo.jac)    # h_a^b d_bX
     dphi = surf.model.phi_grad(geo.x)
     Jt = np.transpose(geo.jac, (0, 2, 1))

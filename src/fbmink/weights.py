@@ -133,6 +133,14 @@ def weight_for_support(s: SupportSpec) -> WeightField:
     return WeightField(model=s.model, formula=_BINDING[s.kind])
 
 
+def jet(model: SpaceFormModel, x: np.ndarray, fn) -> tuple[np.ndarray, ...]:
+    """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x
+    of ``fn``: a ``WeightField`` or anything with its three flat-derivative methods."""
+    d1, d2 = fn.euclidean_gradient(x), fn.euclidean_hessian(x)
+    return (fn.value(x), d1, d2, ambient.covariant_hessian(model, x, d1, d2),
+            ambient.ambient_laplacian(model, x, d1, d2))
+
+
 # -- identity residuals --------------------------------------------------------
 
 

@@ -1,12 +1,16 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fbmink import (
     CapSpec,
+    PerturbationSpec,
     SupportKind,
     default_cap_spec,
+    make_perturbed_cap,
     make_support,
     make_umbilical_cap,
 )
@@ -18,6 +22,20 @@ def canonical_support(kind: SupportKind, n: int = 3):
 def canonical_scenario(kind: SupportKind, n: int = 3):
     support = canonical_support(kind, n)
     return make_umbilical_cap(default_cap_spec(support))
+
+
+# perturbed caps on which g and h do not commute in chart coordinates: the
+# conformal factor varies across a plane-type support, or the cap is shifted
+ASYMMETRIC_CAPS = [
+    (SupportKind.EQUIDISTANT, {}),
+    (SupportKind.HYP_GEODESIC_PLANE, {}),
+    (SupportKind.SPH_HYPERPLANE, {"center_shift": (0.3, 0.0)}),
+]
+
+
+def asymmetric_scenario(kind: SupportKind, placement: dict):
+    spec = dataclasses.replace(default_cap_spec(canonical_support(kind)), **placement)
+    return make_perturbed_cap(spec, PerturbationSpec(epsilon=0.05))
 
 
 @pytest.fixture

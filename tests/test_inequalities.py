@@ -22,7 +22,7 @@ from fbmink import (
     schur_report,
 )
 
-from conftest import canonical_scenario, canonical_support
+from conftest import ASYMMETRIC_CAPS, asymmetric_scenario, canonical_scenario, canonical_support
 
 RULE24 = QuadratureRule(24)
 ALL_KINDS = list(SupportKind)
@@ -249,6 +249,14 @@ def test_reilly_residual_hyperbolic():
         rep = reilly_residual(sc, fname, RULE24)
         assert abs(rep.residual) <= 1e-5
     assert abs(reilly_residual(sc, "V", RULE24).residual) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,placement", ASYMMETRIC_CAPS)
+def test_reilly_closes_on_asymmetric_caps(kind, placement):
+    sc = asymmetric_scenario(kind, placement)
+    for fname in ("V", "x1", "x1^2", "x2^2"):
+        rep = reilly_residual(sc, fname, QuadratureRule(32))
+        assert abs(rep.relative_residual) <= 1e-10, fname
 
 
 def test_reilly_static_volume_term_vanishes(hemisphere):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fbmink.families as families
 import fbmink.quadrature as quadrature
 import fbmink.surfaces as surfaces
+import fbmink.weights as weights
 from fbmink import (
     PerturbationSpec,
     QuadratureRule,
@@ -179,12 +180,19 @@ def test_quadrature_values_independent_of_construction_count(hemisphere):
     reverse_reports = [reilly_residual(reverse, "x1^2", rule), hypothesis_audit(reverse, rule),
                        af_report(reverse, rule), minkowski_report(reverse, rule)]
     assert _report_bytes(reverse_reports[::-1]) == _report_bytes(forward_reports)
+    # the memoized weight jets give the same Reilly rows whichever function comes first
+    names = ("V", "x1", "x1^2")
+    forward_rows = [reilly_residual(_perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE), name, rule)
+                    for name in names]
+    shuffled = _perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE)
+    rows = {name: reilly_residual(shuffled, name, rule) for name in ("x1^2", "V", "x1")}
+    assert _report_bytes(rows[name] for name in names) == _report_bytes(forward_rows)
 
 
 def test_each_node_set_is_evaluated_once(monkeypatch):
     """One perturbed n=4 verification: every consumer shares the node bundles."""
     counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0, "ring": 0,
-              "margins": 0}
+              "margins": 0, "weight jet": 0, "dnu": 0}
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -193,10 +201,20 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    geometry = surfaces.surface_geometry
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("fbmink") and getattr(mod, "surface_geometry", None) is geometry:
-            monkeypatch.setattr(mod, "surface_geometry", counting("geometry", geometry))
+    def patch_imports(original, replacement):
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("fbmink") and getattr(mod, original.__name__, None) is original:
+                monkeypatch.setattr(mod, original.__name__, replacement)
+
+    jet = weights.jet
+
+    def weight_jet(model, x, fn):
+        counts["weight jet"] += isinstance(fn, weights.WeightField)
+        return jet(model, x, fn)
+
+    patch_imports(jet, weight_jet)
+    patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
+    patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
     monkeypatch.setattr(quadrature.RegionQuadrature, "__init__",
                         counting("region", quadrature.RegionQuadrature.__init__))
     monkeypatch.setattr(quadrature.SurfaceQuadrature, "__init__",
@@ -223,6 +241,10 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert counts["principal"] == 1
     # level-12 cap and face; the admissibility regions need node geometry only
     assert counts["surface"] <= 2
+    # V's jet on the region, the cap and the face, and one dnu per face, for all
+    # three test functions
+    assert counts["weight jet"] == 3
+    assert counts["dnu"] == 2
 
 
 def test_node_bundle_is_freed_with_its_scenario():

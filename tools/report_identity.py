@@ -12,7 +12,10 @@ step is recorded as [error type, message].  Cases:
 * the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 level 16 and n=4
   level 8;
 * the radii {1e-7, 1e-5, 1e-3, 0.9, 1.5, 3} x eps {0, +-0.05, +-0.5} on five
-  supports at n=3 level 16.
+  supports at n=3 level 16;
+* caps whose g and h do not commute in chart coordinates, x eps {0, +-0.05}
+  at n=3 level 16: ``sph_hyperplane`` with ``center_shift`` (0.3, 0) and
+  ``euclidean_plane`` tilted by 0.2.
 
 One line is printed per differing case and a summary at the end; the exit
 status is 0 when both dumps are identical and 1 otherwise.  This file uses
@@ -21,6 +24,7 @@ the standard library only; the child needs the trees' own dependencies.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -31,14 +35,17 @@ SUPPORTS = ("euclidean_sphere", "euclidean_plane", "hyp_geodesic_sphere", "horos
 GRID_SUPPORTS = ("euclidean_plane", "euclidean_sphere", "horosphere", "sph_hyperplane",
                  "hyp_geodesic_sphere")
 GRID_RADII = (1e-7, 1e-5, 1e-3, 0.9, 1.5, 3.0)
+ASYMMETRIC = (("sph_hyperplane", {"center_shift": (0.3, 0.0)}), ("euclidean_plane", {"tilt": 0.2}))
 REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
 
-# (n, level, support, radius or None for the canonical cap, epsilon)
+# (n, level, support, CapSpec fields replaced in the canonical cap, epsilon)
 CASES = [
-    *[(n, level, kind, None, eps) for n, level in ((3, 16), (4, 8))
+    *[(n, level, kind, {}, eps) for n, level in ((3, 16), (4, 8))
       for kind in SUPPORTS for eps in (0.0, 0.05, -0.05)],
-    *[(3, 16, kind, r, eps) for kind in GRID_SUPPORTS for r in GRID_RADII
+    *[(3, 16, kind, {"radius": r}, eps) for kind in GRID_SUPPORTS for r in GRID_RADII
       for eps in (0.0, 0.05, -0.05, 0.5, -0.5)],
+    *[(3, 16, kind, placement, eps) for kind, placement in ASYMMETRIC
+      for eps in (0.0, 0.05, -0.05)],
 ]
 
 
@@ -49,12 +56,9 @@ def _attempt(step):
         return [type(e).__name__, str(e)]
 
 
-def _case(fb, n: int, level: int, kind: str, radius, eps: float) -> dict:
+def _case(fb, n: int, level: int, kind: str, placement: dict, eps: float) -> dict:
     def build():
-        support = fb.make_support(kind, n)
-        spec = fb.default_cap_spec(support)
-        if radius is not None:
-            spec = fb.CapSpec(support=support, radius=radius)
+        spec = dataclasses.replace(fb.default_cap_spec(fb.make_support(kind, n)), **placement)
         if eps:
             return fb.make_perturbed_cap(spec, fb.PerturbationSpec(epsilon=eps))
         return fb.make_umbilical_cap(spec)
@@ -80,9 +84,8 @@ def dump() -> None:
     """Child side: print one JSON line per case."""
     import fbmink as fb
 
-    for n, level, kind, radius, eps in CASES:
-        record = {"case": [n, level, kind, radius, eps],
-                  "result": _case(fb, n, level, kind, radius, eps)}
+    for case in CASES:
+        record = {"case": case, "result": _case(fb, *case)}
         print(json.dumps(record, sort_keys=True), flush=True)
 
 
