@@ -46,6 +46,7 @@ from .families import (
     default_cap_spec,
     make_perturbed_cap,
     make_umbilical_cap,
+    perturb_cap,
     region_margins,
     validate_scenario,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "default_cap_spec",
     "make_umbilical_cap",
     "make_perturbed_cap",
+    "perturb_cap",
     "region_margins",
     "validate_scenario",
     "HypothesisAudit",

@@ -2,7 +2,9 @@
 
 The surface engine consumes charts through a single batched interface:
 ``evaluate(U)`` maps parameter points (m, k) to positions (m, n), Jacobians
-(m, n, k) and second derivatives (m, k, k, n).  Everything downstream
+(m, n, k) and second derivatives (m, k, k, n); each chart also carries its
+``dim``, ``ambient_dim``, parameter box ``domain``, ``boundary_axes`` and an
+orienting ``normal_hint(U, X)``.  Everything downstream
 (fundamental forms, quadrature, the Reilly terms) differentiates nothing
 itself, so charts are the only place derivative bookkeeping lives.
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -103,21 +104,6 @@ def full_sphere_box(q: int) -> list[tuple[float, float]]:
 def sphere_param_box(q: int, t_min: float, t_max: float) -> list[tuple[float, float]]:
     """Parameter box for a polar cap of S^q: restricted polar angle, rest full."""
     return [(t_min, t_max)] + full_sphere_box(q - 1)
-
-
-class Chart(Protocol):
-    """Batched parametrization of a k-dimensional patch in R^n."""
-
-    dim: int
-    ambient_dim: int
-    domain: list[tuple[float, float]]
-    boundary_axes: list[int]
-
-    def evaluate(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ...
-
-    def normal_hint(self, U: np.ndarray, X: np.ndarray) -> np.ndarray:
-        ...
 
 
 @dataclass
@@ -206,6 +192,23 @@ class RadialBumpProfile:
         return p, dp, d2p
 
 
+def conformal_scale(model, X, J, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s = exp(-phi(X)) and its first and second chart derivatives, from the chart
+    values (X, J, H); with them, the terms of a normal perturbation free of epsilon."""
+    phi = model.phi(X)
+    dphi = model.phi_grad(X)
+    d2phi = model.phi_hess(X)
+    s = np.exp(-phi)                                  # conformal unit scale
+    # chain rule for s(X(u)): ds_a = -s <dphi, J_a>
+    dphi_J = np.einsum("mi,mia->ma", dphi, J)
+    ds = -s[:, None] * dphi_J
+    # d2s_ab = s (dphi_J_a dphi_J_b - <dphi, H_ab> - J_a^T d2phi J_b)
+    dphi_H = np.einsum("mi,mabi->mab", dphi, H)
+    JdJ = np.einsum("mia,mij,mjb->mab", J, d2phi, J)
+    d2s = s[:, None, None] * (dphi_J[:, :, None] * dphi_J[:, None, :] - dphi_H - JdJ)
+    return s, ds, d2s
+
+
 @dataclass
 class PerturbedCapChart:
     """Cap displaced along its gbar-unit normal by epsilon * profile.
@@ -230,20 +233,13 @@ class PerturbedCapChart:
     def evaluate(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         X, J, H = self.base.evaluate(U)
-        p, dp, d2p = self.profile.evaluate(U)
+        return self.displace(U, (X, J, H, *conformal_scale(self.model, X, J, H)))
 
-        phi = self.model.phi(X)
-        dphi = self.model.phi_grad(X)
-        d2phi = self.model.phi_hess(X)
-        s = np.exp(-phi)                                  # conformal unit scale
-        # chain rule for s(X(u)): ds_a = -s <dphi, J_a>
-        dphi_J = np.einsum("mi,mia->ma", dphi, J)
-        ds = -s[:, None] * dphi_J
-        # d2s_ab = s (dphi_J_a dphi_J_b - <dphi, H_ab> - J_a^T d2phi J_b)
-        dphi_H = np.einsum("mi,mabi->mab", dphi, H)
-        JdJ = np.einsum("mia,mij,mjb->mab", J, d2phi, J)
-        d2s = s[:, None, None] * (dphi_J[:, :, None] * dphi_J[:, None, :]
-                                  - dphi_H - JdJ)
+    def displace(self, U, terms):
+        """The chart values at U from the base cap's epsilon-free terms (X, J, H, s, ds,
+        d2s) there; only the bump, the amplitude and the displacement are formed here."""
+        X, J, H, s, ds, d2s = terms
+        p, dp, d2p = self.profile.evaluate(U)
 
         # amplitude A(u) = eps/r * p(u) * s(u); X_eps = X + A (X - center)
         r = self.base.radius

@@ -45,6 +45,7 @@ from .families import (
     default_cap_spec,
     make_perturbed_cap,
     make_umbilical_cap,
+    perturb_cap,
     region_margins,
     validate_scenario,
 )
@@ -198,19 +199,11 @@ def _cap_spec_from_config(cfg: dict, support) -> CapSpec:
     )
 
 
-def build_scenario(cfg: dict, st: Settings, epsilon: Optional[float] = None) -> CapScenario:
-    """Assemble and validate the configured cap scenario.
-
-    ``epsilon`` overrides the config perturbation (used by sweeps); pass 0.0
-    for the unperturbed base cap.
-    """
+def build_scenario(cfg: dict, st: Settings) -> CapScenario:
+    """Assemble and validate the configured cap scenario."""
     support = _support_from_config(cfg, st.n)
     spec = _cap_spec_from_config(cfg, support)
     pert_cfg = cfg.get("perturbation")
-    if epsilon is not None:
-        power = (cfg.get("sweep", {}) or {}).get("power",
-                 (pert_cfg or {}).get("power", 3))
-        pert_cfg = {"epsilon": epsilon, "power": power} if epsilon != 0.0 else None
     if pert_cfg:
         scenario = make_perturbed_cap(
             spec, PerturbationSpec(epsilon=float(pert_cfg["epsilon"]),
@@ -345,9 +338,13 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
     epsilons = [float(e) for e in sweep_cfg.get("epsilons", DEFAULT_SWEEP_EPSILONS)]
     theorem = sweep_cfg.get("theorem", "minkowski")
     builder = REPORT_BUILDERS[theorem]
+    power = int(sweep_cfg.get("power", (cfg.get("perturbation") or {}).get("power", 3)))
+    # one umbilical cap; each epsilon's cap displaces it and reads its epsilon-free nodes
+    base = make_umbilical_cap(_cap_spec_from_config(cfg, _support_from_config(cfg, st.n)))
 
     def one(eps: float) -> dict:
-        scenario = build_scenario(cfg, st, epsilon=eps)
+        scenario = base if eps == 0.0 else perturb_cap(base, PerturbationSpec(eps, power))
+        validate_scenario(scenario)
         report = builder(scenario, st.rule, equality_tolerance=st.equality_tolerance)
         audit = hypothesis_audit(scenario, st.rule)
         return {
@@ -357,11 +354,13 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
             "min_convexity_eig": audit.convexity_min,
         }
 
-    if st.jobs == 1:
-        rows = [one(eps) for eps in epsilons]
-    else:
-        with ThreadPoolExecutor(max_workers=st.jobs) as pool:
-            rows = list(pool.map(one, epsilons))
+    # workers start after the first perturbed row: it builds what they all read of the
+    # base cap, which Memo._once, having no lock, could otherwise build twice
+    head = len(epsilons) if st.jobs == 1 else next(
+        (i + 1 for i, eps in enumerate(epsilons) if eps != 0.0), len(epsilons))
+    rows = [one(eps) for eps in epsilons[:head]]
+    with ThreadPoolExecutor(max_workers=st.jobs) as pool:
+        rows += pool.map(one, epsilons[head:])
     ok = all(r["relative_deficit"] >= -st.tolerance for r in rows)
     return rows, ok
 
@@ -378,9 +377,9 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
 
     @functools.cache
     def at(level: int) -> tuple[float, float, float]:
-        # weighted area, volume and deficit from one bundle on a copy of the scenario
-        # with an empty node cache, so each level's nodes are freed before the next
-        sc = dataclasses.replace(scenario)
+        # weighted area, volume and deficit from one bundle on a copy of the scenario (and
+        # of its base) with empty node caches, so each level's nodes are freed before the next
+        sc = dataclasses.replace(scenario, base=scenario.base and dataclasses.replace(scenario.base))
         sq, rq = sc.nodes(level).quadrature("cap"), sc.nodes(level).region
         return (sq.integral(weight.value(sq.geo.x)), rq.integral(weight.value(rq.points)),
                 builder(sc, QuadratureRule(level)).deficit)

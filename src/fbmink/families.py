@@ -14,7 +14,9 @@ star-shaped integration region for the enclosed volume, and the paired
 weight, and caches their quadrature nodes per level.  Perturbed caps
 displace the base cap along its gbar-unit normal by epsilon times a
 profile that vanishes to second order at the ring, so the free-boundary
-data at Gamma is preserved exactly.
+data at Gamma is preserved exactly.  A perturbed cap refers to its base cap
+and reads the base's epsilon-free node sets, so the perturbations of one
+base cap evaluate them once per (base cap, level).
 """
 
 from __future__ import annotations
@@ -95,12 +97,14 @@ class CapScenario(quad.Memo):
     spec: CapSpec
     perturbation: Optional[PerturbationSpec] = None
     description: str = ""
+    base: Optional[CapScenario] = field(default=None, repr=False)   # the cap it perturbs
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def nodes(self, level: int) -> quad.ScenarioNodes:
         """The scenario's node sets at one level, built once and shared by every consumer."""
-        return self._once(level, lambda: quad.ScenarioNodes(self.surface, self.face, self.region,
-                                                            self.weight, level))
+        return self._once(level, lambda: quad.ScenarioNodes(
+            self.surface, self.face, self.region, self.weight, level,
+            self.base and self.base.nodes(level)))
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap: its boundary ring is evaluated once."""
@@ -280,7 +284,14 @@ def _assemble(spec: CapSpec, center: np.ndarray, r: float, frame: np.ndarray, t_
 
 def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScenario:
     """Displace an umbilical cap along its unit normal by a conforming bump."""
-    base = make_umbilical_cap(spec)
+    return perturb_cap(make_umbilical_cap(spec), perturbation)
+
+
+def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenario:
+    """Displace the umbilical cap ``base`` along its unit normal by a conforming
+    bump; the result refers to ``base`` and reads its epsilon-free node sets."""
+    if base.perturbation is not None:
+        raise ValidationFailed("perturbation_base", "only an umbilical cap can be perturbed")
     cap_chart: SphericalCapChart = base.surface.chart
     if perturbation.power < 3:
         raise ValidationFailed(
@@ -289,9 +300,9 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
     profile = RadialBumpProfile(t_max=cap_chart.t_max, power=perturbation.power)
     _check_profile_conforms(profile, cap_chart)
     probe, _ = quad.tensor_grid(8, cap_chart.domain)
-    Xp_probe, _, _ = cap_chart.evaluate(probe)
     p_probe, _, _ = profile.evaluate(probe)
-    reach = float(np.max(np.abs(p_probe) * np.exp(-base.model.phi(Xp_probe))))
+    s_probe = base.nodes(8).cap_terms()[3]     # exp(-phi) at the same nodes of the base cap
+    reach = float(np.max(np.abs(p_probe) * s_probe))
     _placement_precheck(base.support, cap_chart.center,
                         cap_chart.radius + abs(perturbation.epsilon) * reach)
     pchart = PerturbedCapChart(base=cap_chart, model=base.model,
@@ -326,7 +337,7 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
         return inside_cap & inside_support_side
 
     scenario = replace(base, surface=surface, region=replace(base.region, contains_fn=contains),
-                       perturbation=perturbation,
+                       perturbation=perturbation, base=base,
                        description=base.description + f" perturbed eps={perturbation.epsilon}")
     _check_admissible(scenario)
     return scenario

@@ -12,7 +12,10 @@ bundle: the node geometry of the cap and the support face, their
 quadratures, the region nodes built from that geometry, the cap weight
 data, V's jet on each node set and the region's static tensor.  Every
 report, audit, validation and identity check on the scenario shares them,
-so each node set is evaluated once per (scenario, level).
+so each node set is evaluated once per (scenario, level).  A perturbed cap's
+bundle reads the epsilon-free sets of its base cap's bundle (the face nodes,
+the face's cone and the cap's chart terms), so a sweep evaluates those once
+per (base cap, level).
 
 Gauss-Legendre nodes are interior, so polar-coordinate axes (t = 0) and cone
 apexes (s = 0) are never evaluated.  Node reductions use a fixed-order
@@ -29,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ambient import metric_at
+from .charts import conformal_scale
 from .errors import StarShapeViolated
 from .surfaces import (
     FreeBoundarySurface,
@@ -99,13 +103,13 @@ class QuadratureRule:
 
 
 class SurfaceNodes:
-    """Geometry at the tensor nodes of a surface chart."""
+    """Geometry at the tensor nodes of a surface chart, from its (X, J, H) there if given."""
 
-    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule):
+    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None):
         self.surf = surf
         self.rule = rule
         params, self.box_weights = tensor_grid(rule.level, surf.chart.domain)
-        self.geo: SurfaceGeometry = surface_geometry(surf, params)
+        self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
 
 
 class Memo:
@@ -166,35 +170,36 @@ class DomainRegion:
         return self.contains_fn(np.asarray(x, dtype=float))
 
 
-class RegionQuadrature:
-    """Cone-decomposition nodes over the nodes of each boundary piece."""
+def cone(region: DomainRegion, label: str, piece: SurfaceNodes) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x0 + s (X - x0) and flat weights of the region's cone over one boundary piece."""
+    x0 = region.star_center
+    n = x0.shape[0]
+    geo = piece.geo
+    s_nodes, s_w = gauss_nodes(piece.rule.level, 0.0, 1.0)
+    spread = geo.x - x0                          # (m, n)
+    # star-shape check: boundary must face away from the center
+    facing = np.einsum("mi,mi->m", spread, geo.nu_delta)
+    if np.any(facing <= 0.0):
+        raise StarShapeViolated(
+            f"piece '{label}' faces the star center "
+            f"(min <X - x0, nu> = {float(np.min(facing)):.3e})")
+    cone_jac = np.abs(np.linalg.det(
+        np.concatenate([spread[:, :, None], geo.jac], axis=2)))
+    # nodes: x0 + s * spread for every (s, u) pair
+    pts = x0 + s_nodes[:, None, None] * spread[None, :, :]
+    radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]
+    wt = radial * (piece.box_weights * cone_jac)[None, :]
+    return pts.reshape(-1, n), wt.ravel()
 
-    def __init__(self, region: DomainRegion, pieces: Sequence[SurfaceNodes]):
-        x0 = region.star_center
-        n = x0.shape[0]
-        pts_list, wt_list = [], []
-        for label, piece in zip(region.pieces, pieces, strict=True):
-            geo = piece.geo
-            s_nodes, s_w = gauss_nodes(piece.rule.level, 0.0, 1.0)
-            spread = geo.x - x0                          # (m, n)
-            # star-shape check: boundary must face away from the center
-            facing = np.einsum("mi,mi->m", spread, geo.nu_delta)
-            if np.any(facing <= 0.0):
-                raise StarShapeViolated(
-                    f"piece '{label}' faces the star center "
-                    f"(min <X - x0, nu> = {float(np.min(facing)):.3e})")
-            cone_jac = np.abs(np.linalg.det(
-                np.concatenate([spread[:, :, None], geo.jac], axis=2)))
-            # nodes: x0 + s * spread for every (s, u) pair
-            pts = x0 + s_nodes[:, None, None] * spread[None, :, :]
-            radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]
-            wt = radial * (piece.box_weights * cone_jac)[None, :]
-            pts_list.append(pts.reshape(-1, n))
-            wt_list.append(wt.ravel())
-        self.points = np.concatenate(pts_list, axis=0)
-        flat_weights = np.concatenate(wt_list, axis=0)
-        phi = region.model.phi(self.points)
-        self.weights = flat_weights * np.exp(n * phi)
+
+class RegionQuadrature:
+    """Cone-decomposition nodes: the cones over the boundary pieces, in order."""
+
+    def __init__(self, model, cones: Sequence[tuple[np.ndarray, np.ndarray]]):
+        self.points = np.concatenate([pts for pts, _ in cones], axis=0)
+        flat_weights = np.concatenate([wt for _, wt in cones], axis=0)
+        phi = model.phi(self.points)
+        self.weights = flat_weights * np.exp(model.n * phi)
 
     @property
     def count(self) -> int:
@@ -210,20 +215,42 @@ class RegionQuadrature:
 class ScenarioNodes(Memo):
     """The node sets of one scenario at one level, each built once on first use.
 
-    It holds no reference back to its scenario, so dropping the scenario frees
-    its bundles by reference counting alone.
+    A perturbed cap's bundle reads its base cap's bundle ``base``; no bundle refers
+    to its scenario, so dropping the scenario frees its bundles by reference counting.
     """
 
     def __init__(self, surface: FreeBoundarySurface, face: FreeBoundarySurface,
-                 region: DomainRegion, weight, level: int):
+                 region: DomainRegion, weight, level: int, base: ScenarioNodes | None = None):
         self._surfaces = {"cap": surface, "support": face}
         self._rule = QuadratureRule(level)
         self._region = region
         self._weight = weight
+        self._base = base
         self._cache = {}
 
     def _surface_nodes(self, label: str) -> SurfaceNodes:
-        return self._once(label, lambda: SurfaceNodes(self._surfaces[label], self._rule))
+        if label == "support" and self._base is not None:
+            return self._base._surface_nodes(label)
+        return self._once(label, lambda: SurfaceNodes(
+            self._surfaces[label], self._rule, self._cap_values() if label == "cap" else None))
+
+    def _cap_values(self) -> tuple:
+        """The cap chart's (X, J, H) at its nodes; a perturbed cap displaces its base's terms."""
+        chart = self._surfaces["cap"].chart
+        params, _ = tensor_grid(self._rule.level, chart.domain)
+        if self._base is not None:
+            return chart.displace(params, self._base.cap_terms())
+        return self._once("cap chart", lambda: chart.evaluate(params))
+
+    def cap_terms(self) -> tuple:
+        """(X, J, H) and their ``charts.conformal_scale``: a perturbation's epsilon-free terms."""
+        return self._once("cap terms", lambda: (*self._cap_values(), *conformal_scale(
+            self._region.model, *self._cap_values())))
+
+    def cone(self, label: str) -> tuple[np.ndarray, np.ndarray]:
+        """The region's cone over one piece, kept for the bundles derived from this one."""
+        return self._once(label + " cone",
+                          lambda: cone(self._region, label, self._surface_nodes(label)))
 
     def quadrature(self, label: str) -> SurfaceQuadrature:
         """Quadrature over the cap ("cap") or the support face ("support")."""
@@ -232,8 +259,12 @@ class ScenarioNodes(Memo):
 
     @property
     def region(self) -> RegionQuadrature:
-        return self._once("region", lambda: RegionQuadrature(
-            self._region, [self._surface_nodes(label) for label in self._region.pieces]))
+        def build():
+            pieces = [(label, self._surface_nodes(label)) for label in self._region.pieces]
+            return RegionQuadrature(self._region.model, [
+                self._base.cone(label) if label == "support" and self._base is not None
+                else cone(self._region, label, piece) for label, piece in pieces])
+        return self._once("region", build)
 
     def weight_data(self) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""

@@ -95,11 +95,12 @@ def _cross_normal(jac: np.ndarray) -> np.ndarray:
     return out
 
 
-def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray) -> SurfaceGeometry:
-    """Evaluate fundamental data at parameter points U of shape (m, k)."""
+def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
+                     values: Optional[tuple] = None) -> SurfaceGeometry:
+    """Fundamental data at parameter points U (m, k), from the chart's (X, J, H) there if given."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     model = surf.model
-    X, J, H2 = surf.chart.evaluate(U)
+    X, J, H2 = surf.chart.evaluate(U) if values is None else values
     model.require_inside(X)
 
     phi = model.phi(X)

@@ -1,12 +1,15 @@
 """CLI contract: exit codes, report documents, determinism, config validation."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import fbmink.quadrature as quadrature
 from fbmink import (
     PerturbationSpec,
     QuadratureRule,
@@ -14,7 +17,10 @@ from fbmink import (
     hypothesis_audit,
     make_perturbed_cap,
     make_support,
+    make_umbilical_cap,
+    minkowski_report,
     region_margins,
+    validate_scenario,
 )
 from fbmink.cli import load_schema, main
 
@@ -193,6 +199,59 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys):
     assert main(["sweep", "--jobs", "1", "--out", str(out1)]) == 0
     assert main(["sweep", "--jobs", "8", "--out", str(out8)]) == 0
     assert out1.read_bytes() == out8.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", ["euclidean_sphere", "euclidean_plane"])
+def test_sweep_rows_match_fresh_caps(tmp_path, kind, jobs):
+    # rows built on one shared base cap equal, bit for bit, those of a fresh cap per epsilon
+    epsilons = [0.04, 0.0, -0.03, 0.06]
+    cfg = write_config(tmp_path, {"version": 1, "support": {"kind": kind},
+                                  "quadrature": {"level": 12}, "sweep": {"epsilons": epsilons}})
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--format", "json", "--jobs", str(jobs),
+                 "--out", str(out)]) == 0
+    spec = default_cap_spec(make_support(kind, 3))
+    rule = QuadratureRule(12)
+    expected = []
+    for eps in epsilons:
+        sc = (make_umbilical_cap(spec) if eps == 0.0
+              else make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)))
+        validate_scenario(sc)
+        report = minkowski_report(sc, rule)
+        expected.append({"epsilon": eps, "deficit": report.deficit,
+                         "relative_deficit": report.relative_deficit,
+                         "min_convexity_eig": hypothesis_audit(sc, rule).convexity_min})
+    rows = json.loads(out.read_text())["results"]
+    assert json.dumps(rows, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_converge_frees_each_level_before_the_next(tmp_path, monkeypatch):
+    # a perturbed cap's copy per level comes with a copy of its base, so neither
+    # keeps one level's nodes alive while the next level's are built
+    levels = [10, 12, 16, 20]
+    bundles, built = [], []    # every bundle (level, weakref); per converge-level bundle,
+    init = quadrature.ScenarioNodes.__init__    # the converge levels then still alive
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        level = self._rule.level
+        if level in levels:
+            built.append((level, {lv for lv, ref in bundles if ref() is not None}))
+            bundles.append((level, weakref.ref(self)))
+
+    monkeypatch.setattr(quadrature.ScenarioNodes, "__init__", tracking)
+    cfg = write_config(tmp_path, {"version": 1, "support": {"kind": "euclidean_sphere"},
+                                  "perturbation": {"epsilon": 0.05},
+                                  "converge": {"levels": levels}})
+    gc.disable()
+    try:
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
+    finally:
+        gc.enable()
+    # per level the base copy's bundle, then the perturbed copy's, which reads it
+    assert [level for level, _ in built] == [lv for lv in levels for _ in range(2)]
+    assert all(alive <= {level} for level, alive in built)
 
 
 def test_json_report_deterministic_modulo_timestamp(tmp_path):

@@ -18,6 +18,7 @@ from fbmink import (
     make_perturbed_cap,
     make_support,
     make_umbilical_cap,
+    perturb_cap,
     region_margins,
     validate_scenario,
 )
@@ -102,6 +103,13 @@ def test_perturbation_requires_smooth_profile_order():
     spec = CapSpec(support=support, radius=1.0)
     with pytest.raises(Exception):
         make_perturbed_cap(spec, PerturbationSpec(epsilon=0.05, power=2))
+
+
+def test_only_an_umbilical_cap_is_perturbed():
+    dimple = make_perturbed_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)),
+                                PerturbationSpec(epsilon=0.05))
+    with pytest.raises(ValidationFailed, match="perturbation_base"):
+        perturb_cap(dimple, PerturbationSpec(epsilon=0.05))
 
 
 def test_zero_perturbation_is_bitwise_identical_to_base():

@@ -6,12 +6,15 @@ import json
 import math
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbmink.charts as charts
+import fbmink.cli as cli
 import fbmink.families as families
 import fbmink.quadrature as quadrature
 import fbmink.surfaces as surfaces
@@ -189,6 +192,26 @@ def test_quadrature_values_independent_of_construction_count(hemisphere):
     assert _report_bytes(rows[name] for name in names) == _report_bytes(forward_rows)
 
 
+def _patch_imports(monkeypatch, original, replacement):
+    """Bind ``replacement`` at every fbmink module global that holds ``original``."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fbmink") and getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, replacement)
+
+
+def _recording_geometry(monkeypatch, faces: list):
+    """Patch ``surface_geometry`` to append the point count of each support-face call."""
+    geometry = surfaces.surface_geometry
+
+    @functools.wraps(geometry)
+    def recording(surf, U, *args):
+        if surf.support is None:
+            faces.append(len(U))
+        return geometry(surf, U, *args)
+
+    _patch_imports(monkeypatch, geometry, recording)
+
+
 def test_each_node_set_is_evaluated_once(monkeypatch):
     """One perturbed n=4 verification: every consumer shares the node bundles."""
     counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0, "ring": 0,
@@ -202,9 +225,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         return wrapper
 
     def patch_imports(original, replacement):
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("fbmink") and getattr(mod, original.__name__, None) is original:
-                monkeypatch.setattr(mod, original.__name__, replacement)
+        _patch_imports(monkeypatch, original, replacement)
 
     jet = weights.jet
 
@@ -212,6 +233,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         counts["weight jet"] += isinstance(fn, weights.WeightField)
         return jet(model, x, fn)
 
+    faces = []
+    _recording_geometry(monkeypatch, faces)
     patch_imports(jet, weight_jet)
     patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
     patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
@@ -233,22 +256,69 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         reilly_residual(sc, name, rule)
     # base and perturbed admissibility regions, the level-12 cap, region and
     # face, and one boundary ring shared by validation and the audit
-    assert counts["geometry"] <= 5
-    assert counts["region"] <= 3
+    assert counts["geometry"] == 5
+    assert counts["region"] == 3
     assert counts["ring"] == 1
     # the base cap's admissibility check, then the perturbed cap's, shared by validation
     assert counts["margins"] == 2
     assert counts["principal"] == 1
     # level-12 cap and face; the admissibility regions need node geometry only
-    assert counts["surface"] <= 2
+    assert counts["surface"] == 2
     # V's jet on the region, the cap and the face, and one dnu per face, for all
     # three test functions
     assert counts["weight jet"] == 3
     assert counts["dnu"] == 2
+    # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
+    # base cap's admissibility check
+    faces.clear()
+    validate_scenario(_perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE))
+    assert faces == [6 * 6]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
+    """A five-epsilon sweep over a sphere at level 16 builds and checks one base
+    cap and evaluates its epsilon-free node sets once, with any job count (8 jobs
+    on a short thread switch interval stress the workers sharing the base cap)."""
+    margins, faces, caps = [], [], []    # list.append is atomic, so workers may share them
+    margins_fn, evaluate = families._margins, charts.SphericalCapChart.evaluate
+
+    def recording_margins(scenario):
+        margins.append(scenario.epsilon)
+        return margins_fn(scenario)
+
+    def recording_evaluate(chart, U):
+        if np.any(chart.center):    # the cap's chart; the face's is centered at the origin
+            caps.append(len(np.atleast_2d(U)))
+        return evaluate(chart, U)
+
+    monkeypatch.setattr(families, "_margins", recording_margins)
+    monkeypatch.setattr(charts.SphericalCapChart, "evaluate", recording_evaluate)
+    _recording_geometry(monkeypatch, faces)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"version": 1, "support": {"kind": "euclidean_sphere"},
+                               "quadrature": {"level": 16}}))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main(["sweep", "--config", str(cfg), "--jobs", str(jobs),
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    epsilons = cli.DEFAULT_SWEEP_EPSILONS
+    k = len(epsilons)
+    # the base cap's admissibility once, then each perturbed cap's
+    assert sorted(margins) == [0.0, *epsilons]
+    # the face once at level 16 and once at the admissibility level 6
+    assert sorted(faces) == [6 * 6, 16 * 16]
+    # the base cap once per node grid: levels 6, 8 (the reach probe) and 16; each
+    # perturbed cap evaluates it on its own 24-point boundary ring
+    assert Counter(caps) == {6 * 6: 1, 8 * 8: 1, 16 * 16: 1, 24: k}
 
 
 def test_node_bundle_is_freed_with_its_scenario():
-    # a bundle referring back to its scenario would wait for the cyclic collector
+    # a bundle referring back to its scenario, or a base cap to its perturbations,
+    # would wait for the cyclic collector
     gc.disable()
     try:
         sc = _perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE)
@@ -256,7 +326,14 @@ def test_node_bundle_is_freed_with_its_scenario():
         minkowski_report(sc, rule)
         reilly_residual(sc, "V", rule)
         bundle = weakref.ref(sc.nodes(rule.level))
-        del sc
+        # the perturbed cap, its base and their bundles at levels 6 and 8 (the
+        # admissibility check and this rule; the base also probes its reach at 8)
+        held = [sc, sc.base, *sc._cache.values(), *sc.base._cache.values()]
+        refs = [weakref.ref(x) for x in held
+                if isinstance(x, (families.CapScenario, quadrature.ScenarioNodes))]
+        assert len(refs) == 6
+        del sc, held
         assert bundle() is None
+        assert [ref() for ref in refs] == [None] * 6
     finally:
         gc.enable()
