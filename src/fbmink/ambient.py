@@ -10,8 +10,10 @@ subset of R^n, with ``phi`` given in closed form:
 
 All geometric raw material downstream (Christoffel symbols, covariant
 Hessians, normals, curvature probes) is assembled from ``phi`` and its first
-two derivatives, which are exact here.  Functions accept single points of
-shape (n,) or batches of shape (m, n) and broadcast accordingly.
+two derivatives, which are exact here.  Points are node-last: (n,) for one
+point, (n, m) for m points; tensors at them put their index axes first, e.g.
+(n, n, m) for a Hessian, so every formula runs over long rows of nodes.
+``christoffel_apply`` alone contracts vectors along their last axis.
 """
 
 from __future__ import annotations
@@ -67,15 +69,15 @@ class SpaceFormModel:
         """Boolean mask of points inside the open chart domain."""
         x = np.asarray(x, dtype=float)
         if self.kind is ModelKind.POINCARE_BALL:
-            return np.sum(x * x, axis=-1) < 1.0 - CHART_MEMBERSHIP_TOL
+            return np.sum(x * x, axis=0) < 1.0 - CHART_MEMBERSHIP_TOL
         if self.kind is ModelKind.UPPER_HALF_SPACE:
-            return x[..., -1] > CHART_MEMBERSHIP_TOL
-        return np.ones(x.shape[:-1], dtype=bool)
+            return x[-1] > CHART_MEMBERSHIP_TOL
+        return np.ones(x.shape[1:], dtype=bool)
 
     def require_inside(self, x: np.ndarray) -> None:
         ok = self.contains(x)
         if not np.all(ok):
-            bad = np.asarray(x, dtype=float).reshape(-1, self.n)[~np.atleast_1d(ok).ravel()][0]
+            bad = np.reshape(np.asarray(x, dtype=float), (self.n, -1))[:, ~np.ravel(ok)][:, 0]
             raise PointOutsideChart(
                 f"point {bad.tolist()} is outside the {self.kind.value} chart domain"
             )
@@ -85,44 +87,41 @@ class SpaceFormModel:
     def phi(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind is ModelKind.EUCLIDEAN:
-            return np.zeros(x.shape[:-1])
+            return np.zeros(x.shape[1:])
         if self.kind is ModelKind.POINCARE_BALL:
-            return np.log(2.0) - np.log1p(-np.sum(x * x, axis=-1))
+            return np.log(2.0) - np.log1p(-np.sum(x * x, axis=0))
         if self.kind is ModelKind.UPPER_HALF_SPACE:
-            return -np.log(x[..., -1])
-        return np.log(2.0) - np.log1p(np.sum(x * x, axis=-1))
+            return -np.log(x[-1])
+        return np.log(2.0) - np.log1p(np.sum(x * x, axis=0))
 
     def phi_grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros_like(x)
         if self.kind is ModelKind.POINCARE_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=-1))
-            return 2.0 * x * w[..., None]
+            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
+            return 2.0 * x * w
         if self.kind is ModelKind.UPPER_HALF_SPACE:
             g = np.zeros_like(x)
-            g[..., -1] = -1.0 / x[..., -1]
+            g[-1] = -1.0 / x[-1]
             return g
-        u = 1.0 / (1.0 + np.sum(x * x, axis=-1))
-        return -2.0 * x * u[..., None]
+        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
+        return -2.0 * x * u
 
     def phi_hess(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = self.n
-        eye = np.eye(n)
+        eye = batch_eye(x)
         if self.kind is ModelKind.EUCLIDEAN:
-            return np.zeros(x.shape[:-1] + (n, n))
+            return np.zeros(x.shape[:1] + x.shape)
         if self.kind is ModelKind.POINCARE_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=-1))
-            outer = x[..., :, None] * x[..., None, :]
-            return 2.0 * w[..., None, None] * eye + 4.0 * (w * w)[..., None, None] * outer
+            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
+            return 2.0 * w * eye + 4.0 * (w * w) * (x[:, None] * x[None, :])
         if self.kind is ModelKind.UPPER_HALF_SPACE:
-            h = np.zeros(x.shape[:-1] + (n, n))
-            h[..., -1, -1] = 1.0 / x[..., -1] ** 2
+            h = np.zeros(x.shape[:1] + x.shape)
+            h[-1, -1] = 1.0 / x[-1] ** 2
             return h
-        u = 1.0 / (1.0 + np.sum(x * x, axis=-1))
-        outer = x[..., :, None] * x[..., None, :]
-        return -2.0 * u[..., None, None] * eye + 4.0 * (u * u)[..., None, None] * outer
+        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
+        return -2.0 * u * eye + 4.0 * (u * u) * (x[:, None] * x[None, :])
 
     def conformal_factor(self, x: np.ndarray) -> np.ndarray:
         """The factor exp(2*phi) multiplying the flat metric."""
@@ -156,11 +155,17 @@ MODEL_FACTORIES = {
 # -- metric-level helpers ----------------------------------------------------
 
 
+def batch_eye(x: np.ndarray) -> np.ndarray:
+    """The identity matrix with one unit axis per batch axis of the points x,
+    so that it broadcasts against (n, n, m) tensors at them."""
+    x = np.asarray(x)
+    return np.eye(x.shape[0]).reshape(x.shape[:1] * 2 + (1,) * (x.ndim - 1))
+
+
 def metric_at(model: SpaceFormModel, x: np.ndarray) -> np.ndarray:
     """Matrix of gbar at x, i.e. exp(2*phi) * identity."""
     model.require_inside(x)
-    f = model.conformal_factor(x)
-    return np.asarray(f)[..., None, None] * np.eye(model.n)
+    return model.conformal_factor(x) * batch_eye(x)
 
 
 def christoffels_at(model: SpaceFormModel, x: np.ndarray) -> np.ndarray:
@@ -168,15 +173,14 @@ def christoffels_at(model: SpaceFormModel, x: np.ndarray) -> np.ndarray:
 
     For a conformal metric these reduce to
     ``Gamma^k_ij = d_ik dphi_j + d_jk dphi_i - d_ij dphi_k``.
-    Batched input (m, n) yields shape (m, n, n, n).
+    Batched input (n, m) yields shape (n, n, n, m).
     """
     model.require_inside(x)
     dphi = model.phi_grad(x)
-    n = model.n
-    eye = np.eye(n)
-    term1 = eye[..., :, :, None] * dphi[..., None, None, :]   # d_ki * dphi_j
-    term2 = eye[..., :, None, :] * dphi[..., None, :, None]   # d_kj * dphi_i
-    term3 = eye[..., None, :, :] * dphi[..., :, None, None]   # d_ij * dphi_k
+    eye = batch_eye(x)
+    term1 = eye[:, :, None] * dphi[None, None, :]   # d_ki * dphi_j
+    term2 = eye[:, None, :] * dphi[None, :, None]   # d_kj * dphi_i
+    term3 = eye[None, :, :] * dphi[:, None, None]   # d_ij * dphi_k
     return term1 + term2 - term3
 
 
@@ -195,7 +199,7 @@ def christoffel_apply(dphi: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndar
 def ambient_inner(model: SpaceFormModel, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """gbar(u, v) at x for chart-component vectors u, v."""
     model.require_inside(x)
-    return model.conformal_factor(x) * np.sum(np.asarray(u, float) * np.asarray(v, float), axis=-1)
+    return model.conformal_factor(x) * np.sum(np.asarray(u, float) * np.asarray(v, float), axis=0)
 
 
 def covariant_hessian(model: SpaceFormModel, x: np.ndarray,
@@ -208,10 +212,14 @@ def covariant_hessian(model: SpaceFormModel, x: np.ndarray,
     dphi = model.phi_grad(x)
     df = np.asarray(grad_euclidean, float)
     d2f = np.asarray(hess_euclidean, float)
-    # Gamma^k_ij df_k = dphi_i df_j + dphi_j df_i - d_ij <dphi, df>
-    cross = dphi[..., :, None] * df[..., None, :] + dphi[..., None, :] * df[..., :, None]
-    dot = np.sum(dphi * df, axis=-1)[..., None, None] * np.eye(model.n)
-    return d2f - cross + dot
+    # Gamma^k_ij df_k = dphi_i df_j + dphi_j df_i - d_ij <dphi, df>; the d_ij term
+    # touches only the diagonal, whose entries are contiguous rows of nodes
+    outer = dphi[:, None] * df[None, :]
+    hess = d2f - (outer + np.swapaxes(outer, 0, 1))
+    dot = np.sum(dphi * df, axis=0)
+    for i in range(model.n):
+        hess[i, i] += dot
+    return hess
 
 
 def ambient_laplacian(model: SpaceFormModel, x: np.ndarray,
@@ -221,8 +229,8 @@ def ambient_laplacian(model: SpaceFormModel, x: np.ndarray,
     For gbar = exp(2 phi) delta in dimension n,
     ``lap f = exp(-2 phi) (lap_delta f + (n-2) <dphi, df>)``.
     """
-    lap_flat = np.trace(np.asarray(hess_euclidean, float), axis1=-2, axis2=-1)
-    drift = np.sum(model.phi_grad(x) * grad_euclidean, axis=-1)
+    lap_flat = np.trace(np.asarray(hess_euclidean, float), axis1=0, axis2=1)
+    drift = np.sum(model.phi_grad(x) * grad_euclidean, axis=0)
     return np.exp(-2.0 * model.phi(x)) * (lap_flat + (model.n - 2.0) * drift)
 
 

@@ -151,9 +151,12 @@ def axis_frame(axis: np.ndarray) -> np.ndarray:
         e = np.zeros(n)
         e[i] = 1.0
         v = e.copy()
-        for b in cols:
-            v -= np.dot(v, b) * b
-        nv = np.linalg.norm(v)
+        for _ in range(2):   # a second pass where the first cancelled most of e
+            for b in cols:
+                v -= np.dot(v, b) * b
+            nv = np.linalg.norm(v)
+            if nv >= 0.5 ** 0.5:
+                break
         if nv > 1e-8:
             cols.append(v / nv)
         if len(cols) == n:
@@ -195,9 +198,9 @@ class RadialBumpProfile:
 def conformal_scale(model, X, J, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """s = exp(-phi(X)) and its first and second chart derivatives, from the chart
     values (X, J, H); with them, the terms of a normal perturbation free of epsilon."""
-    phi = model.phi(X)
-    dphi = model.phi_grad(X)
-    d2phi = model.phi_hess(X)
+    phi = model.phi(X.T)
+    dphi = model.phi_grad(X.T).T
+    d2phi = model.phi_hess(X.T).T
     s = np.exp(-phi)                                  # conformal unit scale
     # chain rule for s(X(u)): ds_a = -s <dphi, J_a>
     dphi_J = np.einsum("mi,mia->ma", dphi, J)

@@ -185,10 +185,10 @@ def _support_from_config(cfg: dict, n: int):
 
 
 def _cap_spec_from_config(cfg: dict, support) -> CapSpec:
-    cap_cfg = cfg.get("cap", {})
-    radius = cap_cfg.get("radius", default_cap_spec(support).radius)
+    cap_cfg, default = cfg.get("cap", {}), default_cap_spec(support)
+    radius = cap_cfg.get("radius", default.radius)
     axis = cap_cfg.get("axis")
-    shift = cap_cfg.get("center_shift")
+    shift = cap_cfg.get("center_shift", default.center_shift)
     return CapSpec(
         support=support,
         radius=float(radius),
@@ -381,7 +381,7 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
         # of its base) with empty node caches, so each level's nodes are freed before the next
         sc = dataclasses.replace(scenario, base=scenario.base and dataclasses.replace(scenario.base))
         sq, rq = sc.nodes(level).quadrature("cap"), sc.nodes(level).region
-        return (sq.integral(weight.value(sq.geo.x)), rq.integral(weight.value(rq.points)),
+        return (sq.integral(weight.value(sq.geo.x.T)), rq.integral(weight.value(rq.points)),
                 builder(sc, QuadratureRule(level)).deficit)
 
     tables = {

@@ -50,6 +50,7 @@ from .weights import WeightField, weight_for_support
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
 ADMISSIBILITY_LEVEL = 6   # margins only locate region nodes, so a coarse level suffices
+CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
 
 
 @dataclass(frozen=True)
@@ -328,9 +329,9 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
         p, _, _ = profile.evaluate(clamped)
         p = np.where(angles[:, 0] <= cap_chart.t_max, p, 0.0)
         on_sphere = center + r * dirs
-        ok_chart = model.contains(on_sphere)
+        ok_chart = model.contains(on_sphere.T)
         scale = np.where(ok_chart, np.exp(-model.phi(np.where(ok_chart[..., None],
-                                                              on_sphere, center))), 0.0)
+                                                              on_sphere, center).T)), 0.0)
         r_eff = r + perturbation.epsilon * p * scale
         inside_cap = dist <= r_eff
         inside_support_side = s.signed_distance(x) <= 1e-15
@@ -370,16 +371,16 @@ def region_margins(scenario: CapScenario) -> dict:
 
 
 def _margins(scenario: CapScenario) -> dict:
-    pts = scenario.nodes(ADMISSIBILITY_LEVEL).region.points
+    pts = scenario.nodes(ADMISSIBILITY_LEVEL).region.points    # (n, m)
     s = scenario.support
     model = s.model
-    out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
+    out = {"support_interior": float(np.min(-s.signed_distance(pts.T)))}
     if s.requires_half_region:
-        out["half_region"] = float(np.min(s.half_region_margin(pts)))
+        out["half_region"] = float(np.min(s.half_region_margin(pts.T)))
     if model.kind is ModelKind.POINCARE_BALL:
-        out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=-1)))
+        out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
     elif model.kind is ModelKind.UPPER_HALF_SPACE:
-        out["chart"] = float(np.min(pts[:, -1]))
+        out["chart"] = float(np.min(pts[-1]))
     out["weight_min"] = float(np.min(scenario.weight.value(pts)))
     return out
 
@@ -414,12 +415,19 @@ def validate_scenario(scenario: CapScenario) -> None:
 
 
 def default_cap_spec(s: SupportSpec) -> CapSpec:
-    """A comfortable placement for each support kind (used by CLI defaults)."""
+    """A comfortable placement for each support kind (used by CLI defaults).
+
+    In the half space the cap's lowest point stays CHART_CLEARANCE radii above
+    x_n = 0: where the anchor nearest the origin is lower (a steep equidistant
+    plane), ``center_shift`` moves it up along the plane by the missing height.
+    """
     if isinstance(s.shape, SphereShape):
         return CapSpec(support=s, radius=0.5 * s.shape.radius)
-    kind = s.kind.value
-    if kind == "euclidean_plane":
-        return CapSpec(support=s, radius=1.0)
-    if kind == "sph_hyperplane":
-        return CapSpec(support=s, radius=0.6)
-    return CapSpec(support=s, radius=0.3)
+    r = {"euclidean_plane": 1.0, "sph_hyperplane": 0.6}.get(s.kind.value, 0.3)
+    a = np.asarray(s.shape.normal_in, dtype=float)
+    lift = CHART_CLEARANCE * r - _halfspace_ball_min_height(plane_anchor(s), r, a, s.shape.offset)
+    if s.model.kind is not ModelKind.UPPER_HALF_SPACE or lift <= 0.0:
+        return CapSpec(support=s, radius=r)
+    up = np.eye(s.n)[-1] - a[-1] * a      # e_n projected onto the plane; raises x_n by up[-1]
+    shift = axis_frame(a)[:, 1:].T @ (lift / up[-1] * up)
+    return CapSpec(support=s, radius=r, center_shift=tuple(shift.tolist()))

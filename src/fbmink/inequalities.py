@@ -227,24 +227,25 @@ REPORT_BUILDERS: dict[str, Callable[..., InequalityReport]] = {
 @dataclass(frozen=True)
 class _Coordinate:
     """x_i, or x_i^2 when ``squared``, with exact flat derivatives behind the
-    value / euclidean_gradient / euclidean_hessian interface of ``WeightField``."""
+    value / euclidean_gradient / euclidean_hessian interface of ``WeightField``
+    (points coordinate first, as there)."""
 
     i: int
     squared: bool
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        xi = x[..., self.i]
+        xi = x[self.i]
         return xi * xi if self.squared else xi
 
     def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros_like(x)
-        g[..., self.i] = 2.0 * x[..., self.i] if self.squared else 1.0
+        g[self.i] = 2.0 * x[self.i] if self.squared else 1.0
         return g
 
     def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
-        h = np.zeros(x.shape + x.shape[-1:])
+        h = np.zeros(x.shape[:1] + x.shape)
         if self.squared:
-            h[..., self.i, self.i] = 2.0
+            h[self.i, self.i] = 2.0
         return h
 
 
@@ -282,35 +283,35 @@ class ReillyReport:
 
 def _boundary_piece_terms(sq: SurfaceQuadrature, V_jet: tuple, f_jet: tuple) -> dict:
     """The three boundary integrals of the identity over one smooth piece, from the
-    ``weights.jet`` of V and of the test function at its nodes."""
+    ``weights.jet`` of V and of the test function at its nodes (node axis last)."""
     geo = sq.geo
     nu, jac = geo.nu, geo.jac
     curv = sq.curvature()
     Vv, dV, d2V, hess_V, lap_V = V_jet
     fv, df, d2f, hess_f, lap_f = f_jet
 
-    f_nu = np.einsum("mi,mi->m", df, nu)
-    V_nu = np.einsum("mi,mi->m", dV, nu)
+    f_nu = np.einsum("im,mi->m", df, nu)
+    V_nu = np.einsum("im,mi->m", dV, nu)
     u = f_nu - V_nu / Vv * fv
 
     # covariant tangential gradients (parameter components, lower index)
-    f_a = np.einsum("mi,mia->ma", df, jac)
-    V_a = np.einsum("mi,mia->ma", dV, jac)
+    f_a = np.einsum("im,mia->ma", df, jac)
+    V_a = np.einsum("im,mia->ma", dV, jac)
     w_a = f_a - (V_a * fv[:, None]) / Vv[:, None]
     w_up = np.einsum("mab,mb->ma", geo.g_inv, w_a)
 
     # intrinsic Laplacians through the ambient ones
-    hess_f_nn = np.einsum("mij,mi,mj->m", hess_f, nu, nu)
-    hess_V_nn = np.einsum("mij,mi,mj->m", hess_V, nu, nu)
+    hess_f_nn = np.einsum("ijm,mi,mj->m", hess_f, nu, nu)
+    hess_V_nn = np.einsum("ijm,mi,mj->m", hess_V, nu, nu)
     lap_p_f = lap_f - hess_f_nn - curv.H * f_nu
     lap_p_V = lap_V - hess_V_nn - curv.H * V_nu
 
     # tangential derivative of u along the parameter directions
     dnu = sq.normal_derivatives()
-    dfnu_a = (np.einsum("mij,mia,mj->ma", d2f, jac, nu)
-              + np.einsum("mi,mai->ma", df, dnu))
-    dVnu_a = (np.einsum("mij,mia,mj->ma", d2V, jac, nu)
-              + np.einsum("mi,mai->ma", dV, dnu))
+    dfnu_a = (np.einsum("ijm,mia,mj->ma", d2f, jac, nu)
+              + np.einsum("im,mai->ma", df, dnu))
+    dVnu_a = (np.einsum("ijm,mia,mj->ma", d2V, jac, nu)
+              + np.einsum("im,mai->ma", dV, dnu))
     ratio_a = (dVnu_a * Vv[:, None] - V_nu[:, None] * V_a) / Vv[:, None] ** 2
     u_a = dfnu_a - ratio_a * fv[:, None] - (V_nu / Vv)[:, None] * f_a
 
@@ -348,18 +349,18 @@ def reilly_residual(scenario: CapScenario, function: str = "V",
     gbar_inv_diag, static = nodes.region_static()
 
     amb_term = lap_f - lap_V / Vv * fv
-    tensor = hess_f - hess_V / Vv[:, None, None] * fv[:, None, None]
-    tensor_norm_sq = gbar_inv_diag ** 2 * np.einsum("mij,mij->m", tensor, tensor)
+    tensor = hess_f - hess_V / Vv * fv
+    tensor_norm_sq = gbar_inv_diag ** 2 * np.einsum("ijm,ijm->m", tensor, tensor)
     lhs_volume = rq.integral(Vv * (amb_term ** 2 - tensor_norm_sq))
 
-    w_chart = gbar_inv_diag[:, None] * (df - dV * (fv / Vv)[:, None])
-    rhs_volume = rq.integral(np.einsum("mij,mi,mj->m", static, w_chart, w_chart))
+    w_chart = gbar_inv_diag * (df - dV * (fv / Vv))
+    rhs_volume = rq.integral(np.einsum("ijm,im,jm->m", static, w_chart, w_chart))
 
     boundary = {}
     for label in ("cap", "support"):
         sq = nodes.quadrature(label)
         boundary[label] = _boundary_piece_terms(sq, nodes.weight_jet(label),
-                                                f_jet(label, sq.geo.x))
+                                                f_jet(label, sq.geo.x.T))
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 
     residual = lhs_volume - rhs_volume - boundary_total

@@ -185,25 +185,26 @@ def cone(region: DomainRegion, label: str, piece: SurfaceNodes) -> tuple[np.ndar
             f"(min <X - x0, nu> = {float(np.min(facing)):.3e})")
     cone_jac = np.abs(np.linalg.det(
         np.concatenate([spread[:, :, None], geo.jac], axis=2)))
-    # nodes: x0 + s * spread for every (s, u) pair
-    pts = x0 + s_nodes[:, None, None] * spread[None, :, :]
+    # nodes: x0 + s * spread for every (s, u) pair, as one C-contiguous (n, s, u) block
+    pts = x0[:, None, None] + s_nodes[None, :, None] * np.ascontiguousarray(spread.T)[:, None, :]
     radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]
     wt = radial * (piece.box_weights * cone_jac)[None, :]
-    return pts.reshape(-1, n), wt.ravel()
+    return pts.reshape(n, -1), wt.ravel()
 
 
 class RegionQuadrature:
-    """Cone-decomposition nodes: the cones over the boundary pieces, in order."""
+    """Cone-decomposition nodes: the cones over the boundary pieces, in order, kept
+    as one C-contiguous (n, m) array ``points`` so that jets run over rows of nodes."""
 
     def __init__(self, model, cones: Sequence[tuple[np.ndarray, np.ndarray]]):
-        self.points = np.concatenate([pts for pts, _ in cones], axis=0)
+        self.points = np.concatenate([pts for pts, _ in cones], axis=1)
         flat_weights = np.concatenate([wt for _, wt in cones], axis=0)
         phi = model.phi(self.points)
         self.weights = flat_weights * np.exp(model.n * phi)
 
     @property
     def count(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[1]
 
     def integral(self, values: np.ndarray) -> float:
         return pairwise_sum(np.asarray(values, dtype=float) * self.weights)
@@ -272,12 +273,12 @@ class ScenarioNodes(Memo):
             self._weight, self._surface_nodes("cap").geo))
 
     def weight_jet(self, label: str) -> tuple:
-        """``weights.jet`` of V at the nodes of "cap", "support" or "region"; the
-        region's flat Hessian, which nothing reads, is None."""
+        """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
+        axis last; the region's flat Hessian, which nothing reads, is None."""
         def build():
             model = self._region.model
             if label != "region":
-                return jet(model, self._surface_nodes(label).geo.x, self._weight)
+                return jet(model, self._surface_nodes(label).geo.x.T, self._weight)
             value, d1, _, hess, lap = jet(model, self.region.points, self._weight)
             return value, d1, None, hess, lap
         return self._once(label + " jet", build)
@@ -289,8 +290,7 @@ class ScenarioNodes(Memo):
             model, x = self._region.model, self.region.points
             Vv, _, _, hess_V, lap_V = self.weight_jet("region")
             gbar = metric_at(model, x)
-            static = (lap_V[:, None, None] * gbar - hess_V
-                      + (model.n - 1.0) * model.K * Vv[:, None, None] * gbar)
+            static = lap_V * gbar - hess_V + (model.n - 1.0) * model.K * Vv * gbar
             return np.exp(-2.0 * model.phi(x)), static
         return self._once("static", build)
 

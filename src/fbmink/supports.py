@@ -115,7 +115,7 @@ class SupportSpec:
                 f"point is {worst:.3e} off the {self.kind.value} realization")
         unit = self.shape.euclidean_outward(x)
         # gbar-unit: |v|_gbar = exp(phi) |v|_delta
-        return unit * np.exp(-self.model.phi(x))[..., None]
+        return unit * np.exp(-self.model.phi(x.T))[..., None]
 
     def half_region_margin(self, x: np.ndarray) -> np.ndarray:
         """Positive where the half-region constraint holds (inf if none)."""
@@ -129,7 +129,7 @@ class SupportSpec:
     def in_admissible_region(self, x: np.ndarray) -> np.ndarray:
         """Interior of B_int intersected with the half-region constraint."""
         x = np.asarray(x, dtype=float)
-        ok = self.model.contains(x) & (self.signed_distance(x) < 0.0)
+        ok = self.model.contains(x.T) & (self.signed_distance(x) < 0.0)
         if self.requires_half_region:
             ok = ok & (self.half_region_margin(x) > 0.0)
         return ok
@@ -336,7 +336,7 @@ def sample_support_points(s: SupportSpec, count: int, rng: np.random.Generator) 
     while have < count:
         coeff = rng.uniform(-1.5, 1.5, size=(count, n - 1))
         cand = p0 + coeff @ frame.T
-        keep = s.model.contains(cand)
+        keep = s.model.contains(cand.T)
         if s.model.kind is ModelKind.UPPER_HALF_SPACE:
             keep &= cand[:, -1] > 0.05     # stay away from the chart boundary
         cand = cand[keep]

@@ -101,9 +101,9 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
     U = np.atleast_2d(np.asarray(U, dtype=float))
     model = surf.model
     X, J, H2 = surf.chart.evaluate(U) if values is None else values
-    model.require_inside(X)
+    model.require_inside(X.T)
 
-    phi = model.phi(X)
+    phi = model.phi(X.T)
     factor = np.exp(2.0 * phi)
     gram = np.einsum("mia,mib->mab", J, J)
     g = factor[:, None, None] * gram
@@ -122,7 +122,7 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
     nu = np.exp(-phi)[:, None] * nu_delta
 
     # h_ab = -gbar(d2X + Gamma(dX,dX), nu) = -e^{phi} <d2X + Gamma(dX,dX), nu_delta>
-    dphi = model.phi_grad(X)
+    dphi = model.phi_grad(X.T).T
     Jt = np.transpose(J, (0, 2, 1))            # (m, k, n)
     gam = christoffel_apply(dphi[:, None, None, :], Jt[:, :, None, :], Jt[:, None, :, :])
     accel = H2 + gam                            # (m, k, k, n)
@@ -181,7 +181,7 @@ def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.nd
     """Chart partials d_a nu^k via the Weingarten relation, shape (m, k, n)."""
     S = np.einsum("mac,mcb->mab", geo.h, geo.g_inv)    # h_a^b = h_ac g^{cb}
     tangent = np.einsum("mab,mib->mai", S, geo.jac)    # h_a^b d_bX
-    dphi = surf.model.phi_grad(geo.x)
+    dphi = surf.model.phi_grad(geo.x.T).T
     Jt = np.transpose(geo.jac, (0, 2, 1))
     gam = christoffel_apply(dphi[:, None, :], Jt, geo.nu[:, None, :])
     return tangent - gam
@@ -253,11 +253,11 @@ def hypothesis_margins(weight, geo: SurfaceGeometry) -> tuple[np.ndarray, float,
     h >= (V_nu / V) g.  The substatic margin is the least value of
     (V kappa_i - V_nu)(H - kappa_i) over nodes and principal directions.
     """
-    V = weight.value(geo.x)
+    V = weight.value(geo.x.T)
     if np.min(V) <= 0.0:
         raise WeightNonpositive(
             f"weight reaches {np.min(V):.3e} on the cap; placement must keep it positive")
-    Vnu = weight.directional(geo.x, geo.nu)
+    Vnu = weight.directional(geo.x.T, geo.nu.T)
     kappas = principal_curvatures(geo)
     convexity = kappas - (Vnu / V)[:, None]
     H = np.sum(kappas, axis=1, keepdims=True)

@@ -4,6 +4,9 @@ Each weight V satisfies ``Hess V = -K V gbar`` in its model (so also
 ``lap V + n K V = 0``) and ``dV(N) = kappa V`` along its support, N the
 gbar-unit normal of B_int.  Values and both flat derivatives are exact;
 covariant quantities are assembled through the ambient module.
+Points are node-last as in the ambient module, (n,) or (n, m): ``jet`` returns
+the value (m,), the gradient (n, m), both Hessians (n, n, m) and the Laplacian
+(m,).  The identity residuals take sampled point lists (m, n) as ``supports`` does.
 """
 
 from __future__ import annotations
@@ -50,16 +53,16 @@ class WeightField:
         x = np.asarray(x, dtype=float)
         f = self.formula
         if f is WeightFormula.EUCLID_XN:
-            return x[..., -1].copy()
+            return x[-1].copy()
         if f is WeightFormula.EUCLID_ONE:
-            return np.ones(x.shape[:-1])
+            return np.ones(x.shape[1:])
         if f is WeightFormula.HYP_BALL:
-            return 2.0 * x[..., -1] / (1.0 - np.sum(x * x, axis=-1))
+            return 2.0 * x[-1] / (1.0 - np.sum(x * x, axis=0))
         if f is WeightFormula.HYP_HALFSPACE:
-            return 1.0 / x[..., -1]
+            return 1.0 / x[-1]
         if f is WeightFormula.SPH_GEODESIC_BALL:
-            return 2.0 * x[..., -1] / (1.0 + np.sum(x * x, axis=-1))
-        r2 = np.sum(x * x, axis=-1)
+            return 2.0 * x[-1] / (1.0 + np.sum(x * x, axis=0))
+        r2 = np.sum(x * x, axis=0)
         return (1.0 - r2) / (1.0 + r2)
 
     def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -67,53 +70,48 @@ class WeightField:
         f = self.formula
         if f is WeightFormula.EUCLID_XN:
             g = np.zeros_like(x)
-            g[..., -1] = 1.0
+            g[-1] = 1.0
             return g
         if f is WeightFormula.EUCLID_ONE:
             return np.zeros_like(x)
         if f is WeightFormula.HYP_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=-1))
-            g = 4.0 * x[..., -1][..., None] * x * (w * w)[..., None]
-            g[..., -1] += 2.0 * w
+            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
+            g = 4.0 * x[-1] * x * (w * w)
+            g[-1] += 2.0 * w
             return g
         if f is WeightFormula.HYP_HALFSPACE:
             g = np.zeros_like(x)
-            g[..., -1] = -1.0 / x[..., -1] ** 2
+            g[-1] = -1.0 / x[-1] ** 2
             return g
         if f is WeightFormula.SPH_GEODESIC_BALL:
-            u = 1.0 / (1.0 + np.sum(x * x, axis=-1))
-            g = -4.0 * x[..., -1][..., None] * x * (u * u)[..., None]
-            g[..., -1] += 2.0 * u
+            u = 1.0 / (1.0 + np.sum(x * x, axis=0))
+            g = -4.0 * x[-1] * x * (u * u)
+            g[-1] += 2.0 * u
             return g
-        u = 1.0 / (1.0 + np.sum(x * x, axis=-1))
-        return -4.0 * x * (u * u)[..., None]
+        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
+        return -4.0 * x * (u * u)
 
     def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        eye = np.eye(n)
-        en = np.zeros(n)
-        en[-1] = 1.0
+        eye = ambient.batch_eye(x)
+        en = eye[-1]
         f = self.formula
         if f in (WeightFormula.EUCLID_XN, WeightFormula.EUCLID_ONE):
-            return np.zeros(x.shape[:-1] + (n, n))
+            return np.zeros(x.shape[:1] + x.shape)
         if f is WeightFormula.HYP_HALFSPACE:
-            h = np.zeros(x.shape[:-1] + (n, n))
-            h[..., -1, -1] = 2.0 / x[..., -1] ** 3
+            h = np.zeros(x.shape[:1] + x.shape)
+            h[-1, -1] = 2.0 / x[-1] ** 3
             return h
-        outer = x[..., :, None] * x[..., None, :]
-        sym_en = en[:, None] * x[..., None, :] + x[..., :, None] * en[None, :]
-        xn = x[..., -1][..., None, None]
+        outer = x[:, None] * x[None, :]
+        sym_en = en[:, None] * x[None, :] + x[:, None] * en[None, :]
+        xn = x[-1]
         if f is WeightFormula.HYP_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=-1))
-            w = w[..., None, None]
+            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
             return 4.0 * w * w * (sym_en + xn * eye) + 16.0 * xn * outer * w ** 3
         if f is WeightFormula.SPH_GEODESIC_BALL:
-            u = 1.0 / (1.0 + np.sum(x * x, axis=-1))
-            u = u[..., None, None]
+            u = 1.0 / (1.0 + np.sum(x * x, axis=0))
             return -4.0 * u * u * (sym_en + xn * eye) + 16.0 * xn * outer * u ** 3
-        u = 1.0 / (1.0 + np.sum(x * x, axis=-1))
-        u = u[..., None, None]
+        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
         return -4.0 * u * u * eye + 16.0 * outer * u ** 3
 
     # -- covariant quantities -------------------------------------------------
@@ -125,7 +123,7 @@ class WeightField:
 
     def directional(self, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """dV applied to a chart-component vector (metric-free pairing)."""
-        return np.sum(self.euclidean_gradient(x) * direction, axis=-1)
+        return np.sum(self.euclidean_gradient(x) * direction, axis=0)
 
 
 def weight_for_support(s: SupportSpec) -> WeightField:
@@ -145,19 +143,17 @@ def jet(model: SpaceFormModel, x: np.ndarray, fn) -> tuple[np.ndarray, ...]:
 
 
 def hessian_identity_residual(w: WeightField, points: np.ndarray) -> float:
-    """max-abs chart components of Hess V + K V gbar over the given points."""
-    x = np.asarray(points, dtype=float)
-    w.model.require_inside(x)
-    hess = w.covariant_hessian(x)
-    gbar = w.model.conformal_factor(x)[..., None, None] * np.eye(w.model.n)
-    res = hess + w.model.K * w.value(x)[..., None, None] * gbar
+    """max-abs chart components of Hess V + K V gbar over the given points (m, n)."""
+    x = np.asarray(points, dtype=float).T
+    gbar = ambient.metric_at(w.model, x)
+    res = w.covariant_hessian(x) + w.model.K * w.value(x) * gbar
     return float(np.max(np.abs(res)))
 
 
 def neumann_identity_residual(w: WeightField, s: SupportSpec,
                               points: np.ndarray) -> float:
-    """max |dV(N) - kappa V| over points on S, N the outward gbar-unit normal."""
+    """max |dV(N) - kappa V| over points (m, n) on S, N the outward gbar-unit normal."""
     x = np.asarray(points, dtype=float)
     nbar = s.outward_normal(x)
-    res = w.directional(x, nbar) - s.kappa * w.value(x)
+    res = w.directional(x.T, nbar.T) - s.kappa * w.value(x.T)
     return float(np.max(np.abs(res)))

@@ -273,7 +273,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
         inside = sc.region.contains(pts)
         vals = np.zeros(chunk)
         if np.any(inside):
-            p_in = pts[inside]
+            p_in = pts[inside].T   # coordinate first, as the weight and the model take points
             vals[inside] = V.value(p_in) * np.exp(3.0 * sc.support.model.phi(p_in))
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))

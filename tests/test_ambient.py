@@ -48,9 +48,10 @@ def test_curvature_constant_matches_model(factory, K):
 
 def test_euclidean_metric_is_identity():
     m = euclidean(3)
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 3.0]])
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 3.0]]).T   # two points, coordinate first
     g = metric_at(m, pts)
-    assert np.allclose(g, np.eye(3))
+    assert g.shape == (3, 3, 2)
+    assert np.allclose(np.moveaxis(g, -1, 0), np.eye(3))
     assert np.allclose(christoffels_at(m, pts), 0.0)
 
 

@@ -22,6 +22,7 @@ from fbmink import (
     region_margins,
     validate_scenario,
 )
+from fbmink.families import CHART_CLEARANCE, placement_margins
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
 
@@ -77,11 +78,30 @@ def test_malformed_placement_infeasible(radius, extra):
 @pytest.mark.parametrize("theta", [1.57078, 1.570796])
 def test_nearly_vertical_equidistant_cap_stays_on_its_support(theta):
     # the support plane is nearly vertical but not vertical, so its anchor is
-    # not lifted off the plane; the cap then crosses the chart wall x_n = 0
+    # not lifted off the plane; a cap there crosses the chart wall x_n = 0, so
+    # the default cap's anchor moves up along the plane
     support = make_support("equidistant", 3, theta=theta)
     assert abs(float(support.signed_distance(plane_anchor(support)))) <= 1e-15
     with pytest.raises(InadmissiblePlacement, match="chart margin -3.000e-01"):
-        make_umbilical_cap(default_cap_spec(support))
+        make_umbilical_cap(CapSpec(support=support, radius=0.3))
+    validate_scenario(make_umbilical_cap(default_cap_spec(support)))
+
+
+@pytest.mark.parametrize("theta", [k / 10 for k in range(1, 16)])
+def test_default_equidistant_cap_builds_at_every_angle(theta):
+    """Every default cap builds, validates and keeps CHART_CLEARANCE radii over x_n = 0;
+    the anchor moves only where the cap at the plane point nearest the origin would not."""
+    support = make_support("equidistant", 3, theta=theta)
+    spec = default_cap_spec(support)
+    sc = make_umbilical_cap(spec)
+    validate_scenario(sc)
+    chart = sc.surface.chart
+    lowest = placement_margins(support, chart.center, chart.radius)["chart"]
+    assert lowest >= CHART_CLEARANCE * spec.radius - 1e-12
+    at_nearest = placement_margins(support, plane_anchor(support), spec.radius)["chart"]
+    assert (spec.center_shift is None) == (at_nearest >= CHART_CLEARANCE * spec.radius)
+    if spec.center_shift is not None:
+        assert lowest == pytest.approx(CHART_CLEARANCE * spec.radius, abs=1e-12)
 
 
 def test_placements_leaving_half_region_rejected():

@@ -13,6 +13,7 @@ from fbmink import (
     QuadratureRule,
     SupportKind,
     af_report,
+    default_cap_spec,
     hypothesis_audit,
     make_perturbed_cap,
     make_umbilical_cap,
@@ -257,6 +258,18 @@ def test_reilly_closes_on_asymmetric_caps(kind, placement):
     for fname in ("V", "x1", "x1^2", "x2^2"):
         rep = reilly_residual(sc, fname, QuadratureRule(32))
         assert abs(rep.relative_residual) <= 1e-10, fname
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("kind", [SupportKind.EUCLIDEAN_PLANE, SupportKind.SPH_HYPERPLANE])
+def test_reilly_closes_at_n4(kind, eps):
+    # x4 indexes the last axis of the points, where a layout error shows first
+    spec = default_cap_spec(canonical_support(kind, 4))
+    sc = (make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)) if eps
+          else make_umbilical_cap(spec))
+    for fname in ("V", "x1", "x4", "x1^2", "x4^2"):
+        rep = reilly_residual(sc, fname, QuadratureRule(12))
+        assert abs(rep.relative_residual) <= 1e-9, fname
 
 
 def test_reilly_static_volume_term_vanishes(hemisphere):

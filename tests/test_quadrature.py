@@ -152,8 +152,8 @@ def test_refine_study_rejects_bad_level_lists():
 def test_region_integral_linear_in_integrand(coeffs, level):
     rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).nodes(level).region
     a, b, c = coeffs
-    f = a * rq.points[:, 0] + b * rq.points[:, 2] + c
-    split = (a * rq.integral(rq.points[:, 0]) + b * rq.integral(rq.points[:, 2])
+    f = a * rq.points[0] + b * rq.points[2] + c
+    split = (a * rq.integral(rq.points[0]) + b * rq.integral(rq.points[2])
              + c * rq.volume())
     assert np.isclose(rq.integral(f), split, rtol=1e-12, atol=1e-12)
 
@@ -212,6 +212,17 @@ def _recording_geometry(monkeypatch, faces: list):
     _patch_imports(monkeypatch, geometry, recording)
 
 
+def _arrays(obj, depth: int = 3):
+    """The arrays reachable from obj through containers and object attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif depth and isinstance(obj, (dict, tuple, list)):
+        for item in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _arrays(item, depth - 1)
+    elif depth and hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj), depth - 1)
+
+
 def test_each_node_set_is_evaluated_once(monkeypatch):
     """One perturbed n=4 verification: every consumer shares the node bundles."""
     counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0, "ring": 0,
@@ -228,9 +239,12 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         _patch_imports(monkeypatch, original, replacement)
 
     jet = weights.jet
+    jet_points = []   # the points of every jet of the weight
 
     def weight_jet(model, x, fn):
-        counts["weight jet"] += isinstance(fn, weights.WeightField)
+        if isinstance(fn, weights.WeightField):
+            counts["weight jet"] += 1
+            jet_points.append(x)
         return jet(model, x, fn)
 
     faces = []
@@ -268,6 +282,16 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # three test functions
     assert counts["weight jet"] == 3
     assert counts["dnu"] == 2
+    # the region jet reads the region's one C-contiguous (n, m) node array, and
+    # the bundle keeps no (m, n) copy of it
+    bundle = sc.nodes(rule.level)
+    points = bundle.region.points
+    n, m = points.shape
+    assert (n, m) == (4, bundle.region.count) and points.flags.c_contiguous
+    assert [x is points for x in jet_points].count(True) == 1
+    held = list(_arrays(bundle._cache))
+    assert any(a is points for a in held)
+    assert [a.shape for a in held if a.shape == (m, n)] == []
     # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
     # base cap's admissibility check
     faces.clear()

@@ -104,7 +104,7 @@ def test_outward_normal_is_unit_and_points_out(kind):
     rng = np.random.default_rng(3)
     pts = sample_support_points(s, 20, rng)
     nbar = s.outward_normal(pts)
-    norms = np.exp(s.model.phi(pts)) * np.linalg.norm(nbar, axis=-1)
+    norms = np.exp(s.model.phi(pts.T)) * np.linalg.norm(nbar, axis=-1)
     assert np.allclose(norms, 1.0, atol=1e-12)
     # stepping outward leaves B_int
     step = 1e-6

@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 
 from fbmink import (
     SupportKind,
+    WeightField,
+    WeightFormula,
+    euclidean,
     hessian_identity_residual,
     neumann_identity_residual,
+    poincare_ball,
+    sphere_stereographic,
+    upper_half_space,
     weight_for_support,
 )
-from fbmink.ambient import metric_at
+from fbmink.ambient import ambient_laplacian, christoffels_at, covariant_hessian, metric_at
+from fbmink.inequalities import _Coordinate
 from fbmink.supports import sample_admissible_points, sample_support_points
+from fbmink.weights import jet
 
 from conftest import canonical_support
 
@@ -114,7 +122,7 @@ def test_weight_positive_on_admissible_region(kind):
     w = weight_for_support(s)
     rng = np.random.default_rng(9)
     pts = sample_admissible_points(s, 200, rng)
-    assert np.min(w.value(pts)) > 0.0
+    assert np.min(w.value(pts.T)) > 0.0
 
 
 def test_closed_form_gradient_and_hessian_match_fd():
@@ -146,3 +154,53 @@ def test_identity_residuals_invariant_under_point_resampling(kind_idx, seed):
     rng = np.random.default_rng(seed)
     assert hessian_identity_residual(w, sample_admissible_points(s, 20, rng)) <= 1e-10
     assert neumann_identity_residual(w, s, sample_support_points(s, 20, rng)) <= 1e-10
+
+
+ORACLE_MODELS = [euclidean, poincare_ball, upper_half_space, sphere_stereographic]
+
+
+def _oracle_points(model, m: int, rng) -> np.ndarray:
+    """A seeded batch (n, m) inside the model's chart, coordinate first."""
+    x = rng.uniform(-0.3, 0.3, size=(model.n, m))
+    if model.kind.value == "upper_half_space":
+        x[-1] = rng.uniform(0.4, 1.6, size=m)
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("factory", ORACLE_MODELS)
+def test_node_last_jets_match_pointwise_oracles(factory, n):
+    """The batched (n, m) kernels against single points: the covariant Hessian against
+    the Christoffel contraction, the Laplacian against g^ij Hess_ij, and every jet
+    against the jet of each (n,) point.  Random flat derivatives and m != n make an
+    axis mix-up visible: it moves entries by O(1).  The jets agree to rounding, not
+    bit for bit: numpy's vectorized ``**`` may round differently from its scalar
+    ``**``, and the covariant Hessian's cancellations carry that to near-zero entries."""
+    model = factory(n)
+    rng = np.random.default_rng(20261018 + n)
+    m = 7
+    x = _oracle_points(model, m, rng)
+    df = rng.normal(size=(n, m))
+    d2f = rng.normal(size=(n, n, m))
+    d2f = d2f + np.swapaxes(d2f, 0, 1)
+    hess = covariant_hessian(model, x, df, d2f)
+    lap = ambient_laplacian(model, x, df, d2f)
+    assert hess.shape == (n, n, m) and lap.shape == (m,)
+    for k in range(m):
+        p = x[:, k]
+        oracle = d2f[..., k] - np.einsum("kij,k->ij", christoffels_at(model, p), df[:, k])
+        np.testing.assert_allclose(hess[..., k], oracle, rtol=1e-12, atol=1e-12)
+        traced = np.einsum("ij,ij->", np.linalg.inv(metric_at(model, p)), oracle)
+        np.testing.assert_allclose(lap[k], traced, rtol=1e-12, atol=1e-12)
+
+    functions = [WeightField(model, formula) for formula in WeightFormula]
+    functions += [_Coordinate(i, squared) for i in range(n) for squared in (False, True)]
+    shapes = [(m,), (n, m), (n, n, m), (n, n, m), (m,)]
+    for fn in functions:
+        batch = jet(model, x, fn)
+        assert [np.shape(part) for part in batch] == shapes, fn
+        for k in range(m):
+            for part, single in zip(batch, jet(model, x[:, k], fn)):
+                scale = max(1.0, float(np.max(np.abs(single))))
+                np.testing.assert_allclose(part[..., k], single, rtol=0, atol=1e-14 * scale,
+                                           err_msg=repr(fn))

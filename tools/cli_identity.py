@@ -59,7 +59,7 @@ RUNS: list[tuple[str, list[str], object]] = [
      {"version": 1, "cap": {"center_shift": [0.1]}}),
     ("converge levels=[12,8,16]", ["converge"], {"version": 1, "converge": {"levels": [12, 8, 16]}}),
     ("converge levels=[8,8]", ["converge"], {"version": 1, "converge": {"levels": [8, 8]}}),
-    # the default cap does not fit this support yet: exit 2, chart margin -2.667e-01
+    # a steep equidistant plane: the default cap moves up along the plane to fit the chart
     ("sweep equidistant theta=1.4", ["sweep"], STEEP_EQUIDISTANT),
 ]
 

@@ -17,9 +17,13 @@ step is recorded as [error type, message].  Cases:
   at n=3 level 16: ``sph_hyperplane`` with ``center_shift`` (0.3, 0) and
   ``euclidean_plane`` tilted by 0.2.
 
-One line is printed per differing case and a summary at the end; the exit
-status is 0 when both dumps are identical and 1 otherwise.  This file uses
-the standard library only; the child needs the trees' own dependencies.
+Each differing case is printed with the fields that differ, as paths such
+as ``reilly x1 / lhs_volume``, each with its relative gap |a - b| / max(|a|,
+|b|) when both values are numbers.  A summary follows: per differing field,
+the number of cases and the largest relative gap over them, then the count
+of identical cases.  The exit status is 0 when both dumps are identical and
+1 otherwise.  This file uses the standard library only; the child needs the
+trees' own dependencies.
 """
 
 from __future__ import annotations
@@ -99,6 +103,25 @@ def run_tree(tree: str) -> list[bytes]:
     return proc.stdout.splitlines()
 
 
+def field_gaps(a, b, path: str = "") -> dict:
+    """{path: relative gap} of every leaf where a and b differ; None where
+    the gap is not numeric (a changed type, string, key set or length)."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return {k: v for key in a for k, v in
+                field_gaps(a[key], b[key], f"{path} / {key}" if path else key).items()}
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return {k: v for i, (x, y) in enumerate(zip(a, b))
+                for k, v in field_gaps(x, y, f"{path}[{i}]").items()}
+    if a == b:
+        return {}
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    return {path: abs(a - b) / max(abs(a), abs(b)) if numeric else None}
+
+
+def _gap(value) -> str:
+    return "non-numeric" if value is None else f"{value:.2e}"
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--dump"]:
         dump()
@@ -111,10 +134,20 @@ def main(argv: list[str]) -> int:
         print(f"case counts differ: {len(old)} -> {len(new)}")
         return 1
     differing = 0
+    worst: dict[str, list] = {}   # field path -> [cases, largest numeric gap or None]
     for a, b in zip(old, new):
         if a != b:
             differing += 1
-            print(f"DIFF  {json.loads(a)['case']}\n    old: {a[-300:]!r}\n    new: {b[-300:]!r}")
+            ra, rb = json.loads(a), json.loads(b)
+            gaps = field_gaps(ra["result"], rb["result"]) or {"(key order)": None}
+            print(f"DIFF  {ra['case']}")
+            for path, gap in gaps.items():
+                print(f"    {path}: relative gap {_gap(gap)}")
+                entry = worst.setdefault(path, [0, 0.0])
+                entry[0] += 1
+                entry[1] = None if gap is None or entry[1] is None else max(entry[1], gap)
+    for path, (cases, gap) in sorted(worst.items()):
+        print(f"FIELD  {path}: {cases} cases, largest relative gap {_gap(gap)}")
     print(f"{len(old) - differing} of {len(old)} cases identical")
     return 1 if differing else 0
 
