@@ -13,6 +13,8 @@ Hessians, normals, curvature probes) is assembled from ``phi`` and its first
 two derivatives, which are exact here.  Points are node-last: (n,) for one
 point, (n, m) for m points; tensors at them put their index axes first, e.g.
 (n, n, m) for a Hessian, so every formula runs over long rows of nodes.
+The curvature probe follows the same rule: one call on (n, m) points and
+vectors returns (m,) curvatures, one call on (n,) ones a float.
 ``christoffel_apply`` alone contracts vectors along their last axis.
 """
 
@@ -238,16 +240,18 @@ def ambient_laplacian(model: SpaceFormModel, x: np.ndarray,
 
 
 def _riemann_up(model: SpaceFormModel, x: np.ndarray, step: float) -> np.ndarray:
-    """R[l, k, i, j] with R(e_i, e_j) e_k = R[l,k,i,j] e_l, by differencing Gamma.
+    """R[l, k, i, j, ...] with R(e_i, e_j) e_k = R[l,k,i,j] e_l, by differencing Gamma.
 
-    Central differences at two step sizes Richardson-combined to O(step^4).
+    Central differences at two step sizes Richardson-combined to O(step^4),
+    over the whole batch of points x, (n,) or (n, m), at once.
     """
     n = model.n
+    batch = tuple(range(4, 3 + x.ndim))
 
     def dgamma(h: float) -> np.ndarray:
-        out = np.empty((n, n, n, n))  # out[i, l, j, k] = d_i Gamma^l_jk
+        out = np.empty((n,) * 3 + x.shape)  # out[i, l, j, k, ...] = d_i Gamma^l_jk
         for i in range(n):
-            e = np.zeros(n)
+            e = np.zeros(x.shape[:1] + (1,) * (x.ndim - 1))
             e[i] = h
             out[i] = (christoffels_at(model, x + e) - christoffels_at(model, x - e)) / (2.0 * h)
         return out
@@ -257,33 +261,39 @@ def _riemann_up(model: SpaceFormModel, x: np.ndarray, step: float) -> np.ndarray
     dg = (4.0 * d2 - d1) / 3.0
 
     gam = christoffels_at(model, x)
-    term = np.einsum("lim,mjk->lkij", gam, gam)
-    r = (np.transpose(dg, (1, 3, 0, 2))        # d_i Gamma^l_jk -> [l,k,i,j]
-         - np.transpose(dg, (1, 3, 2, 0))      # d_j Gamma^l_ik
+    term = np.einsum("lim...,mjk...->lkij...", gam, gam)
+    r = (np.transpose(dg, (1, 3, 0, 2) + batch)        # d_i Gamma^l_jk -> [l,k,i,j]
+         - np.transpose(dg, (1, 3, 2, 0) + batch)      # d_j Gamma^l_ik
          + term
-         - np.transpose(term, (0, 1, 3, 2)))
+         - np.transpose(term, (0, 1, 3, 2) + batch))
     return r
 
 
 def sectional_curvature_probe(model: SpaceFormModel, x: np.ndarray,
-                              u: np.ndarray, v: np.ndarray) -> float:
+                              u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Numeric sectional curvature of span(u, v) at x.
 
     The curvature tensor is assembled from finite differences of the exact
     Christoffel symbols, so this is an oracle for the model's constant K
-    rather than a restatement of it.
+    rather than a restatement of it.  x, u and v are node-last, (n,) for one
+    probe or (n, m) for m probes; the result is a float for one probe and
+    an (m,) array for a batch.
     """
     model.require_inside(x)
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    guu = float(ambient_inner(model, x, u, u))
-    gvv = float(ambient_inner(model, x, v, v))
-    guv = float(ambient_inner(model, x, u, v))
+    guu = ambient_inner(model, x, u, u)
+    gvv = ambient_inner(model, x, v, v)
+    guv = ambient_inner(model, x, u, v)
     denom = guu * gvv - guv * guv
-    if denom <= 1e-12 * max(guu * gvv, 1e-300):
-        raise DegeneratePlane("probe vectors are gbar-parallel or null")
+    bad = np.ravel(denom <= 1e-12 * np.maximum(guu * gvv, 1e-300))
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        where = f"probe {j} of {bad.size}, " if x.ndim > 1 else ""
+        raise DegeneratePlane(f"probe vectors are gbar-parallel or null at {where}"
+                              f"x = {np.reshape(x, (model.n, -1))[:, j].tolist()}")
     r = _riemann_up(model, x, PROBE_STEP)
-    z = np.einsum("lkij,i,j,k->l", r, u, v, v)
-    num = float(ambient_inner(model, x, z, u))
-    return num / denom
+    z = np.einsum("lkij...,i...,j...,k...->l...", r, u, v, v)
+    k = ambient_inner(model, x, z, u) / denom
+    return float(k) if x.ndim == 1 else k

@@ -297,10 +297,9 @@ def run_curvature(cfg: dict, st: Settings) -> tuple[dict, bool]:
         model = factory(st.n)
         rng = np.random.default_rng([st.seed, 100 + idx])
         pts = _model_probe_points(model, probe_count, rng)
-        err = 0.0
-        for p in pts:
-            u, v = rng.normal(size=(2, st.n))
-            err = max(err, abs(sectional_curvature_probe(model, p, u, v) - model.K))
+        uv = rng.normal(size=(probe_count, 2, st.n))   # the stream of per-point (2, n) draws
+        probes = sectional_curvature_probe(model, pts.T, uv[:, 0].T, uv[:, 1].T)
+        err = float(np.max(np.abs(probes - model.K)))
         worst_probe = max(worst_probe, err)
         model_rows.append({"model": model.kind.value, "K": model.K,
                            "max_probe_error": err, "points": probe_count})

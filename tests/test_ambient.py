@@ -106,6 +106,36 @@ def test_sectional_probe_recovers_constant(factory, K):
         assert abs(sectional_curvature_probe(model, x, u, v) - K) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("factory,K", MODELS)
+def test_batched_probe_matches_pointwise_probe(factory, K, n):
+    """One (n, m) probe call equals m single-point calls bit for bit, and each recovers K."""
+    model = factory(n)
+    rng = np.random.default_rng([n, 17])
+    x = np.stack([probe_point(model, rng) for _ in range(7)], axis=1)
+    u, v = rng.normal(size=(2, n, 7))
+    batched = sectional_curvature_probe(model, x, u, v)
+    assert isinstance(batched, np.ndarray) and batched.shape == (7,)
+    single = [sectional_curvature_probe(model, x[:, j], u[:, j], v[:, j]) for j in range(7)]
+    assert all(type(k) is float for k in single)
+    assert np.array_equal(batched, np.array(single))
+    assert np.max(np.abs(batched - K)) < 1e-6
+
+
+def test_batched_probe_rejects_a_bad_column():
+    model = poincare_ball(3)
+    rng = np.random.default_rng(5)
+    x = np.stack([probe_point(model, rng) for _ in range(4)], axis=1)
+    u, v = rng.normal(size=(2, 3, 4))
+    v[:, -1] = -3.0 * u[:, -1]
+    with pytest.raises(DegeneratePlane, match=r"gbar-parallel or null at probe 3 of 4, x = \["):
+        sectional_curvature_probe(model, x, u, v)
+    v[:, -1] = rng.normal(size=3)
+    x[:, 1] = [0.9, 0.0, 0.5]
+    with pytest.raises(PointOutsideChart):
+        sectional_curvature_probe(model, x, u, v)
+
+
 def test_sectional_probe_rejects_parallel_vectors():
     model = euclidean(3)
     u = np.array([1.0, 2.0, 3.0])

@@ -61,6 +61,9 @@ RUNS: list[tuple[str, list[str], object]] = [
     ("converge levels=[8,8]", ["converge"], {"version": 1, "converge": {"levels": [8, 8]}}),
     # a steep equidistant plane: the default cap moves up along the plane to fit the chart
     ("sweep equidistant theta=1.4", ["sweep"], STEEP_EQUIDISTANT),
+    # the sectional-curvature probe outside n=3; n=5 seed 0 exits 2 on a degenerate patch
+    *[(f"curvature n={n} seed={seed}", ["curvature", "--seed", str(seed)],
+       {"version": 1, "n": n}) for n, seed in ((2, 7), (4, 7), (5, 7), (5, 0))],
 ]
 
 _TIME = re.compile(rb'("generated_unix_time": )\d+')
