@@ -64,7 +64,6 @@ from .quadrature import (
     ConvergenceTable,
     QuadratureRule,
     RegionQuadrature,
-    SurfaceNodes,
     SurfaceQuadrature,
     default_level,
     refine_study,
@@ -123,7 +122,6 @@ __all__ = [
     "schur_report",
     "reilly_residual",
     "QuadratureRule",
-    "SurfaceNodes",
     "SurfaceQuadrature",
     "RegionQuadrature",
     "ConvergenceTable",

@@ -193,16 +193,12 @@ def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
         raise DimensionTooLow(
             f"the scalar-curvature bound needs ambient dimension >= 4, got {n}")
     level, _, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
-    geo = sq.geo
     area_v = sq.integral(Vs)
     scal_mean = sq.integral(curv.scal * Vs) / area_v
     lhs = sq.integral((curv.scal - scal_mean) ** 2 * Vs)
 
-    traceless = curv.ric - curv.scal[:, None, None] / (n - 1.0) * geo.g
-    mixed = np.einsum("mab,mbc->mac", geo.g_inv, traceless)
-    norm_sq = np.einsum("mab,mba->m", mixed, mixed)
     coeff = 4.0 * (n - 1.0) * (n - 2.0) / (n - 3.0) ** 2
-    rhs = coeff * sq.integral(norm_sq * Vs)
+    rhs = coeff * sq.integral(curv.ric0_sq * Vs)
 
     return InequalityReport(
         theorem="AlmostSchur", n=n, level=level, lhs=lhs, rhs=rhs, deficit=rhs - lhs,

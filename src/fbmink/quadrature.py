@@ -8,14 +8,14 @@ tensor-product integral.  The split along the corner ring Gamma is automatic
 because the cap and the support face are separate pieces.
 
 A cap scenario keeps its node sets per level in one ``ScenarioNodes``
-bundle: the node geometry of the cap and the support face, their
-quadratures, the region nodes built from that geometry, the cap weight
-data, V's jet on each node set and the region's static tensor.  Every
-report, audit, validation and identity check on the scenario shares them,
-so each node set is evaluated once per (scenario, level).  A perturbed cap's
-bundle reads the epsilon-free sets of its base cap's bundle (the face nodes,
-the face's cone and the cap's chart terms), so a sweep evaluates those once
-per (base cap, level).
+bundle: one ``SurfaceQuadrature`` each for the cap and the support face
+(the node geometry and the integrals over it), the region nodes built from
+that geometry, the cap weight data, V's jet on each node set and the
+region's static tensor.  Every report, audit, validation and identity
+check on the scenario shares them, so each node set is evaluated once per
+(scenario, level).  A perturbed cap's bundle reads the epsilon-free sets of
+its base cap's bundle (the face's quadrature and cone and the cap's chart
+terms), so a sweep evaluates those once per (base cap, level).
 
 Gauss-Legendre nodes are interior, so polar-coordinate axes (t = 0) and cone
 apexes (s = 0) are never evaluated.  Node reductions use a fixed-order
@@ -102,16 +102,6 @@ class QuadratureRule:
             raise ValueError("quadrature level must be at least 2")
 
 
-class SurfaceNodes:
-    """Geometry at the tensor nodes of a surface chart, from its (X, J, H) there if given."""
-
-    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None):
-        self.surf = surf
-        self.rule = rule
-        params, self.box_weights = tensor_grid(rule.level, surf.chart.domain)
-        self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
-
-
 class Memo:
     """Values built on first use and kept in the instance's ``_cache`` dict (not
     ``functools.cached_property``, whose per-property lock would serialize sweep threads)."""
@@ -123,13 +113,15 @@ class Memo:
 
 
 class SurfaceQuadrature(Memo):
-    """Surface integrals over the nodes of a surface, with cached curvature and
-    normal derivatives."""
+    """Geometry at the tensor nodes of a surface chart, from its (X, J, H) there if
+    given, and the integrals over them, with cached curvature and normal derivatives."""
 
-    def __init__(self, nodes: SurfaceNodes):
-        self.surf = nodes.surf
-        self.geo = nodes.geo
-        self.weights = nodes.box_weights * nodes.geo.area_element
+    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None):
+        self.surf = surf
+        self.rule = rule
+        params, self.box_weights = tensor_grid(rule.level, surf.chart.domain)
+        self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
+        self.weights = self.box_weights * self.geo.area_element
         self._cache = {}
 
     def curvature(self):
@@ -170,7 +162,7 @@ class DomainRegion:
         return self.contains_fn(np.asarray(x, dtype=float))
 
 
-def cone(region: DomainRegion, label: str, piece: SurfaceNodes) -> tuple[np.ndarray, np.ndarray]:
+def cone(region: DomainRegion, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x0 + s (X - x0) and flat weights of the region's cone over one boundary piece."""
     x0 = region.star_center
     n = x0.shape[0]
@@ -229,12 +221,6 @@ class ScenarioNodes(Memo):
         self._base = base
         self._cache = {}
 
-    def _surface_nodes(self, label: str) -> SurfaceNodes:
-        if label == "support" and self._base is not None:
-            return self._base._surface_nodes(label)
-        return self._once(label, lambda: SurfaceNodes(
-            self._surfaces[label], self._rule, self._cap_values() if label == "cap" else None))
-
     def _cap_values(self) -> tuple:
         """The cap chart's (X, J, H) at its nodes; a perturbed cap displaces its base's terms."""
         chart = self._surfaces["cap"].chart
@@ -251,26 +237,29 @@ class ScenarioNodes(Memo):
     def cone(self, label: str) -> tuple[np.ndarray, np.ndarray]:
         """The region's cone over one piece, kept for the bundles derived from this one."""
         return self._once(label + " cone",
-                          lambda: cone(self._region, label, self._surface_nodes(label)))
+                          lambda: cone(self._region, label, self.quadrature(label)))
 
     def quadrature(self, label: str) -> SurfaceQuadrature:
-        """Quadrature over the cap ("cap") or the support face ("support")."""
-        return self._once(label + " quadrature",
-                          lambda: SurfaceQuadrature(self._surface_nodes(label)))
+        """Nodes of and quadrature over the cap ("cap") or the support face ("support");
+        a perturbed cap's bundle reads its base's face."""
+        if label == "support" and self._base is not None:
+            return self._base.quadrature(label)
+        return self._once(label, lambda: SurfaceQuadrature(
+            self._surfaces[label], self._rule, self._cap_values() if label == "cap" else None))
 
     @property
     def region(self) -> RegionQuadrature:
         def build():
-            pieces = [(label, self._surface_nodes(label)) for label in self._region.pieces]
             return RegionQuadrature(self._region.model, [
                 self._base.cone(label) if label == "support" and self._base is not None
-                else cone(self._region, label, piece) for label, piece in pieces])
+                else cone(self._region, label, self.quadrature(label))
+                for label in self._region.pieces])
         return self._once("region", build)
 
     def weight_data(self) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
         return self._once("weight", lambda: hypothesis_margins(
-            self._weight, self._surface_nodes("cap").geo))
+            self._weight, self.quadrature("cap").geo))
 
     def weight_jet(self, label: str) -> tuple:
         """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
@@ -278,7 +267,7 @@ class ScenarioNodes(Memo):
         def build():
             model = self._region.model
             if label != "region":
-                return jet(model, self._surface_nodes(label).geo.x.T, self._weight)
+                return jet(model, self.quadrature(label).geo.x.T, self._weight)
             value, d1, _, hess, lap = jet(model, self.region.points, self._weight)
             return value, d1, None, hess, lap
         return self._once(label + " jet", build)

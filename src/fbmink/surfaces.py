@@ -10,13 +10,21 @@ Sign convention for the second fundamental form:
     h_ab = -gbar( d2X_ab + Gamma(d_aX, d_bX), nu )
 
 which makes H = (n-1)/r > 0 for the Euclidean r-sphere with outward normal.
-The Weingarten relation in chart components then reads
+The shape operator is formed once per geometry and stored on it as
+``SurfaceGeometry.shape``, with the one index convention
 
-    d_a nu^k = h_a^b d_bX^k - Gamma^k_ij d_aX^i nu^j,   h_a^b = h_ac g^{cb},
+    S[:, a, b] = S^a_b = g^{ac} h_cb.
 
-and is used wherever exact normal derivatives are needed.  The index order
-matters: g and h commute only where the cap is umbilical or symmetric about
-the conformal factor.
+Every curvature quantity reads it (H = tr S, |h|^2 = tr S^2, the Ricci
+endomorphism of the Gauss equation), and so does the Weingarten relation in
+chart components,
+
+    d_a nu^k = S^b_a d_bX^k - Gamma^k_ij d_aX^i nu^j,
+
+used wherever exact normal derivatives are needed.  The index order matters:
+g and h commute only where the cap is umbilical or symmetric about the
+conformal factor.  Principal curvatures solve the symmetric pencil (h, g)
+instead and never form S.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ class SurfaceGeometry:
     nu_delta: np.ndarray        # (m, n) Euclidean unit normal
     nu: np.ndarray              # (m, n) gbar-unit normal, chart components
     h: np.ndarray               # (m, k, k)
+    shape: np.ndarray           # (m, k, k) shape operator S^a_b = g^{ac} h_cb
 
     @property
     def count(self) -> int:
@@ -131,6 +140,7 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
     return SurfaceGeometry(
         params=U, x=X, jac=J, g=g, g_inv=g_inv,
         area_element=np.sqrt(det_g), nu_delta=nu_delta, nu=nu, h=h,
+        shape=np.einsum("mab,mbc->mac", g_inv, h),
     )
 
 
@@ -142,26 +152,27 @@ class CurvatureArrays:
     H: np.ndarray               # (m,)
     norm_h_sq: np.ndarray       # (m,)
     sigma2: np.ndarray          # (m,)
-    ric: np.ndarray             # (m, k, k)
+    ric0_sq: np.ndarray         # (m,) |Ric - scal g / (n-1)|^2
     scal: np.ndarray            # (m,)
 
 
 def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> CurvatureArrays:
-    """Mean curvature, |h|^2, sigma_2, and the Gauss-equation intrinsic Ricci.
+    """Mean curvature, |h|^2, sigma_2, scalar curvature and |traceless Ricci|^2.
 
-    Ric_ab = (n-2) K g_ab + H h_ab - (h g^{-1} h)_ab and
-    scal = (n-1)(n-2) K + H^2 - |h|^2 for a hypersurface of a space form.
+    For a hypersurface of a space form the Gauss equation gives the Ricci
+    endomorphism (n-2) K + H S - S^2 and scal = (n-1)(n-2) K + H^2 - |h|^2.
     """
     K = surf.model.K
     n = surf.model.n
-    S = np.einsum("mab,mbc->mac", geo.g_inv, geo.h)
+    S = geo.shape
     H = np.einsum("maa->m", S)
     norm_h_sq = np.einsum("mab,mba->m", S, S)
     sigma2 = 0.5 * (H * H - norm_h_sq)
-    hgh = np.einsum("mab,mbc,mcd->mad", geo.h, geo.g_inv, geo.h)
-    ric = (n - 2.0) * K * geo.g + H[:, None, None] * geo.h - hgh
     scal = (n - 1.0) * (n - 2.0) * K + H * H - norm_h_sq
-    return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2, ric=ric, scal=scal)
+    ric0 = H[:, None, None] * S - np.einsum("mab,mbc->mac", S, S)
+    ric0 += ((n - 2.0) * K - scal / (n - 1.0))[:, None, None] * np.eye(S.shape[1])
+    ric0_sq = np.einsum("mab,mba->m", ric0, ric0)
+    return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2, ric0_sq=ric0_sq, scal=scal)
 
 
 def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
@@ -179,8 +190,7 @@ def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
 
 def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.ndarray:
     """Chart partials d_a nu^k via the Weingarten relation, shape (m, k, n)."""
-    S = np.einsum("mac,mcb->mab", geo.h, geo.g_inv)    # h_a^b = h_ac g^{cb}
-    tangent = np.einsum("mab,mib->mai", S, geo.jac)    # h_a^b d_bX
+    tangent = np.einsum("mba,mib->mai", geo.shape, geo.jac)    # S^b_a d_bX
     dphi = surf.model.phi_grad(geo.x.T).T
     Jt = np.transpose(geo.jac, (0, 2, 1))
     gam = christoffel_apply(dphi[:, None, :], Jt, geo.nu[:, None, :])

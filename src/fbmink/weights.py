@@ -114,13 +114,6 @@ class WeightField:
         u = 1.0 / (1.0 + np.sum(x * x, axis=0))
         return -4.0 * u * u * eye + 16.0 * outer * u ** 3
 
-    # -- covariant quantities -------------------------------------------------
-
-    def covariant_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Chart components of Hess_gbar V (a covariant 2-tensor)."""
-        return ambient.covariant_hessian(
-            self.model, x, self.euclidean_gradient(x), self.euclidean_hessian(x))
-
     def directional(self, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """dV applied to a chart-component vector (metric-free pairing)."""
         return np.sum(self.euclidean_gradient(x) * direction, axis=0)
@@ -145,8 +138,8 @@ def jet(model: SpaceFormModel, x: np.ndarray, fn) -> tuple[np.ndarray, ...]:
 def hessian_identity_residual(w: WeightField, points: np.ndarray) -> float:
     """max-abs chart components of Hess V + K V gbar over the given points (m, n)."""
     x = np.asarray(points, dtype=float).T
-    gbar = ambient.metric_at(w.model, x)
-    res = w.covariant_hessian(x) + w.model.K * w.value(x) * gbar
+    value, _, _, hess, _ = jet(w.model, x, w)
+    res = hess + w.model.K * value * ambient.metric_at(w.model, x)
     return float(np.max(np.abs(res)))
 
 

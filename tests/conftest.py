@@ -14,6 +14,7 @@ from fbmink import (
     make_support,
     make_umbilical_cap,
 )
+from fbmink.charts import RadialBumpProfile
 
 def canonical_support(kind: SupportKind, n: int = 3):
     return make_support(kind, n)
@@ -36,6 +37,49 @@ ASYMMETRIC_CAPS = [
 def asymmetric_scenario(kind: SupportKind, placement: dict):
     spec = dataclasses.replace(default_cap_spec(canonical_support(kind)), **placement)
     return make_perturbed_cap(spec, PerturbationSpec(epsilon=0.05))
+
+
+@dataclasses.dataclass
+class AngularBumpProfile:
+    """The bump (1 - (t/t_max)^2)^3 (1 + c sin t cos psi), psi the second chart angle,
+    with exact first and second derivatives: it also varies with the angle, so g and h
+    fail to commute in chart coordinates even where the conformal factor is symmetric.
+
+    sin t cos psi is a linear coordinate of the unit sphere, so the bump stays smooth
+    at the pole t = 0, where a bare cos psi factor would not; like the radial bump it
+    vanishes to second order at the boundary ring t = t_max.
+    """
+
+    t_max: float
+    c: float = 0.5
+
+    def evaluate(self, U):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        radial, d_radial, d2_radial = RadialBumpProfile(self.t_max).evaluate(U)
+        rt, rtt = d_radial[:, 0], d2_radial[:, 0, 0]
+        t, psi = U[:, 0], U[:, 1]
+        c = self.c
+        a = 1.0 + c * np.sin(t) * np.cos(psi)
+        a_t, a_psi = c * np.cos(t) * np.cos(psi), -c * np.sin(t) * np.sin(psi)
+        a_tt = a_psi_psi = -c * np.sin(t) * np.cos(psi)
+        a_t_psi = -c * np.cos(t) * np.sin(psi)
+        dp = np.zeros_like(d_radial)
+        dp[:, 0] = rt * a + radial * a_t
+        dp[:, 1] = radial * a_psi
+        d2p = np.zeros_like(d2_radial)
+        d2p[:, 0, 0] = rtt * a + 2.0 * rt * a_t + radial * a_tt
+        d2p[:, 0, 1] = d2p[:, 1, 0] = rt * a_psi + radial * a_t_psi
+        d2p[:, 1, 1] = radial * a_psi_psi
+        return radial * a, dp, d2p
+
+
+def angular_bump_scenario(kind: SupportKind, epsilon: float = 0.05, c: float = 0.5):
+    """The canonical n=3 cap perturbed by ``AngularBumpProfile`` instead of the radial bump."""
+    sc = make_perturbed_cap(default_cap_spec(canonical_support(kind)),
+                            PerturbationSpec(epsilon=epsilon))
+    chart = dataclasses.replace(sc.surface.chart,
+                                profile=AngularBumpProfile(sc.surface.chart.base.t_max, c))
+    return dataclasses.replace(sc, surface=dataclasses.replace(sc.surface, chart=chart))
 
 
 @pytest.fixture

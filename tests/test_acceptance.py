@@ -19,7 +19,6 @@ from fbmink import (
     PerturbationSpec,
     QuadratureRule,
     SupportKind,
-    SurfaceNodes,
     SurfaceQuadrature,
     af_report,
     hypothesis_audit,
@@ -244,7 +243,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
     area_errors = []
     volume_errors = []
     for level in levels:
-        sq = SurfaceQuadrature(SurfaceNodes(hemi.surface, QuadratureRule(level)))
+        sq = SurfaceQuadrature(hemi.surface, QuadratureRule(level))
         area_errors.append(abs(sq.integral(np.ones(sq.geo.count)) - 2.0 * math.pi))
         rq = hemi.nodes(level).region
         volume_errors.append(abs(rq.volume() - 2.0 * math.pi / 3.0))

@@ -23,7 +23,13 @@ from fbmink import (
     schur_report,
 )
 
-from conftest import ASYMMETRIC_CAPS, asymmetric_scenario, canonical_scenario, canonical_support
+from conftest import (
+    ASYMMETRIC_CAPS,
+    angular_bump_scenario,
+    asymmetric_scenario,
+    canonical_scenario,
+    canonical_support,
+)
 
 RULE24 = QuadratureRule(24)
 ALL_KINDS = list(SupportKind)
@@ -255,6 +261,15 @@ def test_reilly_residual_hyperbolic():
 @pytest.mark.parametrize("kind,placement", ASYMMETRIC_CAPS)
 def test_reilly_closes_on_asymmetric_caps(kind, placement):
     sc = asymmetric_scenario(kind, placement)
+    for fname in ("V", "x1", "x1^2", "x2^2"):
+        rep = reilly_residual(sc, fname, QuadratureRule(32))
+        assert abs(rep.relative_residual) <= 1e-10, fname
+
+
+@pytest.mark.parametrize("kind", [SupportKind.EUCLIDEAN_PLANE, SupportKind.EUCLIDEAN_SPHERE,
+                                  SupportKind.EQUIDISTANT, SupportKind.SPH_HYPERPLANE])
+def test_reilly_closes_on_angular_bump_caps(kind):
+    sc = angular_bump_scenario(kind)
     for fname in ("V", "x1", "x1^2", "x2^2"):
         rep = reilly_residual(sc, fname, QuadratureRule(32))
         assert abs(rep.relative_residual) <= 1e-10, fname

@@ -22,7 +22,6 @@ import fbmink.weights as weights
 from fbmink import (
     PerturbationSpec,
     QuadratureRule,
-    SurfaceNodes,
     SurfaceQuadrature,
     af_report,
     default_cap_spec,
@@ -69,7 +68,7 @@ def test_default_levels_keyed_by_ambient_dimension():
 
 
 def test_hemisphere_area_and_volume(hemisphere):
-    sq = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(16)))
+    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
     assert np.isclose(sq.integral(np.ones(sq.geo.count)), 2.0 * math.pi, rtol=1e-12)
     rq = hemisphere.nodes(16).region
     assert np.isclose(rq.volume(), 2.0 * math.pi / 3.0, rtol=1e-12)
@@ -96,7 +95,7 @@ def test_lens_region_volume_matches_cap_sum():
 
 
 def test_surface_integral_linearity(hemisphere):
-    sq = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(10)))
+    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(10))
     z = sq.geo.x[:, 2]
     a, b = 2.5, -1.25
     assert np.isclose(sq.integral(a * z + b),
@@ -106,7 +105,7 @@ def test_surface_integral_linearity(hemisphere):
 
 def test_moment_of_hemisphere(hemisphere):
     # int_{S^2_+} z dA = pi for the unit upper hemisphere
-    sq = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(16)))
+    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
     assert np.isclose(sq.integral(sq.geo.x[:, 2]), math.pi, rtol=1e-12)
 
 
@@ -169,9 +168,9 @@ def _report_bytes(reports):
 
 def test_quadrature_values_independent_of_construction_count(hemisphere):
     # rebuilding the same rule gives bit-identical integrals
-    a1 = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(12))).integral(
+    a1 = SurfaceQuadrature(hemisphere.surface, QuadratureRule(12)).integral(
         np.ones(12 * 12))
-    a2 = SurfaceQuadrature(SurfaceNodes(hemisphere.surface, QuadratureRule(12))).integral(
+    a2 = SurfaceQuadrature(hemisphere.surface, QuadratureRule(12)).integral(
         np.ones(12 * 12))
     assert a1 == a2
     # a scenario's cached nodes give the same bits whichever consumer fills them
@@ -276,8 +275,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # the base cap's admissibility check, then the perturbed cap's, shared by validation
     assert counts["margins"] == 2
     assert counts["principal"] == 1
-    # level-12 cap and face; the admissibility regions need node geometry only
-    assert counts["surface"] == 2
+    # one per node set: the two admissibility caps and the level-12 cap and face;
+    # the boundary ring is the one geometry that is not a quadrature node set
+    assert counts["surface"] == 4
     # V's jet on the region, the cap and the face, and one dnu per face, for all
     # three test functions
     assert counts["weight jet"] == 3

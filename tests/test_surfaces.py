@@ -1,12 +1,13 @@
 """Fundamental forms, curvature conventions, and intrinsic-curvature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fbmink import CapSpec, SupportKind, make_perturbed_cap, make_umbilical_cap
-from fbmink import PerturbationSpec
+from fbmink import CapSpec, SupportKind, default_cap_spec, make_perturbed_cap, make_umbilical_cap
+from fbmink import PerturbationSpec, validate_scenario
 from fbmink.surfaces import (
     boundary_checks,
     curvature_arrays,
@@ -16,7 +17,17 @@ from fbmink.surfaces import (
     surface_geometry,
 )
 
-from conftest import ASYMMETRIC_CAPS, asymmetric_scenario, canonical_scenario, canonical_support
+from conftest import (
+    ASYMMETRIC_CAPS,
+    AngularBumpProfile,
+    angular_bump_scenario,
+    asymmetric_scenario,
+    canonical_scenario,
+    canonical_support,
+)
+
+ANGULAR_BUMP_KINDS = [SupportKind.EUCLIDEAN_PLANE, SupportKind.EUCLIDEAN_SPHERE,
+                      SupportKind.EQUIDISTANT, SupportKind.SPH_HYPERPLANE]
 
 
 def interior_params(surf, m=7, margin=0.15):
@@ -166,8 +177,66 @@ def test_weingarten_matches_fd_of_normal(hemisphere):
 
 @pytest.mark.parametrize("kind,placement", ASYMMETRIC_CAPS)
 def test_weingarten_matches_fd_of_normal_on_asymmetric_caps(kind, placement):
-    # g and h do not commute here, so h_a^b = h_ac g^{cb} differs from g^{ac} h_cb
+    # g and h do not commute here, so contracting S^a_b = g^{ac} h_cb on the wrong index fails
     assert _weingarten_fd_gap(asymmetric_scenario(kind, placement).surface) < 1e-7
+
+
+def test_angular_bump_profile_derivatives_match_finite_differences():
+    profile = AngularBumpProfile(t_max=1.2)
+    U = np.array([[0.3, 0.7], [0.9, 2.5], [0.05, 4.0], [1.1, 5.9]])
+    _, dp, d2p = profile.evaluate(U)
+    step = 1e-6
+    for a in range(2):
+        e = np.zeros(2)
+        e[a] = step
+        (p_plus, dp_plus, _), (p_minus, dp_minus, _) = profile.evaluate(U + e), profile.evaluate(U - e)
+        assert np.max(np.abs((p_plus - p_minus) / (2 * step) - dp[:, a])) < 1e-8
+        assert np.max(np.abs((dp_plus - dp_minus) / (2 * step) - d2p[:, a, :])) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ANGULAR_BUMP_KINDS)
+def test_weingarten_matches_fd_of_normal_on_angular_bump_caps(kind):
+    # the bump varies with the angle, so g and h do not commute even over
+    # euclidean_plane, whose conformal factor is trivial
+    sc = angular_bump_scenario(kind)
+    validate_scenario(sc)
+    geo = sc.nodes(16).quadrature("cap").geo
+    assert np.max(np.abs(geo.g @ geo.h - geo.h @ geo.g)) > 5e-4
+    assert _weingarten_fd_gap(sc.surface) < 1e-7
+
+
+# perturbed caps at n=4, where the traceless Ricci is not zero, and at n=3
+ORACLE_CAPS = [
+    *[(kind, 4, {}, eps) for kind in (SupportKind.EUCLIDEAN_PLANE, SupportKind.SPH_HYPERPLANE)
+      for eps in (0.05, 0.1)],
+    *[(kind, 3, placement, 0.05) for kind, placement in ASYMMETRIC_CAPS],
+]
+
+
+@pytest.mark.parametrize("kind,n,placement,eps", ORACLE_CAPS)
+def test_curvature_arrays_match_principal_curvatures(kind, n, placement, eps):
+    """Pointwise oracle from the Cholesky eigenvalues kappa of (h, g): H, |h|^2,
+    sigma_2, scal and |Ric0|^2 with Ric_i = (n-2) K + kappa_i (H - kappa_i)."""
+    spec = dataclasses.replace(default_cap_spec(canonical_support(kind, n)), **placement)
+    surf = make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)).surface
+    geo = surface_geometry(surf, interior_params(surf, m=5))
+    kappa = principal_curvatures(geo)
+    H = np.sum(kappa, axis=1)
+    ric = (n - 2.0) * surf.model.K + kappa * (H[:, None] - kappa)
+    scal = np.sum(ric, axis=1)
+    oracle = {
+        "H": H,
+        "norm_h_sq": np.sum(kappa * kappa, axis=1),
+        "sigma2": sum(kappa[:, i] * kappa[:, j] for i in range(n - 1) for j in range(i)),
+        "scal": scal,
+        "ric0_sq": np.sum((ric - scal[:, None] / (n - 1.0)) ** 2, axis=1),
+    }
+    if n == 4:
+        assert np.max(oracle["ric0_sq"]) > 1e-3
+    curv = curvature_arrays(surf, geo)
+    for name, want in oracle.items():
+        gap = np.abs(getattr(curv, name) - want)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(want))), name
 
 
 def test_convexity_and_substatic_margins_on_hemisphere(hemisphere):

@@ -18,10 +18,12 @@ step is recorded as [error type, message].  Cases:
   ``euclidean_plane`` tilted by 0.2.
 
 Each differing case is printed with the fields that differ, as paths such
-as ``reilly x1 / lhs_volume``, each with its relative gap |a - b| / max(|a|,
-|b|) when both values are numbers.  A summary follows: per differing field,
-the number of cases and the largest relative gap over them, then the count
-of identical cases.  The exit status is 0 when both dumps are identical and
+as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
+its relative gap |a - b| / max(|a|, |b|), its absolute gap |a - b| and the
+magnitude max(|a|, |b|), so a change at rounding level (a gap of 1e-29 on a
+value of 1e-29) stands apart from a real one.  A summary follows: per
+differing field, the number of cases and the largest relative gap, absolute
+gap and magnitude over them, then the count of identical cases.  The exit status is 0 when both dumps are identical and
 1 otherwise.  This file uses the standard library only; the child needs the
 trees' own dependencies.
 """
@@ -104,8 +106,9 @@ def run_tree(tree: str) -> list[bytes]:
 
 
 def field_gaps(a, b, path: str = "") -> dict:
-    """{path: relative gap} of every leaf where a and b differ; None where
-    the gap is not numeric (a changed type, string, key set or length)."""
+    """{path: (relative gap, absolute gap, larger magnitude)} of every leaf where
+    a and b differ; None where the gap is not numeric (a changed type, string,
+    key set or length)."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         return {k: v for key in a for k, v in
                 field_gaps(a[key], b[key], f"{path} / {key}" if path else key).items()}
@@ -114,12 +117,16 @@ def field_gaps(a, b, path: str = "") -> dict:
                 for k, v in field_gaps(x, y, f"{path}[{i}]").items()}
     if a == b:
         return {}
-    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-    return {path: abs(a - b) / max(abs(a), abs(b)) if numeric else None}
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return {path: None}
+    absolute, magnitude = abs(a - b), max(abs(a), abs(b))
+    return {path: (absolute / magnitude, absolute, magnitude)}
 
 
-def _gap(value) -> str:
-    return "non-numeric" if value is None else f"{value:.2e}"
+def _gap(sizes) -> str:
+    if sizes is None:
+        return "non-numeric"
+    return "relative gap %.2e, absolute %.2e, magnitude %.2e" % sizes
 
 
 def main(argv: list[str]) -> int:
@@ -134,20 +141,22 @@ def main(argv: list[str]) -> int:
         print(f"case counts differ: {len(old)} -> {len(new)}")
         return 1
     differing = 0
-    worst: dict[str, list] = {}   # field path -> [cases, largest numeric gap or None]
+    # field path -> [cases, largest (relative, absolute, magnitude) or None if non-numeric]
+    worst: dict[str, list] = {}
     for a, b in zip(old, new):
         if a != b:
             differing += 1
             ra, rb = json.loads(a), json.loads(b)
             gaps = field_gaps(ra["result"], rb["result"]) or {"(key order)": None}
             print(f"DIFF  {ra['case']}")
-            for path, gap in gaps.items():
-                print(f"    {path}: relative gap {_gap(gap)}")
-                entry = worst.setdefault(path, [0, 0.0])
+            for path, sizes in gaps.items():
+                print(f"    {path}: {_gap(sizes)}")
+                entry = worst.setdefault(path, [0, (0.0, 0.0, 0.0)])
                 entry[0] += 1
-                entry[1] = None if gap is None or entry[1] is None else max(entry[1], gap)
-    for path, (cases, gap) in sorted(worst.items()):
-        print(f"FIELD  {path}: {cases} cases, largest relative gap {_gap(gap)}")
+                entry[1] = (None if sizes is None or entry[1] is None
+                            else tuple(map(max, entry[1], sizes)))
+    for path, (cases, sizes) in sorted(worst.items()):
+        print(f"FIELD  {path}: {cases} cases, largest {_gap(sizes)}")
     print(f"{len(old) - differing} of {len(old)} cases identical")
     return 1 if differing else 0
 
