@@ -5,9 +5,12 @@
 
 Subcommands: identities, curvature, minkowski, af, schur, reilly, sweep,
 converge.  Configuration comes from a JSON file; the --level, --seed and
---tolerance flags override its fields, and the result is validated against
-the shipped scenario_config.v1 schema.  Config fields override built-in
-defaults.
+--tolerance flags override its fields, and the result is checked against
+the shipped scenario_config.v1 schema by a small in-package reader of the
+keyword subset that schema uses (type, const, enum, the four numeric
+bounds, required, properties, additionalProperties: false, items,
+minItems, maxItems and pattern), with jsonschema's error paths and
+messages.  Config fields override built-in defaults.
 
 Reports are JSON documents with sorted keys; sweeps default to CSV rows
 with a fixed header.  Identical configurations produce byte-identical
@@ -26,13 +29,13 @@ import functools
 import io
 import json
 import math
+import operator
+import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -115,10 +118,96 @@ def load_schema() -> dict:
 
 
 @functools.cache
-def _config_validator() -> jsonschema.Draft202012Validator:
-    # built once: jsonschema.validate would also re-check the schema against
-    # its metaschema on every call (the tests check it instead)
-    return jsonschema.Draft202012Validator(load_schema())
+def _config_schema() -> dict:
+    # read once per process and shared: nothing may modify it
+    return load_schema()
+
+
+# JSON types as the schema's draft defines them: booleans are not numbers, and
+# an integer is any number with no fractional part, 4.0 included
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+_ANNOTATIONS = ("$schema", "$id", "title")
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality of scalars: 1 equals 1.0, but true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way ``value`` breaks ``schema``, in the
+    order and wording of jsonschema's Draft 2020-12 validator.
+
+    Only the keywords the shipped config schema uses are read; any other
+    raises ValueError, so the schema cannot outgrow this reader unnoticed.
+    """
+    is_number = _JSON_TYPES["number"](value)
+    for key, rule in schema.items():
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_JSON_TYPES[t](value) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "const":
+            if not _json_equal(value, rule):
+                yield path, f"{rule!r} was expected"
+        elif key == "enum":
+            if not any(_json_equal(value, each) for each in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS:
+            beyond, words = _BOUNDS[key]
+            if is_number and beyond(value, rule):
+                yield path, f"{value!r} is {words} of {rule!r}"
+        elif key == "required":
+            if isinstance(value, dict):
+                yield from ((path, f"{name!r} is a required property")
+                            for name in rule if name not in value)
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and rule is False:
+            extras = sorted(set(value).difference(schema.get("properties", ()))
+                            if isinstance(value, dict) else ())
+            if extras:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extras))} "
+                             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, rule, path + (index,))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > rule:
+                yield path, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+        elif key == "pattern":
+            if isinstance(value, str) and not re.search(rule, value):
+                yield path, f"{value!r} does not match {rule!r}"
+        elif key not in _ANNOTATIONS:
+            raise ValueError(f"config schema keyword {key!r}: {rule!r} is not supported")
+
+
+def _best_error(errors) -> Optional[tuple]:
+    """jsonschema's best_match for this keyword subset: the shallowest error, then
+    the one whose path sorts last, then the first yielded."""
+    return max(errors, key=lambda error: (-len(error[0]), error[0]), default=None)
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -150,10 +239,10 @@ def load_config(args: argparse.Namespace) -> dict:
     if bad is not None:
         where = "/".join(map(str, bad)) or "(root)"
         raise ConfigError(f"config invalid at {where}: NaN and infinity are not allowed")
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    error = _best_error(_schema_errors(cfg, _config_schema()))
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {error.message}") from error
+        where = "/".join(map(str, error[0])) or "(root)"
+        raise ConfigError(f"config invalid at {where}: {error[1]}")
     return cfg
 
 
@@ -358,8 +447,10 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
     head = len(epsilons) if st.jobs == 1 else next(
         (i + 1 for i, eps in enumerate(epsilons) if eps != 0.0), len(epsilons))
     rows = [one(eps) for eps in epsilons[:head]]
-    with ThreadPoolExecutor(max_workers=st.jobs) as pool:
-        rows += pool.map(one, epsilons[head:])
+    if head < len(epsilons):
+        from concurrent.futures import ThreadPoolExecutor   # only sweeps with --jobs > 1 pay for it
+        with ThreadPoolExecutor(max_workers=st.jobs) as pool:
+            rows += pool.map(one, epsilons[head:])
     ok = all(r["relative_deficit"] >= -st.tolerance for r in rows)
     return rows, ok
 

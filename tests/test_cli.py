@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report documents, determinism, config validation."""
 
+import copy
 import gc
 import json
 import subprocess
@@ -7,7 +8,10 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 import fbmink.quadrature as quadrature
 from fbmink import (
@@ -22,7 +26,7 @@ from fbmink import (
     region_margins,
     validate_scenario,
 )
-from fbmink.cli import load_schema, main
+from fbmink.cli import _best_error, _schema_errors, load_schema, main
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -131,8 +135,210 @@ def test_malformed_cap_placement_exits_2(cap, message, tmp_path, capsys):
 
 
 def test_shipped_schema_is_valid_against_metaschema():
-    # the CLI validates configs with a prebuilt validator and skips this check
+    # the CLI's in-package reader assumes a well-formed schema; jsonschema checks it here
     Draft202012Validator.check_schema(load_schema())
+
+
+# -- the in-package schema reader against jsonschema ---------------------------
+
+FULL_CONFIG = {
+    "version": 1, "n": 3,
+    "support": {"kind": "hyp_geodesic_sphere", "params": {"chart_radius": 0.5}},
+    "cap": {"radius": 0.3, "tilt": 0.0, "center_distance": None, "axis": [0, 0, 1],
+            "center_shift": [0.1, 0.0]},
+    "perturbation": {"epsilon": 0.05, "power": 3},
+    "quadrature": {"level": 12},
+    "tolerance": 1e-9, "equality_tolerance": 1e-6, "seed": 0, "samples": 10,
+    "sweep": {"epsilons": [0.02, 0.04], "theorem": "af", "power": 4},
+    "converge": {"levels": [8, 12], "theorem": "schur"},
+    "reilly": {"functions": ["V", "x1", "x12^2"]},
+}
+DROP = object()
+
+# (path into FULL_CONFIG, new value or DROP): each breaks at most one keyword, or
+# sits on the accepting side of one (1.0 for 1, null where null is allowed)
+SINGLE_FAULTS = [
+    ((), []), ((), "x"), ((), None), ((), True), ((), 1.0),
+    (("version",), DROP), (("version",), True), (("version",), 2), (("version",), 1.0),
+    (("version",), "1"), (("capp",), {}), (("Capp",), 1),
+    (("n",), "3"), (("n",), 99), (("n",), 1), (("n",), 4.0), (("n",), 4.5), (("n",), 7.5),
+    (("n",), True), (("n",), False), (("n",), None), (("n",), 6), (("n",), 2.0),
+    (("support",), []), (("support",), {}), (("support", "kind"), "nope"),
+    (("support", "kind"), 1), (("support", "kind"), True), (("support", "extra"), 0),
+    (("support", "params"), []), (("support", "params"), {}), (("support", "params", "x"), 1),
+    (("support", "params", "chart_radius"), 1), (("support", "params", "chart_radius"), 1.0),
+    (("support", "params", "chart_radius"), 0), (("support", "params", "chart_radius"), -1),
+    (("support", "params", "chart_radius"), True), (("support", "params", "chart_radius"), "a"),
+    (("support", "params", "radius"), 0), (("support", "params", "geodesic_radius"), 0.0),
+    (("support", "params", "theta"), -0.5),
+    (("cap",), "x"), (("cap", "capp"), 1), (("cap", "radius"), 0), (("cap", "radius"), True),
+    (("cap", "tilt"), "a"), (("cap", "tilt"), None), (("cap", "center_distance"), 0),
+    (("cap", "center_distance"), 1), (("cap", "center_distance"), "a"),
+    (("cap", "axis"), None), (("cap", "axis"), [1]), (("cap", "axis"), "x"),
+    (("cap", "axis"), [1, "a"]), (("cap", "axis"), [1, True]), (("cap", "axis"), [1.0, 2]),
+    (("cap", "center_shift"), []), (("cap", "center_shift"), [False]),
+    (("perturbation",), None), (("perturbation",), {}), (("perturbation",), []),
+    (("perturbation", "epsilon"), "x"), (("perturbation", "epsilon"), False),
+    (("perturbation", "power"), 2), (("perturbation", "power"), 13), (("perturbation", "power"), 3.0),
+    (("perturbation", "power"), 3.5), (("perturbation", "power"), True), (("perturbation", "x"), 0),
+    (("quadrature",), None), (("quadrature", "level"), 1), (("quadrature", "level"), 65),
+    (("quadrature", "level"), 12.0), (("quadrature", "level"), "12"), (("quadrature", "lvl"), 8),
+    (("tolerance",), 0), (("tolerance",), -1), (("tolerance",), True), (("tolerance",), "x"),
+    (("tolerance",), 1), (("equality_tolerance",), 0.0), (("equality_tolerance",), None),
+    (("seed",), -1), (("seed",), 1.5), (("seed",), True), (("seed",), 7.0),
+    (("samples",), 0), (("samples",), 100001), (("samples",), 1.0), (("samples",), []),
+    (("sweep",), {}), (("sweep",), []), (("sweep", "epsilons"), []),
+    (("sweep", "epsilons"), [0.01] * 1001), (("sweep", "epsilons"), [0.01] * 1000),
+    (("sweep", "epsilons"), ["a"]), (("sweep", "epsilons"), [True]), (("sweep", "epsilons"), 0.1),
+    (("sweep", "theorem"), "reilly"), (("sweep", "theorem"), None), (("sweep", "power"), 2),
+    (("sweep", "power"), 12.5), (("sweep", "jobs"), 2),
+    (("converge", "levels"), [8]), (("converge", "levels"), list(range(8, 25))),
+    (("converge", "levels"), list(range(8, 24))), (("converge", "levels"), [8, 65]),
+    (("converge", "levels"), [1, 8]), (("converge", "levels"), [8, 12.0]),
+    (("converge", "levels"), [8, 12.5]), (("converge", "levels"), [8, True]),
+    (("converge", "levels"), "8"), (("converge", "theorem"), "reilly"), (("converge", "x"), 0),
+    (("reilly", "functions"), []), (("reilly", "functions"), ["y"]),
+    (("reilly", "functions"), ["V"] * 33), (("reilly", "functions"), ["V"] * 32),
+    (("reilly", "functions"), [1]), (("reilly", "functions"), ["x1^3"]),
+    (("reilly", "functions"), [" V"]), (("reilly", "functions"), ["x"]),
+    (("reilly", "functions"), ["x1^2\n"]), (("reilly",), {"functions": ["V"], "x": 0}),
+    (("reilly",), []),
+]
+
+
+def mutated(path, value):
+    if not path:
+        return value
+    cfg = copy.deepcopy(FULL_CONFIG)
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def jsonschema_errors(cfg):
+    return [(tuple(e.absolute_path), e.message)
+            for e in Draft202012Validator(load_schema()).iter_errors(cfg)]
+
+
+def test_full_config_is_accepted():
+    assert list(_schema_errors(FULL_CONFIG, load_schema())) == jsonschema_errors(FULL_CONFIG) == []
+
+
+@pytest.mark.parametrize("path, value", SINGLE_FAULTS,
+                         ids=[f"{'/'.join(p) or 'root'}={v!r:.24}" for p, v in SINGLE_FAULTS])
+def test_schema_reader_matches_jsonschema_on_single_faults(path, value):
+    cfg = mutated(path, value)
+    ours = list(_schema_errors(cfg, load_schema()))
+    assert ours == jsonschema_errors(cfg)
+    theirs = best_match(Draft202012Validator(load_schema()).iter_errors(cfg))
+    expected = None if theirs is None else (tuple(theirs.absolute_path), theirs.message)
+    assert _best_error(ours) == expected
+
+
+# configs with several faults, and the one error the CLI reports for each: the
+# shallowest, then the one whose path sorts last, then the first in schema order
+MULTI_FAULTS = [
+    ({"version": 1, "n": 99, "tolerance": 0},
+     (("tolerance",), "0 is less than or equal to the minimum of 0")),
+    ({"version": 1, "capp": 1, "n": 99},
+     ((), "Additional properties are not allowed ('capp' was unexpected)")),
+    ({"n": 3, "x": 1, "y": 2}, ((), "Additional properties are not allowed ('x', 'y' were unexpected)")),
+    ({"version": 1, "n": 99, "cap": {"radius": 0}}, (("n",), "99 is greater than the maximum of 6")),
+    ({"version": 2, "n": 7.5}, (("version",), "1 was expected")),
+    ({"version": 1, "n": 7.5}, (("n",), "7.5 is not of type 'integer'")),
+    ({"version": 1, "converge": {"levels": [1, 65]}},
+     (("converge", "levels", 1), "65 is greater than the maximum of 64")),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", MULTI_FAULTS)
+def test_schema_reader_reports_jsonschemas_best_match(cfg, expected):
+    assert _best_error(_schema_errors(cfg, load_schema())) == expected
+    theirs = best_match(Draft202012Validator(load_schema()).iter_errors(cfg))
+    assert (tuple(theirs.absolute_path), theirs.message) == expected
+
+
+def fitting(schema):
+    """Values that satisfy ``schema``'s own keywords, with ``near`` values inside."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    options = [st.sampled_from(schema[key] if key == "enum" else [schema[key]])
+               for key in ("enum", "const") if key in schema]
+    if "null" in types:
+        options.append(st.none())
+    if "object" in types:
+        fields = {name: near(sub) for name, sub in schema.get("properties", {}).items()}
+        required = schema.get("required", [])
+        options.append(st.fixed_dictionaries(
+            {name: fields[name] for name in required},
+            optional={name: f for name, f in fields.items() if name not in required}))
+    if "array" in types:
+        options.append(st.lists(near(schema["items"]), min_size=schema.get("minItems", 0),
+                                max_size=min(schema.get("maxItems", 6), 6)))
+    if "string" in types:
+        options.append(st.from_regex(schema["pattern"], fullmatch=True))
+    if "integer" in types:
+        ints = st.integers(schema.get("minimum", -10), schema.get("maximum", 100))
+        options += [ints, ints.map(float)]
+    if "number" in types:
+        low = schema.get("minimum", schema.get("exclusiveMinimum"))
+        high = schema.get("maximum", schema.get("exclusiveMaximum"))
+        options.append(st.floats(low, high, exclude_min="exclusiveMinimum" in schema,
+                                 exclude_max="exclusiveMaximum" in schema,
+                                 allow_nan=False, allow_infinity=False))
+    return st.one_of(*options)
+
+
+def near(schema):
+    """Values of which about one in eight breaks a keyword of ``schema`` itself."""
+    names = [*schema.get("properties", ()), "capp"]
+    broken = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 70), st.text(alphabet="Vx12^y", max_size=4),
+        st.sampled_from([0.0, 1.0, 4.0, 0.5, -1.5, 64.0, 1e-9, 1e6]),
+        st.dictionaries(st.sampled_from(names), st.integers(0, 3), max_size=2),
+        st.lists(st.sampled_from([0, 1.0, True, "V"]), max_size=3))
+    return st.integers(0, 7).flatmap(lambda i: broken if i == 0 else fitting(schema))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=near(load_schema()))
+def test_schema_reader_matches_jsonschema_on_generated_configs(cfg):
+    # every error, in order: the same accept or reject, and the same path and message
+    ours = list(_schema_errors(cfg, load_schema()))
+    assert ours == jsonschema_errors(cfg)
+
+
+@pytest.mark.parametrize("where, keyword", [
+    ((), {"anyOf": [{"type": "object"}]}),
+    ((), {"description": "not an annotation the reader knows"}),
+    (("properties", "n"), {"multipleOf": 1}),
+    (("properties", "sweep", "properties", "epsilons"), {"uniqueItems": True}),
+    (("properties", "cap"), {"additionalProperties": True}),
+])
+def test_schema_reader_rejects_unsupported_keywords(where, keyword):
+    schema = load_schema()
+    node = schema
+    for key in where:
+        node = node[key]
+    node.update(keyword)
+    with pytest.raises(ValueError, match="is not supported"):
+        list(_schema_errors(FULL_CONFIG, schema))
+
+
+def test_cli_imports_neither_jsonschema_nor_a_thread_pool():
+    code = ("import sys, fbmink.cli\n"
+            "assert fbmink.cli.main(['af']) == 0\n"
+            "print(sorted({'jsonschema', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from fbmink import (
     CapSpec,
+    DegenerateImmersion,
     DimensionTooLow,
     NonSmoothTestFunction,
     PerturbationSpec,
@@ -14,6 +15,7 @@ from fbmink import (
     SupportKind,
     af_report,
     default_cap_spec,
+    default_level,
     hypothesis_audit,
     make_perturbed_cap,
     make_umbilical_cap,
@@ -55,6 +57,25 @@ def test_minkowski_closed_form_hemisphere(hemisphere):
     assert np.isclose(report.integrals["weighted_area"], 2.0 * math.pi, rtol=1e-12)
     assert np.isclose(report.integrals["weighted_volume"], 2.0 * math.pi / 3.0, rtol=1e-12)
     assert np.isclose(report.integrals["weighted_mean_curvature"], 4.0 * math.pi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, pytest.param(5, marks=pytest.mark.xfail(
+    strict=True, raises=DegenerateImmersion,
+    reason="ROADMAP item 1: the absolute floor on det g rejects the polar chart's "
+           "innermost nodes at n = 5"))])
+def test_minkowski_closed_form_hemisphere_in_higher_dimensions(n):
+    """Unit hemisphere over the flat plane, V = 1 and H = n - 1, at the default level:
+    area A = |S^{n-1}|/2, volume A/n and int H = (n-1) A, so lhs = rhs = A^2.  n = 3 is
+    test_minkowski_closed_form_hemisphere; n = 2 is test_plane_supports_reject_dimension_two."""
+    sc = make_umbilical_cap(CapSpec(support=canonical_support(SupportKind.EUCLIDEAN_PLANE, n),
+                                    radius=1.0))
+    report = minkowski_report(sc, QuadratureRule(default_level(n)))
+    area = math.pi ** (n / 2) / math.gamma(n / 2)
+    assert report.lhs == pytest.approx(area**2, rel=1e-10)
+    assert report.rhs == pytest.approx(area**2, rel=1e-10)
+    assert report.integrals == pytest.approx({"weighted_area": area, "weighted_volume": area / n,
+                                              "weighted_mean_curvature": (n - 1) * area},
+                                             rel=1e-10)
 
 
 def test_minkowski_closed_form_scales_with_radius():

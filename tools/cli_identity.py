@@ -31,7 +31,7 @@ ZERO_SWEEP = {"version": 1, "support": {"kind": "euclidean_sphere"},
               "sweep": {"epsilons": [0.0, -0.04, 0.0, 0.05]}}
 STEEP_EQUIDISTANT = {"version": 1, "support": {"kind": "equidistant", "params": {"theta": 1.4}}}
 
-# (name, argv, config); a config is a dict, raw JSON text, or None for no --config
+# (name, argv, config); a config is JSON data, raw JSON text, or None for no --config
 RUNS: list[tuple[str, list[str], object]] = [
     *[(command, [command], None) for command in
       ("identities", "curvature", "minkowski", "af", "schur", "reilly", "sweep", "converge")],
@@ -59,6 +59,24 @@ RUNS: list[tuple[str, list[str], object]] = [
      {"version": 1, "cap": {"center_shift": [0.1]}}),
     ("converge levels=[12,8,16]", ["converge"], {"version": 1, "converge": {"levels": [12, 8, 16]}}),
     ("converge levels=[8,8]", ["converge"], {"version": 1, "converge": {"levels": [8, 8]}}),
+    # schema violations, one per keyword class: stderr names the path and the broken rule
+    *[(f"{command} {label}", [command], cfg) for command, label, cfg in (
+        ("minkowski", "version=true", {"version": True}),
+        ("minkowski", "version=2", {"version": 2}),
+        ("minkowski", 'n="3"', {"version": 1, "n": "3"}),
+        ("minkowski", "n=99", {"version": 1, "n": 99}),
+        ("identities", "tolerance=0", {"version": 1, "tolerance": 0}),
+        ("minkowski", "chart_radius=1", {"version": 1, "support": {
+            "kind": "hyp_geodesic_sphere", "params": {"chart_radius": 1}}}),
+        ("minkowski", "unknown support kind", {"version": 1, "support": {"kind": "torus"}}),
+        ("sweep", "sweep={}", {"version": 1, "sweep": {}}),
+        ("minkowski", "unknown key capp", {"version": 1, "capp": {}}),
+        ("sweep", "epsilons=[]", {"version": 1, "sweep": {"epsilons": []}}),
+        ("converge", "17 levels", {"version": 1, "converge": {"levels": list(range(8, 25))}}),
+        ("converge", "levels=[8,65]", {"version": 1, "converge": {"levels": [8, 65]}}),
+        ("reilly", 'functions=["y"]', {"version": 1, "reilly": {"functions": ["y"]}}),
+        ("minkowski", "root []", []),
+    )],
     # a steep equidistant plane: the default cap moves up along the plane to fit the chart
     ("sweep equidistant theta=1.4", ["sweep"], STEEP_EQUIDISTANT),
     # the sectional-curvature probe outside n=3; n=5 seed 0 exits 2 on a degenerate patch
