@@ -340,17 +340,24 @@ def reilly_residual(scenario: CapScenario, function: str = "V",
         return nodes.weight_jet(label) if f is scenario.weight else jet(scenario.model, x, f)
 
     rq = nodes.region
-    Vv, dV, _, hess_V, lap_V = nodes.weight_jet("region")
-    fv, df, _, hess_f, lap_f = f_jet("region", rq.points)
-    gbar_inv_diag, static = nodes.region_static()
+    V_jet = nodes.weight_jet("region")
 
-    amb_term = lap_f - lap_V / Vv * fv
-    tensor = hess_f - hess_V / Vv * fv
-    tensor_norm_sq = gbar_inv_diag ** 2 * np.einsum("ijm,ijm->m", tensor, tensor)
-    lhs_volume = rq.integral(Vv * (amb_term ** 2 - tensor_norm_sq))
+    def volume_integrands(b: slice) -> tuple[np.ndarray, np.ndarray]:
+        # both interior integrands on one block of region nodes, from V's jet there
+        V_b = tuple(a if a is None else a[..., b] for a in V_jet)
+        Vv, dV, _, hess_V, lap_V = V_b
+        fv, df, _, hess_f, lap_f = V_b if f is scenario.weight else jet(
+            scenario.model, rq.points[:, b], f)
+        gbar_inv_diag, static = nodes.region_static(b)
 
-    w_chart = gbar_inv_diag * (df - dV * (fv / Vv))
-    rhs_volume = rq.integral(np.einsum("ijm,im,jm->m", static, w_chart, w_chart))
+        amb_term = lap_f - lap_V / Vv * fv
+        tensor = hess_f - hess_V / Vv * fv
+        tensor_norm_sq = gbar_inv_diag ** 2 * np.einsum("ijm,ijm->m", tensor, tensor)
+        w_chart = gbar_inv_diag * (df - dV * (fv / Vv))
+        return (Vv * (amb_term ** 2 - tensor_norm_sq),
+                np.einsum("ijm,im,jm->m", static, w_chart, w_chart))
+
+    lhs_volume, rhs_volume = rq.integrals(volume_integrands)
 
     boundary = {}
     for label in ("cap", "support"):

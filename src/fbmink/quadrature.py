@@ -10,12 +10,23 @@ because the cap and the support face are separate pieces.
 A cap scenario keeps its node sets per level in one ``ScenarioNodes``
 bundle: one ``SurfaceQuadrature`` each for the cap and the support face
 (the node geometry and the integrals over it), the region nodes built from
-that geometry, the cap weight data, V's jet on each node set and the
-region's static tensor.  Every report, audit, validation and identity
-check on the scenario shares them, so each node set is evaluated once per
-(scenario, level).  A perturbed cap's bundle reads the epsilon-free sets of
-its base cap's bundle (the face's quadrature and cone and the cap's chart
-terms), so a sweep evaluates those once per (base cap, level).
+that geometry, the cap weight data and V's jet on each node set.  Every
+report, audit, validation and identity check on the scenario shares them,
+so each node set is evaluated once per (scenario, level).  A perturbed
+cap's bundle reads the epsilon-free sets of its base cap's bundle (the
+face's quadrature and cone and the cap's chart terms), so a sweep evaluates
+those once per (base cap, level).
+
+Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
+consecutive nodes, so a region term holds its (n, n, m) temporaries for one
+block at a time; of those tensors only V's covariant Hessian, part of V's
+jet, is kept at full size.  Each block is reduced with ``pairwise_sum`` and
+the block sums are reduced again with it.  That is bit-equal to one
+``pairwise_sum`` over all m nodes: the block size is a power of two and
+every block starts at a multiple of it, so each full block is a subtree of
+the flat pairwise tree, and the zeros the flat sum pads with inside the
+last, partial block add exactly.  Blocking therefore changes no reported
+value.
 
 Gauss-Legendre nodes are interior, so polar-coordinate axes (t = 0) and cone
 apexes (s = 0) are never evaluated.  Node reductions use a fixed-order
@@ -46,6 +57,7 @@ from .weights import jet
 
 DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8}
 REFINE_ERROR_FLOOR = 1e-14   # relative error treated as converged by refine_study
+REGION_BLOCK = 2 ** 13       # region nodes per block; a power of two keeps sums bit-equal
 
 
 def default_level(n: int) -> int:
@@ -186,20 +198,31 @@ def cone(region: DomainRegion, label: str, piece: SurfaceQuadrature) -> tuple[np
 
 class RegionQuadrature:
     """Cone-decomposition nodes: the cones over the boundary pieces, in order, kept
-    as one C-contiguous (n, m) array ``points`` so that jets run over rows of nodes."""
+    as one C-contiguous (n, m) array ``points`` so that jets run over rows of nodes,
+    and cut into ``blocks``, the slices of ``REGION_BLOCK`` consecutive nodes."""
 
     def __init__(self, model, cones: Sequence[tuple[np.ndarray, np.ndarray]]):
         self.points = np.concatenate([pts for pts, _ in cones], axis=1)
         flat_weights = np.concatenate([wt for _, wt in cones], axis=0)
         phi = model.phi(self.points)
         self.weights = flat_weights * np.exp(model.n * phi)
+        self.blocks = tuple(slice(lo, min(lo + REGION_BLOCK, self.count))
+                            for lo in range(0, self.count, REGION_BLOCK))
 
     @property
     def count(self) -> int:
         return self.points.shape[1]
 
+    def integrals(self, integrands: Callable[[slice], Sequence[np.ndarray]]) -> tuple[float, ...]:
+        """The integrals of the arrays ``integrands(b)`` gives on each block b, formed
+        one block at a time and bit-equal to flat pairwise sums over all nodes."""
+        sums = [[pairwise_sum(np.asarray(v, dtype=float) * self.weights[b]) for v in integrands(b)]
+                for b in self.blocks]
+        return tuple(pairwise_sum(np.array(column)) for column in zip(*sums))
+
     def integral(self, values: np.ndarray) -> float:
-        return pairwise_sum(np.asarray(values, dtype=float) * self.weights)
+        values = np.asarray(values, dtype=float)
+        return self.integrals(lambda b: (values[b],))[0]
 
     def volume(self) -> float:
         return self.integral(np.ones(self.count))
@@ -263,25 +286,28 @@ class ScenarioNodes(Memo):
 
     def weight_jet(self, label: str) -> tuple:
         """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
-        axis last; the region's flat Hessian, which nothing reads, is None."""
+        axis last; the region's is filled one block at a time, and its flat Hessian,
+        which nothing reads, is None."""
         def build():
             model = self._region.model
             if label != "region":
                 return jet(model, self.quadrature(label).geo.x.T, self._weight)
-            value, d1, _, hess, lap = jet(model, self.region.points, self._weight)
+            x = self.region.points
+            n, m = x.shape
+            value, d1, hess, lap = np.empty(m), np.empty((n, m)), np.empty((n, n, m)), np.empty(m)
+            for b in self.region.blocks:
+                value[b], d1[:, b], _, hess[..., b], lap[b] = jet(model, x[:, b], self._weight)
             return value, d1, None, hess, lap
         return self._once(label + " jet", build)
 
-    def region_static(self) -> tuple[np.ndarray, np.ndarray]:
+    def region_static(self, b: slice) -> tuple[np.ndarray, np.ndarray]:
         """(exp(-2 phi), static tensor lapbar(V) gbar - hessbar(V) + V Ricbar) at the
-        region nodes, Ricbar = (n-1) K gbar; conformal metrics invert by scaling."""
-        def build():
-            model, x = self._region.model, self.region.points
-            Vv, _, _, hess_V, lap_V = self.weight_jet("region")
-            gbar = metric_at(model, x)
-            static = lap_V * gbar - hess_V + (model.n - 1.0) * model.K * Vv * gbar
-            return np.exp(-2.0 * model.phi(x)), static
-        return self._once("static", build)
+        region nodes of block b, Ricbar = (n-1) K gbar; conformal metrics invert by scaling."""
+        model, x = self._region.model, self.region.points[:, b]
+        Vv, _, _, hess_V, lap_V = self.weight_jet("region")
+        gbar = metric_at(model, x)
+        static = lap_V[b] * gbar - hess_V[..., b] + (model.n - 1.0) * model.K * Vv[b] * gbar
+        return np.exp(-2.0 * model.phi(x)), static
 
 
 # -- refinement studies ----------------------------------------------------------

@@ -5,12 +5,13 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbmink.charts as charts
@@ -34,7 +35,8 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
-from fbmink.quadrature import gauss_nodes, pairwise_sum, tensor_grid
+from fbmink.ambient import euclidean
+from fbmink.quadrature import REGION_BLOCK, RegionQuadrature, gauss_nodes, pairwise_sum, tensor_grid
 
 from conftest import canonical_scenario, canonical_support
 from fbmink import SupportKind
@@ -155,6 +157,49 @@ def test_region_integral_linear_in_integrand(coeffs, level):
     split = (a * rq.integral(rq.points[0]) + b * rq.integral(rq.points[2])
              + c * rq.volume())
     assert np.isclose(rq.integral(f), split, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.one_of(st.integers(min_value=1, max_value=2 ** 17 + 3),
+                st.builds(lambda k, d: k * REGION_BLOCK + d,
+                          st.integers(min_value=1, max_value=16), st.integers(min_value=-1, max_value=1))),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@example(m=1, seed=0)
+@example(m=REGION_BLOCK, seed=0)
+@example(m=2 ** 17, seed=0)
+@example(m=2 ** 17 + 3, seed=0)
+def test_blocked_region_sums_equal_one_flat_pairwise_sum(m, seed):
+    # a Euclidean region keeps its cone weights as given (exp(n * 0) = 1), so the
+    # blocked reduction is compared with a flat pairwise sum of the same products
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
+    weights = rng.uniform(0.0, 1.0, m)
+    rq = RegionQuadrature(euclidean(2), [(np.zeros((2, m)), weights)])
+    assert np.array_equal(rq.weights, weights)
+    assert [b.start for b in rq.blocks] == list(range(0, m, REGION_BLOCK))
+    assert [b.stop for b in rq.blocks] == [min(b.start + REGION_BLOCK, m) for b in rq.blocks]
+    squares = values * values
+    flat = pairwise_sum(values * weights)
+    assert rq.integral(values) == flat
+    assert rq.integrals(lambda b: (values[b], squares[b])) == (flat, pairwise_sum(squares * weights))
+    assert rq.volume() == pairwise_sum(weights)
+
+
+def test_reilly_set_holds_one_region_block_of_temporaries():
+    # a perturbed hyp_geodesic_sphere cap at n=3 level 32 has 65,536 region nodes, so
+    # each full-size (3, 3, m) tensor is 4.5 MiB; unblocked, the set peaked at 38 MiB
+    sc = _perturbed_scenario(SupportKind.HYP_GEODESIC_SPHERE)
+    tracemalloc.start()
+    try:
+        for name in ("V", "x1", "x1^2"):
+            reilly_residual(sc, name, QuadratureRule(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sc.nodes(32).region.count == 2 * 32 ** 3
+    assert peak < 24 * 2 ** 20
 
 
 def _perturbed_scenario(kind, n=3):
@@ -278,20 +323,30 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # one per node set: the two admissibility caps and the level-12 cap and face;
     # the boundary ring is the one geometry that is not a quadrature node set
     assert counts["surface"] == 4
-    # V's jet on the region, the cap and the face, and one dnu per face, for all
-    # three test functions
-    assert counts["weight jet"] == 3
+    # one dnu per face, for all three test functions
     assert counts["dnu"] == 2
-    # the region jet reads the region's one C-contiguous (n, m) node array, and
-    # the bundle keeps no (m, n) copy of it
+    # V's jet once on the cap and once on the face; on the region, one jet per
+    # block, each on a column view of the region's one C-contiguous (n, m) node
+    # array, the views consecutive and covering every node once, in order
     bundle = sc.nodes(rule.level)
     points = bundle.region.points
     n, m = points.shape
     assert (n, m) == (4, bundle.region.count) and points.flags.c_contiguous
-    assert [x is points for x in jet_points].count(True) == 1
+    region_views = [x for x in jet_points if x.base is points]
+    assert counts["weight jet"] == 2 + len(region_views)
+    assert len(region_views) > 1
+    starts = [(x.__array_interface__["data"][0] - points.__array_interface__["data"][0])
+              // points.itemsize for x in region_views]
+    ends = [start + x.shape[1] for start, x in zip(starts, region_views)]
+    assert starts == [0, *ends[:-1]] and ends[-1] == m
+    assert all(x.shape[0] == n and x.strides == points.strides for x in region_views)
+    # the bundle keeps no (m, n) copy of the region nodes and, of the (n, n, m)
+    # tensors, only V's covariant Hessian: no full-size static tensor
     held = list(_arrays(bundle._cache))
     assert any(a is points for a in held)
     assert [a.shape for a in held if a.shape == (m, n)] == []
+    hess_V = bundle.weight_jet("region")[3]
+    assert [a is hess_V for a in held if a.shape == (n, n, m)] == [True]
     # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
     # base cap's admissibility check
     faces.clear()

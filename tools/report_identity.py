@@ -9,8 +9,12 @@ the hypothesis audit, the Reilly rows for V, x1, x2^2 and x1^2, the region
 margins and the outcome of ``validate_scenario``, as sorted JSON.  A failing
 step is recorded as [error type, message].  Cases:
 
-* the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 level 16 and n=4
-  level 8;
+* the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 levels 16, 24 and
+  32 and n=4 levels 8 and 12.  Region integrals run in blocks of 8,192 nodes,
+  and these levels reach past one block: n=3 level 24 has 13,824 or 27,648
+  region nodes (the last block partial), n=3 level 32 has 4 or 8 full
+  blocks, and n=4 level 12, on the supports whose caps build there, has
+  20,736 (two full blocks and a partial one);
 * the radii {1e-7, 1e-5, 1e-3, 0.9, 1.5, 3} x eps {0, +-0.05, +-0.5} on five
   supports at n=3 level 16;
 * caps whose g and h do not commute in chart coordinates, x eps {0, +-0.05}
@@ -46,7 +50,7 @@ REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
 
 # (n, level, support, CapSpec fields replaced in the canonical cap, epsilon)
 CASES = [
-    *[(n, level, kind, {}, eps) for n, level in ((3, 16), (4, 8))
+    *[(n, level, kind, {}, eps) for n, level in ((3, 16), (4, 8), (3, 24), (3, 32), (4, 12))
       for kind in SUPPORTS for eps in (0.0, 0.05, -0.05)],
     *[(3, 16, kind, {"radius": r}, eps) for kind in GRID_SUPPORTS for r in GRID_RADII
       for eps in (0.0, 0.05, -0.05, 0.5, -0.5)],
