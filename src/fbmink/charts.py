@@ -81,19 +81,6 @@ def sphere_embedding(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return c, dc, d2c
 
 
-def sphere_angles(directions: np.ndarray) -> np.ndarray:
-    """Inverse of sphere_embedding: unit vectors (m, q+1) to angles (m, q)."""
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    m, dim = d.shape
-    q = dim - 1
-    angles = np.empty((m, q))
-    for j in range(q - 1):
-        tail = np.linalg.norm(d[:, j + 1:], axis=1)
-        angles[:, j] = np.arctan2(tail, d[:, j])
-    angles[:, q - 1] = np.arctan2(d[:, q], d[:, q - 1])
-    return angles
-
-
 def full_sphere_box(q: int) -> list[tuple[float, float]]:
     """Angle box covering all of S^q: q-1 colatitudes in [0,pi], one in [0,2pi]."""
     if q == 0:

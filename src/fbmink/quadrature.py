@@ -5,7 +5,9 @@ cone decomposition of a star-shaped region: with star center x0 and boundary
 pieces X(u), the map (s, u) -> x0 + s (X(u) - x0) has Jacobian determinant
 s^{n-1} det[X - x0 | dX], so each boundary piece contributes one smooth
 tensor-product integral.  The split along the corner ring Gamma is automatic
-because the cap and the support face are separate pieces.
+because the cap and the support face are separate pieces.  A region is given
+by its star center and the labels of its pieces alone; it has no membership
+test, so every volume integral goes through these cones.
 
 A cap scenario keeps its node sets per level in one ``ScenarioNodes``
 bundle: one ``SurfaceQuadrature`` each for the cap and the support face
@@ -150,33 +152,9 @@ class SurfaceQuadrature(Memo):
 # -- star-shaped regions -------------------------------------------------------
 
 
-@dataclass
-class DomainRegion:
-    """A star-shaped region given by a star center and its boundary pieces.
-
-    ``pieces`` labels the smooth boundary pieces the cone decomposition
-    covers: "cap" and, where the support face does not pass through the
-    star center, "support".
-
-    ``contains_fn`` is its closed-form membership test (vectorized over
-    points), used by Monte Carlo oracles.
-    """
-
-    model: object
-    star_center: np.ndarray
-    pieces: tuple[str, ...]
-    contains_fn: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        self.star_center = np.asarray(self.star_center, dtype=float)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        return self.contains_fn(np.asarray(x, dtype=float))
-
-
-def cone(region: DomainRegion, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x0 + s (X - x0) and flat weights of the region's cone over one boundary piece."""
-    x0 = region.star_center
+def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x0 + s (X - x0) and flat weights of the cone from the star center x0
+    over one boundary piece."""
     n = x0.shape[0]
     geo = piece.geo
     s_nodes, s_w = gauss_nodes(piece.rule.level, 0.0, 1.0)
@@ -236,10 +214,13 @@ class ScenarioNodes(Memo):
     """
 
     def __init__(self, surface: FreeBoundarySurface, face: FreeBoundarySurface,
-                 region: DomainRegion, weight, level: int, base: ScenarioNodes | None = None):
+                 star_center: np.ndarray, pieces: Sequence[str], weight, level: int,
+                 base: ScenarioNodes | None = None):
         self._surfaces = {"cap": surface, "support": face}
         self._rule = QuadratureRule(level)
-        self._region = region
+        self._model = surface.model
+        self._star_center = star_center
+        self._pieces = pieces
         self._weight = weight
         self._base = base
         self._cache = {}
@@ -255,12 +236,12 @@ class ScenarioNodes(Memo):
     def cap_terms(self) -> tuple:
         """(X, J, H) and their ``charts.conformal_scale``: a perturbation's epsilon-free terms."""
         return self._once("cap terms", lambda: (*self._cap_values(), *conformal_scale(
-            self._region.model, *self._cap_values())))
+            self._model, *self._cap_values())))
 
     def cone(self, label: str) -> tuple[np.ndarray, np.ndarray]:
         """The region's cone over one piece, kept for the bundles derived from this one."""
         return self._once(label + " cone",
-                          lambda: cone(self._region, label, self.quadrature(label)))
+                          lambda: cone(self._star_center, label, self.quadrature(label)))
 
     def quadrature(self, label: str) -> SurfaceQuadrature:
         """Nodes of and quadrature over the cap ("cap") or the support face ("support");
@@ -273,10 +254,10 @@ class ScenarioNodes(Memo):
     @property
     def region(self) -> RegionQuadrature:
         def build():
-            return RegionQuadrature(self._region.model, [
+            return RegionQuadrature(self._model, [
                 self._base.cone(label) if label == "support" and self._base is not None
-                else cone(self._region, label, self.quadrature(label))
-                for label in self._region.pieces])
+                else cone(self._star_center, label, self.quadrature(label))
+                for label in self._pieces])
         return self._once("region", build)
 
     def weight_data(self) -> tuple[np.ndarray, float, float]:
@@ -289,7 +270,7 @@ class ScenarioNodes(Memo):
         axis last; the region's is filled one block at a time, and its flat Hessian,
         which nothing reads, is None."""
         def build():
-            model = self._region.model
+            model = self._model
             if label != "region":
                 return jet(model, self.quadrature(label).geo.x.T, self._weight)
             x = self.region.points
@@ -303,7 +284,7 @@ class ScenarioNodes(Memo):
     def region_static(self, b: slice) -> tuple[np.ndarray, np.ndarray]:
         """(exp(-2 phi), static tensor lapbar(V) gbar - hessbar(V) + V Ricbar) at the
         region nodes of block b, Ricbar = (n-1) K gbar; conformal metrics invert by scaling."""
-        model, x = self._region.model, self.region.points[:, b]
+        model, x = self._model, self.region.points[:, b]
         Vv, _, _, hess_V, lap_V = self.weight_jet("region")
         gbar = metric_at(model, x)
         static = lap_V[b] * gbar - hess_V[..., b] + (model.n - 1.0) * model.K * Vv[b] * gbar

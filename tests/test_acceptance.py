@@ -26,14 +26,21 @@ from fbmink import (
     make_support,
     make_umbilical_cap,
     minkowski_report,
+    perturb_cap,
     reilly_residual,
     schur_report,
     sectional_curvature_probe,
     weight_for_support,
 )
-from fbmink.ambient import euclidean, poincare_ball, sphere_stereographic, upper_half_space
+from fbmink.ambient import (
+    ModelKind,
+    euclidean,
+    poincare_ball,
+    sphere_stereographic,
+    upper_half_space,
+)
 from fbmink.cli import main as cli_main
-from fbmink.supports import sample_admissible_points, sample_support_points
+from fbmink.supports import PlaneShape, sample_admissible_points, sample_support_points
 from fbmink.surfaces import support_umbilicity_residual
 from fbmink.weights import hessian_identity_residual, neumann_identity_residual
 
@@ -225,7 +232,8 @@ def test_acceptance_7_integral_identity_residuals():
 
 
 def test_acceptance_8_quadrature_convergence_and_monte_carlo():
-    """Order >= 3 against closed forms; 1e7-sample MC volume oracle."""
+    """Order >= 3 against closed forms; seeded Monte Carlo weighted-volume oracles at
+    n=3 (1e7 samples), n=4 and on a perturbed cap."""
     checks = {}
     hemi = canonical_scenario(SupportKind.EUCLIDEAN_PLANE)
     levels = [2, 3, 4, 5]
@@ -250,38 +258,88 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
     checks["area_order_ge_3"] = min(observed_orders(area_errors)) >= 3.0
     checks["volume_order_ge_3"] = min(observed_orders(volume_errors)) >= 3.0
 
-    # Monte-Carlo cross-check of the weighted hyperbolic volume
-    sc = canonical_scenario(SupportKind.EQUIDISTANT)
-    quad_value = sc.nodes(RULE24.level).region.integral(
-        weight_for_support(sc.support).value(
-            sc.nodes(RULE24.level).region.points))
-    chart = sc.surface.chart
-    center, radius = chart.center, chart.radius
-    lo = center - radius
-    hi = center + radius
+    # Monte Carlo cross-checks of the weighted volume, Omega's membership written
+    # here from the cap's placement, not read from the package
+    equidistant = canonical_scenario(SupportKind.EQUIDISTANT)
+    cases = {
+        "equidistant": (equidistant, RULE24, 10_000_000),
+        "sph_hyperplane_n4": (canonical_scenario(SupportKind.SPH_HYPERPLANE, n=4),
+                              QuadratureRule(12), 2_000_000),
+        "equidistant_eps": (perturb_cap(equidistant, PerturbationSpec(epsilon=0.05, power=3)),
+                            RULE24, 4_000_000),
+    }
+    for label, (sc, rule, n_samples) in cases.items():
+        quad_value = _weighted_volume(sc, rule)
+        mc_value, mc_stderr = _monte_carlo_weighted_volume(sc, n_samples)
+        checks[f"{label}_mc_within_3_sigma"] = abs(mc_value - quad_value) <= 3.0 * mc_stderr
+        checks[f"{label}_mc_resolution"] = mc_stderr < 0.01 * quad_value
+        if sc.base is not None:
+            # the samples resolve the bump: Omega moved by far more than their noise
+            moved = abs(mc_value - _weighted_volume(sc.base, rule))
+            checks[f"{label}_mc_separates_base"] = moved > 10.0 * mc_stderr
+    finish(8, checks)
+
+
+def _weighted_volume(sc, rule):
+    region = sc.nodes(rule.level).region
+    return region.integral(weight_for_support(sc.support).value(region.points))
+
+
+def _omega_membership(sc):
+    """Membership of Omega written from the cap's placement alone, and the corners
+    (lo, hi) of a box about the cap's center that holds Omega.
+
+    Omega is the part of B_int (the normal_in side of a plane support, the inside of
+    a sphere one) within the cap's radial graph about the center c of its chart
+    sphere S(c, r).  A bump eps (1 - (t / t_max)^2)^power moves the sphere point y at
+    polar angle t out to r + eps (1 - (t / t_max)^2)^power exp(-phi(y)) along its ray;
+    exp(-phi(y)) = y_n in the upper half space, the one model perturbed here.
+    """
+    chart = (sc.base or sc).surface.chart
+    c, r, axis, t_max = chart.center, chart.radius, chart.frame[:, 0], chart.t_max
+    bump_spec = sc.perturbation or PerturbationSpec(epsilon=0.0)
+    eps, power = bump_spec.epsilon, bump_spec.power
+    assert eps == 0.0 or sc.model.kind is ModelKind.UPPER_HALF_SPACE
+    shape = sc.support.shape
+
+    def inside(x):
+        ray = x - c
+        dist = np.linalg.norm(ray, axis=1)
+        unit = ray / dist[:, None]
+        t = np.arccos(np.clip(unit @ axis, -1.0, 1.0))
+        bump = np.where(t < t_max, (1.0 - (t / t_max) ** 2) ** power, 0.0)
+        y_n = c[-1] + r * unit[:, -1]
+        if isinstance(shape, PlaneShape):
+            in_support = x @ np.asarray(shape.normal_in) >= shape.offset
+        else:
+            in_support = np.linalg.norm(x - np.asarray(shape.center), axis=1) <= shape.radius
+        return in_support & (dist <= r + eps * bump * y_n)
+
+    half_width = r + abs(eps) * (c[-1] + r)    # the bump moves no point by more than eps y_n
+    return inside, (c - half_width, c + half_width)
+
+
+def _monte_carlo_weighted_volume(sc, n_samples, seed=7, chunk=1_000_000):
+    """Estimate and standard error of int_Omega V dvol from uniform samples of a box."""
+    inside, (lo, hi) = _omega_membership(sc)
+    n = sc.n
     box_vol = float(np.prod(hi - lo))
-    rng = np.random.default_rng(7)
+    V = weight_for_support(sc.support)
+    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    n_samples = 10_000_000
-    chunk = 1_000_000
-    V = weight_for_support(sc.support)
     for _ in range(n_samples // chunk):
-        pts = rng.uniform(lo, hi, size=(chunk, 3))
-        inside = sc.region.contains(pts)
+        pts = rng.uniform(lo, hi, size=(chunk, n))
+        mask = inside(pts)
         vals = np.zeros(chunk)
-        if np.any(inside):
-            p_in = pts[inside].T   # coordinate first, as the weight and the model take points
-            vals[inside] = V.value(p_in) * np.exp(3.0 * sc.support.model.phi(p_in))
+        if np.any(mask):
+            p_in = pts[mask].T   # coordinate first, as the weight and the model take points
+            vals[mask] = V.value(p_in) * np.exp(n * sc.model.phi(p_in))
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
     mean = total / n_samples
     var = total_sq / n_samples - mean * mean
-    mc_value = box_vol * mean
-    mc_stderr = box_vol * math.sqrt(var / n_samples)
-    checks["mc_within_3_sigma"] = abs(mc_value - quad_value) <= 3.0 * mc_stderr
-    checks["mc_resolution"] = mc_stderr < 0.01 * quad_value
-    finish(8, checks)
+    return box_vol * mean, box_vol * math.sqrt(var / n_samples)
 
 
 def test_acceptance_9_determinism_across_workers(tmp_path):

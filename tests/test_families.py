@@ -22,7 +22,7 @@ from fbmink import (
     region_margins,
     validate_scenario,
 )
-from fbmink.families import CHART_CLEARANCE, placement_margins
+from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
 
@@ -166,6 +166,34 @@ def test_perturbed_caps_keep_free_boundary_data(kind):
     angle, on_support, _ = boundary_checks(sc.surface)
     assert angle <= 1e-8
     assert on_support <= 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", list(SupportKind))
+def test_perturbed_cap_reads_its_base_caps_ring(kind, n):
+    # the bump and its first two derivatives vanish on the ring, so the perturbed
+    # ring's X, J and H are the base's and its checks agree bit for bit
+    base = make_umbilical_cap(default_cap_spec(canonical_support(kind, n)))
+    for eps in (0.05, -0.05):
+        pert = perturb_cap(base, PerturbationSpec(epsilon=eps, power=3))
+        bits = [[x.hex() for x in checks] for checks in
+                (pert.boundary(), base.boundary(), boundary_checks(pert.surface))]
+        assert bits[0] == bits[1] == bits[2]
+
+
+def test_profile_with_curvature_on_the_ring_rejected():
+    # a bump that vanishes with its gradient but not its second derivative would
+    # change the ring's second fundamental form, which perturbed caps read from the base
+    class CurvedAtRing:
+        def evaluate(self, U):
+            m, q = np.atleast_2d(U).shape
+            d2p = np.zeros((m, q, q))
+            d2p[:, 0, 0] = 1.0
+            return np.zeros(m), np.zeros((m, q)), d2p
+
+    base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
+    with pytest.raises(ValidationFailed, match="first two derivatives"):
+        _check_profile_conforms(CurvedAtRing(), base.surface.chart)
 
 
 def test_perturbed_cap_near_wall_rejected():

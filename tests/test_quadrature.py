@@ -385,14 +385,13 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     finally:
         sys.setswitchinterval(interval)
     epsilons = cli.DEFAULT_SWEEP_EPSILONS
-    k = len(epsilons)
     # the base cap's admissibility once, then each perturbed cap's
     assert sorted(margins) == [0.0, *epsilons]
     # the face once at level 16 and once at the admissibility level 6
     assert sorted(faces) == [6 * 6, 16 * 16]
-    # the base cap once per node grid: levels 6, 8 (the reach probe) and 16; each
-    # perturbed cap evaluates it on its own 24-point boundary ring
-    assert Counter(caps) == {6 * 6: 1, 8 * 8: 1, 16 * 16: 1, 24: k}
+    # the base cap once per node grid: levels 6, 8 (the reach probe) and 16, and once
+    # on its 24-point boundary ring, which every perturbed cap reads
+    assert Counter(caps) == {6 * 6: 1, 8 * 8: 1, 16 * 16: 1, 24: 1}
 
 
 def test_node_bundle_is_freed_with_its_scenario():

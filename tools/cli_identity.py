@@ -30,6 +30,9 @@ NEGATIVE_SWEEP = {"version": 1, "sweep": {"epsilons": [-0.06, -0.03, 0.03, 0.06]
 ZERO_SWEEP = {"version": 1, "support": {"kind": "euclidean_sphere"},
               "sweep": {"epsilons": [0.0, -0.04, 0.0, 0.05]}}
 STEEP_EQUIDISTANT = {"version": 1, "support": {"kind": "equidistant", "params": {"theta": 1.4}}}
+# the second epsilon's cap leaves the half region: the sweep stops there and exits 2
+FAILING_SWEEP = {"version": 1, "support": {"kind": "sph_hyperplane"}, "cap": {"radius": 0.78},
+                 "sweep": {"epsilons": [0.05, 0.4, 0.6, -0.6]}}
 
 # (name, argv, config); a config is JSON data, raw JSON text, or None for no --config
 RUNS: list[tuple[str, list[str], object]] = [
@@ -47,6 +50,8 @@ RUNS: list[tuple[str, list[str], object]] = [
        {"version": 1, "support": {"kind": kind}})
       for kind in ("hyp_geodesic_sphere", "sph_geodesic_sphere") for jobs in (1, 2)],
     *[(f"sweep zero-and-negative-eps jobs={jobs}", ["sweep", "--jobs", str(jobs)], ZERO_SWEEP)
+      for jobs in (1, 2)],
+    *[(f"sweep failing-partway jobs={jobs}", ["sweep", "--jobs", str(jobs)], FAILING_SWEEP)
       for jobs in (1, 2)],
     # malformed input: each must exit 2 with a named error
     ("identities tolerance=nan", ["identities", "--tolerance", "nan"], None),
