@@ -8,6 +8,10 @@ subset of R^n, with ``phi`` given in closed form:
 * upper half space:         phi = -log(x_n)         on x_n > 0,    K = -1
 * stereographic sphere:     phi = log(2/(1+|x|^2))  on R^n,        K = +1
 
+The ball and the sphere are one stereographic family,
+phi = log 2 - log(1 + K|x|^2), and share one branch in K.  Multiplying by
+K = +-1 is exact, so that branch gives the bits of one formula per model.
+
 All geometric raw material downstream (Christoffel symbols, covariant
 Hessians, normals, curvature probes) is assembled from ``phi`` and its first
 two derivatives, which are exact here.  Points are node-last: (n,) for one
@@ -90,40 +94,34 @@ class SpaceFormModel:
         x = np.asarray(x, dtype=float)
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros(x.shape[1:])
-        if self.kind is ModelKind.POINCARE_BALL:
-            return np.log(2.0) - np.log1p(-np.sum(x * x, axis=0))
         if self.kind is ModelKind.UPPER_HALF_SPACE:
             return -np.log(x[-1])
-        return np.log(2.0) - np.log1p(np.sum(x * x, axis=0))
+        return np.log(2.0) - np.log1p(self.K * np.sum(x * x, axis=0))
 
     def phi_grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros_like(x)
-        if self.kind is ModelKind.POINCARE_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
-            return 2.0 * x * w
         if self.kind is ModelKind.UPPER_HALF_SPACE:
             g = np.zeros_like(x)
             g[-1] = -1.0 / x[-1]
             return g
-        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
-        return -2.0 * x * u
+        K = self.K
+        w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
+        return -2.0 * K * x * w
 
     def phi_hess(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         eye = batch_eye(x)
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros(x.shape[:1] + x.shape)
-        if self.kind is ModelKind.POINCARE_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
-            return 2.0 * w * eye + 4.0 * (w * w) * (x[:, None] * x[None, :])
         if self.kind is ModelKind.UPPER_HALF_SPACE:
             h = np.zeros(x.shape[:1] + x.shape)
             h[-1, -1] = 1.0 / x[-1] ** 2
             return h
-        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
-        return -2.0 * u * eye + 4.0 * (u * u) * (x[:, None] * x[None, :])
+        K = self.K
+        w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
+        return -2.0 * K * w * eye + 4.0 * (w * w) * (x[:, None] * x[None, :])
 
     def conformal_factor(self, x: np.ndarray) -> np.ndarray:
         """The factor exp(2*phi) multiplying the flat metric."""

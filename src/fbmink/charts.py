@@ -13,8 +13,12 @@ theta_0..theta_{q-1} (q = n-1) the unit vector has components
 
     c_j = prod_{a<j} sin(theta_a) * (cos(theta_j) if j < q else 1),
 
-a pure product of single-angle factors, so first and second derivatives
-follow from the product rule with no quotients (safe at small angles).
+a pure product of single-angle factors F_a, so first and second derivatives
+follow from the product rule with no quotients (safe at small angles): a
+derivative swaps each factor it differentiates for that factor's derivative
+and keeps the rest, and since F_a'' = -F_a, the second derivative on the
+diagonal is -F_a times the rest.  The rest multiply in angle order from
+ones, one (m,) row at a time.
 """
 
 from __future__ import annotations
@@ -33,51 +37,30 @@ def sphere_embedding(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     m, q = angles.shape
-    sin, cos = np.sin(angles), np.cos(angles)
+    sin, cos = np.ascontiguousarray(np.sin(angles).T), np.ascontiguousarray(np.cos(angles).T)
 
-    # factor tables: component j uses angle a as sin for a<j, cos for a=j (j<q)
-    F = np.ones((m, q + 1, q))
-    F1 = np.zeros((m, q + 1, q))
-    F2 = np.zeros((m, q + 1, q))
-    for j in range(q + 1):
-        for a in range(min(j, q)):
-            F[:, j, a] = sin[:, a]
-            F1[:, j, a] = cos[:, a]
-            F2[:, j, a] = -sin[:, a]
-        if j < q:
-            F[:, j, j] = cos[:, j]
-            F1[:, j, j] = -sin[:, j]
-            F2[:, j, j] = -cos[:, j]
+    def rest(factors: list, skip: tuple = ()) -> np.ndarray:
+        # the factors not skipped, multiplied in angle order starting from ones
+        out = np.ones(m)
+        for a, f in enumerate(factors):
+            if a not in skip:
+                out *= f
+        return out
 
-    used = np.zeros((q + 1, q), dtype=bool)
-    for j in range(q + 1):
-        used[j, : min(j, q)] = True
-        if j < q:
-            used[j, j] = True
-
-    c = np.prod(F, axis=2)
+    c = np.empty((m, q + 1))
     dc = np.zeros((m, q + 1, q))
     d2c = np.zeros((m, q + 1, q, q))
     for j in range(q + 1):
-        for a in range(q):
-            if not used[j, a]:
-                continue
-            rest = np.ones(m)
-            for ap in range(q):
-                if ap != a and used[j, ap]:
-                    rest = rest * F[:, j, ap]
-            dc[:, j, a] = F1[:, j, a] * rest
-            d2c[:, j, a, a] = F2[:, j, a] * rest
-            for b in range(a + 1, q):
-                if not used[j, b]:
-                    continue
-                rest2 = np.ones(m)
-                for ap in range(q):
-                    if ap not in (a, b) and used[j, ap]:
-                        rest2 = rest2 * F[:, j, ap]
-                val = F1[:, j, a] * F1[:, j, b] * rest2
-                d2c[:, j, a, b] = val
-                d2c[:, j, b, a] = val
+        # component j: sin(theta_a) for a < j, then cos(theta_j) when j < q
+        F = [*sin[:j], cos[j]] if j < q else list(sin)
+        F1 = [*cos[:j], -sin[j]] if j < q else list(cos)
+        c[:, j] = rest(F)
+        for a in range(len(F)):
+            others = rest(F, (a,))
+            dc[:, j, a] = F1[a] * others
+            d2c[:, j, a, a] = -F[a] * others
+            for b in range(a + 1, len(F)):
+                d2c[:, j, a, b] = d2c[:, j, b, a] = F1[a] * F1[b] * rest(F, (a, b))
     return c, dc, d2c
 
 

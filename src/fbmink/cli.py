@@ -73,20 +73,6 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_VALIDATION = 2
 
-SUBCOMMANDS = ("identities", "curvature", "minkowski", "af", "schur",
-               "reilly", "sweep", "converge")
-
-DEFAULT_TOLERANCE = {
-    "identities": 1e-10,
-    "curvature": 1e-8,
-    "minkowski": 1e-9,
-    "af": 1e-9,
-    "schur": 1e-9,
-    "reilly": 1e-5,
-    "sweep": 1e-9,
-    "converge": 1e-9,
-}
-
 DEFAULT_SWEEP_EPSILONS = (0.02, 0.04, 0.06, 0.08, 0.10)
 DEFAULT_CONVERGE_LEVELS = (8, 12, 16, 24)
 
@@ -98,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fbmink",
         description="numerical verification reports for weighted free-boundary "
                     "inequalities on umbilical supports")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--config", help="JSON scenario configuration file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), dest="fmt",
@@ -250,12 +236,13 @@ class Settings:
     """Resolved run parameters: validated config fields over defaults."""
 
     def __init__(self, command: str, cfg: dict, args: argparse.Namespace):
+        self.command = command
         self.n = int(cfg.get("n", 3))
         level = cfg.get("quadrature", {}).get("level")
         self.level = int(level) if level is not None else default_level(self.n)
         self.seed = int(cfg.get("seed", 0))
         tol = cfg.get("tolerance")
-        self.tolerance = float(tol) if tol is not None else DEFAULT_TOLERANCE[command]
+        self.tolerance = float(tol) if tol is not None else COMMANDS[command][1]
         self.equality_tolerance = float(cfg.get("equality_tolerance", DEFAULT_EQUALITY_TOL))
         self.samples = int(cfg.get("samples", 100))
         self.jobs = max(1, int(args.jobs))
@@ -397,9 +384,9 @@ def run_curvature(cfg: dict, st: Settings) -> tuple[dict, bool]:
     return {"supports": support_rows, "models": model_rows}, ok
 
 
-def run_inequality(command: str, cfg: dict, st: Settings) -> tuple[dict, bool]:
+def run_inequality(cfg: dict, st: Settings) -> tuple[dict, bool]:
     scenario = build_scenario(cfg, st)
-    builder = REPORT_BUILDERS[command]
+    builder = REPORT_BUILDERS[st.command]
     report = builder(scenario, st.rule, equality_tolerance=st.equality_tolerance)
     result = report.to_dict()
     result["scenario"] = scenario.description
@@ -494,6 +481,19 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
     return result, ok
 
 
+# subcommand name -> (runner, default pass/fail tolerance), in the order of --help
+COMMANDS = {
+    "identities": (run_identities, 1e-10),
+    "curvature": (run_curvature, 1e-8),
+    "minkowski": (run_inequality, 1e-9),
+    "af": (run_inequality, 1e-9),
+    "schur": (run_inequality, 1e-9),
+    "reilly": (run_reilly, 1e-5),
+    "sweep": (run_sweep, 1e-9),
+    "converge": (run_converge, 1e-9),
+}
+
+
 # -- document assembly and entry point ---------------------------------------------
 
 
@@ -534,18 +534,7 @@ def run(argv: Optional[list] = None) -> int:
     if fmt == "csv" and command != "sweep":
         raise ConfigError("csv output is only available for the sweep command")
 
-    if command == "identities":
-        results, ok = run_identities(cfg, st)
-    elif command == "curvature":
-        results, ok = run_curvature(cfg, st)
-    elif command in REPORT_BUILDERS:
-        results, ok = run_inequality(command, cfg, st)
-    elif command == "reilly":
-        results, ok = run_reilly(cfg, st)
-    elif command == "sweep":
-        results, ok = run_sweep(cfg, st)
-    else:
-        results, ok = run_converge(cfg, st)
+    results, ok = COMMANDS[command][0](cfg, st)
 
     if _nonfinite_path(results) is not None:
         ok = False

@@ -283,31 +283,29 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V_jet: tuple, f_jet: tuple) -> 
     geo = sq.geo
     nu, jac = geo.nu, geo.jac
     curv = sq.curvature()
-    Vv, dV, d2V, hess_V, lap_V = V_jet
-    fv, df, d2f, hess_f, lap_f = f_jet
+    dnu = sq.normal_derivatives()
 
-    f_nu = np.einsum("im,mi->m", df, nu)
-    V_nu = np.einsum("im,mi->m", dV, nu)
+    def boundary_parts(fn_jet: tuple) -> tuple:
+        """The normal derivative, the tangential gradient (parameter components,
+        lower index), the intrinsic Laplacian through the ambient one, and the
+        tangential derivative of the normal derivative, of one function."""
+        _, d1, d2, hess, lap = fn_jet
+        d_nu = np.einsum("im,mi->m", d1, nu)
+        d_a = np.einsum("im,mia->ma", d1, jac)
+        lap_p = lap - np.einsum("ijm,mi,mj->m", hess, nu, nu) - curv.H * d_nu
+        d_nu_a = (np.einsum("ijm,mia,mj->ma", d2, jac, nu)
+                  + np.einsum("im,mai->ma", d1, dnu))
+        return d_nu, d_a, lap_p, d_nu_a
+
+    Vv, fv = V_jet[0], f_jet[0]
+    V_nu, V_a, lap_p_V, dVnu_a = boundary_parts(V_jet)
+    f_nu, f_a, lap_p_f, dfnu_a = boundary_parts(f_jet)
+
     u = f_nu - V_nu / Vv * fv
-
-    # covariant tangential gradients (parameter components, lower index)
-    f_a = np.einsum("im,mia->ma", df, jac)
-    V_a = np.einsum("im,mia->ma", dV, jac)
     w_a = f_a - (V_a * fv[:, None]) / Vv[:, None]
     w_up = np.einsum("mab,mb->ma", geo.g_inv, w_a)
 
-    # intrinsic Laplacians through the ambient ones
-    hess_f_nn = np.einsum("ijm,mi,mj->m", hess_f, nu, nu)
-    hess_V_nn = np.einsum("ijm,mi,mj->m", hess_V, nu, nu)
-    lap_p_f = lap_f - hess_f_nn - curv.H * f_nu
-    lap_p_V = lap_V - hess_V_nn - curv.H * V_nu
-
     # tangential derivative of u along the parameter directions
-    dnu = sq.normal_derivatives()
-    dfnu_a = (np.einsum("ijm,mia,mj->ma", d2f, jac, nu)
-              + np.einsum("im,mai->ma", df, dnu))
-    dVnu_a = (np.einsum("ijm,mia,mj->ma", d2V, jac, nu)
-              + np.einsum("im,mai->ma", dV, dnu))
     ratio_a = (dVnu_a * Vv[:, None] - V_nu[:, None] * V_a) / Vv[:, None] ** 2
     u_a = dfnu_a - ratio_a * fv[:, None] - (V_nu / Vv)[:, None] * f_a
 

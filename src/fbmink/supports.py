@@ -149,27 +149,37 @@ def plane_anchor(s: SupportSpec) -> np.ndarray:
 # -- constructors -------------------------------------------------------------
 
 
+def _plane(kind: SupportKind, model: SpaceFormModel, normal_in: tuple, offset: float = 0.0,
+           kappa: float = 0.0, half_region: HalfRegion = HalfRegion.NONE) -> SupportSpec:
+    """A support realized as the chart plane <normal_in, x> = offset."""
+    return SupportSpec(kind=kind, model=model, kappa=kappa,
+                       shape=PlaneShape(normal_in=normal_in, offset=offset),
+                       half_region=half_region)
+
+
+def _sphere(kind: SupportKind, model: SpaceFormModel, radius: float,
+            kappa: float) -> SupportSpec:
+    """A support realized as the chart sphere of the given radius about the origin;
+    B_int^+ is its upper half, x_n > 0."""
+    return SupportSpec(kind=kind, model=model, kappa=kappa,
+                       shape=SphereShape(center=(0.0,) * model.n, radius=radius),
+                       half_region=HalfRegion.LAST_COORD_POSITIVE)
+
+
+def _geodesic_sphere(kind: SupportKind, model: SpaceFormModel, rho: float) -> SupportSpec:
+    """The geodesic sphere of chart radius rho about the origin of the ball or the
+    sphere model: kappa = (1 - K rho^2) / (2 rho), coth R for K = -1, cot R for K = +1."""
+    return _sphere(kind, model, rho, (1.0 - model.K * rho * rho) / (2.0 * rho))
+
+
 def euclidean_sphere(n: int, radius: float = 1.0) -> SupportSpec:
     if radius <= 0:
         raise ValueError("sphere radius must be positive")
-    return SupportSpec(
-        kind=SupportKind.EUCLIDEAN_SPHERE,
-        model=ambient.euclidean(n),
-        kappa=1.0 / radius,
-        shape=SphereShape(center=(0.0,) * n, radius=radius),
-        half_region=HalfRegion.LAST_COORD_POSITIVE,
-    )
+    return _sphere(SupportKind.EUCLIDEAN_SPHERE, ambient.euclidean(n), radius, 1.0 / radius)
 
 
 def euclidean_plane(n: int) -> SupportSpec:
-    a = (0.0,) * (n - 1) + (1.0,)
-    return SupportSpec(
-        kind=SupportKind.EUCLIDEAN_PLANE,
-        model=ambient.euclidean(n),
-        kappa=0.0,
-        shape=PlaneShape(normal_in=a, offset=0.0),
-        half_region=HalfRegion.NONE,
-    )
+    return _plane(SupportKind.EUCLIDEAN_PLANE, ambient.euclidean(n), (0.0,) * (n - 1) + (1.0,))
 
 
 def hyp_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
@@ -189,25 +199,12 @@ def hyp_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
         rho = float(chart_radius)
         if not 0.0 < rho < 1.0:
             raise ValueError("chart radius must lie in (0, 1)")
-    kappa = (1.0 + rho * rho) / (2.0 * rho)
-    return SupportSpec(
-        kind=SupportKind.HYP_GEODESIC_SPHERE,
-        model=ambient.poincare_ball(n),
-        kappa=kappa,
-        shape=SphereShape(center=(0.0,) * n, radius=rho),
-        half_region=HalfRegion.LAST_COORD_POSITIVE,
-    )
+    return _geodesic_sphere(SupportKind.HYP_GEODESIC_SPHERE, ambient.poincare_ball(n), rho)
 
 
 def horosphere(n: int) -> SupportSpec:
-    a = (0.0,) * (n - 1) + (1.0,)
-    return SupportSpec(
-        kind=SupportKind.HOROSPHERE,
-        model=ambient.upper_half_space(n),
-        kappa=1.0,
-        shape=PlaneShape(normal_in=a, offset=1.0),
-        half_region=HalfRegion.NONE,
-    )
+    return _plane(SupportKind.HOROSPHERE, ambient.upper_half_space(n), (0.0,) * (n - 1) + (1.0,),
+                  offset=1.0, kappa=1.0)
 
 
 def equidistant(n: int, theta: float) -> SupportSpec:
@@ -221,24 +218,13 @@ def equidistant(n: int, theta: float) -> SupportSpec:
     a = [0.0] * n
     a[0] = math.sin(theta)
     a[-1] = math.cos(theta)
-    return SupportSpec(
-        kind=SupportKind.EQUIDISTANT,
-        model=ambient.upper_half_space(n),
-        kappa=math.cos(theta),
-        shape=PlaneShape(normal_in=tuple(a), offset=math.cos(theta)),
-        half_region=HalfRegion.NONE,
-    )
+    return _plane(SupportKind.EQUIDISTANT, ambient.upper_half_space(n), tuple(a),
+                  offset=math.cos(theta), kappa=math.cos(theta))
 
 
 def hyp_geodesic_plane(n: int) -> SupportSpec:
-    a = (1.0,) + (0.0,) * (n - 1)
-    return SupportSpec(
-        kind=SupportKind.HYP_GEODESIC_PLANE,
-        model=ambient.upper_half_space(n),
-        kappa=0.0,
-        shape=PlaneShape(normal_in=a, offset=0.0),
-        half_region=HalfRegion.NONE,
-    )
+    return _plane(SupportKind.HYP_GEODESIC_PLANE, ambient.upper_half_space(n),
+                  (1.0,) + (0.0,) * (n - 1))
 
 
 def sph_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
@@ -259,25 +245,12 @@ def sph_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
         rho = float(chart_radius)
         if not 0.0 < rho < 1.0:
             raise ValueError("chart radius must lie in (0, 1), i.e. R < pi/2")
-    kappa = (1.0 - rho * rho) / (2.0 * rho)
-    return SupportSpec(
-        kind=SupportKind.SPH_GEODESIC_SPHERE,
-        model=ambient.sphere_stereographic(n),
-        kappa=kappa,
-        shape=SphereShape(center=(0.0,) * n, radius=rho),
-        half_region=HalfRegion.LAST_COORD_POSITIVE,
-    )
+    return _geodesic_sphere(SupportKind.SPH_GEODESIC_SPHERE, ambient.sphere_stereographic(n), rho)
 
 
 def sph_hyperplane(n: int) -> SupportSpec:
-    a = (0.0,) * (n - 1) + (1.0,)
-    return SupportSpec(
-        kind=SupportKind.SPH_HYPERPLANE,
-        model=ambient.sphere_stereographic(n),
-        kappa=0.0,
-        shape=PlaneShape(normal_in=a, offset=0.0),
-        half_region=HalfRegion.UNIT_BALL,
-    )
+    return _plane(SupportKind.SPH_HYPERPLANE, ambient.sphere_stereographic(n),
+                  (0.0,) * (n - 1) + (1.0,), half_region=HalfRegion.UNIT_BALL)
 
 
 # constructor and accepted parameter names of each kind

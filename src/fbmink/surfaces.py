@@ -61,10 +61,6 @@ class FreeBoundarySurface:
     chart: object
     support: Optional[SupportSpec] = None
 
-    @property
-    def param_dim(self) -> int:
-        return self.chart.dim
-
 
 @dataclass
 class SurfaceGeometry:

@@ -3,7 +3,10 @@
 Each weight V satisfies ``Hess V = -K V gbar`` in its model (so also
 ``lap V + n K V = 0``) and ``dV(N) = kappa V`` along its support, N the
 gbar-unit normal of B_int.  Values and both flat derivatives are exact;
-covariant quantities are assembled through the ambient module.
+covariant quantities are assembled through the ambient module.  The
+geodesic-ball weights of the Poincare ball (K = -1) and the stereographic
+sphere (K = +1) are one formula, V = 2 x_n / (1 + K|x|^2), written once with
+K read from the model.
 Points are node-last as in the ambient module, (n,) or (n, m): ``jet`` returns
 the value (m,), the gradient (n, m), both Hessians (n, n, m) and the Laplacian
 (m,).  The identity residuals take sampled point lists (m, n) as ``supports`` does.
@@ -29,6 +32,8 @@ class WeightFormula(enum.Enum):
     SPH_GEODESIC_BALL = "sph_geodesic_ball"  # V = 2 x_n / (1 + |x|^2)
     SPH_HYPERPLANE = "sph_hyperplane"        # V = (1 - |x|^2) / (1 + |x|^2)
 
+
+_BALL = (WeightFormula.HYP_BALL, WeightFormula.SPH_GEODESIC_BALL)   # V = 2 x_n / (1 + K|x|^2)
 
 _BINDING = {
     SupportKind.EUCLIDEAN_SPHERE: WeightFormula.EUCLID_XN,
@@ -56,12 +61,10 @@ class WeightField:
             return x[-1].copy()
         if f is WeightFormula.EUCLID_ONE:
             return np.ones(x.shape[1:])
-        if f is WeightFormula.HYP_BALL:
-            return 2.0 * x[-1] / (1.0 - np.sum(x * x, axis=0))
         if f is WeightFormula.HYP_HALFSPACE:
             return 1.0 / x[-1]
-        if f is WeightFormula.SPH_GEODESIC_BALL:
-            return 2.0 * x[-1] / (1.0 + np.sum(x * x, axis=0))
+        if f in _BALL:
+            return 2.0 * x[-1] / (1.0 + self.model.K * np.sum(x * x, axis=0))
         r2 = np.sum(x * x, axis=0)
         return (1.0 - r2) / (1.0 + r2)
 
@@ -74,19 +77,15 @@ class WeightField:
             return g
         if f is WeightFormula.EUCLID_ONE:
             return np.zeros_like(x)
-        if f is WeightFormula.HYP_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
-            g = 4.0 * x[-1] * x * (w * w)
-            g[-1] += 2.0 * w
-            return g
         if f is WeightFormula.HYP_HALFSPACE:
             g = np.zeros_like(x)
             g[-1] = -1.0 / x[-1] ** 2
             return g
-        if f is WeightFormula.SPH_GEODESIC_BALL:
-            u = 1.0 / (1.0 + np.sum(x * x, axis=0))
-            g = -4.0 * x[-1] * x * (u * u)
-            g[-1] += 2.0 * u
+        if f in _BALL:
+            K = self.model.K
+            w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
+            g = -4.0 * K * x[-1] * x * (w * w)
+            g[-1] += 2.0 * w
             return g
         u = 1.0 / (1.0 + np.sum(x * x, axis=0))
         return -4.0 * x * (u * u)
@@ -105,12 +104,10 @@ class WeightField:
         outer = x[:, None] * x[None, :]
         sym_en = en[:, None] * x[None, :] + x[:, None] * en[None, :]
         xn = x[-1]
-        if f is WeightFormula.HYP_BALL:
-            w = 1.0 / (1.0 - np.sum(x * x, axis=0))
-            return 4.0 * w * w * (sym_en + xn * eye) + 16.0 * xn * outer * w ** 3
-        if f is WeightFormula.SPH_GEODESIC_BALL:
-            u = 1.0 / (1.0 + np.sum(x * x, axis=0))
-            return -4.0 * u * u * (sym_en + xn * eye) + 16.0 * xn * outer * u ** 3
+        if f in _BALL:
+            K = self.model.K
+            w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
+            return -4.0 * K * w * w * (sym_en + xn * eye) + 16.0 * xn * outer * w ** 3
         u = 1.0 / (1.0 + np.sum(x * x, axis=0))
         return -4.0 * u * u * eye + 16.0 * outer * u ** 3
 

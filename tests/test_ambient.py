@@ -96,6 +96,25 @@ def test_christoffels_match_metric_finite_differences(factory, K):
         assert np.max(np.abs(gamma_fd - christoffels_at(model, x))) < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("factory,K", MODELS)
+def test_phi_derivatives_match_finite_differences(factory, K, n):
+    """phi_grad and phi_hess against central differences of phi and phi_grad."""
+    model = factory(n)
+    rng = np.random.default_rng(300 + n)
+    step = 1e-5
+    for _ in range(4):
+        x = probe_point(model, rng)
+        grad, hess = model.phi_grad(x), model.phi_hess(x)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = step
+            fd_grad = (model.phi(x + e) - model.phi(x - e)) / (2 * step)
+            assert abs(fd_grad - grad[i]) < 1e-8
+            fd_hess = (model.phi_grad(x + e) - model.phi_grad(x - e)) / (2 * step)
+            np.testing.assert_allclose(hess[i], fd_hess, rtol=0, atol=1e-8)
+
+
 @pytest.mark.parametrize("factory,K", MODELS)
 def test_sectional_probe_recovers_constant(factory, K):
     model = factory(3)

@@ -161,8 +161,8 @@ def _weingarten_fd_gap(surf):
     dn = normal_derivatives(surf, surface_geometry(surf, pts))
     step = 1e-6
     gap = 0.0
-    for a in range(surf.param_dim):
-        e = np.zeros(surf.param_dim)
+    for a in range(surf.chart.dim):
+        e = np.zeros(surf.chart.dim)
         e[a] = step
         nu_p = surface_geometry(surf, pts + e).nu
         nu_m = surface_geometry(surf, pts - e).nu

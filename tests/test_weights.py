@@ -125,16 +125,17 @@ def test_weight_positive_on_admissible_region(kind):
     assert np.min(w.value(pts.T)) > 0.0
 
 
-def test_closed_form_gradient_and_hessian_match_fd():
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closed_form_gradient_and_hessian_match_fd(n):
     # spot-check the flat derivatives driving every covariant quantity
     rng = np.random.default_rng(10)
     step = 1e-5
     for kind in ALL_KINDS:
-        s = canonical_support(kind)
+        s = canonical_support(kind, n)
         w = weight_for_support(s)
         x = sample_admissible_points(s, 1, rng)[0]
-        for i in range(3):
-            e = np.zeros(3)
+        for i in range(n):
+            e = np.zeros(n)
             e[i] = step
             fd_g = (w.value(x + e) - w.value(x - e)) / (2 * step)
             assert abs(fd_g - w.euclidean_gradient(x)[i]) < 1e-7

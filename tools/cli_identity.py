@@ -87,6 +87,9 @@ RUNS: list[tuple[str, list[str], object]] = [
     # the sectional-curvature probe outside n=3; n=5 seed 0 exits 2 on a degenerate patch
     *[(f"curvature n={n} seed={seed}", ["curvature", "--seed", str(seed)],
        {"version": 1, "n": n}) for n, seed in ((2, 7), (4, 7), (5, 7), (5, 0))],
+    # the weights, supports and probes at the smallest and the largest dimension
+    *[(f"{command} n={n}", [command], {"version": 1, "n": n})
+      for command in ("identities", "curvature") for n in (2, 6)],
 ]
 
 _TIME = re.compile(rb'("generated_unix_time": )\d+')

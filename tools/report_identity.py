@@ -10,7 +10,10 @@ margins and the outcome of ``validate_scenario``, as sorted JSON.  A failing
 step is recorded as [error type, message].  Cases:
 
 * the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 levels 16, 24 and
-  32 and n=4 levels 8 and 12.  Region integrals run in blocks of 8,192 nodes,
+  32, n=4 levels 8 and 12, n=2 level 32 and n=5 level 8.  At n=2 the sphere
+  kinds build and the plane kinds record DimensionTooLow; at n=5 every cap
+  records DegenerateImmersion with its min det g (ROADMAP item 1), which
+  still pins the q=4 polar chart that computes it.  Region integrals run in blocks of 8,192 nodes,
   and these levels reach past one block: n=3 level 24 has 13,824 or 27,648
   region nodes (the last block partial), n=3 level 32 has 4 or 8 full
   blocks, and n=4 level 12, on the supports whose caps build there, has
@@ -50,7 +53,8 @@ REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
 
 # (n, level, support, CapSpec fields replaced in the canonical cap, epsilon)
 CASES = [
-    *[(n, level, kind, {}, eps) for n, level in ((3, 16), (4, 8), (3, 24), (3, 32), (4, 12))
+    *[(n, level, kind, {}, eps)
+      for n, level in ((3, 16), (4, 8), (3, 24), (3, 32), (4, 12), (2, 32), (5, 8))
       for kind in SUPPORTS for eps in (0.0, 0.05, -0.05)],
     *[(3, 16, kind, {"radius": r}, eps) for kind in GRID_SUPPORTS for r in GRID_RADII
       for eps in (0.0, 0.05, -0.05, 0.5, -0.5)],
