@@ -144,14 +144,6 @@ def sphere_stereographic(n: int) -> SpaceFormModel:
     return SpaceFormModel(ModelKind.SPHERE_STEREOGRAPHIC, n)
 
 
-MODEL_FACTORIES = {
-    ModelKind.EUCLIDEAN: euclidean,
-    ModelKind.POINCARE_BALL: poincare_ball,
-    ModelKind.UPPER_HALF_SPACE: upper_half_space,
-    ModelKind.SPHERE_STEREOGRAPHIC: sphere_stereographic,
-}
-
-
 # -- metric-level helpers ----------------------------------------------------
 
 

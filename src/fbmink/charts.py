@@ -72,7 +72,10 @@ def full_sphere_box(q: int) -> list[tuple[float, float]]:
 
 
 def sphere_param_box(q: int, t_min: float, t_max: float) -> list[tuple[float, float]]:
-    """Parameter box for a polar cap of S^q: restricted polar angle, rest full."""
+    """Parameter box for a polar cap of S^q: restricted polar angle, rest full.  On
+    the circle (q = 1) a cap about the axis (t_min = 0) is the arc [-t_max, t_max]."""
+    if q == 1 and t_min == 0.0:
+        return [(-t_max, t_max)]
     return [(t_min, t_max)] + full_sphere_box(q - 1)
 
 
@@ -81,8 +84,9 @@ class SphericalCapChart:
     """Cap of a Euclidean sphere: center + radius * omega(angles).
 
     ``frame`` has orthonormal columns, the first being the polar axis.  The
-    cap spans polar angles [t_min, t_max]; when used as a free-boundary
-    surface the face t = t_max is the ring on the support.
+    cap spans polar angles [t_min, t_max] (an arc about the axis, [-t_max,
+    t_max]); when used as a free-boundary surface the face t = t_max (both
+    ends of an arc) is the ring on the support.
     """
 
     center: np.ndarray

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .ambient import MODEL_FACTORIES, sectional_curvature_probe
+from .ambient import ModelKind, SpaceFormModel, sectional_curvature_probe
 from .errors import ConfigError, FbminkError, IOFailure
 from .families import (
     CapScenario,
@@ -369,8 +369,8 @@ def run_curvature(cfg: dict, st: Settings) -> tuple[dict, bool]:
     model_rows = []
     worst_probe = 0.0
     probe_count = min(st.samples, 100)
-    for idx, factory in enumerate(MODEL_FACTORIES.values()):
-        model = factory(st.n)
+    for idx, kind in enumerate(ModelKind):
+        model = SpaceFormModel(kind, st.n)
         rng = np.random.default_rng([st.seed, 100 + idx])
         pts = _model_probe_points(model, probe_count, rng)
         uv = rng.normal(size=(probe_count, 2, st.n))   # the stream of per-point (2, n) draws
@@ -454,10 +454,10 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
 
     @functools.cache
     def at(level: int) -> tuple[float, float, float]:
-        # weighted area, volume and deficit from one bundle on a copy of the scenario (and
-        # of its base) with empty node caches, so each level's nodes are freed before the next
+        # weighted area, volume and deficit on a copy of the scenario (and of its base)
+        # with empty memos, so each level's node sets are freed before the next
         sc = dataclasses.replace(scenario, base=scenario.base and dataclasses.replace(scenario.base))
-        sq, rq = sc.nodes(level).quadrature("cap"), sc.nodes(level).region
+        sq, rq = sc.quadrature("cap", level), sc.region(level)
         return (sq.integral(weight.value(sq.geo.x.T)), rq.integral(weight.value(rq.points)),
                 builder(sc, QuadratureRule(level)).deficit)
 

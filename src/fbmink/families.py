@@ -9,17 +9,23 @@ support realization orthogonally:
   |c| = sqrt(R^2 + r^2), so the two spheres cross at right angles along the
   ring Gamma, and the cap is the part inside the support ball.
 
+At n = 2 the cap is an arc about its axis and its ring is the arc's two ends.
+
 Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
-Omega (its one description), and the paired weight, and caches their
-quadrature nodes per level.  Perturbed caps displace the base cap along its
-gbar-unit normal by epsilon times a profile that vanishes to second order at
-the ring, so the free-boundary data at Gamma is preserved exactly.  A
-perturbed cap is its base cap with the cap chart displaced: it shares the
-base's face, star center and pieces, refers to the base and reads its
-epsilon-free node sets and its boundary ring checks, so the perturbations of
+Omega (its one description), and the paired weight.  It memoizes each node
+set per (set, level): the cap's and the face's ``SurfaceQuadrature``, the
+region built from their cones, the cap weight data and V's jet on each set,
+so every report, audit, validation and identity check on it shares them.
+Perturbed caps displace the base cap along its gbar-unit normal by epsilon
+times a profile that vanishes to second order at the ring, so the
+free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
+base cap with the cap chart displaced: it shares the base's face, star
+center and pieces, and through ``base``, its one reference to the base cap,
+reads the base's epsilon-free node sets (the face's quadrature and cone and
+the cap's chart terms) and its boundary ring checks, so the perturbations of
 one base cap evaluate those once per (base cap, level) and one ring per base
-cap.
+cap.  Nothing a scenario memoizes refers back to the scenario.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .charts import (
     RadialBumpProfile,
     SphericalCapChart,
     axis_frame,
+    conformal_scale,
 )
 from .errors import (
     DimensionTooLow,
@@ -46,8 +53,8 @@ from .errors import (
     ValidationFailed,
 )
 from .supports import PlaneShape, SphereShape, SupportSpec, plane_anchor
-from .surfaces import FreeBoundarySurface, boundary_checks
-from .weights import WeightField, weight_for_support
+from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins
+from .weights import WeightField, jet, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
@@ -95,7 +102,8 @@ class CapScenario(quad.Memo):
     The enclosed region Omega is described only by its cone decomposition: it is
     star-shaped about ``star_center``, and ``pieces`` labels the smooth boundary
     pieces the cones cover, "cap" and, where the support face does not pass
-    through the star center, "support".
+    through the star center, "support".  Its node sets are built on first use and
+    memoized per (set, level) in ``_cache``.
     """
 
     support: SupportSpec
@@ -110,11 +118,62 @@ class CapScenario(quad.Memo):
     base: Optional[CapScenario] = field(default=None, repr=False)   # the cap it perturbs
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def nodes(self, level: int) -> quad.ScenarioNodes:
-        """The scenario's node sets at one level, built once and shared by every consumer."""
-        return self._once(level, lambda: quad.ScenarioNodes(
-            self.surface, self.face, self.star_center, self.pieces, self.weight, level,
-            self.base and self.base.nodes(level)))
+    def _cap_values(self, level: int) -> tuple:
+        """The cap chart's (X, J, H) at its nodes; a perturbed cap displaces its base's terms."""
+        chart = self.surface.chart
+        params, _ = quad.tensor_grid(level, chart.domain)
+        if self.base is not None:
+            return chart.displace(params, self.base.cap_terms(level))
+        return self._once(("cap chart", level), lambda: chart.evaluate(params))
+
+    def cap_terms(self, level: int) -> tuple:
+        """(X, J, H) and their ``charts.conformal_scale``: a perturbation's epsilon-free terms."""
+        return self._once(("cap terms", level), lambda: (*self._cap_values(level), *conformal_scale(
+            self.model, *self._cap_values(level))))
+
+    def quadrature(self, label: str, level: int) -> quad.SurfaceQuadrature:
+        """Nodes of and quadrature over the cap ("cap") or the support face ("support");
+        a perturbed cap reads its base's face."""
+        if label == "support" and self.base is not None:
+            return self.base.quadrature(label, level)
+        return self._once((label, level), lambda: quad.SurfaceQuadrature(
+            self.surface if label == "cap" else self.face, quad.QuadratureRule(level),
+            self._cap_values(level) if label == "cap" else None))
+
+    def cone(self, label: str, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The region's cone over one piece, kept for the caps that perturb this one."""
+        return self._once((label + " cone", level), lambda: quad.cone(
+            self.star_center, label, self.quadrature(label, level)))
+
+    def region(self, level: int) -> quad.RegionQuadrature:
+        """The cone-decomposition nodes of Omega; a perturbed cap reads its base's face cone."""
+        def piece(label: str) -> tuple[np.ndarray, np.ndarray]:
+            if label == "support" and self.base is not None:
+                return self.base.cone(label, level)
+            return quad.cone(self.star_center, label, self.quadrature(label, level))
+        return self._once(("region", level), lambda: quad.RegionQuadrature(
+            self.model, [piece(label) for label in self.pieces]))
+
+    def weight_data(self, level: int) -> tuple[np.ndarray, float, float]:
+        """(V at the cap nodes, convexity margin, substatic margin)."""
+        return self._once(("weight", level), lambda: hypothesis_margins(
+            self.weight, self.quadrature("cap", level).geo))
+
+    def weight_jet(self, label: str, level: int) -> tuple:
+        """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
+        axis last; the region's is filled one block at a time, and its flat Hessian,
+        which nothing reads, is None."""
+        def build():
+            if label != "region":
+                return jet(self.model, self.quadrature(label, level).geo.x.T, self.weight)
+            region = self.region(level)
+            x = region.points
+            n, m = x.shape
+            value, d1, hess, lap = np.empty(m), np.empty((n, m)), np.empty((n, n, m)), np.empty(m)
+            for b in region.blocks:
+                value[b], d1[:, b], _, hess[..., b], lap[b] = jet(self.model, x[:, b], self.weight)
+            return value, d1, None, hess, lap
+        return self._once((label + " jet", level), build)
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap, its ring evaluated once per base cap: a
@@ -307,7 +366,7 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
     _check_profile_conforms(profile, cap_chart)
     probe, _ = quad.tensor_grid(8, cap_chart.domain)
     p_probe, _, _ = profile.evaluate(probe)
-    s_probe = base.nodes(8).cap_terms()[3]     # exp(-phi) at the same nodes of the base cap
+    s_probe = base.cap_terms(8)[3]     # exp(-phi) at the same nodes of the base cap
     reach = float(np.max(np.abs(p_probe) * s_probe))
     _placement_precheck(base.support, cap_chart.center,
                         cap_chart.radius + abs(perturbation.epsilon) * reach)
@@ -329,6 +388,8 @@ def _check_profile_conforms(profile, cap_chart: SphericalCapChart) -> None:
     U[:, 0] = cap_chart.t_max
     if q >= 2:
         U[:, -1] = psis
+    else:   # an arc's ring is its two ends
+        U[::2, 0] = -cap_chart.t_max
     p, dp, d2p = profile.evaluate(U)
     if max(np.max(np.abs(p)), np.max(np.abs(dp)), np.max(np.abs(d2p))) > 1e-12:
         raise ValidationFailed(
@@ -348,7 +409,7 @@ def region_margins(scenario: CapScenario) -> dict:
 
 
 def _margins(scenario: CapScenario) -> dict:
-    pts = scenario.nodes(ADMISSIBILITY_LEVEL).region.points    # (n, m)
+    pts = scenario.region(ADMISSIBILITY_LEVEL).points    # (n, m)
     s = scenario.support
     model = s.model
     out = {"support_interior": float(np.min(-s.signed_distance(pts.T)))}

@@ -19,18 +19,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from .ambient import metric_at
 from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
-from .quadrature import (
-    QuadratureRule,
-    SurfaceQuadrature,
-    default_level,
-    pairwise_sum,
-)
+from .quadrature import QuadratureRule, SurfaceQuadrature, pairwise_sum
 from .weights import WeightField, jet
 
 
@@ -58,11 +54,9 @@ class HypothesisAudit:
         return asdict(self)
 
 
-def hypothesis_audit(scenario: CapScenario, rule: Optional[QuadratureRule] = None) -> HypothesisAudit:
-    rule = rule or QuadratureRule(default_level(scenario.n))
-    nodes = scenario.nodes(rule.level)
+def hypothesis_audit(scenario: CapScenario, rule: QuadratureRule) -> HypothesisAudit:
     angle_err, support_err, principal_err = scenario.boundary()
-    V, convexity, substatic = nodes.weight_data()
+    V, convexity, substatic = scenario.weight_data(rule.level)
     return HypothesisAudit(
         convexity_min=convexity,
         substatic_min=substatic,
@@ -124,22 +118,21 @@ class InequalityReport:
         }
 
 
-def _cap_terms(scenario: CapScenario, rule: Optional[QuadratureRule]):
-    """(level, node bundle, cap quadrature, cap curvature, V, convexity and substatic
-    margins) for a report; the weight is checked before the region is built."""
-    level = (rule or QuadratureRule(default_level(scenario.n))).level
-    nodes = scenario.nodes(level)
-    Vs, convexity, substatic = nodes.weight_data()
-    sq = nodes.quadrature("cap")
-    return level, nodes, sq, sq.curvature(), Vs, convexity, substatic
+def _cap_terms(scenario: CapScenario, rule: QuadratureRule):
+    """(level, cap quadrature, cap curvature, V, convexity and substatic margins)
+    for a report; the weight is checked before the region is built."""
+    level = rule.level
+    Vs, convexity, substatic = scenario.weight_data(level)
+    sq = scenario.quadrature("cap", level)
+    return level, sq, sq.curvature(), Vs, convexity, substatic
 
 
-def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
+def minkowski_report(scenario: CapScenario, rule: QuadratureRule,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
-    level, nodes, sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
-    rq = nodes.region
+    level, sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
+    rq = scenario.region(level)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
     vol_v = rq.integral(scenario.weight.value(rq.points))
@@ -154,13 +147,13 @@ def minkowski_report(scenario: CapScenario, rule: Optional[QuadratureRule] = Non
     )
 
 
-def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
+def af_report(scenario: CapScenario, rule: QuadratureRule,
               equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Second-order curvature-integral bound (quadratic in int H V)."""
     n = scenario.n
     if n < 3:
         raise DimensionTooLow("the second-order inequality needs ambient dimension >= 3")
-    level, _, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
+    level, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
     sigma2_v = sq.integral(curv.sigma2 * Vs)
@@ -185,14 +178,14 @@ def af_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
     )
 
 
-def schur_report(scenario: CapScenario, rule: Optional[QuadratureRule] = None,
+def schur_report(scenario: CapScenario, rule: QuadratureRule,
                  equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Almost-constancy of the scalar curvature against the traceless Ricci."""
     n = scenario.n
     if n < 4:
         raise DimensionTooLow(
             f"the scalar-curvature bound needs ambient dimension >= 4, got {n}")
-    level, _, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
+    level, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
     area_v = sq.integral(Vs)
     scal_mean = sq.integral(curv.scal * Vs) / area_v
     lhs = sq.integral((curv.scal - scal_mean) ** 2 * Vs)
@@ -322,31 +315,35 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V_jet: tuple, f_jet: tuple) -> 
     }
 
 
-def reilly_residual(scenario: CapScenario, function: str = "V",
-                    rule: Optional[QuadratureRule] = None) -> ReillyReport:
+def reilly_residual(scenario: CapScenario, function: str,
+                    rule: QuadratureRule) -> ReillyReport:
     """Integrate every term of the weighted Reilly identity and report the gap.
 
     ``function`` names the smooth test function: "V", "x<i>" or "x<i>^2"; the
     checker does not solve boundary value problems.  For static weights the interior curvature term is zero
     in exact arithmetic and is still integrated as a cross-check.
     """
-    rule = rule or QuadratureRule(default_level(scenario.n))
     name, f = _test_function(function, scenario)
-    nodes = scenario.nodes(rule.level)
+    model, level = scenario.model, rule.level
 
     def f_jet(label: str, x: np.ndarray) -> tuple:
-        return nodes.weight_jet(label) if f is scenario.weight else jet(scenario.model, x, f)
+        return scenario.weight_jet(label, level) if f is scenario.weight else jet(model, x, f)
 
-    rq = nodes.region
-    V_jet = nodes.weight_jet("region")
+    rq = scenario.region(level)
+    V_jet = scenario.weight_jet("region", level)
 
     def volume_integrands(b: slice) -> tuple[np.ndarray, np.ndarray]:
         # both interior integrands on one block of region nodes, from V's jet there
+        x = rq.points[:, b]
         V_b = tuple(a if a is None else a[..., b] for a in V_jet)
         Vv, dV, _, hess_V, lap_V = V_b
-        fv, df, _, hess_f, lap_f = V_b if f is scenario.weight else jet(
-            scenario.model, rq.points[:, b], f)
-        gbar_inv_diag, static = nodes.region_static(b)
+        fv, df, _, hess_f, lap_f = V_b if f is scenario.weight else jet(model, x, f)
+        # the static tensor lapbar(V) gbar - hessbar(V) + V Ricbar, Ricbar = (n-1) K gbar;
+        # gbar is freed at once, and the conformal metric inverts by scaling
+        gbar = metric_at(model, x)
+        static = lap_V * gbar - hess_V + (model.n - 1.0) * model.K * Vv * gbar
+        del gbar
+        gbar_inv_diag = np.exp(-2.0 * model.phi(x))
 
         amb_term = lap_f - lap_V / Vv * fv
         tensor = hess_f - hess_V / Vv * fv
@@ -359,8 +356,8 @@ def reilly_residual(scenario: CapScenario, function: str = "V",
 
     boundary = {}
     for label in ("cap", "support"):
-        sq = nodes.quadrature(label)
-        boundary[label] = _boundary_piece_terms(sq, nodes.weight_jet(label),
+        sq = scenario.quadrature(label, level)
+        boundary[label] = _boundary_piece_terms(sq, scenario.weight_jet(label, level),
                                                 f_jet(label, sq.geo.x.T))
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 

@@ -9,15 +9,10 @@ because the cap and the support face are separate pieces.  A region is given
 by its star center and the labels of its pieces alone; it has no membership
 test, so every volume integral goes through these cones.
 
-A cap scenario keeps its node sets per level in one ``ScenarioNodes``
-bundle: one ``SurfaceQuadrature`` each for the cap and the support face
-(the node geometry and the integrals over it), the region nodes built from
-that geometry, the cap weight data and V's jet on each node set.  Every
-report, audit, validation and identity check on the scenario shares them,
-so each node set is evaluated once per (scenario, level).  A perturbed
-cap's bundle reads the epsilon-free sets of its base cap's bundle (the
-face's quadrature and cone and the cap's chart terms), so a sweep evaluates
-those once per (base cap, level).
+This module holds the quadrature primitives: Gauss-Legendre nodes, the
+``SurfaceQuadrature`` of one surface chart, the cone over one boundary piece
+and the ``RegionQuadrature`` built from the cones.  A cap scenario
+(``families.CapScenario``) builds and memoizes them per (set, level).
 
 Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
 consecutive nodes, so a region term holds its (n, n, m) temporaries for one
@@ -30,8 +25,9 @@ the flat pairwise tree, and the zeros the flat sum pads with inside the
 last, partial block add exactly.  Blocking therefore changes no reported
 value.
 
-Gauss-Legendre nodes are interior, so polar-coordinate axes (t = 0) and cone
-apexes (s = 0) are never evaluated.  Node reductions use a fixed-order
+Gauss-Legendre nodes are interior, so cone apexes (s = 0) and the polar axis
+t = 0 of a cap with two or more parameters, where its chart is singular, are
+never evaluated (an arc spans [-t_max, t_max] and is regular at t = 0).  Node reductions use a fixed-order
 pairwise sum to keep results bit-stable under repetition and threading.
 """
 
@@ -44,20 +40,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ambient import metric_at
-from .charts import conformal_scale
 from .errors import StarShapeViolated
 from .surfaces import (
     FreeBoundarySurface,
     SurfaceGeometry,
     curvature_arrays,
-    hypothesis_margins,
     normal_derivatives,
     surface_geometry,
 )
-from .weights import jet
 
-DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8}
+DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8, 6: 6}
 REFINE_ERROR_FLOOR = 1e-14   # relative error treated as converged by refine_study
 REGION_BLOCK = 2 ** 13       # region nodes per block; a power of two keeps sums bit-equal
 
@@ -204,91 +196,6 @@ class RegionQuadrature:
 
     def volume(self) -> float:
         return self.integral(np.ones(self.count))
-
-
-class ScenarioNodes(Memo):
-    """The node sets of one scenario at one level, each built once on first use.
-
-    A perturbed cap's bundle reads its base cap's bundle ``base``; no bundle refers
-    to its scenario, so dropping the scenario frees its bundles by reference counting.
-    """
-
-    def __init__(self, surface: FreeBoundarySurface, face: FreeBoundarySurface,
-                 star_center: np.ndarray, pieces: Sequence[str], weight, level: int,
-                 base: ScenarioNodes | None = None):
-        self._surfaces = {"cap": surface, "support": face}
-        self._rule = QuadratureRule(level)
-        self._model = surface.model
-        self._star_center = star_center
-        self._pieces = pieces
-        self._weight = weight
-        self._base = base
-        self._cache = {}
-
-    def _cap_values(self) -> tuple:
-        """The cap chart's (X, J, H) at its nodes; a perturbed cap displaces its base's terms."""
-        chart = self._surfaces["cap"].chart
-        params, _ = tensor_grid(self._rule.level, chart.domain)
-        if self._base is not None:
-            return chart.displace(params, self._base.cap_terms())
-        return self._once("cap chart", lambda: chart.evaluate(params))
-
-    def cap_terms(self) -> tuple:
-        """(X, J, H) and their ``charts.conformal_scale``: a perturbation's epsilon-free terms."""
-        return self._once("cap terms", lambda: (*self._cap_values(), *conformal_scale(
-            self._model, *self._cap_values())))
-
-    def cone(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """The region's cone over one piece, kept for the bundles derived from this one."""
-        return self._once(label + " cone",
-                          lambda: cone(self._star_center, label, self.quadrature(label)))
-
-    def quadrature(self, label: str) -> SurfaceQuadrature:
-        """Nodes of and quadrature over the cap ("cap") or the support face ("support");
-        a perturbed cap's bundle reads its base's face."""
-        if label == "support" and self._base is not None:
-            return self._base.quadrature(label)
-        return self._once(label, lambda: SurfaceQuadrature(
-            self._surfaces[label], self._rule, self._cap_values() if label == "cap" else None))
-
-    @property
-    def region(self) -> RegionQuadrature:
-        def build():
-            return RegionQuadrature(self._model, [
-                self._base.cone(label) if label == "support" and self._base is not None
-                else cone(self._star_center, label, self.quadrature(label))
-                for label in self._pieces])
-        return self._once("region", build)
-
-    def weight_data(self) -> tuple[np.ndarray, float, float]:
-        """(V at the cap nodes, convexity margin, substatic margin)."""
-        return self._once("weight", lambda: hypothesis_margins(
-            self._weight, self.quadrature("cap").geo))
-
-    def weight_jet(self, label: str) -> tuple:
-        """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
-        axis last; the region's is filled one block at a time, and its flat Hessian,
-        which nothing reads, is None."""
-        def build():
-            model = self._model
-            if label != "region":
-                return jet(model, self.quadrature(label).geo.x.T, self._weight)
-            x = self.region.points
-            n, m = x.shape
-            value, d1, hess, lap = np.empty(m), np.empty((n, m)), np.empty((n, n, m)), np.empty(m)
-            for b in self.region.blocks:
-                value[b], d1[:, b], _, hess[..., b], lap[b] = jet(model, x[:, b], self._weight)
-            return value, d1, None, hess, lap
-        return self._once(label + " jet", build)
-
-    def region_static(self, b: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(exp(-2 phi), static tensor lapbar(V) gbar - hessbar(V) + V Ricbar) at the
-        region nodes of block b, Ricbar = (n-1) K gbar; conformal metrics invert by scaling."""
-        model, x = self._model, self.region.points[:, b]
-        Vv, _, _, hess_V, lap_V = self.weight_jet("region")
-        gbar = metric_at(model, x)
-        static = lap_V[b] * gbar - hess_V[..., b] + (model.n - 1.0) * model.K * Vv[b] * gbar
-        return np.exp(-2.0 * model.phi(x)), static
 
 
 # -- refinement studies ----------------------------------------------------------

@@ -169,6 +169,8 @@ def _sphere(kind: SupportKind, model: SpaceFormModel, radius: float,
 def _geodesic_sphere(kind: SupportKind, model: SpaceFormModel, rho: float) -> SupportSpec:
     """The geodesic sphere of chart radius rho about the origin of the ball or the
     sphere model: kappa = (1 - K rho^2) / (2 rho), coth R for K = -1, cot R for K = +1."""
+    if not rho > 0.0:   # a tiny geodesic radius R rounds tanh(R/2) or tan(R/2) to 0
+        raise ValueError(f"{kind.value}: geodesic radius too small, its chart radius is {rho!r}")
     return _sphere(kind, model, rho, (1.0 - model.K * rho * rho) / (2.0 * rho))
 
 

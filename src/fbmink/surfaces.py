@@ -204,9 +204,12 @@ def _require_boundary(surf: FreeBoundarySurface):
 
 
 def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
-    """Parameter grid on the boundary face (the max end of the first axis)."""
+    """Parameter grid on the boundary face (the max end of the first axis); the ring
+    of a chart with one parameter, an arc, is both its ends."""
     dom = surf.chart.domain
     k = surf.chart.dim
+    if k == 1:
+        return np.array(dom, dtype=float).T
     axes = []
     for a in range(1, k):
         lo, hi = dom[a]

@@ -253,7 +253,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
     for level in levels:
         sq = SurfaceQuadrature(hemi.surface, QuadratureRule(level))
         area_errors.append(abs(sq.integral(np.ones(sq.geo.count)) - 2.0 * math.pi))
-        rq = hemi.nodes(level).region
+        rq = hemi.region(level)
         volume_errors.append(abs(rq.volume() - 2.0 * math.pi / 3.0))
     checks["area_order_ge_3"] = min(observed_orders(area_errors)) >= 3.0
     checks["volume_order_ge_3"] = min(observed_orders(volume_errors)) >= 3.0
@@ -281,7 +281,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
 
 
 def _weighted_volume(sc, rule):
-    region = sc.nodes(rule.level).region
+    region = sc.region(rule.level)
     return region.integral(weight_for_support(sc.support).value(region.points))
 
 

@@ -368,6 +368,15 @@ def test_wrong_support_parameter_exits_2(tmp_path, capsys):
     assert "exactly one of geodesic_radius, chart_radius" in err
 
 
+@pytest.mark.parametrize("kind", ["hyp_geodesic_sphere", "sph_geodesic_sphere"])
+def test_geodesic_radius_that_underflows_exits_2(kind, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"version": 1, "support": {
+        "kind": kind, "params": {"geodesic_radius": 5e-324}}})
+    code, out, err = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert f"support configuration rejected: {kind}: geodesic radius too small" in err
+
+
 def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["minkowski", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 2
@@ -436,17 +445,17 @@ def test_converge_frees_each_level_before_the_next(tmp_path, monkeypatch):
     # a perturbed cap's copy per level comes with a copy of its base, so neither
     # keeps one level's nodes alive while the next level's are built
     levels = [10, 12, 16, 20]
-    bundles, built = [], []    # every bundle (level, weakref); per converge-level bundle,
-    init = quadrature.ScenarioNodes.__init__    # the converge levels then still alive
+    node_sets, built = [], []    # every surface node set (level, weakref); per converge-level
+    init = quadrature.SurfaceQuadrature.__init__    # set, the converge levels then still alive
 
     def tracking(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        level = self._rule.level
+        level = self.rule.level
         if level in levels:
-            built.append((level, {lv for lv, ref in bundles if ref() is not None}))
-            bundles.append((level, weakref.ref(self)))
+            built.append((level, {lv for lv, ref in node_sets if ref() is not None}))
+            node_sets.append((level, weakref.ref(self)))
 
-    monkeypatch.setattr(quadrature.ScenarioNodes, "__init__", tracking)
+    monkeypatch.setattr(quadrature.SurfaceQuadrature, "__init__", tracking)
     cfg = write_config(tmp_path, {"version": 1, "support": {"kind": "euclidean_sphere"},
                                   "perturbation": {"epsilon": 0.05},
                                   "converge": {"levels": levels}})
@@ -455,7 +464,7 @@ def test_converge_frees_each_level_before_the_next(tmp_path, monkeypatch):
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
     finally:
         gc.enable()
-    # per level the base copy's bundle, then the perturbed copy's, which reads it
+    # per level the perturbed copy's cap, then the base copy's face, which it reads
     assert [level for level, _ in built] == [lv for lv in levels for _ in range(2)]
     assert all(alive <= {level} for level, alive in built)
 

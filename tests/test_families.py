@@ -196,6 +196,25 @@ def test_profile_with_curvature_on_the_ring_rejected():
         _check_profile_conforms(CurvedAtRing(), base.surface.chart)
 
 
+def test_profile_nonzero_at_the_arcs_other_end_rejected():
+    # an n = 2 cap is an arc whose ring is both its ends, t = -t_max and t = t_max;
+    # this bump vanishes to second order at t_max alone
+    class OneSided:
+        def __init__(self, t_max):
+            self.t_max = t_max
+
+        def evaluate(self, U):
+            t = np.atleast_2d(U)[:, 0]
+            z = (self.t_max - t) / (2.0 * self.t_max)
+            return z ** 3, (-1.5 * z ** 2 / self.t_max)[:, None], (1.5 * z / self.t_max ** 2)[:, None, None]
+
+    base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE, 2)))
+    chart = base.surface.chart
+    assert chart.domain == [(-chart.t_max, chart.t_max)]
+    with pytest.raises(ValidationFailed, match="first two derivatives"):
+        _check_profile_conforms(OneSided(chart.t_max), chart)
+
+
 def test_perturbed_cap_near_wall_rejected():
     # base cap fits, the perturbed envelope does not
     support = canonical_support(SupportKind.SPH_HYPERPLANE)

@@ -1,5 +1,6 @@
 """Inequality reports: equality cases, strictness, audits, identity residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -216,6 +217,48 @@ def test_minkowski_holds_at_n2_on_sphere_support():
     sc = make_umbilical_cap(CapSpec(support=support, radius=0.5))
     report = minkowski_report(sc, QuadratureRule(32))
     assert abs(report.relative_deficit) <= 1e-12
+
+
+SPHERE_KINDS = [SupportKind.EUCLIDEAN_SPHERE, SupportKind.HYP_GEODESIC_SPHERE,
+                SupportKind.SPH_GEODESIC_SPHERE]
+ARC_AXES = [None, (1.0, 1.0)]
+
+
+def _arc_cap(kind: SupportKind, axis, eps: float = 0.0):
+    """The default n = 2 cap of a sphere-type support, on the axis e_2 (None) or (1, 1)."""
+    spec = dataclasses.replace(default_cap_spec(canonical_support(kind, 2)), axis=axis)
+    if eps:
+        return make_perturbed_cap(spec, PerturbationSpec(epsilon=eps))
+    return make_umbilical_cap(spec)
+
+
+@pytest.mark.parametrize("axis", ARC_AXES)
+def test_arc_weighted_area_matches_closed_form(axis):
+    # the arc of S(d a, r) inside the circle of radius R, d = sqrt(R^2 + r^2), is
+    # x = d a - r (cos t a + sin t b) for |t| <= t_max, cos t_max = r / d, so
+    # int <x, a> ds = 2 r (d t_max - r sin t_max); V = x_2 = a_2 <x, a> by symmetry
+    sc = _arc_cap(SupportKind.EUCLIDEAN_SPHERE, axis)
+    R, r = sc.support.shape.radius, sc.spec.radius
+    d = math.hypot(R, r)
+    a_2 = 1.0 if axis is None else 1.0 / math.sqrt(2.0)
+    closed = a_2 * 2.0 * r * (d * math.acos(r / d) - r * R / d)
+    area = minkowski_report(sc, QuadratureRule(32)).integrals["weighted_area"]
+    assert area == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", ARC_AXES)
+@pytest.mark.parametrize("kind", SPHERE_KINDS)
+def test_arc_caps_attain_equality_and_close_reilly(kind, axis):
+    rule = QuadratureRule(32)
+    for eps in (0.0, 0.05):
+        sc = _arc_cap(kind, axis, eps)
+        report = minkowski_report(sc, rule)
+        if eps:
+            assert report.deficit > 0.0
+        else:
+            assert abs(report.relative_deficit) <= 1e-12
+        for fname in ("V", "x1", "x1^2", "x2^2"):
+            assert abs(reilly_residual(sc, fname, rule).relative_residual) <= 1e-12
 
 
 def test_plane_supports_reject_dimension_two():

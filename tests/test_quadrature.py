@@ -67,19 +67,24 @@ def test_default_levels_keyed_by_ambient_dimension():
     assert default_level(3) == 24
     assert default_level(4) == 12
     assert default_level(5) == 8
+    assert default_level(6) == 6
+    # every n the config schema accepts has its own entry
+    n_schema = cli.load_schema()["properties"]["n"]
+    assert sorted(quadrature.DEFAULT_LEVELS) == list(range(n_schema["minimum"],
+                                                           n_schema["maximum"] + 1))
 
 
 def test_hemisphere_area_and_volume(hemisphere):
     sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
     assert np.isclose(sq.integral(np.ones(sq.geo.count)), 2.0 * math.pi, rtol=1e-12)
-    rq = hemisphere.nodes(16).region
+    rq = hemisphere.region(16)
     assert np.isclose(rq.volume(), 2.0 * math.pi / 3.0, rtol=1e-12)
 
 
 def test_lens_region_volume_matches_cap_sum():
     """Sphere-support region: cap volume + spherical-lens face piece."""
     sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE)
-    rq = sc.nodes(24).region
+    rq = sc.region(24)
     # Euclidean lens volume between the two sphere caps, closed form:
     # each spherical cap of height h on radius a contributes
     # pi h^2 (3a - h) / 3.
@@ -151,7 +156,7 @@ def test_refine_study_rejects_bad_level_lists():
     level=st.integers(min_value=6, max_value=20),
 )
 def test_region_integral_linear_in_integrand(coeffs, level):
-    rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).nodes(level).region
+    rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region(level)
     a, b, c = coeffs
     f = a * rq.points[0] + b * rq.points[2] + c
     split = (a * rq.integral(rq.points[0]) + b * rq.integral(rq.points[2])
@@ -198,7 +203,7 @@ def test_reilly_set_holds_one_region_block_of_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sc.nodes(32).region.count == 2 * 32 ** 3
+    assert sc.region(32).count == 2 * 32 ** 3
     assert peak < 24 * 2 ** 20
 
 
@@ -328,10 +333,10 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # V's jet once on the cap and once on the face; on the region, one jet per
     # block, each on a column view of the region's one C-contiguous (n, m) node
     # array, the views consecutive and covering every node once, in order
-    bundle = sc.nodes(rule.level)
-    points = bundle.region.points
+    region = sc.region(rule.level)
+    points = region.points
     n, m = points.shape
-    assert (n, m) == (4, bundle.region.count) and points.flags.c_contiguous
+    assert (n, m) == (4, region.count) and points.flags.c_contiguous
     region_views = [x for x in jet_points if x.base is points]
     assert counts["weight jet"] == 2 + len(region_views)
     assert len(region_views) > 1
@@ -340,12 +345,13 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     ends = [start + x.shape[1] for start, x in zip(starts, region_views)]
     assert starts == [0, *ends[:-1]] and ends[-1] == m
     assert all(x.shape[0] == n and x.strides == points.strides for x in region_views)
-    # the bundle keeps no (m, n) copy of the region nodes and, of the (n, n, m)
-    # tensors, only V's covariant Hessian: no full-size static tensor
-    held = list(_arrays(bundle._cache))
+    # the scenario's level-12 sets keep no (m, n) copy of the region nodes and, of
+    # the (n, n, m) tensors, only V's covariant Hessian: no full-size static tensor
+    held = list(_arrays({key: value for key, value in sc._cache.items()
+                         if isinstance(key, tuple) and key[-1] == rule.level}))
     assert any(a is points for a in held)
     assert [a.shape for a in held if a.shape == (m, n)] == []
-    hess_V = bundle.weight_jet("region")[3]
+    hess_V = sc.weight_jet("region", rule.level)[3]
     assert [a is hess_V for a in held if a.shape == (n, n, m)] == [True]
     # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
     # base cap's admissibility check
@@ -395,23 +401,24 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
 
 
 def test_node_bundle_is_freed_with_its_scenario():
-    # a bundle referring back to its scenario, or a base cap to its perturbations,
-    # would wait for the cyclic collector
+    # a memoized node set referring back to its scenario, or a base cap to its
+    # perturbations, would wait for the cyclic collector
     gc.disable()
     try:
         sc = _perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE)
         rule = QuadratureRule(8)
         minkowski_report(sc, rule)
         reilly_residual(sc, "V", rule)
-        bundle = weakref.ref(sc.nodes(rule.level))
-        # the perturbed cap, its base and their bundles at levels 6 and 8 (the
-        # admissibility check and this rule; the base also probes its reach at 8)
+        region = weakref.ref(sc.region(rule.level))
+        # the perturbed cap, its base and their node sets at levels 6 and 8 (the
+        # admissibility check and this rule): the perturbed cap's cap and region at
+        # both levels, and the base's cap and region at 6 and its face at 6 and 8
         held = [sc, sc.base, *sc._cache.values(), *sc.base._cache.values()]
         refs = [weakref.ref(x) for x in held
-                if isinstance(x, (families.CapScenario, quadrature.ScenarioNodes))]
-        assert len(refs) == 6
+                if isinstance(x, (families.CapScenario, SurfaceQuadrature, RegionQuadrature))]
+        assert len(refs) == 10
         del sc, held
-        assert bundle() is None
-        assert [ref() for ref in refs] == [None] * 6
+        assert region() is None
+        assert [ref() for ref in refs] == [None] * 10
     finally:
         gc.enable()

@@ -67,6 +67,13 @@ def test_hyperbolic_sphere_kappa_is_coth_of_geodesic_radius():
     assert np.isclose(s4.shape.radius, 0.3, rtol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["hyp_geodesic_sphere", "sph_geodesic_sphere"])
+def test_geodesic_radius_that_underflows_is_rejected(kind):
+    # tanh(R/2) and tan(R/2) round to 0 for the least positive double R
+    with pytest.raises(ValueError, match=f"{kind}: geodesic radius too small"):
+        make_support(kind, 3, geodesic_radius=5e-324)
+
+
 def test_equidistant_kappa_bounds():
     for th in (0.1, 0.4, 1.2):
         s = equidistant(3, th)

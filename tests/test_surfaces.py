@@ -10,6 +10,7 @@ from fbmink import CapSpec, SupportKind, default_cap_spec, make_perturbed_cap, m
 from fbmink import PerturbationSpec, validate_scenario
 from fbmink.surfaces import (
     boundary_checks,
+    boundary_parameters,
     curvature_arrays,
     hypothesis_margins,
     normal_derivatives,
@@ -200,7 +201,7 @@ def test_weingarten_matches_fd_of_normal_on_angular_bump_caps(kind):
     # euclidean_plane, whose conformal factor is trivial
     sc = angular_bump_scenario(kind)
     validate_scenario(sc)
-    geo = sc.nodes(16).quadrature("cap").geo
+    geo = sc.quadrature("cap", 16).geo
     assert np.max(np.abs(geo.g @ geo.h - geo.h @ geo.g)) > 5e-4
     assert _weingarten_fd_gap(sc.surface) < 1e-7
 
@@ -265,3 +266,13 @@ def test_hypothesis_margins_positive_on_canonical_caps(kind):
     U = interior_params(sc.surface, m=9, margin=0.05)
     assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[1] > 0.0
     assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[2] > -1e-12
+
+
+def test_arc_ring_is_both_ends():
+    # an n = 2 cap is an arc about its axis, and both ends lie on the support
+    sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE, n=2)
+    t_max = sc.surface.chart.t_max
+    np.testing.assert_array_equal(boundary_parameters(sc.surface), [[-t_max], [t_max]])
+    geo = surface_geometry(sc.surface, boundary_parameters(sc.surface))
+    np.testing.assert_allclose(np.linalg.norm(geo.x, axis=1), sc.support.shape.radius, rtol=1e-14)
+    assert max(boundary_checks(sc.surface)) <= 1e-14

@@ -30,6 +30,8 @@ NEGATIVE_SWEEP = {"version": 1, "sweep": {"epsilons": [-0.06, -0.03, 0.03, 0.06]
 ZERO_SWEEP = {"version": 1, "support": {"kind": "euclidean_sphere"},
               "sweep": {"epsilons": [0.0, -0.04, 0.0, 0.05]}}
 STEEP_EQUIDISTANT = {"version": 1, "support": {"kind": "equidistant", "params": {"theta": 1.4}}}
+# an n=2 cap off the symmetry axis: an arc covering one side of its axis shows here
+TILTED_ARC = {"version": 1, "n": 2, "support": {"kind": "euclidean_sphere"}, "cap": {"axis": [1, 1]}}
 # the second epsilon's cap leaves the half region: the sweep stops there and exits 2
 FAILING_SWEEP = {"version": 1, "support": {"kind": "sph_hyperplane"}, "cap": {"radius": 0.78},
                  "sweep": {"epsilons": [0.05, 0.4, 0.6, -0.6]}}
@@ -39,6 +41,7 @@ RUNS: list[tuple[str, list[str], object]] = [
     *[(command, [command], None) for command in
       ("identities", "curvature", "minkowski", "af", "schur", "reilly", "sweep", "converge")],
     ("schur n=4", ["schur"], {"version": 1, "n": 4, "quadrature": {"level": 10}}),
+    ("minkowski n=2 axis=[1,1]", ["minkowski"], TILTED_ARC),
     *[(f"{command} {label}", [command], cfg)
       for label, cfg in (("tilted", TILTED), ("equidistant-eps", EQUIDISTANT),
                          ("sphere-eps", SPHERE), ("off-orthogonal", OFF_ORTHOGONAL))
@@ -62,6 +65,10 @@ RUNS: list[tuple[str, list[str], object]] = [
     ("minkowski axis=[0,0,0]", ["minkowski"], {"version": 1, "cap": {"axis": [0, 0, 0]}}),
     ("minkowski center_shift=[0.1]", ["minkowski"],
      {"version": 1, "cap": {"center_shift": [0.1]}}),
+    # a geodesic radius whose chart radius underflows to 0
+    *[(f"minkowski {kind} geodesic_radius=5e-324", ["minkowski"],
+       {"version": 1, "support": {"kind": kind, "params": {"geodesic_radius": 5e-324}}})
+      for kind in ("hyp_geodesic_sphere", "sph_geodesic_sphere")],
     ("converge levels=[12,8,16]", ["converge"], {"version": 1, "converge": {"levels": [12, 8, 16]}}),
     ("converge levels=[8,8]", ["converge"], {"version": 1, "converge": {"levels": [8, 8]}}),
     # schema violations, one per keyword class: stderr names the path and the broken rule

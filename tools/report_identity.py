@@ -22,7 +22,11 @@ step is recorded as [error type, message].  Cases:
   supports at n=3 level 16;
 * caps whose g and h do not commute in chart coordinates, x eps {0, +-0.05}
   at n=3 level 16: ``sph_hyperplane`` with ``center_shift`` (0.3, 0) and
-  ``euclidean_plane`` tilted by 0.2.
+  ``euclidean_plane`` tilted by 0.2;
+* n=2 arcs off the symmetry axis, x eps {0, +-0.05} at level 32: the three
+  sphere kinds with ``axis`` (1, 1), where an arc covering one side of its
+  axis would show (on the default axis the symmetry halves every integral
+  alike).
 
 Each differing case is printed with the fields that differ, as paths such
 as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
@@ -49,6 +53,7 @@ GRID_SUPPORTS = ("euclidean_plane", "euclidean_sphere", "horosphere", "sph_hyper
                  "hyp_geodesic_sphere")
 GRID_RADII = (1e-7, 1e-5, 1e-3, 0.9, 1.5, 3.0)
 ASYMMETRIC = (("sph_hyperplane", {"center_shift": (0.3, 0.0)}), ("euclidean_plane", {"tilt": 0.2}))
+SPHERE_KINDS = ("euclidean_sphere", "hyp_geodesic_sphere", "sph_geodesic_sphere")
 REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
 
 # (n, level, support, CapSpec fields replaced in the canonical cap, epsilon)
@@ -59,6 +64,8 @@ CASES = [
     *[(3, 16, kind, {"radius": r}, eps) for kind in GRID_SUPPORTS for r in GRID_RADII
       for eps in (0.0, 0.05, -0.05, 0.5, -0.5)],
     *[(3, 16, kind, placement, eps) for kind, placement in ASYMMETRIC
+      for eps in (0.0, 0.05, -0.05)],
+    *[(2, 32, kind, {"axis": (1.0, 1.0)}, eps) for kind in SPHERE_KINDS
       for eps in (0.0, 0.05, -0.05)],
 ]
 
