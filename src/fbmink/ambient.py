@@ -194,14 +194,14 @@ def ambient_inner(model: SpaceFormModel, x: np.ndarray, u: np.ndarray, v: np.nda
     return model.conformal_factor(x) * np.sum(np.asarray(u, float) * np.asarray(v, float), axis=0)
 
 
-def covariant_hessian(model: SpaceFormModel, x: np.ndarray,
-                      grad_euclidean: np.ndarray, hess_euclidean: np.ndarray) -> np.ndarray:
-    """Covariant Hessian of a scalar from its flat derivatives.
+def covariant_hessian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.ndarray,
+                      hess_euclidean: np.ndarray, dphi: np.ndarray | None = None) -> np.ndarray:
+    """Covariant Hessian of a scalar from its flat derivatives (``dphi``: phi_grad at x).
 
     ``Hess f_ij = d2f_ij - Gamma^k_ij df_k``; the Christoffel contraction is
     expanded in closed form for the conformal metric.
     """
-    dphi = model.phi_grad(x)
+    dphi = model.phi_grad(x) if dphi is None else dphi
     df = np.asarray(grad_euclidean, float)
     d2f = np.asarray(hess_euclidean, float)
     # Gamma^k_ij df_k = dphi_i df_j + dphi_j df_i - d_ij <dphi, df>; the d_ij term
@@ -214,15 +214,33 @@ def covariant_hessian(model: SpaceFormModel, x: np.ndarray,
     return hess
 
 
-def ambient_laplacian(model: SpaceFormModel, x: np.ndarray,
-                      grad_euclidean: np.ndarray, hess_euclidean: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami value from flat derivatives.
+def add_axis_hessian(hess: np.ndarray, dphi: np.ndarray, i: int, slope, second: float):
+    """Add onto ``hess`` (n, n, m) the covariant Hessian of a function of x_i alone,
+    whose flat gradient is ``slope`` e_i and flat Hessian ``second`` e_i e_i^T, and
+    return the flat trace of what was added, which exp(-2 phi) turns into its Laplacian.
+
+    With df = slope e_i, ``Gamma^k_jl df_k`` touches only row i, column i and the
+    diagonal, so the (n, n, m) terms of ``covariant_hessian`` are never formed.
+    """
+    term = slope * dphi
+    hess[:, i] -= term
+    hess[i] -= term
+    for j in range(hess.shape[0]):
+        hess[j, j] += term[i]
+    hess[i, i] += second
+    return second + (hess.shape[0] - 2.0) * term[i]
+
+
+def ambient_laplacian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.ndarray,
+                      hess_euclidean: np.ndarray, dphi: np.ndarray | None = None) -> np.ndarray:
+    """Laplace-Beltrami value from flat derivatives (``dphi``: phi_grad at x).
 
     For gbar = exp(2 phi) delta in dimension n,
     ``lap f = exp(-2 phi) (lap_delta f + (n-2) <dphi, df>)``.
     """
+    dphi = model.phi_grad(x) if dphi is None else dphi
     lap_flat = np.trace(np.asarray(hess_euclidean, float), axis1=0, axis2=1)
-    drift = np.sum(model.phi_grad(x) * grad_euclidean, axis=0)
+    drift = np.sum(dphi * grad_euclidean, axis=0)
     return np.exp(-2.0 * model.phi(x)) * (lap_flat + (model.n - 2.0) * drift)
 
 

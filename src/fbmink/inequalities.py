@@ -12,7 +12,8 @@ oriented so that a nonnegative value means the inequality holds:
 The identity checker integrates every term of the weighted Reilly formula
 for a supplied smooth test function; for static weights the interior
 curvature term vanishes identically, so the residual isolates quadrature
-and geometry errors.
+and geometry errors.  Each call forms only its test function's own terms; the
+static term is contracted from V's memoized jet, with no metric or static tensor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import metric_at
+from . import ambient
 from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
 from .quadrature import QuadratureRule, SurfaceQuadrature, pairwise_sum
@@ -217,10 +218,18 @@ REPORT_BUILDERS: dict[str, Callable[..., InequalityReport]] = {
 class _Coordinate:
     """x_i, or x_i^2 when ``squared``, with exact flat derivatives behind the
     value / euclidean_gradient / euclidean_hessian interface of ``WeightField``
-    (points coordinate first, as there)."""
+    (points coordinate first, as there); sparsely, its flat gradient is ``slope`` e_i
+    and its flat Hessian ``second`` e_i e_i^T, as ``ambient.add_axis_hessian`` takes them."""
 
     i: int
     squared: bool
+
+    @property
+    def second(self) -> float:
+        return 2.0 if self.squared else 0.0
+
+    def slope(self, x: np.ndarray):
+        return 2.0 * x[self.i] if self.squared else 1.0
 
     def value(self, x: np.ndarray) -> np.ndarray:
         xi = x[self.i]
@@ -228,13 +237,12 @@ class _Coordinate:
 
     def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros_like(x)
-        g[self.i] = 2.0 * x[self.i] if self.squared else 1.0
+        g[self.i] = self.slope(x)
         return g
 
     def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
         h = np.zeros(x.shape[:1] + x.shape)
-        if self.squared:
-            h[self.i, self.i] = 2.0
+        h[self.i, self.i] = self.second
         return h
 
 
@@ -270,43 +278,42 @@ class ReillyReport:
         return asdict(self)
 
 
-def _boundary_piece_terms(sq: SurfaceQuadrature, V_jet: tuple, f_jet: tuple) -> dict:
+def _boundary_parts(sq: SurfaceQuadrature, fn_jet: tuple) -> tuple:
+    """The normal derivative, the tangential gradient (parameter components, lower
+    index), the intrinsic Laplacian through the ambient one, and the tangential
+    derivative of the normal derivative, of one function over one smooth piece, from
+    its ``weights.jet`` at the piece's nodes (node axis last)."""
+    _, d1, d2, hess, lap = fn_jet
+    nu, jac = sq.geo.nu, sq.geo.jac
+    d_nu = np.einsum("im,mi->m", d1, nu)
+    d_a = np.einsum("im,mia->ma", d1, jac)
+    lap_p = (lap - np.einsum("im,mi->m", np.einsum("ijm,mj->im", hess, nu), nu)
+             - sq.curvature().H * d_nu)
+    d_nu_a = (np.einsum("im,mia->ma", np.einsum("ijm,mj->im", d2, nu), jac)
+              + np.einsum("im,mai->ma", d1, sq.normal_derivatives()))
+    return d_nu, d_a, lap_p, d_nu_a
+
+
+def _boundary_piece_terms(sq: SurfaceQuadrature, V: np.ndarray, V_parts: tuple,
+                          f: np.ndarray, f_parts: tuple) -> dict:
     """The three boundary integrals of the identity over one smooth piece, from the
-    ``weights.jet`` of V and of the test function at its nodes (node axis last)."""
+    values and ``_boundary_parts`` of V and of the test function f at its nodes."""
     geo = sq.geo
-    nu, jac = geo.nu, geo.jac
-    curv = sq.curvature()
-    dnu = sq.normal_derivatives()
-
-    def boundary_parts(fn_jet: tuple) -> tuple:
-        """The normal derivative, the tangential gradient (parameter components,
-        lower index), the intrinsic Laplacian through the ambient one, and the
-        tangential derivative of the normal derivative, of one function."""
-        _, d1, d2, hess, lap = fn_jet
-        d_nu = np.einsum("im,mi->m", d1, nu)
-        d_a = np.einsum("im,mia->ma", d1, jac)
-        lap_p = lap - np.einsum("ijm,mi,mj->m", hess, nu, nu) - curv.H * d_nu
-        d_nu_a = (np.einsum("ijm,mia,mj->ma", d2, jac, nu)
-                  + np.einsum("im,mai->ma", d1, dnu))
-        return d_nu, d_a, lap_p, d_nu_a
-
-    Vv, fv = V_jet[0], f_jet[0]
-    V_nu, V_a, lap_p_V, dVnu_a = boundary_parts(V_jet)
-    f_nu, f_a, lap_p_f, dfnu_a = boundary_parts(f_jet)
-
-    u = f_nu - V_nu / Vv * fv
-    w_a = f_a - (V_a * fv[:, None]) / Vv[:, None]
+    V_nu, V_a, lap_p_V, dVnu_a = V_parts
+    f_nu, f_a, lap_p_f, dfnu_a = f_parts
+    # with q = f / V: u = f_nu - q V_nu, w = df - q dV along the piece, and
+    # d_a u = d_a f_nu - q d_a V_nu - (V_nu / V) w_a; for f = V, q is 1 and all vanish
+    q, kappa = f / V, V_nu / V
+    u = f_nu - V_nu * q
+    w_a = f_a - V_a * q[:, None]
     w_up = np.einsum("mab,mb->ma", geo.g_inv, w_a)
+    u_a = dfnu_a - dVnu_a * q[:, None] - kappa[:, None] * w_a
 
-    # tangential derivative of u along the parameter directions
-    ratio_a = (dVnu_a * Vv[:, None] - V_nu[:, None] * V_a) / Vv[:, None] ** 2
-    u_a = dfnu_a - ratio_a * fv[:, None] - (V_nu / Vv)[:, None] * f_a
-
-    term_mixed = Vv * u * (lap_p_f - lap_p_V / Vv * fv)
-    term_grad = -Vv * np.einsum("ma,ma->m", u_a, w_up)
-    quad_form = geo.h - (V_nu / Vv)[:, None, None] * geo.g
-    term_h = Vv * curv.H * u ** 2 + np.einsum("mab,ma,mb->m",
-                                              quad_form, w_up, w_up) * Vv
+    term_mixed = V * u * (lap_p_f - lap_p_V * q)
+    term_grad = -V * np.einsum("ma,ma->m", u_a, w_up)
+    quad_form = geo.h - kappa[:, None, None] * geo.g
+    term_h = V * (sq.curvature().H * u ** 2
+                  + np.einsum("ma,ma->m", np.einsum("mab,mb->ma", quad_form, w_up), w_up))
 
     return {
         "mixed": float(pairwise_sum(term_mixed * sq.weights)),
@@ -320,45 +327,52 @@ def reilly_residual(scenario: CapScenario, function: str,
     """Integrate every term of the weighted Reilly identity and report the gap.
 
     ``function`` names the smooth test function: "V", "x<i>" or "x<i>^2"; the
-    checker does not solve boundary value problems.  For static weights the interior curvature term is zero
-    in exact arithmetic and is still integrated as a cross-check.
+    checker does not solve boundary value problems.  For static weights the interior
+    curvature term is zero in exact arithmetic and is still integrated as a
+    cross-check.
     """
     name, f = _test_function(function, scenario)
     model, level = scenario.model, rule.level
-
-    def f_jet(label: str, x: np.ndarray) -> tuple:
-        return scenario.weight_jet(label, level) if f is scenario.weight else jet(model, x, f)
-
+    is_V = f is scenario.weight
     rq = scenario.region(level)
     V_jet = scenario.weight_jet("region", level)
 
     def volume_integrands(b: slice) -> tuple[np.ndarray, np.ndarray]:
-        # both interior integrands on one block of region nodes, from V's jet there
+        # both interior integrands on one block of region nodes, from V's jet there, with
+        # q = f / V: T = Hess f - q Hess V, lap f - q lap V and d = df - q dV = e^{2 phi} w
         x = rq.points[:, b]
-        V_b = tuple(a if a is None else a[..., b] for a in V_jet)
-        Vv, dV, _, hess_V, lap_V = V_b
-        fv, df, _, hess_f, lap_f = V_b if f is scenario.weight else jet(model, x, f)
-        # the static tensor lapbar(V) gbar - hessbar(V) + V Ricbar, Ricbar = (n-1) K gbar;
-        # gbar is freed at once, and the conformal metric inverts by scaling
-        gbar = metric_at(model, x)
-        static = lap_V * gbar - hess_V + (model.n - 1.0) * model.K * Vv * gbar
-        del gbar
-        gbar_inv_diag = np.exp(-2.0 * model.phi(x))
-
-        amb_term = lap_f - lap_V / Vv * fv
-        tensor = hess_f - hess_V / Vv * fv
-        tensor_norm_sq = gbar_inv_diag ** 2 * np.einsum("ijm,ijm->m", tensor, tensor)
-        w_chart = gbar_inv_diag * (df - dV * (fv / Vv))
-        return (Vv * (amb_term ** 2 - tensor_norm_sq),
-                np.einsum("ijm,im,jm->m", static, w_chart, w_chart))
+        model.require_inside(x)
+        Vv, dV, _, hess_V, lap_V = (a if a is None else a[..., b] for a in V_jet)
+        inv = np.exp(-2.0 * model.phi(x))      # gbar = e^{2 phi} I inverts by scaling
+        q = Vv / Vv if is_V else f.value(x) / Vv
+        tensor, amb_term, d = hess_V * -q, lap_V * -q, dV * -q
+        if is_V:
+            tensor += hess_V
+            amb_term += lap_V
+            d += dV
+        else:
+            slope = f.slope(x)
+            d[f.i] += slope
+            amb_term += inv * ambient.add_axis_hessian(tensor, model.phi_grad(x), f.i,
+                                                       slope, f.second)
+        tensor_norm_sq = inv * inv * np.einsum("ijm,ijm->m", tensor, tensor)
+        # static(w, w) = (lap V + (n-1) K V) e^{2 phi} |w|^2 - Hess V(w, w), through d
+        hess_d = np.einsum("im,im->m", np.einsum("ijm,jm->im", hess_V, d), d)
+        static_ww = inv * ((lap_V + (model.n - 1.0) * model.K * Vv) * np.einsum("im,im->m", d, d)
+                           - inv * hess_d)
+        return Vv * (amb_term ** 2 - tensor_norm_sq), static_ww
 
     lhs_volume, rhs_volume = rq.integrals(volume_integrands)
 
     boundary = {}
     for label in ("cap", "support"):
         sq = scenario.quadrature(label, level)
-        boundary[label] = _boundary_piece_terms(sq, scenario.weight_jet(label, level),
-                                                f_jet(label, sq.geo.x.T))
+        V_face = scenario.weight_jet(label, level)
+        V_parts = scenario._once((label + " boundary", level),
+                                 lambda: _boundary_parts(sq, V_face))
+        f_jet = V_face if is_V else jet(model, sq.geo.x.T, f)
+        f_parts = V_parts if is_V else _boundary_parts(sq, f_jet)
+        boundary[label] = _boundary_piece_terms(sq, V_face[0], V_parts, f_jet[0], f_parts)
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 
     residual = lhs_volume - rhs_volume - boundary_total

@@ -92,24 +92,28 @@ class WeightField:
 
     def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        eye = ambient.batch_eye(x)
-        en = eye[-1]
         f = self.formula
-        if f in (WeightFormula.EUCLID_XN, WeightFormula.EUCLID_ONE):
-            return np.zeros(x.shape[:1] + x.shape)
+        h = np.zeros(x.shape[:1] + x.shape)
         if f is WeightFormula.HYP_HALFSPACE:
-            h = np.zeros(x.shape[:1] + x.shape)
             h[-1, -1] = 2.0 / x[-1] ** 3
+        if f in (WeightFormula.EUCLID_XN, WeightFormula.EUCLID_ONE, WeightFormula.HYP_HALFSPACE):
             return h
-        outer = x[:, None] * x[None, :]
-        sym_en = en[:, None] * x[None, :] + x[:, None] * en[None, :]
-        xn = x[-1]
+        # (c x) x^T once, then the e_n row and column and the diagonal as row updates
         if f in _BALL:
-            K = self.model.K
+            K, xn = self.model.K, x[-1]
             w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
-            return -4.0 * K * w * w * (sym_en + xn * eye) + 16.0 * xn * outer * w ** 3
-        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
-        return -4.0 * u * u * eye + 16.0 * outer * u ** 3
+            np.multiply((16.0 * xn * w ** 3) * x[:, None], x[None, :], out=h)
+            scale = -4.0 * K * w * w
+            edge, diag = scale * x, scale * xn
+            h[-1] += edge
+            h[:, -1] += edge
+        else:
+            u = 1.0 / (1.0 + np.sum(x * x, axis=0))
+            np.multiply((16.0 * u ** 3) * x[:, None], x[None, :], out=h)
+            diag = -4.0 * u * u
+        for i in range(x.shape[0]):
+            h[i, i] += diag
+        return h
 
     def directional(self, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """dV applied to a chart-component vector (metric-free pairing)."""
@@ -124,9 +128,9 @@ def weight_for_support(s: SupportSpec) -> WeightField:
 def jet(model: SpaceFormModel, x: np.ndarray, fn) -> tuple[np.ndarray, ...]:
     """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x
     of ``fn``: a ``WeightField`` or anything with its three flat-derivative methods."""
-    d1, d2 = fn.euclidean_gradient(x), fn.euclidean_hessian(x)
-    return (fn.value(x), d1, d2, ambient.covariant_hessian(model, x, d1, d2),
-            ambient.ambient_laplacian(model, x, d1, d2))
+    d1, d2, dphi = fn.euclidean_gradient(x), fn.euclidean_hessian(x), model.phi_grad(x)
+    return (fn.value(x), d1, d2, ambient.covariant_hessian(model, x, d1, d2, dphi),
+            ambient.ambient_laplacian(model, x, d1, d2, dphi))
 
 
 # -- identity residuals --------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import fbmink.charts as charts
 import fbmink.cli as cli
 import fbmink.families as families
+import fbmink.inequalities as inequalities
 import fbmink.quadrature as quadrature
 import fbmink.surfaces as surfaces
 import fbmink.weights as weights
@@ -289,6 +290,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
 
     jet = weights.jet
     jet_points = []   # the points of every jet of the weight
+    boundary_parts = inequalities._boundary_parts
+    coordinate_hessian = inequalities._Coordinate.euclidean_hessian
 
     def weight_jet(model, x, fn):
         if isinstance(fn, weights.WeightField):
@@ -299,6 +302,19 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     faces = []
     _recording_geometry(monkeypatch, faces)
     patch_imports(jet, weight_jet)
+    boundary_jets = []   # the jet behind every set of boundary parts formed
+    flat_points = []     # the points of every flat Hessian of a coordinate
+
+    def recording_parts(sq, fn_jet):
+        boundary_jets.append(fn_jet)
+        return boundary_parts(sq, fn_jet)
+
+    def recording_hessian(self, x):
+        flat_points.append(x)
+        return coordinate_hessian(self, x)
+
+    monkeypatch.setattr(inequalities, "_boundary_parts", recording_parts)
+    monkeypatch.setattr(inequalities._Coordinate, "euclidean_hessian", recording_hessian)
     patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
     patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
     monkeypatch.setattr(quadrature.RegionQuadrature, "__init__",
@@ -353,6 +369,13 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert [a.shape for a in held if a.shape == (m, n)] == []
     hess_V = sc.weight_jet("region", rule.level)[3]
     assert [a is hess_V for a in held if a.shape == (n, n, m)] == [True]
+    # V's boundary parts once per face over the three test functions, and one set for
+    # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
+    V_jets = [sc.weight_jet(label, rule.level) for label in ("cap", "support")]
+    assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
+    assert len(boundary_jets) == 2 + 2 * 2
+    assert [x.shape[-1] for x in flat_points] == [geo.x.shape[0] for geo in (
+        sc.quadrature(label, rule.level).geo for label in ("cap", "support"))] * 2
     # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
     # base cap's admissibility check
     faces.clear()

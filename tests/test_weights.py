@@ -24,7 +24,13 @@ from fbmink import (
     upper_half_space,
     weight_for_support,
 )
-from fbmink.ambient import ambient_laplacian, christoffels_at, covariant_hessian, metric_at
+from fbmink.ambient import (
+    add_axis_hessian,
+    ambient_laplacian,
+    christoffels_at,
+    covariant_hessian,
+    metric_at,
+)
 from fbmink.inequalities import _Coordinate
 from fbmink.supports import sample_admissible_points, sample_support_points
 from fbmink.weights import jet
@@ -166,6 +172,28 @@ def _oracle_points(model, m: int, rng) -> np.ndarray:
     if model.kind.value == "upper_half_space":
         x[-1] = rng.uniform(0.4, 1.6, size=m)
     return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("factory", ORACLE_MODELS)
+def test_sparse_coordinate_hessian_matches_generic_jet(factory, n):
+    """The Reilly checker adds a coordinate's covariant Hessian onto a tensor in its
+    sparse form; added onto zeros it must be the generic jet's, and the flat trace it
+    returns, scaled by exp(-2 phi), the jet's Laplacian."""
+    model = factory(n)
+    rng = np.random.default_rng(20261019 + n)
+    m = 9
+    x = _oracle_points(model, m, rng)
+    dphi, inv = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
+    for fn in (_Coordinate(i, squared) for i in range(n) for squared in (False, True)):
+        _, _, _, hess, lap = jet(model, x, fn)
+        sparse = np.zeros((n, n, m))
+        trace = add_axis_hessian(sparse, dphi, fn.i, fn.slope(x), fn.second)
+        scale = max(1.0, float(np.max(np.abs(hess))))
+        np.testing.assert_allclose(sparse, hess, rtol=0, atol=1e-14 * scale, err_msg=repr(fn))
+        np.testing.assert_allclose(inv * trace, lap, rtol=0,
+                                   atol=1e-14 * max(1.0, float(np.max(np.abs(lap)))),
+                                   err_msg=repr(fn))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
