@@ -19,7 +19,6 @@ point, (n, m) for m points; tensors at them put their index axes first, e.g.
 (n, n, m) for a Hessian, so every formula runs over long rows of nodes.
 The curvature probe follows the same rule: one call on (n, m) points and
 vectors returns (m,) curvatures, one call on (n,) ones a float.
-``christoffel_apply`` alone contracts vectors along their last axis.
 """
 
 from __future__ import annotations
@@ -174,18 +173,6 @@ def christoffels_at(model: SpaceFormModel, x: np.ndarray) -> np.ndarray:
     term2 = eye[:, None, :] * dphi[None, :, None]   # d_kj * dphi_i
     term3 = eye[None, :, :] * dphi[:, None, None]   # d_ij * dphi_k
     return term1 + term2 - term3
-
-
-def christoffel_apply(dphi: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gamma(u, v) contracted in closed form, avoiding the full n^3 array.
-
-    ``Gamma(u,v)^k = u^k (dphi.v) + v^k (dphi.u) - <u,v> dphi^k`` where dots
-    are Euclidean.  Shapes broadcast over leading axes.
-    """
-    du = np.sum(dphi * v, axis=-1)[..., None]
-    dv = np.sum(dphi * u, axis=-1)[..., None]
-    uv = np.sum(u * v, axis=-1)[..., None]
-    return u * du + v * dv - uv * dphi
 
 
 def ambient_inner(model: SpaceFormModel, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

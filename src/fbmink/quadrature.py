@@ -157,8 +157,9 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
         raise StarShapeViolated(
             f"piece '{label}' faces the star center "
             f"(min <X - x0, nu> = {float(np.min(facing)):.3e})")
-    cone_jac = np.abs(np.linalg.det(
-        np.concatenate([spread[:, :, None], geo.jac], axis=2)))
+    # Laplace expansion along the first column: det[X - x0 | J] = <X - x0, w> for the
+    # cross product w of J's columns, whose length is flat_area and direction +-nu_delta
+    cone_jac = facing * geo.flat_area
     # nodes: x0 + s * spread for every (s, u) pair, as one C-contiguous (n, s, u) block
     pts = x0[:, None, None] + s_nodes[None, :, None] * np.ascontiguousarray(spread.T)[:, None, :]
     radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]

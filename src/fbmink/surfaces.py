@@ -10,8 +10,13 @@ Sign convention for the second fundamental form:
     h_ab = -gbar( d2X_ab + Gamma(d_aX, d_bX), nu )
 
 which makes H = (n-1)/r > 0 for the Euclidean r-sphere with outward normal.
-The shape operator is formed once per geometry and stored on it as
-``SurfaceGeometry.shape``, with the one index convention
+Tangent vectors are Euclidean-orthogonal to nu, so of the conformal
+Gamma(u, v) = u <dphi, v> + v <dphi, u> - <u, v> dphi only the last term
+survives: h_ab = -e^{phi} (<d2X_ab, nu_delta> - <d_aX, d_bX> <dphi, nu_delta>).
+The Euclidean unit normal nu_delta is the normalized cross product w of the
+Jacobian columns; by Cauchy-Binet det g = e^{2 k phi} |w|^2 (k = n-1).  g is
+factored once, g = L L^T, the geometry keeps L^{-1}, and g^{-1} = L^{-T} L^{-1}.
+The shape operator is stored as ``SurfaceGeometry.shape``, in one convention
 
     S[:, a, b] = S^a_b = g^{ac} h_cb.
 
@@ -19,29 +24,27 @@ Every curvature quantity reads it (H = tr S, |h|^2 = tr S^2, the Ricci
 endomorphism of the Gauss equation), and so does the Weingarten relation in
 chart components,
 
-    d_a nu^k = S^b_a d_bX^k - Gamma^k_ij d_aX^i nu^j,
+    d_a nu = S^b_a d_bX - Gamma(d_aX, nu),
+    Gamma(d_aX, nu) = d_aX <dphi, nu> + nu <dphi, d_aX>,
 
 used wherever exact normal derivatives are needed.  The index order matters:
 g and h commute only where the cap is umbilical or symmetric about the
-conformal factor.  Principal curvatures solve the symmetric pencil (h, g)
-instead and never form S.
+conformal factor.  Principal curvatures are the eigenvalues of the symmetric
+L^{-1} h L^{-T}, from the same factor, and never form S.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .ambient import ModelKind, SpaceFormModel, christoffel_apply
+from .ambient import ModelKind, SpaceFormModel
 from .errors import DegenerateImmersion, NoBoundary, WeightNonpositive
 from .supports import SupportSpec, SphereShape, plane_anchor
-from .charts import (
-    PlanarBoxChart,
-    SphericalCapChart,
-    axis_frame,
-)
+from .charts import PlanarBoxChart, SphericalCapChart, axis_frame
 
 DEGENERACY_FLOOR = 1e-12   # det(g) below this aborts with DegenerateImmersion
 BOUNDARY_SAMPLES_PER_AXIS = 24   # boundary-ring grid for the free-boundary checks
@@ -71,7 +74,9 @@ class SurfaceGeometry:
     jac: np.ndarray             # (m, n, k)
     g: np.ndarray               # (m, k, k)
     g_inv: np.ndarray           # (m, k, k)
+    chol_inv: np.ndarray        # (m, k, k) L^{-1} for the Cholesky factor g = L L^T
     area_element: np.ndarray    # (m,)  sqrt(det g)
+    flat_area: np.ndarray       # (m,)  sqrt(det J^T J) = |w|, w the cross product of J's columns
     nu_delta: np.ndarray        # (m, n) Euclidean unit normal
     nu: np.ndarray              # (m, n) gbar-unit normal, chart components
     h: np.ndarray               # (m, k, k)
@@ -83,21 +88,36 @@ class SurfaceGeometry:
 
 
 def _cross_normal(jac: np.ndarray) -> np.ndarray:
-    """Generalized cross product of the k = n-1 Jacobian columns.
-
-    Component i is (-1)^i det(jac with row i removed); batched over axis 0.
-    """
-    m, n, k = jac.shape
+    """Generalized cross product of the k = n-1 Jacobian columns, batched over axis 0:
+    component i is (-1)^i det(jac with row i removed), each minor of a row set on the
+    first c + 1 columns expanded along column c (Laplace), with no factorization."""
+    _, n, k = jac.shape
     if k != n - 1:
         raise ValueError("normal requires a codimension-one immersion")
-    out = np.empty((m, n))
-    rows = np.arange(n)
-    sign = 1.0
-    for i in range(n):
-        keep = rows != i
-        out[:, i] = sign * np.linalg.det(jac[:, keep, :])
-        sign = -sign
-    return out
+    minors = {(r,): jac[:, r, 0] for r in range(n)}
+    for c in range(1, k):
+        minors = {rows: sum((-1.0) ** (j + c) * jac[:, r, c] * minors[rows[:j] + rows[j + 1:]]
+                            for j, r in enumerate(rows))
+                  for rows in itertools.combinations(range(n), c + 1)}
+    rows = tuple(range(n))
+    return np.stack([(-1.0) ** i * minors[rows[:i] + rows[i + 1:]] for i in range(n)], axis=1)
+
+
+def _inverse_metric_factor(g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
+    """L^{-1} for the Cholesky factor g = L L^T, by forward substitution on L's rows;
+    a metric under the floor, or not numerically positive definite, is degenerate."""
+    try:
+        L = None if np.any(det_g < DEGENERACY_FLOOR) else np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None:
+        raise DegenerateImmersion(
+            f"induced metric degenerate: min det g = {float(np.min(det_g)):.3e}")
+    inv = np.zeros_like(L)
+    for i in range(L.shape[1]):
+        inv[:, i, i] = 1.0 / L[:, i, i]
+        inv[:, i, :i] = -inv[:, i, i, None] * np.einsum("mj,mjc->mc", L[:, i, :i], inv[:, :i, :i])
+    return inv
 
 
 def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
@@ -109,34 +129,32 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
     model.require_inside(X.T)
 
     phi = model.phi(X.T)
-    factor = np.exp(2.0 * phi)
-    gram = np.einsum("mia,mib->mab", J, J)
-    g = factor[:, None, None] * gram
-    det_g = np.linalg.det(g)
-    if np.any(det_g < DEGENERACY_FLOOR):
-        raise DegenerateImmersion(
-            f"induced metric degenerate: min det g = {float(np.min(det_g)):.3e}")
-    g_inv = np.linalg.inv(g)
-
+    gram = np.transpose(J, (0, 2, 1)) @ J
+    g = np.exp(2.0 * phi)[:, None, None] * gram
+    # Cauchy-Binet: det(J^T J) = |w|^2 for the cross product w of J's columns
     w = _cross_normal(J)
+    flat_sq = np.sum(w * w, axis=1)
+    det_g = np.exp(2.0 * J.shape[2] * phi) * flat_sq
+    chol_inv = _inverse_metric_factor(g, det_g)
+    g_inv = np.transpose(chol_inv, (0, 2, 1)) @ chol_inv
+
     hint = surf.chart.normal_hint(U, X)
     sgn = np.sign(np.einsum("mi,mi->m", w, hint))
     if np.any(sgn == 0.0):
         raise DegenerateImmersion("orientation hint is tangent to the surface")
-    nu_delta = w * (sgn / np.linalg.norm(w, axis=1))[:, None]
+    flat_area = np.sqrt(flat_sq)
+    nu_delta = w * (sgn / flat_area)[:, None]
     nu = np.exp(-phi)[:, None] * nu_delta
 
-    # h_ab = -gbar(d2X + Gamma(dX,dX), nu) = -e^{phi} <d2X + Gamma(dX,dX), nu_delta>
-    dphi = model.phi_grad(X.T).T
-    Jt = np.transpose(J, (0, 2, 1))            # (m, k, n)
-    gam = christoffel_apply(dphi[:, None, None, :], Jt[:, :, None, :], Jt[:, None, :, :])
-    accel = H2 + gam                            # (m, k, k, n)
-    h = -np.exp(phi)[:, None, None] * np.einsum("mabi,mi->mab", accel, nu_delta)
+    # h_ab = -e^{phi} (<d2X_ab, nu_delta> - gram_ab <dphi, nu_delta>), see the module docstring
+    dphi_nu = np.einsum("im,mi->m", model.phi_grad(X.T), nu_delta)
+    accel = np.einsum("mabi,mi->mab", np.ascontiguousarray(H2), nu_delta)
+    h = -np.exp(phi)[:, None, None] * (accel - dphi_nu[:, None, None] * gram)
 
     return SurfaceGeometry(
-        params=U, x=X, jac=J, g=g, g_inv=g_inv,
-        area_element=np.sqrt(det_g), nu_delta=nu_delta, nu=nu, h=h,
-        shape=np.einsum("mab,mbc->mac", g_inv, h),
+        params=U, x=X, jac=J, g=g, g_inv=g_inv, chol_inv=chol_inv,
+        area_element=np.sqrt(det_g), flat_area=flat_area, nu_delta=nu_delta, nu=nu, h=h,
+        shape=g_inv @ h,
     )
 
 
@@ -174,33 +192,27 @@ def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> Curvatu
 def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
     """Eigenvalues of the shape operator, batched: (m, k), ascending.
 
-    Solved as the symmetric generalized problem (h, g) through a Cholesky
-    congruence so that numpy's batched eigensolver applies.
+    Solved as the symmetric generalized problem (h, g) through the congruence
+    L^{-1} h L^{-T} by the geometry's one Cholesky factor, so that numpy's
+    batched symmetric eigensolver applies.
     """
-    L = np.linalg.cholesky(geo.g)
-    tmp = np.linalg.solve(L, geo.h)
-    A = np.linalg.solve(L, np.transpose(tmp, (0, 2, 1)))
+    A = geo.chol_inv @ geo.h @ np.transpose(geo.chol_inv, (0, 2, 1))
     A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
     return np.linalg.eigvalsh(A)
 
 
 def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.ndarray:
     """Chart partials d_a nu^k via the Weingarten relation, shape (m, k, n)."""
-    tangent = np.einsum("mba,mib->mai", geo.shape, geo.jac)    # S^b_a d_bX
-    dphi = surf.model.phi_grad(geo.x.T).T
-    Jt = np.transpose(geo.jac, (0, 2, 1))
-    gam = christoffel_apply(dphi[:, None, :], Jt, geo.nu[:, None, :])
+    tangent = np.transpose(geo.shape, (0, 2, 1)) @ np.transpose(geo.jac, (0, 2, 1))   # S^b_a d_bX
+    dphi = surf.model.phi_grad(geo.x.T)
+    dphi_nu = np.einsum("im,mi->m", dphi, geo.nu)
+    dphi_a = np.einsum("im,mia->ma", dphi, geo.jac)
+    gam = (np.transpose(geo.jac, (0, 2, 1)) * dphi_nu[:, None, None]
+           + dphi_a[:, :, None] * geo.nu[:, None, :])
     return tangent - gam
 
 
 # -- boundary operations --------------------------------------------------------
-
-
-def _require_boundary(surf: FreeBoundarySurface):
-    if not surf.chart.boundary_axes:
-        raise NoBoundary("surface chart has no boundary face")
-    if surf.support is None:
-        raise NoBoundary("surface carries no support to be orthogonal to")
 
 
 def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
@@ -215,11 +227,8 @@ def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
         lo, hi = dom[a]
         pad = 1e-3 * (hi - lo)
         axes.append(np.linspace(lo + pad, hi - pad, BOUNDARY_SAMPLES_PER_AXIS))
-    if axes:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=1)
-    else:
-        pts = np.zeros((1, 0))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([mm.ravel() for mm in mesh], axis=1)
     t_face = np.full((pts.shape[0], 1), dom[0][1])
     return np.hstack([t_face, pts])
 
@@ -234,7 +243,10 @@ def boundary_checks(surf: FreeBoundarySurface) -> tuple[float, float, float]:
     zero (to rounding) whenever the free-boundary surface meets an umbilical
     support orthogonally; a nonzero value flags a broken hypothesis.
     """
-    _require_boundary(surf)
+    if not surf.chart.boundary_axes:
+        raise NoBoundary("surface chart has no boundary face")
+    if surf.support is None:
+        raise NoBoundary("surface carries no support to be orthogonal to")
     geo = surface_geometry(surf, boundary_parameters(surf))
     s = surf.support
     sd = np.abs(s.signed_distance(geo.x))

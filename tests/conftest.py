@@ -1,10 +1,12 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fbmink import families
 from fbmink import (
     CapSpec,
     PerturbationSpec,
@@ -16,6 +18,10 @@ from fbmink import (
 )
 from fbmink.charts import RadialBumpProfile
 
+SPHERE_KINDS = [SupportKind.EUCLIDEAN_SPHERE, SupportKind.HYP_GEODESIC_SPHERE,
+                SupportKind.SPH_GEODESIC_SPHERE]
+
+
 def canonical_support(kind: SupportKind, n: int = 3):
     return make_support(kind, n)
 
@@ -23,6 +29,27 @@ def canonical_support(kind: SupportKind, n: int = 3):
 def canonical_scenario(kind: SupportKind, n: int = 3):
     support = canonical_support(kind, n)
     return make_umbilical_cap(default_cap_spec(support))
+
+
+def unchecked_scenario(kind: SupportKind, n: int, eps: float = 0.0):
+    """The canonical cap, perturbed by the radial bump of size eps if eps is nonzero,
+    built without the admissibility check.  At n >= 5 that check raises
+    DegenerateImmersion on its level-6 region nodes, whose innermost polar nodes fall
+    under the absolute det g floor; the cap's geometry at interior parameters is
+    still well defined there."""
+    with mock.patch.object(families, "_check_admissible", lambda scenario: None):
+        spec = default_cap_spec(canonical_support(kind, n))
+        if eps:
+            return make_perturbed_cap(spec, PerturbationSpec(epsilon=eps))
+        return make_umbilical_cap(spec)
+
+
+def interior_params(surf, m=7, margin=0.15):
+    """A small grid strictly inside the parameter box."""
+    axes = [np.linspace(lo + margin * (hi - lo), hi - margin * (hi - lo), m)
+            for lo, hi in surf.chart.domain]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 # perturbed caps on which g and h do not commute in chart coordinates: the

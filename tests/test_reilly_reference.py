@@ -24,7 +24,7 @@ from fbmink.inequalities import _test_function
 from fbmink.quadrature import pairwise_sum
 from fbmink.weights import jet
 
-from conftest import canonical_support
+from conftest import SPHERE_KINDS, canonical_support
 
 
 def _reference_boundary_terms(sq, V_jet, f_jet) -> dict:
@@ -103,8 +103,6 @@ def _fields(row: dict) -> dict:
     return out
 
 
-SPHERE_KINDS = [SupportKind.EUCLIDEAN_SPHERE, SupportKind.HYP_GEODESIC_SPHERE,
-                SupportKind.SPH_GEODESIC_SPHERE]
 CASES = ([(3, 16, kind) for kind in SupportKind]
          + [(4, 8, SupportKind.EUCLIDEAN_PLANE), (4, 8, SupportKind.SPH_HYPERPLANE)]
          + [(2, 32, kind) for kind in SPHERE_KINDS])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fbmink import CapSpec, SupportKind, default_cap_spec, make_perturbed_cap, make_umbilical_cap
-from fbmink import PerturbationSpec, validate_scenario
+from fbmink import DegenerateImmersion, PerturbationSpec, validate_scenario
 from fbmink.surfaces import (
+    DEGENERACY_FLOOR,
     boundary_checks,
     boundary_parameters,
     curvature_arrays,
@@ -20,23 +21,18 @@ from fbmink.surfaces import (
 
 from conftest import (
     ASYMMETRIC_CAPS,
+    SPHERE_KINDS,
     AngularBumpProfile,
     angular_bump_scenario,
     asymmetric_scenario,
     canonical_scenario,
     canonical_support,
+    interior_params,
+    unchecked_scenario,
 )
 
 ANGULAR_BUMP_KINDS = [SupportKind.EUCLIDEAN_PLANE, SupportKind.EUCLIDEAN_SPHERE,
                       SupportKind.EQUIDISTANT, SupportKind.SPH_HYPERPLANE]
-
-
-def interior_params(surf, m=7, margin=0.15):
-    """A small grid strictly inside the parameter box."""
-    axes = [np.linspace(lo + margin * (hi - lo), hi - margin * (hi - lo), m)
-            for lo, hi in surf.chart.domain]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def test_unit_hemisphere_sign_conventions(hemisphere):
@@ -176,6 +172,19 @@ def test_weingarten_matches_fd_of_normal(hemisphere):
     assert _weingarten_fd_gap(hemisphere.surface) < 1e-7
 
 
+# every support at n = 3, 4 and 5 (the caps at n = 5 are built without the
+# admissibility check, see conftest), the sphere kinds at n = 2, each umbilical
+# and perturbed: an independent check of h and of Gamma(d_aX, nu)
+WEINGARTEN_CAPS = [(kind, 2) for kind in SPHERE_KINDS] + [
+    (kind, n) for n in (3, 4, 5) for kind in SupportKind]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("kind,n", WEINGARTEN_CAPS)
+def test_weingarten_matches_fd_of_normal_in_every_dimension(kind, n, eps):
+    assert _weingarten_fd_gap(unchecked_scenario(kind, n, eps).surface) < 1e-7
+
+
 @pytest.mark.parametrize("kind,placement", ASYMMETRIC_CAPS)
 def test_weingarten_matches_fd_of_normal_on_asymmetric_caps(kind, placement):
     # g and h do not commute here, so contracting S^a_b = g^{ac} h_cb on the wrong index fails
@@ -266,6 +275,44 @@ def test_hypothesis_margins_positive_on_canonical_caps(kind):
     U = interior_params(sc.surface, m=9, margin=0.05)
     assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[1] > 0.0
     assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[2] > -1e-12
+
+
+class CollapsedChart:
+    """A cap chart whose Jacobian column ``column`` is multiplied by ``scale``, with
+    ``shear`` times column 0 added to column 1 (X and H are the base chart's)."""
+
+    def __init__(self, base, column=0, scale=1.0, shear=0.0):
+        self.base, self.column, self.scale, self.shear = base, column, scale, shear
+
+    def evaluate(self, U):
+        X, J, H2 = self.base.evaluate(U)
+        J = J.copy()
+        J[:, :, self.column] *= self.scale
+        J[:, :, 1] += self.shear * J[:, :, 0]
+        return X, J, H2
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("column,scale", [(0, 0.0), (1, 0.0), (0, 1e-14), (1, 1e-14)])
+def test_collapsed_immersion_is_named(n, column, scale):
+    surf = canonical_scenario(SupportKind.EUCLIDEAN_PLANE, n).surface
+    surf = dataclasses.replace(surf, chart=CollapsedChart(surf.chart, column, scale))
+    with pytest.raises(DegenerateImmersion, match="min det g = "):
+        surface_geometry(surf, interior_params(surf, m=3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_metric_that_fails_cholesky_above_the_floor_is_named(n):
+    # a shear keeps the cross product, so det g = e^{2 k phi} |w|^2 clears the floor,
+    # but g's entries near 1e20 leave no positive definite factor in floating point
+    surf = canonical_scenario(SupportKind.EUCLIDEAN_PLANE, n).surface
+    sheared = dataclasses.replace(surf, chart=CollapsedChart(surf.chart, shear=1e10))
+    with pytest.raises(DegenerateImmersion, match="min det g = ") as caught:
+        surface_geometry(sheared, interior_params(surf, m=3))
+    assert float(str(caught.value).split("= ")[1]) >= DEGENERACY_FLOOR
 
 
 def test_arc_ring_is_both_ends():
