@@ -3,10 +3,10 @@
 The surface engine consumes charts through a single batched interface:
 ``evaluate(U)`` maps parameter points (m, k) to positions (m, n), Jacobians
 (m, n, k) and second derivatives (m, k, k, n); each chart also carries its
-``dim``, ``ambient_dim``, parameter box ``domain``, ``boundary_axes`` and an
-orienting ``normal_hint(U, X)``.  Everything downstream
-(fundamental forms, quadrature, the Reilly terms) differentiates nothing
-itself, so charts are the only place derivative bookkeeping lives.
+``dim``, parameter box ``domain``, ``boundary_axes`` and an orienting
+``normal_hint(U, X)``.  Everything downstream (fundamental forms,
+quadrature, the Reilly terms) differentiates nothing itself, so charts are
+the only place derivative bookkeeping lives.
 
 Spherical caps use standard polar coordinates on S^{n-1}: with angles
 theta_0..theta_{q-1} (q = n-1) the unit vector has components
@@ -98,9 +98,7 @@ class SphericalCapChart:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
         self.frame = np.asarray(self.frame, dtype=float)
-        n = self.center.shape[0]
-        self.ambient_dim = n
-        self.dim = n - 1
+        self.dim = self.center.shape[0] - 1
         self.domain = sphere_param_box(self.dim, self.t_min, self.t_max)
         self.boundary_axes = [0]
 
@@ -154,7 +152,7 @@ class RadialBumpProfile:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, q = U.shape
         t = U[:, 0]
-        tm2 = self.t_max ** 2
+        tm2 = self.t_max * self.t_max   # squared as t is, so z is exactly 1 at t = t_max
         z = t * t / tm2
         base = 1.0 - z
         p = base ** self.power
@@ -202,7 +200,6 @@ class PerturbedCapChart:
     profile: RadialBumpProfile
 
     def __post_init__(self):
-        self.ambient_dim = self.base.ambient_dim
         self.dim = self.base.dim
         self.domain = self.base.domain
         self.boundary_axes = self.base.boundary_axes
@@ -261,7 +258,6 @@ class PolarPlanarChart:
         n = self.center.shape[0]
         if n < 3:
             raise ValueError("polar planar patches need ambient dimension >= 3")
-        self.ambient_dim = n
         self.dim = n - 1
         self.domain = [(0.0, self.radius)] + full_sphere_box(n - 2)
         self.boundary_axes = [0]
@@ -276,7 +272,7 @@ class PolarPlanarChart:
         dw = np.einsum("ik,mka->mia", self.plane_frame, dc)
         d2w = np.einsum("ik,mkab->mabi", self.plane_frame, d2c)
 
-        n, k = self.ambient_dim, self.dim
+        n, k = self.center.shape[0], self.dim
         X = self.center + s[:, None] * w
         J = np.empty((m, n, k))
         J[:, :, 0] = w
@@ -304,10 +300,8 @@ class PlanarBoxChart:
         self.origin = np.asarray(self.origin, dtype=float)
         self.plane_frame = np.asarray(self.plane_frame, dtype=float)
         self.hint = np.asarray(self.hint, dtype=float)
-        n = self.origin.shape[0]
-        self.ambient_dim = n
-        self.dim = n - 1
-        self.domain = [(-self.extent, self.extent)] * (n - 1)
+        self.dim = self.origin.shape[0] - 1
+        self.domain = [(-self.extent, self.extent)] * self.dim
         self.boundary_axes = []
 
     def evaluate(self, U):
@@ -315,7 +309,7 @@ class PlanarBoxChart:
         m, k = U.shape
         X = self.origin + U @ self.plane_frame.T
         J = np.broadcast_to(self.plane_frame, (m,) + self.plane_frame.shape).copy()
-        H = np.zeros((m, k, k, self.ambient_dim))
+        H = np.zeros((m, k, k, self.origin.shape[0]))
         return X, J, H
 
     def normal_hint(self, U, X):

@@ -457,9 +457,10 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
         # weighted area, volume and deficit on a copy of the scenario (and of its base)
         # with empty memos, so each level's node sets are freed before the next
         sc = dataclasses.replace(scenario, base=scenario.base and dataclasses.replace(scenario.base))
-        sq, rq = sc.quadrature("cap", level), sc.region(level)
+        rule = QuadratureRule(level)
+        sq, rq = sc.quadrature("cap", rule), sc.region(rule)
         return (sq.integral(weight.value(sq.geo.x.T)), rq.integral(weight.value(rq.points)),
-                builder(sc, QuadratureRule(level)).deficit)
+                builder(sc, rule).deficit)
 
     tables = {
         "weighted_area": refine_study(lambda level: at(level)[0], levels),

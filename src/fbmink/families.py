@@ -14,9 +14,10 @@ At n = 2 the cap is an arc about its axis and its ring is the arc's two ends.
 Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
-set per (set, level): the cap's and the face's ``SurfaceQuadrature``, the
-region built from their cones, the cap weight data and V's jet on each set,
-so every report, audit, validation and identity check on it shares them.
+set per (set, rule): the cap's and the face's ``SurfaceQuadrature``, the
+region built from their cones, the cap weight data, V's jet on each set and
+V's boundary parts on each face, so every report, audit, validation and
+identity check on it shares them.
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
@@ -24,7 +25,7 @@ base cap with the cap chart displaced: it shares the base's face, star
 center and pieces, and through ``base``, its one reference to the base cap,
 reads the base's epsilon-free node sets (the face's quadrature and cone and
 the cap's chart terms) and its boundary ring checks, so the perturbations of
-one base cap evaluate those once per (base cap, level) and one ring per base
+one base cap evaluate those once per (base cap, rule) and one ring per base
 cap.  Nothing a scenario memoizes refers back to the scenario.
 """
 
@@ -58,7 +59,8 @@ from .weights import WeightField, jet, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
-ADMISSIBILITY_LEVEL = 6   # margins only locate region nodes, so a coarse level suffices
+ADMISSIBILITY_RULE = quad.QuadratureRule(6)   # margins only locate region nodes: a coarse rule
+REACH_RULE = quad.QuadratureRule(8)           # the cap nodes that probe a perturbation's reach
 CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
 
 
@@ -103,7 +105,7 @@ class CapScenario(quad.Memo):
     star-shaped about ``star_center``, and ``pieces`` labels the smooth boundary
     pieces the cones cover, "cap" and, where the support face does not pass
     through the star center, "support".  Its node sets are built on first use and
-    memoized per (set, level) in ``_cache``.
+    memoized per (set, rule) in ``_cache``.
     """
 
     support: SupportSpec
@@ -118,62 +120,67 @@ class CapScenario(quad.Memo):
     base: Optional[CapScenario] = field(default=None, repr=False)   # the cap it perturbs
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _cap_values(self, level: int) -> tuple:
+    def _cap_values(self, rule: quad.QuadratureRule) -> tuple:
         """The cap chart's (X, J, H) at its nodes; a perturbed cap displaces its base's terms."""
         chart = self.surface.chart
-        params, _ = quad.tensor_grid(level, chart.domain)
+        params, _ = rule.grid(chart.domain)
         if self.base is not None:
-            return chart.displace(params, self.base.cap_terms(level))
-        return self._once(("cap chart", level), lambda: chart.evaluate(params))
+            return chart.displace(params, self.base.cap_terms(rule))
+        return self._once(("cap chart", rule), lambda: chart.evaluate(params))
 
-    def cap_terms(self, level: int) -> tuple:
+    def cap_terms(self, rule: quad.QuadratureRule) -> tuple:
         """(X, J, H) and their ``charts.conformal_scale``: a perturbation's epsilon-free terms."""
-        return self._once(("cap terms", level), lambda: (*self._cap_values(level), *conformal_scale(
-            self.model, *self._cap_values(level))))
+        return self._once(("cap terms", rule), lambda: (*self._cap_values(rule), *conformal_scale(
+            self.model, *self._cap_values(rule))))
 
-    def quadrature(self, label: str, level: int) -> quad.SurfaceQuadrature:
+    def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
         """Nodes of and quadrature over the cap ("cap") or the support face ("support");
         a perturbed cap reads its base's face."""
         if label == "support" and self.base is not None:
-            return self.base.quadrature(label, level)
-        return self._once((label, level), lambda: quad.SurfaceQuadrature(
-            self.surface if label == "cap" else self.face, quad.QuadratureRule(level),
-            self._cap_values(level) if label == "cap" else None))
+            return self.base.quadrature(label, rule)
+        return self._once((label, rule), lambda: quad.SurfaceQuadrature(
+            self.surface if label == "cap" else self.face, rule,
+            self._cap_values(rule) if label == "cap" else None))
 
-    def cone(self, label: str, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def cone(self, label: str, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
         """The region's cone over one piece, kept for the caps that perturb this one."""
-        return self._once((label + " cone", level), lambda: quad.cone(
-            self.star_center, label, self.quadrature(label, level)))
+        return self._once((label + " cone", rule), lambda: quad.cone(
+            self.star_center, label, self.quadrature(label, rule)))
 
-    def region(self, level: int) -> quad.RegionQuadrature:
+    def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
         """The cone-decomposition nodes of Omega; a perturbed cap reads its base's face cone."""
         def piece(label: str) -> tuple[np.ndarray, np.ndarray]:
             if label == "support" and self.base is not None:
-                return self.base.cone(label, level)
-            return quad.cone(self.star_center, label, self.quadrature(label, level))
-        return self._once(("region", level), lambda: quad.RegionQuadrature(
+                return self.base.cone(label, rule)
+            return quad.cone(self.star_center, label, self.quadrature(label, rule))
+        return self._once(("region", rule), lambda: quad.RegionQuadrature(
             self.model, [piece(label) for label in self.pieces]))
 
-    def weight_data(self, level: int) -> tuple[np.ndarray, float, float]:
+    def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
-        return self._once(("weight", level), lambda: hypothesis_margins(
-            self.weight, self.quadrature("cap", level).geo))
+        return self._once(("weight", rule), lambda: hypothesis_margins(
+            self.weight, self.quadrature("cap", rule).geo))
 
-    def weight_jet(self, label: str, level: int) -> tuple:
+    def weight_jet(self, label: str, rule: quad.QuadratureRule) -> tuple:
         """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
         axis last; the region's is filled one block at a time, and its flat Hessian,
         which nothing reads, is None."""
         def build():
             if label != "region":
-                return jet(self.model, self.quadrature(label, level).geo.x.T, self.weight)
-            region = self.region(level)
+                return jet(self.model, self.quadrature(label, rule).geo.x.T, self.weight)
+            region = self.region(rule)
             x = region.points
             n, m = x.shape
             value, d1, hess, lap = np.empty(m), np.empty((n, m)), np.empty((n, n, m)), np.empty(m)
             for b in region.blocks:
                 value[b], d1[:, b], _, hess[..., b], lap[b] = jet(self.model, x[:, b], self.weight)
             return value, d1, None, hess, lap
-        return self._once((label + " jet", level), build)
+        return self._once((label + " jet", rule), build)
+
+    def weight_parts(self, label: str, rule: quad.QuadratureRule) -> tuple:
+        """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face."""
+        return self._once((label + " boundary", rule), lambda: self.quadrature(
+            label, rule).boundary_parts(self.weight_jet(label, rule)))
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap, its ring evaluated once per base cap: a
@@ -364,9 +371,9 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
             "bump power below 3 would move the boundary ring data")
     profile = RadialBumpProfile(t_max=cap_chart.t_max, power=perturbation.power)
     _check_profile_conforms(profile, cap_chart)
-    probe, _ = quad.tensor_grid(8, cap_chart.domain)
+    probe, _ = REACH_RULE.grid(cap_chart.domain)
     p_probe, _, _ = profile.evaluate(probe)
-    s_probe = base.cap_terms(8)[3]     # exp(-phi) at the same nodes of the base cap
+    s_probe = base.cap_terms(REACH_RULE)[3]     # exp(-phi) at the same nodes of the base cap
     reach = float(np.max(np.abs(p_probe) * s_probe))
     _placement_precheck(base.support, cap_chart.center,
                         cap_chart.radius + abs(perturbation.epsilon) * reach)
@@ -409,7 +416,7 @@ def region_margins(scenario: CapScenario) -> dict:
 
 
 def _margins(scenario: CapScenario) -> dict:
-    pts = scenario.region(ADMISSIBILITY_LEVEL).points    # (n, m)
+    pts = scenario.region(ADMISSIBILITY_RULE).points    # (n, m)
     s = scenario.support
     model = s.model
     out = {"support_interior": float(np.min(-s.signed_distance(pts.T)))}

@@ -57,7 +57,7 @@ class HypothesisAudit:
 
 def hypothesis_audit(scenario: CapScenario, rule: QuadratureRule) -> HypothesisAudit:
     angle_err, support_err, principal_err = scenario.boundary()
-    V, convexity, substatic = scenario.weight_data(rule.level)
+    V, convexity, substatic = scenario.weight_data(rule)
     return HypothesisAudit(
         convexity_min=convexity,
         substatic_min=substatic,
@@ -120,27 +120,26 @@ class InequalityReport:
 
 
 def _cap_terms(scenario: CapScenario, rule: QuadratureRule):
-    """(level, cap quadrature, cap curvature, V, convexity and substatic margins)
-    for a report; the weight is checked before the region is built."""
-    level = rule.level
-    Vs, convexity, substatic = scenario.weight_data(level)
-    sq = scenario.quadrature("cap", level)
-    return level, sq, sq.curvature(), Vs, convexity, substatic
+    """(cap quadrature, cap curvature, V, convexity and substatic margins) for a
+    report; the weight is checked before the region is built."""
+    Vs, convexity, substatic = scenario.weight_data(rule)
+    sq = scenario.quadrature("cap", rule)
+    return sq, sq.curvature(), Vs, convexity, substatic
 
 
 def minkowski_report(scenario: CapScenario, rule: QuadratureRule,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
-    level, sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
-    rq = scenario.region(level)
+    sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
+    rq = scenario.region(rule)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
     vol_v = rq.integral(scenario.weight.value(rq.points))
     lhs = area_v ** 2
     rhs = n / (n - 1.0) * vol_v * mean_v
     return InequalityReport(
-        theorem="Minkowski", n=n, level=level, lhs=lhs, rhs=rhs, deficit=lhs - rhs,
+        theorem="Minkowski", n=n, level=rule.level, lhs=lhs, rhs=rhs, deficit=lhs - rhs,
         hypothesis="convexity", hypothesis_margin=margin,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "weighted_mean_curvature": mean_v,
@@ -154,7 +153,7 @@ def af_report(scenario: CapScenario, rule: QuadratureRule,
     n = scenario.n
     if n < 3:
         raise DimensionTooLow("the second-order inequality needs ambient dimension >= 3")
-    level, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
+    sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
     sigma2_v = sq.integral(curv.sigma2 * Vs)
@@ -168,7 +167,7 @@ def af_report(scenario: CapScenario, rule: QuadratureRule,
     normalized_deficit = (n - 1.0) / (n - 2.0) * traceless - spread
 
     return InequalityReport(
-        theorem="AF", n=n, level=level, lhs=lhs, rhs=rhs, deficit=lhs - rhs,
+        theorem="AF", n=n, level=rule.level, lhs=lhs, rhs=rhs, deficit=lhs - rhs,
         hypothesis="substatic", hypothesis_margin=margin,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "weighted_mean_curvature": mean_v,
@@ -186,7 +185,7 @@ def schur_report(scenario: CapScenario, rule: QuadratureRule,
     if n < 4:
         raise DimensionTooLow(
             f"the scalar-curvature bound needs ambient dimension >= 4, got {n}")
-    level, sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
+    sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
     area_v = sq.integral(Vs)
     scal_mean = sq.integral(curv.scal * Vs) / area_v
     lhs = sq.integral((curv.scal - scal_mean) ** 2 * Vs)
@@ -195,7 +194,7 @@ def schur_report(scenario: CapScenario, rule: QuadratureRule,
     rhs = coeff * sq.integral(curv.ric0_sq * Vs)
 
     return InequalityReport(
-        theorem="AlmostSchur", n=n, level=level, lhs=lhs, rhs=rhs, deficit=rhs - lhs,
+        theorem="AlmostSchur", n=n, level=rule.level, lhs=lhs, rhs=rhs, deficit=rhs - lhs,
         hypothesis="substatic", hypothesis_margin=margin,
         equality_tolerance=equality_tolerance,
         integrals={"weighted_area": area_v, "scal_mean": scal_mean},
@@ -278,26 +277,11 @@ class ReillyReport:
         return asdict(self)
 
 
-def _boundary_parts(sq: SurfaceQuadrature, fn_jet: tuple) -> tuple:
-    """The normal derivative, the tangential gradient (parameter components, lower
-    index), the intrinsic Laplacian through the ambient one, and the tangential
-    derivative of the normal derivative, of one function over one smooth piece, from
-    its ``weights.jet`` at the piece's nodes (node axis last)."""
-    _, d1, d2, hess, lap = fn_jet
-    nu, jac = sq.geo.nu, sq.geo.jac
-    d_nu = np.einsum("im,mi->m", d1, nu)
-    d_a = np.einsum("im,mia->ma", d1, jac)
-    lap_p = (lap - np.einsum("im,mi->m", np.einsum("ijm,mj->im", hess, nu), nu)
-             - sq.curvature().H * d_nu)
-    d_nu_a = (np.einsum("im,mia->ma", np.einsum("ijm,mj->im", d2, nu), jac)
-              + np.einsum("im,mai->ma", d1, sq.normal_derivatives()))
-    return d_nu, d_a, lap_p, d_nu_a
-
-
 def _boundary_piece_terms(sq: SurfaceQuadrature, V: np.ndarray, V_parts: tuple,
                           f: np.ndarray, f_parts: tuple) -> dict:
     """The three boundary integrals of the identity over one smooth piece, from the
-    values and ``_boundary_parts`` of V and of the test function f at its nodes."""
+    values and ``SurfaceQuadrature.boundary_parts`` of V and of the test function f
+    at its nodes."""
     geo = sq.geo
     V_nu, V_a, lap_p_V, dVnu_a = V_parts
     f_nu, f_a, lap_p_f, dfnu_a = f_parts
@@ -332,10 +316,10 @@ def reilly_residual(scenario: CapScenario, function: str,
     cross-check.
     """
     name, f = _test_function(function, scenario)
-    model, level = scenario.model, rule.level
+    model = scenario.model
     is_V = f is scenario.weight
-    rq = scenario.region(level)
-    V_jet = scenario.weight_jet("region", level)
+    rq = scenario.region(rule)
+    V_jet = scenario.weight_jet("region", rule)
 
     def volume_integrands(b: slice) -> tuple[np.ndarray, np.ndarray]:
         # both interior integrands on one block of region nodes, from V's jet there, with
@@ -366,12 +350,11 @@ def reilly_residual(scenario: CapScenario, function: str,
 
     boundary = {}
     for label in ("cap", "support"):
-        sq = scenario.quadrature(label, level)
-        V_face = scenario.weight_jet(label, level)
-        V_parts = scenario._once((label + " boundary", level),
-                                 lambda: _boundary_parts(sq, V_face))
+        sq = scenario.quadrature(label, rule)
+        V_face = scenario.weight_jet(label, rule)
+        V_parts = scenario.weight_parts(label, rule)
         f_jet = V_face if is_V else jet(model, sq.geo.x.T, f)
-        f_parts = V_parts if is_V else _boundary_parts(sq, f_jet)
+        f_parts = V_parts if is_V else sq.boundary_parts(f_jet)
         boundary[label] = _boundary_piece_terms(sq, V_face[0], V_parts, f_jet[0], f_parts)
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 

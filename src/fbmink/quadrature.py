@@ -9,10 +9,10 @@ because the cap and the support face are separate pieces.  A region is given
 by its star center and the labels of its pieces alone; it has no membership
 test, so every volume integral goes through these cones.
 
-This module holds the quadrature primitives: Gauss-Legendre nodes, the
-``SurfaceQuadrature`` of one surface chart, the cone over one boundary piece
-and the ``RegionQuadrature`` built from the cones.  A cap scenario
-(``families.CapScenario``) builds and memoizes them per (set, level).
+This module holds the quadrature primitives: the ``QuadratureRule`` that places
+the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
+cone over one boundary piece and the ``RegionQuadrature`` built from the cones.
+A cap scenario (``families.CapScenario``) builds and memoizes them per (set, rule).
 
 Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
 consecutive nodes, so a region term holds its (n, n, m) temporaries for one
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -77,35 +78,32 @@ def _gauss_unit(level: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(0.5 * (x + 1.0)), tuple(0.5 * w)
 
 
-def gauss_nodes(level: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [lo, hi]."""
-    xu, wu = _gauss_unit(level)
-    span = hi - lo
-    return lo + span * np.asarray(xu), span * np.asarray(wu)
-
-
-def tensor_grid(level: int, box: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product nodes over a box: returns (points (m, k), weights (m,))."""
-    axes, weights = [], []
-    for lo, hi in box:
-        x, w = gauss_nodes(level, lo, hi)
-        axes.append(x)
-        weights.append(w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.ravel() for mm in mesh], axis=1)
-    wt = functools.reduce(np.multiply.outer, weights).ravel()
-    return pts, wt
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes-per-axis for tensor-product Gauss-Legendre quadrature."""
+    """Tensor-product Gauss-Legendre quadrature with ``level`` nodes per axis: it places
+    every node, and a scenario keys each node set by it."""
 
     level: int
 
     def __post_init__(self):
+        if not isinstance(self.level, numbers.Integral):
+            raise ValueError(f"quadrature level must be an integer, got {self.level!r}")
         if self.level < 2:
             raise ValueError("quadrature level must be at least 2")
+
+    def nodes(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre nodes and weights on [lo, hi]."""
+        xu, wu = _gauss_unit(self.level)
+        span = hi - lo
+        return lo + span * np.asarray(xu), span * np.asarray(wu)
+
+    def grid(self, box: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+        """Tensor-product nodes over a box: returns (points (m, k), weights (m,))."""
+        axes, weights = zip(*(self.nodes(lo, hi) for lo, hi in box))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([mm.ravel() for mm in mesh], axis=1)
+        wt = functools.reduce(np.multiply.outer, weights).ravel()
+        return pts, wt
 
 
 class Memo:
@@ -125,7 +123,7 @@ class SurfaceQuadrature(Memo):
     def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None):
         self.surf = surf
         self.rule = rule
-        params, self.box_weights = tensor_grid(rule.level, surf.chart.domain)
+        params, self.box_weights = rule.grid(surf.chart.domain)
         self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
         self.weights = self.box_weights * self.geo.area_element
         self._cache = {}
@@ -136,6 +134,21 @@ class SurfaceQuadrature(Memo):
     def normal_derivatives(self) -> np.ndarray:
         """Chart partials d_a nu^k at the nodes, shape (m, k, n)."""
         return self._once("dnu", lambda: normal_derivatives(self.surf, self.geo))
+
+    def boundary_parts(self, fn_jet: tuple) -> tuple:
+        """The normal derivative, the tangential gradient (parameter components, lower
+        index), the intrinsic Laplacian through the ambient one, and the tangential
+        derivative of the normal derivative, of one function on this surface, from its
+        ``weights.jet`` at the nodes (node axis last)."""
+        _, d1, d2, hess, lap = fn_jet
+        nu, jac = self.geo.nu, self.geo.jac
+        d_nu = np.einsum("im,mi->m", d1, nu)
+        d_a = np.einsum("im,mia->ma", d1, jac)
+        lap_p = (lap - np.einsum("im,mi->m", np.einsum("ijm,mj->im", hess, nu), nu)
+                 - self.curvature().H * d_nu)
+        d_nu_a = (np.einsum("im,mia->ma", np.einsum("ijm,mj->im", d2, nu), jac)
+                  + np.einsum("im,mai->ma", d1, self.normal_derivatives()))
+        return d_nu, d_a, lap_p, d_nu_a
 
     def integral(self, values: np.ndarray) -> float:
         return pairwise_sum(np.asarray(values, dtype=float) * self.weights)
@@ -149,7 +162,7 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
     over one boundary piece."""
     n = x0.shape[0]
     geo = piece.geo
-    s_nodes, s_w = gauss_nodes(piece.rule.level, 0.0, 1.0)
+    s_nodes, s_w = piece.rule.nodes(0.0, 1.0)
     spread = geo.x - x0                          # (m, n)
     # star-shape check: boundary must face away from the center
     facing = np.einsum("mi,mi->m", spread, geo.nu_delta)

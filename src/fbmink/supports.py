@@ -194,7 +194,7 @@ def hyp_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
     if (geodesic_radius is None) == (chart_radius is None):
         raise ValueError("give exactly one of geodesic_radius, chart_radius")
     if geodesic_radius is not None:
-        if geodesic_radius <= 0:
+        if not geodesic_radius > 0:   # a NaN fails too
             raise ValueError("geodesic radius must be positive")
         rho = math.tanh(geodesic_radius / 2.0)
     else:

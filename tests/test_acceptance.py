@@ -253,7 +253,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
     for level in levels:
         sq = SurfaceQuadrature(hemi.surface, QuadratureRule(level))
         area_errors.append(abs(sq.integral(np.ones(sq.geo.count)) - 2.0 * math.pi))
-        rq = hemi.region(level)
+        rq = hemi.region(QuadratureRule(level))
         volume_errors.append(abs(rq.volume() - 2.0 * math.pi / 3.0))
     checks["area_order_ge_3"] = min(observed_orders(area_errors)) >= 3.0
     checks["volume_order_ge_3"] = min(observed_orders(volume_errors)) >= 3.0
@@ -281,7 +281,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
 
 
 def _weighted_volume(sc, rule):
-    region = sc.region(rule.level)
+    region = sc.region(rule)
     return region.integral(weight_for_support(sc.support).value(region.points))
 
 

@@ -377,6 +377,16 @@ def test_geodesic_radius_that_underflows_exits_2(kind, tmp_path, capsys):
     assert f"support configuration rejected: {kind}: geodesic radius too small" in err
 
 
+def test_cap_whose_squared_t_max_rounds_apart_builds(tmp_path, capsys):
+    # its t_max squares differently by pow and by multiplication; the bump still vanishes
+    # on the ring, so the profile check passes
+    cfg = write_config(tmp_path, {"version": 1, "support": {"kind": "euclidean_sphere"},
+                                  "cap": {"radius": 14.046895}, "perturbation": {"epsilon": 0.001}})
+    code, out, err = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "ok"
+
+
 def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["minkowski", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 2

@@ -22,6 +22,7 @@ from fbmink import (
     region_margins,
     validate_scenario,
 )
+from fbmink.charts import RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
@@ -213,6 +214,23 @@ def test_profile_nonzero_at_the_arcs_other_end_rejected():
     assert chart.domain == [(-chart.t_max, chart.t_max)]
     with pytest.raises(ValidationFailed, match="first two derivatives"):
         _check_profile_conforms(OneSided(chart.t_max), chart)
+
+
+def test_bump_vanishes_exactly_where_pow_and_product_round_apart():
+    # for this cap's t_max, t_max ** 2 (libm pow) and t_max * t_max differ in the last
+    # bit; the bump squares both t and t_max by multiplication, so it and its first two
+    # derivatives are exactly 0 on the ring, the cap builds and reads its base's ring
+    spec = CapSpec(support=canonical_support(SupportKind.EUCLIDEAN_SPHERE), radius=14.046895)
+    base = make_umbilical_cap(spec)
+    t_max = base.surface.chart.t_max
+    assert t_max == 0.0710702097898708 and t_max * t_max != t_max ** 2
+    ring = np.array([[t_max, 0.5], [t_max, 4.0]])
+    for power in (3, 4):
+        p, dp, d2p = RadialBumpProfile(t_max, power).evaluate(ring)
+        assert not (p.any() or dp.any() or d2p.any())
+    pert = perturb_cap(base, PerturbationSpec(epsilon=0.001))
+    bits = [[x.hex() for x in checks] for checks in (pert.boundary(), boundary_checks(pert.surface))]
+    assert bits[0] == bits[1]
 
 
 def test_perturbed_cap_near_wall_rejected():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fbmink import QuadratureRule, SupportKind
-from fbmink.quadrature import cone, gauss_nodes
+from fbmink.quadrature import cone
 from fbmink.surfaces import normal_derivatives, principal_curvatures, surface_geometry
 
 from conftest import SPHERE_KINDS, interior_params, unchecked_scenario
@@ -65,7 +65,7 @@ def reference_geometry(surf, U) -> dict:
 
 def reference_cone_weights(x0, piece) -> np.ndarray:
     geo = piece.geo
-    s_nodes, s_w = gauss_nodes(piece.rule.level, 0.0, 1.0)
+    s_nodes, s_w = piece.rule.nodes(0.0, 1.0)
     spread = geo.x - x0
     cone_jac = np.abs(np.linalg.det(np.concatenate([spread[:, :, None], geo.jac], axis=2)))
     radial = (s_nodes ** (x0.shape[0] - 1)) * s_w
@@ -122,7 +122,7 @@ def test_geometry_matches_the_generic_reference(kind, n, eps):
                 geo=geo, rule=QuadratureRule(4), box_weights=np.full(len(U), 0.5)))
         if n <= 4:
             # the nodes every report reads, polar nodes next to the axis included
-            sq = sc.quadrature(label, 6)
+            sq = sc.quadrature(label, QuadratureRule(6))
             _check_surface(surf, sq.geo.params, (label, "level 6"))
             if label in sc.pieces:
                 _check_cone(sc, label, sq)

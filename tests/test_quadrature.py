@@ -37,7 +37,7 @@ from fbmink import (
     validate_scenario,
 )
 from fbmink.ambient import euclidean
-from fbmink.quadrature import REGION_BLOCK, RegionQuadrature, gauss_nodes, pairwise_sum, tensor_grid
+from fbmink.quadrature import REGION_BLOCK, RegionQuadrature, pairwise_sum
 
 from conftest import canonical_scenario, canonical_support
 from fbmink import SupportKind
@@ -45,22 +45,36 @@ from fbmink import SupportKind
 
 def test_gauss_exact_on_polynomials():
     # level q integrates degree 2q-1 exactly
-    nodes, weights = gauss_nodes(5, 0.0, 2.0)
+    nodes, weights = QuadratureRule(5).nodes(0.0, 2.0)
     for deg in range(10):
         got = float(np.sum(weights * nodes**deg))
         assert np.isclose(got, 2.0 ** (deg + 1) / (deg + 1), rtol=1e-13)
 
 
 def test_gauss_nodes_strictly_interior():
-    nodes, _ = gauss_nodes(16, -1.0, 1.0)
+    nodes, _ = QuadratureRule(16).nodes(-1.0, 1.0)
     assert np.all(nodes > -1.0) and np.all(nodes < 1.0)
 
 
 def test_tensor_grid_weights_sum_to_box_volume():
     box = [(0.0, 1.0), (-1.0, 2.0), (0.5, 0.75)]
-    pts, w = tensor_grid(4, box)
+    pts, w = QuadratureRule(4).grid(box)
     assert np.isclose(np.sum(w), 1.0 * 3.0 * 0.25, rtol=1e-14)
     assert pts.shape == (4**3, 3)
+
+
+@pytest.mark.parametrize("level", [2.5, 12.0, "12", None])
+def test_rule_rejects_a_non_integer_level(level):
+    with pytest.raises(ValueError, match="must be an integer"):
+        QuadratureRule(level)
+
+
+def test_rule_rejects_a_level_below_two_and_keys_by_level():
+    with pytest.raises(ValueError, match="at least 2"):
+        QuadratureRule(1)
+    # any integer type gives the same memo key
+    rule = QuadratureRule(np.int64(12))
+    assert rule == QuadratureRule(12) and hash(rule) == hash(QuadratureRule(12))
 
 
 def test_default_levels_keyed_by_ambient_dimension():
@@ -78,14 +92,14 @@ def test_default_levels_keyed_by_ambient_dimension():
 def test_hemisphere_area_and_volume(hemisphere):
     sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
     assert np.isclose(sq.integral(np.ones(sq.geo.count)), 2.0 * math.pi, rtol=1e-12)
-    rq = hemisphere.region(16)
+    rq = hemisphere.region(QuadratureRule(16))
     assert np.isclose(rq.volume(), 2.0 * math.pi / 3.0, rtol=1e-12)
 
 
 def test_lens_region_volume_matches_cap_sum():
     """Sphere-support region: cap volume + spherical-lens face piece."""
     sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE)
-    rq = sc.region(24)
+    rq = sc.region(QuadratureRule(24))
     # Euclidean lens volume between the two sphere caps, closed form:
     # each spherical cap of height h on radius a contributes
     # pi h^2 (3a - h) / 3.
@@ -157,7 +171,7 @@ def test_refine_study_rejects_bad_level_lists():
     level=st.integers(min_value=6, max_value=20),
 )
 def test_region_integral_linear_in_integrand(coeffs, level):
-    rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region(level)
+    rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region(QuadratureRule(level))
     a, b, c = coeffs
     f = a * rq.points[0] + b * rq.points[2] + c
     split = (a * rq.integral(rq.points[0]) + b * rq.integral(rq.points[2])
@@ -204,7 +218,7 @@ def test_reilly_set_holds_one_region_block_of_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sc.region(32).count == 2 * 32 ** 3
+    assert sc.region(QuadratureRule(32)).count == 2 * 32 ** 3
     assert peak < 24 * 2 ** 20
 
 
@@ -290,7 +304,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
 
     jet = weights.jet
     jet_points = []   # the points of every jet of the weight
-    boundary_parts = inequalities._boundary_parts
+    boundary_parts = quadrature.SurfaceQuadrature.boundary_parts
     coordinate_hessian = inequalities._Coordinate.euclidean_hessian
 
     def weight_jet(model, x, fn):
@@ -313,7 +327,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         flat_points.append(x)
         return coordinate_hessian(self, x)
 
-    monkeypatch.setattr(inequalities, "_boundary_parts", recording_parts)
+    monkeypatch.setattr(quadrature.SurfaceQuadrature, "boundary_parts", recording_parts)
     monkeypatch.setattr(inequalities._Coordinate, "euclidean_hessian", recording_hessian)
     patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
     patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
@@ -349,7 +363,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # V's jet once on the cap and once on the face; on the region, one jet per
     # block, each on a column view of the region's one C-contiguous (n, m) node
     # array, the views consecutive and covering every node once, in order
-    region = sc.region(rule.level)
+    region = sc.region(rule)
     points = region.points
     n, m = points.shape
     assert (n, m) == (4, region.count) and points.flags.c_contiguous
@@ -364,18 +378,22 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # the scenario's level-12 sets keep no (m, n) copy of the region nodes and, of
     # the (n, n, m) tensors, only V's covariant Hessian: no full-size static tensor
     held = list(_arrays({key: value for key, value in sc._cache.items()
-                         if isinstance(key, tuple) and key[-1] == rule.level}))
+                         if isinstance(key, tuple) and key[-1] == rule}))
+    # every node set of the cap and of its base is keyed by its rule, never a bare level
+    keys = [key for cache in (sc._cache, sc.base._cache) for key in cache if key not in (
+        "margins", "boundary")]
+    assert keys and all(isinstance(key[-1], QuadratureRule) for key in keys)
     assert any(a is points for a in held)
     assert [a.shape for a in held if a.shape == (m, n)] == []
-    hess_V = sc.weight_jet("region", rule.level)[3]
+    hess_V = sc.weight_jet("region", rule)[3]
     assert [a is hess_V for a in held if a.shape == (n, n, m)] == [True]
     # V's boundary parts once per face over the three test functions, and one set for
     # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
-    V_jets = [sc.weight_jet(label, rule.level) for label in ("cap", "support")]
+    V_jets = [sc.weight_jet(label, rule) for label in ("cap", "support")]
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
     assert len(boundary_jets) == 2 + 2 * 2
     assert [x.shape[-1] for x in flat_points] == [geo.x.shape[0] for geo in (
-        sc.quadrature(label, rule.level).geo for label in ("cap", "support"))] * 2
+        sc.quadrature(label, rule).geo for label in ("cap", "support"))] * 2
     # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
     # base cap's admissibility check
     faces.clear()
@@ -432,7 +450,7 @@ def test_node_bundle_is_freed_with_its_scenario():
         rule = QuadratureRule(8)
         minkowski_report(sc, rule)
         reilly_residual(sc, "V", rule)
-        region = weakref.ref(sc.region(rule.level))
+        region = weakref.ref(sc.region(rule))
         # the perturbed cap, its base and their node sets at levels 6 and 8 (the
         # admissibility check and this rule): the perturbed cap's cap and region at
         # both levels, and the base's cap and region at 6 and its face at 6 and 8

@@ -62,8 +62,8 @@ def _reference_boundary_terms(sq, V_jet, f_jet) -> dict:
 def reference_reilly(scenario, function: str, rule) -> dict:
     """The ``ReillyReport.to_dict()`` of the reference checker."""
     name, f = _test_function(function, scenario)
-    model, level = scenario.model, rule.level
-    rq = scenario.region(level)
+    model = scenario.model
+    rq = scenario.region(rule)
 
     def volume_integrands(b):
         x = rq.points[:, b]
@@ -82,14 +82,14 @@ def reference_reilly(scenario, function: str, rule) -> dict:
     lhs_volume, rhs_volume = rq.integrals(volume_integrands)
     boundary = {}
     for label in ("cap", "support"):
-        sq = scenario.quadrature(label, level)
+        sq = scenario.quadrature(label, rule)
         x = sq.geo.x.T
         boundary[label] = _reference_boundary_terms(sq, jet(model, x, scenario.weight),
                                                     jet(model, x, f))
     residual = lhs_volume - rhs_volume - sum(sum(d.values()) for d in boundary.values())
     scale = max(abs(lhs_volume), abs(rhs_volume),
                 max(abs(v) for d in boundary.values() for v in d.values()))
-    return {"function": name, "level": level, "residual": residual,
+    return {"function": name, "level": rule.level, "residual": residual,
             "relative_residual": residual / scale if scale > 1e-20 else 0.0,
             "lhs_volume": lhs_volume, "rhs_volume_static": rhs_volume, "boundary": boundary}
 

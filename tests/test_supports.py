@@ -12,6 +12,7 @@ from fbmink.supports import (
     equidistant,
     hyp_geodesic_sphere,
     sample_admissible_points,
+    sph_geodesic_sphere,
     sample_support_points,
 )
 from fbmink.surfaces import support_umbilicity_residual
@@ -72,6 +73,13 @@ def test_geodesic_radius_that_underflows_is_rejected(kind):
     # tanh(R/2) and tan(R/2) round to 0 for the least positive double R
     with pytest.raises(ValueError, match=f"{kind}: geodesic radius too small"):
         make_support(kind, 3, geodesic_radius=5e-324)
+
+
+@pytest.mark.parametrize("make,message", [(hyp_geodesic_sphere, "must be positive"),
+                                          (sph_geodesic_sphere, "must lie in")])
+def test_nan_geodesic_radius_is_rejected_as_out_of_range(make, message):
+    with pytest.raises(ValueError, match=f"^geodesic radius {message}"):
+        make(3, geodesic_radius=math.nan)
 
 
 def test_equidistant_kappa_bounds():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fbmink import CapSpec, SupportKind, default_cap_spec, make_perturbed_cap, make_umbilical_cap
-from fbmink import DegenerateImmersion, PerturbationSpec, validate_scenario
+from fbmink import DegenerateImmersion, PerturbationSpec, QuadratureRule, validate_scenario
 from fbmink.surfaces import (
     DEGENERACY_FLOOR,
     boundary_checks,
@@ -210,7 +210,7 @@ def test_weingarten_matches_fd_of_normal_on_angular_bump_caps(kind):
     # euclidean_plane, whose conformal factor is trivial
     sc = angular_bump_scenario(kind)
     validate_scenario(sc)
-    geo = sc.quadrature("cap", 16).geo
+    geo = sc.quadrature("cap", QuadratureRule(16)).geo
     assert np.max(np.abs(geo.g @ geo.h - geo.h @ geo.g)) > 5e-4
     assert _weingarten_fd_gap(sc.surface) < 1e-7
 
