@@ -1,12 +1,14 @@
 """Parametric charts with exact first and second derivatives.
 
 The surface engine consumes charts through a single batched interface:
-``evaluate(U)`` maps parameter points (m, k) to positions (m, n), Jacobians
-(m, n, k) and second derivatives (m, k, k, n); each chart also carries its
-``dim``, parameter box ``domain``, ``boundary_axes`` and an orienting
-``normal_hint(U, X)``.  Everything downstream (fundamental forms,
-quadrature, the Reilly terms) differentiates nothing itself, so charts are
-the only place derivative bookkeeping lives.
+``evaluate(U)`` maps parameter points (m, k), the rows ``QuadratureRule.grid``
+returns, to node-last arrays: positions X (n, m), Jacobians J (n, k, m) and
+second derivatives H (k, k, n, m), so J[i, a] and H[a, b, i] are contiguous
+rows over the m nodes.  Each chart also carries its ``dim``, parameter box
+``domain``, ``boundary_axes`` and an orienting ``normal_hint(U, X)`` (n, m).
+Everything downstream (fundamental forms, quadrature, the Reilly terms)
+differentiates nothing itself, so charts are the only place derivative
+bookkeeping lives.
 
 Spherical caps use standard polar coordinates on S^{n-1}: with angles
 theta_0..theta_{q-1} (q = n-1) the unit vector has components
@@ -18,7 +20,10 @@ follow from the product rule with no quotients (safe at small angles): a
 derivative swaps each factor it differentiates for that factor's derivative
 and keeps the rest, and since F_a'' = -F_a, the second derivative on the
 diagonal is -F_a times the rest.  The rest multiply in angle order from
-ones, one (m,) row at a time.
+ones, one (m,) row at a time, and the embedding's derivatives come out in the
+layouts of J and H, so a chart maps them to its frame with one matrix product
+per (m,)-long block.  The bump profile and ``conformal_scale`` are node-last
+too: a value (m,), a gradient (k, m) and a Hessian (k, k, m).
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import numpy as np
 def sphere_embedding(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polar coordinates on S^q embedded in R^{q+1}, with two derivatives.
 
-    Parameters: angles (m, q).  Returns (c, dc, d2c) with shapes
-    (m, q+1), (m, q+1, q), (m, q+1, q, q).
+    Parameters: angles (m, q).  Returns (c, dc, d2c) node-last, in the layouts of
+    a chart's X, J and H: (q+1, m), (q+1, q, m) and (q, q, q+1, m).
     """
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     m, q = angles.shape
@@ -47,21 +52,36 @@ def sphere_embedding(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
                 out *= f
         return out
 
-    c = np.empty((m, q + 1))
-    dc = np.zeros((m, q + 1, q))
-    d2c = np.zeros((m, q + 1, q, q))
+    c = np.empty((q + 1, m))
+    dc = np.zeros((q + 1, q, m))
+    d2c = np.zeros((q, q, q + 1, m))
     for j in range(q + 1):
         # component j: sin(theta_a) for a < j, then cos(theta_j) when j < q
         F = [*sin[:j], cos[j]] if j < q else list(sin)
         F1 = [*cos[:j], -sin[j]] if j < q else list(cos)
-        c[:, j] = rest(F)
+        c[j] = rest(F)
         for a in range(len(F)):
             others = rest(F, (a,))
-            dc[:, j, a] = F1[a] * others
-            d2c[:, j, a, a] = -F[a] * others
+            dc[j, a] = F1[a] * others
+            d2c[a, a, j] = -F[a] * others
             for b in range(a + 1, len(F)):
-                d2c[:, j, a, b] = d2c[:, j, b, a] = F1[a] * F1[b] * rest(F, (a, b))
+                d2c[a, b, j] = d2c[b, a, j] = F1[a] * F1[b] * rest(F, (a, b))
     return c, dc, d2c
+
+
+def _framed(frame: np.ndarray, c, dc, d2c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sphere_embedding``'s (c, dc, d2c) carried into R^n by the columns of
+    ``frame`` (n, q+1), one matrix product per block, H's symmetric blocks once."""
+    q, m = dc.shape[1:]
+    n = frame.shape[0]
+    X = frame @ c
+    J = (frame @ dc.reshape(q + 1, q * m)).reshape(n, q, m)
+    H = np.empty((q, q, n, m))
+    for a in range(q):
+        for b in range(a, q):
+            H[a, b] = frame @ d2c[a, b]
+            H[b, a] = H[a, b]
+    return X, J, H
 
 
 def full_sphere_box(q: int) -> list[tuple[float, float]]:
@@ -104,14 +124,11 @@ class SphericalCapChart:
 
     def evaluate(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        c, dc, d2c = sphere_embedding(U)
-        X = self.center + self.radius * c @ self.frame.T
-        J = self.radius * np.einsum("ik,mka->mia", self.frame, dc)
-        H = self.radius * np.einsum("ik,mkab->mabi", self.frame, d2c)
-        return X, J, H
+        X, J, H = _framed(self.radius * self.frame, *sphere_embedding(U))
+        return self.center[:, None] + X, J, H
 
     def normal_hint(self, U, X):
-        return X - self.center
+        return X - self.center[:, None]
 
 
 def axis_frame(axis: np.ndarray) -> np.ndarray:
@@ -149,6 +166,7 @@ class RadialBumpProfile:
     power: int = 3
 
     def evaluate(self, U):
+        """p (m,), its gradient (k, m) and its Hessian (k, k, m) at parameter points U (m, k)."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, q = U.shape
         t = U[:, 0]
@@ -156,31 +174,30 @@ class RadialBumpProfile:
         z = t * t / tm2
         base = 1.0 - z
         p = base ** self.power
-        dp_dt = self.power * base ** (self.power - 1) * (-2.0 * t / tm2)
-        d2p_dt2 = (self.power * (self.power - 1) * base ** (self.power - 2)
-                   * (4.0 * t * t / tm2 ** 2)
-                   - self.power * base ** (self.power - 1) * 2.0 / tm2)
-        dp = np.zeros((m, q))
-        dp[:, 0] = dp_dt
-        d2p = np.zeros((m, q, q))
-        d2p[:, 0, 0] = d2p_dt2
+        dp = np.zeros((q, m))
+        dp[0] = self.power * base ** (self.power - 1) * (-2.0 * t / tm2)
+        d2p = np.zeros((q, q, m))
+        d2p[0, 0] = (self.power * (self.power - 1) * base ** (self.power - 2)
+                     * (4.0 * t * t / tm2 ** 2)
+                     - self.power * base ** (self.power - 1) * 2.0 / tm2)
         return p, dp, d2p
 
 
 def conformal_scale(model, X, J, H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """s = exp(-phi(X)) and its first and second chart derivatives, from the chart
-    values (X, J, H); with them, the terms of a normal perturbation free of epsilon."""
-    phi = model.phi(X.T)
-    dphi = model.phi_grad(X.T).T
-    d2phi = model.phi_hess(X.T).T
+    """s = exp(-phi(X)) (m,) and its first (k, m) and second (k, k, m) chart
+    derivatives, from the chart values (X, J, H); with them, the terms of a normal
+    perturbation free of epsilon.  Each contraction sums over the n coordinates."""
+    n = X.shape[0]
+    phi, dphi, d2phi = model.phi(X), model.phi_grad(X), model.phi_hess(X)
     s = np.exp(-phi)                                  # conformal unit scale
     # chain rule for s(X(u)): ds_a = -s <dphi, J_a>
-    dphi_J = np.einsum("mi,mia->ma", dphi, J)
-    ds = -s[:, None] * dphi_J
+    dphi_J = sum(dphi[i] * J[i] for i in range(n))
+    ds = -s * dphi_J
     # d2s_ab = s (dphi_J_a dphi_J_b - <dphi, H_ab> - J_a^T d2phi J_b)
-    dphi_H = np.einsum("mi,mabi->mab", dphi, H)
-    JdJ = np.einsum("mia,mij,mjb->mab", J, d2phi, J)
-    d2s = s[:, None, None] * (dphi_J[:, :, None] * dphi_J[:, None, :] - dphi_H - JdJ)
+    dphi_H = sum(dphi[i] * H[:, :, i] for i in range(n))
+    d2phi_J = [sum(d2phi[i, j] * J[i] for i in range(n)) for j in range(n)]
+    JdJ = sum(J[j][:, None] * d2phi_J[j] for j in range(n))
+    d2s = s * (dphi_J[:, None] * dphi_J - dphi_H - JdJ)
     return s, ds, d2s
 
 
@@ -218,24 +235,21 @@ class PerturbedCapChart:
         # amplitude A(u) = eps/r * p(u) * s(u); X_eps = X + A (X - center)
         r = self.base.radius
         A = (self.epsilon / r) * p * s
-        dA = (self.epsilon / r) * (dp * s[:, None] + p[:, None] * ds)
-        d2A = (self.epsilon / r) * (d2p * s[:, None, None]
-                                    + dp[:, :, None] * ds[:, None, :]
-                                    + ds[:, :, None] * dp[:, None, :]
-                                    + p[:, None, None] * d2s)
+        dA = (self.epsilon / r) * (dp * s + p * ds)
+        d2A = (self.epsilon / r) * (d2p * s + dp[:, None] * ds + ds[:, None] * dp + p * d2s)
 
-        Q = X - self.base.center
-        Xp = X + A[:, None] * Q
-        Jp = J * (1.0 + A)[:, None, None] + Q[:, :, None] * dA[:, None, :]
-        Jt = np.transpose(J, (0, 2, 1))    # (m, k, n): rows are d_a X
-        Hp = (H * (1.0 + A)[:, None, None, None]
-              + dA[:, :, None, None] * Jt[:, None, :, :]
-              + dA[:, None, :, None] * Jt[:, :, None, :]
-              + d2A[:, :, :, None] * Q[:, None, None, :])
+        Q = X - self.base.center[:, None]
+        Xp = X + A * Q
+        Jp = J * (1.0 + A) + Q[:, None] * dA
+        Jt = J.swapaxes(0, 1)              # (k, n, m): rows are d_a X
+        Hp = (H * (1.0 + A)
+              + dA[:, None, None] * Jt
+              + dA[None, :, None] * Jt[:, None]
+              + d2A[:, :, None] * Q)
         return Xp, Jp, Hp
 
     def normal_hint(self, U, X):
-        return X - self.base.center
+        return X - self.base.center[:, None]
 
 
 @dataclass
@@ -264,27 +278,21 @@ class PolarPlanarChart:
 
     def evaluate(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        s = U[:, 0]
-        ang = U[:, 1:]
-        c, dc, d2c = sphere_embedding(ang)        # on S^{n-2} in R^{n-1}
-        w = c @ self.plane_frame.T                # (m, n) unit in-plane direction
-        dw = np.einsum("ik,mka->mia", self.plane_frame, dc)
-        d2w = np.einsum("ik,mkab->mabi", self.plane_frame, d2c)
-
-        n, k = self.center.shape[0], self.dim
-        X = self.center + s[:, None] * w
-        J = np.empty((m, n, k))
-        J[:, :, 0] = w
-        J[:, :, 1:] = s[:, None, None] * dw
-        H = np.zeros((m, k, k, n))
-        H[:, 0, 1:, :] = np.transpose(dw, (0, 2, 1))
-        H[:, 1:, 0, :] = np.transpose(dw, (0, 2, 1))
-        H[:, 1:, 1:, :] = s[:, None, None, None] * d2w
+        m, k = U.shape
+        s = U[:, 0].copy()
+        # the unit in-plane direction w on S^{n-2} and its angle derivatives
+        w, dw, d2w = _framed(self.plane_frame, *sphere_embedding(U[:, 1:]))
+        X = self.center[:, None] + s * w
+        J = np.empty((self.center.shape[0], k, m))
+        J[:, 0] = w
+        J[:, 1:] = s * dw
+        H = np.zeros((k, k) + w.shape)
+        H[0, 1:] = H[1:, 0] = dw.swapaxes(0, 1)
+        H[1:, 1:] = s * d2w
         return X, J, H
 
     def normal_hint(self, U, X):
-        return np.broadcast_to(self.hint, X.shape).copy()
+        return np.broadcast_to(self.hint[:, None], X.shape).copy()
 
 
 @dataclass
@@ -307,10 +315,10 @@ class PlanarBoxChart:
     def evaluate(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, k = U.shape
-        X = self.origin + U @ self.plane_frame.T
-        J = np.broadcast_to(self.plane_frame, (m,) + self.plane_frame.shape).copy()
-        H = np.zeros((m, k, k, self.origin.shape[0]))
+        X = self.origin[:, None] + np.einsum("ia,ma->im", self.plane_frame, U)
+        J = np.repeat(self.plane_frame[:, :, None], m, axis=2)
+        H = np.zeros((k, k, self.origin.shape[0], m))
         return X, J, H
 
     def normal_hint(self, U, X):
-        return np.broadcast_to(self.hint, X.shape).copy()
+        return np.broadcast_to(self.hint[:, None], X.shape).copy()

@@ -23,10 +23,11 @@ times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
 base cap with the cap chart displaced: it shares the base's face, star
 center and pieces, and through ``base``, its one reference to the base cap,
-reads the base's epsilon-free node sets (the face's quadrature and cone and
-the cap's chart terms) and its boundary ring checks, so the perturbations of
-one base cap evaluate those once per (base cap, rule) and one ring per base
-cap.  Nothing a scenario memoizes refers back to the scenario.
+reads the base's epsilon-free node sets (the face's quadrature and cone, V's
+jet and boundary parts on the face, and the cap's chart terms) and its
+boundary ring checks, so the perturbations of one base cap evaluate those
+once per (base cap, rule) and one ring per base cap.  Nothing a scenario
+memoizes refers back to the scenario.
 """
 
 from __future__ import annotations
@@ -164,10 +165,13 @@ class CapScenario(quad.Memo):
     def weight_jet(self, label: str, rule: quad.QuadratureRule) -> tuple:
         """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
         axis last; the region's is filled one block at a time, and its flat Hessian,
-        which nothing reads, is None."""
+        which nothing reads, is None.  A perturbed cap reads its base's face jet."""
+        if label == "support" and self.base is not None:
+            return self.base.weight_jet(label, rule)
+
         def build():
             if label != "region":
-                return jet(self.model, self.quadrature(label, rule).geo.x.T, self.weight)
+                return jet(self.model, self.quadrature(label, rule).geo.x, self.weight)
             region = self.region(rule)
             x = region.points
             n, m = x.shape
@@ -178,7 +182,10 @@ class CapScenario(quad.Memo):
         return self._once((label + " jet", rule), build)
 
     def weight_parts(self, label: str, rule: quad.QuadratureRule) -> tuple:
-        """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face."""
+        """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face; a
+        perturbed cap reads its base's face parts."""
+        if label == "support" and self.base is not None:
+            return self.base.weight_parts(label, rule)
         return self._once((label + " boundary", rule), lambda: self.quadrature(
             label, rule).boundary_parts(self.weight_jet(label, rule)))
 
@@ -419,9 +426,9 @@ def _margins(scenario: CapScenario) -> dict:
     pts = scenario.region(ADMISSIBILITY_RULE).points    # (n, m)
     s = scenario.support
     model = s.model
-    out = {"support_interior": float(np.min(-s.signed_distance(pts.T)))}
+    out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
     if s.requires_half_region:
-        out["half_region"] = float(np.min(s.half_region_margin(pts.T)))
+        out["half_region"] = float(np.min(s.half_region_margin(pts)))
     if model.kind is ModelKind.POINCARE_BALL:
         out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
     elif model.kind is ModelKind.UPPER_HALF_SPACE:

@@ -289,15 +289,15 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V: np.ndarray, V_parts: tuple,
     # d_a u = d_a f_nu - q d_a V_nu - (V_nu / V) w_a; for f = V, q is 1 and all vanish
     q, kappa = f / V, V_nu / V
     u = f_nu - V_nu * q
-    w_a = f_a - V_a * q[:, None]
-    w_up = np.einsum("mab,mb->ma", geo.g_inv, w_a)
-    u_a = dfnu_a - dVnu_a * q[:, None] - kappa[:, None] * w_a
+    w_a = f_a - V_a * q
+    w_up = np.sum(geo.g_inv * w_a, axis=1)
+    u_a = dfnu_a - dVnu_a * q - kappa * w_a
 
     term_mixed = V * u * (lap_p_f - lap_p_V * q)
-    term_grad = -V * np.einsum("ma,ma->m", u_a, w_up)
-    quad_form = geo.h - kappa[:, None, None] * geo.g
+    term_grad = -V * np.sum(u_a * w_up, axis=0)
+    quad_form = geo.h - kappa * geo.g
     term_h = V * (sq.curvature().H * u ** 2
-                  + np.einsum("ma,ma->m", np.einsum("mab,mb->ma", quad_form, w_up), w_up))
+                  + np.sum(np.sum(quad_form * w_up, axis=1) * w_up, axis=0))
 
     return {
         "mixed": float(pairwise_sum(term_mixed * sq.weights)),
@@ -353,7 +353,7 @@ def reilly_residual(scenario: CapScenario, function: str,
         sq = scenario.quadrature(label, rule)
         V_face = scenario.weight_jet(label, rule)
         V_parts = scenario.weight_parts(label, rule)
-        f_jet = V_face if is_V else jet(model, sq.geo.x.T, f)
+        f_jet = V_face if is_V else jet(model, sq.geo.x, f)
         f_parts = V_parts if is_V else sq.boundary_parts(f_jet)
         boundary[label] = _boundary_piece_terms(sq, V_face[0], V_parts, f_jet[0], f_parts)
     boundary_total = sum(sum(d.values()) for d in boundary.values())

@@ -14,6 +14,12 @@ the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
 cone over one boundary piece and the ``RegionQuadrature`` built from the cones.
 A cap scenario (``families.CapScenario``) builds and memoizes them per (set, rule).
 
+Shapes: ``rule.grid(box)`` gives the parameter points as (m, k) rows and their
+weights (m,); everything formed at the points is node-last, as in
+``surfaces``: a surface's geometry (``SurfaceGeometry``), its normal
+derivatives (k, n, m) and a function's boundary parts ((m,) and (k, m)); a
+cone's nodes (n, s * m) and weights (s * m,); the region's nodes (n, m).
+
 Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
 consecutive nodes, so a region term holds its (n, n, m) temporaries for one
 block at a time; of those tensors only V's covariant Hessian, part of V's
@@ -132,22 +138,22 @@ class SurfaceQuadrature(Memo):
         return self._once("curvature", lambda: curvature_arrays(self.surf, self.geo))
 
     def normal_derivatives(self) -> np.ndarray:
-        """Chart partials d_a nu^k at the nodes, shape (m, k, n)."""
+        """Chart partials d_a nu^i at the nodes, shape (k, n, m)."""
         return self._once("dnu", lambda: normal_derivatives(self.surf, self.geo))
 
     def boundary_parts(self, fn_jet: tuple) -> tuple:
-        """The normal derivative, the tangential gradient (parameter components, lower
-        index), the intrinsic Laplacian through the ambient one, and the tangential
-        derivative of the normal derivative, of one function on this surface, from its
-        ``weights.jet`` at the nodes (node axis last)."""
+        """The normal derivative (m,), the tangential gradient (k, m) (parameter
+        components, lower index), the intrinsic Laplacian through the ambient one (m,),
+        and the tangential derivative of the normal derivative (k, m), of one function
+        on this surface, from its ``weights.jet`` at the nodes."""
         _, d1, d2, hess, lap = fn_jet
         nu, jac = self.geo.nu, self.geo.jac
-        d_nu = np.einsum("im,mi->m", d1, nu)
-        d_a = np.einsum("im,mia->ma", d1, jac)
-        lap_p = (lap - np.einsum("im,mi->m", np.einsum("ijm,mj->im", hess, nu), nu)
+        d_nu = np.sum(d1 * nu, axis=0)
+        d_a = np.sum(d1[:, None] * jac, axis=0)
+        lap_p = (lap - np.sum(np.sum(hess * nu, axis=1) * nu, axis=0)
                  - self.curvature().H * d_nu)
-        d_nu_a = (np.einsum("im,mia->ma", np.einsum("ijm,mj->im", d2, nu), jac)
-                  + np.einsum("im,mai->ma", d1, self.normal_derivatives()))
+        d_nu_a = (np.sum(np.sum(d2 * nu, axis=1)[:, None] * jac, axis=0)
+                  + np.sum(d1 * self.normal_derivatives(), axis=1))
         return d_nu, d_a, lap_p, d_nu_a
 
     def integral(self, values: np.ndarray) -> float:
@@ -158,14 +164,14 @@ class SurfaceQuadrature(Memo):
 
 
 def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x0 + s (X - x0) and flat weights of the cone from the star center x0
-    over one boundary piece."""
+    """Nodes x0 + s (X - x0), (n, s * m), and flat weights of the cone from the star
+    center x0 over one boundary piece."""
     n = x0.shape[0]
     geo = piece.geo
     s_nodes, s_w = piece.rule.nodes(0.0, 1.0)
-    spread = geo.x - x0                          # (m, n)
+    spread = geo.x - x0[:, None]                 # (n, m)
     # star-shape check: boundary must face away from the center
-    facing = np.einsum("mi,mi->m", spread, geo.nu_delta)
+    facing = np.sum(spread * geo.nu_delta, axis=0)
     if np.any(facing <= 0.0):
         raise StarShapeViolated(
             f"piece '{label}' faces the star center "
@@ -174,7 +180,7 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
     # cross product w of J's columns, whose length is flat_area and direction +-nu_delta
     cone_jac = facing * geo.flat_area
     # nodes: x0 + s * spread for every (s, u) pair, as one C-contiguous (n, s, u) block
-    pts = x0[:, None, None] + s_nodes[None, :, None] * np.ascontiguousarray(spread.T)[:, None, :]
+    pts = x0[:, None, None] + s_nodes[:, None] * spread[:, None, :]
     radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]
     wt = radial * (piece.box_weights * cone_jac)[None, :]
     return pts.reshape(n, -1), wt.ravel()

@@ -8,6 +8,10 @@ constraint restricts where the weight stays positive.
 
 Sign conventions: ``signed_distance`` is negative inside ``B_int`` and zero on
 S; ``outward_normal`` is the gbar-unit normal pointing out of ``B_int``.
+
+The shape methods take points node-last, as the ambient module does: (n,) for
+one point, (n, m) for m points, giving one value per point or one (n,) vector
+per point along the same axes.  The samplers return (m, n) point lists.
 """
 
 from __future__ import annotations
@@ -55,13 +59,13 @@ class SphereShape:
     radius: float
 
     def signed_distance(self, x: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        return np.linalg.norm(np.asarray(x, float) - c, axis=-1) - self.radius
+        x = np.asarray(x, dtype=float)
+        return np.linalg.norm(x - _along(self.center, x), axis=0) - self.radius
 
     def euclidean_outward(self, x: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        d = np.asarray(x, float) - c
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
+        x = np.asarray(x, dtype=float)
+        d = x - _along(self.center, x)
+        return d / np.linalg.norm(d, axis=0)
 
 
 @dataclass(frozen=True)
@@ -72,13 +76,17 @@ class PlaneShape:
     offset: float
 
     def signed_distance(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.normal_in, dtype=float)
-        return self.offset - np.sum(np.asarray(x, float) * a, axis=-1)
+        x = np.asarray(x, dtype=float)
+        return self.offset - np.sum(x * _along(self.normal_in, x), axis=0)
 
     def euclidean_outward(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.normal_in, dtype=float)
-        out = np.broadcast_to(-a, np.asarray(x, float).shape).copy()
-        return out
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(-_along(self.normal_in, x), x.shape).copy()
+
+
+def _along(v: tuple, x: np.ndarray) -> np.ndarray:
+    """The vector v (n,) shaped to broadcast against node-last points x."""
+    return np.reshape(np.asarray(v, dtype=float), (-1,) + (1,) * (x.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -115,21 +123,21 @@ class SupportSpec:
                 f"point is {worst:.3e} off the {self.kind.value} realization")
         unit = self.shape.euclidean_outward(x)
         # gbar-unit: |v|_gbar = exp(phi) |v|_delta
-        return unit * np.exp(-self.model.phi(x.T))[..., None]
+        return unit * np.exp(-self.model.phi(x))
 
     def half_region_margin(self, x: np.ndarray) -> np.ndarray:
         """Positive where the half-region constraint holds (inf if none)."""
         x = np.asarray(x, dtype=float)
         if self.half_region is HalfRegion.LAST_COORD_POSITIVE:
-            return x[..., -1]
+            return x[-1]
         if self.half_region is HalfRegion.UNIT_BALL:
-            return 1.0 - np.linalg.norm(x, axis=-1)
-        return np.full(x.shape[:-1], np.inf)
+            return 1.0 - np.linalg.norm(x, axis=0)
+        return np.full(x.shape[1:], np.inf)
 
     def in_admissible_region(self, x: np.ndarray) -> np.ndarray:
         """Interior of B_int intersected with the half-region constraint."""
         x = np.asarray(x, dtype=float)
-        ok = self.model.contains(x.T) & (self.signed_distance(x) < 0.0)
+        ok = self.model.contains(x) & (self.signed_distance(x) < 0.0)
         if self.requires_half_region:
             ok = ok & (self.half_region_margin(x) > 0.0)
         return ok
@@ -348,7 +356,7 @@ def sample_admissible_points(s: SupportSpec, count: int,
     have = 0
     while have < count:
         cand = rng.uniform(lo, hi, size=(4 * count, s.n))
-        cand = cand[s.in_admissible_region(cand)]
+        cand = cand[s.in_admissible_region(cand.T)]
         take = min(count - have, cand.shape[0])
         pts[have:have + take] = cand[:take]
         have += take

@@ -18,7 +18,7 @@ Jacobian columns; by Cauchy-Binet det g = e^{2 k phi} |w|^2 (k = n-1).  g is
 factored once, g = L L^T, the geometry keeps L^{-1}, and g^{-1} = L^{-T} L^{-1}.
 The shape operator is stored as ``SurfaceGeometry.shape``, in one convention
 
-    S[:, a, b] = S^a_b = g^{ac} h_cb.
+    S[a, b] = S^a_b = g^{ac} h_cb.
 
 Every curvature quantity reads it (H = tr S, |h|^2 = tr S^2, the Ricci
 endomorphism of the Gauss equation), and so does the Weingarten relation in
@@ -31,6 +31,15 @@ used wherever exact normal derivatives are needed.  The index order matters:
 g and h commute only where the cap is umbilical or symmetric about the
 conformal factor.  Principal curvatures are the eigenvalues of the symmetric
 L^{-1} h L^{-T}, from the same factor, and never form S.
+
+Every per-node array is node-last, from the chart's X (n, m), J (n, k, m) and
+H (k, k, n, m) up: a vector is (n, m), a tensor in the k parameter indices
+(k, k, m), the normal derivatives (k, n, m).  Only the parameter points U stay
+(m, k) rows.  Every contraction is a sum over the small index of products of
+contiguous (m,)-long rows, and L and L^{-1} come from the Cholesky recurrence
+and forward substitution written out over those rows, so no small-matrix
+routine runs once per node; ``principal_curvatures`` alone hands LAPACK a
+contiguous (m, k, k) stack, for ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -67,56 +76,67 @@ class FreeBoundarySurface:
 
 @dataclass
 class SurfaceGeometry:
-    """Batched first/second fundamental data at parameter points."""
+    """Batched first/second fundamental data at parameter points, node axis last."""
 
     params: np.ndarray          # (m, k)
-    x: np.ndarray               # (m, n)
-    jac: np.ndarray             # (m, n, k)
-    g: np.ndarray               # (m, k, k)
-    g_inv: np.ndarray           # (m, k, k)
-    chol_inv: np.ndarray        # (m, k, k) L^{-1} for the Cholesky factor g = L L^T
+    x: np.ndarray               # (n, m)
+    jac: np.ndarray             # (n, k, m)
+    g: np.ndarray               # (k, k, m)
+    g_inv: np.ndarray           # (k, k, m)
+    chol_inv: np.ndarray        # (k, k, m) L^{-1} for the Cholesky factor g = L L^T
     area_element: np.ndarray    # (m,)  sqrt(det g)
     flat_area: np.ndarray       # (m,)  sqrt(det J^T J) = |w|, w the cross product of J's columns
-    nu_delta: np.ndarray        # (m, n) Euclidean unit normal
-    nu: np.ndarray              # (m, n) gbar-unit normal, chart components
-    h: np.ndarray               # (m, k, k)
-    shape: np.ndarray           # (m, k, k) shape operator S^a_b = g^{ac} h_cb
+    nu_delta: np.ndarray        # (n, m) Euclidean unit normal
+    nu: np.ndarray              # (n, m) gbar-unit normal, chart components
+    h: np.ndarray               # (k, k, m)
+    shape: np.ndarray           # (k, k, m) shape operator S^a_b = g^{ac} h_cb
 
     @property
     def count(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[1]
 
 
 def _cross_normal(jac: np.ndarray) -> np.ndarray:
-    """Generalized cross product of the k = n-1 Jacobian columns, batched over axis 0:
+    """Generalized cross product (n, m) of the k = n-1 Jacobian columns of jac (n, k, m):
     component i is (-1)^i det(jac with row i removed), each minor of a row set on the
     first c + 1 columns expanded along column c (Laplace), with no factorization."""
-    _, n, k = jac.shape
+    n, k, _ = jac.shape
     if k != n - 1:
         raise ValueError("normal requires a codimension-one immersion")
-    minors = {(r,): jac[:, r, 0] for r in range(n)}
+    minors = {(r,): jac[r, 0] for r in range(n)}
     for c in range(1, k):
-        minors = {rows: sum((-1.0) ** (j + c) * jac[:, r, c] * minors[rows[:j] + rows[j + 1:]]
+        minors = {rows: sum((-1.0) ** (j + c) * jac[r, c] * minors[rows[:j] + rows[j + 1:]]
                             for j, r in enumerate(rows))
                   for rows in itertools.combinations(range(n), c + 1)}
     rows = tuple(range(n))
-    return np.stack([(-1.0) ** i * minors[rows[:i] + rows[i + 1:]] for i in range(n)], axis=1)
+    return np.stack([(-1.0) ** i * minors[rows[:i] + rows[i + 1:]] for i in range(n)])
 
 
-def _inverse_metric_factor(g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
-    """L^{-1} for the Cholesky factor g = L L^T, by forward substitution on L's rows;
-    a metric under the floor, or not numerically positive definite, is degenerate."""
-    try:
-        L = None if np.any(det_g < DEGENERACY_FLOOR) else np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None:
-        raise DegenerateImmersion(
-            f"induced metric degenerate: min det g = {float(np.min(det_g)):.3e}")
+def _degenerate(det_g: np.ndarray, U: np.ndarray, node) -> DegenerateImmersion:
+    point = ", ".join(f"{u:.6g}" for u in U[int(node)])
+    return DegenerateImmersion(f"induced metric degenerate: min det g = "
+                               f"{float(np.min(det_g)):.3e} at parameter point ({point})")
+
+
+def _inverse_metric_factor(g: np.ndarray, det_g: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """L^{-1} (k, k, m) for the Cholesky factor g = L L^T, L column by column and then
+    its inverse by forward substitution on L's rows.  A metric under the floor, or
+    with a pivot that is not positive (where LAPACK's factorization fails), is
+    degenerate, named at the node of least det g or of the failed pivot."""
+    k = g.shape[0]
+    if np.any(det_g < DEGENERACY_FLOOR):
+        raise _degenerate(det_g, U, np.argmin(det_g))
+    L = np.zeros_like(g)
+    for j in range(k):
+        pivot = g[j, j] - np.sum(L[j, :j] * L[j, :j], axis=0)
+        if not np.all(pivot > 0.0):   # a NaN pivot fails too
+            raise _degenerate(det_g, U, np.argmin(np.where(pivot > 0.0, np.inf, pivot)))
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (g[j + 1:, j] - np.sum(L[j + 1:, :j] * L[j, :j], axis=1)) / L[j, j]
     inv = np.zeros_like(L)
-    for i in range(L.shape[1]):
-        inv[:, i, i] = 1.0 / L[:, i, i]
-        inv[:, i, :i] = -inv[:, i, i, None] * np.einsum("mj,mjc->mc", L[:, i, :i], inv[:, :i, :i])
+    for i in range(k):
+        inv[i, i] = 1.0 / L[i, i]
+        inv[i, :i] = -inv[i, i] * np.sum(L[i, :i, None] * inv[:i, :i], axis=0)
     return inv
 
 
@@ -126,35 +146,35 @@ def surface_geometry(surf: FreeBoundarySurface, U: np.ndarray,
     U = np.atleast_2d(np.asarray(U, dtype=float))
     model = surf.model
     X, J, H2 = surf.chart.evaluate(U) if values is None else values
-    model.require_inside(X.T)
+    model.require_inside(X)
 
-    phi = model.phi(X.T)
-    gram = np.transpose(J, (0, 2, 1)) @ J
-    g = np.exp(2.0 * phi)[:, None, None] * gram
+    phi = model.phi(X)
+    gram = np.sum(J[:, :, None] * J[:, None], axis=0)
+    g = np.exp(2.0 * phi) * gram
     # Cauchy-Binet: det(J^T J) = |w|^2 for the cross product w of J's columns
     w = _cross_normal(J)
-    flat_sq = np.sum(w * w, axis=1)
-    det_g = np.exp(2.0 * J.shape[2] * phi) * flat_sq
-    chol_inv = _inverse_metric_factor(g, det_g)
-    g_inv = np.transpose(chol_inv, (0, 2, 1)) @ chol_inv
+    flat_sq = np.sum(w * w, axis=0)
+    det_g = np.exp(2.0 * J.shape[1] * phi) * flat_sq
+    chol_inv = _inverse_metric_factor(g, det_g, U)
+    g_inv = np.sum(chol_inv[:, :, None] * chol_inv[:, None], axis=0)
 
     hint = surf.chart.normal_hint(U, X)
-    sgn = np.sign(np.einsum("mi,mi->m", w, hint))
+    sgn = np.sign(np.sum(w * hint, axis=0))
     if np.any(sgn == 0.0):
         raise DegenerateImmersion("orientation hint is tangent to the surface")
     flat_area = np.sqrt(flat_sq)
-    nu_delta = w * (sgn / flat_area)[:, None]
-    nu = np.exp(-phi)[:, None] * nu_delta
+    nu_delta = w * (sgn / flat_area)
+    nu = np.exp(-phi) * nu_delta
 
     # h_ab = -e^{phi} (<d2X_ab, nu_delta> - gram_ab <dphi, nu_delta>), see the module docstring
-    dphi_nu = np.einsum("im,mi->m", model.phi_grad(X.T), nu_delta)
-    accel = np.einsum("mabi,mi->mab", np.ascontiguousarray(H2), nu_delta)
-    h = -np.exp(phi)[:, None, None] * (accel - dphi_nu[:, None, None] * gram)
+    dphi_nu = np.sum(model.phi_grad(X) * nu_delta, axis=0)
+    accel = np.sum(H2 * nu_delta, axis=2)
+    h = -np.exp(phi) * (accel - dphi_nu * gram)
 
     return SurfaceGeometry(
         params=U, x=X, jac=J, g=g, g_inv=g_inv, chol_inv=chol_inv,
         area_element=np.sqrt(det_g), flat_area=flat_area, nu_delta=nu_delta, nu=nu, h=h,
-        shape=g_inv @ h,
+        shape=np.sum(g_inv[:, :, None] * h, axis=1),
     )
 
 
@@ -179,37 +199,42 @@ def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> Curvatu
     K = surf.model.K
     n = surf.model.n
     S = geo.shape
-    H = np.einsum("maa->m", S)
-    norm_h_sq = np.einsum("mab,mba->m", S, S)
+    k = S.shape[0]
+    S2 = np.sum(S[:, :, None] * S, axis=1)
+    H = sum(S[a, a] for a in range(k))
+    norm_h_sq = sum(S2[a, a] for a in range(k))
     sigma2 = 0.5 * (H * H - norm_h_sq)
     scal = (n - 1.0) * (n - 2.0) * K + H * H - norm_h_sq
-    ric0 = H[:, None, None] * S - np.einsum("mab,mbc->mac", S, S)
-    ric0 += ((n - 2.0) * K - scal / (n - 1.0))[:, None, None] * np.eye(S.shape[1])
-    ric0_sq = np.einsum("mab,mba->m", ric0, ric0)
+    ric0 = H * S - S2
+    for a in range(k):
+        ric0[a, a] += (n - 2.0) * K - scal / (n - 1.0)
+    ric0_sq = np.sum(ric0 * ric0.swapaxes(0, 1), axis=(0, 1))
     return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2, ric0_sq=ric0_sq, scal=scal)
 
 
 def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
-    """Eigenvalues of the shape operator, batched: (m, k), ascending.
+    """Eigenvalues of the shape operator, (k, m) (a view of eigvalsh's (m, k) rows),
+    ascending at each node.
 
     Solved as the symmetric generalized problem (h, g) through the congruence
-    L^{-1} h L^{-T} by the geometry's one Cholesky factor, so that numpy's
-    batched symmetric eigensolver applies.
+    L^{-1} h L^{-T} by the geometry's one Cholesky factor, formed on (m,) rows and
+    handed to numpy's batched symmetric eigensolver as one contiguous stack.
     """
-    A = geo.chol_inv @ geo.h @ np.transpose(geo.chol_inv, (0, 2, 1))
-    A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-    return np.linalg.eigvalsh(A)
+    C = geo.chol_inv
+    Ch = np.sum(C[:, :, None] * geo.h, axis=1)
+    A = np.sum(Ch[:, None] * C, axis=2)
+    stack = np.moveaxis(0.5 * (A + A.swapaxes(0, 1)), -1, 0).copy()    # (m, k, k)
+    return np.linalg.eigvalsh(stack).T
 
 
 def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.ndarray:
-    """Chart partials d_a nu^k via the Weingarten relation, shape (m, k, n)."""
-    tangent = np.transpose(geo.shape, (0, 2, 1)) @ np.transpose(geo.jac, (0, 2, 1))   # S^b_a d_bX
-    dphi = surf.model.phi_grad(geo.x.T)
-    dphi_nu = np.einsum("im,mi->m", dphi, geo.nu)
-    dphi_a = np.einsum("im,mia->ma", dphi, geo.jac)
-    gam = (np.transpose(geo.jac, (0, 2, 1)) * dphi_nu[:, None, None]
-           + dphi_a[:, :, None] * geo.nu[:, None, :])
-    return tangent - gam
+    """Chart partials d_a nu^i via the Weingarten relation, shape (k, n, m)."""
+    jac_rows = geo.jac.swapaxes(0, 1)                                     # (k, n, m): d_aX
+    tangent = np.sum(geo.shape[:, :, None] * jac_rows[:, None], axis=0)   # S^b_a d_bX
+    dphi = surf.model.phi_grad(geo.x)
+    dphi_nu = np.sum(dphi * geo.nu, axis=0)
+    dphi_a = np.sum(dphi[:, None] * geo.jac, axis=0)
+    return tangent - (jac_rows * dphi_nu + dphi_a[:, None] * geo.nu)
 
 
 # -- boundary operations --------------------------------------------------------
@@ -221,7 +246,7 @@ def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
     dom = surf.chart.domain
     k = surf.chart.dim
     if k == 1:
-        return np.array(dom, dtype=float).T
+        return np.array(dom, dtype=float).reshape(2, 1)
     axes = []
     for a in range(1, k):
         lo, hi = dom[a]
@@ -251,14 +276,14 @@ def boundary_checks(surf: FreeBoundarySurface) -> tuple[float, float, float]:
     s = surf.support
     sd = np.abs(s.signed_distance(geo.x))
     unit_out = s.shape.euclidean_outward(geo.x)
-    cosang = np.abs(np.einsum("mi,mi->m", geo.nu_delta, unit_out))
+    cosang = np.abs(np.sum(geo.nu_delta * unit_out, axis=0))
     # outward unit conormal mu = grad t / |grad t| in parameter components:
     # g(mu, d_psi) = 0 along the ring and g(mu, mu) = 1
-    mu = geo.g_inv[:, :, 0] / np.sqrt(geo.g_inv[:, 0, 0])[:, None]
-    h_mu = np.einsum("mab,mb->ma", geo.h, mu)
+    mu = geo.g_inv[:, 0] / np.sqrt(geo.g_inv[0, 0])
+    h_mu = np.sum(geo.h * mu, axis=1)
     worst = 0.0
     for a in range(1, geo.params.shape[1]):
-        vals = np.abs(h_mu[:, a]) / np.sqrt(geo.g[:, a, a])
+        vals = np.abs(h_mu[a]) / np.sqrt(geo.g[a, a])
         worst = max(worst, float(np.max(vals)))
     return float(np.max(cosang)), float(np.max(sd)), worst
 
@@ -274,15 +299,15 @@ def hypothesis_margins(weight, geo: SurfaceGeometry) -> tuple[np.ndarray, float,
     h >= (V_nu / V) g.  The substatic margin is the least value of
     (V kappa_i - V_nu)(H - kappa_i) over nodes and principal directions.
     """
-    V = weight.value(geo.x.T)
+    V = weight.value(geo.x)
     if np.min(V) <= 0.0:
         raise WeightNonpositive(
             f"weight reaches {np.min(V):.3e} on the cap; placement must keep it positive")
-    Vnu = weight.directional(geo.x.T, geo.nu.T)
+    Vnu = weight.directional(geo.x, geo.nu)
     kappas = principal_curvatures(geo)
-    convexity = kappas - (Vnu / V)[:, None]
-    H = np.sum(kappas, axis=1, keepdims=True)
-    substatic = (V[:, None] * kappas - Vnu[:, None]) * (H - kappas)
+    convexity = kappas - Vnu / V
+    H = np.sum(kappas, axis=0)
+    substatic = (V * kappas - Vnu) * (H - kappas)
     return V, float(np.min(convexity)), float(np.min(substatic))
 
 

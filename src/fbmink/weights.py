@@ -147,7 +147,6 @@ def hessian_identity_residual(w: WeightField, points: np.ndarray) -> float:
 def neumann_identity_residual(w: WeightField, s: SupportSpec,
                               points: np.ndarray) -> float:
     """max |dV(N) - kappa V| over points (m, n) on S, N the outward gbar-unit normal."""
-    x = np.asarray(points, dtype=float)
-    nbar = s.outward_normal(x)
-    res = w.directional(x.T, nbar.T) - s.kappa * w.value(x.T)
+    x = np.asarray(points, dtype=float).T
+    res = w.directional(x, s.outward_normal(x)) - s.kappa * w.value(x)
     return float(np.max(np.abs(res)))

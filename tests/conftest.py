@@ -81,9 +81,11 @@ class AngularBumpProfile:
     c: float = 0.5
 
     def evaluate(self, U):
+        """p (m,), its gradient (k, m) and its Hessian (k, k, m), node-last as the
+        radial bump's."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         radial, d_radial, d2_radial = RadialBumpProfile(self.t_max).evaluate(U)
-        rt, rtt = d_radial[:, 0], d2_radial[:, 0, 0]
+        rt, rtt = d_radial[0], d2_radial[0, 0]
         t, psi = U[:, 0], U[:, 1]
         c = self.c
         a = 1.0 + c * np.sin(t) * np.cos(psi)
@@ -91,12 +93,12 @@ class AngularBumpProfile:
         a_tt = a_psi_psi = -c * np.sin(t) * np.cos(psi)
         a_t_psi = -c * np.cos(t) * np.sin(psi)
         dp = np.zeros_like(d_radial)
-        dp[:, 0] = rt * a + radial * a_t
-        dp[:, 1] = radial * a_psi
+        dp[0] = rt * a + radial * a_t
+        dp[1] = radial * a_psi
         d2p = np.zeros_like(d2_radial)
-        d2p[:, 0, 0] = rtt * a + 2.0 * rt * a_t + radial * a_tt
-        d2p[:, 0, 1] = d2p[:, 1, 0] = rt * a_psi + radial * a_t_psi
-        d2p[:, 1, 1] = radial * a_psi_psi
+        d2p[0, 0] = rtt * a + 2.0 * rt * a_t + radial * a_tt
+        d2p[0, 1] = d2p[1, 0] = rt * a_psi + radial * a_t_psi
+        d2p[1, 1] = radial * a_psi_psi
         return radial * a, dp, d2p
 
 

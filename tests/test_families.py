@@ -12,6 +12,7 @@ from fbmink import (
     InadmissiblePlacement,
     OrthogonalityInfeasible,
     PerturbationSpec,
+    QuadratureRule,
     SupportKind,
     ValidationFailed,
     default_cap_spec,
@@ -20,12 +21,15 @@ from fbmink import (
     make_umbilical_cap,
     perturb_cap,
     region_margins,
+    reilly_residual,
     validate_scenario,
 )
+from fbmink import families
 from fbmink.charts import RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
+from fbmink.weights import jet
 
 from conftest import canonical_support
 
@@ -182,15 +186,38 @@ def test_perturbed_cap_reads_its_base_caps_ring(kind, n):
         assert bits[0] == bits[1] == bits[2]
 
 
+def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
+    # V's jet and boundary parts on the support face are epsilon-free, so every
+    # perturbation of one base cap reads the base's: the face's nodes take one jet
+    base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
+    rule = QuadratureRule(16)
+    face_x = base.quadrature("support", rule).geo.x
+    face_jets = []
+
+    def recording_jet(model, x, fn):
+        if np.shares_memory(x, face_x):
+            face_jets.append(x)
+        return jet(model, x, fn)
+
+    monkeypatch.setattr(families, "jet", recording_jet)
+    perturbed = [perturb_cap(base, PerturbationSpec(epsilon=eps)) for eps in (0.05, -0.03)]
+    for sc in perturbed:
+        reilly_residual(sc, "x1", rule)
+    assert len(face_jets) == 1
+    for sc in perturbed:
+        assert sc.weight_jet("support", rule) is base.weight_jet("support", rule)
+        assert sc.weight_parts("support", rule) is base.weight_parts("support", rule)
+
+
 def test_profile_with_curvature_on_the_ring_rejected():
     # a bump that vanishes with its gradient but not its second derivative would
     # change the ring's second fundamental form, which perturbed caps read from the base
     class CurvedAtRing:
         def evaluate(self, U):
             m, q = np.atleast_2d(U).shape
-            d2p = np.zeros((m, q, q))
-            d2p[:, 0, 0] = 1.0
-            return np.zeros(m), np.zeros((m, q)), d2p
+            d2p = np.zeros((q, q, m))
+            d2p[0, 0] = 1.0
+            return np.zeros(m), np.zeros((q, m)), d2p
 
     base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
     with pytest.raises(ValidationFailed, match="first two derivatives"):
@@ -207,7 +234,7 @@ def test_profile_nonzero_at_the_arcs_other_end_rejected():
         def evaluate(self, U):
             t = np.atleast_2d(U)[:, 0]
             z = (self.t_max - t) / (2.0 * self.t_max)
-            return z ** 3, (-1.5 * z ** 2 / self.t_max)[:, None], (1.5 * z / self.t_max ** 2)[:, None, None]
+            return z ** 3, (-1.5 * z ** 2 / self.t_max)[None], (1.5 * z / self.t_max ** 2)[None, None]
 
     base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE, 2)))
     chart = base.surface.chart

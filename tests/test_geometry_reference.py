@@ -8,7 +8,9 @@ the (h, g) pencil by a Cholesky factor and two general solves, and each cone's
 Jacobian as the determinant det[X - x0 | J].  The library forms the same
 quantities from closed-form identities (Laplace expansion, the tangent terms
 of Gamma dropping against the normal, Cauchy-Binet, one Cholesky factor), so
-the two must agree to rounding.
+the two must agree to rounding.  The reference runs node-first, (m, ...), as
+the geometry layer once did; the library's node-last arrays are moved to that
+layout where the two are compared.
 """
 
 from types import SimpleNamespace
@@ -38,14 +40,21 @@ def cross_normal(jac):
     return np.stack([(-1.0) ** i * np.linalg.det(jac[:, rows != i, :]) for i in range(n)], axis=1)
 
 
+def node_first(a: np.ndarray) -> np.ndarray:
+    """A node-last array (..., m) with its node axis moved to the front."""
+    return np.moveaxis(a, -1, 0)
+
+
 def reference_geometry(surf, U) -> dict:
     model = surf.model
-    X, J, H2 = surf.chart.evaluate(U)
+    values = surf.chart.evaluate(U)
+    hint = node_first(surf.chart.normal_hint(U, values[0]))
+    X, J, H2 = (node_first(a) for a in values)     # (m, n), (m, n, k), (m, k, k, n)
     phi = model.phi(X.T)
     g = np.exp(2.0 * phi)[:, None, None] * np.einsum("mia,mib->mab", J, J)
     g_inv = np.linalg.inv(g)
     w = cross_normal(J)
-    sgn = np.sign(np.einsum("mi,mi->m", w, surf.chart.normal_hint(U, X)))
+    sgn = np.sign(np.einsum("mi,mi->m", w, hint))
     nu_delta = w * (sgn / np.linalg.norm(w, axis=1))[:, None]
     nu = np.exp(-phi)[:, None] * nu_delta
     dphi = model.phi_grad(X.T).T
@@ -66,8 +75,9 @@ def reference_geometry(surf, U) -> dict:
 def reference_cone_weights(x0, piece) -> np.ndarray:
     geo = piece.geo
     s_nodes, s_w = piece.rule.nodes(0.0, 1.0)
-    spread = geo.x - x0
-    cone_jac = np.abs(np.linalg.det(np.concatenate([spread[:, :, None], geo.jac], axis=2)))
+    spread = node_first(geo.x) - x0
+    cone_jac = np.abs(np.linalg.det(np.concatenate([spread[:, :, None], node_first(geo.jac)],
+                                                   axis=2)))
     radial = (s_nodes ** (x0.shape[0] - 1)) * s_w
     return (radial[:, None] * (piece.box_weights * cone_jac)[None, :]).ravel()
 
@@ -90,6 +100,7 @@ def _check_surface(surf, U, what):
     new = {"h": geo.h, "g_inv": geo.g_inv, "area_element": geo.area_element, "nu": geo.nu,
            "normal_derivatives": normal_derivatives(surf, geo),
            "principal_curvatures": principal_curvatures(geo)}
+    new = {key: node_first(value) for key, value in new.items()}
     for key in ref:
         floor = np.max(np.abs(getattr(geo, FLOORS[key]))) if key in FLOORS else 0.0
         _assert_close(new[key], ref[key], (what, key), floor)

@@ -118,7 +118,7 @@ def test_lens_region_volume_matches_cap_sum():
 
 def test_surface_integral_linearity(hemisphere):
     sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(10))
-    z = sq.geo.x[:, 2]
+    z = sq.geo.x[2]
     a, b = 2.5, -1.25
     assert np.isclose(sq.integral(a * z + b),
                       a * sq.integral(z) + b * sq.integral(np.ones_like(z)),
@@ -128,7 +128,7 @@ def test_surface_integral_linearity(hemisphere):
 def test_moment_of_hemisphere(hemisphere):
     # int_{S^2_+} z dA = pi for the unit upper hemisphere
     sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
-    assert np.isclose(sq.integral(sq.geo.x[:, 2]), math.pi, rtol=1e-12)
+    assert np.isclose(sq.integral(sq.geo.x[2]), math.pi, rtol=1e-12)
 
 
 def test_pairwise_sum_matches_math_fsum():
@@ -392,7 +392,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     V_jets = [sc.weight_jet(label, rule) for label in ("cap", "support")]
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
     assert len(boundary_jets) == 2 + 2 * 2
-    assert [x.shape[-1] for x in flat_points] == [geo.x.shape[0] for geo in (
+    assert [x.shape[-1] for x in flat_points] == [geo.count for geo in (
         sc.quadrature(label, rule).geo for label in ("cap", "support"))] * 2
     # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
     # base cap's admissibility check

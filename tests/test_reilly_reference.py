@@ -4,7 +4,9 @@ The reference is the checker as it was before it was cut down to each test
 function's own work: it forms the static tensor from ``metric_at`` on every
 region block, takes the generic ``weights.jet`` of every test function, and
 contracts with three-operand einsums.  Both evaluate the same integrals, so
-they must agree to rounding.
+they must agree to rounding.  The reference contracts the surface arrays
+node-first, (m, ...), as the geometry layer once laid them out; the library's
+node-last arrays are moved to that layout as the reference reads them.
 """
 
 import numpy as np
@@ -27,11 +29,16 @@ from fbmink.weights import jet
 from conftest import SPHERE_KINDS, canonical_support
 
 
+def _node_first(a: np.ndarray) -> np.ndarray:
+    return np.moveaxis(a, -1, 0)
+
+
 def _reference_boundary_terms(sq, V_jet, f_jet) -> dict:
     geo = sq.geo
-    nu, jac = geo.nu, geo.jac
+    nu, jac = _node_first(geo.nu), _node_first(geo.jac)
+    g, g_inv, h = _node_first(geo.g), _node_first(geo.g_inv), _node_first(geo.h)
     curv = sq.curvature()
-    dnu = sq.normal_derivatives()
+    dnu = _node_first(sq.normal_derivatives())
 
     def boundary_parts(fn_jet):
         _, d1, d2, hess, lap = fn_jet
@@ -47,12 +54,12 @@ def _reference_boundary_terms(sq, V_jet, f_jet) -> dict:
     f_nu, f_a, lap_p_f, dfnu_a = boundary_parts(f_jet)
     u = f_nu - V_nu / Vv * fv
     w_a = f_a - (V_a * fv[:, None]) / Vv[:, None]
-    w_up = np.einsum("mab,mb->ma", geo.g_inv, w_a)
+    w_up = np.einsum("mab,mb->ma", g_inv, w_a)
     ratio_a = (dVnu_a * Vv[:, None] - V_nu[:, None] * V_a) / Vv[:, None] ** 2
     u_a = dfnu_a - ratio_a * fv[:, None] - (V_nu / Vv)[:, None] * f_a
     term_mixed = Vv * u * (lap_p_f - lap_p_V / Vv * fv)
     term_grad = -Vv * np.einsum("ma,ma->m", u_a, w_up)
-    quad_form = geo.h - (V_nu / Vv)[:, None, None] * geo.g
+    quad_form = h - (V_nu / Vv)[:, None, None] * g
     term_h = Vv * curv.H * u ** 2 + np.einsum("mab,ma,mb->m", quad_form, w_up, w_up) * Vv
     return {"mixed": float(pairwise_sum(term_mixed * sq.weights)),
             "gradient": float(pairwise_sum(term_grad * sq.weights)),
@@ -83,7 +90,7 @@ def reference_reilly(scenario, function: str, rule) -> dict:
     boundary = {}
     for label in ("cap", "support"):
         sq = scenario.quadrature(label, rule)
-        x = sq.geo.x.T
+        x = sq.geo.x
         boundary[label] = _reference_boundary_terms(sq, jet(model, x, scenario.weight),
                                                     jet(model, x, f))
     residual = lhs_volume - rhs_volume - sum(sum(d.values()) for d in boundary.values())

@@ -100,14 +100,14 @@ def test_support_points_lie_on_realization(kind):
     s = canonical_support(kind)
     rng = np.random.default_rng(1)
     pts = sample_support_points(s, 50, rng)
-    assert np.max(np.abs(s.signed_distance(pts))) < 1e-12
+    assert np.max(np.abs(s.signed_distance(pts.T))) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_admissible_points_are_interior(kind):
     s = canonical_support(kind)
     rng = np.random.default_rng(2)
-    pts = sample_admissible_points(s, 200, rng)
+    pts = sample_admissible_points(s, 200, rng).T
     assert np.all(s.in_admissible_region(pts))
     # strictly inside B_int, not on the wall
     assert np.min(np.abs(s.signed_distance(pts))) > 0.0
@@ -117,9 +117,10 @@ def test_admissible_points_are_interior(kind):
 def test_outward_normal_is_unit_and_points_out(kind):
     s = canonical_support(kind)
     rng = np.random.default_rng(3)
-    pts = sample_support_points(s, 20, rng)
+    pts = sample_support_points(s, 20, rng).T
     nbar = s.outward_normal(pts)
-    norms = np.exp(s.model.phi(pts.T)) * np.linalg.norm(nbar, axis=-1)
+    assert nbar.shape == pts.shape
+    norms = np.exp(s.model.phi(pts)) * np.linalg.norm(nbar, axis=0)
     assert np.allclose(norms, 1.0, atol=1e-12)
     # stepping outward leaves B_int
     step = 1e-6

@@ -10,12 +10,14 @@ from fbmink import CapSpec, SupportKind, default_cap_spec, make_perturbed_cap, m
 from fbmink import DegenerateImmersion, PerturbationSpec, QuadratureRule, validate_scenario
 from fbmink.surfaces import (
     DEGENERACY_FLOOR,
+    SurfaceGeometry,
     boundary_checks,
     boundary_parameters,
     curvature_arrays,
     hypothesis_margins,
     normal_derivatives,
     principal_curvatures,
+    support_patch,
     surface_geometry,
 )
 
@@ -46,7 +48,7 @@ def test_unit_hemisphere_sign_conventions(hemisphere):
     assert np.allclose(arr.H, 2.0, atol=1e-12)
     assert np.allclose(arr.sigma2, 1.0, atol=1e-12)
     # normal points away from the cap center (outward of the half-ball)
-    assert np.all(np.sum(geo.nu * geo.x, axis=-1) > 0.0)
+    assert np.all(np.sum(geo.nu * geo.x, axis=0) > 0.0)
 
 
 def test_scaled_sphere_mean_curvature():
@@ -62,7 +64,7 @@ def test_caps_are_umbilical_in_every_geometry(kind):
     sc = canonical_scenario(kind)
     geo = surface_geometry(sc.surface, interior_params(sc.surface))
     kappas = principal_curvatures(geo)
-    spread = np.max(kappas, axis=1) - np.min(kappas, axis=1)
+    spread = np.max(kappas, axis=0) - np.min(kappas, axis=0)
     assert np.max(spread) < 1e-10
 
 
@@ -93,7 +95,7 @@ def brioschi_gauss_curvature(surf, u0, step=1e-4):
 
     def efg(du, dv):
         u = np.array([[u0[0] + du, u0[1] + dv]])
-        g = surface_geometry(surf, u).g[0]
+        g = surface_geometry(surf, u).g[:, :, 0]
         return g[0, 0], g[0, 1], g[1, 1]
 
     s = step
@@ -164,7 +166,7 @@ def _weingarten_fd_gap(surf):
         nu_p = surface_geometry(surf, pts + e).nu
         nu_m = surface_geometry(surf, pts - e).nu
         fd = (nu_p - nu_m) / (2 * step)
-        gap = max(gap, float(np.max(np.abs(fd - dn[:, a, :]))))
+        gap = max(gap, float(np.max(np.abs(fd - dn[a]))))
     return gap
 
 
@@ -200,8 +202,8 @@ def test_angular_bump_profile_derivatives_match_finite_differences():
         e = np.zeros(2)
         e[a] = step
         (p_plus, dp_plus, _), (p_minus, dp_minus, _) = profile.evaluate(U + e), profile.evaluate(U - e)
-        assert np.max(np.abs((p_plus - p_minus) / (2 * step) - dp[:, a])) < 1e-8
-        assert np.max(np.abs((dp_plus - dp_minus) / (2 * step) - d2p[:, a, :])) < 1e-8
+        assert np.max(np.abs((p_plus - p_minus) / (2 * step) - dp[a])) < 1e-8
+        assert np.max(np.abs((dp_plus - dp_minus) / (2 * step) - d2p[a])) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ANGULAR_BUMP_KINDS)
@@ -211,7 +213,8 @@ def test_weingarten_matches_fd_of_normal_on_angular_bump_caps(kind):
     sc = angular_bump_scenario(kind)
     validate_scenario(sc)
     geo = sc.quadrature("cap", QuadratureRule(16)).geo
-    assert np.max(np.abs(geo.g @ geo.h - geo.h @ geo.g)) > 5e-4
+    g, h = np.moveaxis(geo.g, -1, 0), np.moveaxis(geo.h, -1, 0)
+    assert np.max(np.abs(g @ h - h @ g)) > 5e-4
     assert _weingarten_fd_gap(sc.surface) < 1e-7
 
 
@@ -231,15 +234,15 @@ def test_curvature_arrays_match_principal_curvatures(kind, n, placement, eps):
     surf = make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)).surface
     geo = surface_geometry(surf, interior_params(surf, m=5))
     kappa = principal_curvatures(geo)
-    H = np.sum(kappa, axis=1)
-    ric = (n - 2.0) * surf.model.K + kappa * (H[:, None] - kappa)
-    scal = np.sum(ric, axis=1)
+    H = np.sum(kappa, axis=0)
+    ric = (n - 2.0) * surf.model.K + kappa * (H - kappa)
+    scal = np.sum(ric, axis=0)
     oracle = {
         "H": H,
-        "norm_h_sq": np.sum(kappa * kappa, axis=1),
-        "sigma2": sum(kappa[:, i] * kappa[:, j] for i in range(n - 1) for j in range(i)),
+        "norm_h_sq": np.sum(kappa * kappa, axis=0),
+        "sigma2": sum(kappa[i] * kappa[j] for i in range(n - 1) for j in range(i)),
         "scal": scal,
-        "ric0_sq": np.sum((ric - scal[:, None] / (n - 1.0)) ** 2, axis=1),
+        "ric0_sq": np.sum((ric - scal / (n - 1.0)) ** 2, axis=0),
     }
     if n == 4:
         assert np.max(oracle["ric0_sq"]) > 1e-3
@@ -279,16 +282,18 @@ def test_hypothesis_margins_positive_on_canonical_caps(kind):
 
 class CollapsedChart:
     """A cap chart whose Jacobian column ``column`` is multiplied by ``scale``, with
-    ``shear`` times column 0 added to column 1 (X and H are the base chart's)."""
+    ``shear`` times column 0 added to column 1, at every node or at the one node
+    ``node`` (X and H are the base chart's)."""
 
-    def __init__(self, base, column=0, scale=1.0, shear=0.0):
+    def __init__(self, base, column=0, scale=1.0, shear=0.0, node=None):
         self.base, self.column, self.scale, self.shear = base, column, scale, shear
+        self.nodes = slice(None) if node is None else node
 
     def evaluate(self, U):
         X, J, H2 = self.base.evaluate(U)
         J = J.copy()
-        J[:, :, self.column] *= self.scale
-        J[:, :, 1] += self.shear * J[:, :, 0]
+        J[:, self.column, self.nodes] *= self.scale
+        J[:, 1, self.nodes] += self.shear * J[:, 0, self.nodes]
         return X, J, H2
 
     def __getattr__(self, name):
@@ -312,7 +317,66 @@ def test_metric_that_fails_cholesky_above_the_floor_is_named(n):
     sheared = dataclasses.replace(surf, chart=CollapsedChart(surf.chart, shear=1e10))
     with pytest.raises(DegenerateImmersion, match="min det g = ") as caught:
         surface_geometry(sheared, interior_params(surf, m=3))
-    assert float(str(caught.value).split("= ")[1]) >= DEGENERACY_FLOOR
+    assert float(str(caught.value).split("= ")[1].split()[0]) >= DEGENERACY_FLOOR
+
+
+def _named_point(error) -> np.ndarray:
+    """The parameter point a DegenerateImmersion message ends with."""
+    text = str(error)
+    assert "at parameter point (" in text and text.endswith(")"), text
+    return np.array([float(u) for u in text.split("at parameter point (")[1][:-1].split(",")])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("node", [0, 5, 8])
+def test_degenerate_immersion_names_the_collapsed_node(n, node):
+    # only this node's first Jacobian column collapses, so it alone has det g = 0
+    surf = canonical_scenario(SupportKind.EUCLIDEAN_PLANE, n).surface
+    U = interior_params(surf, m=3)
+    collapsed = dataclasses.replace(surf, chart=CollapsedChart(surf.chart, scale=0.0, node=node))
+    with pytest.raises(DegenerateImmersion, match="min det g = 0.000e[+]00 at parameter point") as caught:
+        surface_geometry(collapsed, U)
+    np.testing.assert_allclose(_named_point(caught.value), U[node], rtol=1e-5, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_degenerate_immersion_names_the_node_whose_pivot_fails(n):
+    # the shear at one node clears the det g floor but leaves g there no Cholesky factor
+    surf = canonical_scenario(SupportKind.EUCLIDEAN_PLANE, n).surface
+    U = interior_params(surf, m=3)
+    sheared = dataclasses.replace(surf, chart=CollapsedChart(surf.chart, shear=1e10, node=4))
+    with pytest.raises(DegenerateImmersion, match="min det g = ") as caught:
+        surface_geometry(sheared, U)
+    np.testing.assert_allclose(_named_point(caught.value), U[4], rtol=1e-5, atol=0)
+
+
+def _charted_surfaces():
+    """A cap, a perturbed cap and their support faces, and a support patch, at n = 2..6."""
+    for n in (2, 3, 4, 5, 6):
+        kinds = SPHERE_KINDS if n == 2 else [SupportKind.EUCLIDEAN_SPHERE, SupportKind.HOROSPHERE]
+        for kind in kinds:
+            for eps in (0.0, 0.05):
+                sc = unchecked_scenario(kind, n, eps)
+                yield n, sc.surface
+                yield n, sc.face
+            yield n, support_patch(sc.support)
+
+
+def test_geometry_fields_are_node_last_and_contiguous():
+    fields = [f.name for f in dataclasses.fields(SurfaceGeometry) if f.name != "params"]
+    for n, surf in _charted_surfaces():
+        U = interior_params(surf, m=3, margin=0.3)
+        m, k = U.shape
+        geo = surface_geometry(surf, U)
+        assert geo.params.shape == (m, k) and geo.count == m
+        shapes = {"x": (n, m), "jac": (n, k, m), "nu_delta": (n, m), "nu": (n, m),
+                  "area_element": (m,), "flat_area": (m,)}
+        for name in fields:
+            value = getattr(geo, name)
+            assert value.shape == shapes.get(name, (k, k, m)), (n, name, value.shape)
+            assert value.flags.c_contiguous, (n, name)
+        assert normal_derivatives(surf, geo).shape == (k, n, m)
+        assert principal_curvatures(geo).shape == (k, m)
 
 
 def test_arc_ring_is_both_ends():
@@ -321,5 +385,5 @@ def test_arc_ring_is_both_ends():
     t_max = sc.surface.chart.t_max
     np.testing.assert_array_equal(boundary_parameters(sc.surface), [[-t_max], [t_max]])
     geo = surface_geometry(sc.surface, boundary_parameters(sc.surface))
-    np.testing.assert_allclose(np.linalg.norm(geo.x, axis=1), sc.support.shape.radius, rtol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(geo.x, axis=0), sc.support.shape.radius, rtol=1e-14)
     assert max(boundary_checks(sc.surface)) <= 1e-14
