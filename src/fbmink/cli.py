@@ -459,7 +459,7 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
         sc = dataclasses.replace(scenario, base=scenario.base and dataclasses.replace(scenario.base))
         rule = QuadratureRule(level)
         sq, rq = sc.quadrature("cap", rule), sc.region(rule)
-        return (sq.integral(weight.value(sq.geo.x)), rq.integral(weight.value(rq.points)),
+        return (sq.integral(weight.value(sq.geo.x)), rq.integral(sc.region_weight(rule)),
                 builder(sc, rule).deficit)
 
     tables = {

@@ -14,20 +14,23 @@ At n = 2 the cap is an arc about its axis and its ring is the arc's two ends.
 Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
-set per (set, rule): the cap's and the face's ``SurfaceQuadrature``, the
-region built from their cones, the cap weight data, V's jet on each set and
-V's boundary parts on each face, so every report, audit, validation and
-identity check on it shares them.
+set per (set, rule): the cap's parameter grid, the cap's and the face's
+``SurfaceQuadrature``, the face's cone with its conformal weights and V at
+its nodes, the region joined from the cones, the cap weight data, V's jet on
+each set and V's boundary parts on each face, so every report, audit,
+validation and identity check on it shares them.
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
 base cap with the cap chart displaced: it shares the base's face, star
 center and pieces, and through ``base``, its one reference to the base cap,
-reads the base's epsilon-free node sets (the face's quadrature and cone, V's
-jet and boundary parts on the face, and the cap's chart terms) and its
-boundary ring checks, so the perturbations of one base cap evaluate those
-once per (base cap, rule) and one ring per base cap.  Nothing a scenario
-memoizes refers back to the scenario.
+reads the base's epsilon-free node sets (the cap's grid and chart terms, the
+face's quadrature, its weighted cone and V there, and V's jet and boundary
+parts on the face), its boundary ring checks and the bump's reach.  So the
+perturbations of one base cap evaluate those once per (base cap, rule), one
+ring per base cap and one reach per bump power, and each evaluates phi,
+exp(n phi) and V only on its own cap's cone.  Nothing a scenario memoizes
+refers back to the scenario.
 """
 
 from __future__ import annotations
@@ -121,10 +124,17 @@ class CapScenario(quad.Memo):
     base: Optional[CapScenario] = field(default=None, repr=False)   # the cap it perturbs
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def grid(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+        """``rule.grid`` of the cap chart's domain, which a perturbation leaves: one grid
+        per base cap and rule, read by the cap's chart terms and its quadrature."""
+        if self.base is not None:
+            return self.base.grid(rule)
+        return self._once(("grid", rule), lambda: rule.grid(self.surface.chart.domain))
+
     def _cap_values(self, rule: quad.QuadratureRule) -> tuple:
         """The cap chart's (X, J, H) at its nodes; a perturbed cap displaces its base's terms."""
         chart = self.surface.chart
-        params, _ = rule.grid(chart.domain)
+        params, _ = self.grid(rule)
         if self.base is not None:
             return chart.displace(params, self.base.cap_terms(rule))
         return self._once(("cap chart", rule), lambda: chart.evaluate(params))
@@ -134,28 +144,70 @@ class CapScenario(quad.Memo):
         return self._once(("cap terms", rule), lambda: (*self._cap_values(rule), *conformal_scale(
             self.model, *self._cap_values(rule))))
 
+    def reach(self, power: int) -> float:
+        """max |p| exp(-phi) over the cap nodes of ``REACH_RULE`` for the bump of this
+        power: how far a perturbation by a unit epsilon moves the cap, in chart units.
+        One number per power; the probe's nodes are not kept."""
+        def build():
+            chart = self.surface.chart
+            probe, _ = REACH_RULE.grid(chart.domain)
+            p, _, _ = RadialBumpProfile(t_max=chart.t_max, power=power).evaluate(probe)
+            X, _, _ = chart.evaluate(probe)
+            return float(np.max(np.abs(p) * np.exp(-self.model.phi(X))))
+        return self._once(("reach", power, REACH_RULE), build)
+
     def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
         """Nodes of and quadrature over the cap ("cap") or the support face ("support");
         a perturbed cap reads its base's face."""
-        if label == "support" and self.base is not None:
-            return self.base.quadrature(label, rule)
+        if label == "support":
+            if self.base is not None:
+                return self.base.quadrature(label, rule)
+            return self._once((label, rule), lambda: quad.SurfaceQuadrature(self.face, rule))
         return self._once((label, rule), lambda: quad.SurfaceQuadrature(
-            self.surface if label == "cap" else self.face, rule,
-            self._cap_values(rule) if label == "cap" else None))
+            self.surface, rule, self._cap_values(rule), self.grid(rule)))
 
-    def cone(self, label: str, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """The region's cone over one piece, kept for the caps that perturb this one."""
-        return self._once((label + " cone", rule), lambda: quad.cone(
-            self.star_center, label, self.quadrature(label, rule)))
+    def _weighted_cone(self, label: str, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+        """The region's cone over one piece: its nodes and its flat weights times
+        exp(n phi), phi evaluated on this piece alone."""
+        pts, flat = quad.cone(self.star_center, label, self.quadrature(label, rule))
+        return pts, flat * np.exp(self.model.n * self.model.phi(pts))
+
+    def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+        """``_weighted_cone`` over the support face, once per base cap and rule: every
+        perturbation reads its base's.  Once the base's own region is built, it is a
+        view of that region's tail, so the face's nodes are held once."""
+        if self.base is not None:
+            return self.base.face_cone(rule)
+        return self._once(("support cone", rule), lambda: self._weighted_cone("support", rule))
+
+    def face_weight(self, rule: quad.QuadratureRule) -> np.ndarray:
+        """V at the nodes of ``face_cone``, once per base cap and rule."""
+        if self.base is not None:
+            return self.base.face_weight(rule)
+        return self._once(("support cone weight", rule),
+                          lambda: self.weight.value(self.face_cone(rule)[0]))
 
     def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
-        """The cone-decomposition nodes of Omega; a perturbed cap reads its base's face cone."""
-        def piece(label: str) -> tuple[np.ndarray, np.ndarray]:
-            if label == "support" and self.base is not None:
-                return self.base.cone(label, rule)
-            return quad.cone(self.star_center, label, self.quadrature(label, rule))
-        return self._once(("region", rule), lambda: quad.RegionQuadrature(
-            self.model, [piece(label) for label in self.pieces]))
+        """The cone-decomposition nodes of Omega: the cap's cone, then the face's
+        ``face_cone``, which a perturbed cap reads from its base."""
+        def build():
+            rq = quad.RegionQuadrature([
+                self.face_cone(rule) if label == "support" else self._weighted_cone(label, rule)
+                for label in self.pieces])
+            if self.base is None and "support" in self.pieces:
+                # the face piece is the region's last: keep views of it, not a second copy
+                m = self.face_cone(rule)[1].size
+                self._cache[("support cone", rule)] = (rq.points[:, -m:], rq.weights[-m:])
+            return rq
+        return self._once(("region", rule), build)
+
+    def region_weight(self, rule: quad.QuadratureRule) -> np.ndarray:
+        """V at the region's nodes: evaluated on the cap's cone, read on the face's."""
+        points = self.region(rule).points
+        if "support" not in self.pieces:
+            return self.weight.value(points)
+        face = self.face_weight(rule)
+        return np.concatenate([self.weight.value(points[:, :-face.size]), face])
 
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
@@ -378,12 +430,8 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
             "bump power below 3 would move the boundary ring data")
     profile = RadialBumpProfile(t_max=cap_chart.t_max, power=perturbation.power)
     _check_profile_conforms(profile, cap_chart)
-    probe, _ = REACH_RULE.grid(cap_chart.domain)
-    p_probe, _, _ = profile.evaluate(probe)
-    s_probe = base.cap_terms(REACH_RULE)[3]     # exp(-phi) at the same nodes of the base cap
-    reach = float(np.max(np.abs(p_probe) * s_probe))
     _placement_precheck(base.support, cap_chart.center,
-                        cap_chart.radius + abs(perturbation.epsilon) * reach)
+                        cap_chart.radius + abs(perturbation.epsilon) * base.reach(perturbation.power))
     pchart = PerturbedCapChart(base=cap_chart, model=base.model,
                                epsilon=perturbation.epsilon, profile=profile)
     surface = FreeBoundarySurface(model=base.model, chart=pchart, support=base.support)

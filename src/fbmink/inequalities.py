@@ -132,10 +132,9 @@ def minkowski_report(scenario: CapScenario, rule: QuadratureRule,
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
     sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
-    rq = scenario.region(rule)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
-    vol_v = rq.integral(scenario.weight.value(rq.points))
+    vol_v = scenario.region(rule).integral(scenario.region_weight(rule))
     lhs = area_v ** 2
     rhs = n / (n - 1.0) * vol_v * mean_v
     return InequalityReport(

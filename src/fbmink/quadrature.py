@@ -11,14 +11,17 @@ test, so every volume integral goes through these cones.
 
 This module holds the quadrature primitives: the ``QuadratureRule`` that places
 the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
-cone over one boundary piece and the ``RegionQuadrature`` built from the cones.
-A cap scenario (``families.CapScenario``) builds and memoizes them per (set, rule).
+cone over one boundary piece with its flat weights, and the ``RegionQuadrature``
+joined from the cones once each carries its weights for gbar.  A cap scenario
+(``families.CapScenario``) builds and memoizes them per (set, rule), and weights
+each cone itself, so a cone it shares between scenarios is weighted once.
 
 Shapes: ``rule.grid(box)`` gives the parameter points as (m, k) rows and their
 weights (m,); everything formed at the points is node-last, as in
 ``surfaces``: a surface's geometry (``SurfaceGeometry``), its normal
 derivatives (k, n, m) and a function's boundary parts ((m,) and (k, m)); a
-cone's nodes (n, s * m) and weights (s * m,); the region's nodes (n, m).
+cone's nodes (n, s * m), one C-contiguous array of its own, and weights
+(s * m,); the region's nodes (n, m).
 
 Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
 consecutive nodes, so a region term holds its (n, n, m) temporaries for one
@@ -124,12 +127,14 @@ class Memo:
 
 class SurfaceQuadrature(Memo):
     """Geometry at the tensor nodes of a surface chart, from its (X, J, H) there if
-    given, and the integrals over them, with cached curvature and normal derivatives."""
+    given, and the integrals over them, with cached curvature and normal derivatives.
+    ``grid`` is ``rule.grid`` of the chart's domain, formed here when not given."""
 
-    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None):
+    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None,
+                 grid: tuple[np.ndarray, np.ndarray] | None = None):
         self.surf = surf
         self.rule = rule
-        params, self.box_weights = rule.grid(surf.chart.domain)
+        params, self.box_weights = rule.grid(surf.chart.domain) if grid is None else grid
         self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
         self.weights = self.box_weights * self.geo.area_element
         self._cache = {}
@@ -180,22 +185,32 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
     # cross product w of J's columns, whose length is flat_area and direction +-nu_delta
     cone_jac = facing * geo.flat_area
     # nodes: x0 + s * spread for every (s, u) pair, as one C-contiguous (n, s, u) block
-    pts = x0[:, None, None] + s_nodes[:, None] * spread[:, None, :]
+    # written into the (n, s * m) array returned, so that a region may keep it as it is
+    pts = np.empty((n, s_nodes.size * spread.shape[1]))
+    block = pts.reshape(n, s_nodes.size, spread.shape[1])
+    np.multiply(s_nodes[:, None], spread[:, None, :], out=block)
+    block += x0[:, None, None]
     radial = (s_nodes ** (n - 1))[:, None] * s_w[:, None]
     wt = radial * (piece.box_weights * cone_jac)[None, :]
-    return pts.reshape(n, -1), wt.ravel()
+    return pts, wt.ravel()
 
 
 class RegionQuadrature:
     """Cone-decomposition nodes: the cones over the boundary pieces, in order, kept
     as one C-contiguous (n, m) array ``points`` so that jets run over rows of nodes,
-    and cut into ``blocks``, the slices of ``REGION_BLOCK`` consecutive nodes."""
+    and cut into ``blocks``, the slices of ``REGION_BLOCK`` consecutive nodes.
 
-    def __init__(self, model, cones: Sequence[tuple[np.ndarray, np.ndarray]]):
-        self.points = np.concatenate([pts for pts, _ in cones], axis=1)
-        flat_weights = np.concatenate([wt for _, wt in cones], axis=0)
-        phi = model.phi(self.points)
-        self.weights = flat_weights * np.exp(model.n * phi)
+    Each piece comes as its nodes and its weights for the metric gbar, the flat cone
+    weights times exp(n phi) (phi, exp and the product are elementwise, so weighting
+    piece by piece gives the bits weighting the joined nodes would).  One piece is
+    kept as given, without a copy."""
+
+    def __init__(self, pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
+        if len(pieces) == 1:
+            (self.points, self.weights), = pieces
+        else:
+            self.points = np.concatenate([pts for pts, _ in pieces], axis=1)
+            self.weights = np.concatenate([wt for _, wt in pieces])
         self.blocks = tuple(slice(lo, min(lo + REGION_BLOCK, self.count))
                             for lo in range(0, self.count, REGION_BLOCK))
 

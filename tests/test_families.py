@@ -209,6 +209,36 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
         assert sc.weight_parts("support", rule) is base.weight_parts("support", rule)
 
 
+def test_reach_is_probed_once_per_base_cap(monkeypatch):
+    # the bump's reach max |p| exp(-phi) is free of epsilon: ten perturbations of one
+    # base cap grid its level-8 probe once, and the base keeps the number alone
+    spec = default_cap_spec(canonical_support(SupportKind.HYP_GEODESIC_SPHERE))
+    base = make_umbilical_cap(spec)
+    probes = []
+    grid = QuadratureRule.grid
+
+    def recording_grid(rule, box):
+        if rule == families.REACH_RULE:
+            probes.append(box)
+        return grid(rule, box)
+
+    monkeypatch.setattr(QuadratureRule, "grid", recording_grid)
+    for eps in (-0.05, -0.04, -0.03, -0.02, -0.01, 0.01, 0.02, 0.03, 0.04, 0.05):
+        perturb_cap(base, PerturbationSpec(epsilon=eps))
+    monkeypatch.undo()
+    assert len(probes) == 1
+    held = [(key, value) for key, value in base._cache.items()
+            if isinstance(key, tuple) and families.REACH_RULE in key]
+    assert held == [(("reach", 3, families.REACH_RULE), base.reach(3))]
+    assert type(held[0][1]) is float
+    # the bits of the probe the base cap kept before: exp(-phi) from its level-8 chart terms
+    chart = base.surface.chart
+    probe, _ = families.REACH_RULE.grid(chart.domain)
+    p, _, _ = RadialBumpProfile(t_max=chart.t_max, power=3).evaluate(probe)
+    s = make_umbilical_cap(spec).cap_terms(families.REACH_RULE)[3]
+    assert base.reach(3) == float(np.max(np.abs(p) * s))
+
+
 def test_profile_with_curvature_on_the_ring_rejected():
     # a bump that vanishes with its gradient but not its second derivative would
     # change the ring's second fundamental form, which perturbed caps read from the base

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fbmink.ambient as ambient
 import fbmink.charts as charts
 import fbmink.cli as cli
 import fbmink.families as families
@@ -36,7 +38,6 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
-from fbmink.ambient import euclidean
 from fbmink.quadrature import REGION_BLOCK, RegionQuadrature, pairwise_sum
 
 from conftest import canonical_scenario, canonical_support
@@ -191,12 +192,12 @@ def test_region_integral_linear_in_integrand(coeffs, level):
 @example(m=2 ** 17, seed=0)
 @example(m=2 ** 17 + 3, seed=0)
 def test_blocked_region_sums_equal_one_flat_pairwise_sum(m, seed):
-    # a Euclidean region keeps its cone weights as given (exp(n * 0) = 1), so the
-    # blocked reduction is compared with a flat pairwise sum of the same products
+    # a one-piece region keeps its weights as given, so the blocked reduction is
+    # compared with a flat pairwise sum of the same products
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
     weights = rng.uniform(0.0, 1.0, m)
-    rq = RegionQuadrature(euclidean(2), [(np.zeros((2, m)), weights)])
+    rq = RegionQuadrature([(np.zeros((2, m)), weights)])
     assert np.array_equal(rq.weights, weights)
     assert [b.start for b in rq.blocks] == list(range(0, m, REGION_BLOCK))
     assert [b.stop for b in rq.blocks] == [min(b.start + REGION_BLOCK, m) for b in rq.blocks]
@@ -439,6 +440,114 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     # the base cap once per node grid: levels 6, 8 (the reach probe) and 16, and once
     # on its 24-point boundary ring, which every perturbed cap reads
     assert Counter(caps) == {6 * 6: 1, 8 * 8: 1, 16 * 16: 1, 24: 1}
+
+
+def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
+    """Ten sweep rows on one euclidean_sphere base cap (each perturbed cap validated,
+    reported and audited) evaluate phi, exp(n phi) and V on the face cone once, and
+    each region has the bits of the cones joined first and weighted after."""
+    phi, value, weighted = (ambient.SpaceFormModel.phi, weights.WeightField.value,
+                            families.CapScenario._weighted_cone)
+    phi_points, value_points, cones = [], [], []
+
+    def recording_phi(model, x):
+        phi_points.append(x)
+        return phi(model, x)
+
+    def recording_value(weight, x):
+        value_points.append(x)
+        return value(weight, x)
+
+    def recording_cone(scenario, label, rule):
+        cones.append((label, rule.level))
+        return weighted(scenario, label, rule)
+
+    monkeypatch.setattr(ambient.SpaceFormModel, "phi", recording_phi)
+    monkeypatch.setattr(weights.WeightField, "value", recording_value)
+    monkeypatch.setattr(families.CapScenario, "_weighted_cone", recording_cone)
+    rule = QuadratureRule(16)
+    base = families.make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
+    rows = []
+    for eps in (-0.05, -0.04, -0.03, -0.02, -0.01, 0.01, 0.02, 0.03, 0.04, 0.05):
+        sc = families.perturb_cap(base, PerturbationSpec(epsilon=eps))
+        validate_scenario(sc)
+        rows.append((sc, minkowski_report(sc, rule)))
+        hypothesis_audit(sc, rule)
+    monkeypatch.undo()
+    face = base.face_cone(rule)[0]
+    assert sum(x is face for x in phi_points) == 1
+    assert sum(x is face for x in value_points) == 1
+    # the face's weighted cone once per rule; each row weights its own cap's cone
+    assert Counter(cones) == {("support", 6): 1, ("support", 16): 1,
+                              ("cap", 6): 11, ("cap", 16): 10}
+    # no V on the joined region: each row's V runs on its cap's cone alone
+    region_sizes = {sc.region(rule).count for sc, _ in rows}
+    assert [x for x in value_points if x.shape[-1] in region_sizes] == []
+
+    def joined_then_weighted(sc):   # the reference: flat cones joined, then weighted as one
+        pieces = [quadrature.cone(sc.star_center, label, sc.quadrature(label, rule))
+                  for label in sc.pieces]
+        points = np.concatenate([pts for pts, _ in pieces], axis=1)
+        flat = np.concatenate([wt for _, wt in pieces])
+        return points, flat * np.exp(sc.model.n * sc.model.phi(points))
+
+    for sc, report in rows:
+        rq = sc.region(rule)
+        points, weights_ = joined_then_weighted(sc)
+        assert rq.points.tobytes() == points.tobytes()
+        assert rq.weights.tobytes() == weights_.tobytes()
+        assert report.integrals["weighted_volume"] == rq.integral(sc.weight.value(rq.points))
+    # the base cap's own region then holds the face once: its face cone becomes a view
+    minkowski_report(base, rule)
+    rq = base.region(rule)
+    assert rq.points.tobytes() == joined_then_weighted(base)[0].tobytes()
+    assert all(a.base is b for a, b in zip(base.face_cone(rule), (rq.points, rq.weights)))
+    assert base.face_cone(rule)[0].tobytes() == face.tobytes()
+
+
+def test_parallel_sweep_builds_each_base_memo_once(monkeypatch, tmp_path):
+    """A --jobs 2 sweep on hyp_geodesic_sphere builds each memo its rows read of the
+    base cap (grid, face cone, V there and the reach among them) once, in the serial
+    head before the workers start (``Memo._once`` has no lock), and writes the bytes
+    of the --jobs 1 sweep."""
+    once = quadrature.Memo._once
+    built, off_main = [], []   # list.append is atomic, so workers may share them
+
+    def recording_once(memo, key, build):
+        def counted():
+            if isinstance(memo, families.CapScenario) and memo.base is None:
+                built.append(key)
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(key)
+            return build()
+        return once(memo, key, counted)
+
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"version": 1, "support": {"kind": "hyp_geodesic_sphere"},
+                               "quadrature": {"level": 16}}))
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in (2, 1):
+            with monkeypatch.context() as patch:
+                if jobs == 2:
+                    patch.setattr(quadrature.Memo, "_once", recording_once)
+                path = tmp_path / f"sweep{jobs}.csv"
+                assert cli.main(["sweep", "--config", str(cfg), "--jobs", str(jobs),
+                                 "--out", str(path)]) == 0
+                out[jobs] = path.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert out[2] == out[1]
+    shared = Counter(key for key in built if key[0] in (
+        "grid", "support cone", "support cone weight", "reach"))
+    rule, admissibility = QuadratureRule(16), families.ADMISSIBILITY_RULE
+    assert shared == {("grid", admissibility): 1, ("grid", rule): 1,
+                      ("support cone", admissibility): 1, ("support cone", rule): 1,
+                      ("support cone weight", rule): 1, ("reach", 3, families.REACH_RULE): 1}
+    assert max(Counter(built).values()) == 1
+    assert off_main == []
 
 
 def test_node_bundle_is_freed_with_its_scenario():

@@ -26,7 +26,16 @@ step is recorded as [error type, message].  Cases:
 * n=2 arcs off the symmetry axis, x eps {0, +-0.05} at level 32: the three
   sphere kinds with ``axis`` (1, 1), where an arc covering one side of its
   axis would show (on the default axis the symmetry halves every integral
-  alike).
+  alike);
+* one base cap shared by several perturbations, on the 8 supports at n=3
+  level 32 and n=4 levels 12 and 8: ``perturb_cap`` at eps +-0.05, then the
+  base cap's own results, then eps +-0.03 and eps 0.05 with bump power 4, all
+  on the one base, each dumped as above.  Every other case builds its own
+  base, so only these pin what perturbations read of a base (its face nodes,
+  grid and reach), before and after the base's own reports.  At n=4 level 12
+  only the caps over ``euclidean_plane`` and ``sph_hyperplane`` build (the
+  others raise DegenerateImmersion, as above at n=5), so level 8 carries the
+  n=4 sphere supports, whose regions have a face cone.
 
 Each differing case is printed with the fields that differ, as paths such
 as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
@@ -68,6 +77,10 @@ CASES = [
     *[(2, 32, kind, {"axis": (1.0, 1.0)}, eps) for kind in SPHERE_KINDS
       for eps in (0.0, 0.05, -0.05)],
 ]
+# the steps on one base cap: (epsilon, bump power) for a perturbation, None for the base
+SHARED_STEPS = ((0.05, 3), (-0.05, 3), None, (0.03, 3), (-0.03, 3), (0.05, 4))
+# (n, level, support): one base cap, then SHARED_STEPS on it
+SHARED_CASES = [(n, level, kind) for n, level in ((3, 32), (4, 12), (4, 8)) for kind in SUPPORTS]
 
 
 def _attempt(step):
@@ -77,16 +90,7 @@ def _attempt(step):
         return [type(e).__name__, str(e)]
 
 
-def _case(fb, n: int, level: int, kind: str, placement: dict, eps: float) -> dict:
-    def build():
-        spec = dataclasses.replace(fb.default_cap_spec(fb.make_support(kind, n)), **placement)
-        if eps:
-            return fb.make_perturbed_cap(spec, fb.PerturbationSpec(epsilon=eps))
-        return fb.make_umbilical_cap(spec)
-
-    scenario = _attempt(build)
-    if isinstance(scenario, list):
-        return {"build": scenario}
+def _results(fb, scenario, level: int) -> dict:
     rule = fb.QuadratureRule(level)
     out = {"description": scenario.description,
            "validate": _attempt(lambda: fb.validate_scenario(scenario) or "ok"),
@@ -101,12 +105,43 @@ def _case(fb, n: int, level: int, kind: str, placement: dict, eps: float) -> dic
     return out
 
 
+def _case(fb, n: int, level: int, kind: str, placement: dict, eps: float) -> dict:
+    def build():
+        spec = dataclasses.replace(fb.default_cap_spec(fb.make_support(kind, n)), **placement)
+        if eps:
+            return fb.make_perturbed_cap(spec, fb.PerturbationSpec(epsilon=eps))
+        return fb.make_umbilical_cap(spec)
+
+    scenario = _attempt(build)
+    if isinstance(scenario, list):
+        return {"build": scenario}
+    return _results(fb, scenario, level)
+
+
+def _shared_case(fb, n: int, level: int, kind: str) -> dict:
+    base = _attempt(lambda: fb.make_umbilical_cap(fb.default_cap_spec(fb.make_support(kind, n))))
+    if isinstance(base, list):
+        return {"build": base}
+    steps = []
+    for step in SHARED_STEPS:
+        if step is None:
+            steps.append(_results(fb, base, level))
+            continue
+        scenario = _attempt(lambda: fb.perturb_cap(base, fb.PerturbationSpec(*step)))
+        steps.append({"build": scenario} if isinstance(scenario, list)
+                     else _results(fb, scenario, level))
+    return {"steps": steps}
+
+
 def dump() -> None:
     """Child side: print one JSON line per case."""
     import fbmink as fb
 
     for case in CASES:
         record = {"case": case, "result": _case(fb, *case)}
+        print(json.dumps(record, sort_keys=True), flush=True)
+    for case in SHARED_CASES:
+        record = {"case": ["shared base", *case], "result": _shared_case(fb, *case)}
         print(json.dumps(record, sort_keys=True), flush=True)
 
 
