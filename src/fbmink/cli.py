@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerance", type=float,
                         help="pass/fail tolerance for the selected command")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep workers (default 1)")
+                        help="accepted for compatibility; sweep rows always run one "
+                             "after another on the calling thread")
     return parser
 
 
@@ -235,7 +236,7 @@ def load_config(args: argparse.Namespace) -> dict:
 class Settings:
     """Resolved run parameters: validated config fields over defaults."""
 
-    def __init__(self, command: str, cfg: dict, args: argparse.Namespace):
+    def __init__(self, command: str, cfg: dict):
         self.command = command
         self.n = int(cfg.get("n", 3))
         level = cfg.get("quadrature", {}).get("level")
@@ -245,7 +246,6 @@ class Settings:
         self.tolerance = float(tol) if tol is not None else COMMANDS[command][1]
         self.equality_tolerance = float(cfg.get("equality_tolerance", DEFAULT_EQUALITY_TOL))
         self.samples = int(cfg.get("samples", 100))
-        self.jobs = max(1, int(args.jobs))
 
     @property
     def rule(self) -> QuadratureRule:
@@ -429,15 +429,7 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
             "min_convexity_eig": audit.convexity_min,
         }
 
-    # workers start after the first perturbed row: it builds what they all read of the
-    # base cap, which Memo._once, having no lock, could otherwise build twice
-    head = len(epsilons) if st.jobs == 1 else next(
-        (i + 1 for i, eps in enumerate(epsilons) if eps != 0.0), len(epsilons))
-    rows = [one(eps) for eps in epsilons[:head]]
-    if head < len(epsilons):
-        from concurrent.futures import ThreadPoolExecutor   # only sweeps with --jobs > 1 pay for it
-        with ThreadPoolExecutor(max_workers=st.jobs) as pool:
-            rows += pool.map(one, epsilons[head:])
+    rows = [one(eps) for eps in epsilons]
     ok = all(r["relative_deficit"] >= -st.tolerance for r in rows)
     return rows, ok
 
@@ -529,7 +521,7 @@ def run(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     cfg = load_config(args)
-    st = Settings(command, cfg, args)
+    st = Settings(command, cfg)
 
     fmt = args.fmt or ("csv" if command == "sweep" else "json")
     if fmt == "csv" and command != "sweep":

@@ -58,7 +58,12 @@ class ValidationFailed(FbminkError):
 
     def __init__(self, check: str, message: str):
         self.check = check
+        self.message = message
         super().__init__(f"{check}: {message}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from (check, message), not from the joined args
+        return type(self), (self.check, self.message), self.__dict__
 
 
 class NonSmoothTestFunction(FbminkError):

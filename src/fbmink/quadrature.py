@@ -116,8 +116,8 @@ class QuadratureRule:
 
 
 class Memo:
-    """Values built on first use and kept in the instance's ``_cache`` dict (not
-    ``functools.cached_property``, whose per-property lock would serialize sweep threads)."""
+    """Values built on first use and kept in the instance's ``_cache`` dict.  A memo
+    is not safe for concurrent first use: two threads may both build one value."""
 
     def _once(self, key, build: Callable):
         if key not in self._cache:

@@ -343,7 +343,7 @@ def _monte_carlo_weighted_volume(sc, n_samples, seed=7, chunk=1_000_000):
 
 
 def test_acceptance_9_determinism_across_workers(tmp_path):
-    """Identical configs give identical bytes over 1 and 8 sweep workers."""
+    """Identical configs give identical bytes with --jobs 1 and --jobs 8."""
     checks = {}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

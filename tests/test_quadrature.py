@@ -405,9 +405,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2, 8])
 def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     """A five-epsilon sweep over a sphere at level 16 builds and checks one base
-    cap and evaluates its epsilon-free node sets once, with any job count (8 jobs
-    on a short thread switch interval stress the workers sharing the base cap)."""
-    margins, faces, caps = [], [], []    # list.append is atomic, so workers may share them
+    cap and evaluates its epsilon-free node sets once, with any job count (the flag
+    is still accepted and has no effect)."""
+    margins, faces, caps = [], [], []
     margins_fn, evaluate = families._margins, charts.SphericalCapChart.evaluate
 
     def recording_margins(scenario):
@@ -425,13 +425,8 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"version": 1, "support": {"kind": "euclidean_sphere"},
                                "quadrature": {"level": 16}}))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert cli.main(["sweep", "--config", str(cfg), "--jobs", str(jobs),
-                         "--out", str(tmp_path / "sweep.csv")]) == 0
-    finally:
-        sys.setswitchinterval(interval)
+    assert cli.main(["sweep", "--config", str(cfg), "--jobs", str(jobs),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
     epsilons = cli.DEFAULT_SWEEP_EPSILONS
     # the base cap's admissibility once, then each perturbed cap's
     assert sorted(margins) == [0.0, *epsilons]
@@ -505,20 +500,20 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
     assert base.face_cone(rule)[0].tobytes() == face.tobytes()
 
 
-def test_parallel_sweep_builds_each_base_memo_once(monkeypatch, tmp_path):
-    """A --jobs 2 sweep on hyp_geodesic_sphere builds each memo its rows read of the
-    base cap (grid, face cone, V there and the reach among them) once, in the serial
-    head before the workers start (``Memo._once`` has no lock), and writes the bytes
-    of the --jobs 1 sweep."""
+def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_path):
+    """A --jobs 2 sweep on hyp_geodesic_sphere builds every memo on the main thread
+    and starts no thread, builds each memo its rows share of the base cap (grid,
+    face cone, V there and the reach among them) once, and writes the bytes of the
+    --jobs 1 sweep."""
     once = quadrature.Memo._once
-    built, off_main = [], []   # list.append is atomic, so workers may share them
+    built, threads, counts = [], set(), set()
 
     def recording_once(memo, key, build):
         def counted():
+            threads.add(threading.current_thread())
+            counts.add(threading.active_count())
             if isinstance(memo, families.CapScenario) and memo.base is None:
                 built.append(key)
-                if threading.current_thread() is not threading.main_thread():
-                    off_main.append(key)
             return build()
         return once(memo, key, counted)
 
@@ -526,20 +521,17 @@ def test_parallel_sweep_builds_each_base_memo_once(monkeypatch, tmp_path):
     cfg.write_text(json.dumps({"version": 1, "support": {"kind": "hyp_geodesic_sphere"},
                                "quadrature": {"level": 16}}))
     out = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for jobs in (2, 1):
-            with monkeypatch.context() as patch:
-                if jobs == 2:
-                    patch.setattr(quadrature.Memo, "_once", recording_once)
-                path = tmp_path / f"sweep{jobs}.csv"
-                assert cli.main(["sweep", "--config", str(cfg), "--jobs", str(jobs),
-                                 "--out", str(path)]) == 0
-                out[jobs] = path.read_bytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert out[2] == out[1]
+    running = threading.active_count()
+    for jobs in (2, 1):
+        with monkeypatch.context() as patch:
+            if jobs == 2:
+                patch.setattr(quadrature.Memo, "_once", recording_once)
+            path = tmp_path / f"sweep{jobs}.csv"
+            assert cli.main(["sweep", "--config", str(cfg), "--jobs", str(jobs),
+                             "--out", str(path)]) == 0
+            out[jobs] = path.read_bytes()
+    assert threads == {threading.main_thread()}
+    assert counts == {running} and threading.active_count() == running
     shared = Counter(key for key in built if key[0] in (
         "grid", "support cone", "support cone weight", "reach"))
     rule, admissibility = QuadratureRule(16), families.ADMISSIBILITY_RULE
@@ -547,7 +539,7 @@ def test_parallel_sweep_builds_each_base_memo_once(monkeypatch, tmp_path):
                       ("support cone", admissibility): 1, ("support cone", rule): 1,
                       ("support cone weight", rule): 1, ("reach", 3, families.REACH_RULE): 1}
     assert max(Counter(built).values()) == 1
-    assert off_main == []
+    assert out[2] == out[1]
 
 
 def test_node_bundle_is_freed_with_its_scenario():
