@@ -182,13 +182,12 @@ def ambient_inner(model: SpaceFormModel, x: np.ndarray, u: np.ndarray, v: np.nda
 
 
 def covariant_hessian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.ndarray,
-                      hess_euclidean: np.ndarray, dphi: np.ndarray | None = None) -> np.ndarray:
+                      hess_euclidean: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """Covariant Hessian of a scalar from its flat derivatives (``dphi``: phi_grad at x).
 
     ``Hess f_ij = d2f_ij - Gamma^k_ij df_k``; the Christoffel contraction is
     expanded in closed form for the conformal metric.
     """
-    dphi = model.phi_grad(x) if dphi is None else dphi
     df = np.asarray(grad_euclidean, float)
     d2f = np.asarray(hess_euclidean, float)
     # Gamma^k_ij df_k = dphi_i df_j + dphi_j df_i - d_ij <dphi, df>; the d_ij term
@@ -219,13 +218,12 @@ def add_axis_hessian(hess: np.ndarray, dphi: np.ndarray, i: int, slope, second: 
 
 
 def ambient_laplacian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.ndarray,
-                      hess_euclidean: np.ndarray, dphi: np.ndarray | None = None) -> np.ndarray:
+                      hess_euclidean: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami value from flat derivatives (``dphi``: phi_grad at x).
 
     For gbar = exp(2 phi) delta in dimension n,
     ``lap f = exp(-2 phi) (lap_delta f + (n-2) <dphi, df>)``.
     """
-    dphi = model.phi_grad(x) if dphi is None else dphi
     lap_flat = np.trace(np.asarray(hess_euclidean, float), axis1=0, axis2=1)
     drift = np.sum(dphi * grad_euclidean, axis=0)
     return np.exp(-2.0 * model.phi(x)) * (lap_flat + (model.n - 2.0) * drift)

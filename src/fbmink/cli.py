@@ -104,12 +104,6 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _config_schema() -> dict:
-    # read once per process and shared: nothing may modify it
-    return load_schema()
-
-
 # JSON types as the schema's draft defines them: booleans are not numbers, and
 # an integer is any number with no fractional part, 4.0 included
 _JSON_TYPES = {
@@ -226,7 +220,7 @@ def load_config(args: argparse.Namespace) -> dict:
     if bad is not None:
         where = "/".join(map(str, bad)) or "(root)"
         raise ConfigError(f"config invalid at {where}: NaN and infinity are not allowed")
-    error = _best_error(_schema_errors(cfg, _config_schema()))
+    error = _best_error(_schema_errors(cfg, load_schema()))
     if error is not None:
         where = "/".join(map(str, error[0])) or "(root)"
         raise ConfigError(f"config invalid at {where}: {error[1]}")

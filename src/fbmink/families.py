@@ -26,11 +26,11 @@ base cap with the cap chart displaced: it shares the base's face, star
 center and pieces, and through ``base``, its one reference to the base cap,
 reads the base's epsilon-free node sets (the cap's grid and chart terms, the
 face's quadrature, its weighted cone and V there, and V's jet and boundary
-parts on the face), its boundary ring checks and the bump's reach.  So the
-perturbations of one base cap evaluate those once per (base cap, rule), one
-ring per base cap and one reach per bump power, and each evaluates phi,
-exp(n phi) and V only on its own cap's cone.  Nothing a scenario memoizes
-refers back to the scenario.
+parts on the face) and its boundary ring checks.  So the perturbations of one
+base cap evaluate those once per (base cap, rule) and one ring per base cap,
+and each evaluates phi, exp(n phi) and V only on its own cap's cone.  The
+bump's reach reads the base's level-6 cap terms, which admissibility forms
+anyway.  Nothing a scenario memoizes refers back to the scenario.
 """
 
 from __future__ import annotations
@@ -57,14 +57,13 @@ from .errors import (
     OrthogonalityInfeasible,
     ValidationFailed,
 )
-from .supports import PlaneShape, SphereShape, SupportSpec, plane_anchor
+from .supports import HalfRegion, PlaneShape, SphereShape, SupportSpec, plane_anchor
 from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins
 from .weights import WeightField, jet, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
 ADMISSIBILITY_RULE = quad.QuadratureRule(6)   # margins only locate region nodes: a coarse rule
-REACH_RULE = quad.QuadratureRule(8)           # the cap nodes that probe a perturbation's reach
 CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
 
 
@@ -145,16 +144,13 @@ class CapScenario(quad.Memo):
             self.model, *self._cap_values(rule))))
 
     def reach(self, power: int) -> float:
-        """max |p| exp(-phi) over the cap nodes of ``REACH_RULE`` for the bump of this
-        power: how far a perturbation by a unit epsilon moves the cap, in chart units.
-        One number per power; the probe's nodes are not kept."""
-        def build():
-            chart = self.surface.chart
-            probe, _ = REACH_RULE.grid(chart.domain)
-            p, _, _ = RadialBumpProfile(t_max=chart.t_max, power=power).evaluate(probe)
-            X, _, _ = chart.evaluate(probe)
-            return float(np.max(np.abs(p) * np.exp(-self.model.phi(X))))
-        return self._once(("reach", power, REACH_RULE), build)
+        """max |p| exp(-phi) over the cap nodes of ``ADMISSIBILITY_RULE`` for the bump
+        of this power: how far a perturbation by a unit epsilon moves those nodes, in
+        chart units, since a node moves by |eps| |p| exp(-phi) along the radial normal.
+        Not memoized: it reads the cap terms the admissibility check forms anyway."""
+        probe, _ = self.grid(ADMISSIBILITY_RULE)
+        p, _, _ = RadialBumpProfile(t_max=self.surface.chart.t_max, power=power).evaluate(probe)
+        return float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
 
     def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
         """Nodes of and quadrature over the cap ("cap") or the support face ("support");
@@ -174,8 +170,7 @@ class CapScenario(quad.Memo):
 
     def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
         """``_weighted_cone`` over the support face, once per base cap and rule: every
-        perturbation reads its base's.  Once the base's own region is built, it is a
-        view of that region's tail, so the face's nodes are held once."""
+        perturbation reads its base's, and the region joins a copy of it."""
         if self.base is not None:
             return self.base.face_cone(rule)
         return self._once(("support cone", rule), lambda: self._weighted_cone("support", rule))
@@ -190,16 +185,9 @@ class CapScenario(quad.Memo):
     def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
         """The cone-decomposition nodes of Omega: the cap's cone, then the face's
         ``face_cone``, which a perturbed cap reads from its base."""
-        def build():
-            rq = quad.RegionQuadrature([
-                self.face_cone(rule) if label == "support" else self._weighted_cone(label, rule)
-                for label in self.pieces])
-            if self.base is None and "support" in self.pieces:
-                # the face piece is the region's last: keep views of it, not a second copy
-                m = self.face_cone(rule)[1].size
-                self._cache[("support cone", rule)] = (rq.points[:, -m:], rq.weights[-m:])
-            return rq
-        return self._once(("region", rule), build)
+        return self._once(("region", rule), lambda: quad.RegionQuadrature([
+            self.face_cone(rule) if label == "support" else self._weighted_cone(label, rule)
+            for label in self.pieces]))
 
     def region_weight(self, rule: quad.QuadratureRule) -> np.ndarray:
         """V at the region's nodes: evaluated on the cap's cone, read on the face's."""
@@ -318,9 +306,9 @@ def placement_margins(s: SupportSpec, center: np.ndarray, r: float) -> dict:
             out["chart"] = 1.0 - s.shape.radius
         else:
             out["chart"] = 1.0 - (float(np.linalg.norm(center)) + r)
-    if s.half_region.name == "LAST_COORD_POSITIVE":
+    if s.half_region is HalfRegion.LAST_COORD_POSITIVE:
         out["half_region"] = float(center[-1]) - r
-    elif s.half_region.name == "UNIT_BALL":
+    elif s.half_region is HalfRegion.UNIT_BALL:
         out["half_region"] = 1.0 - (float(np.linalg.norm(center)) + r)
     return out
 

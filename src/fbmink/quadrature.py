@@ -186,6 +186,7 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
     cone_jac = facing * geo.flat_area
     # nodes: x0 + s * spread for every (s, u) pair, as one C-contiguous (n, s, u) block
     # written into the (n, s * m) array returned, so that a region may keep it as it is
+    # (an (n, s, u) temporary instead costs a level-32 sweep row about 0.15 ms)
     pts = np.empty((n, s_nodes.size * spread.shape[1]))
     block = pts.reshape(n, s_nodes.size, spread.shape[1])
     np.multiply(s_nodes[:, None], spread[:, None, :], out=block)
@@ -203,7 +204,7 @@ class RegionQuadrature:
     Each piece comes as its nodes and its weights for the metric gbar, the flat cone
     weights times exp(n phi) (phi, exp and the product are elementwise, so weighting
     piece by piece gives the bits weighting the joined nodes would).  One piece is
-    kept as given, without a copy."""
+    kept as given, without a copy (a copy slows sweep rows on plane caps)."""
 
     def __init__(self, pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
         if len(pieces) == 1:

@@ -175,7 +175,7 @@ def test_covariant_hessian_of_linear_function_euclidean():
     x = np.array([0.2, 0.5, -0.4])
     grad = np.array([1.0, -2.0, 0.5])
     hess = np.zeros((3, 3))
-    assert np.allclose(covariant_hessian(m, x, grad, hess), 0.0)
+    assert np.allclose(covariant_hessian(m, x, grad, hess, m.phi_grad(x)), 0.0)
 
 
 def test_laplacian_traces_hessian():
@@ -187,9 +187,9 @@ def test_laplacian_traces_hessian():
         grad = rng.normal(size=3)
         hess_flat = rng.normal(size=(3, 3))
         hess_flat = 0.5 * (hess_flat + hess_flat.T)
-        cov = covariant_hessian(model, x, grad, hess_flat)
+        cov = covariant_hessian(model, x, grad, hess_flat, model.phi_grad(x))
         g_inv = np.linalg.inv(metric_at(model, x))
-        lap = ambient_laplacian(model, x, grad, hess_flat)
+        lap = ambient_laplacian(model, x, grad, hess_flat, model.phi_grad(x))
         assert np.isclose(np.einsum("ij,ij->", g_inv, cov), lap, rtol=1e-12)
 
 

@@ -209,34 +209,21 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
         assert sc.weight_parts("support", rule) is base.weight_parts("support", rule)
 
 
-def test_reach_is_probed_once_per_base_cap(monkeypatch):
-    # the bump's reach max |p| exp(-phi) is free of epsilon: ten perturbations of one
-    # base cap grid its level-8 probe once, and the base keeps the number alone
-    spec = default_cap_spec(canonical_support(SupportKind.HYP_GEODESIC_SPHERE))
-    base = make_umbilical_cap(spec)
-    probes = []
-    grid = QuadratureRule.grid
-
-    def recording_grid(rule, box):
-        if rule == families.REACH_RULE:
-            probes.append(box)
-        return grid(rule, box)
-
-    monkeypatch.setattr(QuadratureRule, "grid", recording_grid)
-    for eps in (-0.05, -0.04, -0.03, -0.02, -0.01, 0.01, 0.02, 0.03, 0.04, 0.05):
-        perturb_cap(base, PerturbationSpec(epsilon=eps))
-    monkeypatch.undo()
-    assert len(probes) == 1
-    held = [(key, value) for key, value in base._cache.items()
-            if isinstance(key, tuple) and families.REACH_RULE in key]
-    assert held == [(("reach", 3, families.REACH_RULE), base.reach(3))]
-    assert type(held[0][1]) is float
-    # the bits of the probe the base cap kept before: exp(-phi) from its level-8 chart terms
+@pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in SupportKind),
+                                     (SupportKind.EUCLIDEAN_PLANE, 4),
+                                     (SupportKind.SPH_HYPERPLANE, 4)])
+def test_reach_bounds_every_admissibility_node_of_a_perturbed_cap(kind, n):
+    # a node moves by |eps| |p| exp(-phi) along the radial normal, so the ball
+    # B(center, r + |eps| reach) the placement precheck tests holds every level-6 cap
+    # node of each perturbation, the nodes the admissibility check then evaluates
+    base = make_umbilical_cap(default_cap_spec(canonical_support(kind, n)))
     chart = base.surface.chart
-    probe, _ = families.REACH_RULE.grid(chart.domain)
-    p, _, _ = RadialBumpProfile(t_max=chart.t_max, power=3).evaluate(probe)
-    s = make_umbilical_cap(spec).cap_terms(families.REACH_RULE)[3]
-    assert base.reach(3) == float(np.max(np.abs(p) * s))
+    reach = base.reach(3)
+    for eps in (-0.1, -0.05, 0.05, 0.1):   # all of them build on every case here
+        sc = perturb_cap(base, PerturbationSpec(epsilon=eps))
+        X = sc.cap_terms(families.ADMISSIBILITY_RULE)[0]
+        bound = chart.radius + abs(eps) * reach
+        assert np.max(np.linalg.norm(X - chart.center[:, None], axis=0)) <= bound * (1.0 + 1e-12)
 
 
 def test_profile_with_curvature_on_the_ring_rejected():

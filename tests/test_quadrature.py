@@ -432,9 +432,9 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     assert sorted(margins) == [0.0, *epsilons]
     # the face once at level 16 and once at the admissibility level 6
     assert sorted(faces) == [6 * 6, 16 * 16]
-    # the base cap once per node grid: levels 6, 8 (the reach probe) and 16, and once
-    # on its 24-point boundary ring, which every perturbed cap reads
-    assert Counter(caps) == {6 * 6: 1, 8 * 8: 1, 16 * 16: 1, 24: 1}
+    # the base cap once per node grid: levels 6 and 16, and once on its 24-point
+    # boundary ring, which every perturbed cap reads
+    assert Counter(caps) == {6 * 6: 1, 16 * 16: 1, 24: 1}
 
 
 def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
@@ -492,18 +492,17 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
         assert rq.points.tobytes() == points.tobytes()
         assert rq.weights.tobytes() == weights_.tobytes()
         assert report.integrals["weighted_volume"] == rq.integral(sc.weight.value(rq.points))
-    # the base cap's own region then holds the face once: its face cone becomes a view
+    # the base cap's own region joins the same face cone after its cap's
     minkowski_report(base, rule)
     rq = base.region(rule)
     assert rq.points.tobytes() == joined_then_weighted(base)[0].tobytes()
-    assert all(a.base is b for a, b in zip(base.face_cone(rule), (rq.points, rq.weights)))
     assert base.face_cone(rule)[0].tobytes() == face.tobytes()
 
 
 def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_path):
     """A --jobs 2 sweep on hyp_geodesic_sphere builds every memo on the main thread
     and starts no thread, builds each memo its rows share of the base cap (grid,
-    face cone, V there and the reach among them) once, and writes the bytes of the
+    face cone and V there among them) once, and writes the bytes of the
     --jobs 1 sweep."""
     once = quadrature.Memo._once
     built, threads, counts = [], set(), set()
@@ -533,11 +532,11 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
     assert threads == {threading.main_thread()}
     assert counts == {running} and threading.active_count() == running
     shared = Counter(key for key in built if key[0] in (
-        "grid", "support cone", "support cone weight", "reach"))
+        "grid", "support cone", "support cone weight"))
     rule, admissibility = QuadratureRule(16), families.ADMISSIBILITY_RULE
     assert shared == {("grid", admissibility): 1, ("grid", rule): 1,
                       ("support cone", admissibility): 1, ("support cone", rule): 1,
-                      ("support cone weight", rule): 1, ("reach", 3, families.REACH_RULE): 1}
+                      ("support cone weight", rule): 1}
     assert max(Counter(built).values()) == 1
     assert out[2] == out[1]
 

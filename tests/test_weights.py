@@ -212,8 +212,8 @@ def test_node_last_jets_match_pointwise_oracles(factory, n):
     df = rng.normal(size=(n, m))
     d2f = rng.normal(size=(n, n, m))
     d2f = d2f + np.swapaxes(d2f, 0, 1)
-    hess = covariant_hessian(model, x, df, d2f)
-    lap = ambient_laplacian(model, x, df, d2f)
+    hess = covariant_hessian(model, x, df, d2f, model.phi_grad(x))
+    lap = ambient_laplacian(model, x, df, d2f, model.phi_grad(x))
     assert hess.shape == (n, n, m) and lap.shape == (m,)
     for k in range(m):
         p = x[:, k]
