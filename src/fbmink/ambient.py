@@ -200,23 +200,6 @@ def covariant_hessian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.n
     return hess
 
 
-def add_axis_hessian(hess: np.ndarray, dphi: np.ndarray, i: int, slope, second: float):
-    """Add onto ``hess`` (n, n, m) the covariant Hessian of a function of x_i alone,
-    whose flat gradient is ``slope`` e_i and flat Hessian ``second`` e_i e_i^T, and
-    return the flat trace of what was added, which exp(-2 phi) turns into its Laplacian.
-
-    With df = slope e_i, ``Gamma^k_jl df_k`` touches only row i, column i and the
-    diagonal, so the (n, n, m) terms of ``covariant_hessian`` are never formed.
-    """
-    term = slope * dphi
-    hess[:, i] -= term
-    hess[i] -= term
-    for j in range(hess.shape[0]):
-        hess[j, j] += term[i]
-    hess[i, i] += second
-    return second + (hess.shape[0] - 2.0) * term[i]
-
-
 def ambient_laplacian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.ndarray,
                       hess_euclidean: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami value from flat derivatives (``dphi``: phi_grad at x).

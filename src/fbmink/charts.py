@@ -165,15 +165,22 @@ class RadialBumpProfile:
     t_max: float
     power: int = 3
 
+    def value(self, U):
+        """p (m,) at parameter points U (m, k)."""
+        return self._base(np.atleast_2d(np.asarray(U, dtype=float))[:, 0]) ** self.power
+
+    def _base(self, t):
+        # t_max squared as t is, so 1 - t^2 / t_max^2 is exactly 0 at t = t_max
+        return 1.0 - t * t / (self.t_max * self.t_max)
+
     def evaluate(self, U):
         """p (m,), its gradient (k, m) and its Hessian (k, k, m) at parameter points U (m, k)."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, q = U.shape
         t = U[:, 0]
-        tm2 = self.t_max * self.t_max   # squared as t is, so z is exactly 1 at t = t_max
-        z = t * t / tm2
-        base = 1.0 - z
-        p = base ** self.power
+        tm2 = self.t_max * self.t_max
+        base = self._base(t)
+        p = self.value(U)
         dp = np.zeros((q, m))
         dp[0] = self.power * base ** (self.power - 1) * (-2.0 * t / tm2)
         d2p = np.zeros((q, q, m))

@@ -16,9 +16,10 @@ center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
 set per (set, rule): the cap's parameter grid, the cap's and the face's
 ``SurfaceQuadrature``, the face's cone with its conformal weights and V at
-its nodes, the region joined from the cones, the cap weight data, V's jet on
-each set and V's boundary parts on each face, so every report, audit,
-validation and identity check on it shares them.
+its nodes, the region joined from the cones, the cap weight data, V's jet and
+boundary parts on each face, and per-node rows on the region, one array per
+block (``region_rows``: the Reilly checker's coefficient rows), so every
+report, audit, validation and identity check on it shares them.
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -149,7 +150,7 @@ class CapScenario(quad.Memo):
         chart units, since a node moves by |eps| |p| exp(-phi) along the radial normal.
         Not memoized: it reads the cap terms the admissibility check forms anyway."""
         probe, _ = self.grid(ADMISSIBILITY_RULE)
-        p, _, _ = RadialBumpProfile(t_max=self.surface.chart.t_max, power=power).evaluate(probe)
+        p = RadialBumpProfile(t_max=self.surface.chart.t_max, power=power).value(probe)
         return float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
 
     def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
@@ -203,23 +204,34 @@ class CapScenario(quad.Memo):
             self.weight, self.quadrature("cap", rule).geo))
 
     def weight_jet(self, label: str, rule: quad.QuadratureRule) -> tuple:
-        """``weights.jet`` of V at the nodes of "cap", "support" or "region", node
-        axis last; the region's is filled one block at a time, and its flat Hessian,
-        which nothing reads, is None.  A perturbed cap reads its base's face jet."""
+        """``weights.jet`` of V at the nodes of "cap" or "support", node axis last; a
+        perturbed cap reads its base's face jet."""
         if label == "support" and self.base is not None:
             return self.base.weight_jet(label, rule)
+        return self._once((label + " jet", rule), lambda: jet(
+            self.model, self.quadrature(label, rule).geo.x, self.weight))
 
+    def region_rows(self, key, rule: quad.QuadratureRule, count: int,
+                    rows: Callable[[np.ndarray, int], Sequence[np.ndarray]]) -> list[np.ndarray]:
+        """Per-node rows on the region, memoized under (key, rule) as one (count, block
+        length) array per block of ``region.blocks``: ``rows(x, j)`` gives the count rows
+        at the nodes x of block j, so what they are formed from is one block long.  Every
+        use of one key must give the same rows; the Reilly checker keys its coefficient
+        rows by what they depend on.
+
+        Each block's array is allocated before ``rows`` forms its temporaries.  With
+        one (count, m) array per memo, or block arrays stacked after their rows, the
+        peak RSS of ``perfbench``'s verify ops rose by up to 6 and 1 MB, as glibc's
+        allocator happened to place them (measurements in CHANGES.md)."""
         def build():
-            if label != "region":
-                return jet(self.model, self.quadrature(label, rule).geo.x, self.weight)
             region = self.region(rule)
-            x = region.points
-            n, m = x.shape
-            value, d1, hess, lap = np.empty(m), np.empty((n, m)), np.empty((n, n, m)), np.empty(m)
-            for b in region.blocks:
-                value[b], d1[:, b], _, hess[..., b], lap[b] = jet(self.model, x[:, b], self.weight)
-            return value, d1, None, hess, lap
-        return self._once((label + " jet", rule), build)
+            out = []
+            for j, b in enumerate(region.blocks):
+                out.append(np.empty((count, b.stop - b.start)))
+                for row, values in zip(out[-1], rows(region.points[:, b], j)):
+                    row[...] = values
+            return out
+        return self._once((key, rule), build)
 
     def weight_parts(self, label: str, rule: quad.QuadratureRule) -> tuple:
         """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face; a

@@ -12,8 +12,10 @@ oriented so that a nonnegative value means the inequality holds:
 The identity checker integrates every term of the weighted Reilly formula
 for a supplied smooth test function; for static weights the interior
 curvature term vanishes identically, so the residual isolates quadrature
-and geometry errors.  Each call forms only its test function's own terms; the
-static term is contracted from V's memoized jet, with no metric or static tensor.
+and geometry errors.  Each call forms only its test function's own terms.  On
+the region both integrands are quadratics in q = f / V, whose coefficients are
+per-node rows memoized on the scenario: V's own once, and those of axis i once
+x_i or x_i^2 asks for them; no metric, static tensor or (n, n, m) array is held.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import ambient
 from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
 from .quadrature import QuadratureRule, SurfaceQuadrature, pairwise_sum
@@ -216,8 +217,8 @@ REPORT_BUILDERS: dict[str, Callable[..., InequalityReport]] = {
 class _Coordinate:
     """x_i, or x_i^2 when ``squared``, with exact flat derivatives behind the
     value / euclidean_gradient / euclidean_hessian interface of ``WeightField``
-    (points coordinate first, as there); sparsely, its flat gradient is ``slope`` e_i
-    and its flat Hessian ``second`` e_i e_i^T, as ``ambient.add_axis_hessian`` takes them."""
+    (points coordinate first, as there); its flat gradient is ``slope`` e_i and its
+    flat Hessian ``second`` e_i e_i^T, the s and c of the region's quadratics in q."""
 
     i: int
     squared: bool
@@ -305,6 +306,73 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V: np.ndarray, V_parts: tuple,
     }
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> at each node of (n, m) rows."""
+    return np.einsum("im,im->m", a, b)
+
+
+def _weight_rows(scenario: CapScenario, rule: QuadratureRule) -> list[np.ndarray]:
+    """(V, e, A2, E0) at the nodes of each region block, e = exp(-2 phi): V's own rows
+    of the region's quadratics in q, from V's flat value, gradient g and Hessian H and
+    phi's gradient p.
+
+    The terms below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
+    tensor's trace part (static = S gbar - Hess V)."""
+    model, weight, n = scenario.model, scenario.weight, scenario.n
+
+    def rows(x: np.ndarray, j: int):
+        model.require_inside(x)
+        V, g, H = weight.value(x), weight.euclidean_gradient(x), weight.euclidean_hessian(x)
+        p, e = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
+        trH, pg, gg = np.trace(H), _dot(p, g), _dot(g, g)
+        Hg = np.einsum("ijm,jm->im", H, g)
+        S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
+        A2 = (trH * trH - np.einsum("ijm,ijm->m", H, H)
+              + pg * ((2.0 * n - 6.0) * trH + (n - 2.0) * (n - 3.0) * pg)
+              + 4.0 * _dot(Hg, p) - 2.0 * _dot(p, p) * gg)
+        E0 = gg * (S + e * pg) - e * _dot(Hg, g)
+        return V, e, A2, E0
+    return scenario.region_rows("reilly V", rule, 4, rows)
+
+
+def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[np.ndarray]:
+    """(A1, C1, S2, E1, E2, p_i) at the nodes of each region block: the rows of axis
+    i, shared by x_i and x_i^2, in the terms of ``_weight_rows``."""
+    model, weight, n = scenario.model, scenario.weight, scenario.n
+    weight_rows = _weight_rows(scenario, rule)
+
+    def rows(x: np.ndarray, j: int):
+        V, e = weight_rows[j][:2]
+        g, H, p = weight.euclidean_gradient(x), weight.euclidean_hessian(x), model.phi_grad(x)
+        trH, pg, pp, gg = np.trace(H), _dot(p, g), _dot(p, p), _dot(g, g)
+        S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
+        p_i, g_i, H_i = p[i], g[i], H[i]
+        A1 = 4.0 * (pp * g_i - _dot(H_i, p)) - p_i * (
+            (2.0 * n - 6.0) * trH + 2.0 * (n - 2.0) * (n - 3.0) * pg)
+        C1 = 2.0 * (H_i[i] - trH) - (2.0 * n - 6.0) * pg - 4.0 * p_i * g_i
+        S2 = (n - 2.0) * (n - 3.0) * p_i * p_i - 2.0 * pp
+        E1 = 2.0 * (e * (_dot(H_i, g) - p_i * gg) - g_i * S)
+        E2 = S - e * (pg + H_i[i] - 2.0 * p_i * g_i)
+        return A1, C1, S2, E1, E2, p_i
+    return scenario.region_rows(("reilly axis", i), rule, 6, rows)
+
+
+def _volume_integrands(f: WeightField | _Coordinate, x: np.ndarray, weight_rows: np.ndarray,
+                       axis_rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Both interior integrands of the identity at the nodes x of one block, from that
+    block's rows of ``_weight_rows`` and, for a coordinate f, of ``_axis_rows`` of its
+    axis (None for V)."""
+    V, e, A2, E0 = weight_rows
+    if axis_rows is None:
+        r = 1.0 - V / V
+        return V * e * e * r * r * A2, e * r * r * E0
+    A1, C1, S2, E1, E2, p_i = axis_rows
+    q, s, c = f.value(x) / V, f.slope(x), f.second
+    lhs = V * e * e * ((A2 * q + s * A1 + c * C1) * q
+                       + s * (s * S2 + (2.0 * x.shape[0] - 2.0) * c * p_i))
+    return lhs, e * ((E0 * q + s * E1) * q + s * s * E2)
+
+
 def reilly_residual(scenario: CapScenario, function: str,
                     rule: QuadratureRule) -> ReillyReport:
     """Integrate every term of the weighted Reilly identity and report the gap.
@@ -313,39 +381,28 @@ def reilly_residual(scenario: CapScenario, function: str,
     checker does not solve boundary value problems.  For static weights the interior
     curvature term is zero in exact arithmetic and is still integrated as a
     cross-check.
+
+    Both interior integrands are quadratics in q = f / V at each region node.  With
+    D = d2f - q d2V, d = df - q dV, p = dphi and e = exp(-2 phi), the tensor
+    T = Hess f - q Hess V is D - (p d^T + d p^T) + <p, d> I, so
+    |T|^2 = e^2 (|D|^2 - 4 D(p, d) + 2 <p, d> tr D + 2 |p|^2 |d|^2 + (n-2) <p, d>^2),
+    and Hess V(d, d) = d2V(d, d) - 2 <p, d> <dV, d> + <p, dV> |d|^2.  For x_i or x_i^2,
+    flat gradient s e_i and Hessian c e_i e_i^T, the integrands are
+    V e^2 (A2 q^2 + (s A1 + c C1) q + s^2 S2 + (2n-2) s c p_i) and
+    e (E0 q^2 + s E1 q + s^2 E2), from V's memoized rows (``_weight_rows``) and those of
+    axis i (``_axis_rows``).  For V itself, r = 1 - V / V is exactly 0 and they are
+    V e^2 r^2 A2 and e r^2 E0, so every term of its row is exactly 0.  No (n, n, m)
+    tensor is held.
     """
     name, f = _test_function(function, scenario)
     model = scenario.model
     is_V = f is scenario.weight
     rq = scenario.region(rule)
-    V_jet = scenario.weight_jet("region", rule)
-
-    def volume_integrands(b: slice) -> tuple[np.ndarray, np.ndarray]:
-        # both interior integrands on one block of region nodes, from V's jet there, with
-        # q = f / V: T = Hess f - q Hess V, lap f - q lap V and d = df - q dV = e^{2 phi} w
-        x = rq.points[:, b]
-        model.require_inside(x)
-        Vv, dV, _, hess_V, lap_V = (a if a is None else a[..., b] for a in V_jet)
-        inv = np.exp(-2.0 * model.phi(x))      # gbar = e^{2 phi} I inverts by scaling
-        q = Vv / Vv if is_V else f.value(x) / Vv
-        tensor, amb_term, d = hess_V * -q, lap_V * -q, dV * -q
-        if is_V:
-            tensor += hess_V
-            amb_term += lap_V
-            d += dV
-        else:
-            slope = f.slope(x)
-            d[f.i] += slope
-            amb_term += inv * ambient.add_axis_hessian(tensor, model.phi_grad(x), f.i,
-                                                       slope, f.second)
-        tensor_norm_sq = inv * inv * np.einsum("ijm,ijm->m", tensor, tensor)
-        # static(w, w) = (lap V + (n-1) K V) e^{2 phi} |w|^2 - Hess V(w, w), through d
-        hess_d = np.einsum("im,im->m", np.einsum("ijm,jm->im", hess_V, d), d)
-        static_ww = inv * ((lap_V + (model.n - 1.0) * model.K * Vv) * np.einsum("im,im->m", d, d)
-                           - inv * hess_d)
-        return Vv * (amb_term ** 2 - tensor_norm_sq), static_ww
-
-    lhs_volume, rhs_volume = rq.integrals(volume_integrands)
+    weight_rows = _weight_rows(scenario, rule)
+    axis_rows = None if is_V else _axis_rows(scenario, f.i, rule)
+    lhs_volume, rhs_volume = rq.integrals(lambda b: _volume_integrands(
+        f, rq.points[:, b], weight_rows[rq.blocks.index(b)],
+        None if is_V else axis_rows[rq.blocks.index(b)]))
 
     boundary = {}
     for label in ("cap", "support"):

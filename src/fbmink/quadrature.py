@@ -25,14 +25,14 @@ cone's nodes (n, s * m), one C-contiguous array of its own, and weights
 
 Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
 consecutive nodes, so a region term holds its (n, n, m) temporaries for one
-block at a time; of those tensors only V's covariant Hessian, part of V's
-jet, is kept at full size.  Each block is reduced with ``pairwise_sum`` and
-the block sums are reduced again with it.  That is bit-equal to one
-``pairwise_sum`` over all m nodes: the block size is a power of two and
-every block starts at a multiple of it, so each full block is a subtree of
-the flat pairwise tree, and the zeros the flat sum pads with inside the
-last, partial block add exactly.  Blocking therefore changes no reported
-value.
+block at a time, and no such tensor is kept at full size: what a scenario
+keeps on the region is per-node rows, one array per block.  Each block
+is reduced with ``pairwise_sum`` and the block sums are reduced again with
+it.  That is bit-equal to one ``pairwise_sum`` over all m nodes: the block
+size is a power of two and every block starts at a multiple of it, so each
+full block is a subtree of the flat pairwise tree, and the zeros the flat sum
+pads with inside the last, partial block add exactly.  Blocking therefore
+changes no reported value.
 
 Gauss-Legendre nodes are interior, so cone apexes (s = 0) and the polar axis
 t = 0 of a cap with two or more parameters, where its chart is singular, are

@@ -277,6 +277,19 @@ def test_bump_vanishes_exactly_where_pow_and_product_round_apart():
     assert bits[0] == bits[1]
 
 
+@pytest.mark.parametrize("power", [3, 4, 7])
+def test_bump_value_is_the_p_of_evaluate_bit_for_bit(power):
+    # the reach of a perturbation reads the value alone; it must be evaluate's p
+    t_max = 0.0710702097898708
+    rng = np.random.default_rng(power)
+    U = np.column_stack([rng.uniform(-t_max, t_max, 50), rng.uniform(0.0, 6.3, 50)])
+    U[0, 0] = t_max
+    profile = RadialBumpProfile(t_max, power)
+    p = profile.value(U)
+    assert p.shape == (50,) and p[0] == 0.0
+    assert p.tobytes() == profile.evaluate(U)[0].tobytes()
+
+
 def test_perturbed_cap_near_wall_rejected():
     # base cap fits, the perturbed envelope does not
     support = canonical_support(SupportKind.SPH_HYPERPLANE)

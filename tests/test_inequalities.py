@@ -351,6 +351,24 @@ def test_reilly_closes_at_n4(kind, eps):
         assert abs(rep.relative_residual) <= 1e-9, fname
 
 
+@pytest.mark.parametrize("n,level,kind", [(3, 16, SupportKind.HYP_GEODESIC_SPHERE),
+                                           (3, 16, SupportKind.EQUIDISTANT),
+                                           (4, 8, SupportKind.SPH_GEODESIC_SPHERE),
+                                           (4, 8, SupportKind.SPH_HYPERPLANE)])
+def test_reilly_rows_do_not_depend_on_the_order_they_are_asked_in(n, level, kind):
+    # each row reads V's coefficient rows and those of its own axis, memoized on the
+    # scenario when first asked for: a memo keyed wrongly (by the first row's function,
+    # or axis 1 for every axis) shows as a row that changes with the order
+    rule = QuadratureRule(level)
+    rows = []
+    for order in (("x2^2", "x1", "V", "x1^2"), ("V", "x1", "x1^2", "x2^2")):
+        sc = make_perturbed_cap(default_cap_spec(canonical_support(kind, n)),
+                                PerturbationSpec(epsilon=0.05))
+        rows.append({name: repr(reilly_residual(sc, name, rule).to_dict()) for name in order})
+    assert rows[0] == rows[1]
+    assert rows[0]["x2^2"] != rows[0]["x1^2"]
+
+
 def test_reilly_static_volume_term_vanishes(hemisphere):
     # the static tensor Lap(V) g - Hess V + (n-1) K V g is identically zero
     rep = reilly_residual(hemisphere, "x1^2", RULE24)

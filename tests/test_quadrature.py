@@ -304,15 +304,23 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         _patch_imports(monkeypatch, original, replacement)
 
     jet = weights.jet
-    jet_points = []   # the points of every jet of the weight
     boundary_parts = quadrature.SurfaceQuadrature.boundary_parts
     coordinate_hessian = inequalities._Coordinate.euclidean_hessian
+    V_derivatives = {"euclidean_gradient": [], "euclidean_hessian": []}   # their points
 
     def weight_jet(model, x, fn):
         if isinstance(fn, weights.WeightField):
             counts["weight jet"] += 1
-            jet_points.append(x)
         return jet(model, x, fn)
+
+    def recording_derivative(name):
+        derivative = getattr(weights.WeightField, name)
+
+        @functools.wraps(derivative)
+        def recording(self, x):
+            V_derivatives[name].append(x)
+            return derivative(self, x)
+        monkeypatch.setattr(weights.WeightField, name, recording)
 
     faces = []
     _recording_geometry(monkeypatch, faces)
@@ -330,6 +338,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(quadrature.SurfaceQuadrature, "boundary_parts", recording_parts)
     monkeypatch.setattr(inequalities._Coordinate, "euclidean_hessian", recording_hessian)
+    for name in V_derivatives:
+        recording_derivative(name)
     patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
     patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
     monkeypatch.setattr(quadrature.RegionQuadrature, "__init__",
@@ -361,23 +371,29 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert counts["surface"] == 4
     # one dnu per face, for all three test functions
     assert counts["dnu"] == 2
-    # V's jet once on the cap and once on the face; on the region, one jet per
-    # block, each on a column view of the region's one C-contiguous (n, m) node
-    # array, the views consecutive and covering every node once, in order
+    # V's jet once on the cap and once on the face, and none on the region
+    assert counts["weight jet"] == 2
+    # on the region, V's flat gradient and Hessian once per block for each coefficient
+    # memo: V's own rows, then those of axis 1, which x1 and x1^2 share; each block is a
+    # column view of the region's one C-contiguous (n, m) node array, and each memo's
+    # views are consecutive and cover every node once, in order
     region = sc.region(rule)
     points = region.points
     n, m = points.shape
     assert (n, m) == (4, region.count) and points.flags.c_contiguous
-    region_views = [x for x in jet_points if x.base is points]
-    assert counts["weight jet"] == 2 + len(region_views)
-    assert len(region_views) > 1
-    starts = [(x.__array_interface__["data"][0] - points.__array_interface__["data"][0])
-              // points.itemsize for x in region_views]
-    ends = [start + x.shape[1] for start, x in zip(starts, region_views)]
-    assert starts == [0, *ends[:-1]] and ends[-1] == m
-    assert all(x.shape[0] == n and x.strides == points.strides for x in region_views)
-    # the scenario's level-12 sets keep no (m, n) copy of the region nodes and, of
-    # the (n, n, m) tensors, only V's covariant Hessian: no full-size static tensor
+    assert len(region.blocks) > 1
+    for name, calls in V_derivatives.items():
+        views = [x for x in calls if x.base is points]
+        assert len(views) == 2 * len(region.blocks), name
+        starts = [(x.__array_interface__["data"][0] - points.__array_interface__["data"][0])
+                  // points.itemsize for x in views]
+        ends = [start + x.shape[1] for start, x in zip(starts, views)]
+        assert starts == 2 * [b.start for b in region.blocks], name
+        assert ends == 2 * [b.stop for b in region.blocks], name
+        assert all(x.shape[0] == n and x.strides == points.strides for x in views)
+    # the scenario's level-12 sets keep no (m, n) copy of the region nodes and no
+    # (n, n, m) tensor at full size: the Reilly rows are 4 per node for V and 6 for
+    # the one axis asked for, one array per block
     held = list(_arrays({key: value for key, value in sc._cache.items()
                          if isinstance(key, tuple) and key[-1] == rule}))
     # every node set of the cap and of its base is keyed by its rule, never a bare level
@@ -386,8 +402,12 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert keys and all(isinstance(key[-1], QuadratureRule) for key in keys)
     assert any(a is points for a in held)
     assert [a.shape for a in held if a.shape == (m, n)] == []
-    hess_V = sc.weight_jet("region", rule)[3]
-    assert [a is hess_V for a in held if a.shape == (n, n, m)] == [True]
+    assert [a.shape for a in held if a.ndim > 2 and a.shape[-1] == m] == []
+    block_sizes = [b.stop - b.start for b in region.blocks]
+    assert [a.shape for a in sc._cache[("reilly V", rule)]] == [(4, k) for k in block_sizes]
+    axis_keys = [key for key in sc._cache if isinstance(key, tuple) and isinstance(key[0], tuple)]
+    assert axis_keys == [(("reilly axis", 0), rule)]
+    assert [a.shape for a in sc._cache[axis_keys[0]]] == [(6, k) for k in block_sizes]
     # V's boundary parts once per face over the three test functions, and one set for
     # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
     V_jets = [sc.weight_jet(label, rule) for label in ("cap", "support")]

@@ -110,8 +110,11 @@ def _fields(row: dict) -> dict:
     return out
 
 
+# n=4 at level 8 covers every support whose cap builds there: the two planes and the
+# three spheres, whose regions have a face cone
 CASES = ([(3, 16, kind) for kind in SupportKind]
          + [(4, 8, SupportKind.EUCLIDEAN_PLANE), (4, 8, SupportKind.SPH_HYPERPLANE)]
+         + [(4, 8, kind) for kind in SPHERE_KINDS]
          + [(2, 32, kind) for kind in SPHERE_KINDS])
 
 
@@ -122,7 +125,8 @@ def test_reilly_rows_match_the_reference_checker(n, level, kind, eps):
     sc = (make_perturbed_cap(spec, PerturbationSpec(epsilon=eps, power=3)) if eps
           else make_umbilical_cap(spec))
     rule = QuadratureRule(level)
-    names = ("V", "x1", f"x{n}", "x1^2", f"x{n}^2")
+    # the first, a middle and the last axis (at n=2 the middle axis is the last)
+    names = tuple(dict.fromkeys(("V", "x1", "x2", f"x{n}", "x1^2", "x2^2", f"x{n}^2")))
     rows = {name: reilly_residual(sc, name, rule).to_dict() for name in names}
     refs = {name: reference_reilly(sc, name, rule) for name in names}
     magnitude = {name: max(abs(v) for v in _fields(ref).values()) for name, ref in refs.items()}

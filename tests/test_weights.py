@@ -25,13 +25,12 @@ from fbmink import (
     weight_for_support,
 )
 from fbmink.ambient import (
-    add_axis_hessian,
     ambient_laplacian,
     christoffels_at,
     covariant_hessian,
     metric_at,
 )
-from fbmink.inequalities import _Coordinate
+from fbmink.inequalities import _axis_rows, _Coordinate, _volume_integrands, _weight_rows
 from fbmink.supports import sample_admissible_points, sample_support_points
 from fbmink.weights import jet
 
@@ -174,26 +173,60 @@ def _oracle_points(model, m: int, rng) -> np.ndarray:
     return x
 
 
+class _NodeSet:
+    """What the Reilly checker's coefficient rows read of a scenario, on one batch of
+    points: its model, its weight and per-node rows, formed here without a memo."""
+
+    def __init__(self, weight: WeightField, x: np.ndarray):
+        self.model, self.weight, self.n, self.x = weight.model, weight, weight.model.n, x
+
+    def region_rows(self, key, rule, count, rows):
+        block = np.array(rows(self.x, 0))   # the batch is the one block
+        assert block.shape == (count, self.x.shape[1])
+        return [block]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("factory", ORACLE_MODELS)
-def test_sparse_coordinate_hessian_matches_generic_jet(factory, n):
-    """The Reilly checker adds a coordinate's covariant Hessian onto a tensor in its
-    sparse form; added onto zeros it must be the generic jet's, and the flat trace it
-    returns, scaled by exp(-2 phi), the jet's Laplacian."""
+def test_reilly_quadratics_match_dense_tensors_at_points(factory, n):
+    """The Reilly checker's interior integrands, quadratics in q = f / V from per-node
+    coefficient rows, against the dense tensors: T = Hess f - q Hess V, the Laplacians
+    and the static tensor from ``metric_at``.  Every axis and every weight formula, at
+    every n the schema accepts, including the dimensions whose caps do not build yet;
+    the identity behind the rows holds for any V, static or not.  For f = V both
+    integrands are exactly 0."""
     model = factory(n)
-    rng = np.random.default_rng(20261019 + n)
+    rng = np.random.default_rng(20261020 + n)
     m = 9
     x = _oracle_points(model, m, rng)
-    dphi, inv = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
-    for fn in (_Coordinate(i, squared) for i in range(n) for squared in (False, True)):
-        _, _, _, hess, lap = jet(model, x, fn)
-        sparse = np.zeros((n, n, m))
-        trace = add_axis_hessian(sparse, dphi, fn.i, fn.slope(x), fn.second)
-        scale = max(1.0, float(np.max(np.abs(hess))))
-        np.testing.assert_allclose(sparse, hess, rtol=0, atol=1e-14 * scale, err_msg=repr(fn))
-        np.testing.assert_allclose(inv * trace, lap, rtol=0,
-                                   atol=1e-14 * max(1.0, float(np.max(np.abs(lap)))),
-                                   err_msg=repr(fn))
+    if model.kind.value != "upper_half_space":
+        x[-1] = rng.uniform(0.15, 0.3, size=m)   # keep every V away from 0
+    e = np.exp(-2.0 * model.phi(x))
+    gbar = metric_at(model, x)
+    for formula in WeightFormula:
+        weight = WeightField(model, formula)
+        nodes = _NodeSet(weight, x)
+        weight_rows = _weight_rows(nodes, None)[0]
+        lhs, static = _volume_integrands(weight, x, weight_rows, None)
+        assert not (lhs.any() or static.any()), formula
+        Vv, dV, _, hess_V, lap_V = jet(model, x, weight)
+        static_tensor = (lap_V + (n - 1.0) * model.K * Vv) * gbar - hess_V
+        for f in (_Coordinate(i, squared) for i in range(n) for squared in (False, True)):
+            fv, df, _, hess_f, lap_f = jet(model, x, f)
+            q = fv / Vv
+            amb_sq = (lap_f - q * lap_V) ** 2
+            T_sq = e * e * np.einsum("ijm,ijm->m", hess_f - q * hess_V, hess_f - q * hess_V)
+            w = e * (df - q * dV)
+            ref_static = np.einsum("ijm,im,jm->m", static_tensor, w, w)
+            lhs, static = _volume_integrands(f, x, weight_rows, _axis_rows(nodes, f.i, None)[0])
+            where = (formula, f)
+            np.testing.assert_allclose(lhs, Vv * (amb_sq - T_sq), rtol=0, err_msg=repr(where),
+                                       atol=1e-13 * float(np.max(np.abs(Vv) * (amb_sq + T_sq))))
+            # for a static V the static tensor is rounding noise: scale by its two parts
+            parts = np.abs(lap_V + (n - 1.0) * model.K * Vv) * gbar + np.abs(hess_V)
+            scale = np.einsum("ijm,im,jm->m", parts, np.abs(w), np.abs(w))
+            np.testing.assert_allclose(static, ref_static, rtol=0, err_msg=repr(where),
+                                       atol=1e-13 * float(np.max(scale)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -41,17 +41,20 @@ Each differing case is printed with the fields that differ, as paths such
 as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
 its relative gap |a - b| / max(|a|, |b|), its absolute gap |a - b| and the
 magnitude max(|a|, |b|), so a change at rounding level (a gap of 1e-29 on a
-value of 1e-29) stands apart from a real one.  A summary follows: per
-differing field, the number of cases and the largest relative gap, absolute
-gap and magnitude over them, then the count of identical cases.  The exit status is 0 when both dumps are identical and
-1 otherwise.  This file uses the standard library only; the child needs the
-trees' own dependencies.
+value of 1e-29) stands apart from a real one.  A zero whose sign flipped is
+named as such, and any other changed field is printed as its old and new
+JSON text.  A summary follows: per differing field, the number of cases and
+the largest relative gap, absolute gap and magnitude over them (or the kind of
+change where it is not numeric), then the count of identical cases.  The exit
+status is 0 when both dumps are identical and 1 otherwise.  This file uses the
+standard library only; the child needs the trees' own dependencies.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,28 +158,45 @@ def run_tree(tree: str) -> list[bytes]:
     return proc.stdout.splitlines()
 
 
+SIGN_OF_ZERO = "sign of zero"
+TEXT_LIMIT = 160   # characters of each side of a changed non-numeric field
+
+
+def _text(value) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= TEXT_LIMIT else text[:TEXT_LIMIT] + "..."
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def field_gaps(a, b, path: str = "") -> dict:
-    """{path: (relative gap, absolute gap, larger magnitude)} of every leaf where
-    a and b differ; None where the gap is not numeric (a changed type, string,
-    key set or length)."""
+    """{path: gap} of every leaf where a and b differ.  The gap is (relative gap,
+    absolute gap, larger magnitude) where both are numbers, "sign of zero: old ->
+    new" where they are zeros of opposite sign (equal under ==, different in the
+    dump), and "old -> new" text otherwise (a changed type, string, key set or
+    length)."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         return {k: v for key in a for k, v in
                 field_gaps(a[key], b[key], f"{path} / {key}" if path else key).items()}
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return {k: v for i, (x, y) in enumerate(zip(a, b))
                 for k, v in field_gaps(x, y, f"{path}[{i}]").items()}
-    if a == b:
+    if type(a) is type(b) and (a == b or a != a and b != b):   # NaN dumps as NaN
+        if isinstance(a, float) and math.copysign(1.0, a) != math.copysign(1.0, b):
+            return {path: f"{SIGN_OF_ZERO}: {a!r} -> {b!r}"}
         return {}
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
-        return {path: None}
-    absolute, magnitude = abs(a - b), max(abs(a), abs(b))
-    return {path: (absolute / magnitude, absolute, magnitude)}
+    if _number(a) and _number(b) and a != b:
+        absolute, magnitude = abs(a - b), max(abs(a), abs(b))
+        return {path: (absolute / magnitude, absolute, magnitude)}
+    return {path: f"{_text(a)} -> {_text(b)}"}
 
 
-def _gap(sizes) -> str:
-    if sizes is None:
-        return "non-numeric"
-    return "relative gap %.2e, absolute %.2e, magnitude %.2e" % sizes
+def _gap(gap) -> str:
+    if isinstance(gap, str):
+        return gap
+    return "relative gap %.2e, absolute %.2e, magnitude %.2e" % gap
 
 
 def main(argv: list[str]) -> int:
@@ -191,22 +211,25 @@ def main(argv: list[str]) -> int:
         print(f"case counts differ: {len(old)} -> {len(new)}")
         return 1
     differing = 0
-    # field path -> [cases, largest (relative, absolute, magnitude) or None if non-numeric]
+    # field path -> [cases, largest numeric gaps or None, the kinds of other gaps]
     worst: dict[str, list] = {}
     for a, b in zip(old, new):
         if a != b:
             differing += 1
             ra, rb = json.loads(a), json.loads(b)
-            gaps = field_gaps(ra["result"], rb["result"]) or {"(key order)": None}
+            gaps = field_gaps(ra["result"], rb["result"]) or {"(whole case)": "bytes differ"}
             print(f"DIFF  {ra['case']}")
-            for path, sizes in gaps.items():
-                print(f"    {path}: {_gap(sizes)}")
-                entry = worst.setdefault(path, [0, (0.0, 0.0, 0.0)])
+            for path, gap in gaps.items():
+                print(f"    {path}: {_gap(gap)}")
+                entry = worst.setdefault(path, [0, None, set()])
                 entry[0] += 1
-                entry[1] = (None if sizes is None or entry[1] is None
-                            else tuple(map(max, entry[1], sizes)))
-    for path, (cases, sizes) in sorted(worst.items()):
-        print(f"FIELD  {path}: {cases} cases, largest {_gap(sizes)}")
+                if isinstance(gap, tuple):
+                    entry[1] = gap if entry[1] is None else tuple(map(max, entry[1], gap))
+                else:
+                    entry[2].add(gap if gap.startswith(SIGN_OF_ZERO) else "non-numeric")
+    for path, (cases, sizes, kinds) in sorted(worst.items()):
+        summary = ([f"largest {_gap(sizes)}"] if sizes else []) + sorted(kinds)
+        print(f"FIELD  {path}: {cases} cases, {'; '.join(summary)}")
     print(f"{len(old) - differing} of {len(old)} cases identical")
     return 1 if differing else 0
 
