@@ -16,7 +16,7 @@ center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
 set per (set, rule): the cap's parameter grid, the cap's and the face's
 ``SurfaceQuadrature``, the face's cone with its conformal weights and V at
-its nodes, the region joined from the cones, the cap weight data, V's jet and
+its nodes, the region joined from the cones, the cap weight data, V's
 boundary parts on each face, and per-node rows on the region, one array per
 block (``region_rows``: the Reilly checker's coefficient rows), so every
 report, audit, validation and identity check on it shares them.
@@ -24,12 +24,11 @@ Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
 base cap with the cap chart displaced: it shares the base's face, star
-center and pieces, and through ``base``, its one reference to the base cap,
-reads the base's epsilon-free node sets (the cap's grid and chart terms, the
-face's quadrature, its weighted cone and V there, and V's jet and boundary
-parts on the face) and its boundary ring checks.  So the perturbations of one
-base cap evaluate those once per (base cap, rule) and one ring per base cap,
-and each evaluates phi, exp(n phi) and V only on its own cap's cone.  The
+center and pieces, and keeps its memos of the kinds in ``SHARED_MEMOS``, the
+node sets a perturbation leaves, in the memo of ``base``, its one reference to
+the base cap.  So the perturbations of one base cap evaluate those once per (base cap,
+rule) and one ring per base cap, and each evaluates phi, exp(n phi) and V
+only on its own cap's cone, displacing the base's cap chart terms.  The
 bump's reach reads the base's level-6 cap terms, which admissibility forms
 anyway.  Nothing a scenario memoizes refers back to the scenario.
 """
@@ -66,6 +65,10 @@ ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
 ADMISSIBILITY_RULE = quad.QuadratureRule(6)   # margins only locate region nodes: a coarse rule
 CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
+# the memo kinds a perturbation leaves, kept in its base cap's ``_cache``: the cap's grid
+# and ring checks, and the support face's quadrature, weighted cone, V there and V's parts
+SHARED_MEMOS = frozenset({"grid", "boundary", "support", "support cone", "support cone weight",
+                          "support boundary"})
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,10 @@ class CapScenario(quad.Memo):
     star-shaped about ``star_center``, and ``pieces`` labels the smooth boundary
     pieces the cones cover, "cap" and, where the support face does not pass
     through the star center, "support".  Its node sets are built on first use and
-    memoized per (set, rule) in ``_cache``.
+    memoized per (set, rule) in ``_cache``; a perturbed cap files those of a
+    ``SHARED_MEMOS`` kind in its base cap's, and builds them only from what it
+    shares with the base: ``face``, ``weight``, ``star_center``, ``model`` and
+    the cap chart's ``domain``.
     """
 
     support: SupportSpec
@@ -124,11 +130,16 @@ class CapScenario(quad.Memo):
     base: Optional[CapScenario] = field(default=None, repr=False)   # the cap it perturbs
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def _once(self, key, build: Callable):
+        """``Memo._once``; a perturbed cap keeps memos of a ``SHARED_MEMOS`` kind in its base's."""
+        kind = key[0] if isinstance(key, tuple) else key
+        if self.base is not None and kind in SHARED_MEMOS:
+            return self.base._once(key, build)
+        return super()._once(key, build)
+
     def grid(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """``rule.grid`` of the cap chart's domain, which a perturbation leaves: one grid
-        per base cap and rule, read by the cap's chart terms and its quadrature."""
-        if self.base is not None:
-            return self.base.grid(rule)
+        """``rule.grid`` of the cap chart's domain, read by the cap's chart terms and
+        its quadrature."""
         return self._once(("grid", rule), lambda: rule.grid(self.surface.chart.domain))
 
     def _cap_values(self, rule: quad.QuadratureRule) -> tuple:
@@ -141,8 +152,10 @@ class CapScenario(quad.Memo):
 
     def cap_terms(self, rule: quad.QuadratureRule) -> tuple:
         """(X, J, H) and their ``charts.conformal_scale``: a perturbation's epsilon-free terms."""
-        return self._once(("cap terms", rule), lambda: (*self._cap_values(rule), *conformal_scale(
-            self.model, *self._cap_values(rule))))
+        def build():
+            values = self._cap_values(rule)
+            return (*values, *conformal_scale(self.model, *values))
+        return self._once(("cap terms", rule), build)
 
     def reach(self, power: int) -> float:
         """max |p| exp(-phi) over the cap nodes of ``ADMISSIBILITY_RULE`` for the bump
@@ -154,11 +167,8 @@ class CapScenario(quad.Memo):
         return float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
 
     def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
-        """Nodes of and quadrature over the cap ("cap") or the support face ("support");
-        a perturbed cap reads its base's face."""
+        """Nodes of and quadrature over the cap ("cap") or the support face ("support")."""
         if label == "support":
-            if self.base is not None:
-                return self.base.quadrature(label, rule)
             return self._once((label, rule), lambda: quad.SurfaceQuadrature(self.face, rule))
         return self._once((label, rule), lambda: quad.SurfaceQuadrature(
             self.surface, rule, self._cap_values(rule), self.grid(rule)))
@@ -170,22 +180,17 @@ class CapScenario(quad.Memo):
         return pts, flat * np.exp(self.model.n * self.model.phi(pts))
 
     def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """``_weighted_cone`` over the support face, once per base cap and rule: every
-        perturbation reads its base's, and the region joins a copy of it."""
-        if self.base is not None:
-            return self.base.face_cone(rule)
+        """``_weighted_cone`` over the support face; the region joins a copy of it."""
         return self._once(("support cone", rule), lambda: self._weighted_cone("support", rule))
 
     def face_weight(self, rule: quad.QuadratureRule) -> np.ndarray:
-        """V at the nodes of ``face_cone``, once per base cap and rule."""
-        if self.base is not None:
-            return self.base.face_weight(rule)
+        """V at the nodes of ``face_cone``."""
         return self._once(("support cone weight", rule),
                           lambda: self.weight.value(self.face_cone(rule)[0]))
 
     def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
         """The cone-decomposition nodes of Omega: the cap's cone, then the face's
-        ``face_cone``, which a perturbed cap reads from its base."""
+        ``face_cone``."""
         return self._once(("region", rule), lambda: quad.RegionQuadrature([
             self.face_cone(rule) if label == "support" else self._weighted_cone(label, rule)
             for label in self.pieces]))
@@ -202,14 +207,6 @@ class CapScenario(quad.Memo):
         """(V at the cap nodes, convexity margin, substatic margin)."""
         return self._once(("weight", rule), lambda: hypothesis_margins(
             self.weight, self.quadrature("cap", rule).geo))
-
-    def weight_jet(self, label: str, rule: quad.QuadratureRule) -> tuple:
-        """``weights.jet`` of V at the nodes of "cap" or "support", node axis last; a
-        perturbed cap reads its base's face jet."""
-        if label == "support" and self.base is not None:
-            return self.base.weight_jet(label, rule)
-        return self._once((label + " jet", rule), lambda: jet(
-            self.model, self.quadrature(label, rule).geo.x, self.weight))
 
     def region_rows(self, key, rule: quad.QuadratureRule, count: int,
                     rows: Callable[[np.ndarray, int], Sequence[np.ndarray]]) -> list[np.ndarray]:
@@ -234,19 +231,17 @@ class CapScenario(quad.Memo):
         return self._once((key, rule), build)
 
     def weight_parts(self, label: str, rule: quad.QuadratureRule) -> tuple:
-        """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face; a
-        perturbed cap reads its base's face parts."""
-        if label == "support" and self.base is not None:
-            return self.base.weight_parts(label, rule)
-        return self._once((label + " boundary", rule), lambda: self.quadrature(
-            label, rule).boundary_parts(self.weight_jet(label, rule)))
+        """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face, from
+        V's ``weights.jet`` there, which is not kept."""
+        def build():
+            sq = self.quadrature(label, rule)
+            return sq.boundary_parts(jet(self.model, sq.geo.x, self.weight))
+        return self._once((label + " boundary", rule), build)
 
     def boundary(self) -> tuple[float, float, float]:
-        """``boundary_checks`` of the cap, its ring evaluated once per base cap: a
-        perturbation vanishes to second order there, so it leaves the ring's X, J and H."""
-        if self.base is not None:
-            return self.base.boundary()
-        return self._once("boundary", lambda: boundary_checks(self.surface))
+        """``boundary_checks`` of the cap's ring: a perturbation vanishes to second order
+        there, so it leaves the ring's X, J and H, and the base cap's ring is evaluated."""
+        return self._once("boundary", lambda: boundary_checks((self.base or self).surface))
 
     @property
     def model(self) -> SpaceFormModel:
@@ -279,7 +274,8 @@ def _plane_anchor(s: SupportSpec, shift: Optional[tuple]) -> np.ndarray:
                 f"center_shift needs {s.n - 1} finite components, got {shift.tolist()}")
         in_plane = axis_frame(np.asarray(s.shape.normal_in, dtype=float))[:, 1:]
         anchor = anchor + in_plane @ shift
-        if abs(float(s.signed_distance(anchor))) > 1e-12:
+        # rounding alone puts a far anchor about 1e-16 |anchor| off the plane
+        if abs(float(s.signed_distance(anchor))) > 1e-12 * max(1.0, float(np.linalg.norm(anchor))):
             raise InadmissiblePlacement("center shift left the support plane")
     return anchor
 

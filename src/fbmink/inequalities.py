@@ -277,14 +277,12 @@ class ReillyReport:
         return asdict(self)
 
 
-def _boundary_piece_terms(sq: SurfaceQuadrature, V: np.ndarray, V_parts: tuple,
-                          f: np.ndarray, f_parts: tuple) -> dict:
+def _boundary_piece_terms(sq: SurfaceQuadrature, V_parts: tuple, f_parts: tuple) -> dict:
     """The three boundary integrals of the identity over one smooth piece, from the
-    values and ``SurfaceQuadrature.boundary_parts`` of V and of the test function f
-    at its nodes."""
+    ``SurfaceQuadrature.boundary_parts`` of V and of the test function f at its nodes."""
     geo = sq.geo
-    V_nu, V_a, lap_p_V, dVnu_a = V_parts
-    f_nu, f_a, lap_p_f, dfnu_a = f_parts
+    V, V_nu, V_a, lap_p_V, dVnu_a = V_parts
+    f, f_nu, f_a, lap_p_f, dfnu_a = f_parts
     # with q = f / V: u = f_nu - q V_nu, w = df - q dV along the piece, and
     # d_a u = d_a f_nu - q d_a V_nu - (V_nu / V) w_a; for f = V, q is 1 and all vanish
     q, kappa = f / V, V_nu / V
@@ -407,11 +405,9 @@ def reilly_residual(scenario: CapScenario, function: str,
     boundary = {}
     for label in ("cap", "support"):
         sq = scenario.quadrature(label, rule)
-        V_face = scenario.weight_jet(label, rule)
         V_parts = scenario.weight_parts(label, rule)
-        f_jet = V_face if is_V else jet(model, sq.geo.x, f)
-        f_parts = V_parts if is_V else sq.boundary_parts(f_jet)
-        boundary[label] = _boundary_piece_terms(sq, V_face[0], V_parts, f_jet[0], f_parts)
+        f_parts = V_parts if is_V else sq.boundary_parts(jet(model, sq.geo.x, f))
+        boundary[label] = _boundary_piece_terms(sq, V_parts, f_parts)
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 
     residual = lhs_volume - rhs_volume - boundary_total

@@ -147,11 +147,11 @@ class SurfaceQuadrature(Memo):
         return self._once("dnu", lambda: normal_derivatives(self.surf, self.geo))
 
     def boundary_parts(self, fn_jet: tuple) -> tuple:
-        """The normal derivative (m,), the tangential gradient (k, m) (parameter
-        components, lower index), the intrinsic Laplacian through the ambient one (m,),
-        and the tangential derivative of the normal derivative (k, m), of one function
-        on this surface, from its ``weights.jet`` at the nodes."""
-        _, d1, d2, hess, lap = fn_jet
+        """The value (m,), the normal derivative (m,), the tangential gradient (k, m)
+        (parameter components, lower index), the intrinsic Laplacian through the ambient
+        one (m,), and the tangential derivative of the normal derivative (k, m), of one
+        function on this surface, from its ``weights.jet`` at the nodes."""
+        value, d1, d2, hess, lap = fn_jet
         nu, jac = self.geo.nu, self.geo.jac
         d_nu = np.sum(d1 * nu, axis=0)
         d_a = np.sum(d1[:, None] * jac, axis=0)
@@ -159,7 +159,7 @@ class SurfaceQuadrature(Memo):
                  - self.curvature().H * d_nu)
         d_nu_a = (np.sum(np.sum(d2 * nu, axis=1)[:, None] * jac, axis=0)
                   + np.sum(d1 * self.normal_derivatives(), axis=1))
-        return d_nu, d_a, lap_p, d_nu_a
+        return value, d_nu, d_a, lap_p, d_nu_a
 
     def integral(self, values: np.ndarray) -> float:
         return pairwise_sum(np.asarray(values, dtype=float) * self.weights)

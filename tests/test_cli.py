@@ -387,6 +387,17 @@ def test_cap_whose_squared_t_max_rounds_apart_builds(tmp_path, capsys):
     assert json.loads(out)["status"] == "ok"
 
 
+@pytest.mark.parametrize("radius, shift", [(5e3, -3e4), (2e4, -1e5), (2e5, -1e6)])
+def test_far_center_shift_stays_on_the_support_plane(radius, shift, tmp_path, capsys):
+    # rounding alone puts the shifted anchor about 1e-16 |anchor| off the equidistant
+    # plane (1.46e-12 at a shift of -3e4), so the plane test scales with |anchor|
+    cfg = write_config(tmp_path, {"version": 1, "support": {"kind": "equidistant"},
+                                  "cap": {"radius": radius, "center_shift": [shift, 0]}})
+    code, out, err = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "ok"
+
+
 def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["minkowski", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 2

@@ -15,17 +15,21 @@ from fbmink import (
     QuadratureRule,
     SupportKind,
     ValidationFailed,
+    af_report,
     default_cap_spec,
+    hypothesis_audit,
     make_perturbed_cap,
     make_support,
     make_umbilical_cap,
+    minkowski_report,
     perturb_cap,
     region_margins,
     reilly_residual,
+    schur_report,
     validate_scenario,
 )
 from fbmink import families
-from fbmink.charts import RadialBumpProfile
+from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
@@ -187,8 +191,8 @@ def test_perturbed_cap_reads_its_base_caps_ring(kind, n):
 
 
 def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
-    # V's jet and boundary parts on the support face are epsilon-free, so every
-    # perturbation of one base cap reads the base's: the face's nodes take one jet
+    # V's boundary parts on the support face are epsilon-free, so every perturbation
+    # of one base cap reads the base's: the face's nodes take one jet
     base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
     rule = QuadratureRule(16)
     face_x = base.quadrature("support", rule).geo.x
@@ -205,8 +209,63 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
         reilly_residual(sc, "x1", rule)
     assert len(face_jets) == 1
     for sc in perturbed:
-        assert sc.weight_jet("support", rule) is base.weight_jet("support", rule)
         assert sc.weight_parts("support", rule) is base.weight_parts("support", rule)
+
+
+def _memo_kind(key):
+    return key[0] if isinstance(key, tuple) else key
+
+
+def _shared_arrays(sc, rule) -> list:
+    """The arrays of every node set of a ``SHARED_MEMOS`` kind that ``sc`` has, in the
+    order asked: the support face's cone only where the face is a piece of the region."""
+    face = sc.quadrature("support", rule)
+    arrays = [*sc.grid(rule), face.geo.x, face.weights]
+    if "support" in sc.pieces:
+        arrays += [*sc.face_cone(rule), sc.face_weight(rule)]
+    return arrays + list(sc.weight_parts("support", rule))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", [SupportKind.EUCLIDEAN_SPHERE, SupportKind.EUCLIDEAN_PLANE])
+def test_perturbations_file_shared_memos_in_their_base_cap(kind, n, monkeypatch):
+    # asked first, a perturbation builds each shared set into its base cap's memo
+    rule = QuadratureRule(8)
+    spec = default_cap_spec(canonical_support(kind, n))
+    sc = perturb_cap(make_umbilical_cap(spec), PerturbationSpec(epsilon=0.05))
+    first, ring = _shared_arrays(sc, rule), sc.boundary()
+    assert all(a is b for a, b in zip(first, _shared_arrays(sc.base, rule), strict=True))
+    assert ring is sc.base.boundary()
+    fresh = make_umbilical_cap(spec)
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in _shared_arrays(fresh, rule)]
+    assert [x.hex() for x in ring] == [x.hex() for x in fresh.boundary()]
+
+    # a full verification: the perturbed cap keeps no memo of a shared kind, and its
+    # base cap holds every one it asked for; an umbilical cap keeps all its own
+    asked = []
+    once = families.CapScenario._once
+
+    def recording_once(memo, key, build):
+        asked.append((memo, key))
+        return once(memo, key, build)
+
+    monkeypatch.setattr(families.CapScenario, "_once", recording_once)
+    sc = perturb_cap(make_umbilical_cap(spec), PerturbationSpec(epsilon=0.05))
+    for cap in (sc, sc.base):
+        validate_scenario(cap)
+        for report in (minkowski_report, af_report, hypothesis_audit,
+                       *((schur_report,) if n >= 4 else ())):
+            report(cap, rule)
+        for name in ("V", "x1", "x1^2"):
+            reilly_residual(cap, name, rule)
+    shared = families.SHARED_MEMOS
+    assert [key for key in sc._cache if _memo_kind(key) in shared] == []
+    used = {key for memo, key in asked if memo is sc and _memo_kind(key) in shared}
+    cones = {"support cone", "support cone weight"} if "support" in sc.pieces else set()
+    assert {_memo_kind(key) for key in used} == {"grid", "support", "support boundary",
+                                                 "boundary", *cones}
+    assert used <= set(sc.base._cache)
+    assert {key for memo, key in asked if memo is sc.base} <= set(sc.base._cache)
 
 
 @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in SupportKind),
@@ -224,6 +283,21 @@ def test_reach_bounds_every_admissibility_node_of_a_perturbed_cap(kind, n):
         X = sc.cap_terms(families.ADMISSIBILITY_RULE)[0]
         bound = chart.radius + abs(eps) * reach
         assert np.max(np.linalg.norm(X - chart.center[:, None], axis=0)) <= bound * (1.0 + 1e-12)
+
+
+def test_perturbed_cap_terms_displace_the_cap_once(monkeypatch):
+    # a perturbed cap's chart values are not memoized, so its terms form them once
+    sc = make_perturbed_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)),
+                            PerturbationSpec(epsilon=0.05))
+    displace, points = PerturbedCapChart.displace, []
+
+    def recording_displace(chart, params, terms):
+        points.append(len(params))
+        return displace(chart, params, terms)
+
+    monkeypatch.setattr(PerturbedCapChart, "displace", recording_displace)
+    sc.cap_terms(families.ADMISSIBILITY_RULE)
+    assert points == [6 * 6]
 
 
 def test_profile_with_curvature_on_the_ring_rejected():

@@ -307,10 +307,13 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     boundary_parts = quadrature.SurfaceQuadrature.boundary_parts
     coordinate_hessian = inequalities._Coordinate.euclidean_hessian
     V_derivatives = {"euclidean_gradient": [], "euclidean_hessian": []}   # their points
+    V_jets = []   # V's jets, as the patched ``jet`` returns them
 
     def weight_jet(model, x, fn):
         if isinstance(fn, weights.WeightField):
             counts["weight jet"] += 1
+            V_jets.append(jet(model, x, fn))
+            return V_jets[-1]
         return jet(model, x, fn)
 
     def recording_derivative(name):
@@ -410,7 +413,6 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert [a.shape for a in sc._cache[axis_keys[0]]] == [(6, k) for k in block_sizes]
     # V's boundary parts once per face over the three test functions, and one set for
     # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
-    V_jets = [sc.weight_jet(label, rule) for label in ("cap", "support")]
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
     assert len(boundary_jets) == 2 + 2 * 2
     assert [x.shape[-1] for x in flat_points] == [geo.count for geo in (
