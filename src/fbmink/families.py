@@ -15,11 +15,14 @@ Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
 set per (set, rule): the cap's parameter grid, the cap's and the face's
-``SurfaceQuadrature``, the face's cone with its conformal weights and V at
-its nodes, the region joined from the cones, the cap weight data, V's
+``SurfaceQuadrature``, the face's cone with its conformal weights, the region
+of the cones (kept as they are, never joined), the cap weight data, V's
 boundary parts on each face, and per-node rows on the region, one array per
 block (``region_rows``: the Reilly checker's coefficient rows), so every
-report, audit, validation and identity check on it shares them.
+report, audit, validation and identity check on it shares them.  The face's
+cone also carries what is read of it alone: its admissibility margins, and
+on the region blocks that lie in it alone, the sums of V times the weights
+(``weighted_volume``) and the per-node rows.
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
@@ -27,8 +30,9 @@ base cap with the cap chart displaced: it shares the base's face, star
 center and pieces, and keeps its memos of the kinds in ``SHARED_MEMOS``, the
 node sets a perturbation leaves, in the memo of ``base``, its one reference to
 the base cap.  So the perturbations of one base cap evaluate those once per (base cap,
-rule) and one ring per base cap, and each evaluates phi, exp(n phi) and V
-only on its own cap's cone, displacing the base's cap chart terms.  The
+rule) and one ring per base cap.  Each evaluates phi and exp(n phi) only on
+its own cap's cone, displacing the base's cap chart terms, and V and the rows
+only on the region blocks that hold nodes of that cone.  The
 bump's reach reads the base's level-6 cap terms, which admissibility forms
 anyway.  Nothing a scenario memoizes refers back to the scenario.
 """
@@ -66,9 +70,11 @@ BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and dista
 ADMISSIBILITY_RULE = quad.QuadratureRule(6)   # margins only locate region nodes: a coarse rule
 CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
 # the memo kinds a perturbation leaves, kept in its base cap's ``_cache``: the cap's grid
-# and ring checks, and the support face's quadrature, weighted cone, V there and V's parts
-SHARED_MEMOS = frozenset({"grid", "boundary", "support", "support cone", "support cone weight",
-                          "support boundary"})
+# and ring checks, the support face's quadrature and V's parts there, and of the face's
+# cone: its weighted nodes, its admissibility margins, and what is memoized per region
+# block on the blocks in it alone (V's sums for the volume and the per-node rows)
+SHARED_MEMOS = frozenset({"grid", "boundary", "support", "support boundary", "support cone",
+                          "support margins", "support blocks"})
 
 
 @dataclass(frozen=True)
@@ -180,28 +186,40 @@ class CapScenario(quad.Memo):
         return pts, flat * np.exp(self.model.n * self.model.phi(pts))
 
     def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """``_weighted_cone`` over the support face; the region joins a copy of it."""
+        """``_weighted_cone`` over the support face, the region's last piece where the
+        face does not pass through the star center."""
+        if "support" not in self.pieces:
+            raise ValueError(f"the support face is not a piece of the region of "
+                             f"{self.description}: it passes through the star center")
         return self._once(("support cone", rule), lambda: self._weighted_cone("support", rule))
-
-    def face_weight(self, rule: quad.QuadratureRule) -> np.ndarray:
-        """V at the nodes of ``face_cone``."""
-        return self._once(("support cone weight", rule),
-                          lambda: self.weight.value(self.face_cone(rule)[0]))
 
     def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
         """The cone-decomposition nodes of Omega: the cap's cone, then the face's
-        ``face_cone``."""
+        ``face_cone``, each kept as it is."""
         return self._once(("region", rule), lambda: quad.RegionQuadrature([
             self.face_cone(rule) if label == "support" else self._weighted_cone(label, rule)
             for label in self.pieces]))
 
-    def region_weight(self, rule: quad.QuadratureRule) -> np.ndarray:
-        """V at the region's nodes: evaluated on the cap's cone, read on the face's."""
-        points = self.region(rule).points
-        if "support" not in self.pieces:
-            return self.weight.value(points)
-        face = self.face_weight(rule)
-        return np.concatenate([self.weight.value(points[:, :-face.size]), face])
+    def _blockwise(self, key, rule: quad.QuadratureRule, build: Callable[[range], list]) -> list:
+        """One item per block of ``region(rule)``, from ``build(blocks)``, which gives
+        those of the blocks asked.  The items of the blocks that lie in the face's cone
+        alone are the same for every perturbation of one base cap (its cap's cone has
+        one node count), so they are memoized under ("support blocks", key, rule), with
+        the base cap; the others under (key, rule)."""
+        region = self.region(rule)
+        face = (region.within(self.pieces.index("support")) if "support" in self.pieces
+                else range(len(region.blocks), len(region.blocks)))
+        own = self._once((key, rule), lambda: build(range(face.start)))
+        return own + self._once(("support blocks", key, rule), lambda: build(face)) if face else own
+
+    def weighted_volume(self, rule: quad.QuadratureRule) -> float:
+        """int_Omega V: the pairwise sum over the region's blocks of the pairwise sums of
+        V times the weights, bit-equal to ``region(rule).integral`` of V at every node.
+        The block sums are memoized, so V runs on the face-only blocks once per (base
+        cap, rule)."""
+        region = self.region(rule)
+        return quad.pairwise_sum(np.array(self._blockwise("volume", rule, lambda blocks: [
+            quad.pairwise_sum(self.weight.value(x) * wt) for x, wt in map(region.block, blocks)])))
 
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
@@ -210,25 +228,27 @@ class CapScenario(quad.Memo):
 
     def region_rows(self, key, rule: quad.QuadratureRule, count: int,
                     rows: Callable[[np.ndarray, int], Sequence[np.ndarray]]) -> list[np.ndarray]:
-        """Per-node rows on the region, memoized under (key, rule) as one (count, block
-        length) array per block of ``region.blocks``: ``rows(x, j)`` gives the count rows
-        at the nodes x of block j, so what they are formed from is one block long.  Every
-        use of one key must give the same rows; the Reilly checker keys its coefficient
-        rows by what they depend on.
+        """Per-node rows on the region, memoized by ``_blockwise`` under key as one
+        (count, block length) array per block of ``region.blocks``: ``rows(x, j)`` gives
+        the count rows at the nodes x of block j, so what they are formed from is one
+        block long.  Every use of one key must give the same rows; the Reilly checker
+        keys its coefficient rows by what they depend on.
 
         Each block's array is allocated before ``rows`` forms its temporaries.  With
         one (count, m) array per memo, or block arrays stacked after their rows, the
         peak RSS of ``perfbench``'s verify ops rose by up to 6 and 1 MB, as glibc's
         allocator happened to place them (measurements in CHANGES.md)."""
-        def build():
-            region = self.region(rule)
+        region = self.region(rule)
+
+        def fill(blocks: range) -> list[np.ndarray]:
             out = []
-            for j, b in enumerate(region.blocks):
-                out.append(np.empty((count, b.stop - b.start)))
-                for row, values in zip(out[-1], rows(region.points[:, b], j)):
+            for j in blocks:
+                x = region.block(j)[0]
+                out.append(np.empty((count, x.shape[1])))
+                for row, values in zip(out[-1], rows(x, j)):
                     row[...] = values
             return out
-        return self._once((key, rule), build)
+        return self._blockwise(key, rule, fill)
 
     def weight_parts(self, label: str, rule: quad.QuadratureRule) -> tuple:
         """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face, from
@@ -467,7 +487,20 @@ def region_margins(scenario: CapScenario) -> dict:
 
 
 def _margins(scenario: CapScenario) -> dict:
-    pts = scenario.region(ADMISSIBILITY_RULE).points    # (n, m)
+    """The least margins over the region's cones on ``ADMISSIBILITY_RULE`` nodes, piece by
+    piece; the face's are memoized with the base cap.  The least over the pieces is the
+    least over all the nodes, exactly."""
+    rule = ADMISSIBILITY_RULE
+    pieces = [scenario._once(("support margins", rule), lambda: _cone_margins(scenario, label))
+              if label == "support" else _cone_margins(scenario, label)
+              for label in scenario.pieces]
+    return {name: float(np.min([m[name] for m in pieces])) for name in pieces[0]}
+
+
+def _cone_margins(scenario: CapScenario, label: str) -> dict:
+    """The least margins over the nodes of the flat cone over one piece."""
+    pts, _ = quad.cone(scenario.star_center, label,
+                       scenario.quadrature(label, ADMISSIBILITY_RULE))    # (n, m)
     s = scenario.support
     model = s.model
     out = {"support_interior": float(np.min(-s.signed_distance(pts)))}

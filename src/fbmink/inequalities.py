@@ -135,7 +135,7 @@ def minkowski_report(scenario: CapScenario, rule: QuadratureRule,
     sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
     area_v = sq.integral(Vs)
     mean_v = sq.integral(curv.H * Vs)
-    vol_v = scenario.region(rule).integral(scenario.region_weight(rule))
+    vol_v = scenario.weighted_volume(rule)
     lhs = area_v ** 2
     rhs = n / (n - 1.0) * vol_v * mean_v
     return InequalityReport(
@@ -395,12 +395,10 @@ def reilly_residual(scenario: CapScenario, function: str,
     name, f = _test_function(function, scenario)
     model = scenario.model
     is_V = f is scenario.weight
-    rq = scenario.region(rule)
     weight_rows = _weight_rows(scenario, rule)
     axis_rows = None if is_V else _axis_rows(scenario, f.i, rule)
-    lhs_volume, rhs_volume = rq.integrals(lambda b: _volume_integrands(
-        f, rq.points[:, b], weight_rows[rq.blocks.index(b)],
-        None if is_V else axis_rows[rq.blocks.index(b)]))
+    lhs_volume, rhs_volume = scenario.region(rule).integrals(lambda j, x: _volume_integrands(
+        f, x, weight_rows[j], None if is_V else axis_rows[j]))
 
     boundary = {}
     for label in ("cap", "support"):

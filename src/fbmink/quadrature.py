@@ -12,7 +12,7 @@ test, so every volume integral goes through these cones.
 This module holds the quadrature primitives: the ``QuadratureRule`` that places
 the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
 cone over one boundary piece with its flat weights, and the ``RegionQuadrature``
-joined from the cones once each carries its weights for gbar.  A cap scenario
+of the cones once each carries its weights for gbar.  A cap scenario
 (``families.CapScenario``) builds and memoizes them per (set, rule), and weights
 each cone itself, so a cone it shares between scenarios is weighted once.
 
@@ -21,12 +21,15 @@ weights (m,); everything formed at the points is node-last, as in
 ``surfaces``: a surface's geometry (``SurfaceGeometry``), its normal
 derivatives (k, n, m) and a function's boundary parts ((m,) and (k, m)); a
 cone's nodes (n, s * m), one C-contiguous array of its own, and weights
-(s * m,); the region's nodes (n, m).
+(s * m,); a region block's nodes (n, k).
 
-Region integrands are formed and reduced in blocks of ``REGION_BLOCK``
-consecutive nodes, so a region term holds its (n, n, m) temporaries for one
-block at a time, and no such tensor is kept at full size: what a scenario
-keeps on the region is per-node rows, one array per block.  Each block
+A region's pieces are never joined; its blocks index their joined order, as
+slices of ``REGION_BLOCK`` consecutive nodes.  A block in one piece is a view
+into it, and only a block that straddles two pieces joins two short slices.
+Region integrands are formed and reduced one block at a time, so a region
+term holds its (n, n, k) temporaries for one block, and no such tensor is
+kept at full size: what a scenario keeps on the region is per-node rows, one
+array per block.  Each block
 is reduced with ``pairwise_sum`` and the block sums are reduced again with
 it.  That is bit-equal to one ``pairwise_sum`` over all m nodes: the block
 size is a power of two and every block starts at a multiple of it, so each
@@ -43,6 +46,7 @@ pairwise sum to keep results bit-stable under repetition and threading.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -197,41 +201,64 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
 
 
 class RegionQuadrature:
-    """Cone-decomposition nodes: the cones over the boundary pieces, in order, kept
-    as one C-contiguous (n, m) array ``points`` so that jets run over rows of nodes,
-    and cut into ``blocks``, the slices of ``REGION_BLOCK`` consecutive nodes.
+    """Cone-decomposition nodes: the cones over the boundary pieces, in order, each
+    kept as given.  Pieces are never joined; ``blocks`` index their joined order,
+    as the slices of ``REGION_BLOCK`` consecutive nodes, and ``block(j)`` gives the
+    nodes (n, k) and weights (k,) of block j.  A block that lies in one piece is a
+    view into that piece's arrays, a column view of its C-contiguous (n, s * m)
+    nodes; only a block that straddles two pieces joins their short slices.
 
     Each piece comes as its nodes and its weights for the metric gbar, the flat cone
     weights times exp(n phi) (phi, exp and the product are elementwise, so weighting
-    piece by piece gives the bits weighting the joined nodes would).  One piece is
-    kept as given, without a copy (a copy slows sweep rows on plane caps)."""
+    piece by piece gives the bits weighting the joined nodes would)."""
 
     def __init__(self, pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
-        if len(pieces) == 1:
-            (self.points, self.weights), = pieces
-        else:
-            self.points = np.concatenate([pts for pts, _ in pieces], axis=1)
-            self.weights = np.concatenate([wt for _, wt in pieces])
+        self.pieces = tuple(pieces)
+        self.offsets = tuple(itertools.accumulate((wt.size for _, wt in self.pieces), initial=0))
         self.blocks = tuple(slice(lo, min(lo + REGION_BLOCK, self.count))
                             for lo in range(0, self.count, REGION_BLOCK))
 
     @property
     def count(self) -> int:
-        return self.points.shape[1]
+        return self.offsets[-1]
 
-    def integrals(self, integrands: Callable[[slice], Sequence[np.ndarray]]) -> tuple[float, ...]:
-        """The integrals of the arrays ``integrands(b)`` gives on each block b, formed
-        one block at a time and bit-equal to flat pairwise sums over all nodes."""
-        sums = [[pairwise_sum(np.asarray(v, dtype=float) * self.weights[b]) for v in integrands(b)]
-                for b in self.blocks]
+    def within(self, i: int) -> range:
+        """The indices of the blocks that lie in piece i alone."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        last = len(self.blocks) if hi == self.count else hi // REGION_BLOCK
+        return range(-(-lo // REGION_BLOCK), last)
+
+    def block(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes (n, k) and weights (k,) of block j."""
+        b = self.blocks[j]
+        parts = []
+        for (pts, wt), lo, hi in zip(self.pieces, self.offsets, self.offsets[1:]):
+            if lo < b.stop and b.start < hi:
+                cut = slice(max(b.start - lo, 0), b.stop - lo)
+                parts.append((pts[:, cut], wt[cut]))
+        if len(parts) == 1:
+            return parts[0]
+        return (np.concatenate([pts for pts, _ in parts], axis=1),
+                np.concatenate([wt for _, wt in parts]))
+
+    def integrals(self, integrands: Callable[[int, np.ndarray], Sequence[np.ndarray]]
+                  ) -> tuple[float, ...]:
+        """The integrals of the arrays ``integrands(j, x)`` gives on each block j, with
+        x its nodes, formed one block at a time and bit-equal to flat pairwise sums over
+        all nodes."""
+        sums = []
+        for j in range(len(self.blocks)):
+            x, wt = self.block(j)
+            sums.append([pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)])
         return tuple(pairwise_sum(np.array(column)) for column in zip(*sums))
 
     def integral(self, values: np.ndarray) -> float:
+        """The integral of values (m,) given at every node, in the joined order."""
         values = np.asarray(values, dtype=float)
-        return self.integrals(lambda b: (values[b],))[0]
+        return self.integrals(lambda j, x: (values[self.blocks[j]],))[0]
 
     def volume(self) -> float:
-        return self.integral(np.ones(self.count))
+        return self.integrals(lambda j, x: (np.ones(x.shape[1]),))[0]
 
 
 # -- refinement studies ----------------------------------------------------------

@@ -31,6 +31,13 @@ def canonical_scenario(kind: SupportKind, n: int = 3):
     return make_umbilical_cap(default_cap_spec(support))
 
 
+def joined_region(region):
+    """The nodes (n, m) and weights (m,) of a region's pieces joined in order: a
+    reference that the package itself never forms."""
+    return (np.concatenate([pts for pts, _ in region.pieces], axis=1),
+            np.concatenate([wt for _, wt in region.pieces]))
+
+
 def unchecked_scenario(kind: SupportKind, n: int, eps: float = 0.0):
     """The canonical cap, perturbed by the radial bump of size eps if eps is nonzero,
     built without the admissibility check.  At n >= 5 that check raises

@@ -33,7 +33,7 @@ from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
-from fbmink.weights import jet
+from fbmink.weights import WeightField, jet
 
 from conftest import canonical_support
 
@@ -212,6 +212,55 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
         assert sc.weight_parts("support", rule) is base.weight_parts("support", rule)
 
 
+def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
+    # the Reilly rows on the region blocks in the face's cone alone are epsilon-free:
+    # two perturbations of one base cap form V's flat Hessian once on each such block
+    rule = QuadratureRule(24)
+    spec = default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE))
+    base = make_umbilical_cap(spec)
+    region = base.region(rule)
+    face_blocks = region.within(1)
+    assert len(face_blocks) == 2
+    face = base.face_cone(rule)[0]
+    hessian = WeightField.euclidean_hessian
+    on_face = []
+
+    def recording_hessian(weight, x):
+        if np.shares_memory(x, face):
+            on_face.append(((x.__array_interface__["data"][0]
+                             - face.__array_interface__["data"][0]) // face.itemsize, x.shape[1]))
+        return hessian(weight, x)
+
+    monkeypatch.setattr(WeightField, "euclidean_hessian", recording_hessian)
+    perturbed = [perturb_cap(base, PerturbationSpec(epsilon=eps)) for eps in (0.05, -0.03)]
+    reports = [reilly_residual(sc, "x1", rule).to_dict() for sc in perturbed]
+    monkeypatch.undo()
+    # V's rows, then axis 1's, each once per face-only block over both perturbations
+    offset = region.offsets[1]
+    blocks = [(region.blocks[j].start - offset, region.blocks[j].stop - region.blocks[j].start)
+              for j in face_blocks]
+    assert on_face == 2 * blocks
+    fresh = make_umbilical_cap(spec)
+    reilly_residual(fresh, "x1", rule)
+    for sc in perturbed:
+        for key in ("reilly V", ("reilly axis", 0)):
+            rows, expected = (cap._cache[("support blocks", key, rule)] for cap in (sc.base, fresh))
+            assert [a.tobytes() for a in rows] == [a.tobytes() for a in expected]
+            assert ("support blocks", key, rule) not in sc._cache
+    # the reports are those of perturbations that form every row themselves
+    unshared = [reilly_residual(make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)), "x1",
+                                rule).to_dict() for eps in (0.05, -0.03)]
+    assert reports == unshared
+
+
+def test_face_cone_of_a_plane_cap_names_the_missing_piece():
+    # the face of a plane cap passes through the star center and is no region piece
+    sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
+    assert sc.pieces == ("cap",)
+    with pytest.raises(ValueError, match="support face is not a piece of the region"):
+        sc.face_cone(QuadratureRule(8))
+
+
 def _memo_kind(key):
     return key[0] if isinstance(key, tuple) else key
 
@@ -222,15 +271,16 @@ def _shared_arrays(sc, rule) -> list:
     face = sc.quadrature("support", rule)
     arrays = [*sc.grid(rule), face.geo.x, face.weights]
     if "support" in sc.pieces:
-        arrays += [*sc.face_cone(rule), sc.face_weight(rule)]
+        arrays += [*sc.face_cone(rule)]
     return arrays + list(sc.weight_parts("support", rule))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+# n=3 level 24: two region blocks lie in the face's cone alone; n=4 level 8: none
+@pytest.mark.parametrize("n, level", [(3, 24), (4, 8)])
 @pytest.mark.parametrize("kind", [SupportKind.EUCLIDEAN_SPHERE, SupportKind.EUCLIDEAN_PLANE])
-def test_perturbations_file_shared_memos_in_their_base_cap(kind, n, monkeypatch):
+def test_perturbations_file_shared_memos_in_their_base_cap(kind, n, level, monkeypatch):
     # asked first, a perturbation builds each shared set into its base cap's memo
-    rule = QuadratureRule(8)
+    rule = QuadratureRule(level)
     spec = default_cap_spec(canonical_support(kind, n))
     sc = perturb_cap(make_umbilical_cap(spec), PerturbationSpec(epsilon=0.05))
     first, ring = _shared_arrays(sc, rule), sc.boundary()
@@ -261,7 +311,11 @@ def test_perturbations_file_shared_memos_in_their_base_cap(kind, n, monkeypatch)
     shared = families.SHARED_MEMOS
     assert [key for key in sc._cache if _memo_kind(key) in shared] == []
     used = {key for memo, key in asked if memo is sc and _memo_kind(key) in shared}
-    cones = {"support cone", "support cone weight"} if "support" in sc.pieces else set()
+    cones = set()
+    if "support" in sc.pieces:
+        cones = {"support cone", "support margins"}
+        if n == 3:   # the region blocks in the face's cone alone: V's sums and the rows
+            cones.add("support blocks")
     assert {_memo_kind(key) for key in used} == {"grid", "support", "support boundary",
                                                  "boundary", *cones}
     assert used <= set(sc.base._cache)

@@ -40,7 +40,7 @@ from fbmink import (
 )
 from fbmink.quadrature import REGION_BLOCK, RegionQuadrature, pairwise_sum
 
-from conftest import canonical_scenario, canonical_support
+from conftest import canonical_scenario, canonical_support, joined_region
 from fbmink import SupportKind
 
 
@@ -173,9 +173,10 @@ def test_refine_study_rejects_bad_level_lists():
 )
 def test_region_integral_linear_in_integrand(coeffs, level):
     rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region(QuadratureRule(level))
+    points, _ = joined_region(rq)
     a, b, c = coeffs
-    f = a * rq.points[0] + b * rq.points[2] + c
-    split = (a * rq.integral(rq.points[0]) + b * rq.integral(rq.points[2])
+    f = a * points[0] + b * points[2] + c
+    split = (a * rq.integral(points[0]) + b * rq.integral(points[2])
              + c * rq.volume())
     assert np.isclose(rq.integral(f), split, rtol=1e-12, atol=1e-12)
 
@@ -186,25 +187,43 @@ def test_region_integral_linear_in_integrand(coeffs, level):
                 st.builds(lambda k, d: k * REGION_BLOCK + d,
                           st.integers(min_value=1, max_value=16), st.integers(min_value=-1, max_value=1))),
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    cut=st.floats(min_value=0.0, max_value=1.0),
 )
-@example(m=1, seed=0)
-@example(m=REGION_BLOCK, seed=0)
-@example(m=2 ** 17, seed=0)
-@example(m=2 ** 17 + 3, seed=0)
-def test_blocked_region_sums_equal_one_flat_pairwise_sum(m, seed):
-    # a one-piece region keeps its weights as given, so the blocked reduction is
-    # compared with a flat pairwise sum of the same products
+@example(m=1, seed=0, cut=0.0)
+@example(m=REGION_BLOCK, seed=0, cut=0.0)
+@example(m=2 ** 17, seed=0, cut=0.0)
+@example(m=2 ** 17 + 3, seed=0, cut=0.0)
+@example(m=3 * 24 ** 3, seed=0, cut=0.5)     # n=3 level 24 sphere caps: a block straddles
+@example(m=2 * REGION_BLOCK, seed=0, cut=0.5)   # pieces that meet on a block boundary
+def test_blocked_region_sums_equal_one_flat_pairwise_sum(m, seed, cut):
+    # the nodes come as one piece, or as two cut at node int(cut * m), so a block may
+    # straddle them; a block in one piece is a view into it, a piece is kept as given,
+    # and the blocked reduction equals a flat pairwise sum of the joined products
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
     weights = rng.uniform(0.0, 1.0, m)
-    rq = RegionQuadrature([(np.zeros((2, m)), weights)])
-    assert np.array_equal(rq.weights, weights)
+    points = rng.uniform(-1.0, 1.0, (2, m))
+    bounds = sorted({0, int(cut * m), m})
+    pieces = [(points[:, lo:hi].copy(), weights[lo:hi].copy())
+              for lo, hi in zip(bounds, bounds[1:])]
+    rq = RegionQuadrature(pieces)
+    assert rq.count == m and rq.pieces == tuple(pieces)
     assert [b.start for b in rq.blocks] == list(range(0, m, REGION_BLOCK))
     assert [b.stop for b in rq.blocks] == [min(b.start + REGION_BLOCK, m) for b in rq.blocks]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        assert list(rq.within(i)) == [j for j, b in enumerate(rq.blocks)
+                                      if lo <= b.start and b.stop <= hi]
+    for j, b in enumerate(rq.blocks):
+        x, w = rq.block(j)
+        assert x.tobytes() == points[:, b].tobytes() and w.tobytes() == weights[b].tobytes()
+        # a view into the piece it lies in; a straddling block shares no piece's memory
+        assert [np.shares_memory(x, pts) for pts, _ in pieces] == [
+            j in rq.within(i) for i in range(len(pieces))]
     squares = values * values
     flat = pairwise_sum(values * weights)
     assert rq.integral(values) == flat
-    assert rq.integrals(lambda b: (values[b], squares[b])) == (flat, pairwise_sum(squares * weights))
+    assert rq.integrals(lambda j, x: (values[rq.blocks[j]], squares[rq.blocks[j]])) == (
+        flat, pairwise_sum(squares * weights))
     assert rq.volume() == pairwise_sum(weights)
 
 
@@ -361,10 +380,11 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         report(sc, rule)
     for name in ("V", "x1", "x1^2"):
         reilly_residual(sc, name, rule)
-    # base and perturbed admissibility regions, the level-12 cap, region and
-    # face, and one boundary ring shared by validation and the audit
+    # base and perturbed admissibility caps, the level-12 cap, region and face,
+    # and one boundary ring shared by validation and the audit
     assert counts["geometry"] == 5
-    assert counts["region"] == 3
+    # the level-12 region alone: admissibility reads the level-6 cones piece by piece
+    assert counts["region"] == 1
     assert counts["ring"] == 1
     # the base cap's admissibility check, then the perturbed cap's, shared by validation
     assert counts["margins"] == 2
@@ -377,11 +397,12 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # V's jet once on the cap and once on the face, and none on the region
     assert counts["weight jet"] == 2
     # on the region, V's flat gradient and Hessian once per block for each coefficient
-    # memo: V's own rows, then those of axis 1, which x1 and x1^2 share; each block is a
-    # column view of the region's one C-contiguous (n, m) node array, and each memo's
-    # views are consecutive and cover every node once, in order
+    # memo: V's own rows, then those of axis 1, which x1 and x1^2 share; the region is
+    # its cap's cone, kept as given, each block is a column view of that piece's one
+    # C-contiguous (n, m) node array, and each memo's views are consecutive and cover
+    # every node once, in order
     region = sc.region(rule)
-    points = region.points
+    (points, _), = region.pieces
     n, m = points.shape
     assert (n, m) == (4, region.count) and points.flags.c_contiguous
     assert len(region.blocks) > 1
@@ -398,7 +419,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # (n, n, m) tensor at full size: the Reilly rows are 4 per node for V and 6 for
     # the one axis asked for, one array per block
     held = list(_arrays({key: value for key, value in sc._cache.items()
-                         if isinstance(key, tuple) and key[-1] == rule}))
+                         if isinstance(key, tuple) and key[-1] == rule}, depth=5))
     # every node set of the cap and of its base is keyed by its rule, never a bare level
     keys = [key for cache in (sc._cache, sc.base._cache) for key in cache if key not in (
         "margins", "boundary")]
@@ -417,8 +438,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert len(boundary_jets) == 2 + 2 * 2
     assert [x.shape[-1] for x in flat_points] == [geo.count for geo in (
         sc.quadrature(label, rule).geo for label in ("cap", "support"))] * 2
-    # a perturbed cap over a sphere reads the level-6 face nodes and cone of its
-    # base cap's admissibility check
+    # a perturbed cap over a sphere reads the level-6 face nodes and the face cone's
+    # margins of its base cap's admissibility check
     faces.clear()
     validate_scenario(_perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE))
     assert faces == [6 * 6]
@@ -459,10 +480,14 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     assert Counter(caps) == {6 * 6: 1, 16 * 16: 1, 24: 1}
 
 
-def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
+@pytest.mark.parametrize("level", [16, 24])
+def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
     """Ten sweep rows on one euclidean_sphere base cap (each perturbed cap validated,
-    reported and audited) evaluate phi, exp(n phi) and V on the face cone once, and
-    each region has the bits of the cones joined first and weighted after."""
+    reported and audited) evaluate phi and exp(n phi) on the face cone once, and V on
+    each region block in the face cone alone once; no memo joins the pieces, and each
+    weighted volume has the bits of the cones joined first and weighted after.  At
+    level 16 the region is one block that straddles the cap's cone and the face's; at
+    level 24 it has a block in the cap's cone, a straddling one and two in the face's."""
     phi, value, weighted = (ambient.SpaceFormModel.phi, weights.WeightField.value,
                             families.CapScenario._weighted_cone)
     phi_points, value_points, cones = [], [], []
@@ -482,7 +507,7 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
     monkeypatch.setattr(ambient.SpaceFormModel, "phi", recording_phi)
     monkeypatch.setattr(weights.WeightField, "value", recording_value)
     monkeypatch.setattr(families.CapScenario, "_weighted_cone", recording_cone)
-    rule = QuadratureRule(16)
+    rule = QuadratureRule(level)
     base = families.make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
     rows = []
     for eps in (-0.05, -0.04, -0.03, -0.02, -0.01, 0.01, 0.02, 0.03, 0.04, 0.05):
@@ -490,16 +515,28 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
         validate_scenario(sc)
         rows.append((sc, minkowski_report(sc, rule)))
         hypothesis_audit(sc, rule)
+    rows.append((base, minkowski_report(base, rule)))
     monkeypatch.undo()
     face = base.face_cone(rule)[0]
     assert sum(x is face for x in phi_points) == 1
-    assert sum(x is face for x in value_points) == 1
-    # the face's weighted cone once per rule; each row weights its own cap's cone
-    assert Counter(cones) == {("support", 6): 1, ("support", 16): 1,
-                              ("cap", 6): 11, ("cap", 16): 10}
-    # no V on the joined region: each row's V runs on its cap's cone alone
-    region_sizes = {sc.region(rule).count for sc, _ in rows}
-    assert [x for x in value_points if x.shape[-1] in region_sizes] == []
+    # the face's weighted cone once per rule, each row's cap cone once; admissibility
+    # weights no cone
+    assert Counter(cones) == {("support", level): 1, ("cap", level): 11}
+    region = base.region(rule)
+    offset = region.offsets[-2]
+    face_blocks = [region.blocks[j] for j in region.within(1)]
+    straddling = [b for b in region.blocks if b.start < offset < b.stop]
+    assert len(region.blocks) == {16: 1, 24: 4}[level]
+    assert len(straddling) == 1 and len(face_blocks) == {16: 0, 24: 2}[level]
+    # V on the face cone: once on each block in it alone, over eleven reports on
+    # eleven caps; the straddling block is a copy, and every V call runs on one block
+    # at most (at level 16 the straddling block is the whole region)
+    on_face = [((x.__array_interface__["data"][0] - face.__array_interface__["data"][0])
+                // face.itemsize + offset, x.shape[-1])
+               for x in value_points if np.shares_memory(x, face)]
+    assert on_face == [(b.start, b.stop - b.start) for b in face_blocks]
+    assert max(x.shape[-1] for x in value_points) <= REGION_BLOCK
+    assert max(x.shape[-1] for x in phi_points) < region.count
 
     def joined_then_weighted(sc):   # the reference: flat cones joined, then weighted as one
         pieces = [quadrature.cone(sc.star_center, label, sc.quadrature(label, rule))
@@ -511,21 +548,22 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch):
     for sc, report in rows:
         rq = sc.region(rule)
         points, weights_ = joined_then_weighted(sc)
-        assert rq.points.tobytes() == points.tobytes()
-        assert rq.weights.tobytes() == weights_.tobytes()
-        assert report.integrals["weighted_volume"] == rq.integral(sc.weight.value(rq.points))
-    # the base cap's own region joins the same face cone after its cap's
-    minkowski_report(base, rule)
-    rq = base.region(rule)
-    assert rq.points.tobytes() == joined_then_weighted(base)[0].tobytes()
-    assert base.face_cone(rule)[0].tobytes() == face.tobytes()
+        assert [a.tobytes() for a in joined_region(rq)] == [points.tobytes(), weights_.tobytes()]
+        for j, b in enumerate(rq.blocks):
+            assert rq.block(j)[0].tobytes() == points[:, b].tobytes()
+        volume = pairwise_sum(sc.weight.value(points) * weights_)
+        assert report.integrals["weighted_volume"] == volume
+        assert rq.pieces[-1][0] is face
+        # no memo of the row or of its base holds an array as long as the joined region
+        held = _arrays([sc._cache, base._cache], depth=6)
+        assert [a.shape for a in held if region.count in a.shape] == []
 
 
 def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_path):
-    """A --jobs 2 sweep on hyp_geodesic_sphere builds every memo on the main thread
-    and starts no thread, builds each memo its rows share of the base cap (grid,
-    face cone and V there among them) once, and writes the bytes of the
-    --jobs 1 sweep."""
+    """A --jobs 2 sweep on hyp_geodesic_sphere at level 24 builds every memo on the
+    main thread and starts no thread, builds each memo its rows share of the base cap
+    (grid, face cone, the face cone's margins and the V sums of the region blocks in
+    it alone among them) once, and writes the bytes of the --jobs 1 sweep."""
     once = quadrature.Memo._once
     built, threads, counts = [], set(), set()
 
@@ -540,7 +578,7 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
 
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"version": 1, "support": {"kind": "hyp_geodesic_sphere"},
-                               "quadrature": {"level": 16}}))
+                               "quadrature": {"level": 24}}))
     out = {}
     running = threading.active_count()
     for jobs in (2, 1):
@@ -554,11 +592,11 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
     assert threads == {threading.main_thread()}
     assert counts == {running} and threading.active_count() == running
     shared = Counter(key for key in built if key[0] in (
-        "grid", "support cone", "support cone weight"))
-    rule, admissibility = QuadratureRule(16), families.ADMISSIBILITY_RULE
+        "grid", "support cone", "support margins", "support blocks"))
+    rule, admissibility = QuadratureRule(24), families.ADMISSIBILITY_RULE
     assert shared == {("grid", admissibility): 1, ("grid", rule): 1,
-                      ("support cone", admissibility): 1, ("support cone", rule): 1,
-                      ("support cone weight", rule): 1}
+                      ("support margins", admissibility): 1, ("support cone", rule): 1,
+                      ("support blocks", "volume", rule): 1}
     assert max(Counter(built).values()) == 1
     assert out[2] == out[1]
 
@@ -574,14 +612,15 @@ def test_node_bundle_is_freed_with_its_scenario():
         reilly_residual(sc, "V", rule)
         region = weakref.ref(sc.region(rule))
         # the perturbed cap, its base and their node sets at levels 6 and 8 (the
-        # admissibility check and this rule): the perturbed cap's cap and region at
-        # both levels, and the base's cap and region at 6 and its face at 6 and 8
+        # admissibility check and this rule): the perturbed cap's cap at both levels
+        # and its region at 8, and the base's cap at 6 and its face at 6 and 8; the
+        # admissibility check builds no region
         held = [sc, sc.base, *sc._cache.values(), *sc.base._cache.values()]
         refs = [weakref.ref(x) for x in held
                 if isinstance(x, (families.CapScenario, SurfaceQuadrature, RegionQuadrature))]
-        assert len(refs) == 10
+        assert len(refs) == 8
         del sc, held
         assert region() is None
-        assert [ref() for ref in refs] == [None] * 10
+        assert [ref() for ref in refs] == [None] * 8
     finally:
         gc.enable()

@@ -28,11 +28,15 @@ step is recorded as [error type, message].  Cases:
   axis would show (on the default axis the symmetry halves every integral
   alike);
 * one base cap shared by several perturbations, on the 8 supports at n=3
-  level 32 and n=4 levels 12 and 8: ``perturb_cap`` at eps +-0.05, then the
-  base cap's own results, then eps +-0.03 and eps 0.05 with bump power 4, all
-  on the one base, each dumped as above.  Every other case builds its own
-  base, so only these pin what perturbations read of a base (its face nodes,
-  grid and reach), before and after the base's own reports.  At n=4 level 12
+  levels 32 and 24 and n=4 levels 12 and 8: ``perturb_cap`` at eps +-0.05,
+  then the base cap's own results, then eps +-0.03 and eps 0.05 with bump
+  power 4, all on the one base, each dumped as above.  Every other case
+  builds its own base, so only these pin what perturbations read of a base
+  (its face nodes, grid and reach, the face cone's margins, and the V sums and
+  Reilly rows of the region blocks in the face cone alone), before and after
+  the base's own reports.  At n=3 level 32 the face cone starts on a block
+  boundary; at level 24 it starts inside a block, which joins the cap's last
+  nodes with the face's first, and two blocks lie in the face alone.  At n=4 level 12
   only the caps over ``euclidean_plane`` and ``sph_hyperplane`` build (the
   others raise DegenerateImmersion, as above at n=5), so level 8 carries the
   n=4 sphere supports, whose regions have a face cone.
@@ -83,7 +87,8 @@ CASES = [
 # the steps on one base cap: (epsilon, bump power) for a perturbation, None for the base
 SHARED_STEPS = ((0.05, 3), (-0.05, 3), None, (0.03, 3), (-0.03, 3), (0.05, 4))
 # (n, level, support): one base cap, then SHARED_STEPS on it
-SHARED_CASES = [(n, level, kind) for n, level in ((3, 32), (4, 12), (4, 8)) for kind in SUPPORTS]
+SHARED_CASES = [(n, level, kind) for n, level in ((3, 32), (3, 24), (4, 12), (4, 8))
+                for kind in SUPPORTS]
 
 
 def _attempt(step):
