@@ -74,7 +74,7 @@ class SpaceFormModel:
         """Boolean mask of points inside the open chart domain."""
         x = np.asarray(x, dtype=float)
         if self.kind is ModelKind.POINCARE_BALL:
-            return np.sum(x * x, axis=0) < 1.0 - CHART_MEMBERSHIP_TOL
+            return np.einsum("i...,i...->...", x, x) < 1.0 - CHART_MEMBERSHIP_TOL
         if self.kind is ModelKind.UPPER_HALF_SPACE:
             return x[-1] > CHART_MEMBERSHIP_TOL
         return np.ones(x.shape[1:], dtype=bool)

@@ -16,10 +16,12 @@ center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
 set per (set, rule): the cap's parameter grid, the cap's and the face's
 ``SurfaceQuadrature``, the face's cone with its conformal weights, the region
-of the cones (kept as they are, never joined), the cap weight data, V's
+of the cones (kept as they are, never joined; each cone's nodes are checked
+to lie in the model's chart once, as it is built), the cap weight data, V's
 boundary parts on each face, and per-node rows on the region, one array per
-block (``region_rows``: the Reilly checker's coefficient rows), so every
-report, audit, validation and identity check on it shares them.  The face's
+block (``region_rows``: the Reilly checker's coefficient rows, V's and one
+axis's from one pass), so every report, audit, validation and identity check
+on it shares them.  The face's
 cone also carries what is read of it alone: its admissibility margins, and
 on the region blocks that lie in it alone, the sums of V times the weights
 (``weighted_volume``) and the per-node rows.
@@ -180,9 +182,10 @@ class CapScenario(quad.Memo):
             self.surface, rule, self._cap_values(rule), self.grid(rule)))
 
     def _weighted_cone(self, label: str, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """The region's cone over one piece: its nodes and its flat weights times
-        exp(n phi), phi evaluated on this piece alone."""
+        """The region's cone over one piece: its nodes, checked to lie in the model's
+        chart, and its flat weights times exp(n phi), phi evaluated on this piece alone."""
         pts, flat = quad.cone(self.star_center, label, self.quadrature(label, rule))
+        self.model.require_inside(pts)
         return pts, flat * np.exp(self.model.n * self.model.phi(pts))
 
     def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -227,25 +230,26 @@ class CapScenario(quad.Memo):
             self.weight, self.quadrature("cap", rule).geo))
 
     def region_rows(self, key, rule: quad.QuadratureRule, count: int,
-                    rows: Callable[[np.ndarray, int], Sequence[np.ndarray]]) -> list[np.ndarray]:
+                    rows: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[np.ndarray]:
         """Per-node rows on the region, memoized by ``_blockwise`` under key as one
-        (count, block length) array per block of ``region.blocks``: ``rows(x, j)`` gives
-        the count rows at the nodes x of block j, so what they are formed from is one
+        (count, block length) array per block of ``region.blocks``: ``rows(x)`` gives
+        the count rows at the nodes x of one block, so what they are formed from is one
         block long.  Every use of one key must give the same rows; the Reilly checker
-        keys its coefficient rows by what they depend on.
+        keys its coefficient rows by the axis they serve.
 
-        Each block's array is allocated before ``rows`` forms its temporaries.  With
-        one (count, m) array per memo, or block arrays stacked after their rows, the
-        peak RSS of ``perfbench``'s verify ops rose by up to 6 and 1 MB, as glibc's
-        allocator happened to place them (measurements in CHANGES.md)."""
+        All block arrays of a memo are allocated before ``rows`` forms any
+        temporaries.  With one (count, m) array per memo, block arrays stacked after
+        their rows, allocated one by one between rows, or two arrays per block for the
+        Reilly checker's two row sets, the peak RSS of ``perfbench``'s verify ops rose
+        by up to 6, 1, 3 and 8 MB, as glibc's allocator happened to place them
+        (measurements in CHANGES.md)."""
         region = self.region(rule)
 
         def fill(blocks: range) -> list[np.ndarray]:
-            out = []
-            for j in blocks:
-                x = region.block(j)[0]
-                out.append(np.empty((count, x.shape[1])))
-                for row, values in zip(out[-1], rows(x, j)):
+            out = [np.empty((count, region.blocks[j].stop - region.blocks[j].start))
+                   for j in blocks]
+            for j, block in zip(blocks, out):
+                for row, values in zip(block, rows(region.block(j)[0])):
                     row[...] = values
             return out
         return self._blockwise(key, rule, fill)

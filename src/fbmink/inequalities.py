@@ -14,8 +14,9 @@ for a supplied smooth test function; for static weights the interior
 curvature term vanishes identically, so the residual isolates quadrature
 and geometry errors.  Each call forms only its test function's own terms.  On
 the region both integrands are quadratics in q = f / V, whose coefficients are
-per-node rows memoized on the scenario: V's own once, and those of axis i once
-x_i or x_i^2 asks for them; no metric, static tensor or (n, n, m) array is held.
+per-node rows memoized on the scenario per axis: V's and axis i's, formed in one
+pass once x_i or x_i^2 asks for them.  The V row forms none, as its integrands
+are exactly 0; no metric, static tensor or (n, n, m) array is held.
 """
 
 from __future__ import annotations
@@ -309,41 +310,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("im,im->m", a, b)
 
 
-def _weight_rows(scenario: CapScenario, rule: QuadratureRule) -> list[np.ndarray]:
-    """(V, e, A2, E0) at the nodes of each region block, e = exp(-2 phi): V's own rows
-    of the region's quadratics in q, from V's flat value, gradient g and Hessian H and
-    phi's gradient p.
+def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[np.ndarray]:
+    """(V, e, A2, E0, A1, C1, S2, E1, E2, p_i) at the nodes of each region block,
+    e = exp(-2 phi): the rows of the region's quadratics in q for x_i and x_i^2, V's
+    own four and axis i's six, formed in one pass from V's flat value, gradient g and
+    Hessian H and phi's gradient p.
 
     The terms below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
     tensor's trace part (static = S gbar - Hess V)."""
     model, weight, n = scenario.model, scenario.weight, scenario.n
 
-    def rows(x: np.ndarray, j: int):
-        model.require_inside(x)
+    def rows(x: np.ndarray):
         V, g, H = weight.value(x), weight.euclidean_gradient(x), weight.euclidean_hessian(x)
         p, e = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
-        trH, pg, gg = np.trace(H), _dot(p, g), _dot(g, g)
+        trH, pg, pp, gg = np.trace(H), _dot(p, g), _dot(p, p), _dot(g, g)
         Hg = np.einsum("ijm,jm->im", H, g)
         S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
         A2 = (trH * trH - np.einsum("ijm,ijm->m", H, H)
               + pg * ((2.0 * n - 6.0) * trH + (n - 2.0) * (n - 3.0) * pg)
-              + 4.0 * _dot(Hg, p) - 2.0 * _dot(p, p) * gg)
+              + 4.0 * _dot(Hg, p) - 2.0 * pp * gg)
         E0 = gg * (S + e * pg) - e * _dot(Hg, g)
-        return V, e, A2, E0
-    return scenario.region_rows("reilly V", rule, 4, rows)
-
-
-def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[np.ndarray]:
-    """(A1, C1, S2, E1, E2, p_i) at the nodes of each region block: the rows of axis
-    i, shared by x_i and x_i^2, in the terms of ``_weight_rows``."""
-    model, weight, n = scenario.model, scenario.weight, scenario.n
-    weight_rows = _weight_rows(scenario, rule)
-
-    def rows(x: np.ndarray, j: int):
-        V, e = weight_rows[j][:2]
-        g, H, p = weight.euclidean_gradient(x), weight.euclidean_hessian(x), model.phi_grad(x)
-        trH, pg, pp, gg = np.trace(H), _dot(p, g), _dot(p, p), _dot(g, g)
-        S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
         p_i, g_i, H_i = p[i], g[i], H[i]
         A1 = 4.0 * (pp * g_i - _dot(H_i, p)) - p_i * (
             (2.0 * n - 6.0) * trH + 2.0 * (n - 2.0) * (n - 3.0) * pg)
@@ -351,20 +337,15 @@ def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[np.n
         S2 = (n - 2.0) * (n - 3.0) * p_i * p_i - 2.0 * pp
         E1 = 2.0 * (e * (_dot(H_i, g) - p_i * gg) - g_i * S)
         E2 = S - e * (pg + H_i[i] - 2.0 * p_i * g_i)
-        return A1, C1, S2, E1, E2, p_i
-    return scenario.region_rows(("reilly axis", i), rule, 6, rows)
+        return V, e, A2, E0, A1, C1, S2, E1, E2, p_i
+    return scenario.region_rows(("reilly axis", i), rule, 10, rows)
 
 
-def _volume_integrands(f: WeightField | _Coordinate, x: np.ndarray, weight_rows: np.ndarray,
-                       axis_rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Both interior integrands of the identity at the nodes x of one block, from that
-    block's rows of ``_weight_rows`` and, for a coordinate f, of ``_axis_rows`` of its
-    axis (None for V)."""
-    V, e, A2, E0 = weight_rows
-    if axis_rows is None:
-        r = 1.0 - V / V
-        return V * e * e * r * r * A2, e * r * r * E0
-    A1, C1, S2, E1, E2, p_i = axis_rows
+def _volume_integrands(f: _Coordinate, x: np.ndarray,
+                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both interior integrands of the identity for the coordinate f at the nodes x of
+    one block, from that block's ``_axis_rows`` of f's axis."""
+    V, e, A2, E0, A1, C1, S2, E1, E2, p_i = rows
     q, s, c = f.value(x) / V, f.slope(x), f.second
     lhs = V * e * e * ((A2 * q + s * A1 + c * C1) * q
                        + s * (s * S2 + (2.0 * x.shape[0] - 2.0) * c * p_i))
@@ -387,18 +368,22 @@ def reilly_residual(scenario: CapScenario, function: str,
     and Hess V(d, d) = d2V(d, d) - 2 <p, d> <dV, d> + <p, dV> |d|^2.  For x_i or x_i^2,
     flat gradient s e_i and Hessian c e_i e_i^T, the integrands are
     V e^2 (A2 q^2 + (s A1 + c C1) q + s^2 S2 + (2n-2) s c p_i) and
-    e (E0 q^2 + s E1 q + s^2 E2), from V's memoized rows (``_weight_rows``) and those of
-    axis i (``_axis_rows``).  For V itself, r = 1 - V / V is exactly 0 and they are
-    V e^2 r^2 A2 and e r^2 E0, so every term of its row is exactly 0.  No (n, n, m)
-    tensor is held.
+    e (E0 q^2 + s E1 q + s^2 E2), from rows memoized per axis asked for
+    (``_axis_rows``): V's own and those of axis i, formed in one pass.  For V itself q
+    is 1, so T, w and both integrands are exactly 0: its row forms no region rows and
+    reads 0.0 for both volume terms, and still builds the region, so it raises what the
+    region raises.  No (n, n, m) tensor is held.
     """
     name, f = _test_function(function, scenario)
     model = scenario.model
     is_V = f is scenario.weight
-    weight_rows = _weight_rows(scenario, rule)
-    axis_rows = None if is_V else _axis_rows(scenario, f.i, rule)
-    lhs_volume, rhs_volume = scenario.region(rule).integrals(lambda j, x: _volume_integrands(
-        f, x, weight_rows[j], None if is_V else axis_rows[j]))
+    region = scenario.region(rule)
+    if is_V:
+        lhs_volume = rhs_volume = 0.0
+    else:
+        rows = _axis_rows(scenario, f.i, rule)
+        lhs_volume, rhs_volume = region.integrals(
+            lambda j, x: _volume_integrands(f, x, rows[j]))
 
     boundary = {}
     for label in ("cap", "support"):

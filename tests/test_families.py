@@ -1,5 +1,6 @@
 """Scenario factory: placements, perturbations, validation failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fbmink import (
     InadmissiblePlacement,
     OrthogonalityInfeasible,
     PerturbationSpec,
+    PointOutsideChart,
     QuadratureRule,
     SupportKind,
     ValidationFailed,
@@ -214,7 +216,8 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
 
 def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
     # the Reilly rows on the region blocks in the face's cone alone are epsilon-free:
-    # two perturbations of one base cap form V's flat Hessian once on each such block
+    # two perturbations of one base cap form V's flat Hessian once on each such block,
+    # in the one pass that forms V's rows and axis 1's
     rule = QuadratureRule(24)
     spec = default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE))
     base = make_umbilical_cap(spec)
@@ -235,22 +238,41 @@ def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
     perturbed = [perturb_cap(base, PerturbationSpec(epsilon=eps)) for eps in (0.05, -0.03)]
     reports = [reilly_residual(sc, "x1", rule).to_dict() for sc in perturbed]
     monkeypatch.undo()
-    # V's rows, then axis 1's, each once per face-only block over both perturbations
+    # one pass per face-only block over both perturbations
     offset = region.offsets[1]
     blocks = [(region.blocks[j].start - offset, region.blocks[j].stop - region.blocks[j].start)
               for j in face_blocks]
-    assert on_face == 2 * blocks
+    assert on_face == blocks
     fresh = make_umbilical_cap(spec)
     reilly_residual(fresh, "x1", rule)
+    key = ("support blocks", ("reilly axis", 0), rule)
     for sc in perturbed:
-        for key in ("reilly V", ("reilly axis", 0)):
-            rows, expected = (cap._cache[("support blocks", key, rule)] for cap in (sc.base, fresh))
-            assert [a.tobytes() for a in rows] == [a.tobytes() for a in expected]
-            assert ("support blocks", key, rule) not in sc._cache
+        rows, expected = (cap._cache[key] for cap in (sc.base, fresh))
+        assert [a.tobytes() for a in rows] == [a.tobytes() for a in expected]
+        assert key not in sc._cache
     # the reports are those of perturbations that form every row themselves
     unshared = [reilly_residual(make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)), "x1",
                                 rule).to_dict() for eps in (0.05, -0.03)]
     assert reports == unshared
+
+
+def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
+    # each cone's nodes are checked as the cone is built, so the weighted volume, the
+    # Minkowski report and every Reilly row, the V row that forms no region rows
+    # included, name the same first node below x_n = 0
+    sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.HOROSPHERE)))
+    star = sc.star_center.copy()
+    star[-1] = -1.0
+    rule = QuadratureRule(8)
+    messages = set()
+    for consumer in (lambda bad: bad.weighted_volume(rule),
+                     lambda bad: minkowski_report(bad, rule),
+                     lambda bad: reilly_residual(bad, "V", rule),
+                     lambda bad: reilly_residual(bad, "x1", rule)):
+        with pytest.raises(PointOutsideChart, match="upper_half_space chart domain") as info:
+            consumer(dataclasses.replace(sc, star_center=star))
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_face_cone_of_a_plane_cap_names_the_missing_piece():

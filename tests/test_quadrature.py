@@ -378,7 +378,10 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     validate_scenario(sc)
     for report in (minkowski_report, af_report, schur_report, hypothesis_audit):
         report(sc, rule)
-    for name in ("V", "x1", "x1^2"):
+    reilly_residual(sc, "V", rule)
+    # the V row forms no region rows: it leaves no ("reilly axis", i) key
+    assert not [key for key in sc._cache if isinstance(key, tuple) and isinstance(key[0], tuple)]
+    for name in ("x1", "x1^2"):
         reilly_residual(sc, name, rule)
     # base and perturbed admissibility caps, the level-12 cap, region and face,
     # and one boundary ring shared by validation and the audit
@@ -396,11 +399,11 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert counts["dnu"] == 2
     # V's jet once on the cap and once on the face, and none on the region
     assert counts["weight jet"] == 2
-    # on the region, V's flat gradient and Hessian once per block for each coefficient
-    # memo: V's own rows, then those of axis 1, which x1 and x1^2 share; the region is
-    # its cap's cone, kept as given, each block is a column view of that piece's one
-    # C-contiguous (n, m) node array, and each memo's views are consecutive and cover
-    # every node once, in order
+    # on the region, V's flat gradient and Hessian once per block over V, x1 and x1^2:
+    # in the one pass that forms V's rows and axis 1's, which x1 and x1^2 share, and
+    # none for V; the region is its cap's cone, kept as given, each block is a column
+    # view of that piece's one C-contiguous (n, m) node array, and the views are
+    # consecutive and cover every node once, in order
     region = sc.region(rule)
     (points, _), = region.pieces
     n, m = points.shape
@@ -408,16 +411,16 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert len(region.blocks) > 1
     for name, calls in V_derivatives.items():
         views = [x for x in calls if x.base is points]
-        assert len(views) == 2 * len(region.blocks), name
+        assert len(views) == len(region.blocks), name
         starts = [(x.__array_interface__["data"][0] - points.__array_interface__["data"][0])
                   // points.itemsize for x in views]
         ends = [start + x.shape[1] for start, x in zip(starts, views)]
-        assert starts == 2 * [b.start for b in region.blocks], name
-        assert ends == 2 * [b.stop for b in region.blocks], name
+        assert starts == [b.start for b in region.blocks], name
+        assert ends == [b.stop for b in region.blocks], name
         assert all(x.shape[0] == n and x.strides == points.strides for x in views)
     # the scenario's level-12 sets keep no (m, n) copy of the region nodes and no
-    # (n, n, m) tensor at full size: the Reilly rows are 4 per node for V and 6 for
-    # the one axis asked for, one array per block
+    # (n, n, m) tensor at full size: the Reilly rows are 10 per node for the one axis
+    # asked for, V's 4 and the axis's 6, one array per block
     held = list(_arrays({key: value for key, value in sc._cache.items()
                          if isinstance(key, tuple) and key[-1] == rule}, depth=5))
     # every node set of the cap and of its base is keyed by its rule, never a bare level
@@ -428,10 +431,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert [a.shape for a in held if a.shape == (m, n)] == []
     assert [a.shape for a in held if a.ndim > 2 and a.shape[-1] == m] == []
     block_sizes = [b.stop - b.start for b in region.blocks]
-    assert [a.shape for a in sc._cache[("reilly V", rule)]] == [(4, k) for k in block_sizes]
     axis_keys = [key for key in sc._cache if isinstance(key, tuple) and isinstance(key[0], tuple)]
     assert axis_keys == [(("reilly axis", 0), rule)]
-    assert [a.shape for a in sc._cache[axis_keys[0]]] == [(6, k) for k in block_sizes]
+    assert [a.shape for a in sc._cache[axis_keys[0]]] == [(10, k) for k in block_sizes]
     # V's boundary parts once per face over the three test functions, and one set for
     # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]

@@ -5,9 +5,9 @@
 Each tree is a checkout of this repository; its package is imported from
 TREE/src in a child process.  The child builds every case below and dumps,
 per case, the ``to_dict()`` of the Minkowski, AF and almost-Schur reports,
-the hypothesis audit, the Reilly rows for V, x1, x2^2 and x1^2, the region
-margins and the outcome of ``validate_scenario``, as sorted JSON.  A failing
-step is recorded as [error type, message].  Cases:
+the hypothesis audit, the Reilly rows for V, x1, x2^2 and x1^2 (asked for in
+that order), the region margins and the outcome of ``validate_scenario``, as
+sorted JSON.  A failing step is recorded as [error type, message].  Cases:
 
 * the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 levels 16, 24 and
   32, n=4 levels 8 and 12, n=2 level 32 and n=5 level 8.  At n=2 the sphere
@@ -39,7 +39,12 @@ step is recorded as [error type, message].  Cases:
   nodes with the face's first, and two blocks lie in the face alone.  At n=4 level 12
   only the caps over ``euclidean_plane`` and ``sph_hyperplane`` build (the
   others raise DegenerateImmersion, as above at n=5), so level 8 carries the
-  n=4 sphere supports, whose regions have a face cone.
+  n=4 sphere supports, whose regions have a face cone;
+* the Reilly rows alone, asked for in the reverse order x1^2, x2^2, x1, V
+  (coordinates before V, x2^2 before x1), on the 8 supports x eps {0, 0.05}
+  at n=3 level 24 and n=4 level 8.  The rows are memoized per axis as they
+  are first asked for, so these pin that the order they are asked in moves
+  no bit.
 
 Each differing case is printed with the fields that differ, as paths such
 as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
@@ -71,6 +76,7 @@ GRID_RADII = (1e-7, 1e-5, 1e-3, 0.9, 1.5, 3.0)
 ASYMMETRIC = (("sph_hyperplane", {"center_shift": (0.3, 0.0)}), ("euclidean_plane", {"tilt": 0.2}))
 SPHERE_KINDS = ("euclidean_sphere", "hyp_geodesic_sphere", "sph_geodesic_sphere")
 REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
+REVERSE_FUNCTIONS = REILLY_FUNCTIONS[::-1]
 
 # (n, level, support, CapSpec fields replaced in the canonical cap, epsilon)
 CASES = [
@@ -89,6 +95,9 @@ SHARED_STEPS = ((0.05, 3), (-0.05, 3), None, (0.03, 3), (-0.03, 3), (0.05, 4))
 # (n, level, support): one base cap, then SHARED_STEPS on it
 SHARED_CASES = [(n, level, kind) for n, level in ((3, 32), (3, 24), (4, 12), (4, 8))
                 for kind in SUPPORTS]
+# (n, level, support, epsilon): the Reilly rows in REVERSE_FUNCTIONS order
+REVERSE_CASES = [(n, level, kind, eps) for n, level in ((3, 24), (4, 8))
+                 for kind in SUPPORTS for eps in (0.0, 0.05)]
 
 
 def _attempt(step):
@@ -96,6 +105,12 @@ def _attempt(step):
         return step()
     except Exception as e:   # every outcome is data here, errors included
         return [type(e).__name__, str(e)]
+
+
+def _reilly(fb, scenario, level: int, names) -> dict:
+    rule = fb.QuadratureRule(level)
+    return {f"reilly {name}": _attempt(lambda: fb.reilly_residual(scenario, name, rule).to_dict())
+            for name in names}
 
 
 def _results(fb, scenario, level: int) -> dict:
@@ -107,23 +122,31 @@ def _results(fb, scenario, level: int) -> dict:
     for name, builder in (("minkowski", fb.minkowski_report), ("af", fb.af_report),
                           ("schur", fb.schur_report)):
         out[name] = _attempt(lambda: builder(scenario, rule).to_dict())
-    for name in REILLY_FUNCTIONS:
-        out[f"reilly {name}"] = _attempt(
-            lambda: fb.reilly_residual(scenario, name, rule).to_dict())
-    return out
+    return out | _reilly(fb, scenario, level, REILLY_FUNCTIONS)
 
 
-def _case(fb, n: int, level: int, kind: str, placement: dict, eps: float) -> dict:
+def _build(fb, n: int, kind: str, placement: dict, eps: float):
+    """The case's scenario, or its build error as [error type, message]."""
     def build():
         spec = dataclasses.replace(fb.default_cap_spec(fb.make_support(kind, n)), **placement)
         if eps:
             return fb.make_perturbed_cap(spec, fb.PerturbationSpec(epsilon=eps))
         return fb.make_umbilical_cap(spec)
+    return _attempt(build)
 
-    scenario = _attempt(build)
+
+def _case(fb, n: int, level: int, kind: str, placement: dict, eps: float) -> dict:
+    scenario = _build(fb, n, kind, placement, eps)
     if isinstance(scenario, list):
         return {"build": scenario}
     return _results(fb, scenario, level)
+
+
+def _reverse_case(fb, n: int, level: int, kind: str, eps: float) -> dict:
+    scenario = _build(fb, n, kind, {}, eps)
+    if isinstance(scenario, list):
+        return {"build": scenario}
+    return _reilly(fb, scenario, level, REVERSE_FUNCTIONS)
 
 
 def _shared_case(fb, n: int, level: int, kind: str) -> dict:
@@ -150,6 +173,9 @@ def dump() -> None:
         print(json.dumps(record, sort_keys=True), flush=True)
     for case in SHARED_CASES:
         record = {"case": ["shared base", *case], "result": _shared_case(fb, *case)}
+        print(json.dumps(record, sort_keys=True), flush=True)
+    for case in REVERSE_CASES:
+        record = {"case": ["reverse order", *case], "result": _reverse_case(fb, *case)}
         print(json.dumps(record, sort_keys=True), flush=True)
 
 
