@@ -16,8 +16,8 @@ center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes each node
 set per (set, rule): the cap's parameter grid, the cap's and the face's
 ``SurfaceQuadrature``, the face's cone with its conformal weights, the region
-of the cones (kept as they are, never joined; each cone's nodes are checked
-to lie in the model's chart once, as it is built), the cap weight data, V's
+of the cones (kept as they are, never joined; each cone's star center is
+checked to lie in the model's chart as it is built), the cap weight data, V's
 boundary parts on each face, and per-node rows on the region, one array per
 block (``region_rows``: the Reilly checker's coefficient rows, V's and one
 axis's from one pass), so every report, audit, validation and identity check
@@ -182,10 +182,12 @@ class CapScenario(quad.Memo):
             self.surface, rule, self._cap_values(rule), self.grid(rule)))
 
     def _weighted_cone(self, label: str, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """The region's cone over one piece: its nodes, checked to lie in the model's
-        chart, and its flat weights times exp(n phi), phi evaluated on this piece alone."""
+        """The region's cone over one piece: its nodes and its flat weights times
+        exp(n phi), phi evaluated on this piece alone.  The chart domains are convex
+        and ``surface_geometry`` checked the piece's nodes, so the star center alone
+        is checked, after ``quad.cone``'s star-shape check."""
         pts, flat = quad.cone(self.star_center, label, self.quadrature(label, rule))
-        self.model.require_inside(pts)
+        self.model.require_inside(self.star_center)
         return pts, flat * np.exp(self.model.n * self.model.phi(pts))
 
     def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:

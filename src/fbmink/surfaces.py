@@ -37,9 +37,9 @@ H (k, k, n, m) up: a vector is (n, m), a tensor in the k parameter indices
 (k, k, m), the normal derivatives (k, n, m).  Only the parameter points U stay
 (m, k) rows.  Every contraction is a sum over the small index of products of
 contiguous (m,)-long rows, and L and L^{-1} come from the Cholesky recurrence
-and forward substitution written out over those rows, so no small-matrix
-routine runs once per node; ``principal_curvatures`` alone hands LAPACK a
-contiguous (m, k, k) stack, for ``eigvalsh``.
+and forward substitution written out over those rows, and the principal
+curvatures from cyclic Jacobi rotations on them, so no small-matrix routine
+runs once per node and no LAPACK routine runs at all.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from .supports import SupportSpec, SphereShape, plane_anchor
 from .charts import PlanarBoxChart, SphericalCapChart, axis_frame
 
 DEGENERACY_FLOOR = 1e-12   # det(g) below this aborts with DegenerateImmersion
+JACOBI_TOLERANCE = 1e-36   # rotations stop once each node's off-diagonal squares are this share
+JACOBI_SWEEPS = 20         # sweep cap of the rotations; caps and stress stacks need at most 6
 BOUNDARY_SAMPLES_PER_AXIS = 24   # boundary-ring grid for the free-boundary checks
 SUPPORT_PATCH_EXTENT = 0.6       # parameter half-width of a support patch (0.4 in the half space)
 
@@ -112,10 +114,13 @@ def _cross_normal(jac: np.ndarray) -> np.ndarray:
     return np.stack([(-1.0) ** i * minors[rows[:i] + rows[i + 1:]] for i in range(n)])
 
 
+def _parameter_point(U: np.ndarray, node) -> str:
+    return "(" + ", ".join(f"{u:.6g}" for u in U[int(node)]) + ")"
+
+
 def _degenerate(det_g: np.ndarray, U: np.ndarray, node) -> DegenerateImmersion:
-    point = ", ".join(f"{u:.6g}" for u in U[int(node)])
-    return DegenerateImmersion(f"induced metric degenerate: min det g = "
-                               f"{float(np.min(det_g)):.3e} at parameter point ({point})")
+    return DegenerateImmersion(f"induced metric degenerate: min det g = {float(np.min(det_g)):.3e}"
+                               f" at parameter point {_parameter_point(U, node)}")
 
 
 def _inverse_metric_factor(g: np.ndarray, det_g: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -212,19 +217,52 @@ def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> Curvatu
     return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2, ric0_sq=ric0_sq, scal=scal)
 
 
+def _jacobi_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(eigenvalues (k, m) ascending at each node, sweeps run) of the symmetric A (k, k, m),
+    by cyclic Jacobi rotations on (m,) rows of A - mu I, mu the mean of A's diagonal, so that
+    near-equal eigenvalues keep their differences to full precision.  One sweep is exact at
+    k = 2; a NaN entry fills its node's diagonal.  At k = 1, A[0] is returned as it is."""
+    k = A.shape[0]
+    if k == 1:
+        return A[0], 0
+    pairs = list(itertools.combinations(range(k), 2))
+    mu = sum(A[p, p] for p in range(k)) / k
+    state = np.stack([A[p, p] - mu for p in range(k)] + [A[pair] for pair in pairs])
+    diag, off = state[:k], dict(zip(pairs, state[k:]))
+    bound = JACOBI_TOLERANCE * np.sum(A * A, axis=(0, 1))
+    for sweeps in range(1, JACOBI_SWEEPS + 1):
+        for p, q in pairs:
+            apq, d = off[p, q], diag[q] - diag[p]
+            den = np.abs(d) + np.sqrt(d * d + 4.0 * (apq * apq))    # |d| + hypot(d, 2 a_pq)
+            t = np.copysign(2.0, d) * apq / np.where(den == 0.0, 1.0, den)
+            diag[p] -= t * apq
+            diag[q] += t * apq
+            apq[...] = 0.0
+            if k > 2:
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                for r in (r for r in range(k) if r != p and r != q):
+                    arp, arq = off[min(r, p), max(r, p)], off[min(r, q), max(r, q)]
+                    arp[...], arq[...] = c * arp - s * arq, s * arp + c * arq
+        if not np.any(2.0 * np.sum(state[k:] ** 2, axis=0) > bound):
+            break
+    rows = list(diag + mu)
+    for j in (j for i in range(1, k) for j in range(i, 0, -1)):   # an insertion sorting network
+        rows[j - 1], rows[j] = np.minimum(rows[j - 1], rows[j]), np.maximum(rows[j - 1], rows[j])
+    return np.stack(rows), sweeps
+
+
 def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
-    """Eigenvalues of the shape operator, (k, m) (a view of eigvalsh's (m, k) rows),
-    ascending at each node.
+    """Eigenvalues of the shape operator, (k, m), ascending at each node.
 
     Solved as the symmetric generalized problem (h, g) through the congruence
     L^{-1} h L^{-T} by the geometry's one Cholesky factor, formed on (m,) rows and
-    handed to numpy's batched symmetric eigensolver as one contiguous stack.
+    diagonalized there by ``_jacobi_eigenvalues``, with no per-node LAPACK call.
     """
     C = geo.chol_inv
     Ch = np.sum(C[:, :, None] * geo.h, axis=1)
     A = np.sum(Ch[:, None] * C, axis=2)
-    stack = np.moveaxis(0.5 * (A + A.swapaxes(0, 1)), -1, 0).copy()    # (m, k, k)
-    return np.linalg.eigvalsh(stack).T
+    return _jacobi_eigenvalues(0.5 * (A + A.swapaxes(0, 1)))[0]
 
 
 def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.ndarray:
@@ -244,18 +282,12 @@ def boundary_parameters(surf: FreeBoundarySurface) -> np.ndarray:
     """Parameter grid on the boundary face (the max end of the first axis); the ring
     of a chart with one parameter, an arc, is both its ends."""
     dom = surf.chart.domain
-    k = surf.chart.dim
-    if k == 1:
+    if surf.chart.dim == 1:
         return np.array(dom, dtype=float).reshape(2, 1)
-    axes = []
-    for a in range(1, k):
-        lo, hi = dom[a]
-        pad = 1e-3 * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, BOUNDARY_SAMPLES_PER_AXIS))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.ravel() for mm in mesh], axis=1)
-    t_face = np.full((pts.shape[0], 1), dom[0][1])
-    return np.hstack([t_face, pts])
+    axes = [np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), BOUNDARY_SAMPLES_PER_AXIS)
+            for lo, hi in dom[1:]]
+    mesh = np.meshgrid(np.array([dom[0][1]], dtype=float), *axes, indexing="ij")
+    return np.stack([mm.ravel() for mm in mesh], axis=1)
 
 
 def boundary_checks(surf: FreeBoundarySurface) -> tuple[float, float, float]:
@@ -298,11 +330,18 @@ def hypothesis_margins(weight, geo: SurfaceGeometry) -> tuple[np.ndarray, float,
     g, the numerical margin of the weighted convexity hypothesis
     h >= (V_nu / V) g.  The substatic margin is the least value of
     (V kappa_i - V_nu)(H - kappa_i) over nodes and principal directions.
-    """
+    A V that is not positive (or NaN) raises WeightNonpositive at its least node.
+    On an umbilical cap both fields are constant and their minima fall where rounding
+    is largest, often at the innermost polar nodes, where cond g ~ 1/sin^2 t amplifies
+    it about a thousandfold (4.1e-13 relative on ``equidistant``, n = 3, level 32), and
+    they carry no error bar.  Jacobi rotations in place of ``eigvalsh`` moved them by at
+    most 9.8e-16 relative."""
     V = weight.value(geo.x)
-    if np.min(V) <= 0.0:
+    if not np.min(V) > 0.0:
+        node = np.argmin(V)
         raise WeightNonpositive(
-            f"weight reaches {np.min(V):.3e} on the cap; placement must keep it positive")
+            f"weight reaches {V[node]:.3e} on the cap at parameter point "
+            f"{_parameter_point(geo.params, node)}; placement must keep it positive")
     Vnu = weight.directional(geo.x, geo.nu)
     kappas = principal_curvatures(geo)
     convexity = kappas - Vnu / V

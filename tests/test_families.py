@@ -257,9 +257,9 @@ def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
 
 
 def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
-    # each cone's nodes are checked as the cone is built, so the weighted volume, the
-    # Minkowski report and every Reilly row, the V row that forms no region rows
-    # included, name the same first node below x_n = 0
+    # each cone's star center is checked as the cone is built, so the weighted volume,
+    # the Minkowski report and every Reilly row, the V row that forms no region rows
+    # included, name the star center below x_n = 0
     sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.HOROSPHERE)))
     star = sc.star_center.copy()
     star[-1] = -1.0
@@ -272,7 +272,7 @@ def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
         with pytest.raises(PointOutsideChart, match="upper_half_space chart domain") as info:
             consumer(dataclasses.replace(sc, star_center=star))
         messages.add(str(info.value))
-    assert len(messages) == 1
+    assert messages == {f"point {star.tolist()} is outside the upper_half_space chart domain"}
 
 
 def test_face_cone_of_a_plane_cap_names_the_missing_piece():

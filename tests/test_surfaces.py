@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fbmink import CapSpec, SupportKind, default_cap_spec, make_perturbed_cap, make_umbilical_cap
 from fbmink import DegenerateImmersion, PerturbationSpec, QuadratureRule, validate_scenario
+from fbmink import WeightNonpositive, surfaces
 from fbmink.surfaces import (
     DEGENERACY_FLOOR,
+    JACOBI_SWEEPS,
     SurfaceGeometry,
     boundary_checks,
     boundary_parameters,
@@ -321,10 +324,10 @@ def test_metric_that_fails_cholesky_above_the_floor_is_named(n):
 
 
 def _named_point(error) -> np.ndarray:
-    """The parameter point a DegenerateImmersion message ends with."""
+    """The parameter point a DegenerateImmersion or WeightNonpositive message names."""
     text = str(error)
-    assert "at parameter point (" in text and text.endswith(")"), text
-    return np.array([float(u) for u in text.split("at parameter point (")[1][:-1].split(",")])
+    assert "at parameter point (" in text, text
+    return np.array([float(u) for u in text.split("at parameter point (")[1].split(")")[0].split(",")])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -387,3 +390,126 @@ def test_arc_ring_is_both_ends():
     geo = surface_geometry(sc.surface, boundary_parameters(sc.surface))
     np.testing.assert_allclose(np.linalg.norm(geo.x, axis=0), sc.support.shape.radius, rtol=1e-14)
     assert max(boundary_checks(sc.surface)) <= 1e-14
+
+
+def test_weight_nonpositive_names_the_node_of_least_weight():
+    # V = x_n on the Euclidean sphere support: the cap moved down dips below x_n = 0
+    sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE)
+    chart = sc.surface.chart
+    U = interior_params(sc.surface)
+    low = float(np.min(surface_geometry(sc.surface, U).x[-1]))
+    lowered = dataclasses.replace(chart, center=chart.center - (low + 0.05) * np.eye(3)[2])
+    geo = surface_geometry(dataclasses.replace(sc.surface, chart=lowered), U)
+    node = int(np.argmin(geo.x[-1]))
+    assert geo.x[-1, node] < 0.0
+    with pytest.raises(WeightNonpositive, match=f"weight reaches {geo.x[-1, node]:.3e} on the cap "
+                                                f"at parameter point") as caught:
+        hypothesis_margins(sc.weight, geo)
+    np.testing.assert_allclose(_named_point(caught.value), U[node], rtol=1e-5, atol=0)
+
+
+def test_weight_nonpositive_names_a_nan_weight():
+    sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE)
+    U = interior_params(sc.surface)
+    geo = surface_geometry(sc.surface, U)
+    geo.x[-1, 10] = np.nan
+    with pytest.raises(WeightNonpositive, match="weight reaches nan") as caught:
+        hypothesis_margins(sc.weight, geo)
+    np.testing.assert_allclose(_named_point(caught.value), U[10], rtol=1e-5, atol=0)
+
+
+# -- principal curvatures by Jacobi rotations -----------------------------------------
+
+
+def _symmetric(stack: np.ndarray) -> np.ndarray:
+    return 0.5 * (stack + stack.swapaxes(0, 1))
+
+
+def _stress_stacks(k: int, m: int = 48):
+    """Seeded symmetric (k, k, m) stacks, by name, for k = 1..5 (n = 2..6)."""
+    rng = np.random.default_rng(k)
+    eye = np.eye(k)[:, :, None]
+    frames = np.linalg.qr(rng.standard_normal((m, k, k)))[0]          # (m, k, k) orthogonal
+
+    def conjugated(values):   # Q diag(values) Q^T at each node, values (k, m)
+        return _symmetric(np.einsum("mab,bm,mcb->acm", frames, values, frames))
+
+    spread = rng.uniform(-3.0, 3.0, (k, m))
+    stacks = {
+        "generic": _symmetric(rng.standard_normal((k, k, m))),
+        "umbilical": eye * rng.uniform(-3.0, 3.0, m),
+        "diagonal": eye * spread[:, None],
+        "wide": _symmetric(rng.choice([-1.0, 1.0], (k, k, m))
+                           * 10.0 ** rng.uniform(-8.0, 8.0, (k, k, m))),
+    }
+    for rel in (1e-9, 1e-15):
+        split = spread.copy()
+        split[1 % k] = split[0] * (1.0 + rel)
+        stacks[f"split {rel:g}"] = conjugated(split)
+    return stacks
+
+
+def _rotated(A: np.ndarray):
+    """_jacobi_eigenvalues(A) with warnings raised as errors, checking A is left as it was."""
+    before = A.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, sweeps = surfaces._jacobi_eigenvalues(A)
+    np.testing.assert_array_equal(A, before)
+    return values, sweeps
+
+
+def _assert_eigenvalues(A: np.ndarray, values: np.ndarray):
+    """Ascending (k, m) values within 32 eps max|A| of eigvalsh at each node."""
+    k, _, m = A.shape
+    assert values.shape == (k, m)
+    assert np.all(np.diff(values, axis=0) >= 0.0)
+    want = np.linalg.eigvalsh(np.moveaxis(A, -1, 0)).T
+    scale = np.max(np.abs(A), axis=(0, 1))
+    assert np.all(np.abs(values - want) <= 32.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_jacobi_eigenvalues_match_eigvalsh_on_stress_stacks(k):
+    for name, A in _stress_stacks(k).items():
+        values, sweeps = _rotated(A)
+        _assert_eigenvalues(A, values)
+        assert sweeps <= 6 < JACOBI_SWEEPS, (name, sweeps)
+        if k == 1:
+            assert values.tobytes() == A[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_nan_node_reads_nan_and_moves_no_other_node(k):
+    A = _stress_stacks(k)["generic"]
+    clean, _ = _rotated(A)
+    node, others = 7, np.arange(A.shape[-1]) != 7
+    for p in range(k):
+        for q in range(p, k):
+            bad = A.copy()
+            bad[p, q, node] = bad[q, p, node] = np.nan
+            values, sweeps = _rotated(bad)
+            assert np.all(np.isnan(values[:, node])), (p, q)
+            assert values[:, others].tobytes() == clean[:, others].tobytes()
+            assert sweeps < JACOBI_SWEEPS
+
+
+def test_principal_curvatures_of_caps_take_few_sweeps(monkeypatch):
+    kernel, runs = surfaces._jacobi_eigenvalues, []
+
+    def recorded(A):
+        values, sweeps = kernel(A)
+        runs.append((A.shape[0], sweeps))
+        _assert_eigenvalues(A, values)
+        return values, sweeps
+
+    monkeypatch.setattr(surfaces, "_jacobi_eigenvalues", recorded)
+    for n, surf in _charted_surfaces():
+        geo = surface_geometry(surf, interior_params(surf, m=4, margin=0.3))
+        kappas = principal_curvatures(geo)
+        assert kappas.shape == (n - 1, geo.count)
+    worst = {}
+    for k, sweeps in runs:
+        worst[k] = max(worst.get(k, 0), sweeps)
+    assert worst[1] == 0 and worst[2] == 1
+    assert worst[3] <= 3 and max(worst.values()) <= 6 < JACOBI_SWEEPS, worst

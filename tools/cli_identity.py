@@ -6,8 +6,14 @@ Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Every run in RUNS executes once per tree from the same scratch
 directory, which holds the config files.  Stdout (with the value of
 generated_unix_time masked), stderr and the exit code must match.  One line
-is printed per run; the exit status is 0 when every run matches and 1
-otherwise.  Uses the standard library only.
+is printed per run, and for a run that differs, each differing stream from
+shortly before its first differing byte; the exit status is 0 when every run
+matches and 1 otherwise.  Uses the standard library only.
+
+RUNS holds 76 runs.  Three run at n=4 (``schur``, ``af`` and a two-row
+``sweep``, level 10), where the principal curvatures come from 3x3 stacks and
+reach stdout through the almost-Schur and AF hypothesis margins and the
+sweep's ``min_convexity_eig``; the others run at n=2, 3, 5 or 6.
 """
 
 from __future__ import annotations
@@ -40,7 +46,11 @@ FAILING_SWEEP = {"version": 1, "support": {"kind": "sph_hyperplane"}, "cap": {"r
 RUNS: list[tuple[str, list[str], object]] = [
     *[(command, [command], None) for command in
       ("identities", "curvature", "minkowski", "af", "schur", "reilly", "sweep", "converge")],
+    # n=4: the k = 3 principal curvatures reach stdout through each margin
     ("schur n=4", ["schur"], {"version": 1, "n": 4, "quadrature": {"level": 10}}),
+    ("af n=4", ["af"], {"version": 1, "n": 4, "quadrature": {"level": 10}}),
+    ("sweep n=4", ["sweep"], {"version": 1, "n": 4, "quadrature": {"level": 10},
+                              "sweep": {"epsilons": [0.02, 0.05]}}),
     ("minkowski n=2 axis=[1,1]", ["minkowski"], TILTED_ARC),
     *[(f"{command} {label}", [command], cfg)
       for label, cfg in (("tilted", TILTED), ("equidistant-eps", EQUIDISTANT),
@@ -100,6 +110,15 @@ RUNS: list[tuple[str, list[str], object]] = [
 ]
 
 _TIME = re.compile(rb'("generated_unix_time": )\d+')
+EXCERPT = 300   # bytes of each differing stream printed, from shortly before the first difference
+
+
+def excerpts(old: bytes, new: bytes) -> tuple[bytes, bytes]:
+    """The EXCERPT bytes of each stream that start 60 bytes before the first byte
+    where they differ (or where the shorter one ends)."""
+    first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    start = max(0, first - 60)
+    return old[start:start + EXCERPT], new[start:start + EXCERPT]
 
 
 def run_once(tree: str, argv: list[str], workdir: str) -> tuple[bytes, bytes, int]:
@@ -130,7 +149,8 @@ def main(argv: list[str]) -> int:
             if not same:
                 for label, x, y in (("stdout", a[0], b[0]), ("stderr", a[1], b[1])):
                     if x != y:
-                        print(f"    {label} old: {x[-300:]!r}\n    {label} new: {y[-300:]!r}")
+                        x, y = excerpts(x, y)
+                        print(f"    {label} old: {x!r}\n    {label} new: {y!r}")
     print(f"{len(RUNS) - differing} of {len(RUNS)} runs identical")
     return 1 if differing else 0
 
