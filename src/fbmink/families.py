@@ -13,30 +13,30 @@ At n = 2 the cap is an arc about its axis and its ring is the arc's two ends.
 
 Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
-Omega (its one description), and the paired weight.  It memoizes each node
-set per (set, rule): the cap's parameter grid, the cap's and the face's
-``SurfaceQuadrature``, the face's cone with its conformal weights, the region
-of the cones (kept as they are, never joined; each cone's star center is
-checked to lie in the model's chart as it is built), the cap weight data, V's
-boundary parts on each face, and per-node rows on the region, one array per
-block (``region_rows``: the Reilly checker's coefficient rows, V's and one
-axis's from one pass), so every report, audit, validation and identity check
-on it shares them.  The face's
-cone also carries what is read of it alone: its admissibility margins, and
-on the region blocks that lie in it alone, the sums of V times the weights
-(``weighted_volume``) and the per-node rows.
+Omega (its one description), and the paired weight.  It memoizes per rule
+the cap's parameter grid, the cap weight data, the region of the cones, and
+each boundary piece as one ``Piece``: the cap's and, where it exists, the
+face's.  A piece holds its ``SurfaceQuadrature``, its cone with its conformal
+weights (its star center checked to lie in the model's chart as it is built),
+that cone cut into blocks from its own first node, V's sums over those blocks
+(``weighted_volume``), per-node rows, one array per block (the Reilly
+checker's coefficient rows, V's and one axis's from one pass), V's boundary
+parts, and its admissibility margins.  Every report, audit, validation and
+identity check on a scenario shares them.  A region integral is the pairwise
+sum over the pieces of each piece's pairwise sum of its block sums
+(``quadrature.region_sum``); it equals one flat pairwise sum over the joined
+nodes only where each piece's blocks form whole subtrees of that sum's tree.
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
 base cap with the cap chart displaced: it shares the base's face, star
-center and pieces, and keeps its memos of the kinds in ``SHARED_MEMOS``, the
-node sets a perturbation leaves, in the memo of ``base``, its one reference to
-the base cap.  So the perturbations of one base cap evaluate those once per (base cap,
-rule) and one ring per base cap.  Each evaluates phi and exp(n phi) only on
-its own cap's cone, displacing the base's cap chart terms, and V and the rows
-only on the region blocks that hold nodes of that cone.  The
-bump's reach reads the base's level-6 cap terms, which admissibility forms
-anyway.  Nothing a scenario memoizes refers back to the scenario.
+center and pieces, and reads from ``base``, its one reference to the base
+cap, the cap's grid, ring checks and chart terms, and the face's ``Piece``
+itself.  So the perturbations of one base cap evaluate the face's node sets
+once per (base cap, rule) and one ring per base cap, and each evaluates phi,
+exp(n phi), V and the rows only on its own cap's cone.  The bump's reach reads
+the base's level-6 cap terms, which admissibility forms anyway.  Nothing a
+scenario memoizes refers back to the scenario.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
 ADMISSIBILITY_RULE = quad.QuadratureRule(6)   # margins only locate region nodes: a coarse rule
 CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
-# the memo kinds a perturbation leaves, kept in its base cap's ``_cache``: the cap's grid
-# and ring checks, the support face's quadrature and V's parts there, and of the face's
-# cone: its weighted nodes, its admissibility margins, and what is memoized per region
-# block on the blocks in it alone (V's sums for the volume and the per-node rows)
-SHARED_MEMOS = frozenset({"grid", "boundary", "support", "support boundary", "support cone",
-                          "support margins", "support blocks"})
-
 
 @dataclass(frozen=True)
 class CapSpec:
@@ -112,6 +105,81 @@ class PerturbationSpec:
     power: int = 3
 
 
+class Piece(quad.Memo):
+    """One smooth boundary piece of Omega, "cap" or "support", at one rule: its
+    ``SurfaceQuadrature`` and what is memoized on it.  It refers to no scenario, so a
+    perturbed cap holds its base cap's face piece as it is."""
+
+    def __init__(self, label: str, quadrature: quad.SurfaceQuadrature, star_center: np.ndarray,
+                 support: SupportSpec, weight: WeightField):
+        self.label, self.quadrature, self.star_center = label, quadrature, star_center
+        self.support, self.weight, self._cache = support, weight, {}
+
+    def cone(self) -> tuple[np.ndarray, np.ndarray]:
+        """The region's cone over this piece: its nodes and its flat weights times
+        exp(n phi).  The chart domains are convex and ``surface_geometry`` checked the
+        piece's nodes, so the star center alone is checked, after ``quad.cone``'s
+        star-shape check."""
+        def build():
+            model = self.support.model
+            pts, flat = quad.cone(self.star_center, self.label, self.quadrature)
+            model.require_inside(self.star_center)
+            return pts, flat * np.exp(model.n * model.phi(pts))
+        return self._once("cone", build)
+
+    def volume_sums(self) -> list[float]:
+        """The pairwise sums of V times the weights over each block of the cone."""
+        return self._once("volume", lambda: [quad.pairwise_sum(self.weight.value(x) * wt)
+                                             for x, wt in quad.cut(*self.cone())])
+
+    def rows(self, key, count: int, rows: Callable[[np.ndarray], Sequence[np.ndarray]]
+             ) -> list[np.ndarray]:
+        """Per-node rows on the cone, memoized under key as one (count, block length)
+        array per block: ``rows(x)`` gives the count rows at the nodes x of one block,
+        so what they are formed from is one block long.  Every use of one key must
+        give the same rows; the Reilly checker keys its coefficient rows by the axis
+        they serve.
+
+        All block arrays of a memo are allocated before ``rows`` forms any
+        temporaries.  With one (count, m) array per memo, block arrays stacked after
+        their rows, allocated one by one between rows, or two arrays per block for the
+        Reilly checker's two row sets, the peak RSS of ``perfbench``'s verify ops rose
+        by up to 6, 1, 3 and 8 MB, as glibc's allocator happened to place them
+        (measurements in CHANGES.md)."""
+        def fill() -> list[np.ndarray]:
+            blocks = quad.cut(*self.cone())
+            out = [np.empty((count, wt.size)) for _, wt in blocks]
+            for (x, _), block in zip(blocks, out):
+                for row, values in zip(block, rows(x)):
+                    row[...] = values
+            return out
+        return self._once(("rows", key), fill)
+
+    def weight_parts(self) -> tuple:
+        """``SurfaceQuadrature.boundary_parts`` of V on this piece, from V's
+        ``weights.jet`` there, which is not kept."""
+        sq = self.quadrature
+        return self._once("weight parts", lambda: sq.boundary_parts(
+            jet(self.support.model, sq.geo.x, self.weight)))
+
+    def margins(self) -> dict:
+        """The least admissibility margins over the nodes of the flat cone over this
+        piece; the scenario reads them at ``ADMISSIBILITY_RULE``."""
+        def build():
+            pts, _ = quad.cone(self.star_center, self.label, self.quadrature)    # (n, m)
+            s = self.support
+            out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
+            if s.requires_half_region:
+                out["half_region"] = float(np.min(s.half_region_margin(pts)))
+            if s.model.kind is ModelKind.POINCARE_BALL:
+                out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
+            elif s.model.kind is ModelKind.UPPER_HALF_SPACE:
+                out["chart"] = float(np.min(pts[-1]))
+            out["weight_min"] = float(np.min(self.weight.value(pts)))
+            return out
+        return self._once("margins", build)
+
+
 @dataclass(frozen=True)
 class CapScenario(quad.Memo):
     """A fully assembled verification scenario; what it derives is computed once.
@@ -120,10 +188,9 @@ class CapScenario(quad.Memo):
     star-shaped about ``star_center``, and ``pieces`` labels the smooth boundary
     pieces the cones cover, "cap" and, where the support face does not pass
     through the star center, "support".  Its node sets are built on first use and
-    memoized per (set, rule) in ``_cache``; a perturbed cap files those of a
-    ``SHARED_MEMOS`` kind in its base cap's, and builds them only from what it
-    shares with the base: ``face``, ``weight``, ``star_center``, ``model`` and
-    the cap chart's ``domain``.
+    memoized per (set, rule) in ``_cache``, each boundary piece as one ``Piece``.
+    A perturbed cap reads what a perturbation leaves from ``base`` by explicit
+    calls: the cap's grid, ring checks and chart terms, and the face's piece.
     """
 
     support: SupportSpec
@@ -138,16 +205,11 @@ class CapScenario(quad.Memo):
     base: Optional[CapScenario] = field(default=None, repr=False)   # the cap it perturbs
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _once(self, key, build: Callable):
-        """``Memo._once``; a perturbed cap keeps memos of a ``SHARED_MEMOS`` kind in its base's."""
-        kind = key[0] if isinstance(key, tuple) else key
-        if self.base is not None and kind in SHARED_MEMOS:
-            return self.base._once(key, build)
-        return super()._once(key, build)
-
     def grid(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
         """``rule.grid`` of the cap chart's domain, read by the cap's chart terms and
-        its quadrature."""
+        its quadrature; a perturbation leaves the domain, so it reads its base's."""
+        if self.base is not None:
+            return self.base.grid(rule)
         return self._once(("grid", rule), lambda: rule.grid(self.surface.chart.domain))
 
     def _cap_values(self, rule: quad.QuadratureRule) -> tuple:
@@ -174,57 +236,31 @@ class CapScenario(quad.Memo):
         p = RadialBumpProfile(t_max=self.surface.chart.t_max, power=power).value(probe)
         return float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
 
+    def piece(self, label: str, rule: quad.QuadratureRule) -> Piece:
+        """The cap ("cap") or the support face ("support") as a ``Piece``; a perturbed
+        cap's face piece is its base's."""
+        if label == "support" and self.base is not None:
+            return self.base.piece(label, rule)
+
+        def build():
+            sq = (quad.SurfaceQuadrature(self.face, rule) if label == "support" else
+                  quad.SurfaceQuadrature(self.surface, rule, self._cap_values(rule), self.grid(rule)))
+            return Piece(label, sq, self.star_center, self.support, self.weight)
+        return self._once((label, rule), build)
+
     def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
         """Nodes of and quadrature over the cap ("cap") or the support face ("support")."""
-        if label == "support":
-            return self._once((label, rule), lambda: quad.SurfaceQuadrature(self.face, rule))
-        return self._once((label, rule), lambda: quad.SurfaceQuadrature(
-            self.surface, rule, self._cap_values(rule), self.grid(rule)))
-
-    def _weighted_cone(self, label: str, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """The region's cone over one piece: its nodes and its flat weights times
-        exp(n phi), phi evaluated on this piece alone.  The chart domains are convex
-        and ``surface_geometry`` checked the piece's nodes, so the star center alone
-        is checked, after ``quad.cone``'s star-shape check."""
-        pts, flat = quad.cone(self.star_center, label, self.quadrature(label, rule))
-        self.model.require_inside(self.star_center)
-        return pts, flat * np.exp(self.model.n * self.model.phi(pts))
-
-    def face_cone(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """``_weighted_cone`` over the support face, the region's last piece where the
-        face does not pass through the star center."""
-        if "support" not in self.pieces:
-            raise ValueError(f"the support face is not a piece of the region of "
-                             f"{self.description}: it passes through the star center")
-        return self._once(("support cone", rule), lambda: self._weighted_cone("support", rule))
+        return self.piece(label, rule).quadrature
 
     def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
-        """The cone-decomposition nodes of Omega: the cap's cone, then the face's
-        ``face_cone``, each kept as it is."""
-        return self._once(("region", rule), lambda: quad.RegionQuadrature([
-            self.face_cone(rule) if label == "support" else self._weighted_cone(label, rule)
-            for label in self.pieces]))
-
-    def _blockwise(self, key, rule: quad.QuadratureRule, build: Callable[[range], list]) -> list:
-        """One item per block of ``region(rule)``, from ``build(blocks)``, which gives
-        those of the blocks asked.  The items of the blocks that lie in the face's cone
-        alone are the same for every perturbation of one base cap (its cap's cone has
-        one node count), so they are memoized under ("support blocks", key, rule), with
-        the base cap; the others under (key, rule)."""
-        region = self.region(rule)
-        face = (region.within(self.pieces.index("support")) if "support" in self.pieces
-                else range(len(region.blocks), len(region.blocks)))
-        own = self._once((key, rule), lambda: build(range(face.start)))
-        return own + self._once(("support blocks", key, rule), lambda: build(face)) if face else own
+        """The cone-decomposition nodes of Omega: each region piece's cone, as it is."""
+        return self._once(("region", rule), lambda: quad.RegionQuadrature(
+            [self.piece(label, rule).cone() for label in self.pieces]))
 
     def weighted_volume(self, rule: quad.QuadratureRule) -> float:
-        """int_Omega V: the pairwise sum over the region's blocks of the pairwise sums of
-        V times the weights, bit-equal to ``region(rule).integral`` of V at every node.
-        The block sums are memoized, so V runs on the face-only blocks once per (base
-        cap, rule)."""
-        region = self.region(rule)
-        return quad.pairwise_sum(np.array(self._blockwise("volume", rule, lambda blocks: [
-            quad.pairwise_sum(self.weight.value(x) * wt) for x, wt in map(region.block, blocks)])))
+        """int_Omega V: the ``quad.region_sum`` of each region piece's memoized
+        ``volume_sums``, so V runs on the face's cone once per (base cap, rule)."""
+        return quad.region_sum([self.piece(label, rule).volume_sums() for label in self.pieces])
 
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
@@ -232,42 +268,17 @@ class CapScenario(quad.Memo):
             self.weight, self.quadrature("cap", rule).geo))
 
     def region_rows(self, key, rule: quad.QuadratureRule, count: int,
-                    rows: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[np.ndarray]:
-        """Per-node rows on the region, memoized by ``_blockwise`` under key as one
-        (count, block length) array per block of ``region.blocks``: ``rows(x)`` gives
-        the count rows at the nodes x of one block, so what they are formed from is one
-        block long.  Every use of one key must give the same rows; the Reilly checker
-        keys its coefficient rows by the axis they serve.
-
-        All block arrays of a memo are allocated before ``rows`` forms any
-        temporaries.  With one (count, m) array per memo, block arrays stacked after
-        their rows, allocated one by one between rows, or two arrays per block for the
-        Reilly checker's two row sets, the peak RSS of ``perfbench``'s verify ops rose
-        by up to 6, 1, 3 and 8 MB, as glibc's allocator happened to place them
-        (measurements in CHANGES.md)."""
-        region = self.region(rule)
-
-        def fill(blocks: range) -> list[np.ndarray]:
-            out = [np.empty((count, region.blocks[j].stop - region.blocks[j].start))
-                   for j in blocks]
-            for j, block in zip(blocks, out):
-                for row, values in zip(block, rows(region.block(j)[0])):
-                    row[...] = values
-            return out
-        return self._blockwise(key, rule, fill)
-
-    def weight_parts(self, label: str, rule: quad.QuadratureRule) -> tuple:
-        """``SurfaceQuadrature.boundary_parts`` of V on the cap or the support face, from
-        V's ``weights.jet`` there, which is not kept."""
-        def build():
-            sq = self.quadrature(label, rule)
-            return sq.boundary_parts(jet(self.model, sq.geo.x, self.weight))
-        return self._once((label + " boundary", rule), build)
+                    rows: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
+        """Per-node rows on the region: ``Piece.rows`` of each region piece, one
+        (count, block length) array per block of its cone."""
+        return [self.piece(label, rule).rows(key, count, rows) for label in self.pieces]
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap's ring: a perturbation vanishes to second order
-        there, so it leaves the ring's X, J and H, and the base cap's ring is evaluated."""
-        return self._once("boundary", lambda: boundary_checks((self.base or self).surface))
+        there, so it leaves the ring's X, J and H, and reads its base cap's checks."""
+        if self.base is not None:
+            return self.base.boundary()
+        return self._once("boundary", lambda: boundary_checks(self.surface))
 
     @property
     def model(self) -> SpaceFormModel:
@@ -494,30 +505,9 @@ def region_margins(scenario: CapScenario) -> dict:
 
 def _margins(scenario: CapScenario) -> dict:
     """The least margins over the region's cones on ``ADMISSIBILITY_RULE`` nodes, piece by
-    piece; the face's are memoized with the base cap.  The least over the pieces is the
-    least over all the nodes, exactly."""
-    rule = ADMISSIBILITY_RULE
-    pieces = [scenario._once(("support margins", rule), lambda: _cone_margins(scenario, label))
-              if label == "support" else _cone_margins(scenario, label)
-              for label in scenario.pieces]
+    piece; the least over the pieces is the least over all the nodes, exactly."""
+    pieces = [scenario.piece(label, ADMISSIBILITY_RULE).margins() for label in scenario.pieces]
     return {name: float(np.min([m[name] for m in pieces])) for name in pieces[0]}
-
-
-def _cone_margins(scenario: CapScenario, label: str) -> dict:
-    """The least margins over the nodes of the flat cone over one piece."""
-    pts, _ = quad.cone(scenario.star_center, label,
-                       scenario.quadrature(label, ADMISSIBILITY_RULE))    # (n, m)
-    s = scenario.support
-    model = s.model
-    out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
-    if s.requires_half_region:
-        out["half_region"] = float(np.min(s.half_region_margin(pts)))
-    if model.kind is ModelKind.POINCARE_BALL:
-        out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
-    elif model.kind is ModelKind.UPPER_HALF_SPACE:
-        out["chart"] = float(np.min(pts[-1]))
-    out["weight_min"] = float(np.min(scenario.weight.value(pts)))
-    return out
 
 
 def _check_admissible(scenario: CapScenario) -> None:

@@ -310,11 +310,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("im,im->m", a, b)
 
 
-def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[np.ndarray]:
-    """(V, e, A2, E0, A1, C1, S2, E1, E2, p_i) at the nodes of each region block,
-    e = exp(-2 phi): the rows of the region's quadratics in q for x_i and x_i^2, V's
-    own four and axis i's six, formed in one pass from V's flat value, gradient g and
-    Hessian H and phi's gradient p.
+def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[list[np.ndarray]]:
+    """(V, e, A2, E0, A1, C1, S2, E1, E2, p_i) at the nodes of each block of each region
+    piece, e = exp(-2 phi): the rows of the region's quadratics in q for x_i and x_i^2,
+    V's own four and axis i's six, formed in one pass from V's flat value, gradient g
+    and Hessian H and phi's gradient p.
 
     The terms below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
     tensor's trace part (static = S gbar - Hess V)."""
@@ -383,12 +383,12 @@ def reilly_residual(scenario: CapScenario, function: str,
     else:
         rows = _axis_rows(scenario, f.i, rule)
         lhs_volume, rhs_volume = region.integrals(
-            lambda j, x: _volume_integrands(f, x, rows[j]))
+            lambda i, j, x: _volume_integrands(f, x, rows[i][j]))
 
     boundary = {}
     for label in ("cap", "support"):
-        sq = scenario.quadrature(label, rule)
-        V_parts = scenario.weight_parts(label, rule)
+        piece = scenario.piece(label, rule)
+        sq, V_parts = piece.quadrature, piece.weight_parts()
         f_parts = V_parts if is_V else sq.boundary_parts(jet(model, sq.geo.x, f))
         boundary[label] = _boundary_piece_terms(sq, V_parts, f_parts)
     boundary_total = sum(sum(d.values()) for d in boundary.values())

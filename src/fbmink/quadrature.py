@@ -13,8 +13,8 @@ This module holds the quadrature primitives: the ``QuadratureRule`` that places
 the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
 cone over one boundary piece with its flat weights, and the ``RegionQuadrature``
 of the cones once each carries its weights for gbar.  A cap scenario
-(``families.CapScenario``) builds and memoizes them per (set, rule), and weights
-each cone itself, so a cone it shares between scenarios is weighted once.
+(``families.CapScenario``) keeps one memoized object per boundary piece and
+rule, which builds that piece's surface quadrature and weighted cone.
 
 Shapes: ``rule.grid(box)`` gives the parameter points as (m, k) rows and their
 weights (m,); everything formed at the points is node-last, as in
@@ -23,19 +23,19 @@ derivatives (k, n, m) and a function's boundary parts ((m,) and (k, m)); a
 cone's nodes (n, s * m), one C-contiguous array of its own, and weights
 (s * m,); a region block's nodes (n, k).
 
-A region's pieces are never joined; its blocks index their joined order, as
-slices of ``REGION_BLOCK`` consecutive nodes.  A block in one piece is a view
-into it, and only a block that straddles two pieces joins two short slices.
-Region integrands are formed and reduced one block at a time, so a region
-term holds its (n, n, k) temporaries for one block, and no such tensor is
-kept at full size: what a scenario keeps on the region is per-node rows, one
-array per block.  Each block
-is reduced with ``pairwise_sum`` and the block sums are reduced again with
-it.  That is bit-equal to one ``pairwise_sum`` over all m nodes: the block
-size is a power of two and every block starts at a multiple of it, so each
-full block is a subtree of the flat pairwise tree, and the zeros the flat sum
-pads with inside the last, partial block add exactly.  Blocking therefore
-changes no reported value.
+A region's pieces are never joined.  Each is ``cut`` into blocks of
+``REGION_BLOCK`` consecutive nodes from its own first node, each block a view
+into it.  Region integrands are formed and reduced one block at a time, so a
+region term holds its (n, n, k) temporaries for one block, and no such tensor
+is kept at full size: what a scenario keeps on the region is per-node rows, one
+array per block.  Each block is reduced with ``pairwise_sum``, each piece's
+block sums with it again, and the piece sums with it once more
+(``region_sum``).  That equals one ``pairwise_sum`` over the joined nodes
+only where each piece's blocks form whole subtrees of that flat tree: a region
+of one piece, or a first piece of 2^a full blocks (or of 2^a nodes in one
+block) followed by a piece of at most as many, as the two cones of an n = 3
+cap over a sphere support at levels 16 and 32 are.  Elsewhere the trees
+differ, and a sum may differ from the flat one in its last bits.
 
 Gauss-Legendre nodes are interior, so cone apexes (s = 0) and the polar axis
 t = 0 of a cap with two or more parameters, where its chart is singular, are
@@ -46,7 +46,6 @@ pairwise sum to keep results bit-stable under repetition and threading.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -200,65 +199,46 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
     return pts, wt.ravel()
 
 
+def cut(pts: np.ndarray, wt: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The blocks of one cone: column views of its nodes (n, m) and weights (m,), of
+    ``REGION_BLOCK`` consecutive nodes each from its first node, the last partial."""
+    return tuple((pts[:, lo:lo + REGION_BLOCK], wt[lo:lo + REGION_BLOCK])
+                 for lo in range(0, wt.size, REGION_BLOCK))
+
+
+def region_sum(block_sums: Sequence[Sequence[float]]) -> float:
+    """The pairwise sum over a region's pieces of each piece's pairwise sum of its
+    block sums."""
+    return pairwise_sum(np.array([pairwise_sum(np.array(sums)) for sums in block_sums]))
+
+
 class RegionQuadrature:
     """Cone-decomposition nodes: the cones over the boundary pieces, in order, each
-    kept as given.  Pieces are never joined; ``blocks`` index their joined order,
-    as the slices of ``REGION_BLOCK`` consecutive nodes, and ``block(j)`` gives the
-    nodes (n, k) and weights (k,) of block j.  A block that lies in one piece is a
-    view into that piece's arrays, a column view of its C-contiguous (n, s * m)
-    nodes; only a block that straddles two pieces joins their short slices.
+    kept as given and cut into its own blocks (``blocks[i]`` is ``cut`` of piece i).
 
     Each piece comes as its nodes and its weights for the metric gbar, the flat cone
-    weights times exp(n phi) (phi, exp and the product are elementwise, so weighting
-    piece by piece gives the bits weighting the joined nodes would)."""
+    weights times exp(n phi)."""
 
     def __init__(self, pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
         self.pieces = tuple(pieces)
-        self.offsets = tuple(itertools.accumulate((wt.size for _, wt in self.pieces), initial=0))
-        self.blocks = tuple(slice(lo, min(lo + REGION_BLOCK, self.count))
-                            for lo in range(0, self.count, REGION_BLOCK))
+        self.blocks = tuple(cut(pts, wt) for pts, wt in self.pieces)
 
     @property
     def count(self) -> int:
-        return self.offsets[-1]
+        return sum(wt.size for _, wt in self.pieces)
 
-    def within(self, i: int) -> range:
-        """The indices of the blocks that lie in piece i alone."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        last = len(self.blocks) if hi == self.count else hi // REGION_BLOCK
-        return range(-(-lo // REGION_BLOCK), last)
-
-    def block(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes (n, k) and weights (k,) of block j."""
-        b = self.blocks[j]
-        parts = []
-        for (pts, wt), lo, hi in zip(self.pieces, self.offsets, self.offsets[1:]):
-            if lo < b.stop and b.start < hi:
-                cut = slice(max(b.start - lo, 0), b.stop - lo)
-                parts.append((pts[:, cut], wt[cut]))
-        if len(parts) == 1:
-            return parts[0]
-        return (np.concatenate([pts for pts, _ in parts], axis=1),
-                np.concatenate([wt for _, wt in parts]))
-
-    def integrals(self, integrands: Callable[[int, np.ndarray], Sequence[np.ndarray]]
+    def integrals(self, integrands: Callable[[int, int, np.ndarray], Sequence[np.ndarray]]
                   ) -> tuple[float, ...]:
-        """The integrals of the arrays ``integrands(j, x)`` gives on each block j, with
-        x its nodes, formed one block at a time and bit-equal to flat pairwise sums over
-        all nodes."""
-        sums = []
-        for j in range(len(self.blocks)):
-            x, wt = self.block(j)
-            sums.append([pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)])
-        return tuple(pairwise_sum(np.array(column)) for column in zip(*sums))
-
-    def integral(self, values: np.ndarray) -> float:
-        """The integral of values (m,) given at every node, in the joined order."""
-        values = np.asarray(values, dtype=float)
-        return self.integrals(lambda j, x: (values[self.blocks[j]],))[0]
+        """The ``region_sum`` of each array ``integrands(i, j, x)`` gives on block j of
+        piece i, with x its nodes, formed one block at a time."""
+        sums = [[[pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(i, j, x)]
+                 for j, (x, wt) in enumerate(blocks)] for i, blocks in enumerate(self.blocks)]
+        # sums[i][j][k]: the integral of array k over block j of piece i
+        return tuple(region_sum([[block[k] for block in piece] for piece in sums])
+                     for k in range(len(sums[0][0])))
 
     def volume(self) -> float:
-        return self.integrals(lambda j, x: (np.ones(x.shape[1]),))[0]
+        return self.integrals(lambda i, j, x: (np.ones(x.shape[1]),))[0]
 
 
 # -- refinement studies ----------------------------------------------------------

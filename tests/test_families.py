@@ -33,6 +33,7 @@ from fbmink import (
 from fbmink import families
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
+from fbmink.quadrature import REGION_BLOCK
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
 from fbmink.weights import WeightField, jet
@@ -211,45 +212,46 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
         reilly_residual(sc, "x1", rule)
     assert len(face_jets) == 1
     for sc in perturbed:
-        assert sc.weight_parts("support", rule) is base.weight_parts("support", rule)
+        assert sc.piece("support", rule).weight_parts() is base.piece("support", rule).weight_parts()
 
 
 def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
-    # the Reilly rows on the region blocks in the face's cone alone are epsilon-free:
-    # two perturbations of one base cap form V's flat Hessian once on each such block,
-    # in the one pass that forms V's rows and axis 1's
+    # a perturbation's face piece is its base cap's, and the Reilly rows on the face's
+    # cone are epsilon-free: two perturbations of one base cap run V and V's flat
+    # Hessian once on each block of that cone, in the one pass that forms V's rows and
+    # axis 1's
     rule = QuadratureRule(24)
     spec = default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE))
     base = make_umbilical_cap(spec)
-    region = base.region(rule)
-    face_blocks = region.within(1)
-    assert len(face_blocks) == 2
-    face = base.face_cone(rule)[0]
-    hessian = WeightField.euclidean_hessian
-    on_face = []
+    face = base.piece("support", rule).cone()[0]
+    calls = {"value": [], "euclidean_hessian": []}
 
-    def recording_hessian(weight, x):
-        if np.shares_memory(x, face):
-            on_face.append(((x.__array_interface__["data"][0]
-                             - face.__array_interface__["data"][0]) // face.itemsize, x.shape[1]))
-        return hessian(weight, x)
+    def record(name):
+        fn = getattr(WeightField, name)
 
-    monkeypatch.setattr(WeightField, "euclidean_hessian", recording_hessian)
+        def recording(weight, x):
+            if np.shares_memory(x, face):
+                calls[name].append(((x.__array_interface__["data"][0]
+                                     - face.__array_interface__["data"][0]) // face.itemsize,
+                                    x.shape[1]))
+            return fn(weight, x)
+        monkeypatch.setattr(WeightField, name, recording)
+
+    for name in calls:
+        record(name)
     perturbed = [perturb_cap(base, PerturbationSpec(epsilon=eps)) for eps in (0.05, -0.03)]
     reports = [reilly_residual(sc, "x1", rule).to_dict() for sc in perturbed]
     monkeypatch.undo()
-    # one pass per face-only block over both perturbations
-    offset = region.offsets[1]
-    blocks = [(region.blocks[j].start - offset, region.blocks[j].stop - region.blocks[j].start)
-              for j in face_blocks]
-    assert on_face == blocks
+    assert all(sc.piece("support", rule) is base.piece("support", rule) for sc in perturbed)
+    count = face.shape[1]
+    blocks = [(lo, min(REGION_BLOCK, count - lo)) for lo in range(0, count, REGION_BLOCK)]
+    assert len(blocks) == 2
+    assert calls == {name: blocks for name in calls}
     fresh = make_umbilical_cap(spec)
     reilly_residual(fresh, "x1", rule)
-    key = ("support blocks", ("reilly axis", 0), rule)
-    for sc in perturbed:
-        rows, expected = (cap._cache[key] for cap in (sc.base, fresh))
-        assert [a.tobytes() for a in rows] == [a.tobytes() for a in expected]
-        assert key not in sc._cache
+    key = ("rows", ("reilly axis", 0))
+    rows, expected = (cap.piece("support", rule)._cache[key] for cap in (base, fresh))
+    assert [a.tobytes() for a in rows] == [a.tobytes() for a in expected]
     # the reports are those of perturbations that form every row themselves
     unshared = [reilly_residual(make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)), "x1",
                                 rule).to_dict() for eps in (0.05, -0.03)]
@@ -275,53 +277,55 @@ def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
     assert messages == {f"point {star.tolist()} is outside the upper_half_space chart domain"}
 
 
-def test_face_cone_of_a_plane_cap_names_the_missing_piece():
-    # the face of a plane cap passes through the star center and is no region piece
+def test_the_face_of_a_plane_cap_is_no_piece_of_its_region():
+    # the face of a plane cap passes through the star center: its piece carries the
+    # identity's boundary terms, but the region is the cap's cone alone
     sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
+    rule = QuadratureRule(8)
     assert sc.pieces == ("cap",)
-    with pytest.raises(ValueError, match="support face is not a piece of the region"):
-        sc.face_cone(QuadratureRule(8))
+    minkowski_report(sc, rule)
+    reilly_residual(sc, "x1", rule)
+    (cone,) = sc.region(rule).pieces
+    assert cone is sc.piece("cap", rule).cone()
+    face = sc.piece("support", rule)
+    assert set(face._cache) == {"weight parts"}
+    # admissibility reads no node of the face
+    assert ("support", families.ADMISSIBILITY_RULE) not in sc._cache
 
 
 def _memo_kind(key):
     return key[0] if isinstance(key, tuple) else key
 
 
-def _shared_arrays(sc, rule) -> list:
-    """The arrays of every node set of a ``SHARED_MEMOS`` kind that ``sc`` has, in the
-    order asked: the support face's cone only where the face is a piece of the region."""
-    face = sc.quadrature("support", rule)
-    arrays = [*sc.grid(rule), face.geo.x, face.weights]
+def _base_arrays(sc, rule) -> list:
+    """The arrays a perturbation reads of its base cap, in the order asked: the cap's
+    grid, and the face piece's nodes, weights, V's parts there and, where the face is
+    a piece of the region, its cone."""
+    face = sc.piece("support", rule)
+    arrays = [*sc.grid(rule), face.quadrature.geo.x, face.quadrature.weights]
     if "support" in sc.pieces:
-        arrays += [*sc.face_cone(rule)]
-    return arrays + list(sc.weight_parts("support", rule))
+        arrays += [*face.cone()]
+    return arrays + list(face.weight_parts())
 
 
-# n=3 level 24: two region blocks lie in the face's cone alone; n=4 level 8: none
+# n=3 level 24: the face's cone has two blocks; n=4 level 8: one
 @pytest.mark.parametrize("n, level", [(3, 24), (4, 8)])
 @pytest.mark.parametrize("kind", [SupportKind.EUCLIDEAN_SPHERE, SupportKind.EUCLIDEAN_PLANE])
-def test_perturbations_file_shared_memos_in_their_base_cap(kind, n, level, monkeypatch):
-    # asked first, a perturbation builds each shared set into its base cap's memo
+def test_perturbations_hold_their_base_caps_face_piece(kind, n, level):
+    # asked first, a perturbation builds its base cap's face piece, grid and ring
     rule = QuadratureRule(level)
     spec = default_cap_spec(canonical_support(kind, n))
     sc = perturb_cap(make_umbilical_cap(spec), PerturbationSpec(epsilon=0.05))
-    first, ring = _shared_arrays(sc, rule), sc.boundary()
-    assert all(a is b for a, b in zip(first, _shared_arrays(sc.base, rule), strict=True))
+    first, ring = _base_arrays(sc, rule), sc.boundary()
+    assert sc.piece("support", rule) is sc.base.piece("support", rule)
+    assert all(a is b for a, b in zip(first, _base_arrays(sc.base, rule), strict=True))
     assert ring is sc.base.boundary()
     fresh = make_umbilical_cap(spec)
-    assert [a.tobytes() for a in first] == [a.tobytes() for a in _shared_arrays(fresh, rule)]
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in _base_arrays(fresh, rule)]
     assert [x.hex() for x in ring] == [x.hex() for x in fresh.boundary()]
 
-    # a full verification: the perturbed cap keeps no memo of a shared kind, and its
-    # base cap holds every one it asked for; an umbilical cap keeps all its own
-    asked = []
-    once = families.CapScenario._once
-
-    def recording_once(memo, key, build):
-        asked.append((memo, key))
-        return once(memo, key, build)
-
-    monkeypatch.setattr(families.CapScenario, "_once", recording_once)
+    # a full verification: the perturbed cap memoizes only its own cap's sets, and its
+    # face piece at each rule is its base cap's
     sc = perturb_cap(make_umbilical_cap(spec), PerturbationSpec(epsilon=0.05))
     for cap in (sc, sc.base):
         validate_scenario(cap)
@@ -330,18 +334,13 @@ def test_perturbations_file_shared_memos_in_their_base_cap(kind, n, level, monke
             report(cap, rule)
         for name in ("V", "x1", "x1^2"):
             reilly_residual(cap, name, rule)
-    shared = families.SHARED_MEMOS
-    assert [key for key in sc._cache if _memo_kind(key) in shared] == []
-    used = {key for memo, key in asked if memo is sc and _memo_kind(key) in shared}
-    cones = set()
-    if "support" in sc.pieces:
-        cones = {"support cone", "support margins"}
-        if n == 3:   # the region blocks in the face's cone alone: V's sums and the rows
-            cones.add("support blocks")
-    assert {_memo_kind(key) for key in used} == {"grid", "support", "support boundary",
-                                                 "boundary", *cones}
-    assert used <= set(sc.base._cache)
-    assert {key for memo, key in asked if memo is sc.base} <= set(sc.base._cache)
+    assert {_memo_kind(key) for key in sc._cache} == {"cap", "region", "weight", "margins"}
+    assert {_memo_kind(key) for key in sc.base._cache} >= {"grid", "boundary", "support"}
+    for r in (rule, families.ADMISSIBILITY_RULE):
+        assert sc.piece("support", r) is sc.base._cache[("support", r)]
+    face = sc.piece("support", rule)
+    assert {_memo_kind(key) for key in face._cache} == (
+        {"cone", "volume", "rows", "weight parts"} if "support" in sc.pieces else {"weight parts"})
 
 
 @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in SupportKind),

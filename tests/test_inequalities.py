@@ -1,6 +1,7 @@
 """Inequality reports: equality cases, strictness, audits, identity residuals."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -297,20 +298,58 @@ def test_reports_are_invariant_under_isometries_of_the_support(scale, shift):
     # so both sides of each report scale by scale^-2 and its relative deficit is
     # invariant.  Values agree to rounding only: the image of a node is not the node
     # times scale bit for bit
-    rule = QuadratureRule(24)
     unit, image = _geodesic_plane_cap(1.0), _geodesic_plane_cap(scale, shift)
-    for report in (minkowski_report, af_report):
+    a, b = _assert_reports_agree(unit, image, scale ** 2)
+    assert abs(b.relative_deficit - a.relative_deficit) <= 1e-13 * abs(a.relative_deficit)
+
+
+def _assert_reports_agree(unit, image, factor: float = 1.0):
+    """Both sides of the level-24 Minkowski and AF reports of image, times factor, agree
+    with those of unit to 1e-13 relative, and their relative deficits to 1e-13; returns
+    the two Minkowski reports.  Values agree to rounding only: the image of a node is
+    not the node mapped bit for bit."""
+    rule = QuadratureRule(24)
+    for report in (af_report, minkowski_report):
         a, b = report(unit, rule), report(image, rule)
         for side in ("lhs", "rhs"):
-            old, new = getattr(a, side), getattr(b, side) * scale ** 2
+            old, new = getattr(a, side), getattr(b, side) * factor
             assert abs(new - old) <= 1e-13 * abs(old), (report.__name__, side)
         # relative to max(|lhs|, |rhs|): AF's deficit is 4e-3 of it, so the rounding
         # of its sides reaches its relative deficit amplified 250-fold (1.7e-13 relative
-        # at scale 7.3)
-        gap = abs(b.relative_deficit - a.relative_deficit)
-        assert gap <= 1e-13, report.__name__
-        if report is minkowski_report:
-            assert gap <= 1e-13 * abs(a.relative_deficit)
+        # at scale 7.3 on hyp_geodesic_plane)
+        assert abs(b.relative_deficit - a.relative_deficit) <= 1e-13, report.__name__
+    return a, b
+
+
+def _tilted_cap(kind: SupportKind, angle: float):
+    """The perturbed cap (eps 0.05) over a sphere support at n=3 on the axis
+    (0.4 cos angle, 0.4 sin angle, 1): the image of the one at angle 0 under the
+    rotation by angle about e_n, an isometry that keeps the support and its weight."""
+    spec = dataclasses.replace(default_cap_spec(canonical_support(kind)),
+                               axis=(0.4 * math.cos(angle), 0.4 * math.sin(angle), 1.0))
+    return make_perturbed_cap(spec, PerturbationSpec(epsilon=0.05))
+
+
+def _horosphere_cap(shift=None):
+    """The perturbed cap (eps 0.05) over ``horosphere`` at n=3, its anchor moved along
+    the horosphere by shift: a horizontal translation, an isometry of the upper half
+    space that keeps the horosphere and its weight."""
+    spec = dataclasses.replace(default_cap_spec(canonical_support(SupportKind.HOROSPHERE)),
+                               center_shift=shift)
+    return make_perturbed_cap(spec, PerturbationSpec(epsilon=0.05))
+
+
+@pytest.mark.parametrize("unit, image", [
+    *(pytest.param(functools.partial(_tilted_cap, kind, 0.0),
+                   functools.partial(_tilted_cap, kind, angle), id=f"{kind.value}-{angle}")
+      for kind in (SupportKind.EUCLIDEAN_SPHERE, SupportKind.HYP_GEODESIC_SPHERE,
+                   SupportKind.SPH_GEODESIC_SPHERE) for angle in (0.7, 2.0, -2.9)),
+    *(pytest.param(_horosphere_cap, functools.partial(_horosphere_cap, shift),
+                   id=f"horosphere-{shift}") for shift in ((3.0, 0.0), (-11.0, 7.3)))])
+def test_two_piece_and_horosphere_reports_are_invariant_under_isometries(unit, image):
+    # rotations about e_n of caps whose region has a face cone, and translations along
+    # the horosphere: V is invariant under both, so every side is
+    _assert_reports_agree(unit(), image())
 
 
 # -- report contract --------------------------------------------------------------

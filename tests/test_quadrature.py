@@ -173,12 +173,10 @@ def test_refine_study_rejects_bad_level_lists():
 )
 def test_region_integral_linear_in_integrand(coeffs, level):
     rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region(QuadratureRule(level))
-    points, _ = joined_region(rq)
     a, b, c = coeffs
-    f = a * points[0] + b * points[2] + c
-    split = (a * rq.integral(points[0]) + b * rq.integral(points[2])
-             + c * rq.volume())
-    assert np.isclose(rq.integral(f), split, rtol=1e-12, atol=1e-12)
+    f, x0, x2 = rq.integrals(lambda i, j, x: (a * x[0] + b * x[2] + c, x[0], x[2]))
+    split = a * x0 + b * x2 + c * rq.volume()
+    assert np.isclose(f, split, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,38 +191,44 @@ def test_region_integral_linear_in_integrand(coeffs, level):
 @example(m=REGION_BLOCK, seed=0, cut=0.0)
 @example(m=2 ** 17, seed=0, cut=0.0)
 @example(m=2 ** 17 + 3, seed=0, cut=0.0)
-@example(m=3 * 24 ** 3, seed=0, cut=0.5)     # n=3 level 24 sphere caps: a block straddles
+@example(m=3 * 24 ** 3, seed=0, cut=0.5)     # n=3 level 24 sphere caps: partial blocks in both
 @example(m=2 * REGION_BLOCK, seed=0, cut=0.5)   # pieces that meet on a block boundary
-def test_blocked_region_sums_equal_one_flat_pairwise_sum(m, seed, cut):
-    # the nodes come as one piece, or as two cut at node int(cut * m), so a block may
-    # straddle them; a block in one piece is a view into it, a piece is kept as given,
-    # and the blocked reduction equals a flat pairwise sum of the joined products
+def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
+    # the nodes come as one piece, or as two cut at node int(cut * m); each piece is kept
+    # as given and cut into blocks from its own first node, each a view into the piece;
+    # a piece's blocked sum equals one flat pairwise sum over its nodes, and the region's
+    # is the pairwise sum of those over the pieces
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
     weights = rng.uniform(0.0, 1.0, m)
     points = rng.uniform(-1.0, 1.0, (2, m))
     bounds = sorted({0, int(cut * m), m})
-    pieces = [(points[:, lo:hi].copy(), weights[lo:hi].copy())
-              for lo, hi in zip(bounds, bounds[1:])]
+    spans = list(zip(bounds, bounds[1:]))
+    pieces = [(points[:, lo:hi].copy(), weights[lo:hi].copy()) for lo, hi in spans]
     rq = RegionQuadrature(pieces)
     assert rq.count == m and rq.pieces == tuple(pieces)
-    assert [b.start for b in rq.blocks] == list(range(0, m, REGION_BLOCK))
-    assert [b.stop for b in rq.blocks] == [min(b.start + REGION_BLOCK, m) for b in rq.blocks]
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        assert list(rq.within(i)) == [j for j, b in enumerate(rq.blocks)
-                                      if lo <= b.start and b.stop <= hi]
-    for j, b in enumerate(rq.blocks):
-        x, w = rq.block(j)
-        assert x.tobytes() == points[:, b].tobytes() and w.tobytes() == weights[b].tobytes()
-        # a view into the piece it lies in; a straddling block shares no piece's memory
-        assert [np.shares_memory(x, pts) for pts, _ in pieces] == [
-            j in rq.within(i) for i in range(len(pieces))]
+    for (pts, wt), (lo, hi), blocks in zip(pieces, spans, rq.blocks, strict=True):
+        starts = range(lo, hi, REGION_BLOCK)
+        assert len(blocks) == len(starts)
+        for start, (x, w) in zip(starts, blocks):
+            stop = min(start + REGION_BLOCK, hi)
+            assert x.tobytes() == points[:, start:stop].tobytes()
+            assert w.tobytes() == weights[start:stop].tobytes()
+            assert x.base is pts and w.base is wt
+
+    def over_pieces(v):
+        return pairwise_sum(np.array([pairwise_sum(v[lo:hi] * weights[lo:hi]) for lo, hi in spans]))
+
+    def block(v, i, j, x):
+        lo = spans[i][0] + j * REGION_BLOCK
+        return v[lo:lo + x.shape[1]]
+
     squares = values * values
-    flat = pairwise_sum(values * weights)
-    assert rq.integral(values) == flat
-    assert rq.integrals(lambda j, x: (values[rq.blocks[j]], squares[rq.blocks[j]])) == (
-        flat, pairwise_sum(squares * weights))
-    assert rq.volume() == pairwise_sum(weights)
+    sums = rq.integrals(lambda i, j, x: (block(values, i, j, x), block(squares, i, j, x)))
+    assert sums == (over_pieces(values), over_pieces(squares))
+    assert rq.volume() == over_pieces(np.ones(m))
+    if len(pieces) == 1:
+        assert sums[0] == pairwise_sum(values * weights)
 
 
 def test_reilly_set_holds_one_region_block_of_temporaries():
@@ -379,8 +383,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     for report in (minkowski_report, af_report, schur_report, hypothesis_audit):
         report(sc, rule)
     reilly_residual(sc, "V", rule)
-    # the V row forms no region rows: it leaves no ("reilly axis", i) key
-    assert not [key for key in sc._cache if isinstance(key, tuple) and isinstance(key[0], tuple)]
+    # the V row forms no region rows: it leaves no ("rows", key) memo on the cap's piece
+    cap = sc.piece("cap", rule)
+    assert not [key for key in cap._cache if isinstance(key, tuple)]
     for name in ("x1", "x1^2"):
         reilly_residual(sc, name, rule)
     # base and perturbed admissibility caps, the level-12 cap, region and face,
@@ -406,23 +411,24 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # consecutive and cover every node once, in order
     region = sc.region(rule)
     (points, _), = region.pieces
+    (blocks,) = region.blocks
     n, m = points.shape
     assert (n, m) == (4, region.count) and points.flags.c_contiguous
-    assert len(region.blocks) > 1
+    assert len(blocks) > 1
     for name, calls in V_derivatives.items():
         views = [x for x in calls if x.base is points]
-        assert len(views) == len(region.blocks), name
+        assert len(views) == len(blocks), name
         starts = [(x.__array_interface__["data"][0] - points.__array_interface__["data"][0])
                   // points.itemsize for x in views]
         ends = [start + x.shape[1] for start, x in zip(starts, views)]
-        assert starts == [b.start for b in region.blocks], name
-        assert ends == [b.stop for b in region.blocks], name
+        assert starts == list(range(0, m, REGION_BLOCK)), name
+        assert ends == [min(start + REGION_BLOCK, m) for start in starts], name
         assert all(x.shape[0] == n and x.strides == points.strides for x in views)
     # the scenario's level-12 sets keep no (m, n) copy of the region nodes and no
     # (n, n, m) tensor at full size: the Reilly rows are 10 per node for the one axis
     # asked for, V's 4 and the axis's 6, one array per block
     held = list(_arrays({key: value for key, value in sc._cache.items()
-                         if isinstance(key, tuple) and key[-1] == rule}, depth=5))
+                         if isinstance(key, tuple) and key[-1] == rule}, depth=7))
     # every node set of the cap and of its base is keyed by its rule, never a bare level
     keys = [key for cache in (sc._cache, sc.base._cache) for key in cache if key not in (
         "margins", "boundary")]
@@ -430,10 +436,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert any(a is points for a in held)
     assert [a.shape for a in held if a.shape == (m, n)] == []
     assert [a.shape for a in held if a.ndim > 2 and a.shape[-1] == m] == []
-    block_sizes = [b.stop - b.start for b in region.blocks]
-    axis_keys = [key for key in sc._cache if isinstance(key, tuple) and isinstance(key[0], tuple)]
-    assert axis_keys == [(("reilly axis", 0), rule)]
-    assert [a.shape for a in sc._cache[axis_keys[0]]] == [(10, k) for k in block_sizes]
+    axis_keys = [key for key in cap._cache if isinstance(key, tuple)]
+    assert axis_keys == [("rows", ("reilly axis", 0))]
+    assert [a.shape for a in cap._cache[axis_keys[0]]] == [(10, x.shape[1]) for x, _ in blocks]
     # V's boundary parts once per face over the three test functions, and one set for
     # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
@@ -482,16 +487,16 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     assert Counter(caps) == {6 * 6: 1, 16 * 16: 1, 24: 1}
 
 
-@pytest.mark.parametrize("level", [16, 24])
+@pytest.mark.parametrize("level", [16, 24, 32])
 def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
     """Ten sweep rows on one euclidean_sphere base cap (each perturbed cap validated,
-    reported and audited) evaluate phi and exp(n phi) on the face cone once, and V on
-    each region block in the face cone alone once; no memo joins the pieces, and each
-    weighted volume has the bits of the cones joined first and weighted after.  At
-    level 16 the region is one block that straddles the cap's cone and the face's; at
-    level 24 it has a block in the cap's cone, a straddling one and two in the face's."""
-    phi, value, weighted = (ambient.SpaceFormModel.phi, weights.WeightField.value,
-                            families.CapScenario._weighted_cone)
+    reported and audited) build the face's cone once per rule, at level 6 for the
+    admissibility margins and at the report's level, evaluate phi and exp(n phi) on it
+    once and V on each of its blocks once; no memo joins the pieces.  Each weighted
+    volume is the pairwise sum over the two cones of their flat pairwise sums, and at
+    levels 16 and 32, where each cone's blocks are whole subtrees of the joined
+    nodes' pairwise tree, it has the bits of one flat pairwise sum over them."""
+    phi, value, flat_cone = ambient.SpaceFormModel.phi, weights.WeightField.value, quadrature.cone
     phi_points, value_points, cones = [], [], []
 
     def recording_phi(model, x):
@@ -502,13 +507,13 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
         value_points.append(x)
         return value(weight, x)
 
-    def recording_cone(scenario, label, rule):
-        cones.append((label, rule.level))
-        return weighted(scenario, label, rule)
+    def recording_cone(x0, label, piece):
+        cones.append((label, piece.rule.level))
+        return flat_cone(x0, label, piece)
 
     monkeypatch.setattr(ambient.SpaceFormModel, "phi", recording_phi)
     monkeypatch.setattr(weights.WeightField, "value", recording_value)
-    monkeypatch.setattr(families.CapScenario, "_weighted_cone", recording_cone)
+    monkeypatch.setattr(quadrature, "cone", recording_cone)
     rule = QuadratureRule(level)
     base = families.make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
     rows = []
@@ -519,53 +524,51 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
         hypothesis_audit(sc, rule)
     rows.append((base, minkowski_report(base, rule)))
     monkeypatch.undo()
-    face = base.face_cone(rule)[0]
+    face = base.piece("support", rule).cone()[0]
     assert sum(x is face for x in phi_points) == 1
-    # the face's weighted cone once per rule, each row's cap cone once; admissibility
-    # weights no cone
-    assert Counter(cones) == {("support", level): 1, ("cap", level): 11}
-    region = base.region(rule)
-    offset = region.offsets[-2]
-    face_blocks = [region.blocks[j] for j in region.within(1)]
-    straddling = [b for b in region.blocks if b.start < offset < b.stop]
-    assert len(region.blocks) == {16: 1, 24: 4}[level]
-    assert len(straddling) == 1 and len(face_blocks) == {16: 0, 24: 2}[level]
-    # V on the face cone: once on each block in it alone, over eleven reports on
-    # eleven caps; the straddling block is a copy, and every V call runs on one block
-    # at most (at level 16 the straddling block is the whole region)
+    assert Counter(cones) == {("support", 6): 1, ("support", level): 1,
+                              ("cap", 6): 11, ("cap", level): 11}
+    # V on the face cone: once on each of its blocks, which start at its first node,
+    # over eleven reports on eleven caps; every V call runs on one block at most
     on_face = [((x.__array_interface__["data"][0] - face.__array_interface__["data"][0])
-                // face.itemsize + offset, x.shape[-1])
+                // face.itemsize, x.shape[-1])
                for x in value_points if np.shares_memory(x, face)]
-    assert on_face == [(b.start, b.stop - b.start) for b in face_blocks]
+    count = face.shape[1]
+    assert on_face == [(lo, min(REGION_BLOCK, count - lo)) for lo in range(0, count, REGION_BLOCK)]
     assert max(x.shape[-1] for x in value_points) <= REGION_BLOCK
-    assert max(x.shape[-1] for x in phi_points) < region.count
+    assert max(x.shape[-1] for x in phi_points) <= count
 
-    def joined_then_weighted(sc):   # the reference: flat cones joined, then weighted as one
-        pieces = [quadrature.cone(sc.star_center, label, sc.quadrature(label, rule))
-                  for label in sc.pieces]
-        points = np.concatenate([pts for pts, _ in pieces], axis=1)
-        flat = np.concatenate([wt for _, wt in pieces])
-        return points, flat * np.exp(sc.model.n * sc.model.phi(points))
+    def weighted_cones(sc):   # the reference: each flat cone, then weighted
+        return [(pts, wt * np.exp(sc.model.n * sc.model.phi(pts))) for pts, wt in (
+            quadrature.cone(sc.star_center, label, sc.quadrature(label, rule))
+            for label in sc.pieces)]
 
     for sc, report in rows:
         rq = sc.region(rule)
-        points, weights_ = joined_then_weighted(sc)
-        assert [a.tobytes() for a in joined_region(rq)] == [points.tobytes(), weights_.tobytes()]
-        for j, b in enumerate(rq.blocks):
-            assert rq.block(j)[0].tobytes() == points[:, b].tobytes()
-        volume = pairwise_sum(sc.weight.value(points) * weights_)
-        assert report.integrals["weighted_volume"] == volume
+        cones_ = weighted_cones(sc)
+        assert [[a.tobytes() for a in piece] for piece in rq.pieces] == [
+            [a.tobytes() for a in piece] for piece in cones_]
+        volume = report.integrals["weighted_volume"]
+        assert volume == pairwise_sum(np.array([pairwise_sum(sc.weight.value(pts) * wt)
+                                                for pts, wt in cones_]))
+        points, weights_ = (np.concatenate(parts, axis=-1) for parts in zip(*cones_))
+        flat = pairwise_sum(sc.weight.value(points) * weights_)
+        if level in (16, 32):
+            assert volume == flat
+        else:
+            assert abs(volume - flat) <= 1e-15 * abs(flat)
         assert rq.pieces[-1][0] is face
         # no memo of the row or of its base holds an array as long as the joined region
-        held = _arrays([sc._cache, base._cache], depth=6)
-        assert [a.shape for a in held if region.count in a.shape] == []
+        held = list(_arrays([sc._cache, base._cache], depth=8))
+        assert any(a is face for a in held)
+        assert [a.shape for a in held if rq.count in a.shape] == []
 
 
 def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_path):
     """A --jobs 2 sweep on hyp_geodesic_sphere at level 24 builds every memo on the
-    main thread and starts no thread, builds each memo its rows share of the base cap
-    (grid, face cone, the face cone's margins and the V sums of the region blocks in
-    it alone among them) once, and writes the bytes of the --jobs 1 sweep."""
+    main thread and starts no thread, builds each memo once, among them those its rows
+    share of the base cap (the grid and the face's piece with its cone, its margins
+    and V's sums over its blocks), and writes the bytes of the --jobs 1 sweep."""
     once = quadrature.Memo._once
     built, threads, counts = [], set(), set()
 
@@ -573,8 +576,7 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
         def counted():
             threads.add(threading.current_thread())
             counts.add(threading.active_count())
-            if isinstance(memo, families.CapScenario) and memo.base is None:
-                built.append(key)
+            built.append((memo, key))   # keeps every memo alive, so no id is reused
             return build()
         return once(memo, key, counted)
 
@@ -593,13 +595,15 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
             out[jobs] = path.read_bytes()
     assert threads == {threading.main_thread()}
     assert counts == {running} and threading.active_count() == running
-    shared = Counter(key for key in built if key[0] in (
-        "grid", "support cone", "support margins", "support blocks"))
     rule, admissibility = QuadratureRule(24), families.ADMISSIBILITY_RULE
-    assert shared == {("grid", admissibility): 1, ("grid", rule): 1,
-                      ("support margins", admissibility): 1, ("support cone", rule): 1,
-                      ("support blocks", "volume", rule): 1}
-    assert max(Counter(built).values()) == 1
+    base = Counter(key for memo, key in built if isinstance(memo, families.CapScenario)
+                   and memo.base is None and key[0] in ("grid", "support"))
+    assert base == {("grid", admissibility): 1, ("grid", rule): 1,
+                    ("support", admissibility): 1, ("support", rule): 1}
+    face = Counter((memo.quadrature.rule, key) for memo, key in built
+                   if isinstance(memo, families.Piece) and memo.label == "support")
+    assert face == {(admissibility, "margins"): 1, (rule, "cone"): 1, (rule, "volume"): 1}
+    assert max(Counter((id(memo), key) for memo, key in built).values()) == 1
     assert out[2] == out[1]
 
 
@@ -614,15 +618,17 @@ def test_node_bundle_is_freed_with_its_scenario():
         reilly_residual(sc, "V", rule)
         region = weakref.ref(sc.region(rule))
         # the perturbed cap, its base and their node sets at levels 6 and 8 (the
-        # admissibility check and this rule): the perturbed cap's cap at both levels
-        # and its region at 8, and the base's cap at 6 and its face at 6 and 8; the
-        # admissibility check builds no region
+        # admissibility check and this rule): the perturbed cap's cap piece at both
+        # levels and its region at 8, and the base's cap piece at 6 and its face piece
+        # at 6 and 8, each piece with its surface quadrature; the admissibility check
+        # builds no region
         held = [sc, sc.base, *sc._cache.values(), *sc.base._cache.values()]
-        refs = [weakref.ref(x) for x in held
-                if isinstance(x, (families.CapScenario, SurfaceQuadrature, RegionQuadrature))]
-        assert len(refs) == 8
+        held += [x.quadrature for x in held if isinstance(x, families.Piece)]
+        refs = [weakref.ref(x) for x in held if isinstance(x, (
+            families.CapScenario, families.Piece, SurfaceQuadrature, RegionQuadrature))]
+        assert len(refs) == 13
         del sc, held
         assert region() is None
-        assert [ref() for ref in refs] == [None] * 8
+        assert [ref() for ref in refs] == [None] * 13
     finally:
         gc.enable()

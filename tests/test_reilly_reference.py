@@ -72,7 +72,7 @@ def reference_reilly(scenario, function: str, rule) -> dict:
     model = scenario.model
     rq = scenario.region(rule)
 
-    def volume_integrands(j, x):
+    def volume_integrands(i, j, x):
         Vv, dV, _, hess_V, lap_V = jet(model, x, scenario.weight)
         fv, df, _, hess_f, lap_f = jet(model, x, f)
         gbar = metric_at(model, x)

@@ -181,9 +181,9 @@ class _NodeSet:
         self.model, self.weight, self.n, self.x = weight.model, weight, weight.model.n, x
 
     def region_rows(self, key, rule, count, rows):
-        block = np.array(rows(self.x))   # the batch is the one block
+        block = np.array(rows(self.x))   # the batch is the one block of the one piece
         assert block.shape == (count, self.x.shape[1])
-        return [block]
+        return [[block]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -215,7 +215,7 @@ def test_reilly_quadratics_match_dense_tensors_at_points(factory, n):
             T_sq = e * e * np.einsum("ijm,ijm->m", hess_f - q * hess_V, hess_f - q * hess_V)
             w = e * (df - q * dV)
             ref_static = np.einsum("ijm,im,jm->m", static_tensor, w, w)
-            lhs, static = _volume_integrands(f, x, _axis_rows(nodes, f.i, None)[0])
+            lhs, static = _volume_integrands(f, x, _axis_rows(nodes, f.i, None)[0][0])
             where = (formula, f)
             np.testing.assert_allclose(lhs, Vv * (amb_sq - T_sq), rtol=0, err_msg=repr(where),
                                        atol=1e-13 * float(np.max(np.abs(Vv) * (amb_sq + T_sq))))

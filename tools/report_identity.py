@@ -14,10 +14,11 @@ sorted JSON.  A failing step is recorded as [error type, message].  Cases:
   kinds build and the plane kinds record DimensionTooLow; at n=5 every cap
   records DegenerateImmersion with its min det g (ROADMAP item 1), which
   still pins the q=4 polar chart that computes it.  Region integrals run in blocks of 8,192 nodes,
-  and these levels reach past one block: n=3 level 24 has 13,824 or 27,648
-  region nodes (the last block partial), n=3 level 32 has 4 or 8 full
-  blocks, and n=4 level 12, on the supports whose caps build there, has
-  20,736 (two full blocks and a partial one);
+  each cone cut from its own first node, and these levels reach past one
+  block: at n=3 level 24 each cone has 13,824 nodes (a full block and a
+  partial one), at n=3 level 32 each has 4 full blocks, and at n=4 level 12
+  the one cone of a cap that builds there has 20,736 (two full blocks and a
+  partial one);
 * the radii {1e-7, 1e-5, 1e-3, 0.9, 1.5, 3} x eps {0, +-0.05, +-0.5} on five
   supports at n=3 level 16;
 * caps whose g and h do not commute in chart coordinates, x eps {0, +-0.05}
@@ -32,11 +33,10 @@ sorted JSON.  A failing step is recorded as [error type, message].  Cases:
   then the base cap's own results, then eps +-0.03 and eps 0.05 with bump
   power 4, all on the one base, each dumped as above.  Every other case
   builds its own base, so only these pin what perturbations read of a base
-  (its face nodes, grid and reach, the face cone's margins, and the V sums and
-  Reilly rows of the region blocks in the face cone alone), before and after
-  the base's own reports.  At n=3 level 32 the face cone starts on a block
-  boundary; at level 24 it starts inside a block, which joins the cap's last
-  nodes with the face's first, and two blocks lie in the face alone.  At n=4 level 12
+  (its grid, ring and reach, and the face's piece: its nodes, its cone's
+  margins, and the V sums and Reilly rows on its cone's blocks), before and
+  after the base's own reports.  Each cone is cut into blocks from its own
+  first node, so no block straddles two cones, at level 24 as at level 32.  At n=4 level 12
   only the caps over ``euclidean_plane`` and ``sph_hyperplane`` build (the
   others raise DegenerateImmersion, as above at n=5), so level 8 carries the
   n=4 sphere supports, whose regions have a face cone;
