@@ -63,7 +63,6 @@ from .inequalities import (
 from .quadrature import (
     ConvergenceTable,
     QuadratureRule,
-    RegionQuadrature,
     SurfaceQuadrature,
     default_level,
     refine_study,
@@ -123,7 +122,6 @@ __all__ = [
     "reilly_residual",
     "QuadratureRule",
     "SurfaceQuadrature",
-    "RegionQuadrature",
     "ConvergenceTable",
     "default_level",
     "refine_study",

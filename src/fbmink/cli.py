@@ -444,7 +444,7 @@ def run_converge(cfg: dict, st: Settings) -> tuple[dict, bool]:
         # with empty memos, so each level's node sets are freed before the next
         sc = dataclasses.replace(scenario, base=scenario.base and dataclasses.replace(scenario.base))
         rule = QuadratureRule(level)
-        sq = sc.quadrature("cap", rule)
+        sq = sc.piece("cap", rule).quadrature
         return (sq.integral(weight.value(sq.geo.x)), sc.weighted_volume(rule),
                 builder(sc, rule).deficit)
 

@@ -14,18 +14,16 @@ At n = 2 the cap is an arc about its axis and its ring is the arc's two ends.
 Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes per rule
-the cap's parameter grid, the cap weight data, the region of the cones, and
-each boundary piece as one ``Piece``: the cap's and, where it exists, the
-face's.  A piece holds its ``SurfaceQuadrature``, its cone with its conformal
-weights (its star center checked to lie in the model's chart as it is built),
-that cone cut into blocks from its own first node, V's sums over those blocks
-(``weighted_volume``), per-node rows, one array per block (the Reilly
+the cap's parameter grid, the cap weight data, and each boundary piece as one
+``Piece``: the cap's and, where it exists, the face's.  A piece holds its
+``SurfaceQuadrature``, its cone with its conformal weights (its star center
+checked to lie in the model's chart as it is built), V's sums over that cone's
+blocks (``weighted_volume``), per-node rows, one array per block (the Reilly
 checker's coefficient rows, V's and one axis's from one pass), V's boundary
 parts, and its admissibility margins.  Every report, audit, validation and
 identity check on a scenario shares them.  A region integral is the pairwise
-sum over the pieces of each piece's pairwise sum of its block sums
-(``quadrature.region_sum``); it equals one flat pairwise sum over the joined
-nodes only where each piece's blocks form whole subtrees of that sum's tree.
+sum over the pieces (``quadrature.region_sum``) of each piece's sums over its
+cone's blocks, cut from the cone's own first node (``Piece.block_sums``).
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
@@ -127,10 +125,20 @@ class Piece(quad.Memo):
             return pts, flat * np.exp(model.n * model.phi(pts))
         return self._once("cone", build)
 
+    def block_sums(self, integrands: Callable[[int, np.ndarray], Sequence[np.ndarray]]
+                   ) -> list[list[float]]:
+        """One list per array that ``integrands(j, x)`` gives on block j of the cone, x
+        its nodes: each block's ``pairwise_sum`` of the array times the weights, in block
+        order.  A region integral is the ``quad.region_sum`` of one array's lists over the
+        region's pieces."""
+        sums = [[quad.pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)]
+                for j, (x, wt) in enumerate(quad.cut(*self.cone()))]
+        return [list(blocks) for blocks in zip(*sums)]
+
     def volume_sums(self) -> list[float]:
-        """The pairwise sums of V times the weights over each block of the cone."""
-        return self._once("volume", lambda: [quad.pairwise_sum(self.weight.value(x) * wt)
-                                             for x, wt in quad.cut(*self.cone())])
+        """V's ``block_sums``."""
+        return self._once("volume", lambda: self.block_sums(
+            lambda j, x: (self.weight.value(x),))[0])
 
     def rows(self, key, count: int, rows: Callable[[np.ndarray], Sequence[np.ndarray]]
              ) -> list[np.ndarray]:
@@ -248,15 +256,6 @@ class CapScenario(quad.Memo):
             return Piece(label, sq, self.star_center, self.support, self.weight)
         return self._once((label, rule), build)
 
-    def quadrature(self, label: str, rule: quad.QuadratureRule) -> quad.SurfaceQuadrature:
-        """Nodes of and quadrature over the cap ("cap") or the support face ("support")."""
-        return self.piece(label, rule).quadrature
-
-    def region(self, rule: quad.QuadratureRule) -> quad.RegionQuadrature:
-        """The cone-decomposition nodes of Omega: each region piece's cone, as it is."""
-        return self._once(("region", rule), lambda: quad.RegionQuadrature(
-            [self.piece(label, rule).cone() for label in self.pieces]))
-
     def weighted_volume(self, rule: quad.QuadratureRule) -> float:
         """int_Omega V: the ``quad.region_sum`` of each region piece's memoized
         ``volume_sums``, so V runs on the face's cone once per (base cap, rule)."""
@@ -265,13 +264,7 @@ class CapScenario(quad.Memo):
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
         return self._once(("weight", rule), lambda: hypothesis_margins(
-            self.weight, self.quadrature("cap", rule).geo))
-
-    def region_rows(self, key, rule: quad.QuadratureRule, count: int,
-                    rows: Callable[[np.ndarray], Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
-        """Per-node rows on the region: ``Piece.rows`` of each region piece, one
-        (count, block length) array per block of its cone."""
-        return [self.piece(label, rule).rows(key, count, rows) for label in self.pieces]
+            self.weight, self.piece("cap", rule).quadrature.geo))
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap's ring: a perturbation vanishes to second order

@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionTooLow, NonSmoothTestFunction
-from .families import CapScenario
-from .quadrature import QuadratureRule, SurfaceQuadrature, pairwise_sum
+from .families import CapScenario, Piece
+from .quadrature import QuadratureRule, SurfaceQuadrature, pairwise_sum, region_sum
 from .weights import WeightField, jet
 
 
@@ -125,7 +125,7 @@ def _cap_terms(scenario: CapScenario, rule: QuadratureRule):
     """(cap quadrature, cap curvature, V, convexity and substatic margins) for a
     report; the weight is checked before the region is built."""
     Vs, convexity, substatic = scenario.weight_data(rule)
-    sq = scenario.quadrature("cap", rule)
+    sq = scenario.piece("cap", rule).quadrature
     return sq, sq.curvature(), Vs, convexity, substatic
 
 
@@ -310,15 +310,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("im,im->m", a, b)
 
 
-def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[list[np.ndarray]]:
-    """(V, e, A2, E0, A1, C1, S2, E1, E2, p_i) at the nodes of each block of each region
-    piece, e = exp(-2 phi): the rows of the region's quadratics in q for x_i and x_i^2,
-    V's own four and axis i's six, formed in one pass from V's flat value, gradient g
-    and Hessian H and phi's gradient p.
+def _axis_rows(piece: Piece, i: int) -> list[np.ndarray]:
+    """(V, e, A2, E0, A1, C1, S2, E1, E2, p_i) at the nodes of each block of a region
+    piece's cone, e = exp(-2 phi): the rows of the region's quadratics in q for x_i and
+    x_i^2, V's own four and axis i's six, formed in one pass from V's flat value,
+    gradient g and Hessian H and phi's gradient p.
 
     The terms below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
     tensor's trace part (static = S gbar - Hess V)."""
-    model, weight, n = scenario.model, scenario.weight, scenario.n
+    weight = piece.weight
+    model, n = weight.model, weight.model.n
 
     def rows(x: np.ndarray):
         V, g, H = weight.value(x), weight.euclidean_gradient(x), weight.euclidean_hessian(x)
@@ -338,7 +339,7 @@ def _axis_rows(scenario: CapScenario, i: int, rule: QuadratureRule) -> list[list
         E1 = 2.0 * (e * (_dot(H_i, g) - p_i * gg) - g_i * S)
         E2 = S - e * (pg + H_i[i] - 2.0 * p_i * g_i)
         return V, e, A2, E0, A1, C1, S2, E1, E2, p_i
-    return scenario.region_rows(("reilly axis", i), rule, 10, rows)
+    return piece.rows(("reilly axis", i), 10, rows)
 
 
 def _volume_integrands(f: _Coordinate, x: np.ndarray,
@@ -371,19 +372,22 @@ def reilly_residual(scenario: CapScenario, function: str,
     e (E0 q^2 + s E1 q + s^2 E2), from rows memoized per axis asked for
     (``_axis_rows``): V's own and those of axis i, formed in one pass.  For V itself q
     is 1, so T, w and both integrands are exactly 0: its row forms no region rows and
-    reads 0.0 for both volume terms, and still builds the region, so it raises what the
-    region raises.  No (n, n, m) tensor is held.
+    reads 0.0 for both volume terms, and still builds each region piece's cone, so it
+    raises what the cones raise.  Each volume term is the ``region_sum`` of the pieces'
+    ``Piece.block_sums``.  No (n, n, m) tensor is held.
     """
     name, f = _test_function(function, scenario)
     model = scenario.model
     is_V = f is scenario.weight
-    region = scenario.region(rule)
-    if is_V:
-        lhs_volume = rhs_volume = 0.0
-    else:
-        rows = _axis_rows(scenario, f.i, rule)
-        lhs_volume, rhs_volume = region.integrals(
-            lambda i, j, x: _volume_integrands(f, x, rows[i][j]))
+    pieces = [scenario.piece(label, rule) for label in scenario.pieces]
+    for piece in pieces:   # the V row too raises what the cones raise
+        piece.cone()
+    lhs_volume = rhs_volume = 0.0
+    if not is_V:
+        rows = [_axis_rows(piece, f.i) for piece in pieces]
+        sums = [piece.block_sums(lambda j, x, r=r: _volume_integrands(f, x, r[j]))
+                for piece, r in zip(pieces, rows)]
+        lhs_volume, rhs_volume = (region_sum(terms) for terms in zip(*sums))
 
     boundary = {}
     for label in ("cap", "support"):

@@ -11,10 +11,11 @@ test, so every volume integral goes through these cones.
 
 This module holds the quadrature primitives: the ``QuadratureRule`` that places
 the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
-cone over one boundary piece with its flat weights, and the ``RegionQuadrature``
-of the cones once each carries its weights for gbar.  A cap scenario
-(``families.CapScenario``) keeps one memoized object per boundary piece and
-rule, which builds that piece's surface quadrature and weighted cone.
+cone over one boundary piece with its flat weights, its ``cut`` into blocks, and
+the ``region_sum`` of the pieces' block sums.  A cap scenario
+(``families.CapScenario``) keeps one memoized ``families.Piece`` per boundary
+piece and rule, which builds that piece's surface quadrature and weighted cone
+and sums every region integrand over that cone's blocks.
 
 Shapes: ``rule.grid(box)`` gives the parameter points as (m, k) rows and their
 weights (m,); everything formed at the points is node-last, as in
@@ -27,15 +28,16 @@ A region's pieces are never joined.  Each is ``cut`` into blocks of
 ``REGION_BLOCK`` consecutive nodes from its own first node, each block a view
 into it.  Region integrands are formed and reduced one block at a time, so a
 region term holds its (n, n, k) temporaries for one block, and no such tensor
-is kept at full size: what a scenario keeps on the region is per-node rows, one
-array per block.  Each block is reduced with ``pairwise_sum``, each piece's
-block sums with it again, and the piece sums with it once more
-(``region_sum``).  That equals one ``pairwise_sum`` over the joined nodes
-only where each piece's blocks form whole subtrees of that flat tree: a region
-of one piece, or a first piece of 2^a full blocks (or of 2^a nodes in one
-block) followed by a piece of at most as many, as the two cones of an n = 3
-cap over a sphere support at levels 16 and 32 are.  Elsewhere the trees
-differ, and a sum may differ from the flat one in its last bits.
+is kept at full size: what a piece keeps on its cone is per-node rows, one
+array per block.  Each block is reduced with ``pairwise_sum``
+(``families.Piece.block_sums``), each piece's block sums with it again, and the
+piece sums with it once more (``region_sum``).  That equals one
+``pairwise_sum`` over the joined nodes only where each piece's blocks form
+whole subtrees of that flat tree: a region of one piece, or a first piece of
+2^a full blocks (or of 2^a nodes in one block) followed by a piece of at most
+as many, as the two cones of an n = 3 cap over a sphere support at levels 16
+and 32 are.  Elsewhere the trees differ, and a sum may differ from the flat
+one in its last bits.
 
 Gauss-Legendre nodes are interior, so cone apexes (s = 0) and the polar axis
 t = 0 of a cap with two or more parameters, where its chart is singular, are
@@ -188,7 +190,7 @@ def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarr
     # cross product w of J's columns, whose length is flat_area and direction +-nu_delta
     cone_jac = facing * geo.flat_area
     # nodes: x0 + s * spread for every (s, u) pair, as one C-contiguous (n, s, u) block
-    # written into the (n, s * m) array returned, so that a region may keep it as it is
+    # written into the (n, s * m) array returned, so that its piece may keep it as it is
     # (an (n, s, u) temporary instead costs a level-32 sweep row about 0.15 ms)
     pts = np.empty((n, s_nodes.size * spread.shape[1]))
     block = pts.reshape(n, s_nodes.size, spread.shape[1])
@@ -210,35 +212,6 @@ def region_sum(block_sums: Sequence[Sequence[float]]) -> float:
     """The pairwise sum over a region's pieces of each piece's pairwise sum of its
     block sums."""
     return pairwise_sum(np.array([pairwise_sum(np.array(sums)) for sums in block_sums]))
-
-
-class RegionQuadrature:
-    """Cone-decomposition nodes: the cones over the boundary pieces, in order, each
-    kept as given and cut into its own blocks (``blocks[i]`` is ``cut`` of piece i).
-
-    Each piece comes as its nodes and its weights for the metric gbar, the flat cone
-    weights times exp(n phi)."""
-
-    def __init__(self, pieces: Sequence[tuple[np.ndarray, np.ndarray]]):
-        self.pieces = tuple(pieces)
-        self.blocks = tuple(cut(pts, wt) for pts, wt in self.pieces)
-
-    @property
-    def count(self) -> int:
-        return sum(wt.size for _, wt in self.pieces)
-
-    def integrals(self, integrands: Callable[[int, int, np.ndarray], Sequence[np.ndarray]]
-                  ) -> tuple[float, ...]:
-        """The ``region_sum`` of each array ``integrands(i, j, x)`` gives on block j of
-        piece i, with x its nodes, formed one block at a time."""
-        sums = [[[pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(i, j, x)]
-                 for j, (x, wt) in enumerate(blocks)] for i, blocks in enumerate(self.blocks)]
-        # sums[i][j][k]: the integral of array k over block j of piece i
-        return tuple(region_sum([[block[k] for block in piece] for piece in sums])
-                     for k in range(len(sums[0][0])))
-
-    def volume(self) -> float:
-        return self.integrals(lambda i, j, x: (np.ones(x.shape[1]),))[0]
 
 
 # -- refinement studies ----------------------------------------------------------

@@ -17,6 +17,7 @@ from fbmink import (
     make_umbilical_cap,
 )
 from fbmink.charts import RadialBumpProfile
+from fbmink.quadrature import region_sum
 
 SPHERE_KINDS = [SupportKind.EUCLIDEAN_SPHERE, SupportKind.HYP_GEODESIC_SPHERE,
                 SupportKind.SPH_GEODESIC_SPHERE]
@@ -31,11 +32,16 @@ def canonical_scenario(kind: SupportKind, n: int = 3):
     return make_umbilical_cap(default_cap_spec(support))
 
 
-def joined_region(region):
-    """The nodes (n, m) and weights (m,) of a region's pieces joined in order: a
-    reference that the package itself never forms."""
-    return (np.concatenate([pts for pts, _ in region.pieces], axis=1),
-            np.concatenate([wt for _, wt in region.pieces]))
+def region_integrals(scenario, rule, integrands) -> tuple:
+    """The integral over Omega of each array ``integrands(j, x)`` gives on block j of a
+    region piece's cone, x its nodes: the ``region_sum`` of the pieces' ``block_sums``."""
+    sums = [scenario.piece(label, rule).block_sums(integrands) for label in scenario.pieces]
+    return tuple(region_sum(terms) for terms in zip(*sums))
+
+
+def region_volume(scenario, rule) -> float:
+    """The gbar volume of Omega."""
+    return region_integrals(scenario, rule, lambda j, x: (np.ones(x.shape[1]),))[0]
 
 
 def unchecked_scenario(kind: SupportKind, n: int, eps: float = 0.0):

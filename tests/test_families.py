@@ -33,7 +33,7 @@ from fbmink import (
 from fbmink import families
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
-from fbmink.quadrature import REGION_BLOCK
+from fbmink.quadrature import REGION_BLOCK, region_sum
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
 from fbmink.weights import WeightField, jet
@@ -198,7 +198,7 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
     # of one base cap reads the base's: the face's nodes take one jet
     base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
     rule = QuadratureRule(16)
-    face_x = base.quadrature("support", rule).geo.x
+    face_x = base.piece("support", rule).quadrature.geo.x
     face_jets = []
 
     def recording_jet(model, x, fn):
@@ -261,20 +261,33 @@ def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
 def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
     # each cone's star center is checked as the cone is built, so the weighted volume,
     # the Minkowski report and every Reilly row, the V row that forms no region rows
-    # included, name the star center below x_n = 0
-    sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.HOROSPHERE)))
-    star = sc.star_center.copy()
-    star[-1] = -1.0
+    # included, name the star center outside the chart: below x_n = 0 for the one cone
+    # of a horosphere cap, and, for the two cones of a cap over a geodesic sphere of
+    # chart radius 0.99, past the unit sphere beyond the corner ring, midway between two
+    # of the level-8 azimuthal nodes, where every node of both pieces still faces it
+    horosphere = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.HOROSPHERE)))
+    below = horosphere.star_center.copy()
+    below[-1] = -1.0
+    sphere = make_umbilical_cap(default_cap_spec(
+        make_support(SupportKind.HYP_GEODESIC_SPHERE, 3, chart_radius=0.99)))
+    beyond = np.array([-0.505, 0.0, 0.87])
+    assert sphere.pieces == ("cap", "support") and np.linalg.norm(beyond) > 1.0
     rule = QuadratureRule(8)
-    messages = set()
-    for consumer in (lambda bad: bad.weighted_volume(rule),
-                     lambda bad: minkowski_report(bad, rule),
-                     lambda bad: reilly_residual(bad, "V", rule),
-                     lambda bad: reilly_residual(bad, "x1", rule)):
-        with pytest.raises(PointOutsideChart, match="upper_half_space chart domain") as info:
-            consumer(dataclasses.replace(sc, star_center=star))
-        messages.add(str(info.value))
-    assert messages == {f"point {star.tolist()} is outside the upper_half_space chart domain"}
+    for sc, star in ((horosphere, below), (sphere, beyond)):
+        chart = sc.model.kind.value
+        messages = set()
+        for consumer in (lambda bad: bad.weighted_volume(rule),
+                         lambda bad: minkowski_report(bad, rule),
+                         lambda bad: reilly_residual(bad, "V", rule),
+                         lambda bad: reilly_residual(bad, "x1", rule),
+                         lambda bad: reilly_residual(bad, "x1^2", rule)):
+            with pytest.raises(PointOutsideChart, match=f"{chart} chart domain") as info:
+                consumer(dataclasses.replace(sc, star_center=star))
+            messages.add(str(info.value))
+        assert messages == {f"point {star.tolist()} is outside the {chart} chart domain"}
+        # at its own star center, the V row builds the cone of every region piece
+        reilly_residual(sc, "V", rule)
+        assert all("cone" in sc.piece(label, rule)._cache for label in sc.pieces)
 
 
 def test_the_face_of_a_plane_cap_is_no_piece_of_its_region():
@@ -283,10 +296,11 @@ def test_the_face_of_a_plane_cap_is_no_piece_of_its_region():
     sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
     rule = QuadratureRule(8)
     assert sc.pieces == ("cap",)
-    minkowski_report(sc, rule)
+    report = minkowski_report(sc, rule)
     reilly_residual(sc, "x1", rule)
-    (cone,) = sc.region(rule).pieces
-    assert cone is sc.piece("cap", rule).cone()
+    cap = sc.piece("cap", rule)
+    assert report.integrals["weighted_volume"] == region_sum([cap.volume_sums()])
+    assert {"cone", "volume"} <= set(cap._cache)
     face = sc.piece("support", rule)
     assert set(face._cache) == {"weight parts"}
     # admissibility reads no node of the face
@@ -334,7 +348,7 @@ def test_perturbations_hold_their_base_caps_face_piece(kind, n, level):
             report(cap, rule)
         for name in ("V", "x1", "x1^2"):
             reilly_residual(cap, name, rule)
-    assert {_memo_kind(key) for key in sc._cache} == {"cap", "region", "weight", "margins"}
+    assert {_memo_kind(key) for key in sc._cache} == {"cap", "weight", "margins"}
     assert {_memo_kind(key) for key in sc.base._cache} >= {"grid", "boundary", "support"}
     for r in (rule, families.ADMISSIBILITY_RULE):
         assert sc.piece("support", r) is sc.base._cache[("support", r)]

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,9 +39,9 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
-from fbmink.quadrature import REGION_BLOCK, RegionQuadrature, pairwise_sum
+from fbmink.quadrature import REGION_BLOCK, pairwise_sum, region_sum
 
-from conftest import canonical_scenario, canonical_support, joined_region
+from conftest import canonical_scenario, canonical_support, region_integrals, region_volume
 from fbmink import SupportKind
 
 
@@ -93,14 +94,13 @@ def test_default_levels_keyed_by_ambient_dimension():
 def test_hemisphere_area_and_volume(hemisphere):
     sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
     assert np.isclose(sq.integral(np.ones(sq.geo.count)), 2.0 * math.pi, rtol=1e-12)
-    rq = hemisphere.region(QuadratureRule(16))
-    assert np.isclose(rq.volume(), 2.0 * math.pi / 3.0, rtol=1e-12)
+    assert np.isclose(region_volume(hemisphere, QuadratureRule(16)), 2.0 * math.pi / 3.0,
+                      rtol=1e-12)
 
 
 def test_lens_region_volume_matches_cap_sum():
     """Sphere-support region: cap volume + spherical-lens face piece."""
     sc = canonical_scenario(SupportKind.EUCLIDEAN_SPHERE)
-    rq = sc.region(QuadratureRule(24))
     # Euclidean lens volume between the two sphere caps, closed form:
     # each spherical cap of height h on radius a contributes
     # pi h^2 (3a - h) / 3.
@@ -114,7 +114,7 @@ def test_lens_region_volume_matches_cap_sum():
     h_cap = r - (d - x_support)
     vol = (math.pi / 3.0) * (h_support**2 * (3 * R - h_support)
                              + h_cap**2 * (3 * r - h_cap))
-    assert np.isclose(rq.volume(), vol, rtol=1e-10)
+    assert np.isclose(region_volume(sc, QuadratureRule(24)), vol, rtol=1e-10)
 
 
 def test_surface_integral_linearity(hemisphere):
@@ -172,10 +172,10 @@ def test_refine_study_rejects_bad_level_lists():
     level=st.integers(min_value=6, max_value=20),
 )
 def test_region_integral_linear_in_integrand(coeffs, level):
-    rq = canonical_scenario(SupportKind.EUCLIDEAN_PLANE).region(QuadratureRule(level))
+    sc, rule = canonical_scenario(SupportKind.EUCLIDEAN_PLANE), QuadratureRule(level)
     a, b, c = coeffs
-    f, x0, x2 = rq.integrals(lambda i, j, x: (a * x[0] + b * x[2] + c, x[0], x[2]))
-    split = a * x0 + b * x2 + c * rq.volume()
+    f, x0, x2 = region_integrals(sc, rule, lambda j, x: (a * x[0] + b * x[2] + c, x[0], x[2]))
+    split = a * x0 + b * x2 + c * region_volume(sc, rule)
     assert np.isclose(f, split, rtol=1e-12, atol=1e-12)
 
 
@@ -194,10 +194,10 @@ def test_region_integral_linear_in_integrand(coeffs, level):
 @example(m=3 * 24 ** 3, seed=0, cut=0.5)     # n=3 level 24 sphere caps: partial blocks in both
 @example(m=2 * REGION_BLOCK, seed=0, cut=0.5)   # pieces that meet on a block boundary
 def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
-    # the nodes come as one piece, or as two cut at node int(cut * m); each piece is kept
-    # as given and cut into blocks from its own first node, each a view into the piece;
-    # a piece's blocked sum equals one flat pairwise sum over its nodes, and the region's
-    # is the pairwise sum of those over the pieces
+    # the nodes come as one piece, or as two cut at node int(cut * m); each piece's cone
+    # is kept as given and ``cut`` into blocks from its own first node, each a view into
+    # it; a piece's ``block_sums`` reduce to one flat pairwise sum over its nodes, and
+    # ``region_sum`` is the pairwise sum of those over the pieces
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
     weights = rng.uniform(0.0, 1.0, m)
@@ -205,9 +205,9 @@ def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
     bounds = sorted({0, int(cut * m), m})
     spans = list(zip(bounds, bounds[1:]))
     pieces = [(points[:, lo:hi].copy(), weights[lo:hi].copy()) for lo, hi in spans]
-    rq = RegionQuadrature(pieces)
-    assert rq.count == m and rq.pieces == tuple(pieces)
-    for (pts, wt), (lo, hi), blocks in zip(pieces, spans, rq.blocks, strict=True):
+    assert sum(wt.size for piece in pieces for _, wt in quadrature.cut(*piece)) == m
+    for (pts, wt), (lo, hi) in zip(pieces, spans, strict=True):
+        blocks = quadrature.cut(pts, wt)
         starts = range(lo, hi, REGION_BLOCK)
         assert len(blocks) == len(starts)
         for start, (x, w) in zip(starts, blocks):
@@ -223,10 +223,16 @@ def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
         lo = spans[i][0] + j * REGION_BLOCK
         return v[lo:lo + x.shape[1]]
 
+    def integrals(integrands):   # block_sums reads no more of a piece than its cone()
+        sums = [families.Piece.block_sums(SimpleNamespace(cone=lambda piece=piece: piece),
+                                          functools.partial(integrands, i))
+                for i, piece in enumerate(pieces)]
+        return tuple(region_sum(terms) for terms in zip(*sums))
+
     squares = values * values
-    sums = rq.integrals(lambda i, j, x: (block(values, i, j, x), block(squares, i, j, x)))
+    sums = integrals(lambda i, j, x: (block(values, i, j, x), block(squares, i, j, x)))
     assert sums == (over_pieces(values), over_pieces(squares))
-    assert rq.volume() == over_pieces(np.ones(m))
+    assert integrals(lambda i, j, x: (np.ones(x.shape[1]),)) == (over_pieces(np.ones(m)),)
     if len(pieces) == 1:
         assert sums[0] == pairwise_sum(values * weights)
 
@@ -242,7 +248,8 @@ def test_reilly_set_holds_one_region_block_of_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sc.region(QuadratureRule(32)).count == 2 * 32 ** 3
+    assert sum(sc.piece(label, QuadratureRule(32)).cone()[1].size
+               for label in sc.pieces) == 2 * 32 ** 3
     assert peak < 24 * 2 ** 20
 
 
@@ -313,8 +320,10 @@ def _arrays(obj, depth: int = 3):
 
 def test_each_node_set_is_evaluated_once(monkeypatch):
     """One perturbed n=4 verification: every consumer shares the node bundles."""
-    counts = {"geometry": 0, "region": 0, "principal": 0, "surface": 0, "ring": 0,
+    counts = {"geometry": 0, "principal": 0, "surface": 0, "ring": 0,
               "margins": 0, "weight jet": 0, "dnu": 0}
+    cones = []   # (label, level) of every flat cone
+    flat_cone = quadrature.cone
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -362,14 +371,17 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         flat_points.append(x)
         return coordinate_hessian(self, x)
 
+    def recording_cone(x0, label, piece):
+        cones.append((label, piece.rule.level))
+        return flat_cone(x0, label, piece)
+
     monkeypatch.setattr(quadrature.SurfaceQuadrature, "boundary_parts", recording_parts)
     monkeypatch.setattr(inequalities._Coordinate, "euclidean_hessian", recording_hessian)
     for name in V_derivatives:
         recording_derivative(name)
     patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
     patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
-    monkeypatch.setattr(quadrature.RegionQuadrature, "__init__",
-                        counting("region", quadrature.RegionQuadrature.__init__))
+    monkeypatch.setattr(quadrature, "cone", recording_cone)
     monkeypatch.setattr(quadrature.SurfaceQuadrature, "__init__",
                         counting("surface", quadrature.SurfaceQuadrature.__init__))
     monkeypatch.setattr(surfaces, "principal_curvatures",
@@ -391,8 +403,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # base and perturbed admissibility caps, the level-12 cap, region and face,
     # and one boundary ring shared by validation and the audit
     assert counts["geometry"] == 5
-    # the level-12 region alone: admissibility reads the level-6 cones piece by piece
-    assert counts["region"] == 1
+    # the level-12 cap cone once, and the level-6 cone of each admissibility check
+    assert Counter(cones) == {("cap", 12): 1, ("cap", 6): 2}
     assert counts["ring"] == 1
     # the base cap's admissibility check, then the perturbed cap's, shared by validation
     assert counts["margins"] == 2
@@ -409,11 +421,11 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # none for V; the region is its cap's cone, kept as given, each block is a column
     # view of that piece's one C-contiguous (n, m) node array, and the views are
     # consecutive and cover every node once, in order
-    region = sc.region(rule)
-    (points, _), = region.pieces
-    (blocks,) = region.blocks
+    assert sc.pieces == ("cap",)
+    points, wt = cap.cone()
+    blocks = quadrature.cut(points, wt)
     n, m = points.shape
-    assert (n, m) == (4, region.count) and points.flags.c_contiguous
+    assert (n, m) == (4, wt.size) and points.flags.c_contiguous
     assert len(blocks) > 1
     for name, calls in V_derivatives.items():
         views = [x for x in calls if x.base is points]
@@ -444,7 +456,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
     assert len(boundary_jets) == 2 + 2 * 2
     assert [x.shape[-1] for x in flat_points] == [geo.count for geo in (
-        sc.quadrature(label, rule).geo for label in ("cap", "support"))] * 2
+        sc.piece(label, rule).quadrature.geo for label in ("cap", "support"))] * 2
     # a perturbed cap over a sphere reads the level-6 face nodes and the face cone's
     # margins of its base cap's admissibility check
     faces.clear()
@@ -540,13 +552,13 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
 
     def weighted_cones(sc):   # the reference: each flat cone, then weighted
         return [(pts, wt * np.exp(sc.model.n * sc.model.phi(pts))) for pts, wt in (
-            quadrature.cone(sc.star_center, label, sc.quadrature(label, rule))
+            quadrature.cone(sc.star_center, label, sc.piece(label, rule).quadrature)
             for label in sc.pieces)]
 
     for sc, report in rows:
-        rq = sc.region(rule)
+        held_cones = [sc.piece(label, rule).cone() for label in sc.pieces]
         cones_ = weighted_cones(sc)
-        assert [[a.tobytes() for a in piece] for piece in rq.pieces] == [
+        assert [[a.tobytes() for a in piece] for piece in held_cones] == [
             [a.tobytes() for a in piece] for piece in cones_]
         volume = report.integrals["weighted_volume"]
         assert volume == pairwise_sum(np.array([pairwise_sum(sc.weight.value(pts) * wt)
@@ -557,11 +569,11 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
             assert volume == flat
         else:
             assert abs(volume - flat) <= 1e-15 * abs(flat)
-        assert rq.pieces[-1][0] is face
+        assert held_cones[-1][0] is face
         # no memo of the row or of its base holds an array as long as the joined region
         held = list(_arrays([sc._cache, base._cache], depth=8))
         assert any(a is face for a in held)
-        assert [a.shape for a in held if rq.count in a.shape] == []
+        assert [a.shape for a in held if weights_.size in a.shape] == []
 
 
 def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_path):
@@ -616,19 +628,16 @@ def test_node_bundle_is_freed_with_its_scenario():
         rule = QuadratureRule(8)
         minkowski_report(sc, rule)
         reilly_residual(sc, "V", rule)
-        region = weakref.ref(sc.region(rule))
         # the perturbed cap, its base and their node sets at levels 6 and 8 (the
         # admissibility check and this rule): the perturbed cap's cap piece at both
-        # levels and its region at 8, and the base's cap piece at 6 and its face piece
-        # at 6 and 8, each piece with its surface quadrature; the admissibility check
-        # builds no region
+        # levels, and the base's cap piece at 6 and its face piece at 6 and 8, each
+        # piece with its surface quadrature
         held = [sc, sc.base, *sc._cache.values(), *sc.base._cache.values()]
         held += [x.quadrature for x in held if isinstance(x, families.Piece)]
         refs = [weakref.ref(x) for x in held if isinstance(x, (
-            families.CapScenario, families.Piece, SurfaceQuadrature, RegionQuadrature))]
-        assert len(refs) == 13
+            families.CapScenario, families.Piece, SurfaceQuadrature))]
+        assert len(refs) == 12
         del sc, held
-        assert region() is None
-        assert [ref() for ref in refs] == [None] * 13
+        assert [ref() for ref in refs] == [None] * 12
     finally:
         gc.enable()

@@ -26,7 +26,7 @@ from fbmink.inequalities import _test_function
 from fbmink.quadrature import pairwise_sum
 from fbmink.weights import jet
 
-from conftest import SPHERE_KINDS, canonical_support
+from conftest import SPHERE_KINDS, canonical_support, region_integrals
 
 
 def _node_first(a: np.ndarray) -> np.ndarray:
@@ -70,9 +70,8 @@ def reference_reilly(scenario, function: str, rule) -> dict:
     """The ``ReillyReport.to_dict()`` of the reference checker."""
     name, f = _test_function(function, scenario)
     model = scenario.model
-    rq = scenario.region(rule)
 
-    def volume_integrands(i, j, x):
+    def volume_integrands(j, x):
         Vv, dV, _, hess_V, lap_V = jet(model, x, scenario.weight)
         fv, df, _, hess_f, lap_f = jet(model, x, f)
         gbar = metric_at(model, x)
@@ -85,10 +84,10 @@ def reference_reilly(scenario, function: str, rule) -> dict:
         return (Vv * (amb_term ** 2 - tensor_norm_sq),
                 np.einsum("ijm,im,jm->m", static, w_chart, w_chart))
 
-    lhs_volume, rhs_volume = rq.integrals(volume_integrands)
+    lhs_volume, rhs_volume = region_integrals(scenario, rule, volume_integrands)
     boundary = {}
     for label in ("cap", "support"):
-        sq = scenario.quadrature(label, rule)
+        sq = scenario.piece(label, rule).quadrature
         x = sq.geo.x
         boundary[label] = _reference_boundary_terms(sq, jet(model, x, scenario.weight),
                                                     jet(model, x, f))
