@@ -63,7 +63,6 @@ from .inequalities import (
 from .quadrature import (
     ConvergenceTable,
     QuadratureRule,
-    SurfaceQuadrature,
     default_level,
     refine_study,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "schur_report",
     "reilly_residual",
     "QuadratureRule",
-    "SurfaceQuadrature",
     "ConvergenceTable",
     "default_level",
     "refine_study",

@@ -15,12 +15,12 @@ Each scenario bundles the surface, the support face it cuts out, the star
 center and boundary pieces of the cone decomposition of the enclosed region
 Omega (its one description), and the paired weight.  It memoizes per rule
 the cap's parameter grid, the cap weight data, and each boundary piece as one
-``Piece``: the cap's and, where it exists, the face's.  A piece holds its
-``SurfaceQuadrature``, its cone with its conformal weights (its star center
-checked to lie in the model's chart as it is built), V's sums over that cone's
-blocks (``weighted_volume``), per-node rows, one array per block (the Reilly
-checker's coefficient rows, V's and one axis's from one pass), V's boundary
-parts, and its admissibility margins.  Every report, audit, validation and
+``quadrature.Piece``: the cap's and, where it exists, the face's.  A piece holds
+its node geometry and curvature, its cone with its conformal weights (its star
+center checked to lie in the model's chart as it is built), V's sums over that
+cone's blocks (``weighted_volume``), per-node rows, one array per block (the
+Reilly checker's coefficient rows, V's and one axis's from one pass), V's
+boundary parts, and its admissibility margins.  Every report, audit, validation and
 identity check on a scenario shares them.  A region integral is the pairwise
 sum over the pieces (``quadrature.region_sum``) of each piece's sums over its
 cone's blocks, cut from the cone's own first node (``Piece.block_sums``).
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .errors import (
 )
 from .supports import HalfRegion, PlaneShape, SphereShape, SupportSpec, plane_anchor
 from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins
-from .weights import WeightField, jet, weight_for_support
+from .weights import WeightField, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
@@ -103,91 +103,6 @@ class PerturbationSpec:
     power: int = 3
 
 
-class Piece(quad.Memo):
-    """One smooth boundary piece of Omega, "cap" or "support", at one rule: its
-    ``SurfaceQuadrature`` and what is memoized on it.  It refers to no scenario, so a
-    perturbed cap holds its base cap's face piece as it is."""
-
-    def __init__(self, label: str, quadrature: quad.SurfaceQuadrature, star_center: np.ndarray,
-                 support: SupportSpec, weight: WeightField):
-        self.label, self.quadrature, self.star_center = label, quadrature, star_center
-        self.support, self.weight, self._cache = support, weight, {}
-
-    def cone(self) -> tuple[np.ndarray, np.ndarray]:
-        """The region's cone over this piece: its nodes and its flat weights times
-        exp(n phi).  The chart domains are convex and ``surface_geometry`` checked the
-        piece's nodes, so the star center alone is checked, after ``quad.cone``'s
-        star-shape check."""
-        def build():
-            model = self.support.model
-            pts, flat = quad.cone(self.star_center, self.label, self.quadrature)
-            model.require_inside(self.star_center)
-            return pts, flat * np.exp(model.n * model.phi(pts))
-        return self._once("cone", build)
-
-    def block_sums(self, integrands: Callable[[int, np.ndarray], Sequence[np.ndarray]]
-                   ) -> list[list[float]]:
-        """One list per array that ``integrands(j, x)`` gives on block j of the cone, x
-        its nodes: each block's ``pairwise_sum`` of the array times the weights, in block
-        order.  A region integral is the ``quad.region_sum`` of one array's lists over the
-        region's pieces."""
-        sums = [[quad.pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)]
-                for j, (x, wt) in enumerate(quad.cut(*self.cone()))]
-        return [list(blocks) for blocks in zip(*sums)]
-
-    def volume_sums(self) -> list[float]:
-        """V's ``block_sums``."""
-        return self._once("volume", lambda: self.block_sums(
-            lambda j, x: (self.weight.value(x),))[0])
-
-    def rows(self, key, count: int, rows: Callable[[np.ndarray], Sequence[np.ndarray]]
-             ) -> list[np.ndarray]:
-        """Per-node rows on the cone, memoized under key as one (count, block length)
-        array per block: ``rows(x)`` gives the count rows at the nodes x of one block,
-        so what they are formed from is one block long.  Every use of one key must
-        give the same rows; the Reilly checker keys its coefficient rows by the axis
-        they serve.
-
-        All block arrays of a memo are allocated before ``rows`` forms any
-        temporaries.  With one (count, m) array per memo, block arrays stacked after
-        their rows, allocated one by one between rows, or two arrays per block for the
-        Reilly checker's two row sets, the peak RSS of ``perfbench``'s verify ops rose
-        by up to 6, 1, 3 and 8 MB, as glibc's allocator happened to place them
-        (measurements in CHANGES.md)."""
-        def fill() -> list[np.ndarray]:
-            blocks = quad.cut(*self.cone())
-            out = [np.empty((count, wt.size)) for _, wt in blocks]
-            for (x, _), block in zip(blocks, out):
-                for row, values in zip(block, rows(x)):
-                    row[...] = values
-            return out
-        return self._once(("rows", key), fill)
-
-    def weight_parts(self) -> tuple:
-        """``SurfaceQuadrature.boundary_parts`` of V on this piece, from V's
-        ``weights.jet`` there, which is not kept."""
-        sq = self.quadrature
-        return self._once("weight parts", lambda: sq.boundary_parts(
-            jet(self.support.model, sq.geo.x, self.weight)))
-
-    def margins(self) -> dict:
-        """The least admissibility margins over the nodes of the flat cone over this
-        piece; the scenario reads them at ``ADMISSIBILITY_RULE``."""
-        def build():
-            pts, _ = quad.cone(self.star_center, self.label, self.quadrature)    # (n, m)
-            s = self.support
-            out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
-            if s.requires_half_region:
-                out["half_region"] = float(np.min(s.half_region_margin(pts)))
-            if s.model.kind is ModelKind.POINCARE_BALL:
-                out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
-            elif s.model.kind is ModelKind.UPPER_HALF_SPACE:
-                out["chart"] = float(np.min(pts[-1]))
-            out["weight_min"] = float(np.min(self.weight.value(pts)))
-            return out
-        return self._once("margins", build)
-
-
 @dataclass(frozen=True)
 class CapScenario(quad.Memo):
     """A fully assembled verification scenario; what it derives is computed once.
@@ -215,7 +130,7 @@ class CapScenario(quad.Memo):
 
     def grid(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
         """``rule.grid`` of the cap chart's domain, read by the cap's chart terms and
-        its quadrature; a perturbation leaves the domain, so it reads its base's."""
+        its piece; a perturbation leaves the domain, so it reads its base's."""
         if self.base is not None:
             return self.base.grid(rule)
         return self._once(("grid", rule), lambda: rule.grid(self.surface.chart.domain))
@@ -244,16 +159,18 @@ class CapScenario(quad.Memo):
         p = RadialBumpProfile(t_max=self.surface.chart.t_max, power=power).value(probe)
         return float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
 
-    def piece(self, label: str, rule: quad.QuadratureRule) -> Piece:
-        """The cap ("cap") or the support face ("support") as a ``Piece``; a perturbed
-        cap's face piece is its base's."""
+    def piece(self, label: str, rule: quad.QuadratureRule) -> quad.Piece:
+        """The cap ("cap") or the support face ("support") as a ``quadrature.Piece``; a
+        perturbed cap's face piece is its base's."""
         if label == "support" and self.base is not None:
             return self.base.piece(label, rule)
 
         def build():
-            sq = (quad.SurfaceQuadrature(self.face, rule) if label == "support" else
-                  quad.SurfaceQuadrature(self.surface, rule, self._cap_values(rule), self.grid(rule)))
-            return Piece(label, sq, self.star_center, self.support, self.weight)
+            if label == "support":
+                return quad.Piece(label, self.face, rule, rule.grid(self.face.chart.domain),
+                                  self.star_center, self.support, self.weight)
+            return quad.Piece(label, self.surface, rule, self.grid(rule), self.star_center,
+                              self.support, self.weight, self._cap_values(rule))
         return self._once((label, rule), build)
 
     def weighted_volume(self, rule: quad.QuadratureRule) -> float:
@@ -264,7 +181,7 @@ class CapScenario(quad.Memo):
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
         return self._once(("weight", rule), lambda: hypothesis_margins(
-            self.weight, self.piece("cap", rule).quadrature.geo))
+            self.weight, self.piece("cap", rule).geo))
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap's ring: a perturbation vanishes to second order
@@ -362,8 +279,8 @@ def make_umbilical_cap(spec: CapSpec) -> CapScenario:
     """Build the scenario for an umbilical cap (or a deliberately tilted one)."""
     s = spec.support
     r = float(spec.radius)
-    if not r > 0.0:
-        raise OrthogonalityInfeasible("cap radius must be positive")
+    if not 0.0 < r < math.inf:   # a NaN fails too
+        raise OrthogonalityInfeasible(f"cap radius must be positive and finite, got {r!r}")
     axis = np.asarray(spec.axis, dtype=float) if spec.axis is not None else _default_axis(s)
     norm = float(np.linalg.norm(axis))
     if axis.shape != (s.n,) or not 0.0 < norm < math.inf:
@@ -449,6 +366,9 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
     bump; the result refers to ``base`` and reads its epsilon-free node sets."""
     if base.perturbation is not None:
         raise ValidationFailed("perturbation_base", "only an umbilical cap can be perturbed")
+    if not math.isfinite(perturbation.epsilon):
+        raise ValidationFailed("perturbation_epsilon",
+                               f"epsilon must be finite, got {perturbation.epsilon!r}")
     cap_chart: SphericalCapChart = base.surface.chart
     if perturbation.power < 3:
         raise ValidationFailed(

@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionTooLow, NonSmoothTestFunction
-from .families import CapScenario, Piece
-from .quadrature import QuadratureRule, SurfaceQuadrature, pairwise_sum, region_sum
+from .families import CapScenario
+from .quadrature import Piece, QuadratureRule, pairwise_sum, region_sum
 from .weights import WeightField, jet
 
 
@@ -122,20 +122,20 @@ class InequalityReport:
 
 
 def _cap_terms(scenario: CapScenario, rule: QuadratureRule):
-    """(cap quadrature, cap curvature, V, convexity and substatic margins) for a
-    report; the weight is checked before the region is built."""
+    """(cap piece, cap curvature, V, convexity and substatic margins) for a report;
+    the weight is checked before the region is built."""
     Vs, convexity, substatic = scenario.weight_data(rule)
-    sq = scenario.piece("cap", rule).quadrature
-    return sq, sq.curvature(), Vs, convexity, substatic
+    cap = scenario.piece("cap", rule)
+    return cap, cap.curvature(), Vs, convexity, substatic
 
 
 def minkowski_report(scenario: CapScenario, rule: QuadratureRule,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
     """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
     n = scenario.n
-    sq, curv, Vs, margin, _ = _cap_terms(scenario, rule)
-    area_v = sq.integral(Vs)
-    mean_v = sq.integral(curv.H * Vs)
+    cap, curv, Vs, margin, _ = _cap_terms(scenario, rule)
+    area_v = cap.integral(Vs)
+    mean_v = cap.integral(curv.H * Vs)
     vol_v = scenario.weighted_volume(rule)
     lhs = area_v ** 2
     rhs = n / (n - 1.0) * vol_v * mean_v
@@ -154,17 +154,17 @@ def af_report(scenario: CapScenario, rule: QuadratureRule,
     n = scenario.n
     if n < 3:
         raise DimensionTooLow("the second-order inequality needs ambient dimension >= 3")
-    sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
-    area_v = sq.integral(Vs)
-    mean_v = sq.integral(curv.H * Vs)
-    sigma2_v = sq.integral(curv.sigma2 * Vs)
+    cap, curv, Vs, _, margin = _cap_terms(scenario, rule)
+    area_v = cap.integral(Vs)
+    mean_v = cap.integral(curv.H * Vs)
+    sigma2_v = cap.integral(curv.sigma2 * Vs)
     lhs = mean_v ** 2
     rhs = 2.0 * (n - 1.0) / (n - 2.0) * area_v * sigma2_v
 
     # normalized restatement: int (H - Hbar_V)^2 V <= (n-1)/(n-2) int |h0|^2 V
     h_mean = mean_v / area_v
-    spread = sq.integral((curv.H - h_mean) ** 2 * Vs)
-    traceless = sq.integral((curv.norm_h_sq - curv.H ** 2 / (n - 1.0)) * Vs)
+    spread = cap.integral((curv.H - h_mean) ** 2 * Vs)
+    traceless = cap.integral((curv.norm_h_sq - curv.H ** 2 / (n - 1.0)) * Vs)
     normalized_deficit = (n - 1.0) / (n - 2.0) * traceless - spread
 
     return InequalityReport(
@@ -186,13 +186,13 @@ def schur_report(scenario: CapScenario, rule: QuadratureRule,
     if n < 4:
         raise DimensionTooLow(
             f"the scalar-curvature bound needs ambient dimension >= 4, got {n}")
-    sq, curv, Vs, _, margin = _cap_terms(scenario, rule)
-    area_v = sq.integral(Vs)
-    scal_mean = sq.integral(curv.scal * Vs) / area_v
-    lhs = sq.integral((curv.scal - scal_mean) ** 2 * Vs)
+    cap, curv, Vs, _, margin = _cap_terms(scenario, rule)
+    area_v = cap.integral(Vs)
+    scal_mean = cap.integral(curv.scal * Vs) / area_v
+    lhs = cap.integral((curv.scal - scal_mean) ** 2 * Vs)
 
     coeff = 4.0 * (n - 1.0) * (n - 2.0) / (n - 3.0) ** 2
-    rhs = coeff * sq.integral(curv.ric0_sq * Vs)
+    rhs = coeff * cap.integral(curv.ric0_sq * Vs)
 
     return InequalityReport(
         theorem="AlmostSchur", n=n, level=rule.level, lhs=lhs, rhs=rhs, deficit=rhs - lhs,
@@ -278,10 +278,10 @@ class ReillyReport:
         return asdict(self)
 
 
-def _boundary_piece_terms(sq: SurfaceQuadrature, V_parts: tuple, f_parts: tuple) -> dict:
+def _boundary_piece_terms(piece: Piece, V_parts: tuple, f_parts: tuple) -> dict:
     """The three boundary integrals of the identity over one smooth piece, from the
-    ``SurfaceQuadrature.boundary_parts`` of V and of the test function f at its nodes."""
-    geo = sq.geo
+    ``Piece.boundary_parts`` of V and of the test function f at its nodes."""
+    geo = piece.geo
     V, V_nu, V_a, lap_p_V, dVnu_a = V_parts
     f, f_nu, f_a, lap_p_f, dfnu_a = f_parts
     # with q = f / V: u = f_nu - q V_nu, w = df - q dV along the piece, and
@@ -295,13 +295,13 @@ def _boundary_piece_terms(sq: SurfaceQuadrature, V_parts: tuple, f_parts: tuple)
     term_mixed = V * u * (lap_p_f - lap_p_V * q)
     term_grad = -V * np.sum(u_a * w_up, axis=0)
     quad_form = geo.h - kappa * geo.g
-    term_h = V * (sq.curvature().H * u ** 2
+    term_h = V * (piece.curvature().H * u ** 2
                   + np.sum(np.sum(quad_form * w_up, axis=1) * w_up, axis=0))
 
     return {
-        "mixed": float(pairwise_sum(term_mixed * sq.weights)),
-        "gradient": float(pairwise_sum(term_grad * sq.weights)),
-        "curvature": float(pairwise_sum(term_h * sq.weights)),
+        "mixed": float(pairwise_sum(term_mixed * piece.weights)),
+        "gradient": float(pairwise_sum(term_grad * piece.weights)),
+        "curvature": float(pairwise_sum(term_h * piece.weights)),
     }
 
 
@@ -392,9 +392,9 @@ def reilly_residual(scenario: CapScenario, function: str,
     boundary = {}
     for label in ("cap", "support"):
         piece = scenario.piece(label, rule)
-        sq, V_parts = piece.quadrature, piece.weight_parts()
-        f_parts = V_parts if is_V else sq.boundary_parts(jet(model, sq.geo.x, f))
-        boundary[label] = _boundary_piece_terms(sq, V_parts, f_parts)
+        V_parts = piece.weight_parts()
+        f_parts = V_parts if is_V else piece.boundary_parts(jet(model, piece.geo.x, f))
+        boundary[label] = _boundary_piece_terms(piece, V_parts, f_parts)
     boundary_total = sum(sum(d.values()) for d in boundary.values())
 
     residual = lhs_volume - rhs_volume - boundary_total

@@ -10,12 +10,11 @@ by its star center and the labels of its pieces alone; it has no membership
 test, so every volume integral goes through these cones.
 
 This module holds the quadrature primitives: the ``QuadratureRule`` that places
-the Gauss-Legendre nodes, the ``SurfaceQuadrature`` of one surface chart, the
-cone over one boundary piece with its flat weights, its ``cut`` into blocks, and
-the ``region_sum`` of the pieces' block sums.  A cap scenario
-(``families.CapScenario``) keeps one memoized ``families.Piece`` per boundary
-piece and rule, which builds that piece's surface quadrature and weighted cone
-and sums every region integrand over that cone's blocks.
+the Gauss-Legendre nodes, the ``Piece``, one boundary piece at one rule with its
+node geometry and all that is formed on it in one memo, the cone over a piece
+with its flat weights, its ``cut`` into blocks, and the ``region_sum`` of the
+pieces' block sums.  A cap scenario (``families.CapScenario``) keeps one
+``Piece`` per boundary piece and rule.
 
 Shapes: ``rule.grid(box)`` gives the parameter points as (m, k) rows and their
 weights (m,); everything formed at the points is node-last, as in
@@ -30,7 +29,7 @@ into it.  Region integrands are formed and reduced one block at a time, so a
 region term holds its (n, n, k) temporaries for one block, and no such tensor
 is kept at full size: what a piece keeps on its cone is per-node rows, one
 array per block.  Each block is reduced with ``pairwise_sum``
-(``families.Piece.block_sums``), each piece's block sums with it again, and the
+(``Piece.block_sums``), each piece's block sums with it again, and the
 piece sums with it once more (``region_sum``).  That equals one
 ``pairwise_sum`` over the joined nodes only where each piece's blocks form
 whole subtrees of that flat tree: a region of one piece, or a first piece of
@@ -55,7 +54,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .ambient import ModelKind
 from .errors import StarShapeViolated
+from .supports import SupportSpec
 from .surfaces import (
     FreeBoundarySurface,
     SurfaceGeometry,
@@ -63,6 +64,7 @@ from .surfaces import (
     normal_derivatives,
     surface_geometry,
 )
+from .weights import WeightField, jet
 
 DEFAULT_LEVELS = {2: 32, 3: 24, 4: 12, 5: 8, 6: 6}
 REFINE_ERROR_FLOOR = 1e-14   # relative error treated as converged by refine_study
@@ -130,19 +132,19 @@ class Memo:
         return self._cache[key]
 
 
-class SurfaceQuadrature(Memo):
-    """Geometry at the tensor nodes of a surface chart, from its (X, J, H) there if
-    given, and the integrals over them, with cached curvature and normal derivatives.
-    ``grid`` is ``rule.grid`` of the chart's domain, formed here when not given."""
+class Piece(Memo):
+    """One smooth boundary piece of a star-shaped region, "cap" or "support", at one
+    rule: its geometry at ``grid``, ``rule.grid`` of its chart's domain, from the
+    chart's (X, J, H) there if given, and what is formed on it, in one ``_cache``.  It
+    refers to no scenario, so a perturbed cap holds its base cap's face piece as it is."""
 
-    def __init__(self, surf: FreeBoundarySurface, rule: QuadratureRule, values=None,
-                 grid: tuple[np.ndarray, np.ndarray] | None = None):
-        self.surf = surf
-        self.rule = rule
-        params, self.box_weights = rule.grid(surf.chart.domain) if grid is None else grid
+    def __init__(self, label: str, surf: FreeBoundarySurface, rule: QuadratureRule, grid: tuple,
+                 star_center: np.ndarray, support: SupportSpec, weight: WeightField, values=None):
+        self.label, self.surf, self.rule, self.star_center = label, surf, rule, star_center
+        self.support, self.weight, self._cache = support, weight, {}
+        params, self.box_weights = grid
         self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
         self.weights = self.box_weights * self.geo.area_element
-        self._cache = {}
 
     def curvature(self):
         return self._once("curvature", lambda: curvature_arrays(self.surf, self.geo))
@@ -155,7 +157,7 @@ class SurfaceQuadrature(Memo):
         """The value (m,), the normal derivative (m,), the tangential gradient (k, m)
         (parameter components, lower index), the intrinsic Laplacian through the ambient
         one (m,), and the tangential derivative of the normal derivative (k, m), of one
-        function on this surface, from its ``weights.jet`` at the nodes."""
+        function on this piece, from its ``weights.jet`` at the nodes."""
         value, d1, d2, hess, lap = fn_jet
         nu, jac = self.geo.nu, self.geo.jac
         d_nu = np.sum(d1 * nu, axis=0)
@@ -169,11 +171,84 @@ class SurfaceQuadrature(Memo):
     def integral(self, values: np.ndarray) -> float:
         return pairwise_sum(np.asarray(values, dtype=float) * self.weights)
 
+    def cone(self) -> tuple[np.ndarray, np.ndarray]:
+        """The region's cone over this piece: its nodes and its flat weights times
+        exp(n phi).  The chart domains are convex and ``surface_geometry`` checked the
+        piece's nodes, so the star center alone is checked, after ``cone``'s
+        star-shape check."""
+        def build():
+            model = self.support.model
+            pts, flat = cone(self.star_center, self.label, self)
+            model.require_inside(self.star_center)
+            return pts, flat * np.exp(model.n * model.phi(pts))
+        return self._once("cone", build)
+
+    def block_sums(self, integrands: Callable[[int, np.ndarray], Sequence[np.ndarray]]
+                   ) -> list[list[float]]:
+        """One list per array that ``integrands(j, x)`` gives on block j of the cone, x
+        its nodes: each block's ``pairwise_sum`` of the array times the weights, in block
+        order.  A region integral is the ``region_sum`` of one array's lists over the
+        region's pieces."""
+        sums = [[pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)]
+                for j, (x, wt) in enumerate(cut(*self.cone()))]
+        return [list(blocks) for blocks in zip(*sums)]
+
+    def volume_sums(self) -> list[float]:
+        """V's ``block_sums``."""
+        return self._once("volume", lambda: self.block_sums(
+            lambda j, x: (self.weight.value(x),))[0])
+
+    def rows(self, key, count: int, rows: Callable[[np.ndarray], Sequence[np.ndarray]]
+             ) -> list[np.ndarray]:
+        """Per-node rows on the cone, memoized under key as one (count, block length)
+        array per block: ``rows(x)`` gives the count rows at the nodes x of one block,
+        so what they are formed from is one block long.  Every use of one key must
+        give the same rows; the Reilly checker keys its coefficient rows by the axis
+        they serve.
+
+        All block arrays of a memo are allocated before ``rows`` forms any
+        temporaries.  With one (count, m) array per memo, block arrays stacked after
+        their rows, allocated one by one between rows, or two arrays per block for the
+        Reilly checker's two row sets, the peak RSS of ``perfbench``'s verify ops rose
+        by up to 6, 1, 3 and 8 MB, as glibc's allocator happened to place them
+        (measurements in CHANGES.md)."""
+        def fill() -> list[np.ndarray]:
+            blocks = cut(*self.cone())
+            out = [np.empty((count, wt.size)) for _, wt in blocks]
+            for (x, _), block in zip(blocks, out):
+                for row, values in zip(block, rows(x)):
+                    row[...] = values
+            return out
+        return self._once(("rows", key), fill)
+
+    def weight_parts(self) -> tuple:
+        """``boundary_parts`` of V on this piece, from V's ``weights.jet`` there, which
+        is not kept."""
+        return self._once("weight parts", lambda: self.boundary_parts(
+            jet(self.support.model, self.geo.x, self.weight)))
+
+    def margins(self) -> dict:
+        """The least admissibility margins over the nodes of the flat cone over this
+        piece; a scenario reads them at its admissibility rule."""
+        def build():
+            pts, _ = cone(self.star_center, self.label, self)    # (n, m)
+            s = self.support
+            out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
+            if s.requires_half_region:
+                out["half_region"] = float(np.min(s.half_region_margin(pts)))
+            if s.model.kind is ModelKind.POINCARE_BALL:
+                out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
+            elif s.model.kind is ModelKind.UPPER_HALF_SPACE:
+                out["chart"] = float(np.min(pts[-1]))
+            out["weight_min"] = float(np.min(self.weight.value(pts)))
+            return out
+        return self._once("margins", build)
+
 
 # -- star-shaped regions -------------------------------------------------------
 
 
-def cone(x0: np.ndarray, label: str, piece: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
+def cone(x0: np.ndarray, label: str, piece: Piece) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x0 + s (X - x0), (n, s * m), and flat weights of the cone from the star
     center x0 over one boundary piece."""
     n = x0.shape[0]

@@ -183,8 +183,8 @@ def _geodesic_sphere(kind: SupportKind, model: SpaceFormModel, rho: float) -> Su
 
 
 def euclidean_sphere(n: int, radius: float = 1.0) -> SupportSpec:
-    if radius <= 0:
-        raise ValueError("sphere radius must be positive")
+    if not 0.0 < radius < math.inf:   # a NaN fails too
+        raise ValueError(f"sphere radius must be positive and finite, got {radius!r}")
     return _sphere(SupportKind.EUCLIDEAN_SPHERE, ambient.euclidean(n), radius, 1.0 / radius)
 
 

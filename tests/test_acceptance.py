@@ -19,7 +19,6 @@ from fbmink import (
     PerturbationSpec,
     QuadratureRule,
     SupportKind,
-    SurfaceQuadrature,
     af_report,
     hypothesis_audit,
     make_perturbed_cap,
@@ -251,8 +250,8 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
     area_errors = []
     volume_errors = []
     for level in levels:
-        sq = SurfaceQuadrature(hemi.surface, QuadratureRule(level))
-        area_errors.append(abs(sq.integral(np.ones(sq.geo.count)) - 2.0 * math.pi))
+        cap = hemi.piece("cap", QuadratureRule(level))
+        area_errors.append(abs(cap.integral(np.ones(cap.geo.count)) - 2.0 * math.pi))
         volume = region_volume(hemi, QuadratureRule(level))
         volume_errors.append(abs(volume - 2.0 * math.pi / 3.0))
     checks["area_order_ge_3"] = min(observed_orders(area_errors)) >= 3.0

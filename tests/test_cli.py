@@ -466,8 +466,8 @@ def test_converge_frees_each_level_before_the_next(tmp_path, monkeypatch):
     # a perturbed cap's copy per level comes with a copy of its base, so neither
     # keeps one level's nodes alive while the next level's are built
     levels = [10, 12, 16, 20]
-    node_sets, built = [], []    # every surface node set (level, weakref); per converge-level
-    init = quadrature.SurfaceQuadrature.__init__    # set, the converge levels then still alive
+    node_sets, built = [], []    # every boundary piece (level, weakref); per converge-level
+    init = quadrature.Piece.__init__    # piece, the converge levels then still alive
 
     def tracking(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -476,7 +476,7 @@ def test_converge_frees_each_level_before_the_next(tmp_path, monkeypatch):
             built.append((level, {lv for lv, ref in node_sets if ref() is not None}))
             node_sets.append((level, weakref.ref(self)))
 
-    monkeypatch.setattr(quadrature.SurfaceQuadrature, "__init__", tracking)
+    monkeypatch.setattr(quadrature.Piece, "__init__", tracking)
     cfg = write_config(tmp_path, {"version": 1, "support": {"kind": "euclidean_sphere"},
                                   "perturbation": {"epsilon": 0.05},
                                   "converge": {"levels": levels}})

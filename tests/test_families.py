@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
-from fbmink import families
+from fbmink import families, quadrature
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.quadrature import REGION_BLOCK, region_sum
@@ -137,6 +138,29 @@ def test_perturbation_requires_smooth_profile_order():
         make_perturbed_cap(spec, PerturbationSpec(epsilon=0.05, power=2))
 
 
+@pytest.mark.parametrize("kind", [SupportKind.EUCLIDEAN_PLANE, SupportKind.HOROSPHERE,
+                                  SupportKind.EUCLIDEAN_SPHERE])
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_a_non_finite_cap_radius_is_infeasible_before_any_evaluation(kind, radius):
+    # rejected before any chart evaluation: an infinite radius there warns, then
+    # raises DegenerateImmersion (plane) or PointOutsideChart (horosphere)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrthogonalityInfeasible, match="^cap radius must be positive and finite"):
+            make_umbilical_cap(CapSpec(support=canonical_support(kind), radius=radius))
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_epsilon_is_rejected_up_front(epsilon):
+    # rejected before the chart is displaced, which would raise DegenerateImmersion
+    base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailed, match="^perturbation_epsilon: epsilon must be finite") as info:
+            perturb_cap(base, PerturbationSpec(epsilon=epsilon))
+    assert info.value.check == "perturbation_epsilon"
+
+
 def test_only_an_umbilical_cap_is_perturbed():
     dimple = make_perturbed_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)),
                                 PerturbationSpec(epsilon=0.05))
@@ -198,7 +222,7 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
     # of one base cap reads the base's: the face's nodes take one jet
     base = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE)))
     rule = QuadratureRule(16)
-    face_x = base.piece("support", rule).quadrature.geo.x
+    face_x = base.piece("support", rule).geo.x
     face_jets = []
 
     def recording_jet(model, x, fn):
@@ -206,7 +230,7 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
             face_jets.append(x)
         return jet(model, x, fn)
 
-    monkeypatch.setattr(families, "jet", recording_jet)
+    monkeypatch.setattr(quadrature, "jet", recording_jet)
     perturbed = [perturb_cap(base, PerturbationSpec(epsilon=eps)) for eps in (0.05, -0.03)]
     for sc in perturbed:
         reilly_residual(sc, "x1", rule)
@@ -302,7 +326,7 @@ def test_the_face_of_a_plane_cap_is_no_piece_of_its_region():
     assert report.integrals["weighted_volume"] == region_sum([cap.volume_sums()])
     assert {"cone", "volume"} <= set(cap._cache)
     face = sc.piece("support", rule)
-    assert set(face._cache) == {"weight parts"}
+    assert set(face._cache) == {"curvature", "dnu", "weight parts"}
     # admissibility reads no node of the face
     assert ("support", families.ADMISSIBILITY_RULE) not in sc._cache
 
@@ -316,7 +340,7 @@ def _base_arrays(sc, rule) -> list:
     grid, and the face piece's nodes, weights, V's parts there and, where the face is
     a piece of the region, its cone."""
     face = sc.piece("support", rule)
-    arrays = [*sc.grid(rule), face.quadrature.geo.x, face.quadrature.weights]
+    arrays = [*sc.grid(rule), face.geo.x, face.weights]
     if "support" in sc.pieces:
         arrays += [*face.cone()]
     return arrays + list(face.weight_parts())
@@ -353,8 +377,8 @@ def test_perturbations_hold_their_base_caps_face_piece(kind, n, level):
     for r in (rule, families.ADMISSIBILITY_RULE):
         assert sc.piece("support", r) is sc.base._cache[("support", r)]
     face = sc.piece("support", rule)
-    assert {_memo_kind(key) for key in face._cache} == (
-        {"cone", "volume", "rows", "weight parts"} if "support" in sc.pieces else {"weight parts"})
+    assert {_memo_kind(key) for key in face._cache} == {"curvature", "dnu", "weight parts"} | (
+        {"cone", "volume", "rows"} if "support" in sc.pieces else set())
 
 
 @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in SupportKind),

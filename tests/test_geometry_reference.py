@@ -133,7 +133,7 @@ def test_geometry_matches_the_generic_reference(kind, n, eps):
                 geo=geo, rule=QuadratureRule(4), box_weights=np.full(len(U), 0.5)))
         if n <= 4:
             # the nodes every report reads, polar nodes next to the axis included
-            sq = sc.piece(label, QuadratureRule(6)).quadrature
-            _check_surface(surf, sq.geo.params, (label, "level 6"))
+            piece = sc.piece(label, QuadratureRule(6))
+            _check_surface(surf, piece.geo.params, (label, "level 6"))
             if label in sc.pieces:
-                _check_cone(sc, label, sq)
+                _check_cone(sc, label, piece)

@@ -1,5 +1,6 @@
 """Quadrature: exactness, convergence bookkeeping, bit-stable reductions."""
 
+import dataclasses
 import functools
 import gc
 import json
@@ -27,7 +28,6 @@ import fbmink.weights as weights
 from fbmink import (
     PerturbationSpec,
     QuadratureRule,
-    SurfaceQuadrature,
     af_report,
     default_cap_spec,
     default_level,
@@ -92,8 +92,8 @@ def test_default_levels_keyed_by_ambient_dimension():
 
 
 def test_hemisphere_area_and_volume(hemisphere):
-    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
-    assert np.isclose(sq.integral(np.ones(sq.geo.count)), 2.0 * math.pi, rtol=1e-12)
+    cap = hemisphere.piece("cap", QuadratureRule(16))
+    assert np.isclose(cap.integral(np.ones(cap.geo.count)), 2.0 * math.pi, rtol=1e-12)
     assert np.isclose(region_volume(hemisphere, QuadratureRule(16)), 2.0 * math.pi / 3.0,
                       rtol=1e-12)
 
@@ -118,18 +118,18 @@ def test_lens_region_volume_matches_cap_sum():
 
 
 def test_surface_integral_linearity(hemisphere):
-    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(10))
-    z = sq.geo.x[2]
+    cap = hemisphere.piece("cap", QuadratureRule(10))
+    z = cap.geo.x[2]
     a, b = 2.5, -1.25
-    assert np.isclose(sq.integral(a * z + b),
-                      a * sq.integral(z) + b * sq.integral(np.ones_like(z)),
+    assert np.isclose(cap.integral(a * z + b),
+                      a * cap.integral(z) + b * cap.integral(np.ones_like(z)),
                       rtol=1e-13)
 
 
 def test_moment_of_hemisphere(hemisphere):
     # int_{S^2_+} z dA = pi for the unit upper hemisphere
-    sq = SurfaceQuadrature(hemisphere.surface, QuadratureRule(16))
-    assert np.isclose(sq.integral(sq.geo.x[2]), math.pi, rtol=1e-12)
+    cap = hemisphere.piece("cap", QuadratureRule(16))
+    assert np.isclose(cap.integral(cap.geo.x[2]), math.pi, rtol=1e-12)
 
 
 def test_pairwise_sum_matches_math_fsum():
@@ -224,8 +224,8 @@ def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
         return v[lo:lo + x.shape[1]]
 
     def integrals(integrands):   # block_sums reads no more of a piece than its cone()
-        sums = [families.Piece.block_sums(SimpleNamespace(cone=lambda piece=piece: piece),
-                                          functools.partial(integrands, i))
+        sums = [quadrature.Piece.block_sums(SimpleNamespace(cone=lambda piece=piece: piece),
+                                            functools.partial(integrands, i))
                 for i, piece in enumerate(pieces)]
         return tuple(region_sum(terms) for terms in zip(*sums))
 
@@ -239,7 +239,8 @@ def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
 
 def test_reilly_set_holds_one_region_block_of_temporaries():
     # a perturbed hyp_geodesic_sphere cap at n=3 level 32 has 65,536 region nodes, so
-    # each full-size (3, 3, m) tensor is 4.5 MiB; unblocked, the set peaked at 38 MiB
+    # each full-size (3, 3, m) tensor is 4.5 MiB; the set peaks at 10.5 MiB, and at
+    # 16.4 MiB with one block per piece (REGION_BLOCK = 2**30)
     sc = _perturbed_scenario(SupportKind.HYP_GEODESIC_SPHERE)
     tracemalloc.start()
     try:
@@ -263,11 +264,10 @@ def _report_bytes(reports):
 
 
 def test_quadrature_values_independent_of_construction_count(hemisphere):
-    # rebuilding the same rule gives bit-identical integrals
-    a1 = SurfaceQuadrature(hemisphere.surface, QuadratureRule(12)).integral(
-        np.ones(12 * 12))
-    a2 = SurfaceQuadrature(hemisphere.surface, QuadratureRule(12)).integral(
-        np.ones(12 * 12))
+    # rebuilding the same rule gives bit-identical integrals: two copies of the
+    # scenario, with empty memos, build the cap's piece afresh
+    a1, a2 = (dataclasses.replace(hemisphere).piece("cap", QuadratureRule(12)).integral(
+        np.ones(12 * 12)) for _ in range(2))
     assert a1 == a2
     # a scenario's cached nodes give the same bits whichever consumer fills them
     rule = QuadratureRule(10)
@@ -320,7 +320,7 @@ def _arrays(obj, depth: int = 3):
 
 def test_each_node_set_is_evaluated_once(monkeypatch):
     """One perturbed n=4 verification: every consumer shares the node bundles."""
-    counts = {"geometry": 0, "principal": 0, "surface": 0, "ring": 0,
+    counts = {"geometry": 0, "principal": 0, "piece": 0, "ring": 0,
               "margins": 0, "weight jet": 0, "dnu": 0}
     cones = []   # (label, level) of every flat cone
     flat_cone = quadrature.cone
@@ -336,7 +336,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         _patch_imports(monkeypatch, original, replacement)
 
     jet = weights.jet
-    boundary_parts = quadrature.SurfaceQuadrature.boundary_parts
+    boundary_parts = quadrature.Piece.boundary_parts
     coordinate_hessian = inequalities._Coordinate.euclidean_hessian
     V_derivatives = {"euclidean_gradient": [], "euclidean_hessian": []}   # their points
     V_jets = []   # V's jets, as the patched ``jet`` returns them
@@ -363,9 +363,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     boundary_jets = []   # the jet behind every set of boundary parts formed
     flat_points = []     # the points of every flat Hessian of a coordinate
 
-    def recording_parts(sq, fn_jet):
+    def recording_parts(piece, fn_jet):
         boundary_jets.append(fn_jet)
-        return boundary_parts(sq, fn_jet)
+        return boundary_parts(piece, fn_jet)
 
     def recording_hessian(self, x):
         flat_points.append(x)
@@ -375,15 +375,15 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         cones.append((label, piece.rule.level))
         return flat_cone(x0, label, piece)
 
-    monkeypatch.setattr(quadrature.SurfaceQuadrature, "boundary_parts", recording_parts)
+    monkeypatch.setattr(quadrature.Piece, "boundary_parts", recording_parts)
     monkeypatch.setattr(inequalities._Coordinate, "euclidean_hessian", recording_hessian)
     for name in V_derivatives:
         recording_derivative(name)
     patch_imports(surfaces.surface_geometry, counting("geometry", surfaces.surface_geometry))
     patch_imports(surfaces.normal_derivatives, counting("dnu", surfaces.normal_derivatives))
     monkeypatch.setattr(quadrature, "cone", recording_cone)
-    monkeypatch.setattr(quadrature.SurfaceQuadrature, "__init__",
-                        counting("surface", quadrature.SurfaceQuadrature.__init__))
+    monkeypatch.setattr(quadrature.Piece, "__init__",
+                        counting("piece", quadrature.Piece.__init__))
     monkeypatch.setattr(surfaces, "principal_curvatures",
                         counting("principal", surfaces.principal_curvatures))
     monkeypatch.setattr(families, "boundary_checks", counting("ring", surfaces.boundary_checks))
@@ -411,7 +411,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert counts["principal"] == 1
     # one per node set: the two admissibility caps and the level-12 cap and face;
     # the boundary ring is the one geometry that is not a quadrature node set
-    assert counts["surface"] == 4
+    assert counts["piece"] == 4
     # one dnu per face, for all three test functions
     assert counts["dnu"] == 2
     # V's jet once on the cap and once on the face, and none on the region
@@ -456,7 +456,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
     assert len(boundary_jets) == 2 + 2 * 2
     assert [x.shape[-1] for x in flat_points] == [geo.count for geo in (
-        sc.piece(label, rule).quadrature.geo for label in ("cap", "support"))] * 2
+        sc.piece(label, rule).geo for label in ("cap", "support"))] * 2
     # a perturbed cap over a sphere reads the level-6 face nodes and the face cone's
     # margins of its base cap's admissibility check
     faces.clear()
@@ -552,7 +552,7 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
 
     def weighted_cones(sc):   # the reference: each flat cone, then weighted
         return [(pts, wt * np.exp(sc.model.n * sc.model.phi(pts))) for pts, wt in (
-            quadrature.cone(sc.star_center, label, sc.piece(label, rule).quadrature)
+            quadrature.cone(sc.star_center, label, sc.piece(label, rule))
             for label in sc.pieces)]
 
     for sc, report in rows:
@@ -612,8 +612,8 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
                    and memo.base is None and key[0] in ("grid", "support"))
     assert base == {("grid", admissibility): 1, ("grid", rule): 1,
                     ("support", admissibility): 1, ("support", rule): 1}
-    face = Counter((memo.quadrature.rule, key) for memo, key in built
-                   if isinstance(memo, families.Piece) and memo.label == "support")
+    face = Counter((memo.rule, key) for memo, key in built
+                   if isinstance(memo, quadrature.Piece) and memo.label == "support")
     assert face == {(admissibility, "margins"): 1, (rule, "cone"): 1, (rule, "volume"): 1}
     assert max(Counter((id(memo), key) for memo, key in built).values()) == 1
     assert out[2] == out[1]
@@ -630,14 +630,12 @@ def test_node_bundle_is_freed_with_its_scenario():
         reilly_residual(sc, "V", rule)
         # the perturbed cap, its base and their node sets at levels 6 and 8 (the
         # admissibility check and this rule): the perturbed cap's cap piece at both
-        # levels, and the base's cap piece at 6 and its face piece at 6 and 8, each
-        # piece with its surface quadrature
+        # levels, and the base's cap piece at 6 and its face piece at 6 and 8
         held = [sc, sc.base, *sc._cache.values(), *sc.base._cache.values()]
-        held += [x.quadrature for x in held if isinstance(x, families.Piece)]
         refs = [weakref.ref(x) for x in held if isinstance(x, (
-            families.CapScenario, families.Piece, SurfaceQuadrature))]
-        assert len(refs) == 12
+            families.CapScenario, quadrature.Piece))]
+        assert len(refs) == 7
         del sc, held
-        assert [ref() for ref in refs] == [None] * 12
+        assert [ref() for ref in refs] == [None] * 7
     finally:
         gc.enable()

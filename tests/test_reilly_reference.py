@@ -33,12 +33,12 @@ def _node_first(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, -1, 0)
 
 
-def _reference_boundary_terms(sq, V_jet, f_jet) -> dict:
-    geo = sq.geo
+def _reference_boundary_terms(piece, V_jet, f_jet) -> dict:
+    geo = piece.geo
     nu, jac = _node_first(geo.nu), _node_first(geo.jac)
     g, g_inv, h = _node_first(geo.g), _node_first(geo.g_inv), _node_first(geo.h)
-    curv = sq.curvature()
-    dnu = _node_first(sq.normal_derivatives())
+    curv = piece.curvature()
+    dnu = _node_first(piece.normal_derivatives())
 
     def boundary_parts(fn_jet):
         _, d1, d2, hess, lap = fn_jet
@@ -61,9 +61,9 @@ def _reference_boundary_terms(sq, V_jet, f_jet) -> dict:
     term_grad = -Vv * np.einsum("ma,ma->m", u_a, w_up)
     quad_form = h - (V_nu / Vv)[:, None, None] * g
     term_h = Vv * curv.H * u ** 2 + np.einsum("mab,ma,mb->m", quad_form, w_up, w_up) * Vv
-    return {"mixed": float(pairwise_sum(term_mixed * sq.weights)),
-            "gradient": float(pairwise_sum(term_grad * sq.weights)),
-            "curvature": float(pairwise_sum(term_h * sq.weights))}
+    return {"mixed": float(pairwise_sum(term_mixed * piece.weights)),
+            "gradient": float(pairwise_sum(term_grad * piece.weights)),
+            "curvature": float(pairwise_sum(term_h * piece.weights))}
 
 
 def reference_reilly(scenario, function: str, rule) -> dict:
@@ -87,9 +87,9 @@ def reference_reilly(scenario, function: str, rule) -> dict:
     lhs_volume, rhs_volume = region_integrals(scenario, rule, volume_integrands)
     boundary = {}
     for label in ("cap", "support"):
-        sq = scenario.piece(label, rule).quadrature
-        x = sq.geo.x
-        boundary[label] = _reference_boundary_terms(sq, jet(model, x, scenario.weight),
+        piece = scenario.piece(label, rule)
+        x = piece.geo.x
+        boundary[label] = _reference_boundary_terms(piece, jet(model, x, scenario.weight),
                                                     jet(model, x, f))
     residual = lhs_volume - rhs_volume - sum(sum(d.values()) for d in boundary.values())
     scale = max(abs(lhs_volume), abs(rhs_volume),

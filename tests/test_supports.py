@@ -1,6 +1,7 @@
 """Support hypersurface catalogue: realizations, curvatures, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_geodesic_radius_that_underflows_is_rejected(kind):
 def test_nan_geodesic_radius_is_rejected_as_out_of_range(make, message):
     with pytest.raises(ValueError, match=f"^geodesic radius {message}"):
         make(3, geodesic_radius=math.nan)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_euclidean_sphere_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    # a NaN or infinite radius would build a support of kappa nan or 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sphere radius must be positive and finite"):
+            make_support("euclidean_sphere", 3, radius=radius)
 
 
 def test_equidistant_kappa_bounds():

@@ -215,7 +215,7 @@ def test_weingarten_matches_fd_of_normal_on_angular_bump_caps(kind):
     # euclidean_plane, whose conformal factor is trivial
     sc = angular_bump_scenario(kind)
     validate_scenario(sc)
-    geo = sc.piece("cap", QuadratureRule(16)).quadrature.geo
+    geo = sc.piece("cap", QuadratureRule(16)).geo
     g, h = np.moveaxis(geo.g, -1, 0), np.moveaxis(geo.h, -1, 0)
     assert np.max(np.abs(g @ h - h @ g)) > 5e-4
     assert _weingarten_fd_gap(sc.surface) < 1e-7
