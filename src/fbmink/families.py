@@ -17,13 +17,17 @@ Omega (its one description), and the paired weight.  It memoizes per rule
 the cap's parameter grid, the cap weight data, and each boundary piece as one
 ``quadrature.Piece``: the cap's and, where it exists, the face's.  A piece holds
 its node geometry and curvature, its cone with its conformal weights (its star
-center checked to lie in the model's chart as it is built), V's sums over that
-cone's blocks (``weighted_volume``), per-node rows, one array per block (the
-Reilly checker's coefficient rows, V's and one axis's from one pass), V's
-boundary parts, and its admissibility margins.  Every report, audit, validation and
-identity check on a scenario shares them.  A region integral is the pairwise
-sum over the pieces (``quadrature.region_sum``) of each piece's sums over its
-cone's blocks, cut from the cone's own first node (``Piece.block_sums``).
+center checked to lie in the model's chart as it is built), per-node rows, one
+array per block (the Reilly checker's coefficient rows, V's and one axis's from
+one pass), V's boundary parts, and its admissibility margins.  Every report,
+audit, validation and identity check on a scenario shares them.  A region
+integral is the pairwise sum over the pieces (``quadrature.region_sum``) of each
+piece's sums over its cone's blocks, cut from the cone's own first node
+(``Piece.block_sums``); the Reilly checker forms the only ones at a report's
+rule.  The weighted volume int_Omega V needs no region: by the free-boundary
+Minkowski formula it is int_Sigma <X_a, nu> / n over the cap piece
+(``weighted_volume``, X_a the ``weights.minkowski_field``), so the reports
+and the sweeps build neither a cone nor the face's piece at their rule.
 Perturbed caps displace the base cap along its gbar-unit normal by epsilon
 times a profile that vanishes to second order at the ring, so the
 free-boundary data at Gamma is preserved exactly.  A perturbed cap is its
@@ -63,7 +67,7 @@ from .errors import (
 )
 from .supports import HalfRegion, PlaneShape, SphereShape, SupportSpec, plane_anchor
 from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins
-from .weights import WeightField, weight_for_support
+from .weights import WeightField, minkowski_field, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
@@ -174,9 +178,14 @@ class CapScenario(quad.Memo):
         return self._once((label, rule), build)
 
     def weighted_volume(self, rule: quad.QuadratureRule) -> float:
-        """int_Omega V: the ``quad.region_sum`` of each region piece's memoized
-        ``volume_sums``, so V runs on the face's cone once per (base cap, rule)."""
-        return quad.region_sum([self.piece(label, rule).volume_sums() for label in self.pieces])
+        """int_Omega V from the cap alone: int_Sigma <X_a, nu> / n, X_a the
+        ``weights.minkowski_field``, tangent to the support, so the face adds nothing.
+        It forms no region node and no face piece."""
+        cap = self.piece("cap", rule)
+        x = cap.geo.x
+        field = minkowski_field(self.support, self.face.chart.center, x)
+        flux = self.model.conformal_factor(x) * np.sum(field * cap.geo.nu, axis=0)  # <X_a, nu>
+        return cap.integral(flux) / self.n
 
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""

@@ -5,7 +5,8 @@ Gauss-Legendre quadrature on a cap scenario, audits the pointwise curvature
 hypothesis the theorem assumes, and returns the signed deficit.  Deficits are
 oriented so that a nonnegative value means the inequality holds:
 
-* Minkowski:     deficit = (int_S V)^2 - n/(n-1) int_O V * int_S H V
+* Minkowski:     deficit = (int_S V)^2 - n/(n-1) int_O V * int_S H V, with
+                 n int_O V = int_S <X_a, nu> read off the cap alone
 * second order:  deficit = (int_S H V)^2 - 2(n-1)/(n-2) int_S V * int_S s2 V
 * almost Schur:  deficit = C_n int_S |Ric0|^2 V - int_S (R - R^V)^2 V
 
@@ -123,7 +124,7 @@ class InequalityReport:
 
 def _cap_terms(scenario: CapScenario, rule: QuadratureRule):
     """(cap piece, cap curvature, V, convexity and substatic margins) for a report;
-    the weight is checked before the region is built."""
+    the weight is checked before the curvature is formed."""
     Vs, convexity, substatic = scenario.weight_data(rule)
     cap = scenario.piece("cap", rule)
     return cap, cap.curvature(), Vs, convexity, substatic
@@ -131,7 +132,9 @@ def _cap_terms(scenario: CapScenario, rule: QuadratureRule):
 
 def minkowski_report(scenario: CapScenario, rule: QuadratureRule,
                      equality_tolerance: float = DEFAULT_EQUALITY_TOL) -> InequalityReport:
-    """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps."""
+    """Weighted volumetric lower bound for (int_S V)^2 on free-boundary caps.  Every
+    integral is over the cap piece: int_O V is ``CapScenario.weighted_volume``, by the
+    free-boundary Minkowski formula, so the report builds no region cone and no face."""
     n = scenario.n
     cap, curv, Vs, margin, _ = _cap_terms(scenario, rule)
     area_v = cap.integral(Vs)

@@ -7,7 +7,9 @@ s^{n-1} det[X - x0 | dX], so each boundary piece contributes one smooth
 tensor-product integral.  The split along the corner ring Gamma is automatic
 because the cap and the support face are separate pieces.  A region is given
 by its star center and the labels of its pieces alone; it has no membership
-test, so every volume integral goes through these cones.
+test, so every region integral goes through these cones.  The Reilly checker
+forms them at a report's rule; the weighted volume needs none, as a scenario
+reads it off its cap (``families.CapScenario.weighted_volume``).
 
 This module holds the quadrature primitives: the ``QuadratureRule`` that places
 the Gauss-Legendre nodes, the ``Piece``, one boundary piece at one rule with its
@@ -192,11 +194,6 @@ class Piece(Memo):
         sums = [[pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)]
                 for j, (x, wt) in enumerate(cut(*self.cone()))]
         return [list(blocks) for blocks in zip(*sums)]
-
-    def volume_sums(self) -> list[float]:
-        """V's ``block_sums``."""
-        return self._once("volume", lambda: self.block_sums(
-            lambda j, x: (self.weight.value(x),))[0])
 
     def rows(self, key, count: int, rows: Callable[[np.ndarray], Sequence[np.ndarray]]
              ) -> list[np.ndarray]:

@@ -205,6 +205,9 @@ def hyp_geodesic_sphere(n: int, geodesic_radius: Optional[float] = None,
         if not geodesic_radius > 0:   # a NaN fails too
             raise ValueError("geodesic radius must be positive")
         rho = math.tanh(geodesic_radius / 2.0)
+        if not rho < 1.0:   # tanh(R/2) rounds to 1 from R = 38.1231 on
+            raise ValueError(f"geodesic radius {geodesic_radius!r} gives chart radius 1.0; "
+                             "chart radius must lie in (0, 1)")
     else:
         rho = float(chart_radius)
         if not 0.0 < rho < 1.0:

@@ -125,6 +125,67 @@ def weight_for_support(s: SupportSpec) -> WeightField:
     return WeightField(model=s.model, formula=_BINDING[s.kind])
 
 
+# -- the free-boundary Minkowski field -------------------------------------------
+
+
+def _conformal(w: WeightField, x: np.ndarray) -> np.ndarray:
+    """V's conformal field X = -grad V / K = -exp(-2 phi) grad_flat V / K, where K != 0."""
+    return w.euclidean_gradient(x) * (-np.exp(-2.0 * w.model.phi(x)) / w.model.K)
+
+
+def _geodesic_sphere_field(w: WeightField, s: SupportSpec, anchor: np.ndarray,
+                           x: np.ndarray) -> np.ndarray:
+    """X + c B on the sphere |x| = rho of the ball or the sphere model: B = (1 - K|x|^2)/2
+    e_n + K x_n x is Killing, and c = K (1 - K rho^2) / (1 + K rho^2) cancels X's normal
+    part on the support."""
+    K, rho2 = w.model.K, s.shape.radius ** 2
+    killing = K * x[-1] * x
+    killing[-1] += 0.5 * (1.0 - K * np.sum(x * x, axis=0))
+    return _conformal(w, x) + (K * (1.0 - K * rho2) / (1.0 + K * rho2)) * killing
+
+
+def _euclidean_sphere_field(w: WeightField, s: SupportSpec, anchor: np.ndarray,
+                            x: np.ndarray) -> np.ndarray:
+    """x_n x - (|x|^2 + R^2)/2 e_n: V = x_n's conformal field plus a translation."""
+    field = x[-1] * x
+    field[-1] -= 0.5 * (np.sum(x * x, axis=0) + s.shape.radius ** 2)
+    return field
+
+
+def _anchored_field(w: WeightField, s: SupportSpec, anchor: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """(x - p) / p_n in the half space, p a point of the support plane: V = 1/x_n's
+    conformal field -e_n plus the Killing field (x - p') / p_n, a dilation and a
+    horizontal translation, p' = p - p_n e_n.  Centered at the face's anchor, the cap
+    integrand is as accurate as the region cone; the uncentered x - e_n and -e_n read
+    up to ten times its error at level 16 and 24."""
+    return (x - anchor[:, None]) / anchor[-1]
+
+
+# X_a = X + a Killing field, X V's conformal field (L_X gbar = 2 V gbar, so div X = n V),
+# with X_a tangent to the support S along S
+_MINKOWSKI_FIELD = {
+    SupportKind.EUCLIDEAN_SPHERE: _euclidean_sphere_field,
+    SupportKind.EUCLIDEAN_PLANE: lambda w, s, anchor, x: x.copy(),
+    SupportKind.HYP_GEODESIC_SPHERE: _geodesic_sphere_field,
+    SupportKind.HOROSPHERE: _anchored_field,
+    SupportKind.EQUIDISTANT: _anchored_field,
+    SupportKind.HYP_GEODESIC_PLANE: _anchored_field,
+    SupportKind.SPH_GEODESIC_SPHERE: _geodesic_sphere_field,
+    SupportKind.SPH_HYPERPLANE: lambda w, s, anchor, x: _conformal(w, x),
+}
+
+
+def minkowski_field(s: SupportSpec, anchor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X_a at points x (n, m), chart components: the conformal field of s's weight V
+    plus a Killing field, tangent to S along S.  So <X_a, nu> vanishes on the support
+    face, and n int_Omega V = int_Sigma <X_a, nu> over the cap alone, nu Omega's outward
+    normal.  ``anchor`` is the face chart's center: the half-space fields, and only
+    they, read it, a point of the support plane there."""
+    x = np.asarray(x, dtype=float)
+    return _MINKOWSKI_FIELD[s.kind](weight_for_support(s), s, np.asarray(anchor, dtype=float), x)
+
+
 def jet(model: SpaceFormModel, x: np.ndarray, fn) -> tuple[np.ndarray, ...]:
     """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x
     of ``fn``: a ``WeightField`` or anything with its three flat-derivative methods."""

@@ -3,6 +3,7 @@
 import copy
 import gc
 import json
+import math
 import subprocess
 import sys
 import weakref
@@ -377,6 +378,21 @@ def test_geodesic_radius_that_underflows_exits_2(kind, tmp_path, capsys):
     assert f"support configuration rejected: {kind}: geodesic radius too small" in err
 
 
+@pytest.mark.parametrize("radius, message", [
+    (40.0, "support configuration rejected: geodesic radius 40.0 gives chart radius 1.0; "
+           "chart radius must lie in (0, 1)"),
+    (math.inf, "config invalid at support/params/geodesic_radius: "
+               "NaN and infinity are not allowed")])
+def test_geodesic_radius_whose_chart_radius_rounds_to_one_exits_2(radius, message, tmp_path,
+                                                                  capsys):
+    # tanh(R/2) rounds to 1.0; json writes inf as Infinity, which the reader rejects first
+    cfg = write_config(tmp_path, {"version": 1, "support": {
+        "kind": "hyp_geodesic_sphere", "params": {"geodesic_radius": radius}}})
+    code, out, err = run_cli(["minkowski", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_cap_whose_squared_t_max_rounds_apart_builds(tmp_path, capsys):
     # its t_max squares differently by pow and by multiplication; the bump still vanishes
     # on the ring, so the profile check passes
@@ -485,8 +501,8 @@ def test_converge_frees_each_level_before_the_next(tmp_path, monkeypatch):
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
     finally:
         gc.enable()
-    # per level the perturbed copy's cap, then the base copy's face, which it reads
-    assert [level for level, _ in built] == [lv for lv in levels for _ in range(2)]
+    # per level the perturbed copy's cap alone: the weighted volume reads no face
+    assert [level for level, _ in built] == levels
     assert all(alive <= {level} for level, alive in built)
 
 

@@ -34,12 +34,12 @@ from fbmink import (
 from fbmink import families, quadrature
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
-from fbmink.quadrature import REGION_BLOCK, region_sum
+from fbmink.quadrature import REGION_BLOCK
 from fbmink.supports import plane_anchor
 from fbmink.surfaces import boundary_checks, surface_geometry
 from fbmink.weights import WeightField, jet
 
-from conftest import canonical_support
+from conftest import canonical_support, region_integrals
 
 
 def test_all_canonical_scenarios_validate():
@@ -283,9 +283,9 @@ def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
 
 
 def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
-    # each cone's star center is checked as the cone is built, so the weighted volume,
-    # the Minkowski report and every Reilly row, the V row that forms no region rows
-    # included, name the star center outside the chart: below x_n = 0 for the one cone
+    # each cone's star center is checked as the cone is built, so every Reilly row, the
+    # V row that forms no region rows included, names the star center outside the
+    # chart (the weighted volume reads the cap alone): below x_n = 0 for the one cone
     # of a horosphere cap, and, for the two cones of a cap over a geodesic sphere of
     # chart radius 0.99, past the unit sphere beyond the corner ring, midway between two
     # of the level-8 azimuthal nodes, where every node of both pieces still faces it
@@ -300,9 +300,7 @@ def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
     for sc, star in ((horosphere, below), (sphere, beyond)):
         chart = sc.model.kind.value
         messages = set()
-        for consumer in (lambda bad: bad.weighted_volume(rule),
-                         lambda bad: minkowski_report(bad, rule),
-                         lambda bad: reilly_residual(bad, "V", rule),
+        for consumer in (lambda bad: reilly_residual(bad, "V", rule),
                          lambda bad: reilly_residual(bad, "x1", rule),
                          lambda bad: reilly_residual(bad, "x1^2", rule)):
             with pytest.raises(PointOutsideChart, match=f"{chart} chart domain") as info:
@@ -316,15 +314,19 @@ def test_region_nodes_outside_the_chart_fail_every_consumer_alike():
 
 def test_the_face_of_a_plane_cap_is_no_piece_of_its_region():
     # the face of a plane cap passes through the star center: its piece carries the
-    # identity's boundary terms, but the region is the cap's cone alone
+    # identity's boundary terms, but the region is the cap's cone alone; the Minkowski
+    # report reads its volume off the cap, and builds neither a cone nor the face piece
     sc = make_umbilical_cap(default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_PLANE)))
     rule = QuadratureRule(8)
     assert sc.pieces == ("cap",)
     report = minkowski_report(sc, rule)
-    reilly_residual(sc, "x1", rule)
     cap = sc.piece("cap", rule)
-    assert report.integrals["weighted_volume"] == region_sum([cap.volume_sums()])
-    assert {"cone", "volume"} <= set(cap._cache)
+    assert ("support", rule) not in sc._cache and "cone" not in cap._cache
+    assert report.integrals["weighted_volume"] == sc.weighted_volume(rule)
+    reilly_residual(sc, "x1", rule)
+    assert "cone" in cap._cache
+    assert report.integrals["weighted_volume"] == pytest.approx(
+        region_integrals(sc, rule, lambda j, x: (sc.weight.value(x),))[0], rel=4e-15, abs=0.0)
     face = sc.piece("support", rule)
     assert set(face._cache) == {"curvature", "dnu", "weight parts"}
     # admissibility reads no node of the face
@@ -363,13 +365,17 @@ def test_perturbations_hold_their_base_caps_face_piece(kind, n, level):
     assert [x.hex() for x in ring] == [x.hex() for x in fresh.boundary()]
 
     # a full verification: the perturbed cap memoizes only its own cap's sets, and its
-    # face piece at each rule is its base cap's
+    # face piece at each rule is its base cap's; the reports and the audit read the cap
+    # alone, so the Reilly rows are the first to build a cone or the face at this rule
     sc = perturb_cap(make_umbilical_cap(spec), PerturbationSpec(epsilon=0.05))
     for cap in (sc, sc.base):
         validate_scenario(cap)
         for report in (minkowski_report, af_report, hypothesis_audit,
                        *((schur_report,) if n >= 4 else ())):
             report(cap, rule)
+    assert ("support", rule) not in sc.base._cache
+    assert all("cone" not in cap.piece("cap", rule)._cache for cap in (sc, sc.base))
+    for cap in (sc, sc.base):
         for name in ("V", "x1", "x1^2"):
             reilly_residual(cap, name, rule)
     assert {_memo_kind(key) for key in sc._cache} == {"cap", "weight", "margins"}
@@ -378,7 +384,7 @@ def test_perturbations_hold_their_base_caps_face_piece(kind, n, level):
         assert sc.piece("support", r) is sc.base._cache[("support", r)]
     face = sc.piece("support", rule)
     assert {_memo_kind(key) for key in face._cache} == {"curvature", "dnu", "weight parts"} | (
-        {"cone", "volume", "rows"} if "support" in sc.pieces else set())
+        {"cone", "rows"} if "support" in sc.pieces else set())
 
 
 @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in SupportKind),

@@ -492,8 +492,8 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
     epsilons = cli.DEFAULT_SWEEP_EPSILONS
     # the base cap's admissibility once, then each perturbed cap's
     assert sorted(margins) == [0.0, *epsilons]
-    # the face once at level 16 and once at the admissibility level 6
-    assert sorted(faces) == [6 * 6, 16 * 16]
+    # the face once, at the admissibility level 6: each row reads its volume off its cap
+    assert faces == [6 * 6]
     # the base cap once per node grid: levels 6 and 16, and once on its 24-point
     # boundary ring, which every perturbed cap reads
     assert Counter(caps) == {6 * 6: 1, 16 * 16: 1, 24: 1}
@@ -502,12 +502,11 @@ def test_sweep_builds_its_base_cap_once(monkeypatch, tmp_path, jobs):
 @pytest.mark.parametrize("level", [16, 24, 32])
 def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
     """Ten sweep rows on one euclidean_sphere base cap (each perturbed cap validated,
-    reported and audited) build the face's cone once per rule, at level 6 for the
-    admissibility margins and at the report's level, evaluate phi and exp(n phi) on it
-    once and V on each of its blocks once; no memo joins the pieces.  Each weighted
-    volume is the pairwise sum over the two cones of their flat pairwise sums, and at
-    levels 16 and 32, where each cone's blocks are whole subtrees of the joined
-    nodes' pairwise tree, it has the bits of one flat pairwise sum over them."""
+    reported and audited), and the base cap's own row, build no cone and no face piece
+    at the report's level: each weighted volume is read off its cap, and the only cones
+    are the level-6 ones of the admissibility margins, the face's once.  No array the
+    rows evaluate or hold is as long as a region cone at the report's level, and each
+    volume is the cone oracle's within rounding."""
     phi, value, flat_cone = ambient.SpaceFormModel.phi, weights.WeightField.value, quadrature.cone
     phi_points, value_points, cones = [], [], []
 
@@ -536,51 +535,26 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
         hypothesis_audit(sc, rule)
     rows.append((base, minkowski_report(base, rule)))
     monkeypatch.undo()
-    face = base.piece("support", rule).cone()[0]
-    assert sum(x is face for x in phi_points) == 1
-    assert Counter(cones) == {("support", 6): 1, ("support", level): 1,
-                              ("cap", 6): 11, ("cap", level): 11}
-    # V on the face cone: once on each of its blocks, which start at its first node,
-    # over eleven reports on eleven caps; every V call runs on one block at most
-    on_face = [((x.__array_interface__["data"][0] - face.__array_interface__["data"][0])
-                // face.itemsize, x.shape[-1])
-               for x in value_points if np.shares_memory(x, face)]
-    count = face.shape[1]
-    assert on_face == [(lo, min(REGION_BLOCK, count - lo)) for lo in range(0, count, REGION_BLOCK)]
-    assert max(x.shape[-1] for x in value_points) <= REGION_BLOCK
-    assert max(x.shape[-1] for x in phi_points) <= count
-
-    def weighted_cones(sc):   # the reference: each flat cone, then weighted
-        return [(pts, wt * np.exp(sc.model.n * sc.model.phi(pts))) for pts, wt in (
-            quadrature.cone(sc.star_center, label, sc.piece(label, rule))
-            for label in sc.pieces)]
-
+    assert Counter(cones) == {("support", 6): 1, ("cap", 6): 11}
+    region = level ** 3    # the nodes of one region cone at the report's level
+    assert max(x.shape[-1] for x in phi_points + value_points) < region
+    assert ("support", rule) not in base._cache
+    held = list(_arrays([sc._cache for sc, _ in rows], depth=8))
+    assert held and max(a.shape[-1] for a in held) < region
     for sc, report in rows:
-        held_cones = [sc.piece(label, rule).cone() for label in sc.pieces]
-        cones_ = weighted_cones(sc)
-        assert [[a.tobytes() for a in piece] for piece in held_cones] == [
-            [a.tobytes() for a in piece] for piece in cones_]
+        assert "cone" not in sc.piece("cap", rule)._cache
         volume = report.integrals["weighted_volume"]
-        assert volume == pairwise_sum(np.array([pairwise_sum(sc.weight.value(pts) * wt)
-                                                for pts, wt in cones_]))
-        points, weights_ = (np.concatenate(parts, axis=-1) for parts in zip(*cones_))
-        flat = pairwise_sum(sc.weight.value(points) * weights_)
-        if level in (16, 32):
-            assert volume == flat
-        else:
-            assert abs(volume - flat) <= 1e-15 * abs(flat)
-        assert held_cones[-1][0] is face
-        # no memo of the row or of its base holds an array as long as the joined region
-        held = list(_arrays([sc._cache, base._cache], depth=8))
-        assert any(a is face for a in held)
-        assert [a.shape for a in held if weights_.size in a.shape] == []
+        assert volume == sc.weighted_volume(rule)
+        cone_volume = region_integrals(sc, rule, lambda j, x: (sc.weight.value(x),))[0]
+        assert abs(volume - cone_volume) <= 4e-15 * abs(cone_volume)
 
 
 def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_path):
     """A --jobs 2 sweep on hyp_geodesic_sphere at level 24 builds every memo on the
     main thread and starts no thread, builds each memo once, among them those its rows
-    share of the base cap (the grid and the face's piece with its cone, its margins
-    and V's sums over its blocks), and writes the bytes of the --jobs 1 sweep."""
+    share of the base cap (the grid at both rules and the level-6 face piece with its
+    margins), builds no face piece and no cone at the report's rule, and writes the
+    bytes of the --jobs 1 sweep."""
     once = quadrature.Memo._once
     built, threads, counts = [], set(), set()
 
@@ -610,11 +584,12 @@ def test_jobs_sweep_builds_every_memo_on_the_calling_thread(monkeypatch, tmp_pat
     rule, admissibility = QuadratureRule(24), families.ADMISSIBILITY_RULE
     base = Counter(key for memo, key in built if isinstance(memo, families.CapScenario)
                    and memo.base is None and key[0] in ("grid", "support"))
-    assert base == {("grid", admissibility): 1, ("grid", rule): 1,
-                    ("support", admissibility): 1, ("support", rule): 1}
+    assert base == {("grid", admissibility): 1, ("grid", rule): 1, ("support", admissibility): 1}
     face = Counter((memo.rule, key) for memo, key in built
                    if isinstance(memo, quadrature.Piece) and memo.label == "support")
-    assert face == {(admissibility, "margins"): 1, (rule, "cone"): 1, (rule, "volume"): 1}
+    assert face == {(admissibility, "margins"): 1}
+    assert not [key for memo, key in built if key == "cone" or (
+        isinstance(memo, families.CapScenario) and key == ("support", rule))]
     assert max(Counter((id(memo), key) for memo, key in built).values()) == 1
     assert out[2] == out[1]
 

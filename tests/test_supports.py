@@ -76,6 +76,18 @@ def test_geodesic_radius_that_underflows_is_rejected(kind):
         make_support(kind, 3, geodesic_radius=5e-324)
 
 
+@pytest.mark.parametrize("radius", [38.13, 40.0, math.inf])
+def test_hyperbolic_geodesic_radius_whose_chart_radius_rounds_to_one_is_rejected(radius):
+    # tanh(R/2) rounds to 1.0, the ball's ideal boundary, where the Minkowski field's
+    # 1 - rho^2 is 0; the chart_radius path names the same range
+    assert math.tanh(radius / 2.0) == 1.0
+    with pytest.raises(ValueError, match=r"chart radius 1\.0; chart radius must lie in \(0, 1\)$"):
+        hyp_geodesic_sphere(3, geodesic_radius=radius)
+    with pytest.raises(ValueError, match=r"^chart radius must lie in \(0, 1\)$"):
+        hyp_geodesic_sphere(3, chart_radius=1.0)
+    assert hyp_geodesic_sphere(3, geodesic_radius=38.12).shape.radius < 1.0
+
+
 @pytest.mark.parametrize("make,message", [(hyp_geodesic_sphere, "must be positive"),
                                           (sph_geodesic_sphere, "must lie in")])
 def test_nan_geodesic_radius_is_rejected_as_out_of_range(make, message):

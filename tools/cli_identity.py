@@ -10,7 +10,7 @@ is printed per run, and for a run that differs, each differing stream from
 shortly before its first differing byte; the exit status is 0 when every run
 matches and 1 otherwise.  Uses the standard library only.
 
-RUNS holds 76 runs.  Three run at n=4 (``schur``, ``af`` and a two-row
+RUNS holds 80 runs.  Three run at n=4 (``schur``, ``af`` and a two-row
 ``sweep``, level 10), where the principal curvatures come from 3x3 stacks and
 reach stdout through the almost-Schur and AF hypothesis margins and the
 sweep's ``min_convexity_eig``; the others run at n=2, 3, 5 or 6.
@@ -38,6 +38,11 @@ ZERO_SWEEP = {"version": 1, "support": {"kind": "euclidean_sphere"},
 STEEP_EQUIDISTANT = {"version": 1, "support": {"kind": "equidistant", "params": {"theta": 1.4}}}
 # an n=2 cap off the symmetry axis: an arc covering one side of its axis shows here
 TILTED_ARC = {"version": 1, "n": 2, "support": {"kind": "euclidean_sphere"}, "cap": {"axis": [1, 1]}}
+# where the Minkowski field's anchor, the face's center, matters: a vertical plane, and a
+# horosphere cap shifted along its plane
+GEODESIC_PLANE = {"version": 1, "support": {"kind": "hyp_geodesic_plane"}}
+SHIFTED_HOROSPHERE = {"version": 1, "support": {"kind": "horosphere"},
+                      "cap": {"center_shift": [3, 0]}}
 # the second epsilon's cap leaves the half region: the sweep stops there and exits 2
 FAILING_SWEEP = {"version": 1, "support": {"kind": "sph_hyperplane"}, "cap": {"radius": 0.78},
                  "sweep": {"epsilons": [0.05, 0.4, 0.6, -0.6]}}
@@ -56,6 +61,10 @@ RUNS: list[tuple[str, list[str], object]] = [
       for label, cfg in (("tilted", TILTED), ("equidistant-eps", EQUIDISTANT),
                          ("sphere-eps", SPHERE), ("off-orthogonal", OFF_ORTHOGONAL))
       for command in ("minkowski", "af", "reilly", "sweep", "converge")],
+    *[(f"{command} {label}", [command], cfg)
+      for label, cfg in (("hyp_geodesic_plane", GEODESIC_PLANE),
+                         ("horosphere center_shift=[3,0]", SHIFTED_HOROSPHERE))
+      for command in ("minkowski", "converge")],
     ("sweep negative-eps", ["sweep"], NEGATIVE_SWEEP),
     ("sweep negative-eps jobs=2 json", ["sweep", "--jobs", "2", "--format", "json"],
      NEGATIVE_SWEEP),
