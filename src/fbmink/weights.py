@@ -10,6 +10,8 @@ K read from the model.
 Points are node-last as in the ambient module, (n,) or (n, m): ``jet`` returns
 the value (m,), the gradient (n, m), both Hessians (n, n, m) and the Laplacian
 (m,).  The identity residuals take sampled point lists (m, n) as ``supports`` does.
+``minkowski_field`` gives each support's free-boundary Minkowski field X_a, from
+which a scenario reads its weighted volume off the cap.
 """
 
 from __future__ import annotations
