@@ -16,8 +16,9 @@ Reports are JSON documents with sorted keys; sweeps default to CSV rows
 with a fixed header.  Identical configurations produce byte-identical
 output up to the generated_unix_time field.  Exit status: 0 when every
 check passed, 1 when a numeric assertion failed (negative deficit beyond
-tolerance, failed hypothesis audit, nonfinite value, convergence order
-below 3), 2 on configuration or scenario validation errors.
+tolerance, Reilly relative residual beyond tolerance, failed hypothesis audit,
+nonfinite value, convergence order below 3), 2 on configuration or scenario
+validation errors.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--level", type=int, help="quadrature nodes per axis")
     parser.add_argument("--seed", type=int, help="sampling seed")
     parser.add_argument("--tolerance", type=float,
-                        help="pass/fail tolerance for the selected command")
+                        help="pass/fail tolerance for the selected command; "
+                             "reilly checks each row's relative residual against it")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; sweep rows always run one "
                              "after another on the calling thread")
@@ -398,7 +400,7 @@ def run_reilly(cfg: dict, st: Settings) -> tuple[list, bool]:
     for name in functions:
         rep = reilly_residual(scenario, name, st.rule)
         rows.append(rep.to_dict())
-        ok = ok and abs(rep.residual) <= st.tolerance
+        ok = ok and abs(rep.relative_residual) <= st.tolerance
     return rows, ok
 
 

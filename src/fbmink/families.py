@@ -17,9 +17,9 @@ Omega (its one description), and the paired weight.  It memoizes per rule
 the cap's parameter grid, the cap weight data, and each boundary piece as one
 ``quadrature.Piece``: the cap's and, where it exists, the face's.  A piece holds
 its node geometry and curvature, its cone with its conformal weights (its star
-center checked to lie in the model's chart as it is built), per-node rows, one
-array per block (the Reilly checker's coefficient rows, V's and one axis's from
-one pass), V's boundary parts, and its admissibility margins.  Every report,
+center checked to lie in the model's chart as it is built), the Reilly checker's
+block sums per axis (x_i's and x_i^2's region integrands from one pass, and no
+per-node row), V's boundary parts, and its admissibility margins.  Every report,
 audit, validation and identity check on a scenario shares them.  A region
 integral is the pairwise sum over the pieces (``quadrature.region_sum``) of each
 piece's sums over its cone's blocks, cut from the cone's own first node
@@ -36,7 +36,7 @@ center and pieces, and reads from ``base``, its one reference to the base
 cap, the cap's grid, ring checks and chart terms, and the face's ``Piece``
 itself.  So the perturbations of one base cap evaluate the face's node sets
 once per (base cap, rule) and one ring per base cap, and each evaluates phi,
-exp(n phi), V and the rows only on its own cap's cone.  The bump's reach reads
+exp(n phi), V and the Reilly integrands only on its own cap's cone.  The bump's reach reads
 the base's level-6 cap terms, which admissibility forms anyway.  Nothing a
 scenario memoizes refers back to the scenario.
 """

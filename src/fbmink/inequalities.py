@@ -14,14 +14,17 @@ The identity checker integrates every term of the weighted Reilly formula
 for a supplied smooth test function; for static weights the interior
 curvature term vanishes identically, so the residual isolates quadrature
 and geometry errors.  Each call forms only its test function's own terms.  On
-the region both integrands are quadratics in q = f / V, whose coefficients are
-per-node rows memoized on the scenario per axis: V's and axis i's, formed in one
-pass once x_i or x_i^2 asks for them.  The V row forms none, as its integrands
-are exactly 0; no metric, static tensor or (n, n, m) array is held.
+the region both integrands are quadratics in q = f / V.  For one axis i, those
+of x_i and of x_i^2 are formed together in one pass per cone block and reduced
+at once; each region piece memoizes only their block sums, per axis, so x_i^2
+after x_i (or x_i after x_i^2) forms nothing on the region.  The V row forms
+none, as its integrands are exactly 0; no metric, static tensor, per-node row or
+(n, n, m) array is held.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -313,47 +316,43 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("im,im->m", a, b)
 
 
-def _axis_rows(piece: Piece, i: int) -> list[np.ndarray]:
-    """(V, e, A2, E0, A1, C1, S2, E1, E2, p_i) at the nodes of each block of a region
-    piece's cone, e = exp(-2 phi): the rows of the region's quadratics in q for x_i and
-    x_i^2, V's own four and axis i's six, formed in one pass from V's flat value,
-    gradient g and Hessian H and phi's gradient p.
+def _axis_integrands(weight: WeightField, i: int, x: np.ndarray) -> np.ndarray:
+    """Both interior integrands of the identity for x_i and for x_i^2 at the nodes x of
+    one block, (4, k): lhs and rhs for x_i, then for x_i^2, formed in one pass from V's
+    flat value, gradient g and Hessian H, phi's gradient p and e = exp(-2 phi).
 
-    The terms below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
-    tensor's trace part (static = S gbar - Hess V)."""
-    weight = piece.weight
+    The coefficients below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
+    tensor's trace part (static = S gbar - Hess V).  With q = x_i / V, x_i's terms are
+    V e^2 (A2 q^2 + A1 q + S2) and e (E0 q^2 + E1 q + E2), and x_i^2's, at s = 2 x_i,
+    c = 2 and x_i q for q, reuse their sub-expressions:
+    V e^2 [x_i^2 (A2 q^2 + 2 A1 q + 4 S2) + 2 x_i (C1 q + (4n-4) p_i)] and
+    e x_i^2 (E0 q^2 + 2 E1 q + 4 E2)."""
     model, n = weight.model, weight.model.n
-
-    def rows(x: np.ndarray):
-        V, g, H = weight.value(x), weight.euclidean_gradient(x), weight.euclidean_hessian(x)
-        p, e = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
-        trH, pg, pp, gg = np.trace(H), _dot(p, g), _dot(p, p), _dot(g, g)
-        Hg = np.einsum("ijm,jm->im", H, g)
-        S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
-        A2 = (trH * trH - np.einsum("ijm,ijm->m", H, H)
-              + pg * ((2.0 * n - 6.0) * trH + (n - 2.0) * (n - 3.0) * pg)
-              + 4.0 * _dot(Hg, p) - 2.0 * pp * gg)
-        E0 = gg * (S + e * pg) - e * _dot(Hg, g)
-        p_i, g_i, H_i = p[i], g[i], H[i]
-        A1 = 4.0 * (pp * g_i - _dot(H_i, p)) - p_i * (
-            (2.0 * n - 6.0) * trH + 2.0 * (n - 2.0) * (n - 3.0) * pg)
-        C1 = 2.0 * (H_i[i] - trH) - (2.0 * n - 6.0) * pg - 4.0 * p_i * g_i
-        S2 = (n - 2.0) * (n - 3.0) * p_i * p_i - 2.0 * pp
-        E1 = 2.0 * (e * (_dot(H_i, g) - p_i * gg) - g_i * S)
-        E2 = S - e * (pg + H_i[i] - 2.0 * p_i * g_i)
-        return V, e, A2, E0, A1, C1, S2, E1, E2, p_i
-    return piece.rows(("reilly axis", i), 10, rows)
-
-
-def _volume_integrands(f: _Coordinate, x: np.ndarray,
-                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both interior integrands of the identity for the coordinate f at the nodes x of
-    one block, from that block's ``_axis_rows`` of f's axis."""
-    V, e, A2, E0, A1, C1, S2, E1, E2, p_i = rows
-    q, s, c = f.value(x) / V, f.slope(x), f.second
-    lhs = V * e * e * ((A2 * q + s * A1 + c * C1) * q
-                       + s * (s * S2 + (2.0 * x.shape[0] - 2.0) * c * p_i))
-    return lhs, e * ((E0 * q + s * E1) * q + s * s * E2)
+    V, g, H = weight.value(x), weight.euclidean_gradient(x), weight.euclidean_hessian(x)
+    p, e = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
+    trH, pg, pp, gg = np.trace(H), _dot(p, g), _dot(p, p), _dot(g, g)
+    Hg = np.einsum("ijm,jm->im", H, g)
+    S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
+    A2 = (trH * trH - np.einsum("ijm,ijm->m", H, H)
+          + pg * ((2.0 * n - 6.0) * trH + (n - 2.0) * (n - 3.0) * pg)
+          + 4.0 * _dot(Hg, p) - 2.0 * pp * gg)
+    E0 = gg * (S + e * pg) - e * _dot(Hg, g)
+    p_i, g_i, H_i, x_i = p[i], g[i], H[i], x[i]
+    A1 = 4.0 * (pp * g_i - _dot(H_i, p)) - p_i * (
+        (2.0 * n - 6.0) * trH + 2.0 * (n - 2.0) * (n - 3.0) * pg)
+    C1 = 2.0 * (H_i[i] - trH) - (2.0 * n - 6.0) * pg - 4.0 * p_i * g_i
+    S2 = (n - 2.0) * (n - 3.0) * p_i * p_i - 2.0 * pp
+    E1 = 2.0 * (e * (_dot(H_i, g) - p_i * gg) - g_i * S)
+    E2 = S - e * (pg + H_i[i] - 2.0 * p_i * g_i)
+    q, Ve2, x_sq = x_i / V, V * e * e, x_i * x_i
+    A2q, E0q = A2 * q, E0 * q
+    out = np.empty((4, x.shape[1]))
+    out[0] = Ve2 * ((A2q + A1) * q + S2)
+    out[1] = e * ((E0q + E1) * q + E2)
+    out[2] = Ve2 * (x_sq * ((A2q + 2.0 * A1) * q + 4.0 * S2)
+                    + 2.0 * x_i * (C1 * q + (4.0 * n - 4.0) * p_i))
+    out[3] = e * x_sq * ((E0q + 2.0 * E1) * q + 4.0 * E2)
+    return out
 
 
 def reilly_residual(scenario: CapScenario, function: str,
@@ -372,12 +371,14 @@ def reilly_residual(scenario: CapScenario, function: str,
     and Hess V(d, d) = d2V(d, d) - 2 <p, d> <dV, d> + <p, dV> |d|^2.  For x_i or x_i^2,
     flat gradient s e_i and Hessian c e_i e_i^T, the integrands are
     V e^2 (A2 q^2 + (s A1 + c C1) q + s^2 S2 + (2n-2) s c p_i) and
-    e (E0 q^2 + s E1 q + s^2 E2), from rows memoized per axis asked for
-    (``_axis_rows``): V's own and those of axis i, formed in one pass.  For V itself q
-    is 1, so T, w and both integrands are exactly 0: its row forms no region rows and
-    reads 0.0 for both volume terms, and still builds each region piece's cone, so it
-    raises what the cones raise.  Each volume term is the ``region_sum`` of the pieces'
-    ``Piece.block_sums``.  No (n, n, m) tensor is held.
+    e (E0 q^2 + s E1 q + s^2 E2).  ``_axis_integrands`` forms x_i's and x_i^2's on one
+    block in one pass, and each region piece memoizes the four lists of its
+    ``Piece.block_sums`` under ("reilly axis", i): x_i reads lists 0-1, x_i^2 lists
+    2-3.  Each volume term is the ``region_sum`` of one list over the pieces.  For V
+    itself q is 1, so T, w and both integrands are exactly 0: its row forms nothing on
+    the region and reads 0.0 for both volume terms, and still builds each region
+    piece's cone, so it raises what the cones raise.  No (n, n, m) tensor and no
+    per-node row is held.
     """
     name, f = _test_function(function, scenario)
     model = scenario.model
@@ -387,10 +388,10 @@ def reilly_residual(scenario: CapScenario, function: str,
         piece.cone()
     lhs_volume = rhs_volume = 0.0
     if not is_V:
-        rows = [_axis_rows(piece, f.i) for piece in pieces]
-        sums = [piece.block_sums(lambda j, x, r=r: _volume_integrands(f, x, r[j]))
-                for piece, r in zip(pieces, rows)]
-        lhs_volume, rhs_volume = (region_sum(terms) for terms in zip(*sums))
+        sums = [piece._once(("reilly axis", f.i), lambda piece=piece: piece.block_sums(
+            functools.partial(_axis_integrands, piece.weight, f.i))) for piece in pieces]
+        first = 2 if f.squared else 0
+        lhs_volume, rhs_volume = (region_sum([s[k] for s in sums]) for k in (first, first + 1))
 
     boundary = {}
     for label in ("cap", "support"):

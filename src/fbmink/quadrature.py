@@ -28,11 +28,11 @@ cone's nodes (n, s * m), one C-contiguous array of its own, and weights
 A region's pieces are never joined.  Each is ``cut`` into blocks of
 ``REGION_BLOCK`` consecutive nodes from its own first node, each block a view
 into it.  Region integrands are formed and reduced one block at a time, so a
-region term holds its (n, n, k) temporaries for one block, and no such tensor
-is kept at full size: what a piece keeps on its cone is per-node rows, one
-array per block.  Each block is reduced with ``pairwise_sum``
-(``Piece.block_sums``), each piece's block sums with it again, and the
-piece sums with it once more (``region_sum``).  That equals one
+region term holds its (n, n, k) temporaries for one block, and nothing as long
+as the cone is kept beside the cone itself: a caller keeps only block sums.
+Each block's stacked integrands are reduced with one ``pairwise_sum`` over the
+last axis (``Piece.block_sums``), each piece's block sums with it again, and
+the piece sums with it once more (``region_sum``).  That equals one
 ``pairwise_sum`` over the joined nodes only where each piece's blocks form
 whole subtrees of that flat tree: a region of one piece, or a first piece of
 2^a full blocks (or of 2^a nodes in one block) followed by a piece of at most
@@ -62,6 +62,7 @@ from .supports import SupportSpec
 from .surfaces import (
     FreeBoundarySurface,
     SurfaceGeometry,
+    _parameter_point,
     curvature_arrays,
     normal_derivatives,
     surface_geometry,
@@ -78,16 +79,17 @@ def default_level(n: int) -> int:
     return DEFAULT_LEVELS.get(n, 6)
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Fixed-order pairwise reduction; independent of BLAS and thread count."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a, [0.0]])
-        a = a[0::2] + a[1::2]
-    return float(a[0])
+def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
+    """Fixed-order pairwise reduction over the last axis, independent of BLAS and thread
+    count: a float for one row, and for stacked rows each row's float, bit for bit."""
+    a = np.atleast_1d(np.asarray(values, dtype=float))
+    if a.shape[-1] == 0:
+        a = np.zeros(a.shape[:-1] + (1,))
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            a = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+        a = a[..., 0::2] + a[..., 1::2]
+    return float(a[0]) if a.ndim == 1 else a[..., 0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,38 +187,13 @@ class Piece(Memo):
             return pts, flat * np.exp(model.n * model.phi(pts))
         return self._once("cone", build)
 
-    def block_sums(self, integrands: Callable[[int, np.ndarray], Sequence[np.ndarray]]
-                   ) -> list[list[float]]:
-        """One list per array that ``integrands(j, x)`` gives on block j of the cone, x
-        its nodes: each block's ``pairwise_sum`` of the array times the weights, in block
-        order.  A region integral is the ``region_sum`` of one array's lists over the
-        region's pieces."""
-        sums = [[pairwise_sum(np.asarray(v, dtype=float) * wt) for v in integrands(j, x)]
-                for j, (x, wt) in enumerate(cut(*self.cone()))]
-        return [list(blocks) for blocks in zip(*sums)]
-
-    def rows(self, key, count: int, rows: Callable[[np.ndarray], Sequence[np.ndarray]]
-             ) -> list[np.ndarray]:
-        """Per-node rows on the cone, memoized under key as one (count, block length)
-        array per block: ``rows(x)`` gives the count rows at the nodes x of one block,
-        so what they are formed from is one block long.  Every use of one key must
-        give the same rows; the Reilly checker keys its coefficient rows by the axis
-        they serve.
-
-        All block arrays of a memo are allocated before ``rows`` forms any
-        temporaries.  With one (count, m) array per memo, block arrays stacked after
-        their rows, allocated one by one between rows, or two arrays per block for the
-        Reilly checker's two row sets, the peak RSS of ``perfbench``'s verify ops rose
-        by up to 6, 1, 3 and 8 MB, as glibc's allocator happened to place them
-        (measurements in CHANGES.md)."""
-        def fill() -> list[np.ndarray]:
-            blocks = cut(*self.cone())
-            out = [np.empty((count, wt.size)) for _, wt in blocks]
-            for (x, _), block in zip(blocks, out):
-                for row, values in zip(block, rows(x)):
-                    row[...] = values
-            return out
-        return self._once(("rows", key), fill)
+    def block_sums(self, integrands: Callable[[np.ndarray], np.ndarray]) -> list[list[float]]:
+        """One list per row of the (r, k) stack ``integrands(x)`` gives on each block of
+        the cone, x its nodes (n, k): each block's ``pairwise_sum`` of the rows times the
+        weights, in one pass over the stack, in block order.  A region integral is the
+        ``region_sum`` of one row's lists over the region's pieces."""
+        return np.array([pairwise_sum(np.asarray(integrands(x), dtype=float) * wt)
+                         for x, wt in cut(*self.cone())]).T.tolist()
 
     def weight_parts(self) -> tuple:
         """``boundary_parts`` of V on this piece, from V's ``weights.jet`` there, which
@@ -255,9 +232,11 @@ def cone(x0: np.ndarray, label: str, piece: Piece) -> tuple[np.ndarray, np.ndarr
     # star-shape check: boundary must face away from the center
     facing = np.sum(spread * geo.nu_delta, axis=0)
     if np.any(facing <= 0.0):
+        node = np.argmin(facing)
         raise StarShapeViolated(
-            f"piece '{label}' faces the star center "
-            f"(min <X - x0, nu> = {float(np.min(facing)):.3e})")
+            f"piece '{label}' faces the star center at level {piece.rule.level} "
+            f"(min <X - x0, nu> = {facing[node]:.3e} at parameter point "
+            f"{_parameter_point(geo.params, node)})")
     # Laplace expansion along the first column: det[X - x0 | J] = <X - x0, w> for the
     # cross product w of J's columns, whose length is flat_area and direction +-nu_delta
     cone_jac = facing * geo.flat_area

@@ -33,7 +33,7 @@ def canonical_scenario(kind: SupportKind, n: int = 3):
 
 
 def region_integrals(scenario, rule, integrands) -> tuple:
-    """The integral over Omega of each array ``integrands(j, x)`` gives on block j of a
+    """The integral over Omega of each array ``integrands(x)`` gives on a block of a
     region piece's cone, x its nodes: the ``region_sum`` of the pieces' ``block_sums``."""
     sums = [scenario.piece(label, rule).block_sums(integrands) for label in scenario.pieces]
     return tuple(region_sum(terms) for terms in zip(*sums))
@@ -41,7 +41,7 @@ def region_integrals(scenario, rule, integrands) -> tuple:
 
 def region_volume(scenario, rule) -> float:
     """The gbar volume of Omega."""
-    return region_integrals(scenario, rule, lambda j, x: (np.ones(x.shape[1]),))[0]
+    return region_integrals(scenario, rule, lambda x: (np.ones(x.shape[1]),))[0]
 
 
 def unchecked_scenario(kind: SupportKind, n: int, eps: float = 0.0):

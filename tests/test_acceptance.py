@@ -281,7 +281,7 @@ def test_acceptance_8_quadrature_convergence_and_monte_carlo():
 
 def _weighted_volume(sc, rule):
     weight = weight_for_support(sc.support)
-    return region_integrals(sc, rule, lambda j, x: (weight.value(x),))[0]
+    return region_integrals(sc, rule, lambda x: (weight.value(x),))[0]
 
 
 def _omega_membership(sc):

@@ -579,6 +579,23 @@ def test_reilly_command_custom_functions(tmp_path, capsys):
     assert all(abs(r["residual"]) <= 1e-5 for r in doc["results"])
 
 
+def test_reilly_gates_each_row_on_its_relative_residual(tmp_path, capsys):
+    # the residual scales with the cap: on a plane cap of radius 1e5 the x2^2 row reads
+    # an absolute residual of 2.0, which is rounding at its terms' scale
+    cfg = write_config(tmp_path, {"version": 1, "n": 3, "support": {"kind": "euclidean_plane"},
+                                  "cap": {"radius": 1e5}, "perturbation": {"epsilon": 0.05},
+                                  "reilly": {"functions": ["V", "x1", "x1^2", "x2^2"]}})
+    code, out, _ = run_cli(["reilly", "--config", cfg], capsys)
+    assert code == 0
+    row = json.loads(out)["results"][-1]
+    assert row["function"] == "x2^2" and abs(row["residual"]) > 1e-5
+    assert abs(row["relative_residual"]) <= 1e-15
+    # a tolerance below a row's relative residual fails the run
+    code, out, _ = run_cli(["reilly", "--config", cfg, "--tolerance", "1e-17"], capsys)
+    assert code == 1
+    assert max(abs(r["relative_residual"]) for r in json.loads(out)["results"]) > 1e-17
+
+
 def test_converge_command_orders(capsys):
     code, out, _ = run_cli(["converge"], capsys)
     assert code == 0

@@ -240,10 +240,10 @@ def test_perturbations_read_their_base_caps_face_jet(monkeypatch):
 
 
 def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
-    # a perturbation's face piece is its base cap's, and the Reilly rows on the face's
-    # cone are epsilon-free: two perturbations of one base cap run V and V's flat
-    # Hessian once on each block of that cone, in the one pass that forms V's rows and
-    # axis 1's
+    # a perturbation's face piece is its base cap's, and the Reilly block sums on the
+    # face's cone are epsilon-free: two perturbations of one base cap run V and V's flat
+    # Hessian once on each block of that cone, in the one pass that forms x1's and
+    # x1^2's integrands
     rule = QuadratureRule(24)
     spec = default_cap_spec(canonical_support(SupportKind.EUCLIDEAN_SPHERE))
     base = make_umbilical_cap(spec)
@@ -273,9 +273,9 @@ def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
     assert calls == {name: blocks for name in calls}
     fresh = make_umbilical_cap(spec)
     reilly_residual(fresh, "x1", rule)
-    key = ("rows", ("reilly axis", 0))
-    rows, expected = (cap.piece("support", rule)._cache[key] for cap in (base, fresh))
-    assert [a.tobytes() for a in rows] == [a.tobytes() for a in expected]
+    key = ("reilly axis", 0)
+    sums, expected = (cap.piece("support", rule)._cache[key] for cap in (base, fresh))
+    assert sums == expected and len(sums) == 4
     # the reports are those of perturbations that form every row themselves
     unshared = [reilly_residual(make_perturbed_cap(spec, PerturbationSpec(epsilon=eps)), "x1",
                                 rule).to_dict() for eps in (0.05, -0.03)]
@@ -326,7 +326,7 @@ def test_the_face_of_a_plane_cap_is_no_piece_of_its_region():
     reilly_residual(sc, "x1", rule)
     assert "cone" in cap._cache
     assert report.integrals["weighted_volume"] == pytest.approx(
-        region_integrals(sc, rule, lambda j, x: (sc.weight.value(x),))[0], rel=4e-15, abs=0.0)
+        region_integrals(sc, rule, lambda x: (sc.weight.value(x),))[0], rel=4e-15, abs=0.0)
     face = sc.piece("support", rule)
     assert set(face._cache) == {"curvature", "dnu", "weight parts"}
     # admissibility reads no node of the face
@@ -384,7 +384,7 @@ def test_perturbations_hold_their_base_caps_face_piece(kind, n, level):
         assert sc.piece("support", r) is sc.base._cache[("support", r)]
     face = sc.piece("support", rule)
     assert {_memo_kind(key) for key in face._cache} == {"curvature", "dnu", "weight parts"} | (
-        {"cone", "rows"} if "support" in sc.pieces else set())
+        {"cone", "reilly axis"} if "support" in sc.pieces else set())
 
 
 @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in SupportKind),

@@ -57,7 +57,7 @@ def _flux(sc, rule) -> np.ndarray:
 
 
 def _cone_volume(sc, rule) -> float:
-    return region_integrals(sc, rule, lambda j, x: (sc.weight.value(x),))[0]
+    return region_integrals(sc, rule, lambda x: (sc.weight.value(x),))[0]
 
 
 # -- the field, pointwise ------------------------------------------------------------

@@ -39,6 +39,7 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
+from fbmink.errors import StarShapeViolated
 from fbmink.quadrature import REGION_BLOCK, pairwise_sum, region_sum
 
 from conftest import canonical_scenario, canonical_support, region_integrals, region_volume
@@ -174,7 +175,7 @@ def test_refine_study_rejects_bad_level_lists():
 def test_region_integral_linear_in_integrand(coeffs, level):
     sc, rule = canonical_scenario(SupportKind.EUCLIDEAN_PLANE), QuadratureRule(level)
     a, b, c = coeffs
-    f, x0, x2 = region_integrals(sc, rule, lambda j, x: (a * x[0] + b * x[2] + c, x[0], x[2]))
+    f, x0, x2 = region_integrals(sc, rule, lambda x: (a * x[0] + b * x[2] + c, x[0], x[2]))
     split = a * x0 + b * x2 + c * region_volume(sc, rule)
     assert np.isclose(f, split, rtol=1e-12, atol=1e-12)
 
@@ -196,12 +197,14 @@ def test_region_integral_linear_in_integrand(coeffs, level):
 def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
     # the nodes come as one piece, or as two cut at node int(cut * m); each piece's cone
     # is kept as given and ``cut`` into blocks from its own first node, each a view into
-    # it; a piece's ``block_sums`` reduce to one flat pairwise sum over its nodes, and
-    # ``region_sum`` is the pairwise sum of those over the pieces
+    # it; a piece's ``block_sums`` reduce each row of a block's stack to the row's own
+    # pairwise sum, bit for bit, and so each row to one flat pairwise sum over the
+    # piece's nodes, and ``region_sum`` is the pairwise sum of those over the pieces; a
+    # node's first coordinate is its index, so an integrand reads a block's values
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
     weights = rng.uniform(0.0, 1.0, m)
-    points = rng.uniform(-1.0, 1.0, (2, m))
+    points = np.stack([np.arange(m, dtype=float), rng.uniform(-1.0, 1.0, m)])
     bounds = sorted({0, int(cut * m), m})
     spans = list(zip(bounds, bounds[1:]))
     pieces = [(points[:, lo:hi].copy(), weights[lo:hi].copy()) for lo, hi in spans]
@@ -219,20 +222,18 @@ def test_blocked_region_sums_equal_pairwise_sums_over_pieces(m, seed, cut):
     def over_pieces(v):
         return pairwise_sum(np.array([pairwise_sum(v[lo:hi] * weights[lo:hi]) for lo, hi in spans]))
 
-    def block(v, i, j, x):
-        lo = spans[i][0] + j * REGION_BLOCK
-        return v[lo:lo + x.shape[1]]
-
     def integrals(integrands):   # block_sums reads no more of a piece than its cone()
         sums = [quadrature.Piece.block_sums(SimpleNamespace(cone=lambda piece=piece: piece),
-                                            functools.partial(integrands, i))
-                for i, piece in enumerate(pieces)]
+                                            integrands) for piece in pieces]
         return tuple(region_sum(terms) for terms in zip(*sums))
 
+    def block(v, x):
+        return v[x[0].astype(np.intp)]
+
     squares = values * values
-    sums = integrals(lambda i, j, x: (block(values, i, j, x), block(squares, i, j, x)))
+    sums = integrals(lambda x: (block(values, x), block(squares, x)))
     assert sums == (over_pieces(values), over_pieces(squares))
-    assert integrals(lambda i, j, x: (np.ones(x.shape[1]),)) == (over_pieces(np.ones(m)),)
+    assert integrals(lambda x: (np.ones(x.shape[1]),)) == (over_pieces(np.ones(m)),)
     if len(pieces) == 1:
         assert sums[0] == pairwise_sum(values * weights)
 
@@ -395,7 +396,8 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     for report in (minkowski_report, af_report, schur_report, hypothesis_audit):
         report(sc, rule)
     reilly_residual(sc, "V", rule)
-    # the V row forms no region rows: it leaves no ("rows", key) memo on the cap's piece
+    # the V row forms nothing on the region: it leaves no ("reilly axis", i) memo on the
+    # cap's piece
     cap = sc.piece("cap", rule)
     assert not [key for key in cap._cache if isinstance(key, tuple)]
     for name in ("x1", "x1^2"):
@@ -417,8 +419,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     # V's jet once on the cap and once on the face, and none on the region
     assert counts["weight jet"] == 2
     # on the region, V's flat gradient and Hessian once per block over V, x1 and x1^2:
-    # in the one pass that forms V's rows and axis 1's, which x1 and x1^2 share, and
-    # none for V; the region is its cap's cone, kept as given, each block is a column
+    # in the one pass that forms x1's and x1^2's integrands, and none for V; the region is its cap's cone, kept as given, each block is a column
     # view of that piece's one C-contiguous (n, m) node array, and the views are
     # consecutive and cover every node once, in order
     assert sc.pieces == ("cap",)
@@ -437,8 +438,9 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         assert ends == [min(start + REGION_BLOCK, m) for start in starts], name
         assert all(x.shape[0] == n and x.strides == points.strides for x in views)
     # the scenario's level-12 sets keep no (m, n) copy of the region nodes and no
-    # (n, n, m) tensor at full size: the Reilly rows are 10 per node for the one axis
-    # asked for, V's 4 and the axis's 6, one array per block
+    # (n, n, m) tensor at full size, and the Reilly checker keeps no per-node row: the
+    # one axis asked for holds four lists of one float per block, x1's two volume
+    # terms and x1^2's
     held = list(_arrays({key: value for key, value in sc._cache.items()
                          if isinstance(key, tuple) and key[-1] == rule}, depth=7))
     # every node set of the cap and of its base is keyed by its rule, never a bare level
@@ -449,8 +451,12 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     assert [a.shape for a in held if a.shape == (m, n)] == []
     assert [a.shape for a in held if a.ndim > 2 and a.shape[-1] == m] == []
     axis_keys = [key for key in cap._cache if isinstance(key, tuple)]
-    assert axis_keys == [("rows", ("reilly axis", 0))]
-    assert [a.shape for a in cap._cache[axis_keys[0]]] == [(10, x.shape[1]) for x, _ in blocks]
+    assert axis_keys == [("reilly axis", 0)]
+    sums = cap._cache[axis_keys[0]]
+    assert len(sums) == 4 and all(len(terms) == len(blocks) for terms in sums)
+    assert all(type(v) is float for terms in sums for v in terms)
+    long = [a for a in _arrays(cap._cache, depth=7) if a.shape[-1] >= REGION_BLOCK]
+    assert sorted(map(id, long)) == sorted(map(id, (points, wt)))
     # V's boundary parts once per face over the three test functions, and one set for
     # each coordinate on each face; no coordinate forms a flat Hessian on region nodes
     assert [sum(j is V_jet for j in boundary_jets) for V_jet in V_jets] == [1, 1]
@@ -462,6 +468,59 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
     faces.clear()
     validate_scenario(_perturbed_scenario(SupportKind.EUCLIDEAN_SPHERE))
     assert faces == [6 * 6]
+
+
+def test_star_center_past_the_cap_names_piece_level_and_node():
+    # moving the star center of a plane cap past its apex turns the cap's nodes near the
+    # apex towards it: the cone over the cap fails at the admissibility rule in
+    # validation, and at a report's rule in the Reilly checker, each naming the piece,
+    # the level and the parameter point of the node of least <X - x0, nu>
+    sc = canonical_scenario(SupportKind.EUCLIDEAN_PLANE)
+    x = sc.piece("cap", QuadratureRule(8)).geo.x
+    apex = x[:, np.argmax(np.linalg.norm(x - sc.star_center[:, None], axis=0))]
+    moved = dataclasses.replace(sc, star_center=sc.star_center + 2.0 * (apex - sc.star_center))
+    for rule, check in ((families.ADMISSIBILITY_RULE, validate_scenario),
+                        (QuadratureRule(8), lambda cap: reilly_residual(cap, "x1", QuadratureRule(8)))):
+        geo = moved.piece("cap", rule).geo
+        facing = np.sum((geo.x - moved.star_center[:, None]) * geo.nu_delta, axis=0)
+        node = np.argmin(facing)
+        assert facing[node] < 0.0
+        point = ", ".join(f"{u:.6g}" for u in geo.params[node])
+        with pytest.raises(StarShapeViolated) as err:
+            check(moved)
+        assert str(err.value) == (
+            f"piece 'cap' faces the star center at level {rule.level} "
+            f"(min <X - x0, nu> = {facing[node]:.3e} at parameter point ({point}))")
+
+
+@pytest.mark.parametrize("first, second", [("x2", "x2^2"), ("x2^2", "x2")])
+def test_second_function_on_an_axis_forms_nothing_on_the_region(monkeypatch, first, second):
+    # x_i and x_i^2 share one memo of block sums per region piece, so the second of them
+    # runs V's flat Hessian on no block of either cone of a geodesic-sphere cap, and
+    # reads the bits that it reads when it comes first
+    rule = QuadratureRule(16)
+    sc = canonical_scenario(SupportKind.HYP_GEODESIC_SPHERE)
+    hessian, points = weights.WeightField.euclidean_hessian, []
+
+    def recording(weight, x):
+        points.append(x)
+        return hessian(weight, x)
+
+    monkeypatch.setattr(weights.WeightField, "euclidean_hessian", recording)
+    reilly_residual(sc, first, rule)
+    cones = [sc.piece(label, rule).cone()[0] for label in sc.pieces]
+    blocks = sum(len(quadrature.cut(*sc.piece(label, rule).cone())) for label in sc.pieces)
+
+    def on_cones():
+        return [x for x in points for pts in cones if np.shares_memory(x, pts)]
+
+    assert len(cones) == 2 and len(on_cones()) == blocks
+    points.clear()
+    report = reilly_residual(sc, second, rule)
+    assert on_cones() == []
+    monkeypatch.undo()
+    fresh = canonical_scenario(SupportKind.HYP_GEODESIC_SPHERE)
+    assert report.to_dict() == reilly_residual(fresh, second, rule).to_dict()
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 8])
@@ -545,7 +604,7 @@ def test_sweep_rows_weight_the_face_cone_once(monkeypatch, level):
         assert "cone" not in sc.piece("cap", rule)._cache
         volume = report.integrals["weighted_volume"]
         assert volume == sc.weighted_volume(rule)
-        cone_volume = region_integrals(sc, rule, lambda j, x: (sc.weight.value(x),))[0]
+        cone_volume = region_integrals(sc, rule, lambda x: (sc.weight.value(x),))[0]
         assert abs(volume - cone_volume) <= 4e-15 * abs(cone_volume)
 
 

@@ -71,7 +71,7 @@ def reference_reilly(scenario, function: str, rule) -> dict:
     name, f = _test_function(function, scenario)
     model = scenario.model
 
-    def volume_integrands(j, x):
+    def volume_integrands(x):
         Vv, dV, _, hess_V, lap_V = jet(model, x, scenario.weight)
         fv, df, _, hess_f, lap_f = jet(model, x, f)
         gbar = metric_at(model, x)

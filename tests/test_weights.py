@@ -30,7 +30,7 @@ from fbmink.ambient import (
     covariant_hessian,
     metric_at,
 )
-from fbmink.inequalities import _axis_rows, _Coordinate, _volume_integrands
+from fbmink.inequalities import _axis_integrands, _Coordinate
 from fbmink.supports import sample_admissible_points, sample_support_points
 from fbmink.weights import jet
 
@@ -173,28 +173,15 @@ def _oracle_points(model, m: int, rng) -> np.ndarray:
     return x
 
 
-class _NodeSet:
-    """What the Reilly checker's coefficient rows read of a region piece, on one batch
-    of points: its weight and per-node rows, formed here without a memo."""
-
-    def __init__(self, weight: WeightField, x: np.ndarray):
-        self.weight, self.x = weight, x
-
-    def rows(self, key, count, rows):
-        block = np.array(rows(self.x))   # the batch is the piece's one block
-        assert block.shape == (count, self.x.shape[1])
-        return [block]
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("factory", ORACLE_MODELS)
 def test_reilly_quadratics_match_dense_tensors_at_points(factory, n):
-    """The Reilly checker's interior integrands, quadratics in q = f / V from per-node
-    coefficient rows, against the dense tensors: T = Hess f - q Hess V, the Laplacians
-    and the static tensor from ``metric_at``.  Every axis and every weight formula, at
-    every n the schema accepts, including the dimensions whose caps do not build yet;
-    the identity behind the rows holds for any V, static or not.  The rows of V and of
-    axis i come in one array, formed in one pass."""
+    """The Reilly checker's interior integrands, quadratics in q = f / V, against the
+    dense tensors: T = Hess f - q Hess V, the Laplacians and the static tensor from
+    ``metric_at``.  Every axis and every weight formula, at every n the schema
+    accepts, including the dimensions whose caps do not build yet; the identity behind
+    the quadratics holds for any V, static or not.  Those of x_i and x_i^2 come in one
+    (4, m) array, formed in one pass: x_i's rows 0-1, x_i^2's rows 2-3."""
     model = factory(n)
     rng = np.random.default_rng(20261020 + n)
     m = 9
@@ -205,7 +192,6 @@ def test_reilly_quadratics_match_dense_tensors_at_points(factory, n):
     gbar = metric_at(model, x)
     for formula in WeightFormula:
         weight = WeightField(model, formula)
-        nodes = _NodeSet(weight, x)
         Vv, dV, _, hess_V, lap_V = jet(model, x, weight)
         static_tensor = (lap_V + (n - 1.0) * model.K * Vv) * gbar - hess_V
         for f in (_Coordinate(i, squared) for i in range(n) for squared in (False, True)):
@@ -215,7 +201,9 @@ def test_reilly_quadratics_match_dense_tensors_at_points(factory, n):
             T_sq = e * e * np.einsum("ijm,ijm->m", hess_f - q * hess_V, hess_f - q * hess_V)
             w = e * (df - q * dV)
             ref_static = np.einsum("ijm,im,jm->m", static_tensor, w, w)
-            lhs, static = _volume_integrands(f, x, _axis_rows(nodes, f.i)[0])
+            terms = _axis_integrands(weight, f.i, x)
+            assert terms.shape == (4, m)
+            lhs, static = terms[2:] if f.squared else terms[:2]
             where = (formula, f)
             np.testing.assert_allclose(lhs, Vv * (amb_sq - T_sq), rtol=0, err_msg=repr(where),
                                        atol=1e-13 * float(np.max(np.abs(Vv) * (amb_sq + T_sq))))

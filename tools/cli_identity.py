@@ -10,7 +10,7 @@ is printed per run, and for a run that differs, each differing stream from
 shortly before its first differing byte; the exit status is 0 when every run
 matches and 1 otherwise.  Uses the standard library only.
 
-RUNS holds 80 runs.  Three run at n=4 (``schur``, ``af`` and a two-row
+RUNS holds 81 runs.  Three run at n=4 (``schur``, ``af`` and a two-row
 ``sweep``, level 10), where the principal curvatures come from 3x3 stacks and
 reach stdout through the almost-Schur and AF hypothesis margins and the
 sweep's ``min_convexity_eig``; the others run at n=2, 3, 5 or 6.
@@ -43,6 +43,10 @@ TILTED_ARC = {"version": 1, "n": 2, "support": {"kind": "euclidean_sphere"}, "ca
 GEODESIC_PLANE = {"version": 1, "support": {"kind": "hyp_geodesic_plane"}}
 SHIFTED_HOROSPHERE = {"version": 1, "support": {"kind": "horosphere"},
                       "cap": {"center_shift": [3, 0]}}
+# a cap of radius 1e5: its Reilly residuals are large in absolute terms and rounding
+# relative to the terms, which is what ``reilly`` gates on
+LARGE_CAP = {"version": 1, "support": {"kind": "euclidean_plane"}, "cap": {"radius": 1e5},
+             "perturbation": {"epsilon": 0.05}, "reilly": {"functions": ["V", "x1", "x2^2"]}}
 # the second epsilon's cap leaves the half region: the sweep stops there and exits 2
 FAILING_SWEEP = {"version": 1, "support": {"kind": "sph_hyperplane"}, "cap": {"radius": 0.78},
                  "sweep": {"epsilons": [0.05, 0.4, 0.6, -0.6]}}
@@ -65,6 +69,7 @@ RUNS: list[tuple[str, list[str], object]] = [
       for label, cfg in (("hyp_geodesic_plane", GEODESIC_PLANE),
                          ("horosphere center_shift=[3,0]", SHIFTED_HOROSPHERE))
       for command in ("minkowski", "converge")],
+    ("reilly euclidean_plane radius=1e5", ["reilly"], LARGE_CAP),
     ("sweep negative-eps", ["sweep"], NEGATIVE_SWEEP),
     ("sweep negative-eps jobs=2 json", ["sweep", "--jobs", "2", "--format", "json"],
      NEGATIVE_SWEEP),

@@ -34,18 +34,18 @@ sorted JSON.  A failing step is recorded as [error type, message].  Cases:
   power 4, all on the one base, each dumped as above.  Every other case
   builds its own base, so only these pin what perturbations read of a base
   (its grid, ring and reach, and the face's piece: its nodes, its cone's
-  margins, and the Reilly rows on its cone's blocks), before and after the
+  margins, and the Reilly block sums on its cone), before and after the
   base's own reports.  The reports read the weighted volume off each cap,
-  so the face's piece at the case's level comes from the Reilly rows alone.
+  so the face's piece at the case's level comes from the Reilly checker alone.
   Each cone is cut into blocks from its own first node, so no block
   straddles two cones, at level 24 as at level 32.  At n=4 level 12 only the caps over ``euclidean_plane`` and ``sph_hyperplane`` build (the
   others raise DegenerateImmersion, as above at n=5), so level 8 carries the
   n=4 sphere supports, whose regions have a face cone;
 * the Reilly rows alone, asked for in the reverse order x1^2, x2^2, x1, V
   (coordinates before V, x2^2 before x1), on the 8 supports x eps {0, 0.05}
-  at n=3 level 24 and n=4 level 8.  The rows are memoized per axis as they
-  are first asked for, so these pin that the order they are asked in moves
-  no bit.
+  at n=3 level 24 and n=4 level 8.  The block sums of x_i and x_i^2 are
+  memoized per axis as they are first asked for, so these pin that the order
+  the rows are asked in moves no bit.
 
 Each differing case is printed with the fields that differ, as paths such
 as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
