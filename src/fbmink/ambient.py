@@ -53,6 +53,54 @@ _SECTIONAL = {
 }
 
 
+class Radial:
+    """Points x, (n,) or (n, m), with the rows that phi and the weights read of |x|^2:
+    |x|^2, K|x|^2, 1 + K|x|^2 and w = 1 / (1 + K|x|^2), each formed once, when first
+    asked for.  ``SpaceFormModel.phi``, ``phi_grad`` and ``phi_hess`` and a weight's
+    value and flat derivatives (``weights.WeightField``) take a Radial of their
+    points too, so calls at the same points share these rows; each row is the
+    expression the method would form alone, so sharing moves no bit.  No caller
+    writes into a row or into x."""
+
+    __slots__ = ("x", "_sq", "_rows")
+
+    def __init__(self, x: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
+        self._sq = None
+        self._rows: dict = {}
+
+    @property
+    def sq(self) -> np.ndarray:
+        if self._sq is None:
+            self._sq = np.sum(self.x * self.x, axis=0)
+        return self._sq
+
+    def scaled(self, K: float) -> np.ndarray:
+        if K == 1.0:   # 1.0 * |x|^2 is |x|^2, bit for bit
+            return self.sq
+        row = self._rows.get(("K", K))
+        if row is None:
+            row = self._rows[("K", K)] = K * self.sq
+        return row
+
+    def denominator(self, K: float) -> np.ndarray:
+        row = self._rows.get(("1+K", K))
+        if row is None:
+            row = self._rows[("1+K", K)] = 1.0 + self.scaled(K)
+        return row
+
+    def reciprocal(self, K: float) -> np.ndarray:
+        row = self._rows.get(("w", K))
+        if row is None:
+            row = self._rows[("w", K)] = 1.0 / self.denominator(K)
+        return row
+
+
+def radial(x) -> Radial:
+    """x itself if it is a ``Radial``, else a new one of the points x."""
+    return x if isinstance(x, Radial) else Radial(x)
+
+
 @dataclass(frozen=True)
 class SpaceFormModel:
     """A space form of curvature K presented as a conformal chart on R^n."""
@@ -89,16 +137,18 @@ class SpaceFormModel:
 
     # -- conformal factor and its derivatives -------------------------------
 
-    def phi(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def phi(self, x: np.ndarray | Radial) -> np.ndarray:
+        r = radial(x)
+        x = r.x
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros(x.shape[1:])
         if self.kind is ModelKind.UPPER_HALF_SPACE:
             return -np.log(x[-1])
-        return np.log(2.0) - np.log1p(self.K * np.sum(x * x, axis=0))
+        return np.log(2.0) - np.log1p(r.scaled(self.K))
 
-    def phi_grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def phi_grad(self, x: np.ndarray | Radial) -> np.ndarray:
+        r = radial(x)
+        x = r.x
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros_like(x)
         if self.kind is ModelKind.UPPER_HALF_SPACE:
@@ -106,11 +156,13 @@ class SpaceFormModel:
             g[-1] = -1.0 / x[-1]
             return g
         K = self.K
-        w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
-        return -2.0 * K * x * w
+        g = -2.0 * K * x
+        g *= r.reciprocal(K)
+        return g
 
-    def phi_hess(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def phi_hess(self, x: np.ndarray | Radial) -> np.ndarray:
+        r = radial(x)
+        x = r.x
         eye = batch_eye(x)
         if self.kind is ModelKind.EUCLIDEAN:
             return np.zeros(x.shape[:1] + x.shape)
@@ -119,7 +171,7 @@ class SpaceFormModel:
             h[-1, -1] = 1.0 / x[-1] ** 2
             return h
         K = self.K
-        w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
+        w = r.reciprocal(K)
         return -2.0 * K * w * eye + 4.0 * (w * w) * (x[:, None] * x[None, :])
 
     def conformal_factor(self, x: np.ndarray) -> np.ndarray:

@@ -17,9 +17,12 @@ and geometry errors.  Each call forms only its test function's own terms.  On
 the region both integrands are quadratics in q = f / V.  For one axis i, those
 of x_i and of x_i^2 are formed together in one pass per cone block and reduced
 at once; each region piece memoizes only their block sums, per axis, so x_i^2
-after x_i (or x_i after x_i^2) forms nothing on the region.  The V row forms
-none, as its integrands are exactly 0; no metric, static tensor, per-node row or
-(n, n, m) array is held.
+after x_i (or x_i after x_i^2) forms nothing on the region.  Each block's pass
+reads one flat jet of V and phi, formed from one |x|^2 (``ambient.Radial``),
+and accumulates its coefficients in place in a few reused rows; it writes into
+no block, since each block is a view into a cone its piece memoizes.  The V
+row forms none, as its integrands are exactly 0; no metric, static tensor,
+per-node row or (n, n, m) array is held.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ambient import Radial
 from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
 from .quadrature import Piece, QuadratureRule, pairwise_sum, region_sum
@@ -316,42 +320,131 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("im,im->m", a, b)
 
 
+def _flat_jet(weight: WeightField, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V's flat value, gradient and Hessian, phi's gradient and e = exp(-2 phi) at the
+    nodes x, (n, k), all from one |x|^2 and one 1 / (1 + K|x|^2) (``ambient.Radial``):
+    the bits of ``value``, ``euclidean_gradient``, ``euclidean_hessian``, ``phi_grad``
+    and exp(-2 phi(x)), each a fresh array."""
+    model, r = weight.model, Radial(x)
+    e = model.phi(r)
+    e *= -2.0
+    return (weight.value(r), weight.euclidean_gradient(r), weight.euclidean_hessian(r),
+            model.phi_grad(r), np.exp(e))
+
+
 def _axis_integrands(weight: WeightField, i: int, x: np.ndarray) -> np.ndarray:
     """Both interior integrands of the identity for x_i and for x_i^2 at the nodes x of
     one block, (4, k): lhs and rhs for x_i, then for x_i^2, formed in one pass from V's
-    flat value, gradient g and Hessian H, phi's gradient p and e = exp(-2 phi).
+    flat value, gradient g and Hessian H, phi's gradient p and e = exp(-2 phi), all
+    from one ``_flat_jet``.
 
     The coefficients below: trH, pg = <p, g>, and S = lap V + (n-1) K V, the static
     tensor's trace part (static = S gbar - Hess V).  With q = x_i / V, x_i's terms are
     V e^2 (A2 q^2 + A1 q + S2) and e (E0 q^2 + E1 q + E2), and x_i^2's, at s = 2 x_i,
     c = 2 and x_i q for q, reuse their sub-expressions:
     V e^2 [x_i^2 (A2 q^2 + 2 A1 q + 4 S2) + 2 x_i (C1 q + (4n-4) p_i)] and
-    e x_i^2 (E0 q^2 + 2 E1 q + 4 E2)."""
-    model, n = weight.model, weight.model.n
-    V, g, H = weight.value(x), weight.euclidean_gradient(x), weight.euclidean_hessian(x)
-    p, e = model.phi_grad(x), np.exp(-2.0 * model.phi(x))
+    e x_i^2 (E0 q^2 + 2 E1 q + 4 E2).
+
+    Each coefficient is accumulated in place in its own row, with a scratch row t and
+    the four output rows, in the association of the formulas in the comments.
+    A step a op= b may stand for b op a only where op is + or *, which commute bit for
+    bit, so the bits are those of the same expressions formed out of place.  x is a
+    view into a memoized cone: nothing here writes into it, and every row written into
+    is formed here."""
+    n, K = weight.model.n, weight.model.K
+    V, g, H, p, e = _flat_jet(weight, x)
+    p_i, g_i, H_i, H_ii, x_i = p[i], g[i], H[i], H[i, i], x[i]
     trH, pg, pp, gg = np.trace(H), _dot(p, g), _dot(p, p), _dot(g, g)
     Hg = np.einsum("ijm,jm->im", H, g)
-    S = e * (trH + (n - 2.0) * pg) + (n - 1.0) * model.K * V
-    A2 = (trH * trH - np.einsum("ijm,ijm->m", H, H)
-          + pg * ((2.0 * n - 6.0) * trH + (n - 2.0) * (n - 3.0) * pg)
-          + 4.0 * _dot(Hg, p) - 2.0 * pp * gg)
-    E0 = gg * (S + e * pg) - e * _dot(Hg, g)
-    p_i, g_i, H_i, x_i = p[i], g[i], H[i], x[i]
-    A1 = 4.0 * (pp * g_i - _dot(H_i, p)) - p_i * (
-        (2.0 * n - 6.0) * trH + 2.0 * (n - 2.0) * (n - 3.0) * pg)
-    C1 = 2.0 * (H_i[i] - trH) - (2.0 * n - 6.0) * pg - 4.0 * p_i * g_i
-    S2 = (n - 2.0) * (n - 3.0) * p_i * p_i - 2.0 * pp
-    E1 = 2.0 * (e * (_dot(H_i, g) - p_i * gg) - g_i * S)
-    E2 = S - e * (pg + H_i[i] - 2.0 * p_i * g_i)
-    q, Ve2, x_sq = x_i / V, V * e * e, x_i * x_i
-    A2q, E0q = A2 * q, E0 * q
     out = np.empty((4, x.shape[1]))
-    out[0] = Ve2 * ((A2q + A1) * q + S2)
-    out[1] = e * ((E0q + E1) * q + E2)
-    out[2] = Ve2 * (x_sq * ((A2q + 2.0 * A1) * q + 4.0 * S2)
-                    + 2.0 * x_i * (C1 * q + (4.0 * n - 4.0) * p_i))
-    out[3] = e * x_sq * ((E0q + 2.0 * E1) * q + 4.0 * E2)
+    t = np.empty_like(V)
+    cq = (n - 2.0) * (n - 3.0)
+    # S = e (trH + (n-2) pg) + (n-1) K V
+    S = np.multiply(pg, n - 2.0)
+    S += trH
+    S *= e
+    S += np.multiply(V, (n - 1.0) * K, out=t)
+    tH = np.multiply(trH, 2.0 * n - 6.0)   # (2n-6) trH, in A2 and A1
+    # A2 = trH^2 - |H|^2 + pg ((2n-6) trH + cq pg) + 4 <Hg, p> - 2 pp gg
+    A2 = np.multiply(trH, trH)
+    A2 -= np.einsum("ijm,ijm->m", H, H)
+    np.multiply(pg, cq, out=t)
+    t += tH
+    A2 += np.multiply(t, pg, out=t)
+    t = _dot(Hg, p)
+    A2 += np.multiply(t, 4.0, out=t)
+    np.multiply(pp, 2.0, out=t)
+    A2 -= np.multiply(t, gg, out=t)
+    # E0 = gg (S + e pg) - e <Hg, g>
+    E0 = np.multiply(e, pg)
+    E0 += S
+    E0 *= gg
+    t = _dot(Hg, g)
+    E0 -= np.multiply(t, e, out=t)
+    # A1 = 4 (pp g_i - <H_i, p>) - p_i ((2n-6) trH + 2 cq pg)
+    A1 = np.multiply(pp, g_i)
+    A1 -= _dot(H_i, p)
+    A1 *= 4.0
+    np.multiply(pg, 2.0 * (n - 2.0) * (n - 3.0), out=t)
+    t += tH
+    A1 -= np.multiply(t, p_i, out=t)
+    # C1 = 2 (H_ii - trH) - (2n-6) pg - 4 p_i g_i
+    C1 = np.subtract(H_ii, trH)
+    C1 *= 2.0
+    C1 -= np.multiply(pg, 2.0 * n - 6.0, out=t)
+    np.multiply(p_i, 4.0, out=t)
+    C1 -= np.multiply(t, g_i, out=t)
+    # S2 = cq p_i^2 - 2 pp
+    S2 = np.multiply(p_i, cq)
+    S2 *= p_i
+    S2 -= np.multiply(pp, 2.0, out=t)
+    # E1 = 2 (e (<H_i, g> - p_i gg) - g_i S)
+    E1 = _dot(H_i, g)
+    E1 -= np.multiply(p_i, gg, out=t)
+    E1 *= e
+    E1 -= np.multiply(g_i, S, out=t)
+    E1 *= 2.0
+    # E2 = S - e (pg + H_ii - 2 p_i g_i)
+    E2 = np.add(pg, H_ii)
+    np.multiply(p_i, 2.0, out=t)
+    E2 -= np.multiply(t, g_i, out=t)
+    E2 *= e
+    np.subtract(S, E2, out=E2)
+    # q = x_i / V, V e^2 and x_i^2; A2 and E0 become A2 q and E0 q
+    q = np.divide(x_i, V)
+    Ve2 = np.multiply(V, e)
+    Ve2 *= e
+    A2 *= q
+    E0 *= q
+    o = out[0]   # Ve2 ((A2q + A1) q + S2)
+    np.add(A2, A1, out=o)
+    o *= q
+    o += S2
+    o *= Ve2
+    o = out[1]   # e ((E0q + E1) q + E2)
+    np.add(E0, E1, out=o)
+    o *= q
+    o += E2
+    o *= e
+    o = out[2]   # Ve2 (x_i^2 ((A2q + 2 A1) q + 4 S2) + 2 x_i (C1 q + (4n-4) p_i))
+    A1 *= 2.0
+    np.add(A2, A1, out=o)
+    o *= q
+    S2 *= 4.0
+    o += S2
+    o *= np.multiply(x_i, x_i, out=t)   # t holds x_i^2 from here on
+    C1 *= q
+    C1 += (4.0 * n - 4.0) * p_i
+    C1 *= 2.0 * x_i
+    o += C1
+    o *= Ve2
+    o = out[3]   # e x_i^2 ((E0q + 2 E1) q + 4 E2)
+    E1 *= 2.0
+    np.add(E0, E1, out=o)
+    o *= q
+    E2 *= 4.0
+    o += E2
+    o *= np.multiply(t, e, out=t)
     return out
 
 

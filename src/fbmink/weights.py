@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ambient
-from .ambient import SpaceFormModel
+from .ambient import Radial, SpaceFormModel, radial
 from .supports import SupportKind, SupportSpec
 
 
@@ -51,14 +51,16 @@ _BINDING = {
 
 @dataclass(frozen=True)
 class WeightField:
-    """A static weight V on a space-form model, with exact flat derivatives."""
+    """A static weight V on a space-form model, with exact flat derivatives.  Each
+    method takes points x or an ``ambient.Radial`` of them, whose |x|^2 and
+    1 / (1 + K|x|^2) the model's phi reads too."""
 
     model: SpaceFormModel
     formula: WeightFormula
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        f = self.formula
+    def value(self, x: np.ndarray | Radial) -> np.ndarray:
+        r = radial(x)
+        x, f = r.x, self.formula
         if f is WeightFormula.EUCLID_XN:
             return x[-1].copy()
         if f is WeightFormula.EUCLID_ONE:
@@ -66,13 +68,12 @@ class WeightField:
         if f is WeightFormula.HYP_HALFSPACE:
             return 1.0 / x[-1]
         if f in _BALL:
-            return 2.0 * x[-1] / (1.0 + self.model.K * np.sum(x * x, axis=0))
-        r2 = np.sum(x * x, axis=0)
-        return (1.0 - r2) / (1.0 + r2)
+            return 2.0 * x[-1] / r.denominator(self.model.K)
+        return (1.0 - r.sq) / r.denominator(1.0)
 
-    def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        f = self.formula
+    def euclidean_gradient(self, x: np.ndarray | Radial) -> np.ndarray:
+        r = radial(x)
+        x, f = r.x, self.formula
         if f is WeightFormula.EUCLID_XN:
             g = np.zeros_like(x)
             g[-1] = 1.0
@@ -85,32 +86,37 @@ class WeightField:
             return g
         if f in _BALL:
             K = self.model.K
-            w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
-            g = -4.0 * K * x[-1] * x * (w * w)
+            w = r.reciprocal(K)
+            g = x * (-4.0 * K * x[-1])
+            g *= w * w
             g[-1] += 2.0 * w
             return g
-        u = 1.0 / (1.0 + np.sum(x * x, axis=0))
-        return -4.0 * x * (u * u)
+        u = r.reciprocal(1.0)
+        g = -4.0 * x
+        g *= u * u
+        return g
 
-    def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        f = self.formula
-        h = np.zeros(x.shape[:1] + x.shape)
-        if f is WeightFormula.HYP_HALFSPACE:
-            h[-1, -1] = 2.0 / x[-1] ** 3
+    def euclidean_hessian(self, x: np.ndarray | Radial) -> np.ndarray:
+        r = radial(x)
+        x, f = r.x, self.formula
         if f in (WeightFormula.EUCLID_XN, WeightFormula.EUCLID_ONE, WeightFormula.HYP_HALFSPACE):
+            h = np.zeros(x.shape[:1] + x.shape)
+            if f is WeightFormula.HYP_HALFSPACE:
+                h[-1, -1] = 2.0 / x[-1] ** 3
             return h
-        # (c x) x^T once, then the e_n row and column and the diagonal as row updates
+        # (c x) x^T into every entry, then the e_n row and column and the diagonal as
+        # row updates
+        h = np.empty(x.shape[:1] + x.shape)
         if f in _BALL:
             K, xn = self.model.K, x[-1]
-            w = 1.0 / (1.0 + K * np.sum(x * x, axis=0))
+            w = r.reciprocal(K)
             np.multiply((16.0 * xn * w ** 3) * x[:, None], x[None, :], out=h)
             scale = -4.0 * K * w * w
             edge, diag = scale * x, scale * xn
             h[-1] += edge
             h[:, -1] += edge
         else:
-            u = 1.0 / (1.0 + np.sum(x * x, axis=0))
+            u = r.reciprocal(1.0)
             np.multiply((16.0 * u ** 3) * x[:, None], x[None, :], out=h)
             diag = -4.0 * u * u
         for i in range(x.shape[0]):

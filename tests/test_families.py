@@ -32,6 +32,7 @@ from fbmink import (
     validate_scenario,
 )
 from fbmink import families, quadrature
+from fbmink.ambient import radial
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
 from fbmink.quadrature import REGION_BLOCK
@@ -254,10 +255,11 @@ def test_perturbations_read_their_base_caps_face_rows(monkeypatch):
         fn = getattr(WeightField, name)
 
         def recording(weight, x):
-            if np.shares_memory(x, face):
-                calls[name].append(((x.__array_interface__["data"][0]
+            pts = radial(x).x   # the kernel passes a Radial of its block
+            if np.shares_memory(pts, face):
+                calls[name].append(((pts.__array_interface__["data"][0]
                                      - face.__array_interface__["data"][0]) // face.itemsize,
-                                    x.shape[1]))
+                                    pts.shape[1]))
             return fn(weight, x)
         monkeypatch.setattr(WeightField, name, recording)
 

@@ -354,7 +354,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
 
         @functools.wraps(derivative)
         def recording(self, x):
-            V_derivatives[name].append(x)
+            V_derivatives[name].append(ambient.radial(x).x)   # the points of a Radial
             return derivative(self, x)
         monkeypatch.setattr(weights.WeightField, name, recording)
 
@@ -503,7 +503,7 @@ def test_second_function_on_an_axis_forms_nothing_on_the_region(monkeypatch, fir
     hessian, points = weights.WeightField.euclidean_hessian, []
 
     def recording(weight, x):
-        points.append(x)
+        points.append(ambient.radial(x).x)
         return hessian(weight, x)
 
     monkeypatch.setattr(weights.WeightField, "euclidean_hessian", recording)

@@ -5,9 +5,13 @@
 Each tree is a checkout of this repository; its package is imported from
 TREE/src in a child process.  The child builds every case below and dumps,
 per case, the ``to_dict()`` of the Minkowski, AF and almost-Schur reports,
-the hypothesis audit, the Reilly rows for V, x1, x2^2 and x1^2 (asked for in
-that order), the region margins and the outcome of ``validate_scenario``, as
-sorted JSON.  A failing step is recorded as [error type, message].  Cases:
+the hypothesis audit, the Reilly rows for V, x1, x2^2, x1^2, x{n} and x{n}^2
+(asked for in that order; at n=2, x2^2 once), the region margins and the
+outcome of ``validate_scenario``, as sorted JSON.  The last axis carries the
+terms no other row reaches: V = 1/x_n's Hessian, the e_n row and column of the
+ball weights' Hessian, and x_n = V on ``euclidean_sphere``, where the rows of
+x_n vanish identically.  A failing step is recorded as [error type, message].
+Cases:
 
 * the 8 supports x eps {0, +-0.05}, canonical cap, at n=3 levels 16, 24 and
   32, n=4 levels 8 and 12, n=2 level 32 and n=5 level 8.  At n=2 the sphere
@@ -41,11 +45,11 @@ sorted JSON.  A failing step is recorded as [error type, message].  Cases:
   straddles two cones, at level 24 as at level 32.  At n=4 level 12 only the caps over ``euclidean_plane`` and ``sph_hyperplane`` build (the
   others raise DegenerateImmersion, as above at n=5), so level 8 carries the
   n=4 sphere supports, whose regions have a face cone;
-* the Reilly rows alone, asked for in the reverse order x1^2, x2^2, x1, V
-  (coordinates before V, x2^2 before x1), on the 8 supports x eps {0, 0.05}
-  at n=3 level 24 and n=4 level 8.  The block sums of x_i and x_i^2 are
-  memoized per axis as they are first asked for, so these pin that the order
-  the rows are asked in moves no bit.
+* the Reilly rows alone, asked for in the reverse order x{n}^2, x{n}, x1^2,
+  x2^2, x1, V (coordinates before V, x_i^2 before x_i), on the 8 supports x
+  eps {0, 0.05} at n=3 level 24 and n=4 level 8.  The block sums of x_i and
+  x_i^2 are memoized per axis as they are first asked for, so these pin that
+  the order the rows are asked in moves no bit.
 
 Each differing case is printed with the fields that differ, as paths such
 as ``reilly x1 / lhs_volume``; where both values are numbers, each comes with
@@ -76,8 +80,12 @@ GRID_SUPPORTS = ("euclidean_plane", "euclidean_sphere", "horosphere", "sph_hyper
 GRID_RADII = (1e-7, 1e-5, 1e-3, 0.9, 1.5, 3.0)
 ASYMMETRIC = (("sph_hyperplane", {"center_shift": (0.3, 0.0)}), ("euclidean_plane", {"tilt": 0.2}))
 SPHERE_KINDS = ("euclidean_sphere", "hyp_geodesic_sphere", "sph_geodesic_sphere")
-REILLY_FUNCTIONS = ("V", "x1", "x2^2", "x1^2")
-REVERSE_FUNCTIONS = REILLY_FUNCTIONS[::-1]
+
+
+def reilly_functions(n: int) -> tuple[str, ...]:
+    """The Reilly rows of a case at dimension n, in the order they are asked for."""
+    return tuple(dict.fromkeys(("V", "x1", "x2^2", "x1^2", f"x{n}", f"x{n}^2")))
+
 
 # (n, level, support, CapSpec fields replaced in the canonical cap, epsilon)
 CASES = [
@@ -96,7 +104,7 @@ SHARED_STEPS = ((0.05, 3), (-0.05, 3), None, (0.03, 3), (-0.03, 3), (0.05, 4))
 # (n, level, support): one base cap, then SHARED_STEPS on it
 SHARED_CASES = [(n, level, kind) for n, level in ((3, 32), (3, 24), (4, 12), (4, 8))
                 for kind in SUPPORTS]
-# (n, level, support, epsilon): the Reilly rows in REVERSE_FUNCTIONS order
+# (n, level, support, epsilon): the Reilly rows in reverse order
 REVERSE_CASES = [(n, level, kind, eps) for n, level in ((3, 24), (4, 8))
                  for kind in SUPPORTS for eps in (0.0, 0.05)]
 
@@ -123,7 +131,7 @@ def _results(fb, scenario, level: int) -> dict:
     for name, builder in (("minkowski", fb.minkowski_report), ("af", fb.af_report),
                           ("schur", fb.schur_report)):
         out[name] = _attempt(lambda: builder(scenario, rule).to_dict())
-    return out | _reilly(fb, scenario, level, REILLY_FUNCTIONS)
+    return out | _reilly(fb, scenario, level, reilly_functions(scenario.n))
 
 
 def _build(fb, n: int, kind: str, placement: dict, eps: float):
@@ -147,7 +155,7 @@ def _reverse_case(fb, n: int, level: int, kind: str, eps: float) -> dict:
     scenario = _build(fb, n, kind, {}, eps)
     if isinstance(scenario, list):
         return {"build": scenario}
-    return _reilly(fb, scenario, level, REVERSE_FUNCTIONS)
+    return _reilly(fb, scenario, level, reilly_functions(n)[::-1])
 
 
 def _shared_case(fb, n: int, level: int, kind: str) -> dict:
