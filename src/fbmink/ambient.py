@@ -252,9 +252,10 @@ def covariant_hessian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.n
     return hess
 
 
-def ambient_laplacian(model: SpaceFormModel, x: np.ndarray, grad_euclidean: np.ndarray,
+def ambient_laplacian(model: SpaceFormModel, x: np.ndarray | Radial, grad_euclidean: np.ndarray,
                       hess_euclidean: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami value from flat derivatives (``dphi``: phi_grad at x).
+    """Laplace-Beltrami value from flat derivatives (``dphi``: phi_grad at x, points
+    or a ``Radial`` of them).
 
     For gbar = exp(2 phi) delta in dimension n,
     ``lap f = exp(-2 phi) (lap_delta f + (n-2) <dphi, df>)``.

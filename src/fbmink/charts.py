@@ -235,28 +235,42 @@ class PerturbedCapChart:
 
     def displace(self, U, terms):
         """The chart values at U from the base cap's epsilon-free terms (X, J, H, s, ds,
-        d2s) there; only the bump, the amplitude and the displacement are formed here."""
-        X, J, H, s, ds, d2s = terms
-        p, dp, d2p = self.profile.evaluate(U)
-
-        # amplitude A(u) = eps/r * p(u) * s(u); X_eps = X + A (X - center)
-        r = self.base.radius
-        A = (self.epsilon / r) * p * s
-        dA = (self.epsilon / r) * (dp * s + p * ds)
-        d2A = (self.epsilon / r) * (d2p * s + dp[:, None] * ds + ds[:, None] * dp + p * d2s)
-
-        Q = X - self.base.center[:, None]
-        Xp = X + A * Q
-        Jp = J * (1.0 + A) + Q[:, None] * dA
-        Jt = J.swapaxes(0, 1)              # (k, n, m): rows are d_a X
-        Hp = (H * (1.0 + A)
-              + dA[:, None, None] * Jt
-              + dA[None, :, None] * Jt[:, None]
-              + d2A[:, :, None] * Q)
-        return Xp, Jp, Hp
+        d2s) there: ``displace_caps`` of this one epsilon."""
+        return displace_caps(self.base, self.profile, (self.epsilon,), U, terms)
 
     def normal_hint(self, U, X):
         return X - self.base.center[:, None]
+
+
+def displace_caps(base: SphericalCapChart, profile: RadialBumpProfile, epsilons, U, terms):
+    """The chart values (X, J, H) at U of each cap that displaces ``base`` along its
+    gbar-unit normal by epsilon times ``profile``, from the base's epsilon-free terms
+    (X, J, H, s, ds, d2s) there.  The E epsilons stack on the node axis, the m nodes of
+    each in turn: (n, E m), (n, k, E m) and (k, k, n, E m).  Only the bump, the
+    amplitude and the displacement are formed here, node by node, so each epsilon's
+    values are the bits of its cap alone (E = 1, ``PerturbedCapChart.displace``)."""
+    # an epsilon axis before the node axis: each term (..., 1, m), the epsilons (E, 1)
+    X, J, H, s, ds, d2s = (t[..., None, :] for t in terms)
+    p, dp, d2p = (t[..., None, :] for t in profile.evaluate(U))
+    eps = np.asarray(epsilons, dtype=float)[:, None]
+
+    # amplitude A(u) = eps/r * p(u) * s(u); X_eps = X + A (X - center)
+    r = base.radius
+    A = (eps / r) * p * s
+    dA = (eps / r) * (dp * s + p * ds)
+    d2A = (eps / r) * (d2p * s + dp[:, None] * ds + ds[:, None] * dp + p * d2s)
+
+    Q = X - base.center[:, None, None]
+    Xp = X + A * Q
+    Jp = J * (1.0 + A) + Q[:, None] * dA
+    Jt = J.swapaxes(0, 1)              # (k, n, 1, m): rows are d_a X
+    Hp = (H * (1.0 + A)
+          + dA[:, None, None] * Jt
+          + dA[None, :, None] * Jt[:, None]
+          + d2A[:, :, None] * Q)
+    nodes = A.size
+    return (Xp.reshape(*Xp.shape[:-2], nodes), Jp.reshape(*Jp.shape[:-2], nodes),
+            Hp.reshape(*Hp.shape[:-2], nodes))
 
 
 @dataclass

@@ -49,8 +49,8 @@ from .families import (
     default_cap_spec,
     make_perturbed_cap,
     make_umbilical_cap,
-    perturb_cap,
     region_margins,
+    sweep_caps,
     validate_scenario,
 )
 from .inequalities import (
@@ -410,11 +410,12 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
     theorem = sweep_cfg.get("theorem", "minkowski")
     builder = REPORT_BUILDERS[theorem]
     power = int(sweep_cfg.get("power", (cfg.get("perturbation") or {}).get("power", 3)))
-    # one umbilical cap; each epsilon's cap displaces it and reads its epsilon-free nodes
+    # one umbilical cap; each epsilon's cap displaces it and reads its epsilon-free nodes.
+    # ``sweep_caps`` builds each row's cap as the row starts, its node sets at both rules
+    # a view into one stacked pass over the rows' caps (or, if that pass raises, its own)
     base = make_umbilical_cap(_cap_spec_from_config(cfg, _support_from_config(cfg, st.n)))
 
-    def one(eps: float) -> dict:
-        scenario = base if eps == 0.0 else perturb_cap(base, PerturbationSpec(eps, power))
+    def one(eps: float, scenario: CapScenario) -> dict:
         validate_scenario(scenario)
         report = builder(scenario, st.rule, equality_tolerance=st.equality_tolerance)
         audit = hypothesis_audit(scenario, st.rule)
@@ -425,7 +426,8 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
             "min_convexity_eig": audit.convexity_min,
         }
 
-    rows = [one(eps) for eps in epsilons]
+    rows = [one(eps, scenario)
+            for eps, scenario in zip(epsilons, sweep_caps(base, epsilons, power, st.rule))]
     ok = all(r["relative_deficit"] >= -st.tolerance for r in rows)
     return rows, ok
 

@@ -39,13 +39,20 @@ once per (base cap, rule) and one ring per base cap, and each evaluates phi,
 exp(n phi), V and the Reilly integrands only on its own cap's cone.  The bump's reach reads
 the base's level-6 cap terms, which admissibility forms anyway.  Nothing a
 scenario memoizes refers back to the scenario.
+A sweep's perturbations are known before its first row: ``sweep_caps`` displaces
+and evaluates all its nonzero-epsilon caps in one stacked pass per rule a row
+reads, and each row's cap piece holds views into its slice, the bits of its cap
+alone; principal curvatures stay per row.  Each row still runs its prechecks,
+admissibility, validation, report and audit in config order.  A pass that raises
+a package error or a floating-point error (numpy raises every one there) seeds
+no row, and each row builds its own node sets, so it raises and warns as alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -58,21 +65,24 @@ from .charts import (
     SphericalCapChart,
     axis_frame,
     conformal_scale,
+    displace_caps,
 )
 from .errors import (
     DimensionTooLow,
+    FbminkError,
     InadmissiblePlacement,
     OrthogonalityInfeasible,
     ValidationFailed,
 )
 from .supports import HalfRegion, PlaneShape, SphereShape, SupportSpec, plane_anchor
-from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins
+from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins, surface_geometry
 from .weights import WeightField, minkowski_field, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
 BOUNDARY_TOL = 1e-8   # validate_scenario's bound on ring angle cosine and distance to the support
 ADMISSIBILITY_RULE = quad.QuadratureRule(6)   # margins only locate region nodes: a coarse rule
 CHART_CLEARANCE = 0.2     # least height of a default cap over x_n = 0, in cap radii
+STACK_NODES = 2 ** 14     # cap nodes of one stacked pass at most; longer sweeps stack by groups
 
 @dataclass(frozen=True)
 class CapSpec:
@@ -170,12 +180,19 @@ class CapScenario(quad.Memo):
             return self.base.piece(label, rule)
 
         def build():
-            if label == "support":
-                return quad.Piece(label, self.face, rule, rule.grid(self.face.chart.domain),
-                                  self.star_center, self.support, self.weight)
-            return quad.Piece(label, self.surface, rule, self.grid(rule), self.star_center,
-                              self.support, self.weight, self._cap_values(rule))
+            if label == "cap":
+                return self._cap_piece(rule, surface_geometry(
+                    self.surface, self.grid(rule)[0], self._cap_values(rule)))
+            params, box_weights = rule.grid(self.face.chart.domain)
+            return quad.Piece(label, self.face, rule, surface_geometry(self.face, params),
+                              box_weights, self.star_center, self.support, self.weight)
         return self._once((label, rule), build)
+
+    def _cap_piece(self, rule: quad.QuadratureRule, geo) -> quad.Piece:
+        """The cap's ``Piece`` at ``rule`` from its ``SurfaceGeometry`` ``geo`` at the
+        nodes; for a cap that ``sweep_caps`` builds, its row of a stacked pass."""
+        return quad.Piece("cap", self.surface, rule, geo, self.grid(rule)[1],
+                          self.star_center, self.support, self.weight)
 
     def weighted_volume(self, rule: quad.QuadratureRule) -> float:
         """int_Omega V from the cap alone: int_Sigma <X_a, nu> / n, X_a the
@@ -373,6 +390,12 @@ def make_perturbed_cap(spec: CapSpec, perturbation: PerturbationSpec) -> CapScen
 def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenario:
     """Displace the umbilical cap ``base`` along its unit normal by a conforming
     bump; the result refers to ``base`` and reads its epsilon-free node sets."""
+    return _perturbed(base, perturbation, {})
+
+
+def _perturbed(base: CapScenario, perturbation: PerturbationSpec, geometry: dict) -> CapScenario:
+    """``perturb_cap``, with the cap's geometry at each rule of ``geometry`` given: its
+    row of a stacked pass (``sweep_caps``)."""
     if base.perturbation is not None:
         raise ValidationFailed("perturbation_base", "only an umbilical cap can be perturbed")
     if not math.isfinite(perturbation.epsilon):
@@ -392,8 +415,51 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
     surface = FreeBoundarySurface(model=base.model, chart=pchart, support=base.support)
     scenario = replace(base, surface=surface, perturbation=perturbation, base=base,
                        description=base.description + f" perturbed eps={perturbation.epsilon}")
+    scenario._cache.update((("cap", rule), scenario._cap_piece(rule, geo))
+                           for rule, geo in geometry.items())
     _check_admissible(scenario)
     return scenario
+
+
+def sweep_caps(base: CapScenario, epsilons, power: int,
+               rule: quad.QuadratureRule) -> Iterator[CapScenario]:
+    """The cap of each epsilon in turn, built when it is asked for: ``base`` for 0, else
+    ``perturb_cap(base, PerturbationSpec(epsilon, power))`` with its checks, its cap
+    pieces at ``ADMISSIBILITY_RULE`` and ``rule`` read off the stacked pass of its
+    group of rows (at most ``STACK_NODES`` cap nodes) unless that pass raised."""
+    epsilons = list(epsilons)
+    rules = tuple(dict.fromkeys((ADMISSIBILITY_RULE, rule)))
+    size = max(1, STACK_NODES // max(r.level for r in rules) ** base.surface.chart.dim)
+    for lo in range(0, len(epsilons), size):
+        group = epsilons[lo:lo + size]
+        stacked = _stacked_geometry(base, group, power, rules)
+        for eps in group:
+            yield base if eps == 0.0 else _perturbed(base, PerturbationSpec(eps, power),
+                                                     stacked.get(eps, {}))
+
+
+def _stacked_geometry(base: CapScenario, epsilons: list, power: int, rules: tuple) -> dict:
+    """{epsilon: {rule: its cap's ``SurfaceGeometry``}} for each distinct nonzero
+    epsilon, from one ``charts.displace_caps`` and one ``surface_geometry`` call on the
+    stacked nodes per rule; empty where either raises a package error or a
+    floating-point error."""
+    rows = list(dict.fromkeys(eps for eps in epsilons if eps != 0.0))
+    if not rows or base.perturbation is not None:
+        return {}
+    chart = base.surface.chart
+    profile = RadialBumpProfile(t_max=chart.t_max, power=power)
+    split = []   # per rule, each row's geometry
+    try:
+        with np.errstate(all="raise"):
+            for rule in rules:
+                params, _ = base.grid(rule)
+                values = displace_caps(chart, profile, rows, params, base.cap_terms(rule))
+                # every displaced cap's normal hint is its base cap's, X - center
+                geo = surface_geometry(base.surface, np.tile(params, (len(rows), 1)), values)
+                split.append(geo.split(len(rows)))
+    except (FbminkError, FloatingPointError):
+        return {}
+    return {eps: dict(zip(rules, geos)) for eps, geos in zip(rows, zip(*split))}
 
 
 def _check_profile_conforms(profile, cap_chart: SphericalCapChart) -> None:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import Radial
+from .ambient import Radial, radial
 from .errors import DimensionTooLow, NonSmoothTestFunction
 from .families import CapScenario
 from .quadrature import Piece, QuadratureRule, pairwise_sum, region_sum
@@ -228,8 +228,9 @@ REPORT_BUILDERS: dict[str, Callable[..., InequalityReport]] = {
 class _Coordinate:
     """x_i, or x_i^2 when ``squared``, with exact flat derivatives behind the
     value / euclidean_gradient / euclidean_hessian interface of ``WeightField``
-    (points coordinate first, as there); its flat gradient is ``slope`` e_i and its
-    flat Hessian ``second`` e_i e_i^T, the s and c of the region's quadratics in q."""
+    (points coordinate first, or a ``Radial`` of them, as there); its flat gradient is
+    ``slope`` e_i and its flat Hessian ``second`` e_i e_i^T, the s and c of the
+    region's quadratics in q."""
 
     i: int
     squared: bool
@@ -241,16 +242,18 @@ class _Coordinate:
     def slope(self, x: np.ndarray):
         return 2.0 * x[self.i] if self.squared else 1.0
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        xi = x[self.i]
+    def value(self, x: np.ndarray | Radial) -> np.ndarray:
+        xi = radial(x).x[self.i]
         return xi * xi if self.squared else xi
 
-    def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
+    def euclidean_gradient(self, x: np.ndarray | Radial) -> np.ndarray:
+        x = radial(x).x
         g = np.zeros_like(x)
         g[self.i] = self.slope(x)
         return g
 
-    def euclidean_hessian(self, x: np.ndarray) -> np.ndarray:
+    def euclidean_hessian(self, x: np.ndarray | Radial) -> np.ndarray:
+        x = radial(x).x
         h = np.zeros(x.shape[:1] + x.shape)
         h[self.i, self.i] = self.second
         return h

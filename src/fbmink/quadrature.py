@@ -65,7 +65,6 @@ from .surfaces import (
     _parameter_point,
     curvature_arrays,
     normal_derivatives,
-    surface_geometry,
 )
 from .weights import WeightField, jet
 
@@ -138,17 +137,17 @@ class Memo:
 
 class Piece(Memo):
     """One smooth boundary piece of a star-shaped region, "cap" or "support", at one
-    rule: its geometry at ``grid``, ``rule.grid`` of its chart's domain, from the
-    chart's (X, J, H) there if given, and what is formed on it, in one ``_cache``.  It
+    rule: its geometry ``geo`` at the points of ``rule.grid`` of its chart's domain,
+    whose weights are ``box_weights``, and what is formed on it, in one ``_cache``.  It
     refers to no scenario, so a perturbed cap holds its base cap's face piece as it is."""
 
-    def __init__(self, label: str, surf: FreeBoundarySurface, rule: QuadratureRule, grid: tuple,
-                 star_center: np.ndarray, support: SupportSpec, weight: WeightField, values=None):
+    def __init__(self, label: str, surf: FreeBoundarySurface, rule: QuadratureRule,
+                 geo: SurfaceGeometry, box_weights: np.ndarray, star_center: np.ndarray,
+                 support: SupportSpec, weight: WeightField):
         self.label, self.surf, self.rule, self.star_center = label, surf, rule, star_center
         self.support, self.weight, self._cache = support, weight, {}
-        params, self.box_weights = grid
-        self.geo: SurfaceGeometry = surface_geometry(surf, params, values)
-        self.weights = self.box_weights * self.geo.area_element
+        self.geo, self.box_weights = geo, box_weights
+        self.weights = box_weights * geo.area_element
 
     def curvature(self):
         return self._once("curvature", lambda: curvature_arrays(self.surf, self.geo))

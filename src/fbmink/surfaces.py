@@ -44,6 +44,7 @@ runs once per node and no LAPACK routine runs at all.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +97,15 @@ class SurfaceGeometry:
     @property
     def count(self) -> int:
         return self.x.shape[1]
+
+    def split(self, parts: int) -> list[SurfaceGeometry]:
+        """The geometry of each of ``parts`` equal runs of consecutive nodes, in order,
+        every array a view into this one's."""
+        m = self.count // parts
+        return [SurfaceGeometry(**{f.name: getattr(self, f.name)[lo:lo + m] if f.name == "params"
+                                   else getattr(self, f.name)[..., lo:lo + m]
+                                   for f in dataclasses.fields(self)})
+                for lo in range(0, parts * m, m)]
 
 
 def _cross_normal(jac: np.ndarray) -> np.ndarray:

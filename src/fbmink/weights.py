@@ -194,12 +194,15 @@ def minkowski_field(s: SupportSpec, anchor: np.ndarray, x: np.ndarray) -> np.nda
     return _MINKOWSKI_FIELD[s.kind](weight_for_support(s), s, np.asarray(anchor, dtype=float), x)
 
 
-def jet(model: SpaceFormModel, x: np.ndarray, fn) -> tuple[np.ndarray, ...]:
+def jet(model: SpaceFormModel, x: np.ndarray | Radial, fn) -> tuple[np.ndarray, ...]:
     """Value, flat gradient and Hessian, covariant Hessian and ambient Laplacian at x
-    of ``fn``: a ``WeightField`` or anything with its three flat-derivative methods."""
-    d1, d2, dphi = fn.euclidean_gradient(x), fn.euclidean_hessian(x), model.phi_grad(x)
-    return (fn.value(x), d1, d2, ambient.covariant_hessian(model, x, d1, d2, dphi),
-            ambient.ambient_laplacian(model, x, d1, d2, dphi))
+    of ``fn``: a ``WeightField`` or anything with its three flat-derivative methods
+    that take a ``Radial``.  Every method and phi read one ``Radial`` of x, so |x|^2
+    and 1 / (1 + K|x|^2) are formed once each."""
+    r = radial(x)
+    d1, d2, dphi = fn.euclidean_gradient(r), fn.euclidean_hessian(r), model.phi_grad(r)
+    return (fn.value(r), d1, d2, ambient.covariant_hessian(model, r.x, d1, d2, dphi),
+            ambient.ambient_laplacian(model, r, d1, d2, dphi))
 
 
 # -- identity residuals --------------------------------------------------------

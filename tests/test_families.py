@@ -1,8 +1,10 @@
 """Scenario factory: placements, perturbations, validation failure modes."""
 
 import dataclasses
+import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from fbmink import (
     CapSpec,
+    FbminkError,
     InadmissiblePlacement,
     OrthogonalityInfeasible,
     PerturbationSpec,
@@ -31,7 +34,7 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
-from fbmink import families, quadrature
+from fbmink import cli, families, quadrature
 from fbmink.ambient import radial
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
@@ -419,6 +422,132 @@ def test_perturbed_cap_terms_displace_the_cap_once(monkeypatch):
     monkeypatch.setattr(PerturbedCapChart, "displace", recording_displace)
     sc.cap_terms(families.ADMISSIBILITY_RULE)
     assert points == [6 * 6]
+
+
+def _sweep_rows(caps, rule) -> list:
+    """Each cap's row as ``cli.run_sweep`` forms it, validated, reported and audited in
+    turn, as the JSON text of its report's and its audit's ``to_dict()``."""
+    rows = []
+    for sc in caps:
+        validate_scenario(sc)
+        report, audit = minkowski_report(sc, rule), hypothesis_audit(sc, rule)
+        rows.append(json.dumps([report.to_dict(), audit.to_dict()], sort_keys=True))
+    return rows
+
+
+def _alone(spec: CapSpec, epsilons, power: int = 3):
+    """The cap of each epsilon built alone, on a base cap of its own, when asked for."""
+    for eps in epsilons:
+        base = make_umbilical_cap(spec)
+        yield base if eps == 0.0 else perturb_cap(base, PerturbationSpec(eps, power))
+
+
+# 0, negative epsilons and a repeated one; five distinct nonzero rows
+SWEEP_EPSILONS = [0.03, 0.0, -0.02, 0.03, 0.05, -0.04, 0.01]
+
+
+@pytest.mark.parametrize("kind, n, level", [
+    *((kind, 3, level) for kind in SupportKind for level in (16, 32)),
+    (SupportKind.EUCLIDEAN_PLANE, 4, 12), (SupportKind.SPH_HYPERPLANE, 4, 12),
+    *((kind, 2, 32) for kind in (SupportKind.EUCLIDEAN_SPHERE, SupportKind.HYP_GEODESIC_SPHERE,
+                                 SupportKind.SPH_GEODESIC_SPHERE))])
+def test_stacked_sweep_rows_equal_caps_built_alone(monkeypatch, kind, n, level):
+    """``sweep_caps`` displaces and evaluates every nonzero-epsilon cap of a sweep in
+    one ``surface_geometry`` call per rule a row reads, and each row's cap piece there
+    is a view into that stack; every row's report and audit are those of its cap built
+    alone, bit for bit."""
+    rule, admissibility = QuadratureRule(level), families.ADMISSIBILITY_RULE
+    spec = default_cap_spec(canonical_support(kind, n))
+    base = make_umbilical_cap(spec)
+    geometry, calls = families.surface_geometry, []
+
+    def recording(surf, U, *args):
+        geo = geometry(surf, U, *args)
+        calls.append((surf, geo))
+        return geo
+
+    monkeypatch.setattr(families, "surface_geometry", recording)
+    caps = list(families.sweep_caps(base, SWEEP_EPSILONS, 3, rule))
+    rows = _sweep_rows(caps, rule)
+    monkeypatch.undo()
+
+    distinct = len(set(SWEEP_EPSILONS) - {0.0})
+    nodes = {r: len(base.grid(r)[0]) for r in (admissibility, rule)}
+    # on the base cap's chart: one stacked call per rule, and the base cap's own row
+    assert Counter(geo.count for surf, geo in calls if surf is base.surface) == {
+        distinct * nodes[admissibility]: 1, distinct * nodes[rule]: 1, nodes[rule]: 1}
+    stacked = {r: geo for surf, geo in calls for r in nodes
+               if surf is base.surface and geo.count == distinct * nodes[r]}
+    # no row's own cap is evaluated: the base cap's row and the face alone are
+    assert not [surf for surf, _ in calls if isinstance(surf.chart, PerturbedCapChart)]
+    for eps, sc in zip(SWEEP_EPSILONS, caps):
+        assert (sc is base) == (eps == 0.0)
+        if eps != 0.0:
+            for r, stack in stacked.items():
+                geo = sc.piece("cap", r).geo
+                assert geo.count == nodes[r]
+                assert all(np.shares_memory(getattr(geo, f.name), getattr(stack, f.name))
+                           for f in dataclasses.fields(geo))
+    # the rows of a repeated epsilon read one geometry, each through a piece of its own
+    assert caps[0].piece("cap", rule).geo is caps[3].piece("cap", rule).geo
+    assert rows == _sweep_rows(_alone(spec, SWEEP_EPSILONS), rule)
+
+
+# the second epsilon's cap leaves the half region; the first row of the n=4 sweep fails
+# at the report level (DegenerateImmersion) before its second fails its precheck
+FAILING_SWEEPS = {
+    "failing-partway": {"support": {"kind": "sph_hyperplane"}, "cap": {"radius": 0.78},
+                        "sweep": {"epsilons": [0.05, 0.4, 0.6, -0.6]}},
+    "errors-in-row-order": {"n": 4, "support": {"kind": "euclidean_sphere"},
+                            "quadrature": {"level": 12}, "sweep": {"epsilons": [0.02, 5.0]}},
+}
+
+
+def _raised(rows) -> tuple:
+    with pytest.raises(FbminkError) as info:
+        rows()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", list(FAILING_SWEEPS))
+def test_a_failing_sweep_raises_the_error_of_its_rows_built_one_at_a_time(
+        name, tmp_path, capsys):
+    """Every row of a stacked sweep raises what the same rows built one at a time
+    raise, in row order, with the same text, through the library and the CLI, and
+    emits no warning."""
+    cfg = FAILING_SWEEPS[name]
+    n = cfg.get("n", 3)
+    rule = QuadratureRule(cfg.get("quadrature", {}).get("level", quadrature.default_level(n)))
+    spec = cli._cap_spec_from_config(cfg, cli._support_from_config(cfg, n))
+    epsilons = cfg["sweep"]["epsilons"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _raised(lambda: _sweep_rows(_alone(spec, epsilons), rule))
+        stacked = _raised(lambda: _sweep_rows(
+            families.sweep_caps(make_umbilical_cap(spec), epsilons, 3, rule), rule))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"version": 1, **cfg}))
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")])
+    assert stacked == expected
+    assert code == 2 and capsys.readouterr().err == f"error: {expected[1]}\n"
+
+
+def test_a_nan_epsilon_in_a_stacked_pass_raises_as_its_row_alone():
+    """A NaN epsilon puts NaN nodes into the stacked pass, which raises a package error
+    there, so no row is seeded: the rows before the NaN one are built alone, and the
+    NaN row raises ``perturb_cap``'s error, with no warning."""
+    spec = default_cap_spec(canonical_support(SupportKind.HYP_GEODESIC_SPHERE))
+    epsilons, rule = [0.02, -0.03, math.nan, 0.04], QuadratureRule(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = make_umbilical_cap(spec)
+        stacked = families._stacked_geometry(base, epsilons, 3, (families.ADMISSIBILITY_RULE,
+                                                                  rule))
+        expected = _raised(lambda: _sweep_rows(_alone(spec, epsilons), rule))
+        got = _raised(lambda: _sweep_rows(families.sweep_caps(base, epsilons, 3, rule), rule))
+    assert stacked == {}
+    assert got == expected and expected[0] is ValidationFailed
+    assert "epsilon must be finite, got nan" in expected[1]
 
 
 def test_profile_with_curvature_on_the_ring_rejected():

@@ -369,7 +369,7 @@ def test_each_node_set_is_evaluated_once(monkeypatch):
         return boundary_parts(piece, fn_jet)
 
     def recording_hessian(self, x):
-        flat_points.append(x)
+        flat_points.append(ambient.radial(x).x)   # the points of a Radial
         return coordinate_hessian(self, x)
 
     def recording_cone(x0, label, piece):

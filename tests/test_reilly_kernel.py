@@ -27,8 +27,10 @@ from fbmink import (
     sphere_stereographic,
     upper_half_space,
 )
+from fbmink import ambient
 from fbmink.ambient import Radial
-from fbmink.inequalities import _axis_integrands, _dot, _flat_jet
+from fbmink.inequalities import _Coordinate, _axis_integrands, _dot, _flat_jet
+from fbmink.weights import jet
 from fbmink.quadrature import cut
 
 from conftest import canonical_support
@@ -116,6 +118,27 @@ def test_flat_jet_equals_the_public_methods_bit_for_bit(factory, n):
         r = Radial(x)
         assert np.array_equal(model.phi_hess(r), model.phi_hess(x))
         assert np.array_equal(model.phi(r), model.phi(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("factory", MODELS)
+def test_jet_on_a_radial_equals_the_jet_on_plain_points_bit_for_bit(factory, n):
+    """``weights.jet`` hands one ``Radial`` to the function's three methods, to
+    phi_grad and to the Laplacian's phi.  On a ``Radial`` and on the plain points it
+    reads the bits each public method forms alone on the plain points, for every
+    weight formula on the model and for x_i and x_i^2 on every axis."""
+    model = factory(n)
+    x = _points(model, M, np.random.default_rng(20261022 + n))
+    functions = [*(WeightField(model, formula) for formula in WeightFormula),
+                 *(_Coordinate(i, squared) for i in range(n) for squared in (False, True))]
+    for fn in functions:
+        d1, d2, dphi = fn.euclidean_gradient(x), fn.euclidean_hessian(x), model.phi_grad(x)
+        alone = (fn.value(x), d1, d2, ambient.covariant_hessian(model, x, d1, d2, dphi),
+                 ambient.ambient_laplacian(model, x, d1, d2, dphi))
+        for points in (Radial(x), x):
+            got = jet(model, points, fn)
+            assert len(got) == len(alone)
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone)), (fn, type(points))
 
 
 @pytest.mark.parametrize("kind", [SupportKind.HYP_GEODESIC_SPHERE, SupportKind.SPH_HYPERPLANE,

@@ -10,10 +10,14 @@ is printed per run, and for a run that differs, each differing stream from
 shortly before its first differing byte; the exit status is 0 when every run
 matches and 1 otherwise.  Uses the standard library only.
 
-RUNS holds 81 runs.  Three run at n=4 (``schur``, ``af`` and a two-row
-``sweep``, level 10), where the principal curvatures come from 3x3 stacks and
+RUNS holds 83 runs.  Four run at n=4: ``schur``, ``af`` and a two-row
+``sweep`` at level 10, where the principal curvatures come from 3x3 stacks and
 reach stdout through the almost-Schur and AF hypothesis margins and the
-sweep's ``min_convexity_eig``; the others run at n=2, 3, 5 or 6.
+sweep's ``min_convexity_eig``, and a two-row ``sweep`` at level 12 whose first
+row fails at the report level before its second fails its precheck, which pins
+the order in which a sweep raises its rows' errors.  The others run at n=2, 3,
+5 or 6; among them a sweep that repeats epsilons, whose rows share one stacked
+pass (``families.sweep_caps``).
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ LARGE_CAP = {"version": 1, "support": {"kind": "euclidean_plane"}, "cap": {"radi
 # the second epsilon's cap leaves the half region: the sweep stops there and exits 2
 FAILING_SWEEP = {"version": 1, "support": {"kind": "sph_hyperplane"}, "cap": {"radius": 0.78},
                  "sweep": {"epsilons": [0.05, 0.4, 0.6, -0.6]}}
+# row 1 fails at the report level (DegenerateImmersion) before row 2 fails its
+# precheck: the sweep raises its rows' errors in row order
+ROW_ORDER_SWEEP = {"version": 1, "n": 4, "support": {"kind": "euclidean_sphere"},
+                   "quadrature": {"level": 12}, "sweep": {"epsilons": [0.02, 5.0]}}
+# rows with the same epsilon read the same bits
+REPEATED_SWEEP = {"version": 1, "support": {"kind": "horosphere"},
+                  "sweep": {"epsilons": [0.03, -0.02, 0.03, 0.05, -0.02]}}
 
 # (name, argv, config); a config is JSON data, raw JSON text, or None for no --config
 RUNS: list[tuple[str, list[str], object]] = [
@@ -80,6 +91,8 @@ RUNS: list[tuple[str, list[str], object]] = [
       for jobs in (1, 2)],
     *[(f"sweep failing-partway jobs={jobs}", ["sweep", "--jobs", str(jobs)], FAILING_SWEEP)
       for jobs in (1, 2)],
+    ("sweep n=4 errors-in-row-order", ["sweep"], ROW_ORDER_SWEEP),
+    ("sweep repeated-eps", ["sweep"], REPEATED_SWEEP),
     # malformed input: each must exit 2 with a named error
     ("identities tolerance=nan", ["identities", "--tolerance", "nan"], None),
     ("identities tolerance=inf", ["identities", "--tolerance", "inf"], None),
