@@ -411,8 +411,9 @@ def run_sweep(cfg: dict, st: Settings) -> tuple[list, bool]:
     builder = REPORT_BUILDERS[theorem]
     power = int(sweep_cfg.get("power", (cfg.get("perturbation") or {}).get("power", 3)))
     # one umbilical cap; each epsilon's cap displaces it and reads its epsilon-free nodes.
-    # ``sweep_caps`` builds each row's cap as the row starts, its node sets at both rules
-    # a view into one stacked pass over the rows' caps (or, if that pass raises, its own)
+    # ``sweep_caps`` builds each row's cap as the row starts; its node sets at both rules,
+    # margins, curvature, weight data and flux are views into one stacked pass over the
+    # rows' caps (or, if that pass raises, its own)
     base = make_umbilical_cap(_cap_spec_from_config(cfg, _support_from_config(cfg, st.n)))
 
     def one(eps: float, scenario: CapScenario) -> dict:

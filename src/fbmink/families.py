@@ -36,16 +36,22 @@ center and pieces, and reads from ``base``, its one reference to the base
 cap, the cap's grid, ring checks and chart terms, and the face's ``Piece``
 itself.  So the perturbations of one base cap evaluate the face's node sets
 once per (base cap, rule) and one ring per base cap, and each evaluates phi,
-exp(n phi), V and the Reilly integrands only on its own cap's cone.  The bump's reach reads
-the base's level-6 cap terms, which admissibility forms anyway.  Nothing a
-scenario memoizes refers back to the scenario.
+exp(n phi), V and the Reilly integrands only on its own cap's cone.  The bump's
+ring check and its reach, which reads the base's level-6 cap terms, run once per
+(base cap, power) (``CapScenario.bump``).  Nothing a scenario memoizes refers back
+to the scenario.
 A sweep's perturbations are known before its first row: ``sweep_caps`` displaces
-and evaluates all its nonzero-epsilon caps in one stacked pass per rule a row
-reads, and each row's cap piece holds views into its slice, the bits of its cap
-alone; principal curvatures stay per row.  Each row still runs its prechecks,
-admissibility, validation, report and audit in config order.  A pass that raises
-a package error or a floating-point error (numpy raises every one there) seeds
-no row, and each row builds its own node sets, so it raises and warns as alone.
+and evaluates all its nonzero-epsilon caps in one stacked pass per rule a row reads,
+and forms there, on the stacked nodes, all that a row forms node by node: at
+``ADMISSIBILITY_RULE`` the cap piece's margins, off one cone; at the report's rule
+its curvature arrays, the Minkowski flux of ``weighted_volume`` and the scenario's
+weight data, V and the hypothesis margins, whose principal curvatures converge row
+by row.  Each row's cap piece and weight data hold views into its slice, the bits of
+its cap alone, and what a row forms alone is the one-part case of the same code.
+Each row still runs its prechecks, admissibility, validation, report and audit in
+config order.  A pass that raises a package error or a floating-point error (numpy
+raises every one there but underflow, which it ignores by default) seeds no row, and
+each row builds its own node sets, so it raises and warns as alone.
 """
 
 from __future__ import annotations
@@ -75,7 +81,13 @@ from .errors import (
     ValidationFailed,
 )
 from .supports import HalfRegion, PlaneShape, SphereShape, SupportSpec, plane_anchor
-from .surfaces import FreeBoundarySurface, boundary_checks, hypothesis_margins, surface_geometry
+from .surfaces import (
+    FreeBoundarySurface,
+    boundary_checks,
+    curvature_arrays,
+    hypothesis_margins,
+    surface_geometry,
+)
 from .weights import WeightField, minkowski_field, weight_for_support
 
 ADMISSIBILITY_MARGIN = 1e-6
@@ -164,14 +176,24 @@ class CapScenario(quad.Memo):
             return (*values, *conformal_scale(self.model, *values))
         return self._once(("cap terms", rule), build)
 
+    def bump(self, power: int) -> tuple[RadialBumpProfile, float]:
+        """The bump of this power on the cap, checked to vanish to second order on the
+        ring (``_check_profile_conforms``), and its reach: max |p| exp(-phi) over the cap
+        nodes of ``ADMISSIBILITY_RULE``, how far a perturbation by a unit epsilon moves
+        those nodes, in chart units, since a node moves by |eps| |p| exp(-phi) along the
+        radial normal.  Memoized per power, as every perturbation of this cap by that
+        bump reads both; a check that raises keeps nothing, so each one raises alike."""
+        def build():
+            chart = self.surface.chart
+            profile = RadialBumpProfile(t_max=chart.t_max, power=power)
+            _check_profile_conforms(profile, chart)
+            p = profile.value(self.grid(ADMISSIBILITY_RULE)[0])
+            return profile, float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
+        return self._once(("bump", power, ADMISSIBILITY_RULE), build)
+
     def reach(self, power: int) -> float:
-        """max |p| exp(-phi) over the cap nodes of ``ADMISSIBILITY_RULE`` for the bump
-        of this power: how far a perturbation by a unit epsilon moves those nodes, in
-        chart units, since a node moves by |eps| |p| exp(-phi) along the radial normal.
-        Not memoized: it reads the cap terms the admissibility check forms anyway."""
-        probe, _ = self.grid(ADMISSIBILITY_RULE)
-        p = RadialBumpProfile(t_max=self.surface.chart.t_max, power=power).value(probe)
-        return float(np.max(np.abs(p) * self.cap_terms(ADMISSIBILITY_RULE)[3]))
+        """The reach of the bump of this power (``bump``)."""
+        return self.bump(power)[1]
 
     def piece(self, label: str, rule: quad.QuadratureRule) -> quad.Piece:
         """The cap ("cap") or the support face ("support") as a ``quadrature.Piece``; a
@@ -199,15 +221,19 @@ class CapScenario(quad.Memo):
         ``weights.minkowski_field``, tangent to the support, so the face adds nothing.
         It forms no region node and no face piece."""
         cap = self.piece("cap", rule)
-        x = cap.geo.x
-        field = minkowski_field(self.support, self.face.chart.center, x)
-        flux = self.model.conformal_factor(x) * np.sum(field * cap.geo.nu, axis=0)  # <X_a, nu>
-        return cap.integral(flux) / self.n
+        return cap.integral(cap._once("flux", lambda: self._flux(cap.geo))) / self.n
+
+    def _flux(self, geo) -> np.ndarray:
+        """<X_a, nu> (gbar) at the nodes of the cap geometry ``geo``, or of a stack of caps
+        over this one's support and face: ``weighted_volume``'s integrand, memoized on the
+        cap piece as "flux"."""
+        field = minkowski_field(self.support, self.face.chart.center, geo.x)
+        return self.model.conformal_factor(geo.x) * np.sum(field * geo.nu, axis=0)
 
     def weight_data(self, rule: quad.QuadratureRule) -> tuple[np.ndarray, float, float]:
         """(V at the cap nodes, convexity margin, substatic margin)."""
         return self._once(("weight", rule), lambda: hypothesis_margins(
-            self.weight, self.piece("cap", rule).geo))
+            self.weight, self.piece("cap", rule).geo)[0])
 
     def boundary(self) -> tuple[float, float, float]:
         """``boundary_checks`` of the cap's ring: a perturbation vanishes to second order
@@ -393,9 +419,9 @@ def perturb_cap(base: CapScenario, perturbation: PerturbationSpec) -> CapScenari
     return _perturbed(base, perturbation, {})
 
 
-def _perturbed(base: CapScenario, perturbation: PerturbationSpec, geometry: dict) -> CapScenario:
-    """``perturb_cap``, with the cap's geometry at each rule of ``geometry`` given: its
-    row of a stacked pass (``sweep_caps``)."""
+def _perturbed(base: CapScenario, perturbation: PerturbationSpec, seeds: dict) -> CapScenario:
+    """``perturb_cap``, with what its row of a stacked pass (``sweep_caps``) formed at
+    each rule of ``seeds`` given: the cap's geometry, its cap piece's memos and its own."""
     if base.perturbation is not None:
         raise ValidationFailed("perturbation_base", "only an umbilical cap can be perturbed")
     if not math.isfinite(perturbation.epsilon):
@@ -406,17 +432,19 @@ def _perturbed(base: CapScenario, perturbation: PerturbationSpec, geometry: dict
         raise ValidationFailed(
             "perturbation_profile",
             "bump power below 3 would move the boundary ring data")
-    profile = RadialBumpProfile(t_max=cap_chart.t_max, power=perturbation.power)
-    _check_profile_conforms(profile, cap_chart)
+    profile, reach = base.bump(perturbation.power)
     _placement_precheck(base.support, cap_chart.center,
-                        cap_chart.radius + abs(perturbation.epsilon) * base.reach(perturbation.power))
+                        cap_chart.radius + abs(perturbation.epsilon) * reach)
     pchart = PerturbedCapChart(base=cap_chart, model=base.model,
                                epsilon=perturbation.epsilon, profile=profile)
     surface = FreeBoundarySurface(model=base.model, chart=pchart, support=base.support)
     scenario = replace(base, surface=surface, perturbation=perturbation, base=base,
                        description=base.description + f" perturbed eps={perturbation.epsilon}")
-    scenario._cache.update((("cap", rule), scenario._cap_piece(rule, geo))
-                           for rule, geo in geometry.items())
+    for rule, (geo, piece_memos, memos) in seeds.items():
+        piece = scenario._cap_piece(rule, geo)
+        piece._cache.update(piece_memos)
+        scenario._cache.update(memos)
+        scenario._cache[("cap", rule)] = piece
     _check_admissible(scenario)
     return scenario
 
@@ -424,9 +452,9 @@ def _perturbed(base: CapScenario, perturbation: PerturbationSpec, geometry: dict
 def sweep_caps(base: CapScenario, epsilons, power: int,
                rule: quad.QuadratureRule) -> Iterator[CapScenario]:
     """The cap of each epsilon in turn, built when it is asked for: ``base`` for 0, else
-    ``perturb_cap(base, PerturbationSpec(epsilon, power))`` with its checks, its cap
-    pieces at ``ADMISSIBILITY_RULE`` and ``rule`` read off the stacked pass of its
-    group of rows (at most ``STACK_NODES`` cap nodes) unless that pass raised."""
+    ``perturb_cap(base, PerturbationSpec(epsilon, power))`` with its checks, and what it
+    forms node by node at ``ADMISSIBILITY_RULE`` and ``rule`` read off the stacked pass
+    of its group of rows (at most ``STACK_NODES`` cap nodes) unless that pass raised."""
     epsilons = list(epsilons)
     rules = tuple(dict.fromkeys((ADMISSIBILITY_RULE, rule)))
     size = max(1, STACK_NODES // max(r.level for r in rules) ** base.surface.chart.dim)
@@ -439,27 +467,47 @@ def sweep_caps(base: CapScenario, epsilons, power: int,
 
 
 def _stacked_geometry(base: CapScenario, epsilons: list, power: int, rules: tuple) -> dict:
-    """{epsilon: {rule: its cap's ``SurfaceGeometry``}} for each distinct nonzero
-    epsilon, from one ``charts.displace_caps`` and one ``surface_geometry`` call on the
-    stacked nodes per rule; empty where either raises a package error or a
-    floating-point error."""
+    """{epsilon: {rule: (its cap's ``SurfaceGeometry``, its cap piece's memos, its own
+    memos)}} for each distinct nonzero epsilon, each array a view into its slice of one
+    stacked pass per rule: one ``charts.displace_caps`` and one ``surface_geometry`` call
+    on the stacked nodes; at ``ADMISSIBILITY_RULE`` the cap piece's "margins", from one
+    cone (``quadrature.part_margins``); at the report's rule, the last of ``rules``, the
+    cap piece's "curvature" and "flux" and the scenario's ("weight", rule), from one
+    ``curvature_arrays`` and one ``hypothesis_margins`` call.  Empty where any of them
+    raises a package error or a floating-point error."""
     rows = list(dict.fromkeys(eps for eps in epsilons if eps != 0.0))
     if not rows or base.perturbation is not None:
         return {}
-    chart = base.surface.chart
-    profile = RadialBumpProfile(t_max=chart.t_max, power=power)
-    split = []   # per rule, each row's geometry
+    chart, parts = base.surface.chart, len(rows)
+    seeds = {eps: {} for eps in rows}
     try:
-        with np.errstate(all="raise"):
+        # numpy ignores underflow by default, so no row alone warns of it
+        with np.errstate(all="raise", under="ignore"):
+            profile = base.bump(power)[0]
             for rule in rules:
-                params, _ = base.grid(rule)
+                params, box_weights = base.grid(rule)
                 values = displace_caps(chart, profile, rows, params, base.cap_terms(rule))
                 # every displaced cap's normal hint is its base cap's, X - center
-                geo = surface_geometry(base.surface, np.tile(params, (len(rows), 1)), values)
-                split.append(geo.split(len(rows)))
+                geo = surface_geometry(base.surface, np.tile(params, (parts, 1)), values)
+                pieces, memos = [{} for _ in rows], [{} for _ in rows]
+                if rule == ADMISSIBILITY_RULE:
+                    stack = quad.Piece("cap", base.surface, rule, geo, np.tile(box_weights, parts),
+                                       base.star_center, base.support, base.weight)
+                    for piece, margins in zip(pieces, quad.part_margins(stack, parts)):
+                        piece["margins"] = margins
+                if rule == rules[-1]:
+                    flux, m = base._flux(geo), len(params)
+                    for lo, piece, memo, curvature, weight in zip(
+                            range(0, geo.count, m), pieces, memos,
+                            curvature_arrays(base.surface, geo).split(parts),
+                            hypothesis_margins(base.weight, geo, parts)):
+                        piece.update(curvature=curvature, flux=flux[lo:lo + m])
+                        memo[("weight", rule)] = weight
+                for eps, row in zip(rows, zip(geo.split(parts), pieces, memos)):
+                    seeds[eps][rule] = row
     except (FbminkError, FloatingPointError):
         return {}
-    return {eps: dict(zip(rules, geos)) for eps, geos in zip(rows, zip(*split))}
+    return seeds
 
 
 def _check_profile_conforms(profile, cap_chart: SphericalCapChart) -> None:

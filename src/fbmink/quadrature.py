@@ -16,7 +16,9 @@ the Gauss-Legendre nodes, the ``Piece``, one boundary piece at one rule with its
 node geometry and all that is formed on it in one memo, the cone over a piece
 with its flat weights, its ``cut`` into blocks, and the ``region_sum`` of the
 pieces' block sums.  A cap scenario (``families.CapScenario``) keeps one
-``Piece`` per boundary piece and rule.
+``Piece`` per boundary piece and rule.  A ``Piece`` may also stack the nodes of
+several caps, run after run: ``part_margins`` then reads each cap's margins off
+the one cone over the stack, as ``families.sweep_caps`` does.
 
 Shapes: ``rule.grid(box)`` gives the parameter points as (m, k) rows and their
 weights (m,); everything formed at the points is node-last, as in
@@ -65,6 +67,7 @@ from .surfaces import (
     _parameter_point,
     curvature_arrays,
     normal_derivatives,
+    part_minima,
 )
 from .weights import WeightField, jet
 
@@ -202,20 +205,31 @@ class Piece(Memo):
 
     def margins(self) -> dict:
         """The least admissibility margins over the nodes of the flat cone over this
-        piece; a scenario reads them at its admissibility rule."""
-        def build():
-            pts, _ = cone(self.star_center, self.label, self)    # (n, m)
-            s = self.support
-            out = {"support_interior": float(np.min(-s.signed_distance(pts)))}
-            if s.requires_half_region:
-                out["half_region"] = float(np.min(s.half_region_margin(pts)))
-            if s.model.kind is ModelKind.POINCARE_BALL:
-                out["chart"] = float(np.min(1.0 - np.linalg.norm(pts, axis=0)))
-            elif s.model.kind is ModelKind.UPPER_HALF_SPACE:
-                out["chart"] = float(np.min(pts[-1]))
-            out["weight_min"] = float(np.min(self.weight.value(pts)))
-            return out
-        return self._once("margins", build)
+        piece, ``part_margins`` of its one part; a scenario reads them at its
+        admissibility rule."""
+        return self._once("margins", lambda: part_margins(self, 1)[0])
+
+
+def part_margins(piece: Piece, parts: int) -> list[dict]:
+    """The least admissibility margins over the nodes of the flat cone over each of
+    ``parts`` pieces whose nodes ``piece`` stacks, in order, from one cone over the
+    stack: a part's nodes in it are its own cone's, so its margins are its own."""
+    pts, _ = cone(piece.star_center, piece.label, piece)    # (n, s * m)
+    s = piece.support
+
+    def least(values):
+        return part_minima(values.reshape(-1, piece.geo.count), parts)
+
+    out = {"support_interior": least(-s.signed_distance(pts))}
+    if s.requires_half_region:
+        out["half_region"] = least(s.half_region_margin(pts))
+    if s.model.kind is ModelKind.POINCARE_BALL:
+        out["chart"] = least(1.0 - np.linalg.norm(pts, axis=0))
+    elif s.model.kind is ModelKind.UPPER_HALF_SPACE:
+        out["chart"] = least(pts[-1])
+    out["weight_min"] = least(piece.weight.value(pts))
+    return [{name: float(values[part]) for name, values in out.items()}
+            for part in range(parts)]
 
 
 # -- star-shaped regions -------------------------------------------------------

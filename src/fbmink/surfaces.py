@@ -204,6 +204,14 @@ class CurvatureArrays:
     ric0_sq: np.ndarray         # (m,) |Ric - scal g / (n-1)|^2
     scal: np.ndarray            # (m,)
 
+    def split(self, parts: int) -> list[CurvatureArrays]:
+        """The arrays of each of ``parts`` equal runs of consecutive nodes, in order, every
+        array a view into this one's, as ``SurfaceGeometry.split``."""
+        m = self.H.shape[0] // parts
+        return [CurvatureArrays(**{f.name: getattr(self, f.name)[lo:lo + m]
+                                   for f in dataclasses.fields(self)})
+                for lo in range(0, parts * m, m)]
+
 
 def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> CurvatureArrays:
     """Mean curvature, |h|^2, sigma_2, scalar curvature and |traceless Ricci|^2.
@@ -227,11 +235,16 @@ def curvature_arrays(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> Curvatu
     return CurvatureArrays(H=H, norm_h_sq=norm_h_sq, sigma2=sigma2, ric0_sq=ric0_sq, scal=scal)
 
 
-def _jacobi_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, int]:
+def _jacobi_eigenvalues(A: np.ndarray, parts: int = 1) -> tuple[np.ndarray, int]:
     """(eigenvalues (k, m) ascending at each node, sweeps run) of the symmetric A (k, k, m),
     by cyclic Jacobi rotations on (m,) rows of A - mu I, mu the mean of A's diagonal, so that
     near-equal eigenvalues keep their differences to full precision.  One sweep is exact at
-    k = 2; a NaN entry fills its node's diagonal.  At k = 1, A[0] is returned as it is."""
+    k = 2; a NaN entry fills its node's diagonal.  At k = 1, A[0] is returned as it is.
+
+    The nodes are ``parts`` equal runs of consecutive nodes, each tested for convergence
+    on its own: a converged part's rotations from then on have t = 0, which leaves its
+    diagonal as it is, bit for bit, so each part's eigenvalues are those of the part
+    alone, and the sweeps run are the most any part needs."""
     k = A.shape[0]
     if k == 1:
         return A[0], 0
@@ -240,11 +253,15 @@ def _jacobi_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, int]:
     state = np.stack([A[p, p] - mu for p in range(k)] + [A[pair] for pair in pairs])
     diag, off = state[:k], dict(zip(pairs, state[k:]))
     bound = JACOBI_TOLERANCE * np.sum(A * A, axis=(0, 1))
+    running = np.ones(parts, dtype=bool)   # the parts not yet converged
+    rotating = None                        # their nodes, once some part has converged
     for sweeps in range(1, JACOBI_SWEEPS + 1):
         for p, q in pairs:
             apq, d = off[p, q], diag[q] - diag[p]
             den = np.abs(d) + np.sqrt(d * d + 4.0 * (apq * apq))    # |d| + hypot(d, 2 a_pq)
             t = np.copysign(2.0, d) * apq / np.where(den == 0.0, 1.0, den)
+            if rotating is not None:
+                t = np.where(rotating, t, 0.0)
             diag[p] -= t * apq
             diag[q] += t * apq
             apq[...] = 0.0
@@ -254,25 +271,38 @@ def _jacobi_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, int]:
                 for r in (r for r in range(k) if r != p and r != q):
                     arp, arq = off[min(r, p), max(r, p)], off[min(r, q), max(r, q)]
                     arp[...], arq[...] = c * arp - s * arq, s * arp + c * arq
-        if not np.any(2.0 * np.sum(state[k:] ** 2, axis=0) > bound):
+        unconverged = 2.0 * np.sum(state[k:] ** 2, axis=0) > bound
+        running &= unconverged.reshape(parts, -1).any(axis=1)
+        if not running.any():
             break
+        if not running.all():
+            rotating = np.repeat(running, A.shape[-1] // parts)
     rows = list(diag + mu)
     for j in (j for i in range(1, k) for j in range(i, 0, -1)):   # an insertion sorting network
         rows[j - 1], rows[j] = np.minimum(rows[j - 1], rows[j]), np.maximum(rows[j - 1], rows[j])
     return np.stack(rows), sweeps
 
 
-def principal_curvatures(geo: SurfaceGeometry) -> np.ndarray:
+def principal_curvatures(geo: SurfaceGeometry, parts: int = 1) -> np.ndarray:
     """Eigenvalues of the shape operator, (k, m), ascending at each node.
 
     Solved as the symmetric generalized problem (h, g) through the congruence
     L^{-1} h L^{-T} by the geometry's one Cholesky factor, formed on (m,) rows and
-    diagonalized there by ``_jacobi_eigenvalues``, with no per-node LAPACK call.
+    diagonalized there by ``_jacobi_eigenvalues``, with no per-node LAPACK call.  The
+    geometry of a stack of ``parts`` surfaces (``SurfaceGeometry.split``) gives each
+    part's values as the part alone would.
     """
     C = geo.chol_inv
     Ch = np.sum(C[:, :, None] * geo.h, axis=1)
     A = np.sum(Ch[:, None] * C, axis=2)
-    return _jacobi_eigenvalues(0.5 * (A + A.swapaxes(0, 1)))[0]
+    return _jacobi_eigenvalues(0.5 * (A + A.swapaxes(0, 1)), parts)[0]
+
+
+def part_minima(values: np.ndarray, parts: int) -> np.ndarray:
+    """The least of ``values`` (..., parts * m) over each of ``parts`` equal runs of
+    consecutive entries of the last axis and over every leading axis, (parts,)."""
+    runs = values.reshape(-1, parts, values.shape[-1] // parts)
+    return np.min(runs, axis=(0, 2))
 
 
 def normal_derivatives(surf: FreeBoundarySurface, geo: SurfaceGeometry) -> np.ndarray:
@@ -333,8 +363,12 @@ def boundary_checks(surf: FreeBoundarySurface) -> tuple[float, float, float]:
 # -- hypothesis fields -----------------------------------------------------------
 
 
-def hypothesis_margins(weight, geo: SurfaceGeometry) -> tuple[np.ndarray, float, float]:
-    """(V at the nodes, convexity margin, substatic margin) of a surface.
+def hypothesis_margins(weight, geo: SurfaceGeometry,
+                       parts: int = 1) -> list[tuple[np.ndarray, float, float]]:
+    """(V at the nodes, convexity margin, substatic margin) of each of ``parts`` surfaces
+    whose geometries ``geo`` stacks (``SurfaceGeometry.split``), in order: of one surface,
+    a list of one.  Each V is a view into one array over the stack, and each margin the
+    least over its part's nodes, so a part's values are those of the part alone.
 
     The convexity margin is the least eigenvalue of h - (V_nu / V) g against
     g, the numerical margin of the weighted convexity hypothesis
@@ -353,11 +387,13 @@ def hypothesis_margins(weight, geo: SurfaceGeometry) -> tuple[np.ndarray, float,
             f"weight reaches {V[node]:.3e} on the cap at parameter point "
             f"{_parameter_point(geo.params, node)}; placement must keep it positive")
     Vnu = weight.directional(geo.x, geo.nu)
-    kappas = principal_curvatures(geo)
-    convexity = kappas - Vnu / V
+    kappas = principal_curvatures(geo, parts)
+    convexity = part_minima(kappas - Vnu / V, parts)
     H = np.sum(kappas, axis=0)
-    substatic = (V * kappas - Vnu) * (H - kappas)
-    return V, float(np.min(convexity)), float(np.min(substatic))
+    substatic = part_minima((V * kappas - Vnu) * (H - kappas), parts)
+    m = geo.count // parts
+    return [(V[lo:lo + m], float(c), float(s))
+            for lo, c, s in zip(range(0, geo.count, m), convexity, substatic)]
 
 
 # -- support patches ---------------------------------------------------------------

@@ -34,7 +34,7 @@ from fbmink import (
     schur_report,
     validate_scenario,
 )
-from fbmink import cli, families, quadrature
+from fbmink import cli, families, quadrature, surfaces
 from fbmink.ambient import radial
 from fbmink.charts import PerturbedCapChart, RadialBumpProfile
 from fbmink.families import CHART_CLEARANCE, _check_profile_conforms, placement_margins
@@ -425,13 +425,16 @@ def test_perturbed_cap_terms_displace_the_cap_once(monkeypatch):
 
 
 def _sweep_rows(caps, rule) -> list:
-    """Each cap's row as ``cli.run_sweep`` forms it, validated, reported and audited in
-    turn, as the JSON text of its report's and its audit's ``to_dict()``."""
+    """Each cap's row as ``cli.run_sweep`` forms it for each theorem, validated, reported
+    (Minkowski, AF from n = 3, almost Schur from n = 4) and audited in turn, as the JSON
+    text of its reports' and its audit's ``to_dict()`` and its region margins."""
     rows = []
     for sc in caps:
         validate_scenario(sc)
-        report, audit = minkowski_report(sc, rule), hypothesis_audit(sc, rule)
-        rows.append(json.dumps([report.to_dict(), audit.to_dict()], sort_keys=True))
+        builders = (minkowski_report, af_report, schur_report)[:max(1, sc.n - 1)]
+        reports = [build(sc, rule).to_dict() for build in builders]
+        audit = hypothesis_audit(sc, rule).to_dict()
+        rows.append(json.dumps([*reports, audit, region_margins(sc)], sort_keys=True))
     return rows
 
 
@@ -453,20 +456,40 @@ SWEEP_EPSILONS = [0.03, 0.0, -0.02, 0.03, 0.05, -0.04, 0.01]
                                  SupportKind.SPH_GEODESIC_SPHERE))])
 def test_stacked_sweep_rows_equal_caps_built_alone(monkeypatch, kind, n, level):
     """``sweep_caps`` displaces and evaluates every nonzero-epsilon cap of a sweep in
-    one ``surface_geometry`` call per rule a row reads, and each row's cap piece there
-    is a view into that stack; every row's report and audit are those of its cap built
-    alone, bit for bit."""
+    one ``surface_geometry`` call per rule a row reads, and forms on those stacked nodes
+    all a row reads node by node: the admissibility margins off one level-6 cone, and at
+    the report's rule one ``curvature_arrays`` and one ``principal_curvatures`` call, V
+    and the Minkowski flux.  Each row's cap piece and weight data there are views into
+    that stack; no row forms its own, and every row's reports, audit and margins are
+    those of its cap built alone, bit for bit."""
     rule, admissibility = QuadratureRule(level), families.ADMISSIBILITY_RULE
     spec = default_cap_spec(canonical_support(kind, n))
     base = make_umbilical_cap(spec)
-    geometry, calls = families.surface_geometry, []
+    calls = {name: [] for name in ("geometry", "curvature", "principal", "cone", "weight",
+                                   "flux", "profile")}
 
-    def recording(surf, U, *args):
-        geo = geometry(surf, U, *args)
-        calls.append((surf, geo))
-        return geo
+    def recorder(name, fn, key=lambda *args: args):
+        def recording(*args):
+            result = fn(*args)
+            calls[name].append((*key(*args), result))
+            return result
+        return recording
 
-    monkeypatch.setattr(families, "surface_geometry", recording)
+    monkeypatch.setattr(families, "surface_geometry", recorder(
+        "geometry", families.surface_geometry, lambda surf, U, *rest: (surf,)))
+    for module in (families, quadrature):
+        monkeypatch.setattr(module, "curvature_arrays", recorder(
+            "curvature", surfaces.curvature_arrays, lambda surf, geo: (geo,)))
+    monkeypatch.setattr(surfaces, "principal_curvatures", recorder(
+        "principal", surfaces.principal_curvatures, lambda geo, parts=1: (geo, parts)))
+    monkeypatch.setattr(quadrature, "cone", recorder(
+        "cone", quadrature.cone, lambda x0, label, piece: (label, piece.rule, piece.geo.count)))
+    monkeypatch.setattr(families, "hypothesis_margins", recorder(
+        "weight", families.hypothesis_margins, lambda weight, geo, parts=1: (geo,)))
+    monkeypatch.setattr(families.CapScenario, "_flux", recorder(
+        "flux", families.CapScenario._flux, lambda sc, geo: (geo,)))
+    monkeypatch.setattr(families, "_check_profile_conforms", recorder(
+        "profile", families._check_profile_conforms, lambda profile, chart: (profile.power,)))
     caps = list(families.sweep_caps(base, SWEEP_EPSILONS, 3, rule))
     rows = _sweep_rows(caps, rule)
     monkeypatch.undo()
@@ -474,12 +497,26 @@ def test_stacked_sweep_rows_equal_caps_built_alone(monkeypatch, kind, n, level):
     distinct = len(set(SWEEP_EPSILONS) - {0.0})
     nodes = {r: len(base.grid(r)[0]) for r in (admissibility, rule)}
     # on the base cap's chart: one stacked call per rule, and the base cap's own row
-    assert Counter(geo.count for surf, geo in calls if surf is base.surface) == {
+    assert Counter(geo.count for surf, geo in calls["geometry"] if surf is base.surface) == {
         distinct * nodes[admissibility]: 1, distinct * nodes[rule]: 1, nodes[rule]: 1}
-    stacked = {r: geo for surf, geo in calls for r in nodes
+    stacked = {r: geo for surf, geo in calls["geometry"] for r in nodes
                if surf is base.surface and geo.count == distinct * nodes[r]}
     # no row's own cap is evaluated: the base cap's row and the face alone are
-    assert not [surf for surf, _ in calls if isinstance(surf.chart, PerturbedCapChart)]
+    assert not [surf for surf, _ in calls["geometry"]
+                if isinstance(surf.chart, PerturbedCapChart)]
+    # at the report's rule one stacked call of each curvature kernel, and the base cap's
+    # row; at the admissibility rule one stacked cone, the base cap's built before
+    own = base.piece("cap", rule).geo
+    for name in ("curvature", "principal", "weight", "flux"):
+        assert [(call[0] is stacked[rule], call[0] is own) for call in calls[name]] == [
+            (True, False), (False, True)], name
+    assert [parts for _, parts, _ in calls["principal"]] == [distinct, 1]
+    assert [call[:-1] for call in calls["cone"]] == [
+        ("cap", admissibility, distinct * nodes[admissibility])]
+    # the bump's ring check runs once for all the rows
+    assert [power for power, _ in calls["profile"]] == [3]
+    held = {"curvature": calls["curvature"][0][-1], "V": calls["weight"][0][-1][0][0],
+            "flux": calls["flux"][0][-1]}
     for eps, sc in zip(SWEEP_EPSILONS, caps):
         assert (sc is base) == (eps == 0.0)
         if eps != 0.0:
@@ -488,6 +525,13 @@ def test_stacked_sweep_rows_equal_caps_built_alone(monkeypatch, kind, n, level):
                 assert geo.count == nodes[r]
                 assert all(np.shares_memory(getattr(geo, f.name), getattr(stack, f.name))
                            for f in dataclasses.fields(geo))
+            cap = sc.piece("cap", rule)
+            assert all(np.shares_memory(getattr(cap.curvature(), f.name),
+                                        getattr(held["curvature"], f.name))
+                       for f in dataclasses.fields(held["curvature"]))
+            assert np.shares_memory(sc.weight_data(rule)[0], held["V"].base)
+            assert np.shares_memory(cap._cache["flux"], held["flux"])
+            assert "margins" in sc.piece("cap", admissibility)._cache
     # the rows of a repeated epsilon read one geometry, each through a piece of its own
     assert caps[0].piece("cap", rule).geo is caps[3].piece("cap", rule).geo
     assert rows == _sweep_rows(_alone(spec, SWEEP_EPSILONS), rule)

@@ -13,6 +13,7 @@ from fbmink import WeightNonpositive, surfaces
 from fbmink.surfaces import (
     DEGENERACY_FLOOR,
     JACOBI_SWEEPS,
+    JACOBI_TOLERANCE,
     SurfaceGeometry,
     boundary_checks,
     boundary_parameters,
@@ -261,8 +262,8 @@ def test_convexity_and_substatic_margins_on_hemisphere(hemisphere):
     U = interior_params(surf)
     # V = 1: convexity margin is min principal curvature = 1,
     # substatic eigenvalues are kappa_i (H - kappa_i) = 1
-    assert np.isclose(hypothesis_margins(w, surface_geometry(surf, U))[1], 1.0, atol=1e-12)
-    assert np.isclose(hypothesis_margins(w, surface_geometry(surf, U))[2], 1.0, atol=1e-12)
+    assert np.isclose(hypothesis_margins(w, surface_geometry(surf, U))[0][1], 1.0, atol=1e-12)
+    assert np.isclose(hypothesis_margins(w, surface_geometry(surf, U))[0][2], 1.0, atol=1e-12)
 
 
 def test_dimpled_cap_violates_convexity():
@@ -270,7 +271,7 @@ def test_dimpled_cap_violates_convexity():
     sc = make_perturbed_cap(CapSpec(support=support, radius=1.0),
                             PerturbationSpec(epsilon=0.6, power=3))
     U = interior_params(sc.surface, m=15, margin=0.02)
-    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[1] < 0.0
+    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[0][1] < 0.0
     # boundary data survives the dimple: it is a free-boundary perturbation
     assert boundary_checks(sc.surface)[0] <= 1e-10
 
@@ -279,8 +280,8 @@ def test_dimpled_cap_violates_convexity():
 def test_hypothesis_margins_positive_on_canonical_caps(kind):
     sc = canonical_scenario(kind)
     U = interior_params(sc.surface, m=9, margin=0.05)
-    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[1] > 0.0
-    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[2] > -1e-12
+    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[0][1] > 0.0
+    assert hypothesis_margins(sc.weight, surface_geometry(sc.surface, U))[0][2] > -1e-12
 
 
 class CollapsedChart:
@@ -449,12 +450,13 @@ def _stress_stacks(k: int, m: int = 48):
     return stacks
 
 
-def _rotated(A: np.ndarray):
-    """_jacobi_eigenvalues(A) with warnings raised as errors, checking A is left as it was."""
+def _rotated(A: np.ndarray, parts: int = 1):
+    """_jacobi_eigenvalues(A, parts) with warnings raised as errors, checking A is left as
+    it was."""
     before = A.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, sweeps = surfaces._jacobi_eigenvalues(A)
+        values, sweeps = surfaces._jacobi_eigenvalues(A, parts)
     np.testing.assert_array_equal(A, before)
     return values, sweeps
 
@@ -479,6 +481,27 @@ def test_jacobi_eigenvalues_match_eigvalsh_on_stress_stacks(k):
             assert values.tobytes() == A[0].tobytes()
 
 
+@pytest.mark.parametrize("tolerance", [JACOBI_TOLERANCE, 1e-8])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_each_part_of_a_stack_reads_the_bits_of_the_part_alone(monkeypatch, k, tolerance):
+    """The stress stacks stacked on the node axis, in two orders, as parts that converge
+    after different sweep counts from k = 3: each part's eigenvalues are those of the
+    part alone, bit for bit, and the stack runs the most sweeps any part needs.  At the
+    shipped tolerance a rotation after convergence moves no returned bit of these
+    stacks; at the coarse one it would, so there a converged part must stop rotating."""
+    monkeypatch.setattr(surfaces, "JACOBI_TOLERANCE", tolerance)
+    stacks = _stress_stacks(k)
+    alone = {name: _rotated(A) for name, A in stacks.items()}
+    counts = {sweeps for _, sweeps in alone.values()}
+    assert counts == {1} if k == 2 else len(counts) >= 2
+    for names in (list(stacks), list(reversed(stacks))):
+        A = np.concatenate([stacks[name] for name in names], axis=-1)
+        values, sweeps = _rotated(A, len(names))
+        assert sweeps == max(alone[name][1] for name in names)
+        for part, name in zip(np.split(values, len(names), axis=-1), names):
+            assert part.tobytes() == alone[name][0].tobytes(), name
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_a_nan_node_reads_nan_and_moves_no_other_node(k):
     A = _stress_stacks(k)["generic"]
@@ -497,8 +520,8 @@ def test_a_nan_node_reads_nan_and_moves_no_other_node(k):
 def test_principal_curvatures_of_caps_take_few_sweeps(monkeypatch):
     kernel, runs = surfaces._jacobi_eigenvalues, []
 
-    def recorded(A):
-        values, sweeps = kernel(A)
+    def recorded(A, parts):
+        values, sweeps = kernel(A, parts)
         runs.append((A.shape[0], sweeps))
         _assert_eigenvalues(A, values)
         return values, sweeps

@@ -10,14 +10,17 @@ is printed per run, and for a run that differs, each differing stream from
 shortly before its first differing byte; the exit status is 0 when every run
 matches and 1 otherwise.  Uses the standard library only.
 
-RUNS holds 83 runs.  Four run at n=4: ``schur``, ``af`` and a two-row
+RUNS holds 85 runs.  Five run at n=4: ``schur``, ``af`` and a two-row
 ``sweep`` at level 10, where the principal curvatures come from 3x3 stacks and
 reach stdout through the almost-Schur and AF hypothesis margins and the
-sweep's ``min_convexity_eig``, and a two-row ``sweep`` at level 12 whose first
-row fails at the report level before its second fails its precheck, which pins
-the order in which a sweep raises its rows' errors.  The others run at n=2, 3,
-5 or 6; among them a sweep that repeats epsilons, whose rows share one stacked
-pass (``families.sweep_caps``).
+sweep's ``min_convexity_eig``, a three-row almost-Schur ``sweep`` at level 10,
+whose rows read scal and ric0 off one stacked pass, and a two-row ``sweep`` at
+level 12 whose first row fails at the report level before its second fails its
+precheck, which pins the order in which a sweep raises its rows' errors.  The
+others run at n=2, 3, 5 or 6; among them a sweep that repeats epsilons, whose
+rows share one stacked pass (``families.sweep_caps``), and an AF ``sweep`` at
+level 24 with a zero and a negative epsilon, whose rows read sigma2 and the
+substatic margin off it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ ROW_ORDER_SWEEP = {"version": 1, "n": 4, "support": {"kind": "euclidean_sphere"}
 # rows with the same epsilon read the same bits
 REPEATED_SWEEP = {"version": 1, "support": {"kind": "horosphere"},
                   "sweep": {"epsilons": [0.03, -0.02, 0.03, 0.05, -0.02]}}
+# sweeps whose reports read sigma2 (AF), scal and ric0 (almost Schur) and the
+# substatic margin off each row's slice of the stacked pass
+AF_SWEEP = {"version": 1, "support": {"kind": "hyp_geodesic_sphere"},
+            "quadrature": {"level": 24},
+            "sweep": {"theorem": "af", "epsilons": [0.04, 0.0, -0.03, 0.02]}}
+SCHUR_SWEEP = {"version": 1, "n": 4, "support": {"kind": "sph_hyperplane"},
+               "quadrature": {"level": 10},
+               "sweep": {"theorem": "schur", "epsilons": [0.03, -0.02, 0.05]}}
 
 # (name, argv, config); a config is JSON data, raw JSON text, or None for no --config
 RUNS: list[tuple[str, list[str], object]] = [
@@ -93,6 +104,8 @@ RUNS: list[tuple[str, list[str], object]] = [
       for jobs in (1, 2)],
     ("sweep n=4 errors-in-row-order", ["sweep"], ROW_ORDER_SWEEP),
     ("sweep repeated-eps", ["sweep"], REPEATED_SWEEP),
+    ("sweep theorem=af zero-and-negative-eps", ["sweep"], AF_SWEEP),
+    ("sweep theorem=schur n=4", ["sweep"], SCHUR_SWEEP),
     # malformed input: each must exit 2 with a named error
     ("identities tolerance=nan", ["identities", "--tolerance", "nan"], None),
     ("identities tolerance=inf", ["identities", "--tolerance", "inf"], None),
